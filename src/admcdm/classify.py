@@ -15,6 +15,14 @@ The derived picture is cross-checked against the algebraic one (a square
 system is consistent exactly when its determinant vanishes); agreement is
 reported as a diagnostic rather than enforced, since adversarial inputs
 outside the corpus could in principle defeat the substitution search.
+
+Cost model. Derivation stops as soon as _RELATION_CAP relations are held
+and the result is known to be truncated, so the cap bounds time as well as
+memory. Each criterion pair's strongest rule is the rule of its smallest
+and largest derived ratio, found in one pass, and at most _WITNESS_CAP
+witnesses are kept: pairs are searched for them in order only until the
+cap is reached. Classifying R relations therefore costs O(R) beyond the
+witness search, instead of comparing every two derivations of a pair.
 """
 
 from __future__ import annotations
@@ -24,10 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
-from math import factorial
 
 from .errors import NonEquationPreference, NonlinearPreferencePresent
-from .linalg import det_numeric, rank
+from .linalg import system_consistent
 from .model import (
     InequalityPreference,
     MonomialPreference,
@@ -37,7 +44,6 @@ from .model import (
 )
 
 RATIO_BAND = 1e-9
-CONSISTENT_DET_TOL = 1e-9
 _RELATION_CAP = 5000
 _WITNESS_CAP = 200
 
@@ -72,12 +78,22 @@ class ClassificationReport:
     depth_exceeded: bool
 
 
+class _Settled(Exception):
+    """The relation list is full and marked truncated: walking further can
+    change neither, so derivation stops."""
+
+
 def _inv(k):
     return 1 / k if isinstance(k, (Fraction, int)) else 1.0 / k
 
 
 def _derive(problem: Problem, max_depth: int):
-    """All derived relations plus a flag for truncated exploration."""
+    """All derived relations plus a flag for truncated exploration.
+
+    Once _RELATION_CAP relations are held, any further derivation attempt or
+    depth cutoff marks the result truncated and ends the walk; the relations
+    and the flag are those an exhaustive walk would report.
+    """
     n = problem.criteria.n
     edges = []
     multi = []
@@ -108,21 +124,22 @@ def _derive(problem: Problem, max_depth: int):
         nonlocal truncated
         if len(relations) >= _RELATION_CAP:
             truncated = True
-            return
+            raise _Settled
         key = (i, j, frozenset(trail))
         if key in seen:
             return
         seen.add(key)
         relations.append(DerivedRelation(i, j, k, tuple(trail)))
-
-    for a, b, k, pos in edges:
-        add(a, b, k, (pos,))
+        if truncated and len(relations) >= _RELATION_CAP:
+            raise _Settled
 
     def walk(start, node, prod, trail, visited):
         nonlocal truncated
         if len(trail) >= max_depth:
             if any(pos not in trail for _, _, pos in adjacency[node]):
                 truncated = True
+                if len(relations) >= _RELATION_CAP:
+                    raise _Settled
             return
         for nxt, k, pos in adjacency[node]:
             if pos in trail:
@@ -138,10 +155,7 @@ def _derive(problem: Problem, max_depth: int):
                 add(start, nxt, here, trail + (pos,))
             walk(start, nxt, here, trail + (pos,), visited | {nxt})
 
-    for start in range(n):
-        walk(start, start, Fraction(1), (), frozenset({start}))
-
-    if multi:
+    def substitute():
         pool = defaultdict(list)
         for r in relations:
             if r.i != r.j:
@@ -180,16 +194,29 @@ def _derive(problem: Problem, max_depth: int):
                         trail += tr
                     add(subject, target, total, trail)
 
+    try:
+        for a, b, k, pos in edges:
+            add(a, b, k, (pos,))
+        for start in range(n):
+            walk(start, start, Fraction(1), (), frozenset({start}))
+        if multi:
+            substitute()
+    except _Settled:
+        pass
     return relations, truncated
+
+
+def _checked_depth(problem: Problem, max_depth):
+    if max_depth is None:
+        return problem.criteria.n
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    return max_depth
 
 
 def derive_relations(problem: Problem, max_depth: int = None):
     """Closure of substitution-derived two-variable and self relations."""
-    if max_depth is None:
-        max_depth = problem.criteria.n
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    return _derive(problem, max_depth)[0]
+    return _derive(problem, _checked_depth(problem, max_depth))[0]
 
 
 def _side(k) -> int:
@@ -206,62 +233,87 @@ def _differ(k1, k2) -> bool:
     return abs(a - b) > RATIO_BAND * max(abs(a), abs(b))
 
 
-def _det_consistent(problem: Problem) -> bool:
-    rows = assemble(problem)
-    m, n = len(rows), problem.criteria.n
-    if m != n:
-        return rank(rows) < n
-    top = max(abs(float(e)) for row in rows for e in row)
-    bound = CONSISTENT_DET_TOL * factorial(n) * top ** n
-    return abs(float(det_numeric(rows))) <= bound
+def _witness(k1, r1, k2, r2):
+    """(rule, r1, r2) for two derivations of one pair that disagree, the
+    one with the lower side of 1 first, or None when they agree."""
+    if not _differ(k1, k2):
+        return None
+    s1, s2 = _side(k1), _side(k2)
+    if s1 > s2:
+        s1, s2, r1, r2 = s2, s1, r2, r1
+    if s1 == -1 and s2 == 1:
+        return "SD4", r1, r2
+    if s2 == 1:
+        return "WD1", r1, r2
+    if s1 == -1:
+        return "WD2", r1, r2
+    return None  # both inside the band around 1: treated as equal to 1
 
 
-def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
-    if max_depth is None:
-        max_depth = problem.criteria.n
-    relations, truncated = _derive(problem, max_depth)
+def _pair_rule(values) -> str:
+    """Strongest rule any two of one pair's ratios fire: the rule of the
+    smallest and the largest.
 
+    values are the ratios as floats, all non-negative since coefficients
+    are positive. For 0 <= u <= v the test |u - v| > RATIO_BAND * v can
+    only turn true as u decreases or v grows (v - u is exact while
+    v <= 2u, and the band is far wider than a rounding step), so some two
+    values differ exactly when the extremes do, and the extremes also
+    carry the lowest and the highest side of 1.
+    """
+    found = _witness(min(values), None, max(values), None)
+    return found[0] if found else ""
+
+
+def _pair_witnesses(oriented, values, witnesses):
+    """Append the witness of every two disagreeing derivations of one pair,
+    in derivation order, until witnesses holds _WITNESS_CAP."""
+    for x in range(len(oriented)):
+        for y in range(x + 1, len(oriented)):
+            found = _witness(values[x], oriented[x][1],
+                             values[y], oriented[y][1])
+            if found:
+                witnesses.append(found)
+                if len(witnesses) >= _WITNESS_CAP:
+                    return
+
+
+_RANK = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
+
+
+def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
     pairs = defaultdict(list)
     selves = []
     for r in relations:
         if r.i == r.j:
             selves.append(r)
+        elif r.i < r.j:
+            pairs[(r.i, r.j)].append((r.ratio, r))
         else:
-            a, b = (r.i, r.j) if r.i < r.j else (r.j, r.i)
-            k = r.ratio if r.i < r.j else _inv(r.ratio)
-            pairs[(a, b)].append((k, r))
+            pairs[(r.j, r.i)].append((_inv(r.ratio), r))
 
-    rank_of = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
     strongest = ""
     witnesses = []
-
-    def fire(rule, rel, other=None):
-        nonlocal strongest
-        if rank_of[rule] > rank_of[strongest]:
+    for _, oriented in sorted(pairs.items()):
+        if len(oriented) == 2:
+            # one comparison decides the pair: the common case in cycles,
+            # a statement against the way round
+            found = _witness(*oriented[0], *oriented[1])
+            rule = found[0] if found else ""
+            if found and len(witnesses) < _WITNESS_CAP:
+                witnesses.append(found)
+        else:
+            values = [float(k) for k, _ in oriented]
+            rule = _pair_rule(values)
+            if rule and len(witnesses) < _WITNESS_CAP:
+                _pair_witnesses(oriented, values, witnesses)
+        if _RANK[rule] > _RANK[strongest]:
             strongest = rule
-        if len(witnesses) < _WITNESS_CAP:
-            witnesses.append((rule, rel, other))
-
-    for _, rels in sorted(pairs.items()):
-        for x in range(len(rels)):
-            for y in range(x + 1, len(rels)):
-                (k1, r1), (k2, r2) = rels[x], rels[y]
-                if not _differ(k1, k2):
-                    continue
-                s1, s2 = _side(k1), _side(k2)
-                if s1 > s2:
-                    s1, s2 = s2, s1
-                    r1, r2 = r2, r1
-                if s1 == -1 and s2 == 1:
-                    fire("SD4", r1, r2)
-                elif s2 == 1:
-                    fire("WD1", r1, r2)
-                elif s1 == -1:
-                    fire("WD2", r1, r2)
-                # both inside the band around 1: treated as equal to 1
     for r in selves:
         if _side(r.ratio) != 0:
-            fire("WD3", r)
+            strongest = strongest or "WD3"  # the weakest rule
+            if len(witnesses) < _WITNESS_CAP:
+                witnesses.append(("WD3", r, None))
 
     if strongest == "SD4":
         label = Label.STRONG_INCONSISTENT
@@ -273,12 +325,22 @@ def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
     else:
         label = Label.CONSISTENT
 
-    det_ok = _det_consistent(problem)
-    det_agrees = (label is Label.CONSISTENT) == det_ok
     return ClassificationReport(
         label=label,
         witnesses=tuple(witnesses),
         rule_fired=strongest,
-        det_agrees=det_agrees,
+        det_agrees=(label is Label.CONSISTENT) == det_ok,
         depth_exceeded=truncated,
     )
+
+
+def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
+    relations, truncated = _derive(problem, _checked_depth(problem, max_depth))
+    det_ok = system_consistent(assemble(problem), problem.criteria.n)
+    return _report(relations, truncated, det_ok)
+
+
+def _classify_solved(problem: Problem, det_ok: bool) -> ClassificationReport:
+    """classify(problem) for priority(), which has already run the
+    consistency test on the assembled system and passes its outcome."""
+    return _report(*_derive(problem, problem.criteria.n), det_ok)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import FullRank, NonPositiveComponent, NotSquare
 from .polynomial import (
@@ -30,6 +31,7 @@ from .polynomial import (
 )
 
 RANK_TOL = 1e-9
+CONSISTENT_DET_TOL = 1e-9
 
 PriorityVector = tuple
 
@@ -172,6 +174,17 @@ def _rref(rows, tol):
 
 def rank(rows, tol: float = RANK_TOL) -> int:
     return len(_rref(rows, tol)[1])
+
+
+def system_consistent(rows, n: int) -> bool:
+    """Whether the homogeneous system rows * x = 0 in n unknowns has a
+    nontrivial solution: rank below n when the system is not square,
+    otherwise |det| within CONSISTENT_DET_TOL * n! * max|a|^n."""
+    if len(rows) != n:
+        return rank(rows) < n
+    top = _magnitude(rows)
+    bound = CONSISTENT_DET_TOL * factorial(n) * top ** n
+    return abs(float(det_numeric(rows))) <= bound
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
-from .classify import ClassificationReport, classify
+from .classify import ClassificationReport, _classify_solved
 from .errors import (
     DegenerateCore,
     InconsistentExtraParams,
@@ -29,15 +28,15 @@ from .errors import (
     NonEquationPreference,
     NonlinearPreferencePresent,
 )
-from .linalg import (
+from .linalg import (  # CONSISTENT_DET_TOL is re-exported
+    CONSISTENT_DET_TOL,
     PolyMatrix,
     PriorityVector,
-    det_numeric,
     det_poly,
     general_solution,
     normalize,
     particular_positive,
-    rank,
+    system_consistent,
 )
 from .model import (
     InequalityPreference,
@@ -50,7 +49,6 @@ from .model import (
 from .polynomial import Poly, ZERO, peval, poly, positive_roots
 from .scalars import Scalar
 
-CONSISTENT_DET_TOL = 1e-9
 EXTRA_AGREE_TOL = 1e-6
 
 
@@ -216,22 +214,13 @@ def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolut
     )
 
 
-def _system_consistent(rows, n: int) -> bool:
-    m = len(rows)
-    if m != n:
-        return rank(rows) < n
-    top = max(abs(float(e)) for row in rows for e in row)
-    bound = CONSISTENT_DET_TOL * factorial(n) * top ** n
-    return abs(float(det_numeric(rows))) <= bound
-
-
 def priority(problem: Problem, policy: ConsistencyPolicy = None):
     """Full pipeline: returns (priority vector, AlphaSolution, report)."""
     if policy is None:
         policy = ConsistencyPolicy()
     rows = assemble(problem)
-    n = problem.criteria.n
-    if _system_consistent(rows, n):
+    consistent = system_consistent(rows, problem.criteria.n)
+    if consistent:
         solution = AlphaSolution(
             roots=(Fraction(1),),
             alpha=Fraction(1),
@@ -249,7 +238,7 @@ def priority(problem: Problem, policy: ConsistencyPolicy = None):
         ]
         vec = particular_positive(general_solution(numeric))
     pv = normalize(vec)
-    report = classify(problem)
+    report = _classify_solved(problem, consistent)
     return pv, solution, report
 
 

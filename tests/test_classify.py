@@ -2,17 +2,23 @@
 determinant cross-check."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from admcdm.classify import (
+    _RELATION_CAP,
     DerivedRelation,
     Label,
     classify,
     derive_relations,
 )
-from admcdm.errors import NonEquationPreference, NonlinearPreferencePresent
+from admcdm.errors import (
+    EngineError,
+    NonEquationPreference,
+    NonlinearPreferencePresent,
+)
 from admcdm.model import (
     CriteriaSet,
     InequalityPreference,
@@ -22,6 +28,7 @@ from admcdm.model import (
     make_cyclic_example,
 )
 from admcdm.parser import parse_problem
+from admcdm.solver import priority
 
 from conftest import load
 
@@ -172,6 +179,15 @@ class TestDeterminantCrossCheck:
             checked += 1
         assert checked >= 10
 
+    def test_priority_reuses_its_consistency_test(self, corpus_files):
+        for path in corpus_files:
+            pr = parse_problem(path.read_text())
+            try:
+                report = priority(pr)[2]
+            except EngineError:
+                continue
+            assert report == classify(pr), path.name
+
 
 class TestGuards:
     def test_inequality_is_refused(self):
@@ -187,3 +203,35 @@ class TestGuards:
         rep = classify(load("ex1.admp"), max_depth=1)
         assert rep.depth_exceeded
         assert rep.label is Label.WEAK_INCONSISTENT
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_max_depth_below_one_is_refused(self, depth):
+        with pytest.raises(ValueError):
+            classify(load("ex1.admp"), max_depth=depth)
+
+
+class TestBoundedTime:
+    """The relation cap bounds time: a full consistent pairwise set at
+    n = 9 has far more simple paths than the cap admits."""
+
+    def pairwise_9(self):
+        weights = (1, 2, 4, 8, 1, 2, 4, 8, 2)
+        lines = ["criteria: " + " ".join(f"C{i}" for i in range(9))]
+        for i in range(9):
+            for j in range(i + 1, 9):
+                ratio = Fraction(weights[i], weights[j])
+                lines.append(f"pref: C{i} / C{j} = {ratio}")
+        return parse_problem("\n".join(lines))
+
+    def test_derivation_stops_at_the_cap(self):
+        pr = self.pairwise_9()
+        assert len(derive_relations(pr)) == _RELATION_CAP
+        assert classify(pr).depth_exceeded
+
+    def test_full_solve_is_fast(self):
+        pr = self.pairwise_9()
+        start = time.perf_counter()
+        _, solution, report = priority(pr)
+        assert time.perf_counter() - start < 2.0
+        assert solution.alpha == 1
+        assert report.depth_exceeded
