@@ -1,37 +1,32 @@
 """Linear algebra for the solver: polynomial-entry determinants, numeric
-rank, and general solutions of dependent homogeneous systems.
+determinants and rank, and general solutions of dependent homogeneous
+systems.
 
-Numeric matrices are plain lists of rows whose entries are Fractions or
-floats; when every entry is exact the elimination stays exact, so solution
-components like 12z and 3z come out as Fractions rather than approximations.
-Polynomial-entry matrices hold degree-<=1 entries in practice and their
-determinant is expanded exactly: by cofactors for small sizes a human could
-check, and by fraction-free Bareiss elimination (with exact polynomial
-division) beyond that.
+Every exact determinant is one fraction-free Bareiss elimination over the
+integers, after each row is scaled to integers. A polynomial matrix is
+evaluated at deg + 1 integer points and its determinant recovered by Newton
+interpolation (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5);
+deg is the sum of the row degrees, so no intermediate outgrows the result.
+Rank and solution families of exact rows are eliminated over Fractions with
+no tolerance, so components like 12z and 3z come out as Fractions. Floats
+appear only when an irrational discount is substituted; such rows are
+eliminated with partial pivoting and a relative rank tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm, prod
 
 from .errors import FullRank, NonPositiveComponent, NotSquare
-from .polynomial import (
-    ONE,
-    ZERO,
-    Poly,
-    padd,
-    pdivmod,
-    peval,
-    pmul,
-    pneg,
-    poly,
-    psub,
-)
+from .polynomial import Poly, peval, poly
 
 RANK_TOL = 1e-9
-CONSISTENT_DET_TOL = 1e-9
+# Consistency is exact (det == 0, or rank < n). Callers that scale a
+# tolerance by this constant, |det| <= TOL * n! * max|a|^n, get the same
+# exact test with 0.
+CONSISTENT_DET_TOL = 0
 
 PriorityVector = tuple
 
@@ -64,89 +59,100 @@ class PolyMatrix:
         return len(self.entries[0])
 
 
-def const_matrix(rows) -> PolyMatrix:
-    """Lift a numeric matrix into constant polynomials."""
-    return PolyMatrix(tuple(tuple(poly((e,)) for e in row) for row in rows))
+def _integer_row(values):
+    """values read exactly and scaled by the lcm of their denominators:
+    (integers, scale)."""
+    exact = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
 
 
-def eval_matrix(mat: PolyMatrix, x):
-    """Pointwise evaluation back to a numeric matrix."""
-    return [[peval(e, x) for e in row] for row in mat.entries]
-
-
-def _cofactor(rows) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return psub(pmul(rows[0][0], rows[1][1]), pmul(rows[0][1], rows[1][0]))
-    acc = ZERO
-    for j, e in enumerate(rows[0]):
-        if e.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = pmul(e, _cofactor(minor))
-        acc = padd(acc, term) if j % 2 == 0 else psub(acc, term)
-    return acc
-
-
-def _bareiss(rows) -> Poly:
-    mat = [list(r) for r in rows]
+def _int_det(mat) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination; every division is exact. mat is overwritten."""
     n = len(mat)
-    sign = 1
-    prev = ONE
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if mat[k][k].is_zero():
-            swap = next(
-                (i for i in range(k + 1, n) if not mat[i][k].is_zero()), None)
+        if mat[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
             if swap is None:
-                # the whole remaining column is zero, so every surviving
-                # minor vanishes and the determinant is identically zero
-                return ZERO
+                return 0
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
+        pivot, top = mat[k][k], mat[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = psub(pmul(mat[k][k], mat[i][j]),
-                           pmul(mat[i][k], mat[k][j]))
-                mat[i][j] = num if k == 0 else pdivmod(num, prev)[0]
-            mat[i][k] = ZERO
-        prev = mat[k][k]
-    det = mat[n - 1][n - 1]
-    return det if sign == 1 else pneg(det)
+            f = mat[i][k]
+            mat[i][k + 1:] = [(pivot * a - f * b) // prev
+                              for a, b in zip(mat[i][k + 1:], top)]
+        prev = pivot
+    return sign * mat[n - 1][n - 1]
 
 
 def det_poly(mat: PolyMatrix) -> Poly:
-    """Exact determinant over the polynomial ring."""
+    """Exact determinant over the polynomial ring: integer determinants at
+    the points 0..deg, then Newton interpolation. At points one apart the
+    divided differences of an integer polynomial are integers, so every
+    division is exact."""
     if mat.m != mat.n:
         raise NotSquare(f"determinant needs a square matrix, got {mat.m}x{mat.n}")
-    if mat.n <= 4:
-        return _cofactor([list(r) for r in mat.entries])
-    return _bareiss(mat.entries)
+    rows, scale, deg = [], 1, 0
+    for row in mat.entries:
+        ints, s = _integer_row(c for e in row for c in e.coeffs)
+        it = iter(ints)
+        rows.append([poly(next(it) for _ in e.coeffs) for e in row])
+        scale *= s
+        deg += max(e.degree for e in row)
+    # a zero row leaves deg too small, but then every value is 0 anyway
+    diffs = [_int_det([[peval(e, x) for e in row] for row in rows])
+             for x in range(max(deg, 0) + 1)]
+    for k in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    acc = []
+    for k in range(len(diffs) - 1, -1, -1):  # acc = acc * (x - k) + diffs[k]
+        acc = [lo - k * a for lo, a in zip([diffs[k]] + acc, acc + [0])]
+    return poly(Fraction(c, scale) for c in acc)
 
 
 def det_numeric(rows):
-    """Determinant of a numeric square matrix, exact for exact entries."""
-    d = det_poly(const_matrix(rows))
-    return peval(d, 0)
-
-
-def _magnitude(rows) -> float:
-    return max((abs(float(e)) for row in rows for e in row), default=0.0)
+    """Determinant of a numeric square matrix: the exact Fraction for exact
+    entries, partial-pivoting elimination once a float is present."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare("determinant needs a square matrix")
+    if not any(isinstance(e, float) for r in rows for e in r):
+        scaled = [_integer_row(r) for r in rows]
+        return Fraction(_int_det([ints for ints, _ in scaled]),
+                        prod(s for _, s in scaled))
+    mat = [[float(e) for e in r] for r in rows]
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(mat[i][k]))
+        mat[k], mat[p] = mat[p], mat[k]
+        pivot, top = mat[k][k], mat[k][k + 1:]
+        det *= pivot if p == k else -pivot
+        if pivot == 0.0:
+            return 0.0
+        for i in range(k + 1, n):
+            f = mat[i][k] / pivot
+            mat[i][k + 1:] = [a - f * b for a, b in zip(mat[i][k + 1:], top)]
+    return det
 
 
 def _rref(rows, tol):
     """Reduced row echelon form; returns (worked rows, pivot columns).
 
-    Columns are processed left to right; the pivot is the largest-magnitude
-    entry in the column at or below the current row, earliest row on ties.
-    A column whose best entry falls below tol times the largest matrix entry
-    contributes no pivot.
+    Exact entries (ints become Fractions) are eliminated exactly and the
+    first nonzero entry pivots. Once a float is present, the pivot is the
+    largest-magnitude entry in the column at or below the current row,
+    earliest row on ties, and a column whose best entry falls below tol
+    times the largest matrix entry contributes no pivot.
     """
-    work = [list(r) for r in rows]
+    work = [[Fraction(e) if isinstance(e, int) else e for e in r] for r in rows]
     m = len(work)
     n = len(work[0]) if m else 0
-    cutoff = tol * _magnitude(work)
+    exact = not any(isinstance(e, float) for r in work for e in r)
+    cutoff = 0 if exact else tol * max(abs(e) for r in work for e in r)
     pivots = []
     r = 0
     for col in range(n):
@@ -155,9 +161,11 @@ def _rref(rows, tol):
         best_row = None
         best = cutoff
         for i in range(r, m):
-            a = abs(float(work[i][col]))
+            a = abs(work[i][col])
             if a > best:
                 best_row, best = i, a
+                if exact:
+                    break
         if best_row is None:
             continue
         work[r], work[best_row] = work[best_row], work[r]
@@ -178,13 +186,11 @@ def rank(rows, tol: float = RANK_TOL) -> int:
 
 def system_consistent(rows, n: int) -> bool:
     """Whether the homogeneous system rows * x = 0 in n unknowns has a
-    nontrivial solution: rank below n when the system is not square,
-    otherwise |det| within CONSISTENT_DET_TOL * n! * max|a|^n."""
+    nontrivial solution: det == 0 when the system is square, otherwise rank
+    below n. Exact for exact rows."""
     if len(rows) != n:
         return rank(rows) < n
-    top = _magnitude(rows)
-    bound = CONSISTENT_DET_TOL * factorial(n) * top ** n
-    return abs(float(det_numeric(rows))) <= bound
+    return det_numeric(rows) == 0
 
 
 @dataclass(frozen=True)
@@ -210,15 +216,6 @@ class GeneralSolution:
         for p, coefs in self.expressions:
             out[p] = sum(c * v for c, v in zip(coefs, values))
         return out
-
-    def basis(self):
-        """One solution per secondary variable (that variable 1, others 0)."""
-        k = len(self.secondary_vars)
-        return [
-            self.vector([Fraction(1) if i == j else Fraction(0)
-                         for i in range(k)])
-            for j in range(k)
-        ]
 
 
 def general_solution(rows, tol: float = RANK_TOL) -> GeneralSolution:

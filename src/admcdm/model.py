@@ -259,7 +259,8 @@ def assemble(problem: Problem):
     """Rows of the homogeneous system, one per equation preference.
 
     The row for subject i with terms a_j reads e_i - sum a_j e_j, so a
-    consistent set of statements makes the rows linearly dependent.
+    consistent set of statements makes the rows linearly dependent. Entries
+    are Fractions, also for float coefficients.
     """
     n = problem.criteria.n
     rows = []
@@ -273,8 +274,8 @@ def assemble(problem: Problem):
         lin = canonicalize(pref)
         row = [Fraction(0)] * n
         row[lin.subject] = Fraction(1)
-        for j, c in lin.terms:
-            row[j] = row[j] - c
+        for j, c in lin.terms:  # a float coefficient is read exactly
+            row[j] = row[j] - Fraction(c)
         rows.append(row)
     return rows
 

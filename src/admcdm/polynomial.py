@@ -1,9 +1,9 @@
 """Univariate polynomials in the discount parameter and their positive roots.
 
-Coefficients are stored densely, constant term first, and may be exact
-Fractions or floats (see scalars). Root extraction isolates positive real
-roots with a Sturm sequence, refines each isolated interval by bisection with
-a Newton polish, and, for exact-coefficient polynomials, snaps the refined
+Coefficients are stored densely, constant term first. Root extraction reads
+them exactly (a float as the Fraction of its binary value), isolates the
+positive real roots with an exact Sturm sequence, refines each isolated
+interval by float bisection with a Newton polish, and snaps the refined
 value to a nearby small-denominator rational whenever that rational is an
 exact zero. The snap step is what lets rational roots such as 5/12 or 1/729
 flow through the rest of the pipeline exactly.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, ZeroPolynomial
-from .scalars import Scalar, is_exact
+from .scalars import Scalar
 
 DEGREE_CAP = 16
 DEFAULT_TOL = 1e-10
@@ -70,7 +70,6 @@ def poly(coeffs) -> Poly:
 
 
 ZERO = poly(())
-ONE = poly((1,))
 
 
 def padd(a: Poly, b: Poly) -> Poly:
@@ -85,10 +84,6 @@ def padd(a: Poly, b: Poly) -> Poly:
 
 def pneg(a: Poly) -> Poly:
     return Poly(tuple(-c for c in a.coeffs))
-
-
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
@@ -109,16 +104,6 @@ def pscale(a: Poly, s) -> Poly:
     return poly(tuple(c * s for c in a.coeffs))
 
 
-def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
-    if kind == "add":
-        return padd(a, b)
-    if kind == "sub":
-        return psub(a, b)
-    if kind == "mul":
-        return pmul(a, b)
-    raise ValueError(f"unknown kind: {kind!r}")
-
-
 def peval(p: Poly, x) -> Scalar:
     """Horner evaluation; exact when both coefficients and x are exact."""
     acc = 0
@@ -132,12 +117,12 @@ def pdiff(p: Poly) -> Poly:
 
 
 def pdivmod(a: Poly, b: Poly):
-    """Euclidean division. Exact over Fractions; floats divide numerically."""
+    """Euclidean division, exact for exact coefficients."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coeffs)
     quo = [0] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    lead = b.coeffs[-1]
+    lead = Fraction(b.coeffs[-1])
     db = len(b.coeffs) - 1
     for k in range(len(rem) - 1, db - 1, -1):
         q = rem[k] / lead
@@ -148,24 +133,18 @@ def pdivmod(a: Poly, b: Poly):
     return poly(quo), poly(rem[:db])
 
 
-def _is_exact_poly(p: Poly) -> bool:
-    return all(is_exact(c) for c in p.coeffs)
-
-
 def _pgcd(a: Poly, b: Poly) -> Poly:
-    # exact-coefficient gcd, monic result
+    # monic gcd
     while not b.is_zero():
         a, b = b, pdivmod(a, b)[1]
     if a.is_zero():
         return a
-    return pscale(a, Fraction(1) / Fraction(a.coeffs[-1]))
+    return pscale(a, 1 / Fraction(a.coeffs[-1]))
 
 
 def _square_free(p: Poly) -> Poly:
-    """p / gcd(p, p') for exact polynomials; floats are passed through
-    (the float path assumes simple roots and falls back to derivative
-    analysis inside refinement when a bracket has no sign change)."""
-    if not _is_exact_poly(p) or p.degree < 2:
+    """p / gcd(p, p'): the same roots, each simple."""
+    if p.degree < 2:
         return p
     g = _pgcd(p, pdiff(p))
     if g.degree < 1:
@@ -173,21 +152,10 @@ def _square_free(p: Poly) -> Poly:
     return pdivmod(p, g)[0]
 
 
-def _float_trim(p: Poly, rel: float = 1e-13) -> Poly:
-    big = max((abs(float(c)) for c in p.coeffs), default=0.0)
-    if big == 0.0:
-        return ZERO
-    return poly(tuple(0 if abs(float(c)) <= rel * big else c for c in p.coeffs))
-
-
 def _sturm_chain(p: Poly) -> list:
     chain = [p, pdiff(p)]
-    exact_chain = _is_exact_poly(p)
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = pdivmod(chain[-2], chain[-1])[1]
-        if not exact_chain:
-            rem = _float_trim(rem)
-        chain.append(pneg(rem))
+    while chain[-1].degree > 0:
+        chain.append(pneg(pdivmod(chain[-2], chain[-1])[1]))
     if chain[-1].is_zero():
         chain.pop()
     return chain
@@ -238,48 +206,36 @@ def _isolate_positive(p: Poly, hi) -> list:
     return out
 
 
-def _bisect(p: Poly, lo: float, hi: float, flo: float) -> float:
+def _refine(p: Poly, a, b, tol: float):
+    """The one root of square-free p in (a, b]: b when p(b) = 0, else a
+    float from bisection and a Newton polish on float copies of p and p'.
+
+    p is negative on one side of the simple root and positive on the other,
+    so the sign of p(b) alone steers the bisection (p(a) may be 0).
+    """
+    end = peval(p, b)
+    if end == 0:
+        return b
+    fp = poly(float(c) for c in p.coeffs)
+    fd = poly(float(c) for c in pdiff(p).coeffs)
+    lo, hi = float(a), float(b)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        fm = float(peval(p, mid))
+        fm = peval(fp, mid)
         if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
+            lo = hi = mid
+        elif (fm > 0) == (end > 0):
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _refine(p: Poly, a, b, tol: float) -> float:
-    """One root of square-free p inside (a, b]: bisection, then Newton polish."""
-    fa, fb = float(peval(p, a)), float(peval(p, b))
-    if fb == 0.0:
-        r = float(b)
-    elif fa == 0.0:
-        r = float(a)
-    elif (fa > 0) != (fb > 0):
-        r = _bisect(p, float(a), float(b), fa)
-    else:
-        # No endpoint sign change: the root does not cross zero here, which
-        # for float input means an even-multiplicity touch. Walk the
-        # derivative's sign change to the extremum and accept it if p
-        # vanishes there.
-        dp = pdiff(p)
-        da, db = float(peval(dp, a)), float(peval(dp, b))
-        if (da > 0) == (db > 0):
-            r = 0.5 * (float(a) + float(b))
         else:
-            r = _bisect(dp, float(a), float(b), da)
-    d = pdiff(p)
+            lo = mid
+    r = 0.5 * (lo + hi)
     for _ in range(4):
-        dv = float(peval(d, r))
+        dv = peval(fd, r)
         if dv == 0.0:
             break
-        step = float(peval(p, r)) / dv
-        nxt = r - step
+        nxt = r - peval(fp, r) / dv
         if not (float(a) - tol <= nxt <= float(b) + tol):
             break
         r = nxt
@@ -287,7 +243,7 @@ def _refine(p: Poly, a, b, tol: float) -> float:
 
 
 def _snap_rational(p: Poly, r: float, a, b):
-    """Identify r as an exact rational root of exact-coefficient p, if it is one.
+    """Identify r as an exact rational root of p, if it is one.
 
     The candidate must stay inside the isolating interval (a, b]: a nearby
     rational that happens to be a DIFFERENT root of p must not capture this
@@ -301,7 +257,7 @@ def _snap_rational(p: Poly, r: float, a, b):
 
 
 def _multiplicity(p: Poly, r) -> int:
-    if not (_is_exact_poly(p) and isinstance(r, Fraction)):
+    if not isinstance(r, Fraction):
         return 1
     m = 0
     d = p
@@ -320,26 +276,20 @@ def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    cs = list(p.coeffs)
-    while cs and cs[0] == 0:  # factor out alpha^k; 0 is never a reported root
+    cs = [Fraction(c) for c in p.coeffs]
+    while cs[0] == 0:  # factor out alpha^k; 0 is never a reported root
         cs.pop(0)
     q = poly(cs)
     if q.degree < 1:
         return []
     sf = _square_free(q)
-    hi = 1 + _cauchy_bound(sf)
-    if _is_exact_poly(sf):
-        hi = Fraction(hi).limit_denominator(4096)
+    hi = Fraction(1 + _cauchy_bound(sf)).limit_denominator(4096)
     roots = []
     for a, b in _isolate_positive(sf, hi):
         r = _refine(sf, a, b, tol)
-        if _is_exact_poly(q):
+        if isinstance(r, float):
             r = _snap_rational(q, r, a, b)
-        if not r > tol:
-            continue
-        scale = tol * (1 + max(abs(float(c)) for c in q.coeffs))
-        if abs(float(peval(q, r))) > scale:
-            continue
-        roots.extend([r] * _multiplicity(q, r))
+        if r > tol:
+            roots.extend([r] * _multiplicity(q, r))
     roots.sort(key=float)
     return roots

@@ -1,15 +1,16 @@
 """The discounting pipeline: parameterize the system, solve the parametric
 determinant equation, pick the discount, and produce the priority vector.
 
-A consistent set of statements already has a dependent system, so the
-discount is 1 and the general solution is read off directly. Otherwise each
-statement's right-hand side is scaled by its multiplier times the shared
-base parameter, the core determinant becomes a polynomial whose positive
-root fixes the parameter, and preferences outside the core get their own
-parameters solved afterwards from the auxiliary determinants that involve
-their row. The consistency degree is min(alpha, 1/alpha): a discount far
-below 1 or an amplification far above it both signal statements that had to
-be bent a long way to agree.
+A consistent set of statements (determinant exactly 0, or rank below n)
+already has a dependent system, so the discount is 1 and the general
+solution is read off directly. Otherwise each statement's right-hand side is
+scaled by its multiplier times the shared base parameter, the core
+determinant becomes an exact polynomial whose positive root fixes the
+parameter, and preferences outside the core get their own parameters in
+closed form from the auxiliary determinants, which are linear in them. The
+consistency degree is min(alpha, 1/alpha): a discount far below 1 or an
+amplification far above it both signal statements that had to be bent a
+long way to agree.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .linalg import (  # CONSISTENT_DET_TOL is re-exported
     CONSISTENT_DET_TOL,
     PolyMatrix,
     PriorityVector,
+    det_numeric,
     det_poly,
     general_solution,
     normalize,
@@ -121,8 +123,8 @@ def parameterize(problem: Problem) -> ParamSystem:
         c = problem.binding.multipliers[pos]
         row = [ZERO] * n
         row[lin.subject] = poly((1,))
-        for j, a in lin.terms:
-            row[j] = poly((0, -a * c))
+        for j, a in lin.terms:  # a float coefficient is read exactly
+            row[j] = poly((0, -Fraction(a) * Fraction(c)))
         rows.append(tuple(row))
     return ParamSystem(PolyMatrix(tuple(rows)), problem.binding)
 
@@ -152,31 +154,41 @@ def _choose_root(roots):
 
 
 def _solve_extras(ps: ParamSystem, alpha):
+    """Each extra preference's own parameter beta. Only its row carries
+    beta, so with n - 1 core rows the auxiliary determinant is c0 + c1 * beta:
+    the row's constant and beta parts dotted with the cofactor vector of
+    those core rows, which is computed once for every extra row."""
     core = ps.binding.core_mask
     m, n = ps.matrix.m, ps.matrix.n
     core_set = set(core)
     extras = [i for i in range(m) if i not in core_set]
     if not extras:
         return ()
-    evaluated = {
-        i: tuple(poly((peval(e, alpha),)) for e in ps.matrix.entries[i])
-        for i in core
-    }
+    evaluated = {i: [peval(e, alpha) for e in ps.matrix.entries[i]]
+                 for i in core}
+    cofactors = []
+    for subset in combinations(core, n - 1):
+        rows = [evaluated[i] for i in subset]
+        cofactors.append([
+            (-1) ** (n - 1 + j)
+            * det_numeric([r[:j] + r[j + 1:] for r in rows])
+            for j in range(n)])
     out = []
     for pos in extras:
+        # entries are constants or multiples of beta (degree <= 1)
+        const, slope = zip(*((e.coeffs + (0, 0))[:2]
+                             for e in ps.matrix.entries[pos]))
         values = []
-        for subset in combinations(core, n - 1):
-            rows = [evaluated[i] for i in subset]
-            rows.append(ps.matrix.entries[pos])
-            d = det_poly(PolyMatrix(tuple(rows)))
-            if d.is_zero():
+        for cof in cofactors:
+            c0 = sum(f * a for f, a in zip(cof, const))
+            c1 = sum(f * a for f, a in zip(cof, slope))
+            if c0 == 0 and c1 == 0:
                 continue
-            roots = positive_roots(d)
-            if not roots:
+            if c1 == 0 or not -c0 / c1 > 0:
                 raise InconsistentExtraParams(
                     f"auxiliary determinant for preference {pos + 1} "
                     "admits no positive parameter")
-            values.extend(roots)
+            values.append(-c0 / c1)
         if not values:
             raise InconsistentExtraParams(
                 f"every auxiliary determinant for preference {pos + 1} "

@@ -13,8 +13,9 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from admcdm import (
     InequalityPreference,

@@ -4,8 +4,9 @@ and agreement with the discounting pipeline on consistent input."""
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from admcdm.ahp import (
     AhpMatrix,

@@ -4,25 +4,29 @@ against numpy oracles."""
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from admcdm.errors import FullRank, NonPositiveComponent, NotSquare
 from admcdm.linalg import (
     PolyMatrix,
-    const_matrix,
     det_numeric,
     det_poly,
-    eval_matrix,
     general_solution,
     normalize,
     particular_positive,
     rank,
+    system_consistent,
 )
-from admcdm.linalg import _bareiss, _cofactor
 from admcdm.polynomial import peval, poly
 
 RNG = random.Random(0xA11A)
+
+
+def at(mat, x):
+    """The numeric matrix of mat at x."""
+    return [[peval(e, x) for e in row] for row in mat.entries]
 
 
 def rand_poly_matrix(n, rng):
@@ -59,14 +63,6 @@ class TestDeterminant:
             oracle = np.linalg.det(np.array(rows, dtype=float))
             assert abs(float(exact) - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
-    def test_cofactor_and_bareiss_agree_on_poly_matrices(self):
-        for _ in range(40):
-            n = RNG.randrange(2, 7)
-            mat = rand_poly_matrix(n, RNG)
-            a = _cofactor([list(r) for r in mat.entries])
-            b = _bareiss(mat.entries)
-            assert a == b
-
     def test_poly_determinant_evaluates_like_numpy(self):
         for _ in range(30):
             n = RNG.randrange(2, 6)
@@ -75,13 +71,62 @@ class TestDeterminant:
             x = Fraction(RNG.randrange(-6, 7), RNG.randrange(1, 5))
             direct = peval(d, x)
             numeric = np.linalg.det(
-                np.array(eval_matrix(mat, x), dtype=float))
+                np.array(at(mat, x), dtype=float))
             assert abs(float(direct) - numeric) <= 1e-6 * max(
                 1.0, abs(numeric))
 
+    def test_poly_determinant_is_exact_and_matches_sympy(self):
+        """Fraction coefficients in, Fraction coefficients out, and equal
+        to sympy's exact determinant at random rational points. Point
+        checks stay fast where a symbolic determinant would not."""
+        pytest.importorskip("sympy")
+        from sympy import QQ
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(0xDE7)
+        for n in range(5, 17):
+            mat = PolyMatrix(tuple(
+                tuple(poly((Fraction(rng.randrange(-9, 10),
+                                     rng.randrange(1, 8)),
+                            Fraction(rng.randrange(-9, 10),
+                                     rng.randrange(1, 8))))
+                      for _ in range(n))
+                for _ in range(n)))
+            d = det_poly(mat)
+            assert d.degree <= n
+            assert all(isinstance(c, Fraction) for c in d.coeffs)
+            for _ in range(3):
+                x = Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
+                oracle = DomainMatrix(
+                    [[QQ(v.numerator, v.denominator) for v in row]
+                     for row in at(mat, x)], (n, n), QQ).det()
+                got = peval(d, x)
+                assert (got.numerator, got.denominator) == (
+                    int(oracle.numerator), int(oracle.denominator))
+
+    def test_dense_ten_by_ten_stays_within_the_degree_cap(self):
+        """Only the final determinant meets DEGREE_CAP: a dense degree-1
+        10x10 matrix has a degree-10 determinant."""
+        rng = random.Random(10)
+        mat = PolyMatrix(tuple(
+            tuple(poly((Fraction(rng.randrange(1, 9)),
+                        Fraction(rng.randrange(1, 9))))
+                  for _ in range(10))
+            for _ in range(10)))
+        d = det_poly(mat)
+        assert d.degree == 10
+        x = Fraction(3, 7)
+        assert peval(d, x) == det_numeric(at(mat, x))
+
+    def test_float_rows_are_eliminated_with_pivoting(self):
+        rows = [[1e-20, 1.0], [1.0, 1.0]]
+        assert det_numeric(rows) == pytest.approx(-1.0)
+        assert isinstance(det_numeric([[0.5, 1], [2, 3]]), float)
+
     def test_rectangular_matrix_rejected(self):
         with pytest.raises(NotSquare):
-            det_poly(const_matrix([[1, 2, 3], [4, 5, 6]]))
+            det_poly(PolyMatrix(((poly((1,)), poly((2,)), poly((3,))),
+                                 (poly((4,)), poly((5,)), poly((6,))))))
 
     def test_singular_bareiss_with_zero_column(self):
         rows = [[Fraction(0)] * 5 for _ in range(5)]
@@ -114,6 +159,25 @@ class TestRank:
 
     def test_zero_matrix(self):
         assert rank([[Fraction(0)] * 3 for _ in range(2)]) == 0
+
+    def test_tiny_exact_pivot_counts(self):
+        """An exact 1/10^10 is a pivot like any other nonzero entry."""
+        rows = [[Fraction(1), Fraction(-1), Fraction(0)],
+                [Fraction(0), Fraction(1), Fraction(-1)],
+                [Fraction(0), Fraction(0), Fraction(1, 10**10)],
+                [Fraction(0), Fraction(2), Fraction(-2)]]
+        assert rank(rows) == 3
+        assert not system_consistent(rows, 3)
+        with pytest.raises(FullRank):
+            general_solution(rows)
+
+    def test_integer_rows_stay_exact(self):
+        gs = general_solution([[1, -2, 0], [0, 1, -5]])
+        v = gs.vector([Fraction(1)])
+        assert v == [10, 5, 1]
+        assert all(isinstance(x, Fraction) for x in v)
+        assert rank([[1, 2], [3, 6]]) == 1
+        assert det_numeric([[1, 2], [3, 4]]) == Fraction(-2)
 
 
 class TestGeneralSolution:
@@ -148,7 +212,9 @@ class TestGeneralSolution:
                 continue  # only the trivial solution; nothing to check
             gs = general_solution(a)
             top = max(abs(float(e)) for row in a for e in row)
-            for v in gs.basis():
+            k = len(gs.secondary_vars)
+            for j in range(k):
+                v = gs.vector([Fraction(int(i == j)) for i in range(k)])
                 for row in a:
                     resid = sum(e * x for e, x in zip(row, v))
                     assert abs(float(resid)) <= 1e-9 * max(1.0, top)

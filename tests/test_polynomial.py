@@ -16,11 +16,12 @@ from admcdm.errors import DegreeCapExceeded, ZeroPolynomial
 from admcdm.polynomial import (
     DEGREE_CAP,
     Poly,
+    padd,
     pdiff,
     pdivmod,
     peval,
+    pmul,
     poly,
-    poly_arith,
     positive_roots,
 )
 
@@ -37,7 +38,7 @@ def _random_poly(max_degree: int = 5) -> Poly:
 def _from_roots(roots, lead=Fraction(1)) -> Poly:
     p = poly((lead,))
     for r in roots:
-        p = poly_arith(p, poly((-r, Fraction(1))), "mul")
+        p = pmul(p, poly((-r, Fraction(1))))
     return p
 
 
@@ -54,8 +55,7 @@ def test_degree_cap_enforced():
 def test_ring_axioms_on_random_polys():
     for _ in range(200):
         a, b, c = _random_poly(), _random_poly(), _random_poly()
-        add = lambda x, y: poly_arith(x, y, "add")
-        mul = lambda x, y: poly_arith(x, y, "mul")
+        add, mul = padd, pmul
         assert add(a, b) == add(b, a)
         assert mul(a, b) == mul(b, a)
         assert add(add(a, b), c) == add(a, add(b, c))
@@ -82,7 +82,7 @@ def test_division_identity():
         if not b.coeffs:
             continue
         q, r = pdivmod(a, b)
-        recomposed = poly_arith(poly_arith(q, b, "mul"), r, "add")
+        recomposed = padd(pmul(q, b), r)
         assert recomposed == a
         assert len(r.coeffs) < len(b.coeffs) or not r.coeffs
 
@@ -90,13 +90,8 @@ def test_division_identity():
 def test_derivative_of_product_rule():
     for _ in range(50):
         a, b = _random_poly(4), _random_poly(4)
-        product = poly_arith(a, b, "mul")
-        lhs = pdiff(product)
-        rhs = poly_arith(
-            poly_arith(pdiff(a), b, "mul"),
-            poly_arith(a, pdiff(b), "mul"),
-            "add",
-        )
+        lhs = pdiff(pmul(a, b))
+        rhs = padd(pmul(pdiff(a), b), pmul(a, pdiff(b)))
         assert lhs == rhs
 
 

@@ -3,6 +3,8 @@ parameters, policies, and system-level invariants across the corpus."""
 
 import math
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,6 @@ from admcdm.errors import (
     NonEquationPreference,
     NonlinearPreferencePresent,
 )
-from admcdm.linalg import eval_matrix
 from admcdm.model import (
     CriteriaSet,
     LinearPreference,
@@ -261,6 +262,88 @@ class TestFailureModes:
                 "criteria: x y\npref: x = 2 y\npref: x < y\n"))
 
 
+def ratio_cycle(n, r):
+    """x0 = r x1, x1 = r x2, ..., x(n-1) = r x0: the product of the ratios
+    round the cycle is r^n, so the discount is exactly 1/r."""
+    names = " ".join(f"x{i}" for i in range(n))
+    return problem(names, *(LinearPreference(i, (((i + 1) % n, r),))
+                            for i in range(n)))
+
+
+LOOPING_INPUT = """criteria: C0 C1 C2 C3 C4 C5 C6 C7
+pref: C5 = 3/8 C6 + 8/1 C2
+pref: C0 = 6/9 C5
+pref: C2 = 6/3 C6 + 2/5 C5
+pref: C3 = 6/3 C1
+pref: C3 = 5/1 C6
+pref: C7 = 3/2 C3
+pref: C3 = 1/1 C4 + 4/4 C7
+pref: C5 = 9/7 C7
+pref: C6 = 1/1 C5
+pref: C3 = 6/5 C7 + 9/4 C2
+pref: C5 = 4/5 C0 + 6/6 C6
+"""
+
+
+class TestExactCore:
+    def test_five_cycle_discount_is_an_exact_fraction(self):
+        _, sol, _ = priority(ratio_cycle(5, Fraction(2)))
+        assert sol.alpha == Fraction(1, 2)
+        assert isinstance(sol.alpha, Fraction)
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_long_ratio_cycles_solve_exactly(self, n):
+        for r in (Fraction(2), Fraction(3, 2)):
+            pv, sol, _ = priority(ratio_cycle(n, r))
+            assert sol.alpha == 1 / r
+            assert isinstance(sol.alpha, Fraction)
+            assert pv == tuple([Fraction(1, n)] * n)
+
+    def test_parametric_equations_have_fraction_coefficients(
+            self, corpus_files):
+        problems = [pr for _, pr in linear_corpus(corpus_files)]
+        problems += [ratio_cycle(n, Fraction(3)) for n in (5, 9, 16)]
+        for pr in problems:
+            try:
+                eq = parametric_equation(parameterize(pr))
+            except (DegenerateCore, InvalidProblem):
+                continue
+            assert all(isinstance(c, Fraction) for c in eq.coeffs)
+
+    def test_looping_regression_input_ends_quickly(self):
+        """Root isolation once bisected this input forever; exactly, both
+        real roots are negative."""
+        def hang(signum, frame):
+            raise TimeoutError("root isolation did not end")
+
+        pr = parse_problem(LOOPING_INPUT)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)  # fail instead of hanging if the loop comes back
+        try:
+            start = time.perf_counter()
+            with pytest.raises(NoPositiveRoot):
+                priority(pr)
+            assert time.perf_counter() - start < 1.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_float_coefficients_are_read_exactly(self):
+        """0.5 and 0.25 are binary fractions, so the float problem is the
+        exact problem and solves to the same exact answer."""
+        exact = priority(problem("x y z",
+                                 LinearPreference(0, ((1, Fraction(1, 2)),)),
+                                 LinearPreference(1, ((2, Fraction(1, 4)),)),
+                                 LinearPreference(0, ((2, 2),))))
+        floats = priority(problem("x y z",
+                                  LinearPreference(0, ((1, 0.5),)),
+                                  LinearPreference(1, ((2, 0.25),)),
+                                  LinearPreference(0, ((2, 2.0),))))
+        assert floats[0] == exact[0]
+        assert floats[1].alpha == exact[1].alpha
+        assert isinstance(floats[1].alpha, Fraction)
+
+
 class TestPolicy:
     def test_threshold_must_be_a_probability(self):
         with pytest.raises(InvalidProblem):
@@ -288,12 +371,15 @@ class TestParameterization:
 
         pr = load("ex9.admp")
         ps = parameterize(pr)
-        assert eval_matrix(ps.matrix, Fraction(1)) == assemble(pr)
+        at_one = [[peval(e, Fraction(1)) for e in row]
+                  for row in ps.matrix.entries]
+        assert at_one == assemble(pr)
 
     def test_multipliers_scale_the_rows(self):
         pr = load("ex9_expert.admp")
         ps = parameterize(pr)
-        rows = eval_matrix(ps.matrix, Fraction(1))
+        rows = [[peval(e, Fraction(1)) for e in row]
+                for row in ps.matrix.entries]
         # second statement carries multiplier 2: C1 = 4 * (2 alpha) C3
         assert rows[1] == [Fraction(1), Fraction(0), Fraction(-8)]
         # third carries 1/3: C2 = 5 * (alpha / 3) C3
