@@ -12,9 +12,11 @@ k != 1 is weak: the statement chain deflates or inflates a criterion against
 itself without reversing any ordering.
 
 The derived picture is cross-checked against the algebraic one (a square
-system is consistent exactly when its determinant vanishes); agreement is
-reported as a diagnostic rather than enforced, since adversarial inputs
-outside the corpus could in principle defeat the substitution search.
+system is consistent exactly when its determinant vanishes); agreement of
+the search's own verdict with it is reported as a diagnostic, since
+multi-term statements can defeat the substitution search. A set the exact
+test calls inconsistent is never labelled Consistent: if no rule fired it
+is WeakInconsistent with no rule.
 
 Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds time as well as
@@ -315,21 +317,22 @@ def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
             if len(witnesses) < _WITNESS_CAP:
                 witnesses.append(("WD3", r, None))
 
+    # the search finds the set consistent when no rule fired and nothing was
+    # left unexplored; a capped search, or one the exact test contradicts,
+    # is labelled WeakInconsistent conservatively
+    found_consistent = not strongest and not truncated
     if strongest == "SD4":
         label = Label.STRONG_INCONSISTENT
-    elif strongest:
-        label = Label.WEAK_INCONSISTENT
-    elif truncated:
-        # unexplored substitutions may hide a disagreement; stay conservative
-        label = Label.WEAK_INCONSISTENT
-    else:
+    elif found_consistent and det_ok:
         label = Label.CONSISTENT
+    else:
+        label = Label.WEAK_INCONSISTENT
 
     return ClassificationReport(
         label=label,
         witnesses=tuple(witnesses),
         rule_fired=strongest,
-        det_agrees=(label is Label.CONSISTENT) == det_ok,
+        det_agrees=found_consistent == det_ok,
         depth_exceeded=truncated,
     )
 

@@ -234,10 +234,15 @@ def general_solution(rows, tol: float = RANK_TOL) -> GeneralSolution:
 
 
 def particular_positive(gs: GeneralSolution):
-    """The solution with every secondary variable set to 1."""
+    """The solution with every secondary variable set to 1. Float
+    components at or below RANK_TOL times the largest one are rounding
+    noise around 0, not positive."""
     v = gs.vector([Fraction(1)] * len(gs.secondary_vars))
+    floor = 0
+    if any(isinstance(c, float) for c in v):
+        floor = RANK_TOL * max(abs(c) for c in v)
     for comp in v:
-        if not comp > 0:
+        if not comp > floor:
             raise NonPositiveComponent(
                 "general solution admits no positive particular vector "
                 "with all secondary variables at 1")

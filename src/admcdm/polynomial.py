@@ -1,8 +1,10 @@
 """Univariate polynomials in the discount parameter and their positive roots.
 
 Coefficients are stored densely, constant term first. Root extraction reads
-them exactly (a float as the Fraction of its binary value), isolates the
-positive real roots with an exact Sturm sequence, refines each isolated
+them exactly (a float as the Fraction of its binary value), splits the
+polynomial into square-free factors f_k of multiplicity k (Yun's algorithm),
+isolates the positive real roots of each factor with an exact Sturm
+sequence and reports each of them k times. It refines each isolated
 interval by float bisection with a Newton polish, and snaps the refined
 value to a nearby small-denominator rational whenever that rational is an
 exact zero. The snap step is what lets rational roots such as 5/12 or 1/729
@@ -142,14 +144,27 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return pscale(a, 1 / Fraction(a.coeffs[-1]))
 
 
-def _square_free(p: Poly) -> Poly:
-    """p / gcd(p, p'): the same roots, each simple."""
-    if p.degree < 2:
-        return p
-    g = _pgcd(p, pdiff(p))
+def _square_free_factors(p: Poly) -> list:
+    """Yun's square-free factorization: pairs (k, f_k) with p a constant
+    times the product of the f_k**k, each f_k square-free and the f_k
+    pairwise coprime."""
+    dp = pdiff(p)
+    g = _pgcd(p, dp)
     if g.degree < 1:
-        return p
-    return pdivmod(p, g)[0]
+        # kept as it is, not made monic, so its roots refine to the same
+        # floats as before, and the common case costs one gcd
+        return [(1, p)]
+    b, c = pdivmod(p, g)[0], pdivmod(dp, g)[0]
+    out = []
+    k = 1
+    while b.degree >= 1:
+        d = padd(c, pneg(pdiff(b)))
+        a = _pgcd(b, d)
+        if a.degree >= 1:
+            out.append((k, a))
+        b, c = pdivmod(b, a)[0], pdivmod(d, a)[0]
+        k += 1
+    return out
 
 
 def _sturm_chain(p: Poly) -> list:
@@ -256,17 +271,6 @@ def _snap_rational(p: Poly, r: float, a, b):
     return r
 
 
-def _multiplicity(p: Poly, r) -> int:
-    if not isinstance(r, Fraction):
-        return 1
-    m = 0
-    d = p
-    while not d.is_zero() and peval(d, r) == 0:
-        m += 1
-        d = pdiff(d)
-    return max(m, 1)
-
-
 def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
     """All real roots > tol, ascending, each repeated per its multiplicity.
 
@@ -282,14 +286,14 @@ def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
     q = poly(cs)
     if q.degree < 1:
         return []
-    sf = _square_free(q)
-    hi = Fraction(1 + _cauchy_bound(sf)).limit_denominator(4096)
     roots = []
-    for a, b in _isolate_positive(sf, hi):
-        r = _refine(sf, a, b, tol)
-        if isinstance(r, float):
-            r = _snap_rational(q, r, a, b)
-        if r > tol:
-            roots.extend([r] * _multiplicity(q, r))
+    for k, f in _square_free_factors(q):
+        hi = Fraction(1 + _cauchy_bound(f)).limit_denominator(4096)
+        for a, b in _isolate_positive(f, hi):
+            r = _refine(f, a, b, tol)
+            if isinstance(r, float):
+                r = _snap_rational(f, r, a, b)
+            if r > tol:
+                roots.extend([r] * k)
     roots.sort(key=float)
     return roots

@@ -6,11 +6,14 @@ already has a dependent system, so the discount is 1 and the general
 solution is read off directly. Otherwise each statement's right-hand side is
 scaled by its multiplier times the shared base parameter, the core
 determinant becomes an exact polynomial whose positive root fixes the
-parameter, and preferences outside the core get their own parameters in
-closed form from the auxiliary determinants, which are linear in them. The
-consistency degree is min(alpha, 1/alpha): a discount far below 1 or an
-amplification far above it both signal statements that had to be bent a
-long way to agree.
+parameter, and the core's null space at that root gives the priority
+vector. A preference outside the core gets its own parameter beta: with the
+core's one null vector v, its row const + beta * slope must be orthogonal
+to v, so beta = -(const . v) / (slope . v), the value at which every
+auxiliary determinant it forms with core rows vanishes. The consistency
+degree is min(alpha, 1/alpha): a discount far below 1 or an amplification
+far above it both signal statements that had to be bent a long way to
+agree.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from .classify import ClassificationReport, _classify_solved
 from .errors import (
     DegenerateCore,
+    FullRank,
     InconsistentExtraParams,
     InvalidProblem,
     NoPositiveRoot,
@@ -33,7 +36,6 @@ from .linalg import (  # CONSISTENT_DET_TOL is re-exported
     CONSISTENT_DET_TOL,
     PolyMatrix,
     PriorityVector,
-    det_numeric,
     det_poly,
     general_solution,
     normalize,
@@ -50,9 +52,6 @@ from .model import (
 )
 from .polynomial import Poly, ZERO, peval, poly, positive_roots
 from .scalars import Scalar
-
-EXTRA_AGREE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class ParamSystem:
@@ -153,53 +152,42 @@ def _choose_root(roots):
     return best[1]
 
 
+def _core_solution(ps: ParamSystem, alpha):
+    """General solution of the core rows at alpha."""
+    return general_solution([[peval(e, alpha) for e in ps.matrix.entries[i]]
+                             for i in ps.binding.core_mask])
+
+
 def _solve_extras(ps: ParamSystem, alpha):
     """Each extra preference's own parameter beta. Only its row carries
-    beta, so with n - 1 core rows the auxiliary determinant is c0 + c1 * beta:
-    the row's constant and beta parts dotted with the cofactor vector of
-    those core rows, which is computed once for every extra row."""
-    core = ps.binding.core_mask
-    m, n = ps.matrix.m, ps.matrix.n
-    core_set = set(core)
-    extras = [i for i in range(m) if i not in core_set]
+    beta, and every auxiliary determinant it forms with n - 1 core rows is
+    a multiple of that row dotted with the core's null vector v, so the row
+    const + beta * slope fixes beta = -(const . v) / (slope . v)."""
+    core = set(ps.binding.core_mask)
+    extras = [i for i in range(ps.matrix.m) if i not in core]
     if not extras:
         return ()
-    evaluated = {i: [peval(e, alpha) for e in ps.matrix.entries[i]]
-                 for i in core}
-    cofactors = []
-    for subset in combinations(core, n - 1):
-        rows = [evaluated[i] for i in subset]
-        cofactors.append([
-            (-1) ** (n - 1 + j)
-            * det_numeric([r[:j] + r[j + 1:] for r in rows])
-            for j in range(n)])
+    try:
+        gs = _core_solution(ps, alpha)
+    except FullRank:
+        gs = None
+    if gs is None or len(gs.secondary_vars) != 1:
+        raise InconsistentExtraParams(
+            "the core needs exactly one null vector at the chosen parameter "
+            "to fix the parameters of the remaining preferences")
+    v = gs.vector([Fraction(1)])
     out = []
     for pos in extras:
         # entries are constants or multiples of beta (degree <= 1)
         const, slope = zip(*((e.coeffs + (0, 0))[:2]
                              for e in ps.matrix.entries[pos]))
-        values = []
-        for cof in cofactors:
-            c0 = sum(f * a for f, a in zip(cof, const))
-            c1 = sum(f * a for f, a in zip(cof, slope))
-            if c0 == 0 and c1 == 0:
-                continue
-            if c1 == 0 or not -c0 / c1 > 0:
-                raise InconsistentExtraParams(
-                    f"auxiliary determinant for preference {pos + 1} "
-                    "admits no positive parameter")
-            values.append(-c0 / c1)
-        if not values:
+        c0 = sum(a * x for a, x in zip(const, v))
+        c1 = sum(a * x for a, x in zip(slope, v))
+        if c1 == 0 or not -c0 / c1 > 0:
             raise InconsistentExtraParams(
-                f"every auxiliary determinant for preference {pos + 1} "
-                "vanishes identically")
-        hi = max(float(v) for v in values)
-        lo = min(float(v) for v in values)
-        if hi - lo > EXTRA_AGREE_TOL * hi:
-            raise InconsistentExtraParams(
-                f"auxiliary determinants for preference {pos + 1} disagree: "
-                f"values range over [{lo:.9g}, {hi:.9g}]")
-        out.append((pos, values[0]))
+                f"auxiliary determinant for preference {pos + 1} "
+                "admits no positive parameter")
+        out.append((pos, -c0 / c1))
     return tuple(out)
 
 
@@ -243,12 +231,9 @@ def priority(problem: Problem, policy: ConsistencyPolicy = None):
     else:
         ps = parameterize(problem)
         solution = solve_alpha(ps, policy)
-        extra_value = dict(solution.extra_params)
-        numeric = [
-            [peval(e, extra_value.get(i, solution.alpha)) for e in row]
-            for i, row in enumerate(ps.matrix.entries)
-        ]
-        vec = particular_positive(general_solution(numeric))
+        # the extra rows hold at their parameters, so the core's null
+        # space is the whole system's
+        vec = particular_positive(_core_solution(ps, solution.alpha))
     pv = normalize(vec)
     report = _classify_solved(problem, consistent)
     return pv, solution, report

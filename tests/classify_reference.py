@@ -191,18 +191,19 @@ def reference_classify(problem, max_depth=None):
         if _side(r.ratio) != 0:
             fire("WD3", r)
 
+    det_ok = system_consistent(assemble(problem), problem.criteria.n)
+    found_consistent = not strongest and not truncated
     if strongest == "SD4":
         label = Label.STRONG_INCONSISTENT
-    elif strongest or truncated:
-        label = Label.WEAK_INCONSISTENT
-    else:
+    elif found_consistent and det_ok:
         label = Label.CONSISTENT
+    else:
+        label = Label.WEAK_INCONSISTENT
 
-    det_ok = system_consistent(assemble(problem), problem.criteria.n)
     return ClassificationReport(
         label=label,
         witnesses=tuple(witnesses),
         rule_fired=strongest,
-        det_agrees=(label is Label.CONSISTENT) == det_ok,
+        det_agrees=found_consistent == det_ok,
         depth_exceeded=truncated,
     )

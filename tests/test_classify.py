@@ -179,6 +179,22 @@ class TestDeterminantCrossCheck:
             checked += 1
         assert checked >= 10
 
+    def test_exactly_inconsistent_set_is_never_consistent(self):
+        """Substitution finds no disagreement among these multi-term
+        statements, but the determinant is not 0."""
+        pr = parse_problem(
+            "criteria: C0 C1 C2\n"
+            "pref: C2 = 4/6 C1\n"
+            "pref: C0 = 4/2 C2 + 4/9 C1\n"
+            "pref: C1 = 9/6 C2\n"
+            "pref: C2 = 1/4 C1 + 7/5 C0\n"
+        )
+        rep = classify(pr)
+        assert rep.label is Label.WEAK_INCONSISTENT
+        assert rep.rule_fired == ""
+        assert not rep.det_agrees
+        assert not rep.depth_exceeded
+
     def test_priority_reuses_its_consistency_test(self, corpus_files):
         for path in corpus_files:
             pr = parse_problem(path.read_text())

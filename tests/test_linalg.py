@@ -10,6 +10,7 @@ np = pytest.importorskip("numpy")
 
 from admcdm.errors import FullRank, NonPositiveComponent, NotSquare
 from admcdm.linalg import (
+    GeneralSolution,
     PolyMatrix,
     det_numeric,
     det_poly,
@@ -239,6 +240,15 @@ class TestPositiveVectors:
         rows = [[Fraction(1), Fraction(1)]]  # x = -y
         with pytest.raises(NonPositiveComponent):
             particular_positive(general_solution(rows))
+
+    def test_float_noise_counts_as_zero(self):
+        gs = GeneralSolution(n=3, secondary_vars=(2,),
+                             expressions=((0, (0.5,)), (1, (3e-17,))))
+        with pytest.raises(NonPositiveComponent):
+            particular_positive(gs)
+        gs = GeneralSolution(n=3, secondary_vars=(2,),
+                             expressions=((0, (0.5,)), (1, (3e-6,))))
+        assert particular_positive(gs) == [0.5, 3e-6, 1]
 
     def test_normalize_sums_to_one_exactly(self):
         pv = normalize([Fraction(12), Fraction(3), Fraction(1)])

@@ -120,6 +120,24 @@ def test_multiple_root_reported_with_multiplicity():
     assert list(found) == [r, r]
 
 
+def test_irrational_double_root_reported_twice():
+    # (alpha^2 - 2)^2
+    found = positive_roots(poly((4, 0, -4, 0, 1)))
+    assert len(found) == 2
+    assert found[0] == found[1]
+    assert abs(found[0] - math.sqrt(2)) < 1e-12
+
+
+def test_multiplicities_of_mixed_roots():
+    # (alpha - 1/2)^2 (alpha - 2)^3 (alpha^2 - 3)
+    p = pmul(_from_roots([Fraction(1, 2)] * 2 + [Fraction(2)] * 3),
+             poly((-3, 0, 1)))
+    found = positive_roots(p)
+    assert found[:2] == [Fraction(1, 2)] * 2
+    assert abs(found[2] - math.sqrt(3)) < 1e-12
+    assert found[3:] == [Fraction(2)] * 3
+
+
 def test_irrational_roots_close_to_truth():
     # x^2 - 2 -> sqrt(2); x^3 - 5 -> 5^(1/3)
     assert abs(float(positive_roots(poly((-2, 0, 1)))[0]) - math.sqrt(2)) < 1e-10

@@ -6,17 +6,21 @@ import random
 import signal
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from admcdm.errors import (
     DegenerateCore,
+    EngineError,
     InconsistentExtraParams,
     InvalidProblem,
     NoPositiveRoot,
     NonEquationPreference,
     NonlinearPreferencePresent,
+    NonPositiveComponent,
 )
+from admcdm.linalg import det_numeric
 from admcdm.model import (
     CriteriaSet,
     LinearPreference,
@@ -342,6 +346,97 @@ class TestExactCore:
         assert floats[0] == exact[0]
         assert floats[1].alpha == exact[1].alpha
         assert isinstance(floats[1].alpha, Fraction)
+
+
+def planted_with_extras(rng):
+    """n = 2..6 criteria and 1..3 statements beyond the core, every one
+    scaled so that a positive integer vector satisfies it: the core at a
+    rational alpha, each extra statement at its own rational parameter."""
+    n = rng.randint(2, 6)
+    w = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+    alpha = rng.choice((Fraction(1, 2), Fraction(2, 3), Fraction(3, 2),
+                        Fraction(2), Fraction(3, 4)))
+    prefs = []
+    for pos in range(n + rng.randint(1, 3)):
+        s = rng.randrange(n)
+        terms = rng.sample([j for j in range(n) if j != s],
+                           rng.randint(1, min(2, n - 1)))
+        par = alpha if pos < n else Fraction(rng.randint(1, 6),
+                                             rng.randint(1, 6))
+        coefs = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in terms]
+        k = w[s] / (par * sum(c * w[j] for c, j in zip(coefs, terms)))
+        prefs.append(LinearPreference(
+            s, tuple((j, c * k) for j, c in zip(terms, coefs))))
+    return problem(" ".join(f"x{i}" for i in range(n)), *prefs)
+
+
+class TestExtraParameters:
+    def test_irrational_root_with_dependent_core_pairs_solves(self):
+        """Two core rows, C2 = 3/4 C0 and C0 = C2, are dependent at every
+        alpha; their float minors used to make the extra's parameter look
+        ambiguous."""
+        pr = parse_problem(
+            "criteria: C0 C1 C2\n"
+            "pref: C2 = 6/8 C0\n"
+            "pref: C2 = 1/4 C1\n"
+            "pref: C0 = 7/7 C2\n"
+            "pref: C1 = 6/2 C0 + 6/3 C2\n"
+        )
+        pv, sol, _ = priority(pr)
+        alpha = 2 / math.sqrt(3)
+        assert abs(float(sol.alpha) - alpha) <= 1e-12
+        ((pos, beta),) = sol.extra_params
+        assert pos == 3
+        assert abs(beta - 4 / (alpha * (3 * alpha + 2))) <= 1e-12
+        assert abs(beta - 0.6339746) <= 1e-7
+        for pos, factor in discount_report(pr, pv):
+            want = beta if pos == 3 else sol.alpha
+            assert abs(factor - want) <= 1e-12 * want
+
+    def test_float_noise_is_not_a_positive_component(self):
+        """Statements 1 and 3 force C2 = 0 exactly; at the irrational
+        root the float null vector holds about 3e-16 there instead."""
+        pr = parse_problem(
+            "criteria: C0 C1 C2\n"
+            "pref: C1 = 8/4 C0 + 1/2 C2\n"
+            "pref: C0 = 6/1 C1\n"
+            "pref: C1 = 6/9 C2 + 6/3 C0\n"
+            "pref: C0 = 5/9 C1 + 4/4 C2\n"
+        )
+        with pytest.raises(NonPositiveComponent):
+            priority(pr)
+
+    def test_every_auxiliary_determinant_vanishes_at_beta(self):
+        """Independent check in exact arithmetic: each extra row at its
+        beta completes every n - 1 core rows at alpha to a singular matrix,
+        unless that determinant vanishes for every beta."""
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(150):
+            ps = parameterize(planted_with_extras(rng))
+            try:
+                sol = solve_alpha(ps)
+            except EngineError:
+                continue
+            if not isinstance(sol.alpha, Fraction):
+                continue
+            core = ps.binding.core_mask
+            for pos, beta in sol.extra_params:
+                assert isinstance(beta, Fraction)
+                for subset in combinations(core, ps.matrix.n - 1):
+                    rows = [[peval(e, sol.alpha) for e in ps.matrix.entries[i]]
+                            for i in subset]
+
+                    def det_at(b):
+                        extra = [peval(e, b) for e in ps.matrix.entries[pos]]
+                        return det_numeric(rows + [extra])
+
+                    if det_at(Fraction(0)) == det_at(Fraction(1)) == 0:
+                        continue  # identically 0 in beta
+                    assert det_at(beta) == 0
+                    checked += 1
+        assert checked >= 300
 
 
 class TestPolicy:
