@@ -18,13 +18,24 @@ multi-term statements can defeat the substitution search. A set the exact
 test calls inconsistent is never labelled Consistent: if no rule fired it
 is WeakInconsistent with no rule.
 
+A set that one positive vector w solves as written needs no search: every
+derivation of a pair (i, j) has the ratio w_i / w_j and every
+self-relation the ratio 1, so no rule can fire and the full-depth search
+would find the set Consistent. When the exact test passes and the solution
+with every free variable at 1 is positive, that report is returned without
+deriving anything; only a depth below n still walks.
+
 Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds time as well as
-memory. Each criterion pair's strongest rule is the rule of its smallest
-and largest derived ratio, found in one pass, and at most _WITNESS_CAP
-witnesses are kept: pairs are searched for them in order only until the
-cap is reached. Classifying R relations therefore costs O(R) beyond the
-witness search, instead of comparing every two derivations of a pair.
+memory; it and the conservative label of a truncated search concern
+only sets without such a positive solution. The walk forms a path product
+only for an edge it takes, and does not enter a node past which it could
+neither close a cycle at its start nor reach a greater node. Each criterion
+pair's strongest rule is the rule of its smallest and largest derived
+ratio, found in one pass, and at most _WITNESS_CAP witnesses are kept:
+pairs are searched for them in order only until the cap is reached.
+Classifying R relations therefore costs O(R) beyond the witness search,
+instead of comparing every two derivations of a pair.
 """
 
 from __future__ import annotations
@@ -35,8 +46,12 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .errors import NonEquationPreference, NonlinearPreferencePresent
-from .linalg import system_consistent
+from .errors import (
+    NonEquationPreference,
+    NonlinearPreferencePresent,
+    NonPositiveComponent,
+)
+from .linalg import general_solution, particular_positive, system_consistent
 from .model import (
     InequalityPreference,
     MonomialPreference,
@@ -89,14 +104,9 @@ def _inv(k):
     return 1 / k if isinstance(k, (Fraction, int)) else 1.0 / k
 
 
-def _derive(problem: Problem, max_depth: int):
-    """All derived relations plus a flag for truncated exploration.
-
-    Once _RELATION_CAP relations are held, any further derivation attempt or
-    depth cutoff marks the result truncated and ends the walk; the relations
-    and the flag are those an exhaustive walk would report.
-    """
-    n = problem.criteria.n
+def _statements(problem: Problem):
+    """The ratio edges (subject, term, k, position) and the multi-term
+    statements (position, subject, terms); refuses anything else."""
     edges = []
     multi = []
     for pos, pref in enumerate(problem.preferences):
@@ -112,7 +122,18 @@ def _derive(problem: Problem, max_depth: int):
             edges.append((lin.subject, j, k, pos))
         else:
             multi.append((pos, lin.subject, lin.terms))
+    return edges, multi
 
+
+def _derive(problem: Problem, max_depth: int):
+    """All derived relations plus a flag for truncated exploration.
+
+    Once _RELATION_CAP relations are held, any further derivation attempt or
+    depth cutoff marks the result truncated and ends the walk; the relations
+    and the flag are those an exhaustive walk would report.
+    """
+    n = problem.criteria.n
+    edges, multi = _statements(problem)
     adjacency = defaultdict(list)
     for a, b, k, pos in edges:
         adjacency[a].append((b, k, pos))
@@ -122,20 +143,28 @@ def _derive(problem: Problem, max_depth: int):
     seen = set()
     truncated = False
 
-    def add(i, j, k, trail):
+    def keep(i, j, k, trail):
+        """Record a relation no earlier derivation has produced."""
         nonlocal truncated
         if len(relations) >= _RELATION_CAP:
             truncated = True
             raise _Settled
-        key = (i, j, frozenset(trail))
-        if key in seen:
-            return
-        seen.add(key)
         relations.append(DerivedRelation(i, j, k, tuple(trail)))
         if truncated and len(relations) >= _RELATION_CAP:
             raise _Settled
 
-    def walk(start, node, prod, trail, visited):
+    def add(i, j, k, trail):
+        """keep() unless the pair was derived through the same statements;
+        at the cap even such a repeat marks the result truncated."""
+        key = (i, j, frozenset(trail))
+        if key in seen and len(relations) < _RELATION_CAP:
+            return
+        seen.add(key)
+        keep(i, j, k, trail)
+
+    def walk(start, node, prod, trail, visited, lowest, above):
+        """Extend the path start..node; lowest: start is its smallest node,
+        above: how many nodes greater than start it has not visited."""
         nonlocal truncated
         if len(trail) >= max_depth:
             if any(pos not in trail for _, _, pos in adjacency[node]):
@@ -146,16 +175,30 @@ def _derive(problem: Problem, max_depth: int):
         for nxt, k, pos in adjacency[node]:
             if pos in trail:
                 continue
-            here = prod * k
+            # the product is formed only for an edge the walk takes
             if nxt == start:
-                if len(trail) >= 1 and start == min(visited):
-                    add(start, start, here, trail + (pos,))
+                if trail and lowest:
+                    add(start, start, prod * k, trail + (pos,))
                 continue
             if nxt in visited:
                 continue
-            if len(trail) + 1 >= 2 and start < nxt:
-                add(start, nxt, here, trail + (pos,))
-            walk(start, nxt, here, trail + (pos,), visited | {nxt})
+            up = start < nxt
+            found = trail and up
+            # a path past nxt derives something only if it can still close
+            # a cycle at start, reach a node greater than start, or meet
+            # the depth cutoff
+            onward = lowest and up or above - up > 0 or max_depth < n
+            if not (found or onward):
+                continue
+            here = prod * k
+            path = trail + (pos,)
+            if found:
+                # a simple path is fixed by its edge set and endpoints, so
+                # no other walk step derives it
+                keep(start, nxt, here, path)
+            if onward:
+                walk(start, nxt, here, path, visited | {nxt}, lowest and up,
+                     above - up)
 
     def substitute():
         pool = defaultdict(list)
@@ -200,7 +243,8 @@ def _derive(problem: Problem, max_depth: int):
         for a, b, k, pos in edges:
             add(a, b, k, (pos,))
         for start in range(n):
-            walk(start, start, Fraction(1), (), frozenset({start}))
+            walk(start, start, Fraction(1), (), frozenset({start}), True,
+                 n - 1 - start)
         if multi:
             substitute()
     except _Settled:
@@ -337,13 +381,43 @@ def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
     )
 
 
+# What the exhaustive search reports for statements that one positive vector
+# w solves as written: every derivation of a pair (i, j) has the ratio
+# w_i / w_j and every self-relation the ratio 1, so no rule can fire.
+_SOLVED = ClassificationReport(
+    label=Label.CONSISTENT,
+    witnesses=(),
+    rule_fired="",
+    det_agrees=True,
+    depth_exceeded=False,
+)
+
+
+def _positive_solution(rows) -> bool:
+    """Whether the consistent system rows has the positive solution with
+    every secondary variable at 1."""
+    try:
+        particular_positive(general_solution(rows))
+    except NonPositiveComponent:
+        return False
+    return True
+
+
 def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
-    relations, truncated = _derive(problem, _checked_depth(problem, max_depth))
-    det_ok = system_consistent(assemble(problem), problem.criteria.n)
-    return _report(relations, truncated, det_ok)
+    depth = _checked_depth(problem, max_depth)
+    _statements(problem)  # refuses what the search cannot classify
+    n = problem.criteria.n
+    rows = assemble(problem)
+    det_ok = system_consistent(rows, n)
+    if det_ok and depth >= n and _positive_solution(rows):
+        return _SOLVED
+    return _report(*_derive(problem, depth), det_ok)
 
 
-def _classify_solved(problem: Problem, det_ok: bool) -> ClassificationReport:
-    """classify(problem) for priority(), which has already run the
-    consistency test on the assembled system and passes its outcome."""
-    return _report(*_derive(problem, problem.criteria.n), det_ok)
+def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
+    """classify(problem) for priority(), which passes whether it found a
+    positive vector solving every statement as written; it classifies no
+    other consistent set, so when it did not, the exact test has failed."""
+    if solved:
+        return _SOLVED
+    return _report(*_derive(problem, problem.criteria.n), False)

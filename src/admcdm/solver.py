@@ -235,7 +235,8 @@ def priority(problem: Problem, policy: ConsistencyPolicy = None):
         # space is the whole system's
         vec = particular_positive(_core_solution(ps, solution.alpha))
     pv = normalize(vec)
-    report = _classify_solved(problem, consistent)
+    # a consistent set got here only with its positive vector
+    report = _classify_solved(problem, solved=consistent)
     return pv, solution, report
 
 

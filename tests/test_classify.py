@@ -23,6 +23,7 @@ from admcdm.model import (
     CriteriaSet,
     InequalityPreference,
     LinearPreference,
+    MonomialPreference,
     Problem,
     Relation,
     make_cyclic_example,
@@ -30,7 +31,7 @@ from admcdm.model import (
 from admcdm.parser import parse_problem
 from admcdm.solver import priority
 
-from conftest import load
+from conftest import load, pairwise
 
 
 def problem(names, *prefs):
@@ -196,13 +197,18 @@ class TestDeterminantCrossCheck:
         assert not rep.depth_exceeded
 
     def test_priority_reuses_its_consistency_test(self, corpus_files):
-        for path in corpus_files:
-            pr = parse_problem(path.read_text())
+        problems = [(path.name, parse_problem(path.read_text()))
+                    for path in corpus_files]
+        problems += [(f"pairwise n={n} seed={seed} {consistent}",
+                      pairwise(n, seed, consistent))
+                     for n in range(3, 10) for seed in range(2)
+                     for consistent in (True, False)]
+        for name, pr in problems:
             try:
                 report = priority(pr)[2]
             except EngineError:
                 continue
-            assert report == classify(pr), path.name
+            assert report == classify(pr), name
 
 
 class TestGuards:
@@ -213,6 +219,29 @@ class TestGuards:
             InequalityPreference(0, 1, Relation.STRICT_LESS),
         )
         with pytest.raises(NonEquationPreference):
+            classify(pr)
+
+    def test_refusals_come_before_the_exact_test(self):
+        # the search's own messages, not those of assembling the system
+        pr = problem(
+            "x y",
+            LinearPreference(0, ((1, 2),)),
+            InequalityPreference(0, 1, Relation.STRICT_LESS),
+        )
+        with pytest.raises(
+                NonEquationPreference,
+                match="^classification is defined on equation preferences "
+                      "only$"):
+            classify(pr)
+        pr = problem(
+            "x y z",
+            LinearPreference(1, ((2, 2),)),
+            MonomialPreference(0, 2, ((1, 1), (2, 1))),
+        )
+        with pytest.raises(
+                NonlinearPreferencePresent,
+                match="^classification is defined on linear preferences "
+                      "only$"):
             classify(pr)
 
     def test_truncated_search_stays_conservative(self):
@@ -227,8 +256,9 @@ class TestGuards:
 
 
 class TestBoundedTime:
-    """The relation cap bounds time: a full consistent pairwise set at
-    n = 9 has far more simple paths than the cap admits."""
+    """The relation cap bounds time: a full pairwise set at n = 9 has far
+    more simple paths than the cap admits. A set that one positive vector
+    solves as written is labelled without the search."""
 
     def pairwise_9(self):
         weights = (1, 2, 4, 8, 1, 2, 4, 8, 2)
@@ -240,14 +270,43 @@ class TestBoundedTime:
         return parse_problem("\n".join(lines))
 
     def test_derivation_stops_at_the_cap(self):
-        pr = self.pairwise_9()
+        pr = pairwise(9, 0, False)
         assert len(derive_relations(pr)) == _RELATION_CAP
-        assert classify(pr).depth_exceeded
+        report = classify(pr)
+        assert report.depth_exceeded
+        assert report.label is not Label.CONSISTENT
+        solved = self.pairwise_9()
+        assert len(derive_relations(solved)) == _RELATION_CAP
+        report = classify(solved)
+        assert report.label is Label.CONSISTENT
+        assert not report.depth_exceeded
 
     def test_full_solve_is_fast(self):
-        pr = self.pairwise_9()
         start = time.perf_counter()
-        _, solution, report = priority(pr)
+        _, solution, report = priority(pairwise(9, 0, False))
+        assert time.perf_counter() - start < 2.0
+        assert solution.alpha != 1
+        assert report.depth_exceeded
+        start = time.perf_counter()
+        _, solution, report = priority(self.pairwise_9())
         assert time.perf_counter() - start < 2.0
         assert solution.alpha == 1
-        assert report.depth_exceeded
+        assert report.label is Label.CONSISTENT
+        assert report.witnesses == ()
+        assert not report.depth_exceeded
+
+
+class TestPositiveSolution:
+    """Consistent pairwise sets past the relation cap are Consistent."""
+
+    @pytest.mark.parametrize("n", range(7, 10))
+    def test_capped_consistent_pairwise_set(self, n):
+        for seed in range(2):
+            pr = pairwise(n, seed, True)
+            assert len(derive_relations(pr)) == _RELATION_CAP
+            for report in (classify(pr), priority(pr)[2]):
+                assert report.label is Label.CONSISTENT
+                assert report.rule_fired == ""
+                assert report.witnesses == ()
+                assert report.det_agrees
+                assert not report.depth_exceeded
