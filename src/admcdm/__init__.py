@@ -17,7 +17,6 @@ from .classify import ClassificationReport, DerivedRelation, Label, classify, de
 from .errors import (
     ConflictingPair,
     DegenerateCore,
-    DegreeCapExceeded,
     EmptyDomain,
     EngineError,
     FullRank,
@@ -99,7 +98,6 @@ __all__ = [
     "ConsistencyPolicy",
     "CriteriaSet",
     "DegenerateCore",
-    "DegreeCapExceeded",
     "DerivedRelation",
     "EmptyDomain",
     "EngineError",

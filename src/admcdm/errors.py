@@ -38,10 +38,6 @@ class ZeroPolynomial(EngineError):
     """Root extraction on the identically-zero polynomial."""
 
 
-class DegreeCapExceeded(EngineError):
-    """Polynomial degree above the supported cap."""
-
-
 class NotSquare(EngineError):
     """Determinant of a non-square matrix."""
 

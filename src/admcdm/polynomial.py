@@ -1,28 +1,35 @@
 """Univariate polynomials in the discount parameter and their positive roots.
 
-Coefficients are stored densely, constant term first. Root extraction reads
-them exactly (a float as the Fraction of its binary value), splits the
-polynomial into square-free factors f_k of multiplicity k (Yun's algorithm),
-isolates the positive real roots of each factor with an exact Sturm
-sequence and reports each of them k times. It refines each isolated
-interval by float bisection with a Newton polish, and snaps the refined
-value to a nearby small-denominator rational whenever that rational is an
-exact zero. The snap step is what lets rational roots such as 5/12 or 1/729
-flow through the rest of the pipeline exactly.
+Coefficients are stored densely, constant term first. There is no degree
+cap: the parametric determinant of n criteria has degree at most n.
 
-The root alpha = 0 is never reported: factors of alpha are stripped before
-isolation, and anything at or below the tolerance is dropped.
+Root extraction reads the coefficients exactly (a float as the Fraction of
+its binary value), strips the factor alpha**k and clears the rest to a
+primitive integer polynomial. One gcd(p, p') modulo a large prime proves
+the usual polynomial square-free; only when it does not are square-free
+factors f_k of multiplicity k split off (Yun's algorithm), and each root of
+f_k is reported k times. Positive roots are isolated by Descartes' rule of
+signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
+a root met at a bisection point is dyadic and reported exactly. Each
+isolating interval is refined by float bisection with a Newton polish,
+checked against the exact signs of the integer polynomial, and the value
+is snapped to a nearby small-denominator rational whenever that rational
+is an exact zero. The snap step is what lets rational roots such as 5/12
+or 1/729 flow through the rest of the pipeline exactly.
+
+The root alpha = 0 is never reported; every positive root is, however
+small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, nextafter
 
-from .errors import DegreeCapExceeded, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .scalars import Scalar
 
-DEGREE_CAP = 16
 DEFAULT_TOL = 1e-10
 
 
@@ -35,9 +42,6 @@ class Poly:
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use poly()")
-        if len(self.coeffs) - 1 > DEGREE_CAP:
-            raise DegreeCapExceeded(
-                f"degree {len(self.coeffs) - 1} exceeds cap {DEGREE_CAP}")
 
     @property
     def degree(self) -> int:
@@ -135,13 +139,18 @@ def pdivmod(a: Poly, b: Poly):
     return poly(quo), poly(rem[:db])
 
 
+def _monic(a: Poly) -> Poly:
+    return pscale(a, 1 / Fraction(a.coeffs[-1]))
+
+
 def _pgcd(a: Poly, b: Poly) -> Poly:
-    # monic gcd
+    # monic gcd; each remainder is made monic so that its coefficients
+    # stay small
     while not b.is_zero():
-        a, b = b, pdivmod(a, b)[1]
+        a, b = _monic(b), pdivmod(a, b)[1]
     if a.is_zero():
         return a
-    return pscale(a, 1 / Fraction(a.coeffs[-1]))
+    return _monic(a)
 
 
 def _square_free_factors(p: Poly) -> list:
@@ -151,8 +160,9 @@ def _square_free_factors(p: Poly) -> list:
     dp = pdiff(p)
     g = _pgcd(p, dp)
     if g.degree < 1:
-        # kept as it is, not made monic, so its roots refine to the same
-        # floats as before, and the common case costs one gcd
+        # square-free after all (the modular test in positive_roots can
+        # miss): kept as it is, not made monic, so its roots refine to the
+        # same floats as on the path without this split
         return [(1, p)]
     b, c = pdivmod(p, g)[0], pdivmod(dp, g)[0]
     out = []
@@ -167,72 +177,185 @@ def _square_free_factors(p: Poly) -> list:
     return out
 
 
-def _sturm_chain(p: Poly) -> list:
-    chain = [p, pdiff(p)]
-    while chain[-1].degree > 0:
-        chain.append(pneg(pdivmod(chain[-2], chain[-1])[1]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return chain
+# The prime of the square-free test. Any prime that does not divide the
+# leading coefficient proves square-freeness when the test passes; a large
+# one makes a spurious failure (and the fallback to Yun) very unlikely.
+_PRIME = (1 << 61) - 1
+# The relative distance from its float bracket within which an exact root
+# lets that bracket stand; float evaluation near a clustered root misses
+# it by a few ulps, a lost sign by far more.
+_ACCEPT = 2.0 ** -42
 
 
-def _variations(chain: list, x) -> int:
-    signs = []
-    for q in chain:
-        v = peval(q, x)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+def _primitive(coeffs) -> list:
+    """The primitive integer polynomial with the roots of the rational
+    coefficients: denominators cleared and the content divided out. It is a
+    positive multiple of the input, so it has the same sign everywhere."""
+    fs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in fs))
+    ints = [c.numerator * (den // c.denominator) for c in fs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
 
 
-def _cauchy_bound(p: Poly) -> float:
-    lead = abs(float(p.coeffs[-1]))
-    rest = max((abs(float(c)) for c in p.coeffs[:-1]), default=0.0)
-    return 1.0 + rest / lead
+def _square_free_mod(a: list) -> bool:
+    """True when gcd(a, a') is a constant modulo _PRIME.
+
+    That proves a square-free over Q: a repeated factor g of a would divide
+    a and a' modulo the prime too, and keep its degree there, because the
+    prime does not divide a's leading coefficient. False proves nothing.
+    """
+    if a[-1] % _PRIME == 0:
+        return False
+    u = [c % _PRIME for c in a]
+    v = [k * c % _PRIME for k, c in enumerate(a)][1:]
+    while v and v[-1] == 0:
+        v.pop()
+    while v:
+        inv = pow(v[-1], -1, _PRIME)
+        while len(u) >= len(v):
+            q = u[-1] * inv % _PRIME
+            shift = len(u) - len(v)
+            for j, c in enumerate(v):
+                u[shift + j] = (u[shift + j] - q * c) % _PRIME
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, u
+    return len(u) == 1
 
 
-def _isolate_positive(p: Poly, hi) -> list:
-    """Intervals (a, b] each holding exactly one distinct root of square-free p."""
-    chain = _sturm_chain(p)
+def _homogeneous(a: list, x) -> int:
+    """q**d * a(p/q) for x = p/q in lowest terms, q > 0: the integer
+    sum of a_i * p**i * q**(d-i), zero exactly where a(x) is and of the
+    same sign."""
+    p, q = x.numerator, x.denominator
+    acc, qpow = a[-1], 1
+    for c in reversed(a[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc
 
-    def count(a, b):
-        return _variations(chain, a) - _variations(chain, b)
 
-    out = []
-    stack = [(0, hi, count(0, hi))]
+def _taylor_shift(a: list) -> list:
+    """Coefficients of a(x + 1)."""
+    a = list(a)
+    n = len(a)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _sign_changes(a) -> int:
+    signs = [c > 0 for c in a if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _descartes_unit(b: list) -> int:
+    """Descartes' bound on the roots of b in (0, 1), for b(0), b(1) != 0:
+    the sign changes of (x + 1)**deg * b(1/(x + 1)). Fewer than two sign
+    changes in b itself settle it without that shift: none means no
+    positive root, one means one positive root, which lies in (0, 1)
+    exactly when b(0) and b(1) differ in sign."""
+    changes = _sign_changes(b)
+    if changes < 2:
+        return changes and int((b[0] > 0) != (sum(b) > 0))
+    return _sign_changes(_taylor_shift(b[::-1]))
+
+
+def _root_bound_exponent(a: list) -> int:
+    """e with every complex root of a below 2**e in modulus.
+
+    Fujiwara's bound 2 * max |a_i / a_d|**(1/(d-i)), with each ratio rounded
+    up to a power of two from the bit lengths of the coefficients.
+    """
+    d = len(a) - 1
+    lead = a[-1].bit_length()
+    return 1 + max(-((lead - 1 - c.bit_length()) // (d - i))
+                   for i, c in enumerate(a[:-1]) if c)
+
+
+def _isolate(a: list):
+    """Positive roots of the square-free integer polynomial a (a(0) != 0):
+    the dyadic ones met at a bisection point, exactly, and an open
+    interval (lo, hi) around each of the others, none holding two roots.
+
+    Every positive root lies in (0, 2**e). A node is the part
+    2**e * (c, c + 1) / 2**k of that range, carried by an integer
+    polynomial b whose roots in (0, 1) are a's roots in the node, mapped
+    linearly. Descartes' rule of signs bounds their number, with the right
+    parity: 0 drops the node, 1 isolates one root, more splits the node
+    into the halves 2**deg * b(x/2) and its shift by 1. A root at the
+    midpoint makes the shifted half vanish at 0; it is reported exactly
+    and divided out of both halves, so no node polynomial vanishes at an
+    end of its interval.
+
+    The bisection ends because a is square-free, so its roots, complex
+    ones included, are distinct. The count is 0 when no root lies in the
+    disc on the interval as diameter, and 1 when one simple root lies in
+    two discs of comparable size through its ends (the one- and two-circle
+    theorems: Obreschkoff; Krandick and Mehlhorn). An interval shorter
+    than a fixed fraction of the least distance between two roots
+    satisfies one of them, so no path is longer than about
+    log2(2**e / that distance) halvings, plus a constant.
+    """
+    e = _root_bound_exponent(a)
+    d = len(a) - 1
+    if e >= 0:
+        top = [c << (e * i) for i, c in enumerate(a)]
+    else:
+        top = [c << (-e * (d - i)) for i, c in enumerate(a)]
+    scale = Fraction(2) ** e
+    exact, intervals = [], []
+    stack = [(0, 0, top)]
     while stack:
-        a, b, k = stack.pop()
-        if k == 0:
+        c, k, b = stack.pop()
+        count = _descartes_unit(b)
+        if count == 0:
             continue
-        if k == 1:
-            out.append((a, b))
+        if count == 1:
+            intervals.append((scale * Fraction(c, 1 << k),
+                              scale * Fraction(c + 1, 1 << k)))
             continue
-        mid = (a + b) / 2
-        ka = count(a, mid)
-        stack.append((a, mid, ka))
-        stack.append((mid, b, k - ka))
-    out.sort(key=lambda ab: float(ab[0]))
+        m = len(b) - 1
+        left = [x << (m - i) for i, x in enumerate(b)]
+        right = _taylor_shift(left)
+        c, k = 2 * c, k + 1
+        if right[0] == 0:
+            exact.append(scale * Fraction(c + 1, 1 << k))
+            right = right[1:]
+            left = _deflate_at_one(left)
+        stack.append((c, k, left))
+        stack.append((c + 1, k, right))
+    return exact, intervals
+
+
+def _deflate_at_one(a: list) -> list:
+    """a(x) / (x - 1), for a with a(1) = 0 (synthetic division)."""
+    out = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        acc += a[i]
+        out[i - 1] = acc
     return out
 
 
-def _refine(p: Poly, a, b, tol: float):
-    """The one root of square-free p in (a, b]: b when p(b) = 0, else a
-    float from bisection and a Newton polish on float copies of p and p'.
+def _refine(f: Poly, ints: list, a, b, tol: float) -> float:
+    """The one root of square-free f in the open interval (a, b), as a
+    float from bisection and a Newton polish on float copies of f and f'.
 
-    p is negative on one side of the simple root and positive on the other,
-    so the sign of p(b) alone steers the bisection (p(a) may be 0).
+    f has one sign s between the root and b, and s steers the bisection.
+    It is read exactly from ints, the integer form of f: as the sign of
+    f(b), or of -f'(b) when b is itself a (dyadic) root. The float
+    bracket is then checked exactly; where float evaluation has lost the
+    sign (clustered roots, high degree), exact bisection finds the bracket
+    instead, and the polish is skipped.
     """
-    end = peval(p, b)
-    if end == 0:
-        return b
-    fp = poly(float(c) for c in p.coeffs)
-    fd = poly(float(c) for c in pdiff(p).coeffs)
+    s = _homogeneous(ints, b) or -_homogeneous(
+        [k * c for k, c in enumerate(ints)][1:], b)
+    s = 1 if s > 0 else -1
+    fp = poly(float(c) for c in f.coeffs)
+    fd = poly(float(c) for c in pdiff(f).coeffs)
     lo, hi = float(a), float(b)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -241,38 +364,77 @@ def _refine(p: Poly, a, b, tol: float):
         fm = peval(fp, mid)
         if fm == 0.0:
             lo = hi = mid
-        elif (fm > 0) == (end > 0):
+        elif (fm > 0) == (s > 0):
             hi = mid
         else:
             lo = mid
+    if not _brackets(ints, s, a, b, lo, hi):
+        return _bisect_exact(ints, s, a, b)
     r = 0.5 * (lo + hi)
     for _ in range(4):
         dv = peval(fd, r)
         if dv == 0.0:
             break
         nxt = r - peval(fp, r) / dv
-        if not (float(a) - tol <= nxt <= float(b) + tol):
+        if not (lo - tol <= nxt <= hi + tol):
             break
         r = nxt
     return r
 
 
-def _snap_rational(p: Poly, r: float, a, b):
-    """Identify r as an exact rational root of p, if it is one.
+def _brackets(ints: list, s: int, a, b, lo: float, hi: float) -> bool:
+    """Whether the root in (a, b) of ints, whose sign is s between that
+    root and b, lies in [lo, hi] widened by _ACCEPT on each side: ints
+    vanishes at an end of the widened bracket strictly inside (a, b), or
+    changes sign across it."""
+    lo = max(a, Fraction(lo - abs(lo) * _ACCEPT))
+    hi = min(b, Fraction(hi + abs(hi) * _ACCEPT))
+    at_lo = s * _homogeneous(ints, lo)
+    at_hi = s * _homogeneous(ints, hi)
+    if at_lo == 0 or at_hi == 0:
+        x = lo if at_lo == 0 else hi
+        return a < x < b
+    return at_lo < 0 < at_hi
 
-    The candidate must stay inside the isolating interval (a, b]: a nearby
-    rational that happens to be a DIFFERENT root of p must not capture this
-    interval's root.
+
+def _bisect_exact(ints: list, s: int, a, b) -> float:
+    """The root in (a, b) of ints, whose sign is s between that root and
+    b, by exact bisection until the ends round to the same or adjacent
+    floats."""
+    while True:
+        mid = (a + b) / 2
+        v = s * _homogeneous(ints, mid)
+        if v == 0:
+            return float(mid)
+        if v > 0:
+            b = mid
+        else:
+            a = mid
+        lo, hi = float(a), float(b)
+        if nextafter(lo, hi) >= hi:
+            return 0.5 * (lo + hi)
+
+
+def _snap_rational(ints: list, r: float, a, b):
+    """Identify r as an exact rational root of the integer polynomial ints,
+    if it is one.
+
+    The candidate must lie inside the open isolating interval (a, b): a
+    nearby rational that happens to be a DIFFERENT root, at an end of the
+    interval or beyond it, must not capture this interval's root.
     """
     for limit in (1, 12, 100, 10_000, 1_000_000, 10**9):
         cand = Fraction(r).limit_denominator(limit)
-        if a < cand <= b and peval(p, cand) == 0:
+        if a < cand < b and _homogeneous(ints, cand) == 0:
             return cand
     return r
 
 
 def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
-    """All real roots > tol, ascending, each repeated per its multiplicity.
+    """All real roots > 0, ascending, each repeated per its multiplicity.
+
+    tol bounds only how far the Newton polish may step outside the float
+    bracket of a root; a root however small is reported.
 
     Raises ZeroPolynomial for the identically-zero input: that case means the
     parametric system is dependent for every alpha and the caller must treat
@@ -286,14 +448,19 @@ def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
     q = poly(cs)
     if q.degree < 1:
         return []
+    ints = _primitive(cs)
+    if _square_free_mod(ints):
+        factors = [(1, q, ints)]
+    else:
+        factors = [(k, f, _primitive(f.coeffs))
+                   for k, f in _square_free_factors(q)]
     roots = []
-    for k, f in _square_free_factors(q):
-        hi = Fraction(1 + _cauchy_bound(f)).limit_denominator(4096)
-        for a, b in _isolate_positive(f, hi):
-            r = _refine(f, a, b, tol)
-            if isinstance(r, float):
-                r = _snap_rational(f, r, a, b)
-            if r > tol:
-                roots.extend([r] * k)
+    for k, f, ints in factors:
+        exact, intervals = _isolate(ints)
+        found = exact + [
+            _snap_rational(ints, _refine(f, ints, a, b, tol), a, b)
+            for a, b in intervals]
+        for r in found:
+            roots.extend([r] * k)
     roots.sort(key=float)
     return roots

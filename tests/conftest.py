@@ -1,5 +1,5 @@
 """Shared test fixtures: corpus access, problem loading, and the seeded
-pairwise sets several test files use."""
+pairwise and dense sets several test files use."""
 
 from __future__ import annotations
 
@@ -39,6 +39,43 @@ def pairwise(n, seed, consistent):
     prefs = tuple(LinearPreference(i, ((j, ratio(i, j)),))
                   for i in range(n) for j in range(i + 1, n))
     return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))), prefs)
+
+
+def dense(n, seed):
+    """Dense linear system: row i states Ci = three other criteria, each
+    with a coefficient k/l, k and l in 1..9."""
+    rng = random.Random(f"dense:{n}:{seed}")
+
+    def row(i):
+        terms = sorted(rng.sample([j for j in range(n) if j != i], 3))
+        return LinearPreference(i, tuple(
+            (j, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for j in terms))
+
+    prefs = tuple(row(i) for i in range(n))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))), prefs)
+
+
+def _sympy_positive_roots(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                     for c in reversed([Fraction(c) for c in p.coeffs])], x)
+    return [r for r in sympy.real_roots(sp) if r > 0]
+
+
+def assert_roots_match_sympy(p, found):
+    """found has sympy's positive roots, with multiplicity: rational ones
+    exactly, irrational ones within 1e-12 relative."""
+    sympy = pytest.importorskip("sympy")
+    expected = _sympy_positive_roots(p)
+    assert len(found) == len(expected), (p, found, expected)
+    for got, want in zip(found, expected):
+        if isinstance(want, sympy.Rational):
+            assert got == Fraction(int(want.p), int(want.q)), (p, got, want)
+        else:
+            w = float(want)
+            assert abs(float(got) - w) <= 1e-12 * abs(w), (p, got, want)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@
 Root-finding is checked against oracles that never share code with the
 implementation: polynomials are BUILT from known rational roots and
 expanded exactly, so the expected answer exists before the solver runs;
-simple-root counts are cross-checked by sign scans on dense grids.
+simple-root counts are cross-checked by sign scans on dense grids, and
+seeded products of linear and quadratic factors against sympy's
+real_roots.
 """
 
 import math
@@ -12,9 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from admcdm.errors import DegreeCapExceeded, ZeroPolynomial
+from admcdm.errors import ZeroPolynomial
 from admcdm.polynomial import (
-    DEGREE_CAP,
     Poly,
     padd,
     pdiff,
@@ -23,7 +24,10 @@ from admcdm.polynomial import (
     pmul,
     poly,
     positive_roots,
+    pscale,
 )
+
+from conftest import assert_roots_match_sympy
 
 RNG = random.Random(0x5EED)
 
@@ -47,9 +51,13 @@ def test_trailing_zeros_trimmed():
     assert poly((0, 0)).coeffs == ()
 
 
-def test_degree_cap_enforced():
-    with pytest.raises(DegreeCapExceeded):
-        poly((0,) * (DEGREE_CAP + 1) + (1,))
+def test_degree_forty_roots_found_exactly():
+    """No degree cap: the 40 roots of (x - 1)...(x - 40) are found, and
+    exactly, although float evaluation of its expanded form loses the sign
+    across most of each isolating interval."""
+    p = _from_roots(range(1, 41))
+    assert p.degree == 40
+    assert positive_roots(p) == list(range(1, 41))
 
 
 def test_ring_axioms_on_random_polys():
@@ -192,3 +200,74 @@ def test_residual_small_at_every_reported_root():
         scale = max(abs(float(c)) for c in p.coeffs)
         for r in positive_roots(p):
             assert abs(float(peval(p, float(r)))) <= 1e-9 * (1.0 + scale) * 10
+
+
+def test_tiny_root_reported():
+    # 1 - 10**20 alpha^2: its one positive root, 1e-10, is at the old
+    # reporting threshold
+    (found,) = positive_roots(poly((1, 0, -10**20)))
+    assert abs(found - 1e-10) <= 1e-12 * 1e-10
+
+
+class TestOpenIntervals:
+    """Descartes intervals are open: a root on a bisection point is
+    reported exactly and divided out, so it never captures a neighbour."""
+
+    def test_dyadic_roots_met_at_bisection_points(self):
+        # the bisection of (0, 8) meets 4; 2 is then isolated in (0, 4),
+        # at whose end the polynomial vanishes
+        assert positive_roots(_from_roots([2, 4, -3])) == [2, 4]
+
+    def test_irrational_root_next_to_dyadic_ones(self):
+        p = pmul(poly((-2, 0, 1)), _from_roots([1, 2]))
+        found = positive_roots(p)
+        assert found[0] == 1 and found[2] == 2
+        assert isinstance(found[1], float)
+        assert abs(found[1] - math.sqrt(2)) < 1e-12 * math.sqrt(2)
+
+    def test_clustered_pair_gives_two_distinct_roots(self):
+        # Mignotte-style x^8 - 2 (10 x - 1)^2: two roots within 1.5e-5 of
+        # 1/10, and one near 2.38
+        p = padd(poly((0,) * 8 + (1,)),
+                 pscale(pmul(poly((-1, 10)), poly((-1, 10))), -2))
+        found = positive_roots(p)
+        assert len(found) == 3
+        assert found[0] < Fraction(1, 10) < found[1]
+        assert found[1] - found[0] < 1.5e-5
+        for r in found:
+            assert abs(float(peval(p, Fraction(r)))) < 1e-9
+
+
+def _factor_product(rng: random.Random, degree: int) -> Poly:
+    """An integer polynomial of the given degree: a product of linear
+    factors (dyadic roots among them), quadratics with random integer
+    coefficients, and repeats of factors already drawn."""
+    factors = []
+    left = degree
+    while left:
+        kind = rng.random()
+        repeatable = [g for g in factors if g.degree <= left]
+        if repeatable and kind < 0.15:
+            f = rng.choice(repeatable)
+        elif kind < 0.3:
+            f = poly((-rng.randrange(1, 40, 2), 2 ** rng.randint(0, 5)))
+        elif kind < 0.6 or left == 1:
+            f = poly((rng.randint(-20, 20) or 1, rng.randint(1, 9)))
+        else:
+            f = poly((rng.randint(-30, 30), rng.randint(-20, 20), 1))
+        factors.append(f)
+        left -= f.degree
+    p = poly((1,))
+    for f in factors:
+        p = pmul(p, f)
+    return p
+
+
+def test_roots_match_sympy_on_seeded_products():
+    pytest.importorskip("sympy")
+    rng = random.Random("positive-roots-vs-sympy")
+    for degree in range(1, 25):
+        for _ in range(2):
+            p = _factor_product(rng, degree)
+            assert p.degree == degree
+            assert_roots_match_sympy(p, positive_roots(p))

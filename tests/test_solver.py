@@ -28,7 +28,7 @@ from admcdm.model import (
     make_cyclic_example,
 )
 from admcdm.parser import parse_problem
-from admcdm.polynomial import peval
+from admcdm.polynomial import peval, positive_roots
 from admcdm.solver import (
     ConsistencyPolicy,
     PolicyAction,
@@ -41,7 +41,7 @@ from admcdm.solver import (
     solve_alpha,
 )
 
-from conftest import load
+from conftest import assert_roots_match_sympy, dense, load
 
 RNG = random.Random(0xA1FA)
 
@@ -295,7 +295,7 @@ class TestExactCore:
         assert sol.alpha == Fraction(1, 2)
         assert isinstance(sol.alpha, Fraction)
 
-    @pytest.mark.parametrize("n", range(8, 17))
+    @pytest.mark.parametrize("n", range(8, 25))
     def test_long_ratio_cycles_solve_exactly(self, n):
         for r in (Fraction(2), Fraction(3, 2)):
             pv, sol, _ = priority(ratio_cycle(n, r))
@@ -346,6 +346,32 @@ class TestExactCore:
         assert floats[0] == exact[0]
         assert floats[1].alpha == exact[1].alpha
         assert isinstance(floats[1].alpha, Fraction)
+
+    def test_tiny_discount_is_found(self):
+        """The equation 1 - 10**20 alpha^2 has the one positive root 1e-10,
+        which is reported although it is that small."""
+        _, sol, _ = priority(parse_problem(
+            "criteria: A B\n"
+            "pref: A = 10000000000 B\n"
+            "pref: B = 10000000000 A\n"))
+        assert abs(sol.alpha - 1e-10) <= 1e-12 * 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_twenty_four_criteria_end_quickly(self, seed):
+        """A degree-22..24 equation: priority() ends in well under a
+        second, and the equation's positive roots are sympy's."""
+        pr = dense(24, seed)
+        start = time.perf_counter()
+        try:
+            priority(pr)
+        except EngineError:
+            # NonPositiveComponent: the root closest to 1 need not have a
+            # positive null vector
+            pass
+        assert time.perf_counter() - start < 1.0
+        equation = parametric_equation(parameterize(pr))
+        assert equation.degree >= 20
+        assert_roots_match_sympy(equation, positive_roots(equation))
 
 
 def planted_with_extras(rng):
