@@ -596,9 +596,11 @@ def _parser() -> argparse.ArgumentParser:
     p_err.add_argument("file", metavar="FILE")
     add_common(p_err, principle=False)
     p_err.add_argument("--grid", type=int, default=100, metavar="N",
-                       help="barycentric grid resolution")
+                       help="barycentric grid resolution (product "
+                       "statements and --csv only)")
     p_err.add_argument("--refine", type=int, default=500, metavar="N",
-                       help="refinement iteration budget")
+                       help="refinement iteration budget (product "
+                       "statements only)")
     p_err.add_argument("--csv", default=None, metavar="PATH",
                        help="write the evaluated grid as CSV for plotting")
     p_err.set_defaults(func=_cmd_error_min)

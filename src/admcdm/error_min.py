@@ -6,18 +6,28 @@ cleared-denominator form (the statement is multiplied through by the least
 common denominator of its exact coefficients first), and the functional is
 the sum of those absolute residuals. A consistent problem's priority vector
 drives the functional to exactly zero; an inconsistent one has a strictly
-positive floor, and the minimizer locates it with an exact coarse grid
-followed by derivative-free simplex refinement.
+positive floor.
+
+When every equation statement is linear the functional is an L1 fit, and
+its minimum is the optimum of a linear program (Charnes, Cooper & Ferguson
+1955): minimise sum(u_i + v_i) subject to residual_i(x) = u_i - v_i,
+sum(x) = 1 and x, u, v >= 0. A dense fraction-free simplex method with
+Bland's rule (Bland 1977) solves it exactly. An optimal vertex on the
+simplex boundary is pulled toward the barycentre just far enough to be
+strictly positive while staying within 1e-12 * max(1, minimum) of the
+minimum. Product statements make the functional nonlinear; for them an
+exact coarse grid, bounded by a point budget, is followed by
+derivative-free simplex refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import comb, inf, lcm
 from typing import Callable, Iterator, Sequence
 
-from .errors import OffSimplex
+from .errors import InvalidGrid, OffSimplex
 from .model import (
     InequalityPreference,
     LinearPreference,
@@ -32,17 +42,20 @@ BOUNDARY_MARGIN = 1e-9
 DIAMETER_TOL = 1e-10
 DEFAULT_GRID = 100
 DEFAULT_REFINE = 500
+GRID_BUDGET = 200_000
+BOUNDARY_SLACK = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
 class ErrorMinResult:
     """Outcome of minimizing the accuracy functional.
 
-    ``argmin`` is the best weight vector found (exact fractions when the
-    grid optimum stands, floats once refinement improves on it), ``value``
-    the functional there, ``evaluations`` the number of functional
-    evaluations spent, and ``refined`` whether local refinement beat the
-    best grid point.
+    ``argmin`` is the best weight vector found (exact fractions from the
+    linear program or when the grid optimum stands, floats once refinement
+    improves on it), ``value`` the functional there, ``evaluations`` the
+    number of simplex pivots (linear statements) or functional evaluations
+    (product statements) spent, and ``refined`` whether local refinement
+    beat the best grid point (always false for linear statements).
     """
 
     argmin: tuple[Scalar, ...]
@@ -51,9 +64,15 @@ class ErrorMinResult:
     refined: bool
 
 
-def _residuals(problem: Problem) -> list[Callable[[Sequence[Scalar]], Scalar]]:
-    """One cleared-denominator residual function per equation statement."""
-    out: list[Callable[[Sequence[Scalar]], Scalar]] = []
+_Term = tuple[Scalar, tuple[tuple[int, int], ...]]
+_Statement = tuple[int, Scalar, tuple[_Term, ...]]
+
+
+def _statements(problem: Problem) -> list[_Statement]:
+    """Each equation statement in cleared-denominator form (subject, scale,
+    terms): its residual is scale * x[subject] minus, for every term
+    (w, exponents), w times the product of x[j] ** p."""
+    out = []
     for pref in problem.preferences:
         if isinstance(pref, InequalityPreference):
             continue
@@ -63,43 +82,41 @@ def _residuals(problem: Problem) -> list[Callable[[Sequence[Scalar]], Scalar]]:
                 scale, weight = coef.denominator, coef.numerator
             else:
                 scale, weight = 1, coef
-            subject, exponents = pref.subject, pref.exponents
-
-            def monomial_residual(
-                x: Sequence[Scalar],
-                subject: int = subject,
-                scale: Scalar = scale,
-                weight: Scalar = weight,
-                exponents: tuple[tuple[int, int], ...] = exponents,
-            ) -> Scalar:
-                product = weight
-                for j, power in exponents:
-                    product = product * x[j] ** power
-                return scale * x[subject] - product
-
-            out.append(monomial_residual)
+            out.append((pref.subject, scale, ((weight, pref.exponents),)))
             continue
         flat: LinearPreference = canonicalize(pref)
         denominators = [
             a.denominator for _, a in flat.terms if isinstance(a, Fraction)
         ]
         scale = lcm(*denominators) if denominators else 1
-        subject = flat.subject
-        weights = tuple((j, scale * a) for j, a in flat.terms)
-
-        def linear_residual(
-            x: Sequence[Scalar],
-            subject: int = subject,
-            scale: int = scale,
-            weights: tuple = weights,
-        ) -> Scalar:
-            acc = scale * x[subject]
-            for j, w in weights:
-                acc = acc - w * x[j]
-            return acc
-
-        out.append(linear_residual)
+        terms = tuple((scale * a, ((j, 1),)) for j, a in flat.terms)
+        out.append((flat.subject, scale, terms))
     return out
+
+
+def _residual(
+    subject: int, scale: Scalar, terms: tuple[_Term, ...]
+) -> Callable[[Sequence[Scalar]], Scalar]:
+    def residual(x: Sequence[Scalar]) -> Scalar:
+        acc = scale * x[subject]
+        for weight, exponents in terms:
+            product = weight
+            for j, power in exponents:
+                product = product * (x[j] if power == 1 else x[j] ** power)
+            acc = acc - product
+        return acc
+
+    return residual
+
+
+def _functional(
+    residuals: list[Callable[[Sequence[Scalar]], Scalar]],
+    x: Sequence[Scalar],
+) -> Scalar:
+    value: Scalar = Fraction(0)
+    for residual in residuals:
+        value = value + abs(residual(x))
+    return value
 
 
 def eval_error(problem: Problem, x: Sequence[Scalar]) -> Scalar:
@@ -121,19 +138,24 @@ def eval_error(problem: Problem, x: Sequence[Scalar]) -> Scalar:
     total = sum(point)
     if abs(float(total) - 1.0) > SIMPLEX_TOL:
         raise OffSimplex(f"weights must sum to 1, got {float(total)!r}")
-    value: Scalar = Fraction(0)
-    for residual in _residuals(problem):
-        value = value + abs(residual(point))
-    return value
+    return _functional(
+        [_residual(*st) for st in _statements(problem)], point
+    )
 
 
-def simplex_grid(n: int, grid_points: int) -> Iterator[tuple[Fraction, ...]]:
-    """Interior barycentric grid: all positive multiples of 1/grid_points
-    in n parts summing to 1, in lexicographic order."""
+def _compositions(n: int, grid_points: int) -> Iterator[tuple[int, ...]]:
+    """All positive integer n-tuples summing to grid_points, in
+    lexicographic order; the grid is checked before the first one."""
     if grid_points < n:
-        raise ValueError(
+        raise InvalidGrid(
             "grid_points must be at least the number of criteria "
             f"({n}) to have interior points"
+        )
+    count = comb(grid_points - 1, n - 1)
+    if count > GRID_BUDGET:
+        raise InvalidGrid(
+            f"a grid of {grid_points} points per axis over {n} criteria has "
+            f"{count} points, more than the budget of {GRID_BUDGET}"
         )
 
     def parts(total: int, count: int) -> Iterator[tuple[int, ...]]:
@@ -144,8 +166,21 @@ def simplex_grid(n: int, grid_points: int) -> Iterator[tuple[Fraction, ...]]:
             for rest in parts(total - first, count - 1):
                 yield (first, *rest)
 
-    for combo in parts(grid_points, n):
-        yield tuple(Fraction(k, grid_points) for k in combo)
+    return parts(grid_points, n)
+
+
+def simplex_grid(n: int, grid_points: int) -> Iterator[tuple[Fraction, ...]]:
+    """Interior barycentric grid: all positive multiples of 1/grid_points
+    in n parts summing to 1, in lexicographic order.
+
+    Raises:
+        InvalidGrid: grid_points < n (no interior point), or the grid has
+            more than ``GRID_BUDGET`` points; both before the first point.
+    """
+    return (
+        tuple(Fraction(k, grid_points) for k in combo)
+        for combo in _compositions(n, grid_points)
+    )
 
 
 def minimize_error(
@@ -155,31 +190,203 @@ def minimize_error(
 ) -> ErrorMinResult:
     """Minimize the accuracy functional over the open simplex.
 
-    An exact scan of the interior barycentric grid picks the starting
-    point (first of any ties in lexicographic order), then Nelder-Mead
-    simplex descent on the first n-1 coordinates refines it, rejecting any
-    step that leaves the open simplex by more than the boundary margin.
-    The whole procedure is deterministic.
+    Linear statements only: the exact minimum of the L1 linear program
+    (``grid_points`` and ``refine_iters`` are not used), at a strictly
+    positive point within 1e-12 * max(1, minimum) of it when the optimal
+    vertex has a zero weight. ``value`` is ``eval_error(problem, argmin)``
+    and ``evaluations`` the number of pivots. With a product
+    statement: an exact scan of the interior barycentric grid picks the
+    starting point (first of any ties in lexicographic order), then
+    Nelder-Mead simplex descent on the first n-1 coordinates refines it,
+    rejecting any step that leaves the open simplex by more than the
+    boundary margin. The whole procedure is deterministic.
+
+    Raises:
+        InvalidGrid: with a product statement, the grid is too coarse or
+            over the point budget (see ``simplex_grid``).
+    """
+    if any(isinstance(p, MonomialPreference) for p in problem.preferences):
+        return _grid_minimize(problem, grid_points, refine_iters)
+    return _lp_minimize(problem)
+
+
+def _lp_minimize(problem: Problem) -> ErrorMinResult:
+    """Exact L1 minimum by a fraction-free tableau simplex.
+
+    Columns are x_0..x_{n-1}, u_0..u_{m-1}, v_0..v_{m-1} and the right-hand
+    side. Row i states k_i * residual_i(x) - k_i u_i + k_i v_i = 0, with k_i
+    the smallest integer that makes the residual's coefficients integral
+    (1 unless a coefficient is a float); row m states sum(x) = 1. The
+    tableau holds d * B^-1 [A | b] for the current basis B and d = |det B|,
+    so every entry is an integer and each pivot divides exactly by the
+    previous d (Edmonds). The last row holds d times the reduced costs,
+    with -d times the objective in its right-hand side.
     """
     n = problem.criteria.n
-    residuals = _residuals(problem)
-    evaluations = 0
+    rows: list[list[Fraction]] = []
+    for subject, scale, terms in _statements(problem):
+        row = [Fraction(0)] * n
+        row[subject] += scale
+        for weight, ((j, _),) in terms:
+            row[j] -= Fraction(weight)
+        rows.append(row)
+    m = len(rows)
+    width = n + 2 * m
+    ks = [lcm(*(c.denominator for c in row)) for row in rows]
+    d = 1
+    for k in ks:
+        d *= k
+
+    # Start basis: x_0 on the sum row, and on row i whichever of u_i, v_i
+    # takes the residual at the vertex e_0, which is k_i * rows[i][0].
+    tableau: list[list[int]] = []
+    basis: list[int] = []
+    for i, (row, k) in enumerate(zip(rows, ks)):
+        ints = [int(c * k) for c in row]
+        sign = 1 if ints[0] >= 0 else -1
+        factor = sign * (d // k)
+        line = [factor * (ints[0] - c) for c in ints]
+        line += [0] * (2 * m) + [factor * ints[0]]
+        line[n + i] = sign * d
+        line[n + m + i] = -sign * d
+        tableau.append(line)
+        basis.append(n + i if sign > 0 else n + m + i)
+    tableau.append([d] * n + [0] * (2 * m) + [d])
+    basis.append(0)
+    costs = [0] * n + [d] * (2 * m) + [0]
+    for line in tableau[:m]:
+        costs = [c - e for c, e in zip(costs, line)]
+    tableau.append(costs)
+
+    pivots = 0
+    while True:
+        enter = next((j for j in range(width) if costs[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m + 1):
+            a = tableau[i][enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            # ratio rhs/a against the best so far; ties to the smaller
+            # basic variable (Bland)
+            lhs = tableau[i][width] * tableau[leave][enter]
+            rhs = tableau[leave][width] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        assert leave is not None, "the L1 objective is bounded below"
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        for i, line in enumerate(tableau):
+            if i == leave:
+                continue
+            f = line[enter]
+            tableau[i] = [
+                (e * p - f * q) // d for e, q in zip(line, pivot_row)
+            ]
+        costs = tableau[-1]
+        basis[leave] = enter
+        d = p
+        pivots += 1
+
+    vertex = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            vertex[var] = Fraction(tableau[i][width], d)
+    if any(v == 0 for v in vertex):
+        vertex = _pull_inward(rows, vertex, Fraction(-costs[width], d))
+    point = tuple(vertex)
+    return ErrorMinResult(point, eval_error(problem, point), pivots, False)
+
+
+def _pull_inward(
+    rows: list[list[Fraction]], vertex: list[Fraction], minimum: Fraction
+) -> list[Fraction]:
+    """Move a boundary optimum toward the barycentre c by the largest
+    eps = 10^-k (k >= 0) with eps * (f(c) - minimum) <= 1e-12 * max(1,
+    minimum). The functional is convex, so its value at the returned
+    strictly positive point exceeds the minimum by at most that bound."""
+    n = len(vertex)
+    centre = Fraction(1, n)
+    at_centre = sum(abs(sum(row) * centre) for row in rows)
+    gap = at_centre - minimum
+    bound = BOUNDARY_SLACK * max(1, minimum)
+    eps = Fraction(1)
+    while eps * gap > bound:
+        eps /= 10
+    return [(1 - eps) * v + eps * centre for v in vertex]
+
+
+def _grid_scan(
+    statements: list[_Statement],
+    n: int,
+    grid_points: int,
+) -> tuple[tuple[int, ...], int]:
+    """First grid point k (x = k / grid_points, lexicographic order) with
+    the least functional, and the number of points scanned.
+
+    Every residual at x = k / G, times L * G^D with D the largest term
+    degree and L the lcm of all coefficient denominators (floats read
+    exactly), is an integer polynomial in k; the scan compares those
+    exact integers.
+    """
+    degree = max(
+        sum(power for _, power in exponents)
+        for _, _, terms in statements
+        for _, exponents in terms
+    )
+    coefficients = [
+        Fraction(c) for _, scale, terms in statements
+        for c in (scale, *(weight for weight, _ in terms))
+    ]
+    common = lcm(*(c.denominator for c in coefficients))
+
+    def integral(c: Scalar, term_degree: int) -> int:
+        scaled = common * Fraction(c) * grid_points ** (degree - term_degree)
+        return int(scaled)
+
+    rows = [
+        (subject, integral(scale, 1), tuple(
+            (integral(weight, sum(p for _, p in exponents)), exponents)
+            for weight, exponents in terms))
+        for subject, scale, terms in statements
+    ]
+    best: tuple[int, ...] = ()
+    best_total = -1
+    count = 0
+    for k in _compositions(n, grid_points):
+        count += 1
+        total = 0
+        for subject, head, terms in rows:
+            acc = head * k[subject]
+            for product, exponents in terms:
+                for j, power in exponents:
+                    product *= k[j] ** power
+                acc -= product
+            total += abs(acc)
+        if best_total < 0 or total < best_total:
+            best, best_total = k, total
+    return best, count
+
+
+def _grid_minimize(
+    problem: Problem, grid_points: int, refine_iters: int
+) -> ErrorMinResult:
+    """Exact grid scan plus Nelder-Mead refinement (see minimize_error)."""
+    n = problem.criteria.n
+    statements = _statements(problem)
+    residuals = [_residual(*st) for st in statements]
+    combo, evaluations = _grid_scan(statements, n, grid_points)
+    grid_best = tuple(Fraction(k, grid_points) for k in combo)
+    grid_value = _functional(residuals, grid_best)
 
     def total_at(point: Sequence[Scalar]) -> Scalar:
         nonlocal evaluations
         evaluations += 1
-        value: Scalar = Fraction(0)
-        for residual in residuals:
-            value = value + abs(residual(point))
-        return value
-
-    grid_best: tuple[Fraction, ...] | None = None
-    grid_value: Scalar = Fraction(0)
-    for point in simplex_grid(n, grid_points):
-        value = total_at(point)
-        if grid_best is None or value < grid_value:
-            grid_best, grid_value = point, value
-    assert grid_best is not None
+        return _functional(residuals, point)
 
     if refine_iters <= 0 or float(grid_value) == 0.0:
         return ErrorMinResult(grid_best, grid_value, evaluations, False)

@@ -82,6 +82,10 @@ class OffSimplex(EngineError):
     """A point that must lie on the open probability simplex does not."""
 
 
+class InvalidGrid(EngineError, ValueError):
+    """A simplex grid has no interior point or exceeds the point budget."""
+
+
 class NotTriangular(EngineError):
     """No substitution order solves the monomial system."""
 

@@ -218,6 +218,27 @@ class TestErrorMin:
         assert doc["error_min"]["argmin_exact"] == ["3/4", "3/16", "1/16"]
         assert doc["error_min"]["refined"] is False
 
+    def test_grid_flags_leave_a_linear_result_unchanged(self, capsys):
+        plain = run_json(capsys, "error-min", "--json", EX["ex2"])
+        for flags in (("--grid", "2", "--refine", "0"),
+                      ("--grid", "7", "--refine", "3")):
+            assert run_json(capsys, "error-min", "--json", *flags,
+                            EX["ex2"]) == plain
+        assert plain["error_min"]["argmin_exact"] == ["6/11", "3/11", "2/11"]
+
+    def test_too_coarse_grid_on_product_statements_exits_3(self, capsys):
+        code, out, err = run(capsys, "error-min", "--grid", "2", EX["ex15"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("InvalidGrid: ")
+
+    def test_csv_over_the_point_budget_exits_3(self, capsys):
+        code, out, err = run(capsys, "error-min", "--grid", "1000",
+                             "--csv", "-", EX["ex1"])
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
 
 class TestRegimes:
     def test_full_table(self, capsys):

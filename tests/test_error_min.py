@@ -1,22 +1,35 @@
-"""Error functional on the simplex: exact evaluation, grid search, and
-simplex-restricted refinement, checked against dense-grid oracles."""
+"""Error functional on the simplex: exact evaluation, the exact linear
+program for linear statements (checked against scipy's HiGHS), and the
+grid search with simplex-restricted refinement for product statements
+(checked against dense-grid oracles)."""
 
+import signal
+import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 from admcdm.error_min import (
+    GRID_BUDGET,
     eval_error,
     minimize_error,
     simplex_grid,
 )
-from admcdm.errors import OffSimplex
+from admcdm.errors import EngineError, InvalidGrid, OffSimplex
+from admcdm.model import (
+    CriteriaSet,
+    InequalityPreference,
+    LinearPreference,
+    MonomialPreference,
+    Problem,
+    canonicalize,
+)
 from admcdm.parser import parse_problem
 from admcdm.solver import priority
 
-from conftest import load
+from conftest import CORPUS, dense, load, pairwise
 
 
 def dense_minimum(problem, grid_points):
@@ -93,6 +106,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             list(simplex_grid(3, 2))
 
+    def test_grid_errors_are_typed_and_raised_before_the_first_point(self):
+        with pytest.raises(InvalidGrid) as info:
+            simplex_grid(3, 2)
+        assert isinstance(info.value, EngineError)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(InvalidGrid, match="budget"):
+            simplex_grid(5, 100)  # C(99, 4) = 3764376 points
+
+    def test_budget_admits_the_default_grid_up_to_four_criteria(self):
+        assert comb(99, 3) <= GRID_BUDGET < comb(99, 4)
+        simplex_grid(4, 100)  # validated, not iterated
+
 
 class TestMinimize:
     def test_exact_zero_short_circuits(self):
@@ -142,7 +167,7 @@ class TestMinimize:
         assert values[0] >= values[1] >= values[2]
 
     def test_evaluation_budget_is_reported(self):
-        pr = load("ex2.admp")
+        pr = load("ex15.admp")
         res = minimize_error(pr, grid_points=20, refine_iters=0)
         assert res.evaluations == comb(19, 2)
         assert not res.refined
@@ -151,3 +176,181 @@ class TestMinimize:
         res = minimize_error(load("ex4.admp"))
         assert abs(float(sum(res.argmin)) - 1.0) <= 1e-9
         assert all(float(x) > 0 for x in res.argmin)
+
+    def test_nested_grids_never_get_worse_on_product_statements(self):
+        pr = load("ex15.admp")
+        values = [minimize_error(pr, grid_points=g, refine_iters=0).value
+                  for g in (12, 24, 48)]
+        assert values[0] >= values[1] >= values[2]
+
+    def test_integer_scan_matches_a_fraction_scan(self):
+        """The grid scan compares exact integers; a brute-force scan of
+        eval_error over simplex_grid picks the same first minimum."""
+        # x = 2 y z alone vanishes at (3, 3, 6)/12 and (3, 6, 3)/12: a tie
+        tied = parse_problem("criteria: x y z\npref: x = 2 y * z\n")
+        points = list(simplex_grid(3, 12))
+        assert [eval_error(tied, x) for x in points].count(0) == 2
+        problems = [tied, load("ex15.admp"), load("ex16.admp"), parse_problem(
+            "criteria: a b c d\n"
+            "pref: a = 3/2 b * b * c\n"
+            "pref: b = 2/3 c + 1/5 d\n"
+            "pref: d = 7 a * c\n")]
+        for pr in problems:
+            for g in (7, 12, 30):
+                res = minimize_error(pr, grid_points=g, refine_iters=0)
+                points = list(simplex_grid(pr.criteria.n, g))
+                values = [eval_error(pr, x) for x in points]
+                best = min(values)
+                assert res.value == best
+                assert res.argmin == points[values.index(best)]
+                assert res.evaluations == len(points)
+
+    def test_product_statements_over_the_grid_budget_are_refused(self):
+        with pytest.raises(InvalidGrid):
+            minimize_error(load("ex15.admp"), grid_points=1000)
+
+
+def linprog_minimum(problem):
+    """Independent oracle: scipy's HiGHS on the L1 program, each equation
+    statement multiplied through by the common denominator of its
+    coefficients, inequalities skipped."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    n = problem.criteria.n
+    rows = []
+    for pref in problem.preferences:
+        if isinstance(pref, InequalityPreference):
+            continue
+        flat = canonicalize(pref)
+        scale = lcm(*(Fraction(a).denominator for _, a in flat.terms
+                      if not isinstance(a, float)))
+        row = [0.0] * n
+        row[flat.subject] += scale
+        for j, a in flat.terms:
+            row[j] -= scale * a
+        rows.append(row)
+    m = len(rows)
+    a_eq = np.vstack([
+        np.hstack([np.array(rows, dtype=float), -np.eye(m), np.eye(m)]),
+        np.hstack([np.ones(n), np.zeros(2 * m)]),
+    ])
+    b_eq = np.zeros(m + 1)
+    b_eq[-1] = 1.0
+    cost = np.hstack([np.zeros(n), np.ones(2 * m)])
+    res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                           method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def assert_exact_minimum(problem):
+    res = minimize_error(problem)
+    want = linprog_minimum(problem)
+    assert abs(float(res.value) - want) <= 1e-9 * max(1.0, abs(want))
+    assert all(isinstance(v, Fraction) and v > 0 for v in res.argmin)
+    assert sum(res.argmin) == 1
+    assert eval_error(problem, res.argmin) == res.value
+    assert not res.refined
+    return res
+
+
+LINEAR_CORPUS = [
+    p.name for p in sorted(CORPUS.glob("*.admp"))
+    if not any(isinstance(q, MonomialPreference)
+               for q in load(p.name).preferences)
+]
+
+
+class TestLinearProgram:
+    @pytest.mark.parametrize("name", LINEAR_CORPUS)
+    def test_corpus_minimum_matches_linprog(self, name):
+        assert_exact_minimum(load(name))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_pairwise_minimum_matches_linprog(self, n, consistent):
+        for seed in range(3):
+            res = assert_exact_minimum(pairwise(n, seed, consistent))
+            if consistent:
+                assert res.value == 0
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_dense_minimum_matches_linprog(self, n):
+        for seed in range(2):
+            assert_exact_minimum(dense(n, seed))
+
+    def test_consistent_files_reach_exactly_zero(self):
+        for name in ("ex1.admp", "ex5.admp"):
+            pr = load(name)
+            res = minimize_error(pr)
+            assert res.value == 0
+            assert res.argmin == priority(pr)[0]
+
+    def test_boundary_optimum_is_pulled_inside(self):
+        """ex7's optimal vertex is (1/251, 0, 250/251) with minimum
+        5099/251; the reported point is strictly positive and exceeds the
+        minimum by at most 1e-12 times it."""
+        res = assert_exact_minimum(load("ex7.admp"))
+        floor = Fraction(5099, 251)
+        assert floor < res.value <= floor + Fraction(1, 10**12) * floor
+        assert 0 < res.argmin[1] < Fraction(1, 10**12)
+        for got, want in zip(res.argmin, (Fraction(1, 251), 0,
+                                          Fraction(250, 251))):
+            assert abs(got - want) <= Fraction(1, 10**12)
+
+    def test_grid_arguments_are_ignored(self):
+        pr = load("ex4.admp")
+        assert (minimize_error(pr) == minimize_error(pr, grid_points=2,
+                                                     refine_iters=0))
+
+    def test_float_coefficients_are_read_exactly(self):
+        """0.1 and 0.3 are binary fractions with 2^55-sized denominators;
+        the program reads them exactly, so its minimum matches linprog's
+        and its value is the float functional at the argmin."""
+        pr = Problem(CriteriaSet(("x", "y", "z")), (
+            LinearPreference(0, ((1, 0.1), (2, 3))),
+            LinearPreference(1, ((2, 0.3),)),
+            LinearPreference(2, ((0, Fraction(7, 2)),))))
+        res = assert_exact_minimum(pr)
+        assert isinstance(res.value, float)
+
+    def test_random_linear_sets_match_linprog(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefficient = st.fractions(min_value=Fraction(1, 9), max_value=9,
+                                   max_denominator=9)
+
+        @hypothesis.settings(max_examples=60, derandomize=True,
+                             database=None, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(2, 6))
+            prefs = []
+            for _ in range(data.draw(st.integers(1, 2 * n))):
+                subject = data.draw(st.integers(0, n - 1))
+                others = [j for j in range(n) if j != subject]
+                terms = data.draw(st.lists(st.sampled_from(others),
+                                           min_size=1, max_size=3,
+                                           unique=True))
+                prefs.append(LinearPreference(subject, tuple(
+                    (j, data.draw(coefficient)) for j in terms)))
+            names = tuple(f"C{i}" for i in range(n))
+            assert_exact_minimum(Problem(CriteriaSet(names), tuple(prefs)))
+
+        check()
+
+    def test_full_pairwise_set_of_nine_ends_within_a_second(self):
+        def hang(signum, frame):
+            raise TimeoutError("the simplex method did not end")
+
+        pr = pairwise(9, 0, False)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)  # fail instead of hanging if cycling comes back
+        try:
+            start = time.perf_counter()
+            res = minimize_error(pr)
+            assert time.perf_counter() - start < 1.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.value > 0
