@@ -80,7 +80,6 @@ from .solver import (
     AlphaSolution,
     ConsistencyPolicy,
     ParamSystem,
-    PolicyAction,
     discount_report,
     parameterize,
     parametric_equation,
@@ -130,7 +129,6 @@ __all__ = [
     "ParamSystem",
     "ParseError",
     "Poly",
-    "PolicyAction",
     "PolyMatrix",
     "PriorityVector",
     "Problem",

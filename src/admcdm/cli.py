@@ -40,7 +40,6 @@ from .scalars import Scalar, exact, fmt, sig
 from .solver import (
     AlphaSolution,
     ConsistencyPolicy,
-    PolicyAction,
     discount_report,
     priority,
 )
@@ -261,9 +260,7 @@ def _solve_one(path: Path, args) -> tuple[dict, list[str]]:
     names = problem.criteria.names
     policy = None
     if args.threshold_c is not None:
-        policy = ConsistencyPolicy(
-            threshold_c=exact(args.threshold_c), action=PolicyAction.REJECT
-        )
+        policy = ConsistencyPolicy(threshold_c=exact(args.threshold_c))
     vector, alpha_sol, report = priority(problem, policy)
     if args.fallback == "uniform" and (
         alpha_sol.discharged or report.label is Label.STRONG_INCONSISTENT

@@ -2,10 +2,11 @@
 determinants and rank, and general solutions of dependent homogeneous
 systems.
 
-Every exact determinant is one fraction-free Bareiss elimination over the
-integers, after each row is scaled to integers. A polynomial matrix is
-evaluated at deg + 1 integer points and its determinant recovered by Newton
-interpolation (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5);
+Every determinant is exact: one fraction-free Bareiss elimination over the
+integers, after each row is scaled to integers (a float entry read as the
+Fraction of its binary value). A polynomial matrix is evaluated at deg + 1
+integer points and its determinant recovered by Newton interpolation
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5);
 deg is the sum of the row degrees, so no intermediate outgrows the result.
 Rank and solution families of exact rows are eliminated over Fractions with
 no tolerance, so components like 12z and 3z come out as Fractions. Floats
@@ -114,45 +115,31 @@ def det_poly(mat: PolyMatrix) -> Poly:
     return poly(Fraction(c, scale) for c in acc)
 
 
-def det_numeric(rows):
-    """Determinant of a numeric square matrix: the exact Fraction for exact
-    entries, partial-pivoting elimination once a float is present."""
+def det_numeric(rows) -> Fraction:
+    """Exact determinant of a numeric square matrix, a float entry read as
+    the Fraction of its binary value."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NotSquare("determinant needs a square matrix")
-    if not any(isinstance(e, float) for r in rows for e in r):
-        scaled = [_integer_row(r) for r in rows]
-        return Fraction(_int_det([ints for ints, _ in scaled]),
-                        prod(s for _, s in scaled))
-    mat = [[float(e) for e in r] for r in rows]
-    det = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(mat[i][k]))
-        mat[k], mat[p] = mat[p], mat[k]
-        pivot, top = mat[k][k], mat[k][k + 1:]
-        det *= pivot if p == k else -pivot
-        if pivot == 0.0:
-            return 0.0
-        for i in range(k + 1, n):
-            f = mat[i][k] / pivot
-            mat[i][k + 1:] = [a - f * b for a, b in zip(mat[i][k + 1:], top)]
-    return det
+    scaled = [_integer_row(r) for r in rows]
+    return Fraction(_int_det([ints for ints, _ in scaled]),
+                    prod(s for _, s in scaled))
 
 
-def _rref(rows, tol):
+def _rref(rows):
     """Reduced row echelon form; returns (worked rows, pivot columns).
 
     Exact entries (ints become Fractions) are eliminated exactly and the
     first nonzero entry pivots. Once a float is present, the pivot is the
     largest-magnitude entry in the column at or below the current row,
-    earliest row on ties, and a column whose best entry falls below tol
-    times the largest matrix entry contributes no pivot.
+    earliest row on ties, and a column whose best entry falls below
+    RANK_TOL times the largest matrix entry contributes no pivot.
     """
     work = [[Fraction(e) if isinstance(e, int) else e for e in r] for r in rows]
     m = len(work)
     n = len(work[0]) if m else 0
     exact = not any(isinstance(e, float) for r in work for e in r)
-    cutoff = 0 if exact else tol * max(abs(e) for r in work for e in r)
+    cutoff = 0 if exact else RANK_TOL * max(abs(e) for r in work for e in r)
     pivots = []
     r = 0
     for col in range(n):
@@ -180,8 +167,8 @@ def _rref(rows, tol):
     return work, pivots
 
 
-def rank(rows, tol: float = RANK_TOL) -> int:
-    return len(_rref(rows, tol)[1])
+def rank(rows) -> int:
+    return len(_rref(rows)[1])
 
 
 def system_consistent(rows, n: int) -> bool:
@@ -218,8 +205,8 @@ class GeneralSolution:
         return out
 
 
-def general_solution(rows, tol: float = RANK_TOL) -> GeneralSolution:
-    work, pivots = _rref(rows, tol)
+def general_solution(rows) -> GeneralSolution:
+    work, pivots = _rref(rows)
     n = len(rows[0])
     if len(pivots) == n:
         raise FullRank(

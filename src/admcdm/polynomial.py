@@ -11,11 +11,13 @@ factors f_k of multiplicity k split off (Yun's algorithm), and each root of
 f_k is reported k times. Positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
 a root met at a bisection point is dyadic and reported exactly. Each
-isolating interval is refined by float bisection with a Newton polish,
-checked against the exact signs of the integer polynomial, and the value
-is snapped to a nearby small-denominator rational whenever that rational
-is an exact zero. The snap step is what lets rational roots such as 5/12
-or 1/729 flow through the rest of the pipeline exactly.
+isolating interval is refined by further bisection at dyadic points, each
+sign read exactly from the integer polynomial, until both ends round to
+the same float: that float is the correctly rounded root (Rouillier &
+Zimmermann, Efficient isolation of polynomial's real roots, 2004). It is
+snapped to a nearby small-denominator rational whenever that rational is
+an exact zero. The snap step is what lets rational roots such as 5/12 or
+1/729 flow through the rest of the pipeline exactly.
 
 The root alpha = 0 is never reported; every positive root is, however
 small.
@@ -25,12 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, nextafter
+from math import gcd, lcm
 
 from .errors import ZeroPolynomial
 from .scalars import Scalar
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,7 @@ def _square_free_factors(p: Poly) -> list:
     g = _pgcd(p, dp)
     if g.degree < 1:
         # square-free after all (the modular test in positive_roots can
-        # miss): kept as it is, not made monic, so its roots refine to the
-        # same floats as on the path without this split
+        # miss)
         return [(1, p)]
     b, c = pdivmod(p, g)[0], pdivmod(dp, g)[0]
     out = []
@@ -181,10 +180,6 @@ def _square_free_factors(p: Poly) -> list:
 # leading coefficient proves square-freeness when the test passes; a large
 # one makes a spurious failure (and the fallback to Yun) very unlikely.
 _PRIME = (1 << 61) - 1
-# The relative distance from its float bracket within which an exact root
-# lets that bracket stand; float evaluation near a clustered root misses
-# it by a few ulps, a lost sign by far more.
-_ACCEPT = 2.0 ** -42
 
 
 def _primitive(coeffs) -> list:
@@ -224,11 +219,9 @@ def _square_free_mod(a: list) -> bool:
     return len(u) == 1
 
 
-def _homogeneous(a: list, x) -> int:
-    """q**d * a(p/q) for x = p/q in lowest terms, q > 0: the integer
-    sum of a_i * p**i * q**(d-i), zero exactly where a(x) is and of the
-    same sign."""
-    p, q = x.numerator, x.denominator
+def _homogeneous(a: list, p: int, q: int) -> int:
+    """q**d * a(p/q) for q > 0: the integer sum of a_i * p**i * q**(d-i),
+    zero exactly where a(p/q) is and of the same sign."""
     acc, qpow = a[-1], 1
     for c in reversed(a[:-1]):
         qpow *= q
@@ -278,7 +271,8 @@ def _root_bound_exponent(a: list) -> int:
 def _isolate(a: list):
     """Positive roots of the square-free integer polynomial a (a(0) != 0):
     the dyadic ones met at a bisection point, exactly, and an open
-    interval (lo, hi) around each of the others, none holding two roots.
+    interval (lo / q, hi / q) around each of the others, none holding two
+    roots, as the integers (lo, hi, q) with q a power of two.
 
     Every positive root lies in (0, 2**e). A node is the part
     2**e * (c, c + 1) / 2**k of that range, carried by an integer
@@ -314,8 +308,9 @@ def _isolate(a: list):
         if count == 0:
             continue
         if count == 1:
-            intervals.append((scale * Fraction(c, 1 << k),
-                              scale * Fraction(c + 1, 1 << k)))
+            shift = e - k
+            intervals.append((c << shift, (c + 1) << shift, 1) if shift > 0
+                             else (c, c + 1, 1 << -shift))
             continue
         m = len(b) - 1
         left = [x << (m - i) for i, x in enumerate(b)]
@@ -340,101 +335,56 @@ def _deflate_at_one(a: list) -> list:
     return out
 
 
-def _refine(f: Poly, ints: list, a, b, tol: float) -> float:
-    """The one root of square-free f in the open interval (a, b), as a
-    float from bisection and a Newton polish on float copies of f and f'.
+def _refine(a: list, lo: int, hi: int, q: int):
+    """The one root of the square-free integer polynomial a in the open
+    interval (lo / q, hi / q), q a power of two, as the float nearest to it.
 
-    f has one sign s between the root and b, and s steers the bisection.
-    It is read exactly from ints, the integer form of f: as the sign of
-    f(b), or of -f'(b) when b is itself a (dyadic) root. The float
-    bracket is then checked exactly; where float evaluation has lost the
-    sign (clustered roots, high degree), exact bisection finds the bracket
-    instead, and the polish is skipped.
+    The interval is bisected at dyadic points, and each midpoint's sign is
+    read exactly from the integer q**d * a(mid / q). a has one sign s
+    between the root and the upper end, and s steers the bisection: the
+    sign of a there, or of -a' when that end is itself a (dyadic) root.
+    Integer division rounds correctly to a float, so once both ends round
+    to the same float, the root between them rounds to it too. A midpoint
+    that is the root is returned exactly.
     """
-    s = _homogeneous(ints, b) or -_homogeneous(
-        [k * c for k, c in enumerate(ints)][1:], b)
-    s = 1 if s > 0 else -1
-    fp = poly(float(c) for c in f.coeffs)
-    fd = poly(float(c) for c in pdiff(f).coeffs)
-    lo, hi = float(a), float(b)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = peval(fp, mid)
-        if fm == 0.0:
-            lo = hi = mid
-        elif (fm > 0) == (s > 0):
+    s = _homogeneous(a, hi, q) or -_homogeneous(
+        [i * c for i, c in enumerate(a)][1:], hi, q)
+    while lo / q != hi / q:
+        if hi - lo == 1:
+            lo, hi, q = 2 * lo, 2 * hi, 2 * q
+        mid = (lo + hi) >> 1
+        v = _homogeneous(a, mid, q)
+        if v == 0:
+            return Fraction(mid, q)
+        if (v > 0) == (s > 0):
             hi = mid
         else:
             lo = mid
-    if not _brackets(ints, s, a, b, lo, hi):
-        return _bisect_exact(ints, s, a, b)
-    r = 0.5 * (lo + hi)
-    for _ in range(4):
-        dv = peval(fd, r)
-        if dv == 0.0:
-            break
-        nxt = r - peval(fp, r) / dv
-        if not (lo - tol <= nxt <= hi + tol):
-            break
-        r = nxt
-    return r
+    return lo / q
 
 
-def _brackets(ints: list, s: int, a, b, lo: float, hi: float) -> bool:
-    """Whether the root in (a, b) of ints, whose sign is s between that
-    root and b, lies in [lo, hi] widened by _ACCEPT on each side: ints
-    vanishes at an end of the widened bracket strictly inside (a, b), or
-    changes sign across it."""
-    lo = max(a, Fraction(lo - abs(lo) * _ACCEPT))
-    hi = min(b, Fraction(hi + abs(hi) * _ACCEPT))
-    at_lo = s * _homogeneous(ints, lo)
-    at_hi = s * _homogeneous(ints, hi)
-    if at_lo == 0 or at_hi == 0:
-        x = lo if at_lo == 0 else hi
-        return a < x < b
-    return at_lo < 0 < at_hi
-
-
-def _bisect_exact(ints: list, s: int, a, b) -> float:
-    """The root in (a, b) of ints, whose sign is s between that root and
-    b, by exact bisection until the ends round to the same or adjacent
-    floats."""
-    while True:
-        mid = (a + b) / 2
-        v = s * _homogeneous(ints, mid)
-        if v == 0:
-            return float(mid)
-        if v > 0:
-            b = mid
-        else:
-            a = mid
-        lo, hi = float(a), float(b)
-        if nextafter(lo, hi) >= hi:
-            return 0.5 * (lo + hi)
-
-
-def _snap_rational(ints: list, r: float, a, b):
+def _snap_rational(ints: list, r, lo: int, hi: int, q: int):
     """Identify r as an exact rational root of the integer polynomial ints,
     if it is one.
 
-    The candidate must lie inside the open isolating interval (a, b): a
-    nearby rational that happens to be a DIFFERENT root, at an end of the
-    interval or beyond it, must not capture this interval's root.
+    The candidate must lie inside the open isolating interval (lo / q,
+    hi / q): a nearby rational that happens to be a DIFFERENT root, at an
+    end of the interval or beyond it, must not capture this interval's
+    root.
     """
     for limit in (1, 12, 100, 10_000, 1_000_000, 10**9):
         cand = Fraction(r).limit_denominator(limit)
-        if a < cand < b and _homogeneous(ints, cand) == 0:
+        num, den = cand.numerator, cand.denominator
+        if lo * den < num * q < hi * den and _homogeneous(ints, num, den) == 0:
             return cand
     return r
 
 
-def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
+def positive_roots(p: Poly) -> list:
     """All real roots > 0, ascending, each repeated per its multiplicity.
 
-    tol bounds only how far the Newton polish may step outside the float
-    bracket of a root; a root however small is reported.
+    A rational root is an exact Fraction; an irrational one is the float
+    nearest to it. A root however small is reported.
 
     Raises ZeroPolynomial for the identically-zero input: that case means the
     parametric system is dependent for every alpha and the caller must treat
@@ -445,21 +395,19 @@ def positive_roots(p: Poly, tol: float = DEFAULT_TOL) -> list:
     cs = [Fraction(c) for c in p.coeffs]
     while cs[0] == 0:  # factor out alpha^k; 0 is never a reported root
         cs.pop(0)
-    q = poly(cs)
-    if q.degree < 1:
+    if len(cs) < 2:
         return []
     ints = _primitive(cs)
     if _square_free_mod(ints):
-        factors = [(1, q, ints)]
+        factors = [(1, ints)]
     else:
-        factors = [(k, f, _primitive(f.coeffs))
-                   for k, f in _square_free_factors(q)]
+        factors = [(k, _primitive(f.coeffs))
+                   for k, f in _square_free_factors(poly(cs))]
     roots = []
-    for k, f, ints in factors:
+    for k, ints in factors:
         exact, intervals = _isolate(ints)
-        found = exact + [
-            _snap_rational(ints, _refine(f, ints, a, b, tol), a, b)
-            for a, b in intervals]
+        found = exact + [_snap_rational(ints, _refine(ints, *iv), *iv)
+                         for iv in intervals]
         for r in found:
             roots.extend([r] * k)
     roots.sort(key=float)

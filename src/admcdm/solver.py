@@ -19,7 +19,6 @@ agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .classify import ClassificationReport, _classify_solved
@@ -67,17 +66,12 @@ class ParamSystem:
     binding: ParamBinding
 
 
-class PolicyAction(Enum):
-    REPORT_ONLY = "report-only"
-    REJECT = "reject"
-
-
 @dataclass(frozen=True)
 class ConsistencyPolicy:
-    """What to do when the solved consistency falls below a threshold."""
+    """A result whose solved consistency falls below threshold_c is
+    discharged; the default 0 discharges none."""
 
     threshold_c: Scalar = 0
-    action: PolicyAction = PolicyAction.REPORT_ONLY
 
     def __post_init__(self):
         if not 0 <= float(self.threshold_c) <= 1:
@@ -93,7 +87,7 @@ class AlphaSolution:
     min(alpha, 1/alpha), inconsistency its complement to 1. extra_params
     holds (preference position, value) pairs for preferences outside the
     core. discharged marks a result whose consistency fell below the
-    policy's threshold under a rejecting policy.
+    policy's threshold.
     """
 
     roots: tuple
@@ -202,8 +196,7 @@ def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolut
     alpha = _choose_root(roots)
     extras = _solve_extras(ps, alpha)
     c = _consistency_of(alpha)
-    discharged = (policy.action is PolicyAction.REJECT
-                  and float(c) < float(policy.threshold_c))
+    discharged = float(c) < float(policy.threshold_c)
     return AlphaSolution(
         roots=roots,
         alpha=alpha,

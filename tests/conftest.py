@@ -66,7 +66,7 @@ def _sympy_positive_roots(p):
 
 def assert_roots_match_sympy(p, found):
     """found has sympy's positive roots, with multiplicity: rational ones
-    exactly, irrational ones within 1e-12 relative."""
+    exactly, irrational ones as the float nearest to the root."""
     sympy = pytest.importorskip("sympy")
     expected = _sympy_positive_roots(p)
     assert len(found) == len(expected), (p, found, expected)
@@ -74,8 +74,7 @@ def assert_roots_match_sympy(p, found):
         if isinstance(want, sympy.Rational):
             assert got == Fraction(int(want.p), int(want.q)), (p, got, want)
         else:
-            w = float(want)
-            assert abs(float(got) - w) <= 1e-12 * abs(w), (p, got, want)
+            assert got == float(want.evalf(40)), (p, got, want)
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,19 @@ from admcdm.solver import priority
 from conftest import CORPUS, dense, load, pairwise
 
 
+# four criteria, two product statements over a two-term linear link
+MIXED_FOUR = ("criteria: a b c d\n"
+              "pref: a = 3/2 b * b * c\n"
+              "pref: b = 2/3 c + 1/5 d\n"
+              "pref: d = 7 a * c\n")
+
+
+def product_problems():
+    """The inputs that take the grid path: the corpus product files and
+    MIXED_FOUR."""
+    return [load("ex15.admp"), load("ex16.admp"), parse_problem(MIXED_FOUR)]
+
+
 def dense_minimum(problem, grid_points):
     """Brute-force oracle: smallest functional value on a fresh grid."""
     n = problem.criteria.n
@@ -144,27 +157,19 @@ class TestMinimize:
             assert abs(float(got) - float(want)) <= 1e-3
 
     def test_refinement_never_loses_to_its_own_grid(self):
-        for name in ("ex2.admp", "ex3.admp", "ex4.admp", "ex9.admp"):
-            pr = load(name)
+        for pr in product_problems():
             res = minimize_error(pr, grid_points=40)
             coarse = dense_minimum(pr, 40)
-            assert float(res.value) <= float(coarse) + 1e-12, name
+            assert res.refined
+            assert float(res.value) <= float(coarse) + 1e-12, pr
 
     def test_tracks_a_dense_grid_oracle(self):
-        # ~1.2e4 points for n=3; the refined value may dip below the oracle
-        # but never sits meaningfully above it
-        for name in ("ex1.admp", "ex2.admp", "ex3.admp", "ex4.admp"):
-            pr = load(name)
+        # ~7e3 points for n=3, ~4e3 for n=4; the refined value may dip
+        # below the oracle but never sits meaningfully above it
+        for pr in product_problems():
             res = minimize_error(pr)
-            oracle = dense_minimum(pr, 156)
-            assert float(res.value) <= float(oracle) + 1e-3, name
-
-    def test_nested_grids_never_get_worse(self):
-        pr = load("ex4.admp")
-        values = [float(minimize_error(pr, grid_points=g,
-                                       refine_iters=0).value)
-                  for g in (12, 24, 48)]
-        assert values[0] >= values[1] >= values[2]
+            oracle = dense_minimum(pr, 120 if pr.criteria.n == 3 else 30)
+            assert float(res.value) <= float(oracle) + 1e-3, pr
 
     def test_evaluation_budget_is_reported(self):
         pr = load("ex15.admp")
@@ -173,9 +178,10 @@ class TestMinimize:
         assert not res.refined
 
     def test_simplex_constraint_respected_by_refinement(self):
-        res = minimize_error(load("ex4.admp"))
-        assert abs(float(sum(res.argmin)) - 1.0) <= 1e-9
-        assert all(float(x) > 0 for x in res.argmin)
+        for pr in product_problems():
+            res = minimize_error(pr)
+            assert abs(float(sum(res.argmin)) - 1.0) <= 1e-9
+            assert all(float(x) > 0 for x in res.argmin)
 
     def test_nested_grids_never_get_worse_on_product_statements(self):
         pr = load("ex15.admp")
@@ -190,12 +196,7 @@ class TestMinimize:
         tied = parse_problem("criteria: x y z\npref: x = 2 y * z\n")
         points = list(simplex_grid(3, 12))
         assert [eval_error(tied, x) for x in points].count(0) == 2
-        problems = [tied, load("ex15.admp"), load("ex16.admp"), parse_problem(
-            "criteria: a b c d\n"
-            "pref: a = 3/2 b * b * c\n"
-            "pref: b = 2/3 c + 1/5 d\n"
-            "pref: d = 7 a * c\n")]
-        for pr in problems:
+        for pr in [tied] + product_problems():
             for g in (7, 12, 30):
                 res = minimize_error(pr, grid_points=g, refine_iters=0)
                 points = list(simplex_grid(pr.criteria.n, g))

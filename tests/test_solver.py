@@ -31,7 +31,6 @@ from admcdm.parser import parse_problem
 from admcdm.polynomial import peval, positive_roots
 from admcdm.solver import (
     ConsistencyPolicy,
-    PolicyAction,
     _choose_root,
     _solve_extras,
     discount_report,
@@ -373,6 +372,40 @@ class TestExactCore:
         assert equation.degree >= 20
         assert_roots_match_sympy(equation, positive_roots(equation))
 
+    def test_parametric_roots_are_correctly_rounded(self):
+        """Every positive root of the dense (n = 4..12) and planted
+        multi-term equations is sympy's: a rational one exactly, an
+        irrational one as the float nearest to it."""
+        rng = random.Random("correctly-rounded-roots")
+        problems = [dense(n, seed) for n in range(4, 13) for seed in range(3)]
+        problems += [perturbed_planted(rng, n)
+                     for n in range(4, 10) for _ in range(4)]
+        irrational = 0
+        for pr in problems:
+            equation = parametric_equation(parameterize(pr))
+            found = positive_roots(equation)
+            assert_roots_match_sympy(equation, found)
+            irrational += sum(isinstance(r, float) for r in found)
+        assert irrational >= 50
+
+
+def perturbed_planted(rng, n):
+    """n statements, each of two or three terms, that a positive integer
+    vector satisfies until every coefficient is multiplied by a factor in
+    4/5..3/2."""
+    w = [rng.randint(1, 9) for _ in range(n)]
+    prefs = []
+    for i in range(n):
+        terms = sorted(rng.sample([j for j in range(n) if j != i],
+                                  rng.randint(2, 3)))
+        b = [rng.randint(1, 5) for _ in terms]
+        total = sum(bj * w[j] for bj, j in zip(b, terms))
+        prefs.append(LinearPreference(i, tuple(
+            (j, Fraction(bj * w[i], total) * rng.choice(
+                (Fraction(4, 5), Fraction(6, 5), Fraction(3, 2))))
+            for bj, j in zip(b, terms))))
+    return problem(" ".join(f"C{i}" for i in range(n)), *prefs)
+
 
 def planted_with_extras(rng):
     """n = 2..6 criteria and 1..3 statements beyond the core, every one
@@ -471,17 +504,16 @@ class TestPolicy:
             ConsistencyPolicy(threshold_c=2)
 
     def test_reject_policy_discharges_low_consistency(self):
-        policy = ConsistencyPolicy(Fraction(1, 2), PolicyAction.REJECT)
+        policy = ConsistencyPolicy(Fraction(1, 2))
         _, sol, _ = priority(load("ex11.admp"), policy)
         assert sol.discharged
 
-    def test_report_only_never_discharges(self):
-        policy = ConsistencyPolicy(Fraction(1, 2), PolicyAction.REPORT_ONLY)
-        _, sol, _ = priority(load("ex11.admp"), policy)
+    def test_no_policy_never_discharges(self):
+        _, sol, _ = priority(load("ex11.admp"))
         assert not sol.discharged
 
     def test_high_consistency_passes_a_rejecting_policy(self):
-        policy = ConsistencyPolicy(Fraction(1, 3), PolicyAction.REJECT)
+        policy = ConsistencyPolicy(Fraction(1, 3))
         _, sol, _ = priority(load("ex9.admp"), policy)
         assert not sol.discharged  # 5/12 > 1/3
 
