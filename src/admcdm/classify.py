@@ -11,12 +11,12 @@ the preference order itself, a strong disagreement. A self-relation with
 k != 1 is weak: the statement chain deflates or inflates a criterion against
 itself without reversing any ordering.
 
-The derived picture is cross-checked against the algebraic one (a square
-system is consistent exactly when its determinant vanishes); agreement of
-the search's own verdict with it is reported as a diagnostic, since
-multi-term statements can defeat the substitution search. A set the exact
-test calls inconsistent is never labelled Consistent: if no rule fired it
-is WeakInconsistent with no rule.
+The derived picture is cross-checked against the algebraic one (the
+statements are consistent exactly when their homogeneous system has rank
+below n); agreement of the search's own verdict with it is reported as a
+diagnostic, since multi-term statements can defeat the substitution
+search. A set the exact test calls inconsistent is never labelled
+Consistent: if no rule fired it is WeakInconsistent with no rule.
 
 A set that one positive vector w solves as written needs no search: every
 derivation of a pair (i, j) has the ratio w_i / w_j and every
@@ -47,11 +47,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import (
+    FullRank,
     NonEquationPreference,
     NonlinearPreferencePresent,
     NonPositiveComponent,
 )
-from .linalg import general_solution, particular_positive, system_consistent
+from .linalg import general_solution, particular_positive
 from .model import (
     InequalityPreference,
     MonomialPreference,
@@ -393,24 +394,21 @@ _SOLVED = ClassificationReport(
 )
 
 
-def _positive_solution(rows) -> bool:
-    """Whether the consistent system rows has the positive solution with
-    every secondary variable at 1."""
-    try:
-        particular_positive(general_solution(rows))
-    except NonPositiveComponent:
-        return False
-    return True
-
-
 def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
     depth = _checked_depth(problem, max_depth)
     _statements(problem)  # refuses what the search cannot classify
-    n = problem.criteria.n
-    rows = assemble(problem)
-    det_ok = system_consistent(rows, n)
-    if det_ok and depth >= n and _positive_solution(rows):
-        return _SOLVED
+    # the exact test is the elimination that yields the solution family
+    try:
+        gs = general_solution(assemble(problem))
+    except FullRank:
+        gs = None
+    det_ok = gs is not None
+    if det_ok and depth >= problem.criteria.n:
+        try:
+            particular_positive(gs)
+            return _SOLVED
+        except NonPositiveComponent:
+            pass
     return _report(*_derive(problem, depth), det_ok)
 
 

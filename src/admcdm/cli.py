@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,21 +45,8 @@ from .solver import (
     priority,
 )
 
-_EMPTY_DOC = {
-    "problem": None,
-    "classification": None,
-    "alpha": None,
-    "priority": None,
-    "discounts": None,
-    "ahp": None,
-    "error_min": None,
-    "regimes": None,
-    "warnings": [],
-}
-
-
-def _num(value: Scalar) -> float:
-    return sig(value)
+_BLOCKS = ("problem", "classification", "alpha", "priority", "discounts",
+           "ahp", "error_min", "regimes")
 
 
 def _exact_or_none(value: Scalar) -> str | None:
@@ -97,9 +85,13 @@ def _load(path: Path, principle: str | None) -> tuple[Problem, list[str]]:
     return problem, warnings
 
 
-def _problem_block(problem: Problem) -> dict:
+def _doc(problem: Problem, warnings, **blocks) -> dict:
+    """The report document: the problem echo, the warnings and the given
+    blocks; every other block is null."""
     names = problem.criteria.names
-    return {
+    doc = dict.fromkeys(_BLOCKS)
+    doc["warnings"] = list(warnings)
+    doc["problem"] = {
         "criteria": list(names),
         "statements": [
             format_preference(p, names) for p in problem.preferences
@@ -107,6 +99,8 @@ def _problem_block(problem: Problem) -> dict:
         "multipliers": [fmt(m) for m in problem.binding.multipliers],
         "core": [i + 1 for i in problem.binding.core_mask],
     }
+    doc.update(blocks)
+    return doc
 
 
 def _classification_block(report: ClassificationReport, names) -> dict:
@@ -125,21 +119,34 @@ def _classification_block(report: ClassificationReport, names) -> dict:
     }
 
 
+def _label_line(report: ClassificationReport) -> str:
+    rule = f" ({report.rule_fired})" if report.rule_fired else ""
+    return f"label: {report.label.value}{rule}"
+
+
+def _named(names, values, show=_show) -> list[str]:
+    return [f"  {name} = {show(v)}" for name, v in zip(names, values)]
+
+
+def _solved_blocks(report, names, sol: AlphaSolution, vector,
+                   discounts) -> dict:
+    """The blocks of a discounting result, shared by solve and compare."""
+    return {
+        "classification": _classification_block(report, names),
+        "alpha": _alpha_block(sol),
+        "priority": _priority_block(vector),
+        "discounts": _statement_values(discounts, "factor"),
+    }
+
+
 def _alpha_block(sol: AlphaSolution) -> dict:
     return {
-        "value": _num(sol.alpha),
+        "value": sig(sol.alpha),
         "exact": _exact_or_none(sol.alpha),
-        "roots": [_num(r) for r in sol.roots],
-        "consistency": _num(sol.consistency),
-        "inconsistency": _num(sol.inconsistency),
-        "extras": [
-            {
-                "statement": pos + 1,
-                "value": _num(value),
-                "exact": _exact_or_none(value),
-            }
-            for pos, value in sol.extra_params
-        ],
+        "roots": [sig(r) for r in sol.roots],
+        "consistency": sig(sol.consistency),
+        "inconsistency": sig(sol.inconsistency),
+        "extras": _statement_values(sol.extra_params, "value"),
         "discharged": sol.discharged,
     }
 
@@ -147,16 +154,17 @@ def _alpha_block(sol: AlphaSolution) -> dict:
 def _priority_block(vector) -> dict:
     all_exact = all(isinstance(v, Fraction) for v in vector)
     return {
-        "decimal": [_num(v) for v in vector],
+        "decimal": [sig(v) for v in vector],
         "exact": [fmt(v) for v in vector] if all_exact else None,
     }
 
 
-def _discounts_block(pairs) -> list:
+def _statement_values(pairs, key: str) -> list:
+    """One entry per (statement position, value) pair."""
     return [
         {
             "statement": pos + 1,
-            "factor": _num(value),
+            key: sig(value),
             "exact": _exact_or_none(value),
         }
         for pos, value in pairs
@@ -165,21 +173,15 @@ def _discounts_block(pairs) -> list:
 
 def _ahp_block(matrix, result: AhpResult | None, failure: str | None) -> dict:
     if failure is not None:
-        return {
-            "error": failure,
-            "matrix": None,
-            "lambda_max": None,
-            "vector": None,
-            "ci": None,
-            "iterations": None,
-        }
+        return dict.fromkeys(("matrix", "lambda_max", "vector", "ci",
+                              "iterations"), None) | {"error": failure}
     assert result is not None
     return {
         "error": None,
-        "matrix": [[_num(e) for e in row] for row in matrix.entries],
-        "lambda_max": _num(result.lambda_max),
-        "vector": [_num(v) for v in result.vector],
-        "ci": _num(result.ci),
+        "matrix": [[sig(e) for e in row] for row in matrix.entries],
+        "lambda_max": sig(result.lambda_max),
+        "vector": [sig(v) for v in result.vector],
+        "ci": sig(result.ci),
         "iterations": result.iterations,
     }
 
@@ -187,11 +189,11 @@ def _ahp_block(matrix, result: AhpResult | None, failure: str | None) -> dict:
 def _error_min_block(result: ErrorMinResult) -> dict:
     all_exact = all(isinstance(v, Fraction) for v in result.argmin)
     return {
-        "argmin": [_num(v) for v in result.argmin],
+        "argmin": [sig(v) for v in result.argmin],
         "argmin_exact": (
             [fmt(v) for v in result.argmin] if all_exact else None
         ),
-        "value": _num(result.value),
+        "value": sig(result.value),
         "value_exact": _exact_or_none(result.value),
         "evaluations": result.evaluations,
         "refined": result.refined,
@@ -210,8 +212,8 @@ def _regimes_block(
         pieces.append(
             {
                 "kind": "point" if regime.is_point else "interval",
-                "lower": _num(regime.lower),
-                "upper": None if regime.upper is None else _num(regime.upper),
+                "lower": sig(regime.lower),
+                "upper": None if regime.upper is None else sig(regime.upper),
                 "ordering": ordering_text(regime.ordering, names),
             }
         )
@@ -220,31 +222,33 @@ def _regimes_block(
         "components": [
             {
                 "criterion": names[k],
-                "coefficient": _num(coef),
+                "coefficient": sig(coef),
                 "exact": _exact_or_none(coef),
                 "exponent": power,
             }
             for k, (coef, power) in enumerate(sol.components)
         ],
         "domain": [
-            _num(lower),
-            None if upper is None else _num(upper),
+            sig(lower),
+            None if upper is None else sig(upper),
         ],
-        "breakpoints": [_num(b) for b in report.breakpoints],
+        "breakpoints": [sig(b) for b in report.breakpoints],
         "regimes": pieces,
         "at": (
             None
             if at is None
-            else {"z": _num(at[0]), "vector": [_num(v) for v in at[1]]}
+            else {"z": sig(at[0]), "vector": [sig(v) for v in at[1]]}
         ),
     }
 
 
 def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
+    """Print the document as JSON, or the text lines and then the
+    document's warnings."""
     if as_json:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
-        for line in lines:
+        for line in lines + [f"warning: {w}" for w in doc["warnings"]]:
             print(line)
 
 
@@ -255,12 +259,11 @@ def _interval_text(regime) -> str:
     return f"z in ({_show(regime.lower)}, {upper})"
 
 
-def _solve_one(path: Path, args) -> tuple[dict, list[str]]:
-    problem, warnings = _load(path, args.principle)
+def _solve_report(problem: Problem, warnings, args):
     names = problem.criteria.names
     policy = None
     if args.threshold_c is not None:
-        policy = ConsistencyPolicy(threshold_c=exact(args.threshold_c))
+        policy = ConsistencyPolicy(threshold_c=args.threshold_c)
     vector, alpha_sol, report = priority(problem, policy)
     if args.fallback == "uniform" and (
         alpha_sol.discharged or report.label is Label.STRONG_INCONSISTENT
@@ -277,32 +280,19 @@ def _solve_one(path: Path, args) -> tuple[dict, list[str]]:
             )
         )
     discounts = discount_report(problem, vector)
+    doc = _doc(problem, warnings, **_solved_blocks(
+        report, names, alpha_sol, vector, discounts))
 
-    doc = dict(_EMPTY_DOC)
-    doc["problem"] = _problem_block(problem)
-    doc["classification"] = _classification_block(report, names)
-    doc["alpha"] = _alpha_block(alpha_sol)
-    doc["priority"] = _priority_block(vector)
-    doc["discounts"] = _discounts_block(discounts)
-    doc["warnings"] = list(warnings)
-
-    lines = [f"label: {report.label.value}"
-             + (f" ({report.rule_fired})" if report.rule_fired else "")]
-    lines.append(f"alpha = {_show(alpha_sol.alpha)}")
+    lines = [_label_line(report), f"alpha = {_show(alpha_sol.alpha)}"]
     for pos, value in alpha_sol.extra_params:
         lines.append(f"alpha[{pos + 1}] = {_show(value)}")
     lines.append(
         f"consistency c = {_show(alpha_sol.consistency)}, "
         f"inconsistency 1 - c = {_show(alpha_sol.inconsistency)}"
     )
-    lines.append("priority:")
-    for name, v in zip(names, vector):
-        lines.append(f"  {name} = {_show(v)}")
-    lines.append("discounts:")
+    lines += ["priority:", *_named(names, vector), "discounts:"]
     for pos, value in discounts:
         lines.append(f"  statement {pos + 1}: {_show(value)}")
-    for w in warnings:
-        lines.append(f"warning: {w}")
     return doc, lines
 
 
@@ -320,7 +310,7 @@ def _cmd_solve(args) -> int:
         raise InvalidProblem("--json reports exactly one file at a time")
     first = True
     for path in paths:
-        doc, lines = _solve_one(path, args)
+        doc, lines = _solve_report(*_load(path, args.principle), args)
         if len(paths) > 1:
             if not first:
                 print()
@@ -330,50 +320,31 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    problem, warnings = _load(Path(args.file), args.principle)
+def _classify_report(problem: Problem, warnings, args):
     names = problem.criteria.names
     report = classify(problem)
-    doc = dict(_EMPTY_DOC)
-    doc["problem"] = _problem_block(problem)
-    doc["classification"] = _classification_block(report, names)
-    doc["warnings"] = list(warnings)
-    lines = [f"label: {report.label.value}"
-             + (f" ({report.rule_fired})" if report.rule_fired else "")]
-    for rule, rel, other in report.witnesses:
-        line = f"  {rule}: {rel.describe(names)}"
-        if other is not None:
-            line += f" vs {other.describe(names)}"
-        lines.append(line)
+    block = _classification_block(report, names)
+    doc = _doc(problem, warnings, classification=block)
+    lines = [_label_line(report)]
+    lines += [f"  {text}" for text in block["witnesses"]]
     if report.depth_exceeded:
         lines.append("note: derivation depth was capped; label is "
                      "conservative")
-    for w in warnings:
-        lines.append(f"warning: {w}")
-    _emit(doc, lines, args.json)
-    return 0
+    return doc, lines
 
 
-def _cmd_ahp(args) -> int:
-    problem, warnings = _load(Path(args.file), None)
+def _ahp_report(problem: Problem, warnings, args):
     names = problem.criteria.names
     matrix = build_ahp_matrix(problem)
     result = ahp_priority(matrix, tol=args.tol)
-    doc = dict(_EMPTY_DOC)
-    doc["problem"] = _problem_block(problem)
-    doc["ahp"] = _ahp_block(matrix, result, None)
-    doc["warnings"] = list(warnings)
+    doc = _doc(problem, warnings, ahp=_ahp_block(matrix, result, None))
     lines = [f"lambda_max = {sig(result.lambda_max)}",
-             f"consistency index = {sig(result.ci)}"]
-    lines.append("priority:")
-    for name, v in zip(names, result.vector):
-        lines.append(f"  {name} = {sig(v)}")
-    _emit(doc, lines, args.json)
-    return 0
+             f"consistency index = {sig(result.ci)}",
+             "priority:", *_named(names, result.vector, sig)]
+    return doc, lines
 
 
-def _cmd_compare(args) -> int:
-    problem, warnings = _load(Path(args.file), args.principle)
+def _compare_report(problem: Problem, warnings, args):
     names = problem.criteria.names
     vector, alpha_sol, report = priority(problem)
     matrix = None
@@ -385,35 +356,25 @@ def _cmd_compare(args) -> int:
     except EngineError as exc:
         failure = f"{type(exc).__name__}: {exc}"
 
-    doc = dict(_EMPTY_DOC)
-    doc["problem"] = _problem_block(problem)
-    doc["classification"] = _classification_block(report, names)
-    doc["alpha"] = _alpha_block(alpha_sol)
-    doc["priority"] = _priority_block(vector)
-    doc["discounts"] = _discounts_block(discount_report(problem, vector))
-    doc["ahp"] = _ahp_block(matrix, ahp_result, failure)
-    doc["warnings"] = list(warnings)
+    doc = _doc(problem, warnings, ahp=_ahp_block(matrix, ahp_result, failure),
+               **_solved_blocks(report, names, alpha_sol, vector,
+                                discount_report(problem, vector)))
 
     lines = [f"label: {report.label.value}",
              f"alpha = {_show(alpha_sol.alpha)}"]
     lines.append("discounted priority vs pairwise eigenvector:")
     if ahp_result is None:
-        for name, v in zip(names, vector):
-            lines.append(f"  {name} = {_show(v)}")
+        lines += _named(names, vector)
         lines.append(f"pairwise baseline unavailable: {failure}")
     else:
         for name, v, w in zip(names, vector, ahp_result.vector):
             lines.append(f"  {name} = {_show(v)}  |  {sig(w)}")
         lines.append(f"lambda_max = {sig(ahp_result.lambda_max)}, "
                      f"consistency index = {sig(ahp_result.ci)}")
-    for w in warnings:
-        lines.append(f"warning: {w}")
-    _emit(doc, lines, args.json)
-    return 0
+    return doc, lines
 
 
-def _cmd_error_min(args) -> int:
-    problem, warnings = _load(Path(args.file), None)
+def _error_min_report(problem: Problem, warnings, args):
     result = minimize_error(
         problem, grid_points=args.grid, refine_iters=args.refine
     )
@@ -430,26 +391,19 @@ def _cmd_error_min(args) -> int:
             print(body, end="")
         else:
             Path(args.csv).write_text(body, encoding="utf-8")
-    doc = dict(_EMPTY_DOC)
-    doc["problem"] = _problem_block(problem)
-    doc["error_min"] = _error_min_block(result)
-    doc["warnings"] = list(warnings)
-    lines = [f"minimum value = {_show(result.value)}"]
-    lines.append("argmin:")
-    for name, v in zip(problem.criteria.names, result.argmin):
-        lines.append(f"  {name} = {_show(v)}")
+    doc = _doc(problem, warnings, error_min=_error_min_block(result))
+    lines = [f"minimum value = {_show(result.value)}", "argmin:",
+             *_named(problem.criteria.names, result.argmin)]
     lines.append(
         f"evaluations = {result.evaluations}, refined = "
         + ("yes" if result.refined else "no")
     )
     if args.csv is not None and args.csv != "-":
         lines.append(f"grid written to {args.csv}")
-    _emit(doc, lines, args.json)
-    return 0
+    return doc, lines
 
 
-def _cmd_regimes(args) -> int:
-    problem, warnings = _load(Path(args.file), None)
+def _regimes_report(problem: Problem, warnings, args):
     names = problem.criteria.names
     sol = solve_triangular(problem)
     inequalities = [
@@ -458,14 +412,11 @@ def _cmd_regimes(args) -> int:
     report = regime_analysis(sol, inequalities)
     at = None
     if args.at is not None:
-        name, _, text = args.at.partition("=")
-        if not text:
-            raise InvalidProblem("--at expects NAME=VALUE")
+        name, z = args.at
         if name != names[sol.free_var]:
             raise InvalidProblem(
                 f"the free variable is {names[sol.free_var]}, not {name}"
             )
-        z = exact(text)
         if not z > 0:
             raise InvalidProblem("--at needs a positive value")
         lower, upper = report.domain
@@ -476,10 +427,8 @@ def _cmd_regimes(args) -> int:
         values = tuple(sol.value_at(k, z) for k in range(sol.n))
         at = (z, normalize(values))
 
-    doc = dict(_EMPTY_DOC)
-    doc["problem"] = _problem_block(problem)
-    doc["regimes"] = _regimes_block(sol, report, names, at)
-    doc["warnings"] = list(warnings)
+    doc = _doc(problem, warnings,
+               regimes=_regimes_block(sol, report, names, at))
 
     free = names[sol.free_var]
     parts = []
@@ -508,18 +457,50 @@ def _cmd_regimes(args) -> int:
     if at is not None:
         z, vector = at
         lines.append(f"normalized priorities at {free} = {_show(z)}:")
-        for name, v in zip(names, vector):
-            lines.append(f"  {name} = {_show(v)}")
-    for w in warnings:
-        lines.append(f"warning: {w}")
-    _emit(doc, lines, args.json)
+        lines += _named(names, vector)
+    return doc, lines
+
+
+def _run(args) -> int:
+    """A one-file command: load the file, build its report (document and
+    text lines) with args.report, print it."""
+    problem, warnings = _load(Path(args.file),
+                              getattr(args, "principle", None))
+    _emit(*args.report(problem, warnings, args), args.json)
     return 0
 
 
 def _cmd_gen_cyclic(args) -> int:
-    t = exact(args.t)
-    print(format_problem(make_cyclic_example(t)), end="")
+    print(format_problem(make_cyclic_example(args.t)), end="")
     return 0
+
+
+def _rational(text: str) -> Fraction:
+    """Option type: a rational or decimal literal, read exactly."""
+    try:
+        return exact(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _assignment(text: str) -> tuple[str, Fraction]:
+    """Option type: NAME=VALUE with a rational VALUE."""
+    name, _, value = text.partition("=")
+    if not value:
+        raise argparse.ArgumentTypeError("expects NAME=VALUE")
+    return name, _rational(value)
+
+
+def _tolerance(text: str) -> float:
+    """Option type: a positive finite float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"needs a positive finite number, got {text!r}")
+    return tol
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -549,7 +530,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.add_argument("files", nargs="+", metavar="FILE_OR_DIR")
     add_common(p_solve)
     p_solve.add_argument(
-        "--threshold-c", default=None, metavar="VALUE",
+        "--threshold-c", type=_rational, default=None, metavar="VALUE",
         help="minimum acceptable consistency degree before the solution "
              "is marked discharged",
     )
@@ -566,16 +547,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_classify.add_argument("file", metavar="FILE")
     add_common(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    p_classify.set_defaults(func=_run, report=_classify_report)
 
     p_ahp = sub.add_parser(
         "ahp", help="pairwise eigenvector baseline for ratio-only problems"
     )
     p_ahp.add_argument("file", metavar="FILE")
     add_common(p_ahp, principle=False)
-    p_ahp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p_ahp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="iteration stop tolerance")
-    p_ahp.set_defaults(func=_cmd_ahp)
+    p_ahp.set_defaults(func=_run, report=_ahp_report)
 
     p_compare = sub.add_parser(
         "compare", help="discounted priorities next to the pairwise "
@@ -583,9 +564,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("file", metavar="FILE")
     add_common(p_compare)
-    p_compare.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p_compare.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                            help="iteration stop tolerance")
-    p_compare.set_defaults(func=_cmd_compare)
+    p_compare.set_defaults(func=_run, report=_compare_report)
 
     p_err = sub.add_parser(
         "error-min", help="minimize the accuracy functional on the simplex"
@@ -600,7 +581,7 @@ def _parser() -> argparse.ArgumentParser:
                        "statements only)")
     p_err.add_argument("--csv", default=None, metavar="PATH",
                        help="write the evaluated grid as CSV for plotting")
-    p_err.set_defaults(func=_cmd_error_min)
+    p_err.set_defaults(func=_run, report=_error_min_report)
 
     p_reg = sub.add_parser(
         "regimes", help="resolve a triangular nonlinear system and report "
@@ -608,16 +589,17 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_reg.add_argument("file", metavar="FILE")
     add_common(p_reg, principle=False)
-    p_reg.add_argument("--at", default=None, metavar="NAME=VALUE",
+    p_reg.add_argument("--at", type=_assignment, default=None,
+                       metavar="NAME=VALUE",
                        help="also report normalized priorities at a "
                             "specific free-variable value")
-    p_reg.set_defaults(func=_cmd_regimes)
+    p_reg.set_defaults(func=_run, report=_regimes_report)
 
     p_gen = sub.add_parser(
         "gen-cyclic", help="print the three-criteria cyclic family member "
                            "for a given strength"
     )
-    p_gen.add_argument("--t", required=True, metavar="VALUE",
+    p_gen.add_argument("--t", type=_rational, required=True, metavar="VALUE",
                        help="cycle strength (rational or decimal)")
     p_gen.set_defaults(func=_cmd_gen_cyclic)
 

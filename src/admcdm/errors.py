@@ -59,7 +59,8 @@ class NoPositiveRoot(EngineError):
 
 
 class InconsistentExtraParams(EngineError):
-    """Auxiliary minors disagree on a non-core parameter value."""
+    """A statement outside the core gets no parameter: the core lacks
+    exactly one null vector at alpha, or the statement's beta is not > 0."""
 
 
 class NotPairwise(EngineError):

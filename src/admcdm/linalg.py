@@ -2,16 +2,16 @@
 determinants and rank, and general solutions of dependent homogeneous
 systems.
 
-Every determinant is exact: one fraction-free Bareiss elimination over the
-integers, after each row is scaled to integers (a float entry read as the
-Fraction of its binary value). A polynomial matrix is evaluated at deg + 1
-integer points and its determinant recovered by Newton interpolation
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5);
-deg is the sum of the row degrees, so no intermediate outgrows the result.
-Rank and solution families of exact rows are eliminated over Fractions with
-no tolerance, so components like 12z and 3z come out as Fractions. Floats
-appear only when an irrational discount is substituted; such rows are
-eliminated with partial pivoting and a relative rank tolerance.
+All exact work is one fraction-free Bareiss elimination over the integers,
+each row scaled to integers first (a float entry read as the Fraction of its
+binary value): the determinant is the signed last pivot, the rank the pivot
+count, and carried above the pivots it gives the exact reduced echelon form.
+A polynomial matrix is evaluated at deg + 1 integer points and its
+determinant recovered by Newton interpolation (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 5); deg is the sum of the row degrees, so no
+intermediate outgrows the result. Floats appear only when an irrational
+discount is substituted; such rows are solved with partial pivoting and a
+relative rank tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import FullRank, NonPositiveComponent, NotSquare
 from .polynomial import Poly, peval, poly
 
 RANK_TOL = 1e-9
-# Consistency is exact (det == 0, or rank < n). Callers that scale a
+# Consistency is exact (rank < n). Callers that scale a
 # tolerance by this constant, |det| <= TOL * n! * max|a|^n, get the same
 # exact test with 0.
 CONSISTENT_DET_TOL = 0
@@ -68,25 +68,41 @@ def _integer_row(values):
     return [v.numerator * (scale // v.denominator) for v in exact], scale
 
 
-def _int_det(mat) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination; every division is exact. mat is overwritten."""
-    n = len(mat)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
+def _bareiss(mat, reduced=False):
+    """Fraction-free elimination of the integer matrix mat, in place
+    (Bareiss 1968); returns (pivot columns, sign of the row permutation).
+    The first nonzero entry pivots; a column with none is skipped. Entries
+    stay minors of the rows (Sylvester), so every division is exact. With
+    reduced, rows above a pivot are cleared too, and the pivot rows over
+    the last pivot are the reduced row echelon form (Cramer)."""
+    m, n = len(mat), len(mat[0]) if mat else 0
+    pivots, sign, prev = [], 1, 1
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        swap = next((i for i in range(r, m) if mat[i][col]), None)
+        if swap is None:
+            continue
+        if swap != r:
+            mat[r], mat[swap] = mat[swap], mat[r]
             sign = -sign
-        pivot, top = mat[k][k], mat[k][k + 1:]
-        for i in range(k + 1, n):
-            f = mat[i][k]
-            mat[i][k + 1:] = [(pivot * a - f * b) // prev
-                              for a, b in zip(mat[i][k + 1:], top)]
+        lo = 0 if reduced else col  # rows below are 0 left of col
+        pivot, top = mat[r][col], mat[r][lo:]
+        for i in range(0 if reduced else r + 1, m):
+            if i != r:
+                f = mat[i][col]
+                mat[i][lo:] = [(pivot * a - f * b) // prev
+                               for a, b in zip(mat[i][lo:], top)]
         prev = pivot
-    return sign * mat[n - 1][n - 1]
+        pivots.append(col)
+    return pivots, sign
+
+
+def _det(mat) -> int:
+    """Determinant of a square integer matrix; mat is overwritten."""
+    pivots, sign = _bareiss(mat)
+    return sign * mat[-1][-1] if len(pivots) == len(mat) else 0
 
 
 def det_poly(mat: PolyMatrix) -> Poly:
@@ -104,7 +120,7 @@ def det_poly(mat: PolyMatrix) -> Poly:
         scale *= s
         deg += max(e.degree for e in row)
     # a zero row leaves deg too small, but then every value is 0 anyway
-    diffs = [_int_det([[peval(e, x) for e in row] for row in rows])
+    diffs = [_det([[peval(e, x) for e in row] for row in rows])
              for x in range(max(deg, 0) + 1)]
     for k in range(1, len(diffs)):
         for i in range(len(diffs) - 1, k - 1, -1):
@@ -122,24 +138,21 @@ def det_numeric(rows) -> Fraction:
     if any(len(r) != n for r in rows):
         raise NotSquare("determinant needs a square matrix")
     scaled = [_integer_row(r) for r in rows]
-    return Fraction(_int_det([ints for ints, _ in scaled]),
+    return Fraction(_det([ints for ints, _ in scaled]),
                     prod(s for _, s in scaled))
 
 
 def _rref(rows):
-    """Reduced row echelon form; returns (worked rows, pivot columns).
+    """Reduced row echelon form of rows holding a float; returns (worked
+    rows, pivot columns).
 
-    Exact entries (ints become Fractions) are eliminated exactly and the
-    first nonzero entry pivots. Once a float is present, the pivot is the
-    largest-magnitude entry in the column at or below the current row,
-    earliest row on ties, and a column whose best entry falls below
-    RANK_TOL times the largest matrix entry contributes no pivot.
+    The pivot is the largest-magnitude entry in the column at or below the
+    current row, earliest row on ties, and a column whose best entry falls
+    below RANK_TOL times the largest matrix entry contributes no pivot.
     """
     work = [[Fraction(e) if isinstance(e, int) else e for e in r] for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    exact = not any(isinstance(e, float) for r in work for e in r)
-    cutoff = 0 if exact else RANK_TOL * max(abs(e) for r in work for e in r)
+    m, n = len(work), len(work[0])
+    cutoff = RANK_TOL * max(abs(e) for r in work for e in r)
     pivots = []
     r = 0
     for col in range(n):
@@ -151,8 +164,6 @@ def _rref(rows):
             a = abs(work[i][col])
             if a > best:
                 best_row, best = i, a
-                if exact:
-                    break
         if best_row is None:
             continue
         work[r], work[best_row] = work[best_row], work[r]
@@ -168,16 +179,13 @@ def _rref(rows):
 
 
 def rank(rows) -> int:
-    return len(_rref(rows)[1])
+    """Exact rank, a float entry read as the Fraction of its binary value."""
+    return len(_bareiss([_integer_row(r)[0] for r in rows])[0])
 
 
 def system_consistent(rows, n: int) -> bool:
-    """Whether the homogeneous system rows * x = 0 in n unknowns has a
-    nontrivial solution: det == 0 when the system is square, otherwise rank
-    below n. Exact for exact rows."""
-    if len(rows) != n:
-        return rank(rows) < n
-    return det_numeric(rows) == 0
+    """Whether rows * x = 0 in n unknowns has a nontrivial solution."""
+    return rank(rows) < n
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,16 @@ class GeneralSolution:
 
 
 def general_solution(rows) -> GeneralSolution:
-    work, pivots = _rref(rows)
+    """Solution family of rows * x = 0; FullRank when only x = 0 solves it."""
     n = len(rows[0])
+    if any(isinstance(e, float) for r in rows for e in r):
+        work, pivots = _rref(rows)
+    else:
+        ints = [_integer_row(r)[0] for r in rows]
+        pivots, _ = _bareiss(ints, reduced=True)
+        # a pivot row over its pivot entry is its reduced echelon row
+        work = [[Fraction(a, row[p]) for a in row]
+                for row, p in zip(ints, pivots)]
     if len(pivots) == n:
         raise FullRank(
             "system has only the trivial solution; parameterize first")

@@ -1,16 +1,17 @@
 """The discounting pipeline: parameterize the system, solve the parametric
 determinant equation, pick the discount, and produce the priority vector.
 
-A consistent set of statements (determinant exactly 0, or rank below n)
-already has a dependent system, so the discount is 1 and the general
-solution is read off directly. Otherwise each statement's right-hand side is
-scaled by its multiplier times the shared base parameter, the core
-determinant becomes an exact polynomial whose positive root fixes the
-parameter, and the core's null space at that root gives the priority
-vector. A preference outside the core gets its own parameter beta: with the
-core's one null vector v, its row const + beta * slope must be orthogonal
-to v, so beta = -(const . v) / (slope . v), the value at which every
-auxiliary determinant it forms with core rows vanishes. The consistency
+The assembled system is eliminated once: if its rank is below n the
+statements are consistent, the discount is 1 and the same elimination's
+general solution gives the priority vector. Otherwise each statement's
+right-hand side is scaled by its multiplier times the shared base
+parameter, the core determinant becomes an exact polynomial whose positive
+root fixes the parameter, and the core's null space at that root, again
+eliminated once, gives the priority vector. A preference outside the core
+gets its own parameter beta: with the core's one null vector v, its row
+const + beta * slope must be orthogonal to v, so
+beta = -(const . v) / (slope . v), the value at which every auxiliary
+determinant it forms with core rows vanishes. The consistency
 degree is min(alpha, 1/alpha): a discount far below 1 or an amplification
 far above it both signal statements that had to be bent a long way to
 agree.
@@ -39,7 +40,6 @@ from .linalg import (  # CONSISTENT_DET_TOL is re-exported
     general_solution,
     normalize,
     particular_positive,
-    system_consistent,
 )
 from .model import (
     InequalityPreference,
@@ -153,14 +153,16 @@ def _core_solution(ps: ParamSystem, alpha):
 
 
 def _solve_extras(ps: ParamSystem, alpha):
-    """Each extra preference's own parameter beta. Only its row carries
-    beta, and every auxiliary determinant it forms with n - 1 core rows is
-    a multiple of that row dotted with the core's null vector v, so the row
-    const + beta * slope fixes beta = -(const . v) / (slope . v)."""
+    """Each extra preference's own parameter beta, and the core's general
+    solution at alpha it was read from (None when there is no extra
+    preference). Only its row carries beta, and every auxiliary determinant
+    it forms with n - 1 core rows is a multiple of that row dotted with the
+    core's null vector v, so the row const + beta * slope fixes
+    beta = -(const . v) / (slope . v)."""
     core = set(ps.binding.core_mask)
     extras = [i for i in range(ps.matrix.m) if i not in core]
     if not extras:
-        return ()
+        return (), None
     try:
         gs = _core_solution(ps, alpha)
     except FullRank:
@@ -182,10 +184,12 @@ def _solve_extras(ps: ParamSystem, alpha):
                 f"auxiliary determinant for preference {pos + 1} "
                 "admits no positive parameter")
         out.append((pos, -c0 / c1))
-    return tuple(out)
+    return tuple(out), gs
 
 
-def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolution:
+def _solve(ps: ParamSystem, policy):
+    """solve_alpha's result, and the core's general solution at alpha when
+    the extra preferences needed it (else None)."""
     if policy is None:
         policy = ConsistencyPolicy()
     equation = parametric_equation(ps)
@@ -194,40 +198,38 @@ def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolut
         raise NoPositiveRoot(
             f"parametric equation {equation} has no positive root")
     alpha = _choose_root(roots)
-    extras = _solve_extras(ps, alpha)
+    extras, gs = _solve_extras(ps, alpha)
     c = _consistency_of(alpha)
-    discharged = float(c) < float(policy.threshold_c)
     return AlphaSolution(
-        roots=roots,
-        alpha=alpha,
-        consistency=c,
-        inconsistency=1 - c,
-        extra_params=extras,
-        discharged=discharged,
-    )
+        roots=roots, alpha=alpha, consistency=c, inconsistency=1 - c,
+        extra_params=extras, discharged=float(c) < float(policy.threshold_c),
+    ), gs
+
+
+def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolution:
+    return _solve(ps, policy)[0]
 
 
 def priority(problem: Problem, policy: ConsistencyPolicy = None):
     """Full pipeline: returns (priority vector, AlphaSolution, report)."""
-    if policy is None:
-        policy = ConsistencyPolicy()
-    rows = assemble(problem)
-    consistent = system_consistent(rows, problem.criteria.n)
+    # the consistency test is the elimination that yields the vector
+    try:
+        gs = general_solution(assemble(problem))
+    except FullRank:
+        gs = None
+    consistent = gs is not None
     if consistent:
-        solution = AlphaSolution(
-            roots=(Fraction(1),),
-            alpha=Fraction(1),
-            consistency=Fraction(1),
-            inconsistency=Fraction(0),
-        )
-        vec = particular_positive(general_solution(rows))
+        one = Fraction(1)
+        solution = AlphaSolution(roots=(one,), alpha=one, consistency=one,
+                                 inconsistency=Fraction(0))
     else:
-        ps = parameterize(problem)
-        solution = solve_alpha(ps, policy)
         # the extra rows hold at their parameters, so the core's null
         # space is the whole system's
-        vec = particular_positive(_core_solution(ps, solution.alpha))
-    pv = normalize(vec)
+        ps = parameterize(problem)
+        solution, gs = _solve(ps, policy)
+        if gs is None:  # no extra preference eliminated the core yet
+            gs = _core_solution(ps, solution.alpha)
+    pv = normalize(particular_positive(gs))
     # a consistent set got here only with its positive vector
     report = _classify_solved(problem, solved=consistent)
     return pv, solution, report

@@ -306,6 +306,29 @@ class TestGenCyclic:
         assert "pref: x = 4/5 y" in out
 
 
+class TestBadNumbers:
+    """A malformed number in an option is a usage error naming the option,
+    refused before any input is read or any iteration runs."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (("solve", "--threshold-c", "abc", EX["ex1"]), "--threshold-c"),
+        (("gen-cyclic", "--t", "abc"), "--t"),
+        (("gen-cyclic", "--t", "1/0"), "--t"),
+        (("regimes", "--at", "z=abc", EX["ex15"]), "--at"),
+        (("ahp", "--tol", "0", EX["ex9"]), "--tol"),
+        (("compare", "--tol=-0.5", EX["ex9"]), "--tol"),
+        (("ahp", "--tol", "nan", EX["ex9"]), "--tol"),
+    ], ids=["threshold-abc", "t-abc", "t-zero-denominator", "at-abc",
+            "tol-zero", "tol-negative", "tol-nan"])
+    def test_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        _, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert f"argument {option}:" in err
+        assert "internal error" not in err
+
+
 class TestCorpusCoverage:
     def test_every_corpus_file_has_a_working_command(self, capsys,
                                                      corpus_files):

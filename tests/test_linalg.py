@@ -1,5 +1,5 @@
 """Determinants, rank, and homogeneous solution families, cross-checked
-against numpy oracles."""
+against numpy and sympy oracles."""
 
 import random
 from fractions import Fraction
@@ -170,6 +170,13 @@ class TestRank:
         with pytest.raises(FullRank):
             general_solution(rows)
 
+    def test_float_entries_are_read_exactly(self):
+        """A float is the Fraction of its binary value: a last-bit
+        difference is rank, not rounding noise."""
+        rows = [[1.0, 1.0], [1.0, 1.0 + 2**-52]]
+        assert rank(rows) == 2
+        assert not system_consistent(rows, 2)
+
     def test_integer_rows_stay_exact(self):
         gs = general_solution([[1, -2, 0], [0, 1, -5]])
         v = gs.vector([Fraction(1)])
@@ -258,3 +265,87 @@ class TestPositiveVectors:
             normalize([Fraction(1), Fraction(0)])
         with pytest.raises(NonPositiveComponent):
             normalize([Fraction(1), Fraction(-1)])
+
+
+def _oracle_entry(rng):
+    kind = rng.random()
+    if kind < 0.4:
+        return rng.randint(-5, 5)
+    if kind < 0.9:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(rng.choice((-1, 1)), 10**10)
+
+
+def oracle_matrix(rng, m, n):
+    """Seeded exact m x n matrix of int and Fraction entries: a product of
+    random m x r and r x n factors (any rank r up to min(m, n)) or plain
+    random entries, then perhaps a zero row and a middle column with no
+    pivot (zero, or a multiple of the column before it)."""
+    if rng.random() < 0.7:
+        r = rng.randrange(0, min(m, n) + 1)
+        left = [[_oracle_entry(rng) for _ in range(r)] for _ in range(m)]
+        right = [[_oracle_entry(rng) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(left[i][k] * right[k][j] for k in range(r))
+                 for j in range(n)] for i in range(m)]
+    else:
+        rows = [[_oracle_entry(rng) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        rows[rng.randrange(m)] = [0] * n
+    if n > 2 and rng.random() < 0.4:
+        j = rng.randrange(1, n - 1)
+        k = rng.choice((0, 2, Fraction(-1, 3)))
+        for row in rows:
+            row[j] = k * row[j - 1]
+    return rows
+
+
+ORACLE_SHAPES = ((1, 3), (2, 5), (3, 6), (3, 3), (4, 4), (6, 6), (5, 3),
+                 (8, 4), (36, 9))
+
+
+class TestSympyOracle:
+    """The one exact elimination against sympy's rank, det and rref."""
+
+    @pytest.fixture(autouse=True)
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def cases():
+        rng = random.Random(0xBA2E155)
+        for m, n in ORACLE_SHAPES:
+            for _ in range(3 if m * n > 100 else 12):
+                yield oracle_matrix(rng, m, n)
+
+    def test_rank_det_and_rref_match(self, sympy):
+        def to_sympy(rows):
+            return sympy.Matrix([[sympy.Rational(Fraction(e).numerator,
+                                                 Fraction(e).denominator)
+                                  for e in row] for row in rows])
+
+        def to_fraction(x):
+            return Fraction(int(x.p), int(x.q))
+
+        seen = {"deficient": 0, "full": 0}
+        for rows in self.cases():
+            m, n = len(rows), len(rows[0])
+            want = to_sympy(rows)
+            assert rank(rows) == want.rank()
+            if m == n:
+                assert det_numeric(rows) == to_fraction(want.det())
+            reduced, pivots = want.rref()
+            if len(pivots) == n:
+                seen["full"] += 1
+                with pytest.raises(FullRank):
+                    general_solution(rows)
+                continue
+            seen["deficient"] += 1
+            gs = general_solution(rows)
+            secondary = tuple(c for c in range(n) if c not in pivots)
+            assert gs.secondary_vars == secondary
+            assert gs.expressions == tuple(
+                (p, tuple(-to_fraction(reduced[i, s]) for s in secondary))
+                for i, p in enumerate(pivots))
+            assert all(isinstance(c, Fraction)
+                       for _, coefs in gs.expressions for c in coefs)
+        assert seen["deficient"] >= 30 and seen["full"] >= 10

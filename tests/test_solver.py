@@ -1,6 +1,7 @@
 """Parametric solve pipeline: worked problems, root choice, extra
 parameters, policies, and system-level invariants across the corpus."""
 
+import importlib
 import math
 import random
 import signal
@@ -40,7 +41,7 @@ from admcdm.solver import (
     solve_alpha,
 )
 
-from conftest import assert_roots_match_sympy, dense, load
+from conftest import assert_roots_match_sympy, dense, load, pairwise
 
 RNG = random.Random(0xA1FA)
 
@@ -585,3 +586,62 @@ class TestCorpusInvariants:
                 else:
                     continue
                 assert abs(float(factor) - float(want)) <= 1e-9, name
+
+
+NUMERIC_ENTRY_POINTS = ("det_numeric", "rank", "system_consistent",
+                        "general_solution")
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the numeric systems eliminated: outermost calls of linalg's
+    numeric entry points, patched wherever they are imported (a call one
+    of them makes to another is the same elimination)."""
+    # admcdm.classify names the function; the module is in sys.modules
+    classify_module = importlib.import_module("admcdm.classify")
+    from admcdm import linalg, solver
+
+    originals = {name: getattr(linalg, name) for name in NUMERIC_ENTRY_POINTS}
+    count = {"calls": 0, "depth": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count["calls"] += count["depth"] == 0
+            count["depth"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                count["depth"] -= 1
+        return wrapper
+
+    for module in (linalg, solver, classify_module):
+        for name, fn in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(fn))
+    return count
+
+
+class TestEliminatedOnce:
+    def test_consistent_pairwise_set_is_eliminated_once(self, eliminations):
+        _, sol, _ = priority(pairwise(6, 0, True))
+        assert sol.alpha == 1
+        assert eliminations["calls"] == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: load("ex10.admp"),
+        lambda: pairwise(5, 1, False),
+    ], ids=["ex10", "pairwise"])
+    def test_inconsistent_set_with_extras_is_eliminated_twice(
+            self, eliminations, make):
+        """The assembled rows, then the core at alpha, shared by the extra
+        parameters and the priority vector."""
+        pr = make()
+        _, sol, _ = priority(pr)
+        assert sol.extra_params
+        assert eliminations["calls"] == 2
+
+    def test_classify_eliminates_once(self, eliminations):
+        from admcdm.classify import Label, classify
+
+        assert classify(pairwise(6, 0, True)).label is Label.CONSISTENT
+        assert eliminations["calls"] == 1
