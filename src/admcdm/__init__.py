@@ -10,169 +10,64 @@ parameter from 1 measures how inconsistent the statements were. A pairwise
 eigenvector baseline, an accuracy functional with a simplex minimizer, a
 consistency classifier, and a nonlinear triangular extension round out the
 toolbox.
+
+Each public name is imported from its module on first use (PEP 562), so a
+caller loads only the modules it runs.
 """
 
-from .ahp import AhpMatrix, AhpResult, ahp_priority, build_ahp_matrix, principal_eigen
-from .classify import ClassificationReport, DerivedRelation, Label, classify, derive_relations
-from .errors import (
-    ConflictingPair,
-    DegenerateCore,
-    EmptyDomain,
-    EngineError,
-    FullRank,
-    InconsistentExtraParams,
-    InvalidGrid,
-    InvalidProblem,
-    MissingPair,
-    MultipleFreeVars,
-    NoConvergence,
-    NoPositiveRoot,
-    NonEquationPreference,
-    NonPositiveComponent,
-    NonPositiveParameter,
-    NonlinearPreferencePresent,
-    NotPairwise,
-    NotSquare,
-    NotTriangular,
-    OffSimplex,
-    OverDetermined,
-    ParseError,
-    ZeroPolynomial,
-)
-from .error_min import ErrorMinResult, eval_error, minimize_error, simplex_grid
-from .linalg import (
-    GeneralSolution,
-    PolyMatrix,
-    PriorityVector,
-    det_numeric,
-    det_poly,
-    general_solution,
-    normalize,
-    particular_positive,
-    rank,
-)
-from .model import (
-    CriteriaSet,
-    InequalityPreference,
-    LinearPreference,
-    MonomialPreference,
-    ParamBinding,
-    Problem,
-    RatioPreference,
-    Relation,
-    assemble,
-    canonicalize,
-    default_binding,
-    make_cyclic_example,
-)
-from .nonlinear import (
-    MonomialSolution,
-    Regime,
-    RegimeReport,
-    ordering_text,
-    regime_analysis,
-    solve_triangular,
-)
-from .parser import format_preference, format_problem, parse_problem
-from .polynomial import Poly, peval, poly, positive_roots
-from .scalars import Scalar, exact, fmt, is_exact, sig
-from .solver import (
-    AlphaSolution,
-    ConsistencyPolicy,
-    ParamSystem,
-    discount_report,
-    parameterize,
-    parametric_equation,
-    priority,
-    solve_alpha,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AhpMatrix",
-    "AhpResult",
-    "AlphaSolution",
-    "ClassificationReport",
-    "ConflictingPair",
-    "ConsistencyPolicy",
-    "CriteriaSet",
-    "DegenerateCore",
-    "DerivedRelation",
-    "EmptyDomain",
-    "EngineError",
-    "ErrorMinResult",
-    "FullRank",
-    "GeneralSolution",
-    "InconsistentExtraParams",
-    "InequalityPreference",
-    "InvalidGrid",
-    "InvalidProblem",
-    "Label",
-    "LinearPreference",
-    "MissingPair",
-    "MonomialPreference",
-    "MonomialSolution",
-    "MultipleFreeVars",
-    "NoConvergence",
-    "NoPositiveRoot",
-    "NonEquationPreference",
-    "NonPositiveComponent",
-    "NonPositiveParameter",
-    "NonlinearPreferencePresent",
-    "NotPairwise",
-    "NotSquare",
-    "NotTriangular",
-    "OffSimplex",
-    "OverDetermined",
-    "ParamBinding",
-    "ParamSystem",
-    "ParseError",
-    "Poly",
-    "PolyMatrix",
-    "PriorityVector",
-    "Problem",
-    "RatioPreference",
-    "Regime",
-    "RegimeReport",
-    "Relation",
-    "Scalar",
-    "ZeroPolynomial",
-    "ahp_priority",
-    "assemble",
-    "build_ahp_matrix",
-    "canonicalize",
-    "classify",
-    "default_binding",
-    "derive_relations",
-    "det_numeric",
-    "det_poly",
-    "discount_report",
-    "eval_error",
-    "exact",
-    "fmt",
-    "format_preference",
-    "format_problem",
-    "general_solution",
-    "is_exact",
-    "make_cyclic_example",
-    "minimize_error",
-    "normalize",
-    "ordering_text",
-    "parameterize",
-    "parametric_equation",
-    "parse_problem",
-    "particular_positive",
-    "peval",
-    "poly",
-    "positive_roots",
-    "principal_eigen",
-    "priority",
-    "rank",
-    "regime_analysis",
-    "sig",
-    "simplex_grid",
-    "solve_alpha",
-    "solve_triangular",
-    "__version__",
-]
+_EXPORTS = {
+    "ahp": ("AhpMatrix", "AhpResult", "ahp_priority", "build_ahp_matrix",
+            "principal_eigen"),
+    "classification": ("ClassificationReport", "DerivedRelation", "Label",
+                       "classify", "derive_relations"),
+    "errors": (
+        "ConflictingPair", "DegenerateCore", "EmptyDomain", "EngineError",
+        "FullRank", "InconsistentExtraParams", "InvalidGrid",
+        "InvalidProblem", "InvalidTolerance", "MissingPair",
+        "MultipleFreeVars", "NoConvergence", "NoPositiveRoot",
+        "NonEquationPreference", "NonPositiveComponent",
+        "NonPositiveParameter", "NonlinearPreferencePresent", "NotPairwise",
+        "NotSquare", "NotTriangular", "OffSimplex", "OverDetermined",
+        "ParseError", "ZeroPolynomial",
+    ),
+    "error_min": ("ErrorMinResult", "eval_error", "minimize_error",
+                  "simplex_grid"),
+    "linalg": ("GeneralSolution", "PolyMatrix", "det_numeric", "det_poly",
+               "general_solution", "particular_positive", "rank"),
+    "model": (
+        "CriteriaSet", "InequalityPreference", "LinearPreference",
+        "MonomialPreference", "ParamBinding", "Problem", "RatioPreference",
+        "Relation", "assemble", "canonicalize", "default_binding",
+        "make_cyclic_example",
+    ),
+    "nonlinear": ("MonomialSolution", "Regime", "RegimeReport",
+                  "ordering_text", "regime_analysis", "solve_triangular"),
+    "parser": ("format_preference", "format_problem", "parse_problem"),
+    "polynomial": ("Poly", "peval", "poly", "positive_roots"),
+    "scalars": ("PriorityVector", "Scalar", "exact", "fmt", "is_exact",
+                "normalize", "sig"),
+    "solver": ("AlphaSolution", "ConsistencyPolicy", "ParamSystem",
+               "discount_report", "parameterize", "parametric_equation",
+               "priority", "solve_alpha"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

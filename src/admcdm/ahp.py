@@ -13,15 +13,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConflictingPair, MissingPair, NoConvergence, NotPairwise
-from .linalg import PriorityVector
+from .errors import (
+    ConflictingPair,
+    InvalidTolerance,
+    MissingPair,
+    NoConvergence,
+    NotPairwise,
+)
 from .model import (
     InequalityPreference,
     MonomialPreference,
     Problem,
     canonicalize,
 )
-from .scalars import Scalar
+from .scalars import PriorityVector, Scalar
 
 RECIPROCAL_TOL = 1e-12
 EIGEN_AT_N_TOL = 1e-8
@@ -168,8 +173,12 @@ def principal_eigen(
     infinity norm.
 
     Raises:
+        InvalidTolerance: ``tol`` is not a positive finite number.
         NoConvergence: the stop rule is not met within ``max_iter`` steps.
     """
+    if not 0 < tol < math.inf:
+        raise InvalidTolerance(
+            f"tol must be a positive finite number, got {tol!r}")
     a = _as_floats(m)
     n = m.n
     v = [1.0 / n] * n
@@ -202,6 +211,7 @@ def ahp_priority(m: AhpMatrix, tol: float = DEFAULT_TOL) -> AhpResult:
     original matrix.
 
     Raises:
+        InvalidTolerance: ``tol`` is not a positive finite number.
         NoConvergence: the squaring loop fails to settle.
     """
     eigen = principal_eigen(m, tol)

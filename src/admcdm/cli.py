@@ -16,37 +16,46 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .ahp import DEFAULT_TOL, AhpResult, ahp_priority, build_ahp_matrix
-from .classify import ClassificationReport, Label, classify
 from .errors import EngineError, InvalidProblem, ParseError
-from .error_min import ErrorMinResult, eval_error, minimize_error, simplex_grid
-from .linalg import normalize
 from .model import (
     InequalityPreference,
     ParamBinding,
     Problem,
     make_cyclic_example,
 )
-from .nonlinear import (
-    MonomialSolution,
-    RegimeReport,
-    ordering_text,
-    regime_analysis,
-    solve_triangular,
-)
 from .parser import format_preference, format_problem, parse_problem
-from .scalars import Scalar, exact, fmt, sig
-from .solver import (
-    AlphaSolution,
-    ConsistencyPolicy,
-    discount_report,
-    priority,
-)
+from .scalars import Scalar, exact, fmt, normalize, sig
+
+if TYPE_CHECKING:
+    from .ahp import AhpResult
+    from .classification import ClassificationReport
+    from .error_min import ErrorMinResult
+    from .nonlinear import MonomialSolution, RegimeReport
+    from .solver import AlphaSolution
 
 _BLOCKS = ("problem", "classification", "alpha", "priority", "discounts",
            "ahp", "error_min", "regimes")
+
+
+def __getattr__(name: str):
+    """The package exports the reports call, loaded on first use (PEP 562):
+    ``admcdm.cli.priority`` is ``admcdm.priority``."""
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+def _library(*names: str) -> list:
+    """The named package exports, read as attributes of this module.
+
+    Each report fetches its library calls here, so a command imports only
+    the modules it runs, and a name rebound on this module (the benchmark
+    does so to time the calls) is the one called.
+    """
+    cli = sys.modules[__name__]
+    return [getattr(cli, name) for name in names]
 
 
 def _exact_or_none(value: Scalar) -> str | None:
@@ -204,17 +213,19 @@ def _regimes_block(
     sol: MonomialSolution,
     report: RegimeReport,
     names,
+    orderings: list[str],
     at: tuple[Scalar, tuple[Scalar, ...]] | None,
 ) -> dict:
+    """``orderings`` holds the ordering text of each regime."""
     lower, upper = report.domain
     pieces = []
-    for regime in report.regimes:
+    for regime, ordering in zip(report.regimes, orderings):
         pieces.append(
             {
                 "kind": "point" if regime.is_point else "interval",
                 "lower": sig(regime.lower),
                 "upper": None if regime.upper is None else sig(regime.upper),
-                "ordering": ordering_text(regime.ordering, names),
+                "ordering": ordering,
             }
         )
     return {
@@ -260,6 +271,8 @@ def _interval_text(regime) -> str:
 
 
 def _solve_report(problem: Problem, warnings, args):
+    ConsistencyPolicy, Label, discount_report, priority = _library(
+        "ConsistencyPolicy", "Label", "discount_report", "priority")
     names = problem.criteria.names
     policy = None
     if args.threshold_c is not None:
@@ -321,6 +334,7 @@ def _cmd_solve(args) -> int:
 
 
 def _classify_report(problem: Problem, warnings, args):
+    classify, = _library("classify")
     names = problem.criteria.names
     report = classify(problem)
     block = _classification_block(report, names)
@@ -333,10 +347,21 @@ def _classify_report(problem: Problem, warnings, args):
     return doc, lines
 
 
+def _pairwise_baseline(problem: Problem, args):
+    """The comparison matrix and its eigenvector result, at --tol or else
+    at the baseline's own default tolerance."""
+    from .ahp import DEFAULT_TOL
+
+    build_ahp_matrix, ahp_priority = _library("build_ahp_matrix",
+                                              "ahp_priority")
+    matrix = build_ahp_matrix(problem)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    return matrix, ahp_priority(matrix, tol=tol)
+
+
 def _ahp_report(problem: Problem, warnings, args):
     names = problem.criteria.names
-    matrix = build_ahp_matrix(problem)
-    result = ahp_priority(matrix, tol=args.tol)
+    matrix, result = _pairwise_baseline(problem, args)
     doc = _doc(problem, warnings, ahp=_ahp_block(matrix, result, None))
     lines = [f"lambda_max = {sig(result.lambda_max)}",
              f"consistency index = {sig(result.ci)}",
@@ -345,14 +370,14 @@ def _ahp_report(problem: Problem, warnings, args):
 
 
 def _compare_report(problem: Problem, warnings, args):
+    discount_report, priority = _library("discount_report", "priority")
     names = problem.criteria.names
     vector, alpha_sol, report = priority(problem)
     matrix = None
     ahp_result: AhpResult | None = None
     failure: str | None = None
     try:
-        matrix = build_ahp_matrix(problem)
-        ahp_result = ahp_priority(matrix, tol=args.tol)
+        matrix, ahp_result = _pairwise_baseline(problem, args)
     except EngineError as exc:
         failure = f"{type(exc).__name__}: {exc}"
 
@@ -375,6 +400,8 @@ def _compare_report(problem: Problem, warnings, args):
 
 
 def _error_min_report(problem: Problem, warnings, args):
+    eval_error, minimize_error, simplex_grid = _library(
+        "eval_error", "minimize_error", "simplex_grid")
     result = minimize_error(
         problem, grid_points=args.grid, refine_iters=args.refine
     )
@@ -404,6 +431,8 @@ def _error_min_report(problem: Problem, warnings, args):
 
 
 def _regimes_report(problem: Problem, warnings, args):
+    ordering_text, regime_analysis, solve_triangular = _library(
+        "ordering_text", "regime_analysis", "solve_triangular")
     names = problem.criteria.names
     sol = solve_triangular(problem)
     inequalities = [
@@ -427,8 +456,9 @@ def _regimes_report(problem: Problem, warnings, args):
         values = tuple(sol.value_at(k, z) for k in range(sol.n))
         at = (z, normalize(values))
 
+    orderings = [ordering_text(r.ordering, names) for r in report.regimes]
     doc = _doc(problem, warnings,
-               regimes=_regimes_block(sol, report, names, at))
+               regimes=_regimes_block(sol, report, names, orderings, at))
 
     free = names[sol.free_var]
     parts = []
@@ -449,11 +479,8 @@ def _regimes_report(problem: Problem, warnings, args):
             + ", ".join(_show(b) for b in report.breakpoints)
         )
     lines.append("regimes:")
-    for regime in report.regimes:
-        lines.append(
-            f"  {_interval_text(regime)}: "
-            f"{ordering_text(regime.ordering, names)}"
-        )
+    for regime, ordering in zip(report.regimes, orderings):
+        lines.append(f"  {_interval_text(regime)}: {ordering}")
     if at is not None:
         z, vector = at
         lines.append(f"normalized priorities at {free} = {_show(z)}:")
@@ -554,7 +581,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_ahp.add_argument("file", metavar="FILE")
     add_common(p_ahp, principle=False)
-    p_ahp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+    p_ahp.add_argument("--tol", type=_tolerance, default=None,
                        help="iteration stop tolerance")
     p_ahp.set_defaults(func=_run, report=_ahp_report)
 
@@ -564,7 +591,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("file", metavar="FILE")
     add_common(p_compare)
-    p_compare.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+    p_compare.add_argument("--tol", type=_tolerance, default=None,
                            help="iteration stop tolerance")
     p_compare.set_defaults(func=_run, report=_compare_report)
 

@@ -83,6 +83,10 @@ class OffSimplex(EngineError):
     """A point that must lie on the open probability simplex does not."""
 
 
+class InvalidTolerance(EngineError, ValueError):
+    """An iteration stop tolerance that is not a positive finite number."""
+
+
 class InvalidGrid(EngineError, ValueError):
     """A simplex grid has no interior point or exceeds the point budget."""
 

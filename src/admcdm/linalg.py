@@ -29,8 +29,6 @@ RANK_TOL = 1e-9
 # exact test with 0.
 CONSISTENT_DET_TOL = 0
 
-PriorityVector = tuple
-
 
 @dataclass(frozen=True)
 class PolyMatrix:
@@ -251,11 +249,3 @@ def particular_positive(gs: GeneralSolution):
                 "with all secondary variables at 1")
     return v
 
-
-def normalize(v) -> PriorityVector:
-    vals = list(v)
-    for x in vals:
-        if not x > 0:
-            raise NonPositiveComponent("can only normalize a positive vector")
-    total = sum(vals)
-    return tuple(x / total for x in vals)

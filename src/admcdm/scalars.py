@@ -12,7 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import NonPositiveComponent
+
 Scalar = Union[Fraction, float]
+PriorityVector = tuple
 
 
 def exact(value) -> Scalar:
@@ -60,3 +63,13 @@ def fmt(value, digits: int = 12) -> str:
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"
     return f"{float(value):.{digits}g}"
+
+
+def normalize(v) -> PriorityVector:
+    """The positive vector v scaled to unit sum."""
+    vals = list(v)
+    for x in vals:
+        if not x > 0:
+            raise NonPositiveComponent("can only normalize a positive vector")
+    total = sum(vals)
+    return tuple(x / total for x in vals)

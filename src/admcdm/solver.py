@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import ClassificationReport, _classify_solved
+from .classification import ClassificationReport, _classify_solved
 from .errors import (
     DegenerateCore,
     FullRank,
@@ -35,10 +35,8 @@ from .errors import (
 from .linalg import (  # CONSISTENT_DET_TOL is re-exported
     CONSISTENT_DET_TOL,
     PolyMatrix,
-    PriorityVector,
     det_poly,
     general_solution,
-    normalize,
     particular_positive,
 )
 from .model import (
@@ -50,7 +48,7 @@ from .model import (
     canonicalize,
 )
 from .polynomial import Poly, ZERO, peval, poly, positive_roots
-from .scalars import Scalar
+from .scalars import PriorityVector, Scalar, normalize
 
 @dataclass(frozen=True)
 class ParamSystem:

@@ -3,8 +3,8 @@
 It walks every simple path to the end even after the relation list is full,
 and compares every two derivations of each criterion pair. admcdm.classify
 must return exactly the same ClassificationReport on every input; see
-test_classify_equivalence.py. The caps are read from admcdm.classify at call
-time, so a test that lowers them lowers them here too.
+test_classify_equivalence.py. The caps are read from admcdm.classification
+at call time, so a test that lowers them lowers them here too.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import import_module
 from itertools import product as iter_product
 
-from admcdm.classify import (
+from admcdm.classification import (
     ClassificationReport,
     DerivedRelation,
     Label,
@@ -31,8 +31,7 @@ from admcdm.model import (
     canonicalize,
 )
 
-# the module, not the function of the same name the package exports
-classify_module = import_module("admcdm.classify")
+classify_module = import_module("admcdm.classification")
 
 
 def reference_derive(problem, max_depth):

@@ -16,6 +16,8 @@ from admcdm.ahp import (
 )
 from admcdm.errors import (
     ConflictingPair,
+    EngineError,
+    InvalidTolerance,
     MissingPair,
     NoConvergence,
     NotPairwise,
@@ -135,6 +137,17 @@ class TestEigenpair:
         m = build_ahp_matrix(load("ex9.admp"))
         with pytest.raises(NoConvergence):
             principal_eigen(m, max_iter=1)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")],
+                             ids=["negative", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("solve", [principal_eigen, ahp_priority],
+                             ids=["principal_eigen", "ahp_priority"])
+    def test_bad_tolerance_is_refused_up_front(self, solve, tol):
+        """Not a power-iteration budget spent and then NoConvergence."""
+        m = build_ahp_matrix(load("ex9.admp"))
+        with pytest.raises(InvalidTolerance, match="tol") as exc:
+            solve(m, tol=tol)
+        assert isinstance(exc.value, EngineError)
 
     def test_looser_tolerance_converges_faster(self):
         m = build_ahp_matrix(load("ex9.admp"))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from admcdm.classify import (
+from admcdm.classification import (
     _RELATION_CAP,
     DerivedRelation,
     Label,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from admcdm.classify import ClassificationReport, Label, _derive, classify
+from admcdm.classification import ClassificationReport, Label, _derive, classify
 from admcdm.errors import EngineError
 from admcdm.linalg import general_solution, particular_positive
 from admcdm.model import (

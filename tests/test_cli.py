@@ -329,6 +329,36 @@ class TestBadNumbers:
         assert "internal error" not in err
 
 
+class TestSurface:
+    @pytest.mark.parametrize("argv", [
+        [], ["solve"], ["classify"], ["ahp"], ["compare"], ["error-min"],
+        ["regimes"], ["gen-cyclic"],
+    ], ids=lambda argv: " ".join(argv) or "admcdm")
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        out, _ = capsys.readouterr()
+        assert exit_.value.code == 0
+        assert out.startswith("usage: admcdm")
+
+    @pytest.mark.parametrize("command", ["ahp", "compare"])
+    def test_default_tolerance_is_the_baseline_default(self, capsys,
+                                                       monkeypatch, command):
+        import admcdm.cli
+        from admcdm.ahp import DEFAULT_TOL, ahp_priority
+
+        seen = []
+
+        def spy(matrix, tol):
+            seen.append(tol)
+            return ahp_priority(matrix, tol)
+
+        monkeypatch.setattr(admcdm.cli, "ahp_priority", spy)
+        code, _, err = run(capsys, command, EX["ex9"])
+        assert code == 0, err
+        assert seen == [DEFAULT_TOL]
+
+
 class TestCorpusCoverage:
     def test_every_corpus_file_has_a_working_command(self, capsys,
                                                      corpus_files):

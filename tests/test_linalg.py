@@ -15,12 +15,12 @@ from admcdm.linalg import (
     det_numeric,
     det_poly,
     general_solution,
-    normalize,
     particular_positive,
     rank,
     system_consistent,
 )
 from admcdm.polynomial import peval, poly
+from admcdm.scalars import normalize
 
 RNG = random.Random(0xA11A)
 

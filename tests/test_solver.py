@@ -597,8 +597,7 @@ def eliminations(monkeypatch):
     """Counts the numeric systems eliminated: outermost calls of linalg's
     numeric entry points, patched wherever they are imported (a call one
     of them makes to another is the same elimination)."""
-    # admcdm.classify names the function; the module is in sys.modules
-    classify_module = importlib.import_module("admcdm.classify")
+    classify_module = importlib.import_module("admcdm.classification")
     from admcdm import linalg, solver
 
     originals = {name: getattr(linalg, name) for name in NUMERIC_ENTRY_POINTS}
@@ -641,7 +640,7 @@ class TestEliminatedOnce:
         assert eliminations["calls"] == 2
 
     def test_classify_eliminates_once(self, eliminations):
-        from admcdm.classify import Label, classify
+        from admcdm.classification import Label, classify
 
         assert classify(pairwise(6, 0, True)).label is Label.CONSISTENT
         assert eliminations["calls"] == 1
