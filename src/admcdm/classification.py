@@ -28,14 +28,16 @@ deriving anything; only a depth below n still walks.
 Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds time as well as
 memory; it and the conservative label of a truncated search concern
-only sets without such a positive solution. The walk forms a path product
-only for an edge it takes, and does not enter a node past which it could
-neither close a cycle at its start nor reach a greater node. Each criterion
-pair's strongest rule is the rule of its smallest and largest derived
-ratio, found in one pass, and at most _WITNESS_CAP witnesses are kept:
-pairs are searched for them in order only until the cap is reached.
-Classifying R relations therefore costs O(R) beyond the witness search,
-instead of comparing every two derivations of a pair.
+only sets without such a positive solution. A ratio travels as an
+unreduced pair of ints (p, q), read exactly (a float as its binary value),
+so a path step is two int products. The walk forms that product only for
+an edge it takes, and does not enter a node past which it could neither
+close a cycle at its start nor reach a greater node. Each criterion pair's
+strongest rule is the rule of its smallest and largest derived ratio,
+found in one pass, and at most _WITNESS_CAP witnesses are kept: pairs are
+searched for them in order only until the cap is reached, and only their
+relations become DerivedRelation objects. Classifying R relations
+therefore costs O(R) beyond the witness search.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class DerivedRelation:
 
     i: int
     j: int
-    ratio: object
+    ratio: Fraction
     trail: tuple
 
     def describe(self, names) -> str:
@@ -101,13 +103,9 @@ class _Settled(Exception):
     change neither, so derivation stops."""
 
 
-def _inv(k):
-    return 1 / k if isinstance(k, (Fraction, int)) else 1.0 / k
-
-
 def _statements(problem: Problem):
-    """The ratio edges (subject, term, k, position) and the multi-term
-    statements (position, subject, terms); refuses anything else."""
+    """The ratio edges (subject, term, p, q, position), k = p / q, and the
+    multi-term statements (position, subject, terms); refuses the rest."""
     edges = []
     multi = []
     for pos, pref in enumerate(problem.preferences):
@@ -119,15 +117,16 @@ def _statements(problem: Problem):
                 "classification is defined on linear preferences only")
         lin = canonicalize(pref)
         if len(lin.terms) == 1:
-            j, k = lin.terms[0]
-            edges.append((lin.subject, j, k, pos))
+            j, k = lin.terms[0][0], Fraction(lin.terms[0][1])
+            edges.append((lin.subject, j, k.numerator, k.denominator, pos))
         else:
             multi.append((pos, lin.subject, lin.terms))
     return edges, multi
 
 
-def _derive(problem: Problem, max_depth: int):
-    """All derived relations plus a flag for truncated exploration.
+def _search(problem: Problem, max_depth: int):
+    """All derived relations, as tuples (i, j, p, q, trail) with the ratio
+    p / q unreduced, plus a flag for truncated exploration.
 
     Once _RELATION_CAP relations are held, any further derivation attempt or
     depth cutoff marks the result truncated and ends the walk; the relations
@@ -136,50 +135,50 @@ def _derive(problem: Problem, max_depth: int):
     n = problem.criteria.n
     edges, multi = _statements(problem)
     adjacency = defaultdict(list)
-    for a, b, k, pos in edges:
-        adjacency[a].append((b, k, pos))
-        adjacency[b].append((a, _inv(k), pos))
+    for a, b, p, q, pos in edges:
+        adjacency[a].append((b, p, q, pos))
+        adjacency[b].append((a, q, p, pos))
 
     relations = []
     seen = set()
     truncated = False
 
-    def keep(i, j, k, trail):
+    def keep(i, j, p, q, trail):
         """Record a relation no earlier derivation has produced."""
         nonlocal truncated
         if len(relations) >= _RELATION_CAP:
             truncated = True
             raise _Settled
-        relations.append(DerivedRelation(i, j, k, tuple(trail)))
+        relations.append((i, j, p, q, trail))
         if truncated and len(relations) >= _RELATION_CAP:
             raise _Settled
 
-    def add(i, j, k, trail):
+    def add(i, j, p, q, trail):
         """keep() unless the pair was derived through the same statements;
         at the cap even such a repeat marks the result truncated."""
         key = (i, j, frozenset(trail))
         if key in seen and len(relations) < _RELATION_CAP:
             return
         seen.add(key)
-        keep(i, j, k, trail)
+        keep(i, j, p, q, trail)
 
-    def walk(start, node, prod, trail, visited, lowest, above):
+    def walk(start, node, p, q, trail, visited, lowest, above):
         """Extend the path start..node; lowest: start is its smallest node,
         above: how many nodes greater than start it has not visited."""
         nonlocal truncated
         if len(trail) >= max_depth:
-            if any(pos not in trail for _, _, pos in adjacency[node]):
+            if any(pos not in trail for *_, pos in adjacency[node]):
                 truncated = True
                 if len(relations) >= _RELATION_CAP:
                     raise _Settled
             return
-        for nxt, k, pos in adjacency[node]:
+        for nxt, kp, kq, pos in adjacency[node]:
             if pos in trail:
                 continue
             # the product is formed only for an edge the walk takes
             if nxt == start:
                 if trail and lowest:
-                    add(start, start, prod * k, trail + (pos,))
+                    add(start, start, p * kp, q * kq, trail + (pos,))
                 continue
             if nxt in visited:
                 continue
@@ -191,60 +190,46 @@ def _derive(problem: Problem, max_depth: int):
             onward = lowest and up or above - up > 0 or max_depth < n
             if not (found or onward):
                 continue
-            here = prod * k
+            here_p, here_q = p * kp, q * kq
             path = trail + (pos,)
             if found:
                 # a simple path is fixed by its edge set and endpoints, so
                 # no other walk step derives it
-                keep(start, nxt, here, path)
+                keep(start, nxt, here_p, here_q, path)
             if onward:
-                walk(start, nxt, here, path, visited | {nxt}, lowest and up,
-                     above - up)
+                walk(start, nxt, here_p, here_q, path, visited | {nxt},
+                     lowest and up, above - up)
 
     def substitute():
         pool = defaultdict(list)
-        for r in relations:
-            if r.i != r.j:
-                pool[(r.i, r.j)].append((r.ratio, r.trail))
-                pool[(r.j, r.i)].append((_inv(r.ratio), r.trail))
+        for i, j, p, q, trail in relations:
+            if i != j:
+                pool[(i, j)].append((Fraction(p, q), trail))
+                pool[(j, i)].append((Fraction(q, p), trail))
         for pos, subject, terms in multi:
             for target in range(n):
-                choices = []
-                for j, _coef in terms:
-                    if j == target:
-                        opts = [(Fraction(1), ())]
-                    else:
-                        opts = [(k, tr) for k, tr in pool[(j, target)]
-                                if pos not in tr]
-                    if not opts:
-                        choices = None
-                        break
-                    choices.append(opts)
-                if choices is None:
+                choices = [[(1, ())] if j == target else
+                           [(k, tr) for k, tr in pool[(j, target)]
+                            if pos not in tr]
+                           for j, _ in terms]
+                if not all(choices):
                     continue
                 for combo in iter_product(*choices):
-                    used = set()
-                    ok = True
-                    for _k, tr in combo:
-                        tset = set(tr)
-                        if used & tset:
-                            ok = False
-                            break
-                        used |= tset
-                    if not ok:
-                        continue
-                    total = sum(coef * k
-                                for (_, coef), (k, _) in zip(terms, combo))
                     trail = (pos,)
                     for _k, tr in combo:
                         trail += tr
-                    add(subject, target, total, trail)
+                    if len(set(trail)) < len(trail):
+                        continue  # two substituted relations share a statement
+                    total = sum(Fraction(coef) * k
+                                for (_, coef), (k, _) in zip(terms, combo))
+                    add(subject, target, total.numerator, total.denominator,
+                        trail)
 
     try:
-        for a, b, k, pos in edges:
-            add(a, b, k, (pos,))
+        for a, b, p, q, pos in edges:
+            add(a, b, p, q, (pos,))
         for start in range(n):
-            walk(start, start, Fraction(1), (), frozenset({start}), True,
+            walk(start, start, 1, 1, (), frozenset({start}), True,
                  n - 1 - start)
         if multi:
             substitute()
@@ -259,6 +244,16 @@ def _checked_depth(problem: Problem, max_depth):
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     return max_depth
+
+
+def _relation(i, j, p, q, trail) -> DerivedRelation:
+    return DerivedRelation(i, j, Fraction(p, q), trail)
+
+
+def _derive(problem: Problem, max_depth: int):
+    """_search with each relation as a DerivedRelation."""
+    relations, truncated = _search(problem, max_depth)
+    return [_relation(*r) for r in relations], truncated
 
 
 def derive_relations(problem: Problem, max_depth: int = None):
@@ -329,15 +324,18 @@ _RANK = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
 
 
 def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
+    """The report on _search's relations. Each ratio is read as the float
+    p / q or q / p, correctly rounded as float(Fraction) is."""
     pairs = defaultdict(list)
     selves = []
     for r in relations:
-        if r.i == r.j:
-            selves.append(r)
-        elif r.i < r.j:
-            pairs[(r.i, r.j)].append((r.ratio, r))
+        i, j, p, q, _ = r
+        if i == j:
+            selves.append((p / q, r))
+        elif i < j:
+            pairs[(i, j)].append((p / q, r))
         else:
-            pairs[(r.j, r.i)].append((_inv(r.ratio), r))
+            pairs[(j, i)].append((q / p, r))
 
     strongest = ""
     witnesses = []
@@ -350,17 +348,20 @@ def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
             if found and len(witnesses) < _WITNESS_CAP:
                 witnesses.append(found)
         else:
-            values = [float(k) for k, _ in oriented]
+            values = [k for k, _ in oriented]
             rule = _pair_rule(values)
             if rule and len(witnesses) < _WITNESS_CAP:
                 _pair_witnesses(oriented, values, witnesses)
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule
-    for r in selves:
-        if _side(r.ratio) != 0:
+    for k, r in selves:
+        if _side(k) != 0:
             strongest = strongest or "WD3"  # the weakest rule
             if len(witnesses) < _WITNESS_CAP:
                 witnesses.append(("WD3", r, None))
+    # only the witnesses' relations become objects, each one once
+    raws = {r for _, r1, r2 in witnesses for r in (r1, r2) if r}
+    built = {r: _relation(*r) for r in raws}
 
     # the search finds the set consistent when no rule fired and nothing was
     # left unexplored; a capped search, or one the exact test contradicts,
@@ -375,16 +376,15 @@ def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
 
     return ClassificationReport(
         label=label,
-        witnesses=tuple(witnesses),
+        witnesses=tuple((rule, built[r1], built.get(r2))
+                        for rule, r1, r2 in witnesses),
         rule_fired=strongest,
         det_agrees=found_consistent == det_ok,
         depth_exceeded=truncated,
     )
 
 
-# What the exhaustive search reports for statements that one positive vector
-# w solves as written: every derivation of a pair (i, j) has the ratio
-# w_i / w_j and every self-relation the ratio 1, so no rule can fire.
+# the exhaustive search's report on statements one positive vector solves
 _SOLVED = ClassificationReport(
     label=Label.CONSISTENT,
     witnesses=(),
@@ -409,7 +409,7 @@ def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
             return _SOLVED
         except NonPositiveComponent:
             pass
-    return _report(*_derive(problem, depth), det_ok)
+    return _report(*_search(problem, depth), det_ok)
 
 
 def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
@@ -418,4 +418,4 @@ def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
     other consistent set, so when it did not, the exact test has failed."""
     if solved:
         return _SOLVED
-    return _report(*_derive(problem, problem.criteria.n), False)
+    return _report(*_search(problem, problem.criteria.n), False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import inf
 
 from .errors import (
     InvalidProblem,
@@ -26,6 +27,11 @@ from .errors import (
     NonPositiveParameter,
 )
 from .scalars import Scalar, exact
+
+
+def _positive_finite(value) -> bool:
+    # false for nan too; a Fraction compares with inf without conversion
+    return 0 < value < inf
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,8 @@ class RatioPreference:
         if self.num == self.den:
             raise InvalidProblem("ratio relates a criterion to itself")
         object.__setattr__(self, "value", exact(self.value))
-        if not self.value > 0:
-            raise InvalidProblem("ratio value must be positive")
+        if not _positive_finite(self.value):
+            raise InvalidProblem("ratio value must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,9 @@ class LinearPreference:
             if i in seen:
                 raise InvalidProblem("duplicate criterion in terms")
             seen.add(i)
-            if not c > 0:
-                raise InvalidProblem("term coefficients must be positive")
+            if not _positive_finite(c):
+                raise InvalidProblem(
+                    "term coefficients must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,9 @@ class MonomialPreference:
         object.__setattr__(self, "coefficient", exact(self.coefficient))
         exps = tuple(sorted((i, int(e)) for i, e in self.exponents))
         object.__setattr__(self, "exponents", exps)
-        if not self.coefficient > 0:
-            raise InvalidProblem("monomial coefficient must be positive")
+        if not _positive_finite(self.coefficient):
+            raise InvalidProblem(
+                "monomial coefficient must be positive and finite")
         if not exps:
             raise InvalidProblem("a monomial preference needs at least one factor")
         seen = set()
@@ -165,8 +173,9 @@ class ParamBinding:
         mults = tuple(exact(c) for c in self.multipliers)
         object.__setattr__(self, "multipliers", mults)
         object.__setattr__(self, "core_mask", tuple(int(i) for i in self.core_mask))
-        if any(not c > 0 for c in mults):
-            raise InvalidProblem("binding multipliers must be positive")
+        if not all(map(_positive_finite, mults)):
+            raise InvalidProblem(
+                "binding multipliers must be positive and finite")
         if not self.core_mask:
             raise InvalidProblem("core must contain at least one preference")
         if len(set(self.core_mask)) != len(self.core_mask):

@@ -8,7 +8,8 @@ its binary value), strips the factor alpha**k and clears the rest to a
 primitive integer polynomial. One gcd(p, p') modulo a large prime proves
 the usual polynomial square-free; only when it does not are square-free
 factors f_k of multiplicity k split off (Yun's algorithm), and each root of
-f_k is reported k times. Positive roots are isolated by Descartes' rule of
+f_k is reported k times. A factor of degree 1 has its root read off as
+an exact Fraction. Other positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
 a root met at a bisection point is dyadic and reported exactly. Each
 isolating interval is refined by further bisection at dyadic points, each
@@ -405,9 +406,14 @@ def positive_roots(p: Poly) -> list:
                    for k, f in _square_free_factors(poly(cs))]
     roots = []
     for k, ints in factors:
-        exact, intervals = _isolate(ints)
-        found = exact + [_snap_rational(ints, _refine(ints, *iv), *iv)
-                         for iv in intervals]
+        if len(ints) == 2:
+            # a linear factor's one root is read off exactly
+            root = Fraction(-ints[0], ints[1])
+            found = [root] if root > 0 else []
+        else:
+            exact, intervals = _isolate(ints)
+            found = exact + [_snap_rational(ints, _refine(ints, *iv), *iv)
+                             for iv in intervals]
         for r in found:
             roots.extend([r] * k)
     roots.sort(key=float)

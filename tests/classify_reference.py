@@ -18,7 +18,6 @@ from admcdm.classification import (
     ClassificationReport,
     DerivedRelation,
     Label,
-    _inv,
     _differ,
     _side,
 )
@@ -32,6 +31,10 @@ from admcdm.model import (
 )
 
 classify_module = import_module("admcdm.classification")
+
+
+def _inv(k):
+    return 1 / k if isinstance(k, (Fraction, int)) else 1.0 / k
 
 
 def reference_derive(problem, max_depth):
@@ -49,8 +52,8 @@ def reference_derive(problem, max_depth):
                 "classification is defined on linear preferences only")
         lin = canonicalize(pref)
         if len(lin.terms) == 1:
-            j, k = lin.terms[0]
-            edges.append((lin.subject, j, k, pos))
+            j, k = lin.terms[0]  # a float coefficient is read exactly
+            edges.append((lin.subject, j, Fraction(k), pos))
         else:
             multi.append((pos, lin.subject, lin.terms))
 
@@ -132,7 +135,7 @@ def reference_derive(problem, max_depth):
                         used |= tset
                     if not ok:
                         continue
-                    total = sum(coef * k
+                    total = sum(Fraction(coef) * k
                                 for (_, coef), (k, _) in zip(terms, combo))
                     trail = (pos,)
                     for _k, tr in combo:

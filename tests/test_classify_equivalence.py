@@ -3,10 +3,11 @@
 classify_reference.py keeps the straightforward derive-and-compare; here
 both run on the corpus, seeded pairwise sets, seeded multi-term sets that
 exercise substitution, a set that fills the witness cap, and lowered
-relation caps, and the full reports (label, witnesses in order, rule,
-det_agrees, depth_exceeded) and derived relations must be equal. A set
-that one positive vector solves as written is labelled without a search;
-where the reference search is not truncated its report is the same.
+relation caps, and float coefficients (read exactly), and the full
+reports (label, witnesses in order, rule, det_agrees, depth_exceeded) and
+derived relations must be equal. A set that one positive vector solves as
+written is labelled without a search; where the reference search is not
+truncated its report is the same.
 """
 
 import random
@@ -90,6 +91,22 @@ def dyadic(n, seed):
                    tuple(prefs))
 
 
+def with_coefficients(problem, read):
+    """problem with every coefficient c replaced by read(c)."""
+    prefs = tuple(LinearPreference(p.subject,
+                                   tuple((j, read(c)) for j, c in p.terms))
+                  for p in map(canonicalize, problem.preferences))
+    return Problem(problem.criteria, prefs)
+
+
+def float_sets():
+    """Inconsistent sets whose float coefficients (7/3 as 2.333...) are not
+    the rationals they were written from."""
+    for seed in range(1, 5):
+        yield with_coefficients(multi_term(4 + seed % 3, seed), float)
+    yield with_coefficients(pairwise(5, 0, False), float)
+
+
 def holds_at_a_positive_vector(problem):
     """Whether the vector with every free variable at 1 is positive and
     solves every statement exactly."""
@@ -127,6 +144,47 @@ def test_pairwise(n):
     for seed in range(3 if n < 6 else 1):
         for consistent in (True, False):
             assert_same(pairwise(n, seed, consistent))
+
+
+def test_pairwise_past_the_relation_cap():
+    report = assert_same(pairwise(7, 0, False))
+    assert report.depth_exceeded
+    assert len(report.witnesses) == classify_module._WITNESS_CAP
+
+
+def test_only_witnesses_become_relation_objects(monkeypatch):
+    built = 0
+    real = classify_module.DerivedRelation
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(classify_module, "DerivedRelation", counting)
+    report = classify(pairwise(7, 0, False))
+    assert len(report.witnesses) == classify_module._WITNESS_CAP
+    assert 0 < built <= 2 * classify_module._WITNESS_CAP
+
+
+def test_float_coefficients():
+    for problem in float_sets():
+        report = assert_same(problem)
+        assert report.label is not Label.CONSISTENT
+
+
+def test_float_coefficients_are_read_exactly():
+    inexact = 0
+    for problem in float_sets():
+        twin = with_coefficients(problem, Fraction)
+        floats = [c for p in problem.preferences for _, c in p.terms]
+        assert all(isinstance(c, float) for c in floats)
+        # the binary value of 1/3 or 7/3 has a large power-of-two denominator
+        inexact += any(Fraction(c).denominator > 2**40 for c in floats)
+        assert classify(problem) == classify(twin)
+        assert _derive(problem, problem.criteria.n) == _derive(
+            twin, twin.criteria.n)
+    assert inexact == 4  # multi_term seed 4 draws only dyadic coefficients
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -224,7 +282,7 @@ def test_positive_solution_needs_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("a solved set was searched")
 
-    monkeypatch.setattr(classify_module, "_derive", no_search)
+    monkeypatch.setattr(classify_module, "_search", no_search)
     for problem in problems:
         assert classify(problem) == SOLVED
         assert classify(problem, problem.criteria.n + 1) == SOLVED

@@ -26,6 +26,9 @@ from admcdm.model import (
     is_equation,
     make_cyclic_example,
 )
+from admcdm.solver import priority
+
+INF = float("inf")
 
 
 def crit(*names):
@@ -186,6 +189,25 @@ class TestProblem:
         pr = Problem(crit("x", "y"), prefs, ParamBinding((1, 1, 1), (0, 1)))
         assert pr.core == (0, 1)
         assert pr.extras == (2,)
+
+
+class TestNonFiniteValues:
+    """An infinite value is refused as InvalidProblem when the model is
+    built, so priority() never meets it (assemble cannot read it as a
+    Fraction, and only EngineError may escape)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Problem(crit("x", "y"), (RatioPreference(0, 1, INF),)),
+        lambda: Problem(crit("x", "y"), (LinearPreference(0, ((1, INF),)),)),
+        lambda: Problem(crit("x", "y", "z"),
+                        (MonomialPreference(0, INF, ((1, 1), (2, 1))),)),
+        lambda: Problem(crit("x", "y"), (LinearPreference(0, ((1, 2),)),),
+                        ParamBinding((INF,), (0,))),
+    ], ids=["ratio-value", "term-coefficient", "monomial-coefficient",
+            "binding-multiplier"])
+    def test_infinity_is_refused(self, build):
+        with pytest.raises(InvalidProblem, match="positive and finite"):
+            priority(build())
 
 
 class TestCanonicalize:

@@ -128,6 +128,18 @@ def test_multiple_root_reported_with_multiplicity():
     assert list(found) == [r, r]
 
 
+def test_linear_factor_root_is_exact_at_any_size():
+    # past every snap candidate: a huge integer and a tiny unit fraction
+    big = 2 * 10**200
+    assert positive_roots(poly((-big, 1))) == [Fraction(big)]
+    tiny = Fraction(1, 10**12 + 1)
+    assert positive_roots(poly((-tiny, 1))) == [tiny]
+    # a repeated linear factor goes through the square-free split
+    assert positive_roots(pmul(poly((-tiny, 1)), poly((-tiny, 1)))) == [
+        tiny, tiny]
+    assert positive_roots(poly((big, 1))) == []
+
+
 def test_irrational_double_root_reported_twice():
     # (alpha^2 - 2)^2
     found = positive_roots(poly((4, 0, -4, 0, 1)))
