@@ -205,7 +205,6 @@ def _error_min_block(result: ErrorMinResult) -> dict:
         "value": sig(result.value),
         "value_exact": _exact_or_none(result.value),
         "evaluations": result.evaluations,
-        "refined": result.refined,
     }
 
 
@@ -400,15 +399,16 @@ def _compare_report(problem: Problem, warnings, args):
 
 
 def _error_min_report(problem: Problem, warnings, args):
+    from .error_min import DEFAULT_GRID
+
     eval_error, minimize_error, simplex_grid = _library(
         "eval_error", "minimize_error", "simplex_grid")
-    result = minimize_error(
-        problem, grid_points=args.grid, refine_iters=args.refine
-    )
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    result = minimize_error(problem, grid_points=grid)
     if args.csv is not None:
         n = problem.criteria.n
         rows = [",".join([*problem.criteria.names, "e"])]
-        for point in simplex_grid(n, args.grid):
+        for point in simplex_grid(n, grid):
             value = eval_error(problem, point)
             rows.append(
                 ",".join([str(sig(v)) for v in point] + [str(sig(value))])
@@ -420,11 +420,8 @@ def _error_min_report(problem: Problem, warnings, args):
             Path(args.csv).write_text(body, encoding="utf-8")
     doc = _doc(problem, warnings, error_min=_error_min_block(result))
     lines = [f"minimum value = {_show(result.value)}", "argmin:",
-             *_named(problem.criteria.names, result.argmin)]
-    lines.append(
-        f"evaluations = {result.evaluations}, refined = "
-        + ("yes" if result.refined else "no")
-    )
+             *_named(problem.criteria.names, result.argmin),
+             f"evaluations = {result.evaluations}"]
     if args.csv is not None and args.csv != "-":
         lines.append(f"grid written to {args.csv}")
     return doc, lines
@@ -600,12 +597,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_err.add_argument("file", metavar="FILE")
     add_common(p_err, principle=False)
-    p_err.add_argument("--grid", type=int, default=100, metavar="N",
+    p_err.add_argument("--grid", type=int, default=None, metavar="N",
                        help="barycentric grid resolution (product "
-                       "statements and --csv only)")
-    p_err.add_argument("--refine", type=int, default=500, metavar="N",
-                       help="refinement iteration budget (product "
-                       "statements only)")
+                       "statements off the exact path, and --csv)")
     p_err.add_argument("--csv", default=None, metavar="PATH",
                        help="write the evaluated grid as CSV for plotting")
     p_err.set_defaults(func=_run, report=_error_min_report)

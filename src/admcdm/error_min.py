@@ -15,33 +15,41 @@ sum(x) = 1 and x, u, v >= 0. A dense fraction-free simplex method with
 Bland's rule (Bland 1977) solves it exactly. An optimal vertex on the
 simplex boundary is pulled toward the barycentre just far enough to be
 strictly positive while staying within 1e-12 * max(1, minimum) of the
-minimum. Product statements make the functional nonlinear; for them an
-exact coarse grid, bounded by a point budget, is followed by
-derivative-free simplex refinement.
+minimum. The linear program ignores inequality statements.
+
+Product statements make the functional nonlinear. A triangular set (see
+nonlinear.solve_triangular) reaches exactly 0 at the root of one
+polynomial when the inequalities admit it; any other product set gets an
+exact scan of the barycentric grid points that meet every inequality,
+bounded by a point budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, lcm
 from typing import Callable, Iterator, Sequence
 
-from .errors import InvalidGrid, OffSimplex
+from .errors import (
+    InvalidGrid,
+    MultipleFreeVars,
+    NotTriangular,
+    OffSimplex,
+    OverDetermined,
+)
 from .model import (
     InequalityPreference,
     LinearPreference,
     MonomialPreference,
     Problem,
+    Relation,
     canonicalize,
 )
 from .scalars import Scalar, exact
 
 SIMPLEX_TOL = 1e-9
-BOUNDARY_MARGIN = 1e-9
-DIAMETER_TOL = 1e-10
 DEFAULT_GRID = 100
-DEFAULT_REFINE = 500
 GRID_BUDGET = 200_000
 BOUNDARY_SLACK = Fraction(1, 10**12)
 
@@ -50,18 +58,16 @@ BOUNDARY_SLACK = Fraction(1, 10**12)
 class ErrorMinResult:
     """Outcome of minimizing the accuracy functional.
 
-    ``argmin`` is the best weight vector found (exact fractions from the
-    linear program or when the grid optimum stands, floats once refinement
-    improves on it), ``value`` the functional there, ``evaluations`` the
-    number of simplex pivots (linear statements) or functional evaluations
-    (product statements) spent, and ``refined`` whether local refinement
-    beat the best grid point (always false for linear statements).
+    ``argmin`` is the best weight vector found: exact fractions, except
+    floats at the irrational zero of a monomial family. ``value`` is the
+    functional there (exactly 0 at a family zero), and ``evaluations`` the
+    number of simplex pivots (linear statements), grid points scanned
+    (product statements) or 0 (a family zero).
     """
 
     argmin: tuple[Scalar, ...]
     value: Scalar
     evaluations: int
-    refined: bool
 
 
 _Term = tuple[Scalar, tuple[tuple[int, int], ...]]
@@ -184,30 +190,37 @@ def simplex_grid(n: int, grid_points: int) -> Iterator[tuple[Fraction, ...]]:
 
 
 def minimize_error(
-    problem: Problem,
-    grid_points: int = DEFAULT_GRID,
-    refine_iters: int = DEFAULT_REFINE,
+    problem: Problem, grid_points: int = DEFAULT_GRID
 ) -> ErrorMinResult:
     """Minimize the accuracy functional over the open simplex.
 
     Linear statements only: the exact minimum of the L1 linear program
-    (``grid_points`` and ``refine_iters`` are not used), at a strictly
+    (``grid_points`` is not used, nor are inequalities), at a strictly
     positive point within 1e-12 * max(1, minimum) of it when the optimal
     vertex has a zero weight. ``value`` is ``eval_error(problem, argmin)``
-    and ``evaluations`` the number of pivots. With a product
-    statement: an exact scan of the interior barycentric grid picks the
-    starting point (first of any ties in lexicographic order), then
-    Nelder-Mead simplex descent on the first n-1 coordinates refines it,
-    rejecting any step that leaves the open simplex by more than the
-    boundary margin. The whole procedure is deterministic.
+    and ``evaluations`` the number of pivots.
+
+    With a product statement: a triangular set whose family root lies
+    strictly inside the range the inequalities admit gets value exactly
+    0 at the family point of that root, with no evaluation. Any other set
+    gets the first least grid point (lexicographic order) among the
+    interior barycentric grid points that meet every inequality; the
+    value there is exact and ``evaluations`` counts those points.
 
     Raises:
-        InvalidGrid: with a product statement, the grid is too coarse or
-            over the point budget (see ``simplex_grid``).
+        EmptyDomain: a triangular set's inequalities admit no value of
+            its free variable.
+        InvalidGrid: the grid is too coarse or over the point budget (see
+            ``simplex_grid``), or none of its points meets the
+            inequalities.
     """
-    if any(isinstance(p, MonomialPreference) for p in problem.preferences):
-        return _grid_minimize(problem, grid_points, refine_iters)
-    return _lp_minimize(problem)
+    if not any(isinstance(p, MonomialPreference) for p in problem.preferences):
+        return _lp_minimize(problem)
+    inequalities = [
+        p for p in problem.preferences if isinstance(p, InequalityPreference)
+    ]
+    return (_family_zero(problem, inequalities)
+            or _grid_minimize(problem, inequalities, grid_points))
 
 
 def _lp_minimize(problem: Problem) -> ErrorMinResult:
@@ -299,7 +312,7 @@ def _lp_minimize(problem: Problem) -> ErrorMinResult:
     if any(v == 0 for v in vertex):
         vertex = _pull_inward(rows, vertex, Fraction(-costs[width], d))
     point = tuple(vertex)
-    return ErrorMinResult(point, eval_error(problem, point), pivots, False)
+    return ErrorMinResult(point, eval_error(problem, point), pivots)
 
 
 def _pull_inward(
@@ -320,19 +333,54 @@ def _pull_inward(
     return [(1 - eps) * v + eps * centre for v in vertex]
 
 
-def _grid_scan(
-    statements: list[_Statement],
-    n: int,
+def _family_zero(
+    problem: Problem, inequalities: list[InequalityPreference]
+) -> ErrorMinResult | None:
+    """The exact zero of a triangular set, or None when the set is not
+    triangular or its root lies outside the admitted range.
+
+    The family x_k = c_k * z^{d_k} meets the simplex where
+    sum(c_k * z^{d_k}) = 1; every c_k > 0 and the free variable has
+    d = 1, so the sum rises strictly on z > 0 and has at most one root
+    there. An irrational root is the correctly rounded float, and each
+    component is rounded once from its exact value there.
+    """
+    from .nonlinear import regime_analysis, solve_triangular
+    from .polynomial import poly, positive_roots
+
+    try:
+        family = solve_triangular(problem)
+    except (NotTriangular, MultipleFreeVars, OverDetermined):
+        return None
+    lower, upper = regime_analysis(family, inequalities).domain
+    coeffs = [Fraction(-1)] + [0] * max(d for _, d in family.components)
+    for c, d in family.components:
+        coeffs[d] += Fraction(c)
+    roots = positive_roots(poly(coeffs))
+    inside = roots and lower < roots[0] and (upper is None or roots[0] < upper)
+    if not inside:
+        return None
+    z = Fraction(roots[0])
+    point = tuple(Fraction(c) * z**d for c, d in family.components)
+    if not isinstance(roots[0], Fraction):
+        point = tuple(float(v) for v in point)
+    return ErrorMinResult(point, Fraction(0), 0)
+
+
+def _grid_minimize(
+    problem: Problem,
+    inequalities: list[InequalityPreference],
     grid_points: int,
-) -> tuple[tuple[int, ...], int]:
-    """First grid point k (x = k / grid_points, lexicographic order) with
-    the least functional, and the number of points scanned.
+) -> ErrorMinResult:
+    """First grid point k (x = k / grid_points, lexicographic order) that
+    meets every inequality with the least functional.
 
     Every residual at x = k / G, times L * G^D with D the largest term
     degree and L the lcm of all coefficient denominators (floats read
     exactly), is an integer polynomial in k; the scan compares those
-    exact integers.
+    exact integers, and the inequalities compare the k's.
     """
+    statements = _statements(problem)
     degree = max(
         sum(power for _, power in exponents)
         for _, _, terms in statements
@@ -354,10 +402,17 @@ def _grid_scan(
             for weight, exponents in terms))
         for subject, scale, terms in statements
     ]
+    less = [
+        (p.lhs, p.rhs) if p.relation is Relation.STRICT_LESS
+        else (p.rhs, p.lhs)
+        for p in inequalities
+    ]
     best: tuple[int, ...] = ()
     best_total = -1
     count = 0
-    for k in _compositions(n, grid_points):
+    for k in _compositions(problem.criteria.n, grid_points):
+        if any(k[a] >= k[b] for a, b in less):
+            continue
         count += 1
         total = 0
         for subject, head, terms in rows:
@@ -369,98 +424,13 @@ def _grid_scan(
             total += abs(acc)
         if best_total < 0 or total < best_total:
             best, best_total = k, total
-    return best, count
-
-
-def _grid_minimize(
-    problem: Problem, grid_points: int, refine_iters: int
-) -> ErrorMinResult:
-    """Exact grid scan plus Nelder-Mead refinement (see minimize_error)."""
-    n = problem.criteria.n
-    statements = _statements(problem)
+    if not count:
+        names = problem.criteria.names
+        stated = ", ".join(
+            f"{names[p.lhs]} {p.relation.value} {names[p.rhs]}"
+            for p in inequalities)
+        raise InvalidGrid(f"no point of the grid of {grid_points} points "
+                          f"per axis meets {stated}")
+    point = tuple(Fraction(k, grid_points) for k in best)
     residuals = [_residual(*st) for st in statements]
-    combo, evaluations = _grid_scan(statements, n, grid_points)
-    grid_best = tuple(Fraction(k, grid_points) for k in combo)
-    grid_value = _functional(residuals, grid_best)
-
-    def total_at(point: Sequence[Scalar]) -> Scalar:
-        nonlocal evaluations
-        evaluations += 1
-        return _functional(residuals, point)
-
-    if refine_iters <= 0 or float(grid_value) == 0.0:
-        return ErrorMinResult(grid_best, grid_value, evaluations, False)
-
-    def penalized(u: Sequence[float]) -> float:
-        last = 1.0 - sum(u)
-        full = (*u, last)
-        if any(v <= BOUNDARY_MARGIN for v in full):
-            return inf
-        return float(total_at(full))
-
-    start = [float(v) for v in grid_best[:-1]]
-    step = 1.0 / (2.0 * grid_points)
-    simplex = [list(start)]
-    for k in range(n - 1):
-        vertex = list(start)
-        vertex[k] += step
-        if penalized(vertex) == inf:
-            vertex[k] -= 2.0 * step
-        simplex.append(vertex)
-    values = [penalized(v) for v in simplex]
-
-    for _ in range(refine_iters):
-        order = sorted(range(len(simplex)), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(
-            abs(simplex[i][k] - simplex[0][k])
-            for i in range(1, len(simplex))
-            for k in range(n - 1)
-        )
-        if spread < DIAMETER_TOL:
-            break
-        worst = simplex[-1]
-        centroid = [
-            sum(vertex[k] for vertex in simplex[:-1]) / (len(simplex) - 1)
-            for k in range(n - 1)
-        ]
-        reflected = [2.0 * centroid[k] - worst[k] for k in range(n - 1)]
-        f_reflected = penalized(reflected)
-        if f_reflected < values[0]:
-            expanded = [3.0 * centroid[k] - 2.0 * worst[k] for k in range(n - 1)]
-            f_expanded = penalized(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = [
-                    1.5 * centroid[k] - 0.5 * worst[k] for k in range(n - 1)
-                ]
-            else:
-                contracted = [
-                    0.5 * centroid[k] + 0.5 * worst[k] for k in range(n - 1)
-                ]
-            f_contracted = penalized(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                best = simplex[0]
-                for i in range(1, len(simplex)):
-                    simplex[i] = [
-                        0.5 * (simplex[i][k] + best[k]) for k in range(n - 1)
-                    ]
-                    values[i] = penalized(simplex[i])
-
-    winner = min(range(len(simplex)), key=lambda i: values[i])
-    if values[winner] < float(grid_value):
-        u = simplex[winner]
-        full = [*u, 1.0 - sum(u)]
-        total = sum(full)
-        argmin = tuple(v / total for v in full)
-        return ErrorMinResult(argmin, values[winner], evaluations, True)
-    return ErrorMinResult(grid_best, grid_value, evaluations, False)
+    return ErrorMinResult(point, _functional(residuals, point), count)

@@ -297,7 +297,7 @@ def test_13_accuracy_functional_certifies_the_solutions(criterion):
     with criterion("13 accuracy functional: zero at consistent "
                    "solutions, bounded at the discounted vector"):
         ex1 = load("ex1.admp")
-        res = minimize_error(ex1, grid_points=16, refine_iters=200)
+        res = minimize_error(ex1, grid_points=16)
         assert float(res.value) <= 1e-6
         assert [float(v) for v in res.argmin] == pytest.approx(
             [0.75, 0.1875, 0.0625], abs=1e-3)
@@ -309,7 +309,7 @@ def test_13_accuracy_functional_certifies_the_solutions(criterion):
         assert abs(float(eval_error(ex5, pv5))) <= 1e-12
 
         ex2 = load("ex2.admp")
-        res2 = minimize_error(ex2, grid_points=100, refine_iters=300)
+        res2 = minimize_error(ex2, grid_points=100)
         assert float(res2.value) <= 0.6295
 
 

@@ -186,16 +186,16 @@ class TestCompare:
 
 class TestErrorMin:
     def test_text_report(self, capsys):
-        code, out, _ = run(capsys, "error-min", "--grid", "16",
-                           "--refine", "0", EX["ex1"])
+        code, out, _ = run(capsys, "error-min", "--grid", "16", EX["ex1"])
         assert code == 0
         assert "minimum value = 0" in out
         assert "C1 = 3/4 = 0.75" in out
-        assert "refined = no" in out
+        assert out.splitlines()[-1].startswith("evaluations = ")
+        assert "refined" not in out
 
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run(capsys, "error-min", "--grid", "8",
-                           "--refine", "0", "--csv", "-", EX["ex1"])
+                           "--csv", "-", EX["ex1"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "C1,C2,C3,e"
@@ -204,7 +204,7 @@ class TestErrorMin:
     def test_csv_to_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
         code, out, _ = run(capsys, "error-min", "--grid", "8",
-                           "--refine", "0", "--csv", str(target), EX["ex1"])
+                           "--csv", str(target), EX["ex1"])
         assert code == 0
         assert f"grid written to {target}" in out
         body = target.read_text().splitlines()
@@ -213,21 +213,54 @@ class TestErrorMin:
 
     def test_json_block(self, capsys):
         doc = run_json(capsys, "error-min", "--json", "--grid", "16",
-                       "--refine", "0", EX["ex1"])
+                       EX["ex1"])
         assert doc["error_min"]["value"] == 0
         assert doc["error_min"]["argmin_exact"] == ["3/4", "3/16", "1/16"]
-        assert doc["error_min"]["refined"] is False
+        assert set(doc["error_min"]) == {"argmin", "argmin_exact", "value",
+                                         "value_exact", "evaluations"}
 
     def test_grid_flags_leave_a_linear_result_unchanged(self, capsys):
         plain = run_json(capsys, "error-min", "--json", EX["ex2"])
-        for flags in (("--grid", "2", "--refine", "0"),
-                      ("--grid", "7", "--refine", "3")):
+        for flags in (("--grid", "2"), ("--grid", "7")):
             assert run_json(capsys, "error-min", "--json", *flags,
                             EX["ex2"]) == plain
         assert plain["error_min"]["argmin_exact"] == ["6/11", "3/11", "2/11"]
 
+    def test_the_default_grid_is_the_library_default(self, capsys):
+        from admcdm.error_min import DEFAULT_GRID
+
+        plain = run_json(capsys, "error-min", "--json", EX["ex16"])
+        assert plain == run_json(capsys, "error-min", "--json", "--grid",
+                                 str(DEFAULT_GRID), EX["ex16"])
+        assert plain["error_min"]["argmin_exact"] == ["13/100", "73/100",
+                                                      "7/50"]
+
+    def test_a_triangular_product_set_reaches_exactly_zero(self, capsys):
+        code, out, _ = run(capsys, "error-min", "--grid", "2", EX["ex15"])
+        assert code == 0
+        assert out.startswith("minimum value = 0\n")
+        assert out.endswith("evaluations = 0\n")
+
+    def test_refine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["error-min", "--refine", "5", EX["ex15"]])
+        assert info.value.code == 2
+        assert "--refine" in capsys.readouterr().err
+
+    def test_a_huge_coefficient_is_solved_exactly(self, capsys, tmp_path):
+        # x = 10^400 z^2 and y = z meet the simplex near z = 1e-200
+        path = tmp_path / "huge.admp"
+        path.write_text("criteria: x y z\n"
+                        f"pref: x = 1{'0' * 400} y * y\n"
+                        "pref: y = 1 z\n")
+        doc = run_json(capsys, "error-min", "--json", str(path))
+        block = doc["error_min"]
+        assert block["value"] == 0 and block["value_exact"] == "0"
+        assert all(v > 0 for v in block["argmin"])
+        assert abs(sum(block["argmin"]) - 1.0) <= 1e-9
+
     def test_too_coarse_grid_on_product_statements_exits_3(self, capsys):
-        code, out, err = run(capsys, "error-min", "--grid", "2", EX["ex15"])
+        code, out, err = run(capsys, "error-min", "--grid", "2", EX["ex16"])
         assert code == 3
         assert out == ""
         assert err.startswith("InvalidGrid: ")

@@ -1,13 +1,15 @@
 """Error functional on the simplex: exact evaluation, the exact linear
-program for linear statements (checked against scipy's HiGHS), and the
-grid search with simplex-restricted refinement for product statements
-(checked against dense-grid oracles)."""
+program for linear statements (checked against scipy's HiGHS), the exact
+zero of triangular product sets (checked against sympy) and the
+inequality-filtered grid scan for the other product sets (checked against
+dense-grid oracles)."""
 
+import random
 import signal
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, nextafter
 
 import pytest
 
@@ -17,13 +19,14 @@ from admcdm.error_min import (
     minimize_error,
     simplex_grid,
 )
-from admcdm.errors import EngineError, InvalidGrid, OffSimplex
+from admcdm.errors import EmptyDomain, EngineError, InvalidGrid, OffSimplex
 from admcdm.model import (
     CriteriaSet,
     InequalityPreference,
     LinearPreference,
     MonomialPreference,
     Problem,
+    Relation,
     canonicalize,
 )
 from admcdm.parser import parse_problem
@@ -40,20 +43,32 @@ MIXED_FOUR = ("criteria: a b c d\n"
 
 
 def product_problems():
-    """The inputs that take the grid path: the corpus product files and
-    MIXED_FOUR."""
-    return [load("ex15.admp"), load("ex16.admp"), parse_problem(MIXED_FOUR)]
+    """The corpus product files and MIXED_FOUR."""
+    return [load("ex15.admp")] + grid_problems()
+
+
+def grid_problems():
+    """The product inputs that take the grid path: ex16's family root
+    lies outside x < z, and MIXED_FOUR is not triangular."""
+    return [load("ex16.admp"), parse_problem(MIXED_FOUR)]
+
+
+def admissible_grid(problem, grid_points):
+    """The grid points that meet every inequality of the problem, read
+    off the Fraction point itself."""
+    less = [(p.lhs, p.rhs) if p.relation is Relation.STRICT_LESS
+            else (p.rhs, p.lhs)
+            for p in problem.preferences
+            if isinstance(p, InequalityPreference)]
+    return [x for x in simplex_grid(problem.criteria.n, grid_points)
+            if all(x[a] < x[b] for a, b in less)]
 
 
 def dense_minimum(problem, grid_points):
-    """Brute-force oracle: smallest functional value on a fresh grid."""
-    n = problem.criteria.n
-    best = None
-    for x in simplex_grid(n, grid_points):
-        v = eval_error(problem, x)
-        if best is None or v < best:
-            best = v
-    return best
+    """Brute-force oracle: smallest functional value on a fresh grid,
+    over the points that meet every inequality."""
+    return min(eval_error(problem, x)
+               for x in admissible_grid(problem, grid_points))
 
 
 class TestEvaluation:
@@ -138,7 +153,6 @@ class TestMinimize:
         assert res.value == 0
         assert res.argmin == (
             Fraction(3, 4), Fraction(3, 16), Fraction(1, 16))
-        assert not res.refined
 
     def test_two_criteria_equality(self):
         pr = parse_problem("criteria: x y\npref: x = 1 y\n")
@@ -156,50 +170,66 @@ class TestMinimize:
                               Fraction(2, 11))):
             assert abs(float(got) - float(want)) <= 1e-3
 
-    def test_refinement_never_loses_to_its_own_grid(self):
-        for pr in product_problems():
-            res = minimize_error(pr, grid_points=40)
-            coarse = dense_minimum(pr, 40)
-            assert res.refined
-            assert float(res.value) <= float(coarse) + 1e-12, pr
-
     def test_tracks_a_dense_grid_oracle(self):
-        # ~7e3 points for n=3, ~4e3 for n=4; the refined value may dip
-        # below the oracle but never sits meaningfully above it
-        for pr in product_problems():
+        # ~7e3 points for n=3, ~4e3 for n=4; the default grid of 100 may
+        # dip below the oracle but never sits meaningfully above it. ex16
+        # is left to the next test: its infimum lies on the excluded
+        # boundary x = z, which no grid reaches
+        for pr in (load("ex15.admp"), parse_problem(MIXED_FOUR)):
             res = minimize_error(pr)
             oracle = dense_minimum(pr, 120 if pr.criteria.n == 3 else 30)
             assert float(res.value) <= float(oracle) + 1e-3, pr
 
-    def test_evaluation_budget_is_reported(self):
-        pr = load("ex15.admp")
-        res = minimize_error(pr, grid_points=20, refine_iters=0)
-        assert res.evaluations == comb(19, 2)
-        assert not res.refined
+    def test_an_infimum_on_an_excluded_boundary_depends_on_the_grid(self):
+        """On the boundary x = z, which x < z excludes, ex16's functional
+        is least at (1, 5, 1)/7 with value 3/49. The admissible grid
+        points nearest the boundary sit 1/G away from it, so the reported
+        value falls toward 3/49 at O(1/G) as the grid grows."""
+        pr = load("ex16.admp")
+        values = [minimize_error(pr, grid_points=g).value
+                  for g in (100, 120, 200)]
+        assert values == [Fraction(261, 2500), Fraction(71, 800),
+                          Fraction(1547, 20000)]
+        boundary = (Fraction(1, 7), Fraction(5, 7), Fraction(1, 7))
+        assert eval_error(load("ex15.admp"), boundary) == Fraction(3, 49)
+        assert all(v > Fraction(3, 49) for v in values)
 
-    def test_simplex_constraint_respected_by_refinement(self):
+    def test_evaluation_budget_is_reported(self):
+        pr = parse_problem(MIXED_FOUR)
+        res = minimize_error(pr, grid_points=20)
+        assert res.evaluations == comb(19, 3)
+        # x < z leaves the points (a, 20 - a - c, c) with a < c < 20 - a
+        res = minimize_error(load("ex16.admp"), grid_points=20)
+        assert res.evaluations == sum(19 - 2 * a for a in range(1, 10))
+
+    def test_argmin_lies_on_the_open_simplex(self):
         for pr in product_problems():
             res = minimize_error(pr)
             assert abs(float(sum(res.argmin)) - 1.0) <= 1e-9
             assert all(float(x) > 0 for x in res.argmin)
 
     def test_nested_grids_never_get_worse_on_product_statements(self):
-        pr = load("ex15.admp")
-        values = [minimize_error(pr, grid_points=g, refine_iters=0).value
-                  for g in (12, 24, 48)]
-        assert values[0] >= values[1] >= values[2]
+        for pr in grid_problems():
+            values = [minimize_error(pr, grid_points=g).value
+                      for g in (12, 24, 48)]
+            assert values[0] >= values[1] >= values[2]
 
     def test_integer_scan_matches_a_fraction_scan(self):
-        """The grid scan compares exact integers; a brute-force scan of
-        eval_error over simplex_grid picks the same first minimum."""
+        """The grid scan compares exact integers and skips the points that
+        break an inequality; a brute-force scan of eval_error over the
+        admissible points of simplex_grid picks the same first minimum."""
         # x = 2 y z alone vanishes at (3, 3, 6)/12 and (3, 6, 3)/12: a tie
+        # (two free criteria, so it is not triangular)
         tied = parse_problem("criteria: x y z\npref: x = 2 y * z\n")
         points = list(simplex_grid(3, 12))
         assert [eval_error(tied, x) for x in points].count(0) == 2
-        for pr in [tied] + product_problems():
+        # y > z keeps only the second of the tied zeros
+        ordered = parse_problem(
+            "criteria: x y z\npref: x = 2 y * z\npref: y > z\n")
+        for pr in [tied, ordered] + grid_problems():
             for g in (7, 12, 30):
-                res = minimize_error(pr, grid_points=g, refine_iters=0)
-                points = list(simplex_grid(pr.criteria.n, g))
+                res = minimize_error(pr, grid_points=g)
+                points = admissible_grid(pr, g)
                 values = [eval_error(pr, x) for x in points]
                 best = min(values)
                 assert res.value == best
@@ -208,7 +238,108 @@ class TestMinimize:
 
     def test_product_statements_over_the_grid_budget_are_refused(self):
         with pytest.raises(InvalidGrid):
-            minimize_error(load("ex15.admp"), grid_points=1000)
+            minimize_error(load("ex16.admp"), grid_points=1000)
+
+    def test_a_grid_with_no_admissible_point_is_refused(self):
+        # x < y < z needs three distinct parts: no point of G = 5 has them
+        # with x = 2 y * z on top (the G = 6 point (1, 2, 3) does)
+        pr = parse_problem("criteria: x y z\npref: x = 2 y * z\n"
+                           "pref: x < y\npref: y < z\n")
+        with pytest.raises(InvalidGrid, match="x < y, y < z"):
+            minimize_error(pr, grid_points=5)
+        assert minimize_error(pr, grid_points=6).evaluations == 1
+
+
+def random_chain(rng, n):
+    """A triangular chain over C0..C{n-1}: each C_k (k < n - 1) is a
+    positive rational times a product of later criteria, each raised to
+    the power 1, 2 or 3; C{n-1} is free."""
+    prefs = []
+    for k in range(n - 1):
+        later = rng.sample(range(k + 1, n), rng.randint(1, min(2, n - 1 - k)))
+        prefs.append(MonomialPreference(
+            k, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+            tuple((j, rng.randint(1, 3)) for j in later)))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                   tuple(prefs))
+
+
+class TestFamilyZero:
+    def test_ex15_zero_is_the_correctly_rounded_sympy_root(self):
+        sympy = pytest.importorskip("sympy")
+        res = minimize_error(load("ex15.admp"))
+        assert res.value == 0 and isinstance(res.value, Fraction)
+        assert res.evaluations == 0
+        z = res.argmin[2]
+
+        def rational(x):
+            f = Fraction(x)
+            return sympy.Rational(f.numerator, f.denominator)
+
+        # the root lies within half an ulp of z on either side
+        root = (sympy.sqrt(19) - 3) / 10
+        assert (rational(nextafter(z, 0)) + rational(z)) / 2 < root
+        assert root < (rational(z) + rational(nextafter(z, 1))) / 2
+        # the family [10z^2, 5z, z], each component rounded once
+        exact_z = Fraction(z)
+        assert res.argmin == (float(10 * exact_z**2), float(5 * exact_z), z)
+
+    def test_a_rational_root_gives_an_exact_point(self):
+        # x = 8 z^2, y = z: 8 z^2 + 2 z = 1 at z = 1/4
+        pr = parse_problem(
+            "criteria: x y z\npref: x = 8 y * z\npref: y = 1 z\n")
+        res = minimize_error(pr, grid_points=2)  # the grid is not used
+        assert res.argmin == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        assert res.value == 0 and eval_error(pr, res.argmin) == 0
+
+    def test_inequalities_with_no_admissible_value_raise(self):
+        # y = 5z and y < z fail for every z
+        pr = parse_problem((CORPUS / "ex15.admp").read_text()
+                           + "pref: y < z\n")
+        with pytest.raises(EmptyDomain):
+            minimize_error(pr)
+
+    def test_random_chains_reach_exactly_zero(self):
+        rng = random.Random(20260)
+        for _ in range(60):
+            pr = random_chain(rng, rng.randint(2, 5))
+            res = minimize_error(pr)
+            assert res.value == 0 and res.evaluations == 0, pr
+            assert all(x > 0 for x in res.argmin)
+            assert abs(float(sum(res.argmin)) - 1.0) <= 1e-9
+            x = [Fraction(v) for v in res.argmin]
+            for pref in pr.preferences:
+                product = pref.coefficient
+                for j, power in pref.exponents:
+                    product *= x[j] ** power
+                assert abs(x[pref.subject] - product) <= 1e-12, pr
+
+    def test_a_root_outside_the_inequalities_falls_back_to_the_grid(self):
+        """An inequality that the family zero breaks, between components
+        of different degree, moves the root out of the admitted range;
+        the grid scan then equals the brute-force oracle."""
+        from admcdm.nonlinear import solve_triangular
+
+        rng = random.Random(20261)
+        checked = 0
+        for _ in range(60):
+            pr = random_chain(rng, rng.randint(2, 4))
+            zero = minimize_error(pr).argmin
+            degree = [d for _, d in solve_triangular(pr).components]
+            broken = [(a, b) for a, b in combinations(range(len(zero)), 2)
+                      if degree[a] != degree[b] and zero[a] != zero[b]]
+            if not broken:
+                continue
+            a, b = broken[0]
+            if zero[a] < zero[b]:
+                a, b = b, a
+            limited = Problem(pr.criteria, pr.preferences + (
+                InequalityPreference(a, b, Relation.STRICT_LESS),))
+            res = minimize_error(limited, grid_points=12)
+            assert res.evaluations == len(admissible_grid(limited, 12))
+            assert res.value == dense_minimum(limited, 12) > 0, limited
+            checked += 1
+        assert checked >= 30
 
 
 def linprog_minimum(problem):
@@ -251,7 +382,6 @@ def assert_exact_minimum(problem):
     assert all(isinstance(v, Fraction) and v > 0 for v in res.argmin)
     assert sum(res.argmin) == 1
     assert eval_error(problem, res.argmin) == res.value
-    assert not res.refined
     return res
 
 
@@ -301,8 +431,7 @@ class TestLinearProgram:
 
     def test_grid_arguments_are_ignored(self):
         pr = load("ex4.admp")
-        assert (minimize_error(pr) == minimize_error(pr, grid_points=2,
-                                                     refine_iters=0))
+        assert minimize_error(pr) == minimize_error(pr, grid_points=2)
 
     def test_float_coefficients_are_read_exactly(self):
         """0.1 and 0.3 are binary fractions with 2^55-sized denominators;

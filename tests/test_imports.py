@@ -68,6 +68,9 @@ def test_import_and_argument_parser_load_only_the_shared_modules():
     (["error-min", "ex2"], {"admcdm.error_min"}),
     (["regimes", "ex16"], {"admcdm.nonlinear"}),
     (["gen-cyclic", "--t", "2"], set()),
+    # a product set tries the exact family zero first
+    (["error-min", "ex15"], {"admcdm.error_min", "admcdm.nonlinear",
+                             "admcdm.polynomial"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_each_command_loads_only_the_modules_it_runs(argv, extra):
     if argv[0] != "gen-cyclic":
