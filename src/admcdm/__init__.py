@@ -20,15 +20,14 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "ahp": ("AhpMatrix", "AhpResult", "ahp_priority", "build_ahp_matrix",
-            "principal_eigen"),
+    "ahp": ("AhpMatrix", "AhpResult", "ahp_priority", "build_ahp_matrix"),
     "classification": ("ClassificationReport", "DerivedRelation", "Label",
                        "classify", "derive_relations"),
     "errors": (
         "ConflictingPair", "DegenerateCore", "EmptyDomain", "EngineError",
         "FullRank", "InconsistentExtraParams", "InvalidGrid",
-        "InvalidProblem", "InvalidTolerance", "MissingPair",
-        "MultipleFreeVars", "NoConvergence", "NoPositiveRoot",
+        "InvalidProblem", "MissingPair", "MultipleFreeVars",
+        "NoPositiveRoot",
         "NonEquationPreference", "NonPositiveComponent",
         "NonPositiveParameter", "NonlinearPreferencePresent", "NotPairwise",
         "NotSquare", "NotTriangular", "OffSimplex", "OverDetermined",

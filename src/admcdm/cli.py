@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -346,21 +345,17 @@ def _classify_report(problem: Problem, warnings, args):
     return doc, lines
 
 
-def _pairwise_baseline(problem: Problem, args):
-    """The comparison matrix and its eigenvector result, at --tol or else
-    at the baseline's own default tolerance."""
-    from .ahp import DEFAULT_TOL
-
+def _pairwise_baseline(problem: Problem):
+    """The comparison matrix and its principal eigenpair."""
     build_ahp_matrix, ahp_priority = _library("build_ahp_matrix",
                                               "ahp_priority")
     matrix = build_ahp_matrix(problem)
-    tol = DEFAULT_TOL if args.tol is None else args.tol
-    return matrix, ahp_priority(matrix, tol=tol)
+    return matrix, ahp_priority(matrix)
 
 
 def _ahp_report(problem: Problem, warnings, args):
     names = problem.criteria.names
-    matrix, result = _pairwise_baseline(problem, args)
+    matrix, result = _pairwise_baseline(problem)
     doc = _doc(problem, warnings, ahp=_ahp_block(matrix, result, None))
     lines = [f"lambda_max = {sig(result.lambda_max)}",
              f"consistency index = {sig(result.ci)}",
@@ -376,7 +371,7 @@ def _compare_report(problem: Problem, warnings, args):
     ahp_result: AhpResult | None = None
     failure: str | None = None
     try:
-        matrix, ahp_result = _pairwise_baseline(problem, args)
+        matrix, ahp_result = _pairwise_baseline(problem)
     except EngineError as exc:
         failure = f"{type(exc).__name__}: {exc}"
 
@@ -515,18 +510,6 @@ def _assignment(text: str) -> tuple[str, Fraction]:
     return name, _rational(value)
 
 
-def _tolerance(text: str) -> float:
-    """Option type: a positive finite float."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"needs a positive finite number, got {text!r}")
-    return tol
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="admcdm",
@@ -578,8 +561,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_ahp.add_argument("file", metavar="FILE")
     add_common(p_ahp, principle=False)
-    p_ahp.add_argument("--tol", type=_tolerance, default=None,
-                       help="iteration stop tolerance")
     p_ahp.set_defaults(func=_run, report=_ahp_report)
 
     p_compare = sub.add_parser(
@@ -588,8 +569,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("file", metavar="FILE")
     add_common(p_compare)
-    p_compare.add_argument("--tol", type=_tolerance, default=None,
-                           help="iteration stop tolerance")
     p_compare.set_defaults(func=_run, report=_compare_report)
 
     p_err = sub.add_parser(

@@ -75,16 +75,8 @@ class ConflictingPair(EngineError):
     """Duplicate pairwise statements that are not reciprocal-consistent."""
 
 
-class NoConvergence(EngineError):
-    """Iteration budget exhausted before the tolerance was met."""
-
-
 class OffSimplex(EngineError):
     """A point that must lie on the open probability simplex does not."""
-
-
-class InvalidTolerance(EngineError, ValueError):
-    """An iteration stop tolerance that is not a positive finite number."""
 
 
 class InvalidGrid(EngineError, ValueError):

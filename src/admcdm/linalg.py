@@ -181,11 +181,6 @@ def rank(rows) -> int:
     return len(_bareiss([_integer_row(r)[0] for r in rows])[0])
 
 
-def system_consistent(rows, n: int) -> bool:
-    """Whether rows * x = 0 in n unknowns has a nontrivial solution."""
-    return rank(rows) < n
-
-
 @dataclass(frozen=True)
 class GeneralSolution:
     """Solution family of a dependent homogeneous system A x = 0.

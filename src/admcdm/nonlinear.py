@@ -10,12 +10,14 @@ points where two components cross and flips or degenerates at them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     EmptyDomain,
+    InvalidProblem,
     MultipleFreeVars,
     NotTriangular,
     OverDetermined,
@@ -28,9 +30,7 @@ from .model import (
     Relation,
     canonicalize,
 )
-from .scalars import Scalar
-
-COEF_TOL = 1e-12
+from .scalars import Scalar, matches
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,6 @@ class RegimeReport:
     domain: tuple[Scalar, Scalar | None]
     breakpoints: tuple[Scalar, ...]
     regimes: tuple[Regime, ...]
-
-
-def _coef_equal(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    x, y = float(a), float(b)
-    return abs(x - y) <= COEF_TOL * max(1.0, abs(x), abs(y))
 
 
 def _equations(problem: Problem) -> list[tuple[int, Scalar, tuple[tuple[int, int], ...]]]:
@@ -164,7 +157,7 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
                         known[subject] = (total_coef, total_power)
                     else:
                         have_coef, have_power = known[subject]
-                        if have_power != total_power or not _coef_equal(
+                        if have_power != total_power or not matches(
                             have_coef, total_coef
                         ):
                             closed = True
@@ -221,32 +214,52 @@ def _verify(
             rhs_coef = rhs_coef * base_coef**power
             rhs_power += base_power * power
         lhs_coef, lhs_power = solution.components[subject]
-        if lhs_power != rhs_power or not _coef_equal(lhs_coef, rhs_coef):
+        if lhs_power != rhs_power or not matches(lhs_coef, rhs_coef):
             raise OverDetermined(
                 "resolved family fails to satisfy a statement symbolically"
             )
 
 
 def _nth_root(ratio: Scalar, degree: int) -> Scalar:
-    """Positive degree-th root, exact when the operand is a perfect power."""
+    """Positive degree-th root, exact when the operand is a perfect power,
+    else a float. A Fraction far outside the float range is never made a
+    float: its root is taken through the base-2 logarithms of its
+    numerator and denominator.
+
+    Raises:
+        InvalidProblem: the root itself lies outside the float range.
+    """
     if degree == 1:
         return ratio
-    if isinstance(ratio, Fraction):
-        num = _int_root(ratio.numerator, degree)
-        den = _int_root(ratio.denominator, degree)
-        if num is not None and den is not None:
-            return Fraction(num, den)
-    return float(ratio) ** (1.0 / degree)
+    if isinstance(ratio, float):
+        return ratio ** (1.0 / degree)
+    num = _int_root(ratio.numerator, degree)
+    den = _int_root(ratio.denominator, degree)
+    if num is not None and den is not None:
+        return Fraction(num, den)
+    bits = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    if abs(bits) <= 1020:  # a normal float
+        return float(ratio) ** (1.0 / degree)
+    t = (math.log2(ratio.numerator) - math.log2(ratio.denominator)) / degree
+    try:
+        return math.ldexp(2.0 ** (t % 1), math.floor(t))
+    except OverflowError:
+        raise InvalidProblem(
+            "a crossing point lies outside the float range") from None
 
 
 def _int_root(value: int, degree: int) -> int | None:
+    """The integer r > 0 with r**degree == value, if there is one (integer
+    Newton iteration from above, which stops at the floor of the root)."""
     if value <= 0:
         return None
-    guess = round(value ** (1.0 / degree))
-    for candidate in (guess - 1, guess, guess + 1):
-        if candidate > 0 and candidate**degree == value:
-            return candidate
-    return None
+    root = 1 << -(-value.bit_length() // degree)
+    while True:
+        step = ((degree - 1) * root + value // root ** (degree - 1)) // degree
+        if step >= root:
+            break
+        root = step
+    return root if root**degree == value else None
 
 
 def _crossing(
@@ -264,23 +277,31 @@ def _ordering(
     values: Sequence[Scalar],
 ) -> tuple[tuple[int, ...], ...]:
     """Criterion indices grouped by component value, largest first."""
-    order = sorted(range(len(values)), key=lambda k: float(values[k]), reverse=True)
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     groups: list[list[int]] = []
     for k in order:
-        if groups and _coef_equal(values[groups[-1][-1]], values[k]):
+        if groups and matches(values[groups[-1][-1]], values[k]):
             groups[-1].append(k)
         else:
             groups.append([k])
     return tuple(tuple(g) for g in groups)
 
 
-def _reorder_ties(
-    groups: tuple[tuple[int, ...], ...], reference: Sequence[int]
+def _merge_ties(
+    groups: tuple[tuple[int, ...], ...], tied: set[tuple[int, int]]
 ) -> tuple[tuple[int, ...], ...]:
-    position = {k: i for i, k in enumerate(reference)}
-    return tuple(
-        tuple(sorted(group, key=lambda k: position[k])) for group in groups
-    )
+    """The ordering just left of a crossing, with neighbouring groups merged
+    where a pair of ``tied`` (index pairs, smaller first) meets there. Every
+    other order holds at the point by continuity, and a criterion between
+    two that meet must meet them too, so the tied groups are neighbours."""
+    merged: list[list[int]] = []
+    for group in groups:
+        if merged and any((min(j, k), max(j, k)) in tied
+                          for j in merged[-1] for k in group):
+            merged[-1].extend(group)
+        else:
+            merged.append(list(group))
+    return tuple(tuple(g) for g in merged)
 
 
 def ordering_text(
@@ -338,14 +359,16 @@ def regime_analysis(
                           "from its required range")
 
     crossings: list[Scalar] = []
+    meetings: list[tuple[Scalar, int, int]] = []
     for a in range(n):
         for b in range(a + 1, n):
             point = _crossing(*components[a], *components[b])
             if point is None:
                 continue
-            if not any(_coef_equal(point, seen) for seen in crossings):
+            meetings.append((point, a, b))
+            if not any(matches(point, seen) for seen in crossings):
                 crossings.append(point)
-    crossings.sort(key=float)
+    crossings.sort()
     breakpoints = tuple(crossings)
 
     inside = [
@@ -354,9 +377,11 @@ def regime_analysis(
         if p > lower and (upper is None or p < upper)
     ]
 
-    def sample(a: Scalar, b: Scalar | None) -> Scalar:
+    def sample(a: Scalar, b: Scalar | None) -> Fraction:
+        """An exact interior point, so no huge coefficient meets a float."""
+        a = Fraction(a)
         if b is not None:
-            return (a + b) / 2
+            return (a + Fraction(b)) / 2
         return 2 * a if a > 0 else Fraction(1)
 
     regimes: list[Regime] = []
@@ -367,10 +392,9 @@ def regime_analysis(
         regimes.append(Regime(a, b, _ordering(interval_values)))
         if i < len(inside):
             point = inside[i]
-            at_values = [sol.value_at(k, point) for k in range(n)]
-            flat = [k for group in regimes[-1].ordering for k in group]
+            tied = {(j, k) for p, j, k in meetings if matches(p, point)}
             regimes.append(
-                Regime(point, point, _reorder_ties(_ordering(at_values), flat))
+                Regime(point, point, _merge_ties(regimes[-1].ordering, tied))
             )
 
     return RegimeReport((lower, upper), breakpoints, tuple(regimes))

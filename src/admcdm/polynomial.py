@@ -29,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from sys import float_info
 
-from .errors import ZeroPolynomial
+from .errors import InvalidProblem, ZeroPolynomial
 from .scalars import Scalar
 
 
@@ -346,10 +347,19 @@ def _refine(a: list, lo: int, hi: int, q: int):
     sign of a there, or of -a' when that end is itself a (dyadic) root.
     Integer division rounds correctly to a float, so once both ends round
     to the same float, the root between them rounds to it too. A midpoint
-    that is the root is returned exactly.
+    that is the root is returned exactly. A root past the largest float
+    has no float and raises InvalidProblem.
     """
     s = _homogeneous(a, hi, q) or -_homogeneous(
         [i * c for i, c in enumerate(a)][1:], hi, q)
+    top = q * int(float_info.max)
+    if hi > top:  # bring hi / q into the float range
+        v = _homogeneous(a, top, q) if lo < top else None
+        if v == 0:
+            return Fraction(top, q)
+        if v is None or (v > 0) != (s > 0):
+            raise InvalidProblem("a root lies outside the float range")
+        hi = top
     while lo / q != hi / q:
         if hi - lo == 1:
             lo, hi, q = 2 * lo, 2 * hi, 2 * q
@@ -416,5 +426,5 @@ def positive_roots(p: Poly) -> list:
                              for iv in intervals]
         for r in found:
             roots.extend([r] * k)
-    roots.sort(key=float)
+    roots.sort()
     return roots

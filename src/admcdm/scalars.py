@@ -12,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import NonPositiveComponent
+from .errors import InvalidProblem, NonPositiveComponent
 
 Scalar = Union[Fraction, float]
 PriorityVector = tuple
+
+MATCH_TOL = 1e-12
 
 
 def exact(value) -> Scalar:
@@ -45,13 +47,32 @@ def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int))
 
 
+def matches(a, b) -> bool:
+    """Whether two stated values agree: exactly when neither is a float,
+    else within MATCH_TOL of the larger magnitude (at least 1), compared
+    as the Fractions of their binary values so no magnitude overflows."""
+    if not (isinstance(a, float) or isinstance(b, float)):
+        return a == b
+    a, b = Fraction(a), Fraction(b)
+    return abs(a - b) <= Fraction(MATCH_TOL) * max(1, abs(a), abs(b))
+
+
 def sig(value, digits: int = 12) -> float:
     """Round to `digits` significant decimal digits.
 
     The result reparses to the same shortest repr, which is what makes the
     JSON reports byte-stable across serialize/parse cycles.
+
+    Raises:
+        InvalidProblem: the value lies outside the float range.
     """
-    return float(f"{float(value):.{digits}g}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InvalidProblem(
+            "a result lies outside the float range and cannot be reported"
+        ) from None
+    return float(f"{value:.{digits}g}")
 
 
 def fmt(value, digits: int = 12) -> str:

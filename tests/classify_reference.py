@@ -22,7 +22,7 @@ from admcdm.classification import (
     _side,
 )
 from admcdm.errors import NonEquationPreference, NonlinearPreferencePresent
-from admcdm.linalg import system_consistent
+from admcdm.linalg import rank
 from admcdm.model import (
     InequalityPreference,
     MonomialPreference,
@@ -193,7 +193,7 @@ def reference_classify(problem, max_depth=None):
         if _side(r.ratio) != 0:
             fire("WD3", r)
 
-    det_ok = system_consistent(assemble(problem), problem.criteria.n)
+    det_ok = rank(assemble(problem)) < problem.criteria.n
     found_consistent = not strongest and not truncated
     if strongest == "SD4":
         label = Label.STRONG_INCONSISTENT

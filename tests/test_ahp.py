@@ -1,4 +1,4 @@
-"""Pairwise comparison baseline: matrix construction, eigenpair extraction,
+"""Pairwise comparison baseline: matrix construction, the exact eigenpair,
 and agreement with the discounting pipeline on consistent input."""
 
 import random
@@ -8,20 +8,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from admcdm.ahp import (
-    AhpMatrix,
-    ahp_priority,
-    build_ahp_matrix,
-    principal_eigen,
-)
-from admcdm.errors import (
-    ConflictingPair,
-    EngineError,
-    InvalidTolerance,
-    MissingPair,
-    NoConvergence,
-    NotPairwise,
-)
+import admcdm
+from admcdm.ahp import AhpMatrix, ahp_priority, build_ahp_matrix
+from admcdm.errors import ConflictingPair, MissingPair, NotPairwise
 from admcdm.parser import parse_problem
 from admcdm.solver import priority
 
@@ -111,16 +100,16 @@ class TestEigenpair:
         for _ in range(30):
             n = RNG.randrange(2, 6)
             m = random_reciprocal(n, RNG)
-            res = principal_eigen(m)
+            res = ahp_priority(m)
             lam, vec = numpy_principal(m)
-            assert abs(res.lambda_max - lam) <= 1e-6 * max(1.0, lam)
-            assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-6
+            assert abs(res.lambda_max - lam) <= 1e-12 * lam
+            assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-12
 
     def test_dominant_eigenvalue_never_below_n(self):
         for _ in range(30):
             n = RNG.randrange(2, 6)
-            res = principal_eigen(random_reciprocal(n, RNG))
-            assert res.lambda_max >= n - 1e-9
+            res = ahp_priority(random_reciprocal(n, RNG))
+            assert res.lambda_max >= n
 
     def test_eigen_residual_is_small(self):
         for _ in range(20):
@@ -131,29 +120,7 @@ class TestEigenpair:
             norm = max(sum(abs(x) for x in row) for row in a)
             for i in range(n):
                 av = sum(a[i][j] * res.vector[j] for j in range(n))
-                assert abs(av - res.lambda_max * res.vector[i]) <= 1e-8 * norm
-
-    def test_no_convergence_when_starved_of_iterations(self):
-        m = build_ahp_matrix(load("ex9.admp"))
-        with pytest.raises(NoConvergence):
-            principal_eigen(m, max_iter=1)
-
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")],
-                             ids=["negative", "zero", "nan", "inf"])
-    @pytest.mark.parametrize("solve", [principal_eigen, ahp_priority],
-                             ids=["principal_eigen", "ahp_priority"])
-    def test_bad_tolerance_is_refused_up_front(self, solve, tol):
-        """Not a power-iteration budget spent and then NoConvergence."""
-        m = build_ahp_matrix(load("ex9.admp"))
-        with pytest.raises(InvalidTolerance, match="tol") as exc:
-            solve(m, tol=tol)
-        assert isinstance(exc.value, EngineError)
-
-    def test_looser_tolerance_converges_faster(self):
-        m = build_ahp_matrix(load("ex9.admp"))
-        quick = principal_eigen(m, tol=1e-3)
-        slow = principal_eigen(m, tol=1e-12)
-        assert quick.iterations < slow.iterations
+                assert abs(av - res.lambda_max * res.vector[i]) <= 1e-12 * norm
 
 
 class TestConsistentCase:
@@ -163,12 +130,10 @@ class TestConsistentCase:
             w = [Fraction(RNG.randrange(1, 20), RNG.randrange(1, 8))
                  for _ in range(n)]
             res = ahp_priority(consistent_matrix(w))
-            assert abs(res.lambda_max - n) <= 1e-8 * n
-            assert res.ci <= 1e-8
+            assert res.lambda_max == n
+            assert res.ci == 0
             total = sum(w)
-            want = [float(x / total) for x in w]
-            assert max(abs(a - b)
-                       for a, b in zip(res.vector, want)) <= 1e-8
+            assert res.vector == tuple(x / total for x in w)
 
     def test_agrees_with_discounting_on_consistent_problems(self):
         for _ in range(15):
@@ -192,27 +157,56 @@ class TestConsistentCase:
 
 
 class TestSquaringPath:
-    def test_inconsistent_matrix_takes_the_squaring_route(self):
-        m = build_ahp_matrix(load("ex9.admp"))
-        res = ahp_priority(m)
-        lam, vec = numpy_principal(m)
-        assert lam > m.n + 1e-3  # genuinely inconsistent input
-        assert abs(res.lambda_max - lam) <= 1e-6 * lam
-        assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-6
-        assert res.iterations <= 64
+    """The vector of Saaty's matrix-squaring recipe on the three-ratio
+    benchmark, which the exact eigenpair reproduces."""
 
     def test_worked_vector(self):
         res = ahp_priority(build_ahp_matrix(load("ex9.admp")))
         for got, want in zip(res.vector, (0.2797, 0.6267, 0.0936)):
             assert abs(got - want) <= 5e-4
 
-    def test_squaring_and_power_iteration_agree_at_random(self):
-        for _ in range(25):
-            n = RNG.randrange(2, 6)
-            m = random_reciprocal(n, RNG)
-            a = ahp_priority(m)
-            b = principal_eigen(m)
-            assert abs(a.lambda_max - b.lambda_max) <= 1e-6 * max(
-                1.0, b.lambda_max)
-            assert max(abs(x - y)
-                       for x, y in zip(a.vector, b.vector)) <= 1e-8
+
+class TestExactEigenpair:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_consistent_matrix_is_exact(self, n):
+        rng = random.Random(n)
+        w = [Fraction(rng.randrange(1, 20), rng.randrange(1, 8))
+             for _ in range(n)]
+        res = ahp_priority(consistent_matrix(w))
+        assert isinstance(res.lambda_max, Fraction) and res.lambda_max == n
+        assert res.ci == 0
+        assert res.vector == tuple(x / sum(w) for x in w)
+        assert res.iterations == n + 1
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_numpy_at_every_size(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(3):
+            m = random_reciprocal(n, rng)
+            res = ahp_priority(m)
+            lam, vec = numpy_principal(m)
+            assert abs(res.lambda_max - lam) <= 1e-12 * lam
+            assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-12
+            assert res.ci == pytest.approx((lam - n) / (n - 1), abs=1e-12)
+            assert res.iterations == n + 1
+
+    def test_rational_perron_root_is_a_fraction(self):
+        """ex11 and ex12 close their cycles with a rational lambda_max."""
+        for name, lam in (("ex11", Fraction(91, 9)), ("ex12", Fraction(31, 5))):
+            res = ahp_priority(build_ahp_matrix(load(f"{name}.admp")))
+            assert res.lambda_max == lam and isinstance(res.lambda_max, Fraction)
+            assert res.vector == (Fraction(1, 3),) * 3
+
+    def test_float_entries(self):
+        m = AhpMatrix(((1.0, 2.5, 0.3), (0.4, 1.0, 1 / 7), (1 / 0.3, 7.0, 1.0)))
+        res = ahp_priority(m)
+        lam, vec = numpy_principal(m)
+        assert isinstance(res.lambda_max, float)
+        assert abs(res.lambda_max - lam) <= 1e-12 * lam
+        assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["principal_eigen", "InvalidTolerance",
+                                      "NoConvergence"])
+    def test_iteration_names_are_gone(self, name):
+        with pytest.raises(AttributeError):
+            getattr(admcdm, name)

@@ -63,7 +63,8 @@ def test_import_and_argument_parser_load_only_the_shared_modules():
 @pytest.mark.parametrize("argv, extra", [
     (["solve", "ex1"], SOLVE),
     (["classify", "ex1"], SOLVE - {"admcdm.solver"}),
-    (["ahp", "ex9"], {"admcdm.ahp"}),
+    # the eigenpair comes from the exact determinant and root code
+    (["ahp", "ex9"], {"admcdm.ahp", "admcdm.linalg", "admcdm.polynomial"}),
     (["compare", "ex9"], SOLVE | {"admcdm.ahp"}),
     (["error-min", "ex2"], {"admcdm.error_min"}),
     (["regimes", "ex16"], {"admcdm.nonlinear"}),
@@ -85,6 +86,20 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra):
     code, *modules = run_probe(probe).split()
     assert code == "0"
     assert loaded(set(modules)) == SHARED | extra
+
+
+def test_ahp_on_a_file_that_is_not_pairwise_loads_only_ahp():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from admcdm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main(['ahp', {str(CORPUS / 'ex2.admp')!r}])\n"
+        "print(code, *sys.modules)\n"
+    )
+    code, *modules = run_probe(probe).split()
+    assert code == "3"
+    assert loaded(set(modules)) == SHARED | {"admcdm.ahp"}
 
 
 def test_every_export_is_the_object_its_module_defines():

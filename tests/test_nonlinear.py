@@ -172,6 +172,15 @@ class TestRegimes:
         assert ordering_text(point.ordering, ("x", "z")) == "z=x"
         assert ordering_text(hi.ordering, ("x", "z")) == "x>z"
 
+    def test_irrational_crossing_ties_the_pair(self):
+        pr = parse_problem("criteria: x y z\npref: x = 2 z * z * z\n"
+                           "pref: y = 3 z\n")
+        rep = regime_analysis(solve_triangular(pr))
+        assert rep.breakpoints == pytest.approx([0.5**0.5, 1.5**0.5])
+        names = ("x", "y", "z")
+        assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
+            "y>z>x", "y>z=x", "y>x>z", "y=x>z", "x>y>z"]
+
     def test_interval_orderings_hold_throughout_each_piece(self):
         sol = solve_triangular(load("ex15.admp"))
         rep = regime_analysis(sol)
@@ -215,3 +224,40 @@ class TestRegimes:
                     assert any(
                         abs(z - bp) <= bp * 0.06 for bp in bps
                     ), (a, b, z)
+
+
+class TestHugeValues:
+    """Coefficients far outside the float range: crossings are found and
+    ordered exactly, never through float()."""
+
+    def test_perfect_power_of_a_huge_integer_is_exact(self):
+        huge = 10**400
+        pr = parse_problem(f"criteria: x z\npref: x = {huge} z * z * z\n")
+        rep = regime_analysis(solve_triangular(pr))
+        assert rep.breakpoints == (Fraction(1, 10**200),)
+
+    def test_irrational_crossing_of_a_huge_ratio(self):
+        pr = parse_problem(
+            f"criteria: x z\npref: x = {2 * 10**600} z * z * z\n")
+        (point,) = regime_analysis(solve_triangular(pr)).breakpoints
+        want = 1 / (2**0.5 * 1e300)
+        assert isinstance(point, float)
+        assert abs(point - want) <= 1e-13 * want
+
+    def test_crossing_past_the_float_range_is_refused(self):
+        from admcdm.errors import InvalidProblem
+
+        pr = parse_problem(
+            f"criteria: x z\npref: x = 0.{'0' * 800}2 z * z * z\n")
+        with pytest.raises(InvalidProblem, match="float range"):
+            regime_analysis(solve_triangular(pr))
+
+    def test_orderings_compare_huge_components_exactly(self):
+        huge = 10**400
+        pr = parse_problem("criteria: x y z\n"
+                           f"pref: x = {huge} y * y\npref: y = 1 z\n")
+        rep = regime_analysis(solve_triangular(pr))
+        assert rep.breakpoints == (Fraction(1, huge),)
+        names = ("x", "y", "z")
+        assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
+            "y=z>x", "y=z=x", "x>y=z"]

@@ -283,3 +283,20 @@ def test_roots_match_sympy_on_seeded_products():
             p = _factor_product(rng, degree)
             assert p.degree == degree
             assert_roots_match_sympy(p, positive_roots(p))
+
+
+def test_a_root_isolated_under_a_huge_bound_is_refined():
+    """10^-400 a^2 + 2a - 1: the root bound is near 2^1330, far past the
+    largest float, yet the root near 1/2 rounds correctly."""
+    (root,) = positive_roots(poly((-1, 2, Fraction(1, 10**400))))
+    assert root == 0.5
+
+
+def test_a_root_past_the_float_range_is_refused():
+    from admcdm.errors import InvalidProblem
+
+    with pytest.raises(InvalidProblem, match="float range"):
+        positive_roots(poly((-2 * 10**800, 0, 1)))
+    # the largest float itself is a root that has its float
+    big = int(1.7976931348623157e308)
+    assert positive_roots(pmul(poly((-big, 1)), poly((1, 0, 1)))) == [big]

@@ -42,3 +42,22 @@ def test_fmt_fraction_and_float():
     assert fmt(Fraction(5, 12)) == "5/12"
     assert fmt(Fraction(4)) == "4"
     assert fmt(0.125) == "0.125"
+
+
+def test_sig_refuses_a_value_past_the_float_range():
+    from admcdm.errors import InvalidProblem
+
+    with pytest.raises(InvalidProblem, match="float range"):
+        sig(Fraction(10**400))
+    assert sig(Fraction(1, 10**400)) == 0.0
+
+
+def test_matches_is_exact_on_fractions_and_relative_on_floats():
+    from admcdm.scalars import matches
+
+    assert not matches(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**20))
+    assert matches(1 / 3, Fraction(1, 3))
+    assert matches(1e6, 1e6 * (1 + 1e-13))
+    assert not matches(1e6, 1e6 * (1 + 1e-11))
+    assert matches(0.0, 1e-13)  # the tolerance is floored at 1
+    assert not matches(Fraction(10**400), 1e300)
