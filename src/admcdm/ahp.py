@@ -21,7 +21,7 @@ from .model import (
     Problem,
     canonicalize,
 )
-from .scalars import PriorityVector, Scalar, matches, normalize
+from .scalars import PriorityVector, Scalar, is_exact, matches, normalize
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,16 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     det(A - lambda I) is built by the integer determinant path of
     ``linalg.det_poly``. Its largest positive root is lambda_max: for a
     positive matrix that is the Perron root, which is simple (Saaty, The
-    Analytic Hierarchy Process, 1980). The vector is the normalized null
-    vector of A - lambda_max I. Both are exact when lambda_max is rational
-    (a consistent matrix gives lambda_max = n, ci = 0 and w / sum(w));
-    otherwise lambda_max is the correctly rounded float and the vector is
-    solved from it.
+    Analytic Hierarchy Process, 1980). So lambda_max I - A has rank n - 1,
+    and each column of its adjugate is a positive eigenvector; the first
+    one is taken, its cofactors exact determinants at the Fraction of
+    lambda_max, so no entry is too small next to another to count. Both
+    are exact when lambda_max is rational and every entry is (a consistent
+    matrix gives lambda_max = n, ci = 0 and w / sum(w)); otherwise
+    lambda_max is the correctly rounded float and each vector component
+    the float nearest to its value at it.
     """
-    from .linalg import (PolyMatrix, det_poly, general_solution,
-                         particular_positive)
+    from .linalg import PolyMatrix, det_numeric, det_poly
     from .polynomial import poly, positive_roots
 
     a, n = m.entries, m.n
@@ -154,7 +156,11 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
         tuple(poly((a[i][j], -1) if i == j else (a[i][j],)) for j in range(n))
         for i in range(n))))
     lam = positive_roots(char)[-1]
-    shifted = [[a[i][j] - lam if i == j else a[i][j] for j in range(n)]
-               for i in range(n)]
-    vector = normalize(particular_positive(general_solution(shifted)))
+    # the rows of lambda_max I - A but the first; a float is read exactly
+    rows = [[Fraction(lam) - 1 if i == j else -a[i][j] for j in range(n)]
+            for i in range(1, n)]
+    vector = normalize([(-1) ** j * det_numeric(
+        [row[:j] + row[j + 1:] for row in rows]) for j in range(n)])
+    if not is_exact(lam) or not all(is_exact(e) for row in a for e in row):
+        vector = tuple(map(float, vector))
     return AhpResult(lam, vector, (lam - n) / (n - 1), n + 1)

@@ -20,8 +20,8 @@ snapped to a nearby small-denominator rational whenever that rational is
 an exact zero. The snap step is what lets rational roots such as 5/12 or
 1/729 flow through the rest of the pipeline exactly.
 
-The root alpha = 0 is never reported; every positive root is, however
-small.
+The root alpha = 0 is never reported; every positive root is. An
+irrational root too small or too large for a float raises InvalidProblem.
 """
 
 from __future__ import annotations
@@ -347,8 +347,8 @@ def _refine(a: list, lo: int, hi: int, q: int):
     sign of a there, or of -a' when that end is itself a (dyadic) root.
     Integer division rounds correctly to a float, so once both ends round
     to the same float, the root between them rounds to it too. A midpoint
-    that is the root is returned exactly. A root past the largest float
-    has no float and raises InvalidProblem.
+    that is the root is returned exactly. A root past the largest float,
+    or one that rounds to 0.0, has no float and raises InvalidProblem.
     """
     s = _homogeneous(a, hi, q) or -_homogeneous(
         [i * c for i, c in enumerate(a)][1:], hi, q)
@@ -371,6 +371,8 @@ def _refine(a: list, lo: int, hi: int, q: int):
             hi = mid
         else:
             lo = mid
+    if hi / q == 0:  # the root rounds to 0.0, which is no positive root
+        raise InvalidProblem("a root lies outside the float range")
     return lo / q
 
 
@@ -395,7 +397,8 @@ def positive_roots(p: Poly) -> list:
     """All real roots > 0, ascending, each repeated per its multiplicity.
 
     A rational root is an exact Fraction; an irrational one is the float
-    nearest to it. A root however small is reported.
+    nearest to it, and InvalidProblem is raised when that float would be
+    0.0 or past float_info.max.
 
     Raises ZeroPolynomial for the identically-zero input: that case means the
     parametric system is dependent for every alpha and the caller must treat

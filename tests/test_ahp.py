@@ -1,6 +1,7 @@
 """Pairwise comparison baseline: matrix construction, the exact eigenpair,
 and agreement with the discounting pipeline on consistent input."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -204,6 +205,23 @@ class TestExactEigenpair:
         assert isinstance(res.lambda_max, float)
         assert abs(res.lambda_max - lam) <= 1e-12 * lam
         assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-12
+
+    def test_entries_far_apart(self):
+        # x = 10^200 z next to ratios 3 and 2: a float elimination counts
+        # no pivot below 1e-9 of the largest entry. For three criteria the
+        # Perron vector is the vector of row geometric means
+        huge = "1" + "0" * 200
+        m = build_ahp_matrix(parse_problem(
+            "criteria: x y z\npref: x = 3 y\npref: y = 2 z\n"
+            f"pref: x = {huge} z\n"))
+        res = ahp_priority(m)
+        assert all(isinstance(v, float) and v > 0 for v in res.vector)
+        logs = [sum(math.log(e) for e in row) / 3 for row in m.entries]
+        for v, log in zip(res.vector, logs):
+            assert math.isclose(v / res.vector[0], math.exp(log - logs[0]),
+                                rel_tol=1e-12)
+        assert math.isclose(res.vector[1] / res.vector[0], 1.30495588039e-67,
+                            rel_tol=1e-10)
 
     @pytest.mark.parametrize("name", ["principal_eigen", "InvalidTolerance",
                                       "NoConvergence"])

@@ -7,7 +7,9 @@ relation caps, and float coefficients (read exactly), and the full
 reports (label, witnesses in order, rule, det_agrees, depth_exceeded) and
 derived relations must be equal. A set that one positive vector solves as
 written is labelled without a search; where the reference search is not
-truncated its report is the same.
+truncated its report is the same. A full pairwise set is read from its
+first criterion pairs when they settle the report; the caps and the set's
+shape decide whether it may be, and the result must not differ.
 """
 
 import random
@@ -15,7 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from admcdm.classification import ClassificationReport, Label, _derive, classify
+from admcdm.classification import (
+    ClassificationReport,
+    Label,
+    _complete_count,
+    _derive,
+    classify,
+    derive_relations,
+)
 from admcdm.errors import EngineError
 from admcdm.linalg import general_solution, particular_positive
 from admcdm.model import (
@@ -24,8 +33,10 @@ from admcdm.model import (
     Problem,
     assemble,
     canonicalize,
+    make_cyclic_example,
 )
 from admcdm.parser import parse_problem
+from admcdm.solver import priority
 
 from classify_reference import (
     classify_module,
@@ -144,6 +155,117 @@ def test_pairwise(n):
     for seed in range(3 if n < 6 else 1):
         for consistent in (True, False):
             assert_same(pairwise(n, seed, consistent))
+
+
+def full_searches(monkeypatch):
+    """A list that gets one entry per full search run from now on."""
+    calls = []
+    real = classify_module._search
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify_module, "_search", counted)
+    return calls
+
+
+def assert_settled(problem, monkeypatch, settled=True):
+    """classify equals the reference, and runs the full search only when
+    the first pairs do not settle the report."""
+    report = assert_same(problem)
+    calls = full_searches(monkeypatch)
+    assert classify(problem) == report
+    assert len(calls) == (0 if settled else 1)
+    return report
+
+
+@pytest.mark.parametrize("n, seed", [(5, s) for s in range(3, 8)]
+                         + [(6, 1), (6, 2)])
+def test_pairwise_settles_from_the_first_pairs(n, seed, monkeypatch):
+    report = assert_settled(pairwise(n, seed, False), monkeypatch)
+    assert report.rule_fired == "SD4" and not report.depth_exceeded
+
+
+def test_statement_order_and_orientation(monkeypatch):
+    # the pairs are read in sorted order whatever the statements' order,
+    # and a statement made the other way round (Cj = 1/k Ci) is inverted
+    rng = random.Random("shuffled-pairwise")
+    for n, seed in ((5, 0), (6, 0)):
+        prefs = [LinearPreference(j, ((p.subject, 1 / c),))
+                 for p in pairwise(n, seed, False).preferences
+                 for (j, c), in [p.terms]]
+        rng.shuffle(prefs)
+        problem = Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                          tuple(prefs))
+        assert_settled(problem, monkeypatch)
+        monkeypatch.undo()
+
+
+def test_complete_set_without_sd4_takes_the_full_search(monkeypatch):
+    # every pair's derivations stay on one side of 1: WD1, never settled
+    problem = pairwise(5, 8, False)
+    report = assert_settled(problem, monkeypatch, settled=False)
+    assert report.rule_fired == "WD1"
+    assert len(report.witnesses) == classify_module._WITNESS_CAP
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4])
+def test_lowered_witness_cap_settles_small_sets(cap, monkeypatch):
+    # K3 holds 3 witnesses at most, one per pair; K4 (pairwise(4, 0)) 39
+    monkeypatch.setattr(classify_module, "_WITNESS_CAP", cap)
+    cycle = make_cyclic_example(Fraction(9))
+    assert_settled(cycle, monkeypatch, settled=cap <= 3)
+    report = assert_settled(pairwise(4, 0, False), monkeypatch)
+    assert len(report.witnesses) == cap
+
+
+def test_unreachable_witness_cap_walks_no_pair(monkeypatch):
+    # K4 holds at most 6 * C(5, 2) = 60 witnesses, fewer than the cap
+    walks = []
+    real = classify_module._walk
+    monkeypatch.setattr(classify_module, "_walk",
+                        lambda *args: walks.append(args[3]) or real(*args))
+    report = classify(pairwise(4, 0, False))
+    assert report.rule_fired == "SD4" and len(walks) == 1
+    assert len(walks[0]) == 4  # one walk from every criterion
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_relation_cap_around_the_closed_form_count(n, monkeypatch):
+    problem = pairwise(n, 0, False)
+    total = _complete_count(n)[1]
+    for cap, settled in ((total, False), (total + 1, True)):
+        monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
+        assert_settled(problem, monkeypatch, settled)
+
+
+def test_closed_form_relation_count():
+    for n in range(3, 7):
+        for seed in range(2):
+            problem = pairwise(n, seed, False)
+            assert _complete_count(n)[1] == len(derive_relations(problem))
+    assert _complete_count(5) == (16, 197)
+    assert _complete_count(6) == (65, 1172)
+    assert _complete_count(7)[1] >= classify_module._RELATION_CAP
+
+
+def test_settled_sets_skip_the_full_search(monkeypatch):
+    problem = pairwise(6, 0, False)
+    expected = reference_classify(problem)
+
+    def no_search(*args):
+        raise AssertionError("a settled set ran the full search")
+
+    monkeypatch.setattr(classify_module, "_search", no_search)
+    assert classify(problem) == expected
+    assert classify(problem, 7) == expected  # no path is longer than 6
+    assert priority(problem)[2] == expected
+    # a set past the relation cap keeps the capped walk and its order
+    monkeypatch.undo()
+    calls = full_searches(monkeypatch)
+    assert classify(pairwise(7, 0, False)).depth_exceeded
+    assert len(calls) == 1
 
 
 def test_pairwise_past_the_relation_cap():

@@ -350,6 +350,26 @@ class TestHugeValues:
             assert code in (0, 3), err
             assert "internal error" not in err
 
+    def test_error_min_names_a_root_below_the_float_range(self, capsys,
+                                                          tmp_path):
+        # the exact minimum sits at z near 10^-400, which has no float
+        path = tmp_path / "tiny-root.admp"
+        path.write_text("criteria: x y z\n"
+                        "pref: x = 2 y * y * y\n"
+                        f"pref: y = {HUGE} z\n")
+        code, _, err = run(capsys, "error-min", str(path))
+        assert code == 3
+        assert "InvalidProblem: a root lies outside the float range" in err
+
+    def test_ahp_on_ratios_far_apart(self, capsys, tmp_path):
+        path = tmp_path / "huge-ratio.admp"
+        path.write_text("criteria: x y z\npref: x = 3 y\npref: y = 2 z\n"
+                        f"pref: x = 1{'0' * 200} z\n")
+        doc = run_json(capsys, "ahp", "--json", str(path))
+        x, y, z = doc["ahp"]["vector"]
+        assert 0 < z < y < x
+        assert y / x == pytest.approx(1.30495588039e-67, rel=1e-10)
+
 
 class TestGenCyclic:
     def test_generated_problem_matches_the_corpus(self, capsys):

@@ -300,3 +300,15 @@ def test_a_root_past_the_float_range_is_refused():
     # the largest float itself is a root that has its float
     big = int(1.7976931348623157e308)
     assert positive_roots(pmul(poly((-big, 1)), poly((1, 0, 1)))) == [big]
+
+
+def test_a_root_below_the_float_range_is_refused():
+    """10^800 a^2 - 1 has the root 10^-400, which rounds to 0.0; 0 is never
+    a positive root, so it is refused as a root past the largest float
+    is. A subnormal root keeps its float."""
+    from admcdm.errors import InvalidProblem
+
+    with pytest.raises(InvalidProblem, match="float range"):
+        positive_roots(poly((-1, 0, 10**800)))
+    (root,) = positive_roots(poly((-2, 0, 10**640)))
+    assert 0 < root and abs(root - math.sqrt(2) * 1e-320) <= 5e-324
