@@ -43,7 +43,8 @@ A full pairwise set (one single-term statement per pair) whose search
 stays below _RELATION_CAP is derived pair by pair in the report's order
 and stops once SD4 has fired and _WITNESS_CAP witnesses are held: nothing
 later can change the report (at n = 6, after about 200 of 1,172
-relations). Other sets, and one that never settles, take the full search.
+relations); one that never settles adds its simple cycles, walked only
+above their smallest node. Other sets take the full search.
 """
 
 from __future__ import annotations
@@ -55,19 +56,15 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, factorial, perm
 
-from .errors import (
-    FullRank,
-    NonEquationPreference,
-    NonlinearPreferencePresent,
-    NonPositiveComponent,
-)
-from .linalg import general_solution, particular_positive
+from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
+from .linalg import null_vector
 from .model import (
     InequalityPreference,
     MonomialPreference,
     Problem,
-    assemble,
     canonicalize,
+    statement_rows,
+    unit_rows,
 )
 
 RATIO_BAND = 1e-9
@@ -142,9 +139,9 @@ def _adjacency(edges):
 def _walk(adjacency, n, max_depth, starts, keep, add=None, cut=None):
     """For each (start, goals) of starts, walk the simple paths from start,
     passing keep each one of two or more statements that ends at a node of
-    goals. With add, each cycle whose smallest node is start is added too;
-    cut is called where the depth cutoff leaves a statement of the node
-    unused."""
+    goals. With add, each cycle whose smallest node is start is added too
+    (with no goals, the walk keeps to the nodes above start); cut is called
+    where the depth cutoff leaves a statement of the node unused."""
 
     def walk(node, p, q, trail, visited, lowest, above):
         """Extend the path start..node; lowest: it may still close a cycle
@@ -166,9 +163,10 @@ def _walk(adjacency, n, max_depth, starts, keep, add=None, cut=None):
                 continue
             up = nxt in goals
             found = trail and up
+            low = lowest and nxt > start
             # a path past nxt derives something only if it can still close
             # a cycle at start, reach a goal, or meet the depth cutoff
-            onward = lowest and up or above - up > 0 or max_depth < n
+            onward = low or above - up > 0 or max_depth < n
             if not (found or onward):
                 continue
             here_p, here_q = p * kp, q * kq
@@ -178,8 +176,8 @@ def _walk(adjacency, n, max_depth, starts, keep, add=None, cut=None):
                 # no other walk step derives it
                 keep(start, nxt, here_p, here_q, path)
             if onward:
-                walk(nxt, here_p, here_q, path, visited | {nxt},
-                     lowest and up, above - up)
+                walk(nxt, here_p, here_q, path, visited | {nxt}, low,
+                     above - up)
 
     for start, goals in starts:
         walk(start, 1, 1, (), frozenset({start}), add is not None, len(goals))
@@ -366,8 +364,10 @@ def _pair(oriented, witnesses) -> str:
     return rule
 
 
-def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
-    """The report on _search's relations. Each ratio is read as the float
+def _report(relations, truncated: bool, det_ok: bool, strongest="",
+            witnesses=()) -> ClassificationReport:
+    """The report on _search's relations, after the rule strongest and the
+    witnesses of pairs read before them. Each ratio is read as the float
     p / q or q / p, correctly rounded as float(Fraction) is."""
     pairs = defaultdict(list)
     selves = []
@@ -380,8 +380,7 @@ def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
         else:
             pairs[(j, i)].append((q / p, r))
 
-    strongest = ""
-    witnesses = []
+    witnesses = list(witnesses)
     for _, oriented in sorted(pairs.items()):
         rule = _pair(oriented, witnesses)
         if _RANK[rule] > _RANK[strongest]:
@@ -431,11 +430,11 @@ def _complete_count(n: int):
 
 def _settled(n: int, edges, det_ok: bool):
     """_report on the full search of a set with one single-term statement
-    per criterion pair, read from its first pairs in the report's order,
-    each with its statement, then the paths walk(i) finds to j. Once SD4
-    has fired and _WITNESS_CAP witnesses are held, nothing later changes
-    the report. None for another shape, a search reaching a cap, or a
-    report the last pair leaves open."""
+    per criterion pair, read from its pairs in the report's order, each
+    with its statement, then the paths walk(i) finds to j, and then from
+    the simple cycles in the search's order. Once SD4 has fired and
+    _WITNESS_CAP witnesses are held, nothing later changes the report.
+    None for another shape or a search reaching a cap."""
     stated = {tuple(sorted(e[:2])): e for e in edges}
     if not len(stated) == len(edges) == comb(n, 2):
         return None
@@ -453,7 +452,10 @@ def _settled(n: int, edges, det_ok: bool):
             strongest = rule
         if strongest == "SD4" and len(witnesses) >= _WITNESS_CAP:
             return _finish(strongest, witnesses, False, det_ok)
-    return None
+    cycles = {}  # each is walked both ways; the search keeps the first
+    _walk(adjacency, n, n, [(start, ()) for start in range(n)], None,
+          lambda *r: cycles.setdefault(frozenset(r[4]), r))
+    return _report(cycles.values(), False, det_ok, strongest, witnesses)
 
 
 def _searched(n: int, depth: int, statements, det_ok: bool):
@@ -477,18 +479,15 @@ def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
     depth = _checked_depth(problem, max_depth)
     # refuses what the search cannot classify
     statements = _statements(problem)
-    # the exact test is the elimination that yields the solution family
+    # the exact test is the elimination that yields the solution, as in
+    # priority(); its secondary variables are positive
     try:
-        gs = general_solution(assemble(problem))
+        v, _ = null_vector(unit_rows(problem, statement_rows(problem)))
     except FullRank:
-        gs = None
-    det_ok = gs is not None
-    if det_ok and depth >= problem.criteria.n:
-        try:
-            particular_positive(gs)
-            return _SOLVED
-        except NonPositiveComponent:
-            pass
+        v = None
+    det_ok = v is not None
+    if det_ok and depth >= problem.criteria.n and min(v) > 0:
+        return _SOLVED
     return _searched(problem.criteria.n, depth, statements, det_ok)
 
 

@@ -1,17 +1,17 @@
 """Linear algebra for the solver: polynomial-entry determinants, numeric
-determinants and rank, and general solutions of dependent homogeneous
-systems.
+determinants and rank, null vectors and general solutions of dependent
+homogeneous systems.
 
 All exact work is one fraction-free Bareiss elimination over the integers,
-each row scaled to integers first (a float entry read as the Fraction of its
-binary value): the determinant is the signed last pivot, the rank the pivot
-count, and carried above the pivots it gives the exact reduced echelon form.
-A polynomial matrix is evaluated at deg + 1 integer points and its
-determinant recovered by Newton interpolation (von zur Gathen & Gerhard,
-Modern Computer Algebra, ch. 5); deg is the sum of the row degrees, so no
-intermediate outgrows the result. Floats appear only when an irrational
-discount is substituted; such rows are solved with partial pivoting and a
-relative rank tolerance.
+each row scaled to integers first (a float entry read as its binary value):
+the determinant is the signed last pivot, the rank the pivot count, and
+carried above the pivots it gives the reduced echelon form times the last
+pivot. null_vector keeps integer rows in integers; Fractions are built only
+for det_poly's and det_numeric's results and general_solution's
+coefficients. A polynomial determinant is interpolated from integer ones at
+deg + 1 points (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+Floats appear only when an irrational discount is substituted; such rows
+are solved with partial pivoting and a relative rank tolerance.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class PolyMatrix:
 def _integer_row(values):
     """values read exactly and scaled by the lcm of their denominators:
     (integers, scale)."""
-    exact = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in exact))
-    return [v.numerator * (scale // v.denominator) for v in exact], scale
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(d for _, d in ratios))
+    return [a * (scale // d) for a, d in ratios], scale
 
 
 def _bareiss(mat, reduced=False):
@@ -103,11 +103,23 @@ def _det(mat) -> int:
     return sign * mat[-1][-1] if len(pivots) == len(mat) else 0
 
 
+def det_coefficients(rows_at, deg: int) -> list:
+    """Integer coefficients, constant first, of det(rows_at(x)), an integer
+    polynomial of degree at most deg in x, from its values at 0..deg by
+    Newton interpolation: at points one apart its divided differences are
+    integers, so every division is exact."""
+    diffs = [_det(rows_at(x)) for x in range(deg + 1)]
+    for k in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    acc = []
+    for k in range(len(diffs) - 1, -1, -1):  # acc = acc * (x - k) + diffs[k]
+        acc = [lo - k * a for lo, a in zip([diffs[k]] + acc, acc + [0])]
+    return acc
+
+
 def det_poly(mat: PolyMatrix) -> Poly:
-    """Exact determinant over the polynomial ring: integer determinants at
-    the points 0..deg, then Newton interpolation. At points one apart the
-    divided differences of an integer polynomial are integers, so every
-    division is exact."""
+    """Exact determinant over the polynomial ring, by det_coefficients."""
     if mat.m != mat.n:
         raise NotSquare(f"determinant needs a square matrix, got {mat.m}x{mat.n}")
     rows, scale, deg = [], 1, 0
@@ -118,14 +130,8 @@ def det_poly(mat: PolyMatrix) -> Poly:
         scale *= s
         deg += max(e.degree for e in row)
     # a zero row leaves deg too small, but then every value is 0 anyway
-    diffs = [_det([[peval(e, x) for e in row] for row in rows])
-             for x in range(max(deg, 0) + 1)]
-    for k in range(1, len(diffs)):
-        for i in range(len(diffs) - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) // k
-    acc = []
-    for k in range(len(diffs) - 1, -1, -1):  # acc = acc * (x - k) + diffs[k]
-        acc = [lo - k * a for lo, a in zip([diffs[k]] + acc, acc + [0])]
+    acc = det_coefficients(
+        lambda x: [[peval(e, x) for e in row] for row in rows], max(deg, 0))
     return poly(Fraction(c, scale) for c in acc)
 
 
@@ -229,14 +235,33 @@ def general_solution(rows) -> GeneralSolution:
                            expressions=expressions)
 
 
-def particular_positive(gs: GeneralSolution):
-    """The solution with every secondary variable set to 1. Float
-    components at or below RANK_TOL times the largest one are rounding
-    noise around 0, not positive."""
-    v = gs.vector([Fraction(1)] * len(gs.secondary_vars))
-    floor = 0
-    if any(isinstance(c, float) for c in v):
-        floor = RANK_TOL * max(abs(c) for c in v)
+def null_vector(rows):
+    """(v, k): the solution of rows * x = 0 with its k secondary variables
+    at 1, or for exact rows, scaled to integers, at |d|, d the last Bareiss
+    pivot, so that v is integer; FullRank when only x = 0 solves it."""
+    n = len(rows[0])
+    if any(isinstance(e, float) for r in rows for e in r):
+        gs = general_solution(rows)
+        k = len(gs.secondary_vars)
+        return gs.vector([Fraction(1)] * k), k
+    mat = [_integer_row(r)[0] for r in rows]
+    pivots, _ = _bareiss(mat, reduced=True)
+    if len(pivots) == n:
+        raise FullRank(
+            "system has only the trivial solution; parameterize first")
+    d = mat[len(pivots) - 1][pivots[-1]] if pivots else 1
+    secondary = [c for c in range(n) if c not in pivots]
+    v = [abs(d)] * n
+    for row, p in zip(mat, pivots):
+        v[p] = -sum(row[c] for c in secondary) * (1 if d > 0 else -1)
+    return v, len(secondary)
+
+
+def positive(v):
+    """v, checked to be positive: float components at or below RANK_TOL
+    times the largest one are rounding noise around 0."""
+    floats = any(isinstance(c, float) for c in v)
+    floor = RANK_TOL * max(abs(c) for c in v) if floats else 0
     for comp in v:
         if not comp > floor:
             raise NonPositiveComponent(
@@ -244,3 +269,7 @@ def particular_positive(gs: GeneralSolution):
                 "with all secondary variables at 1")
     return v
 
+
+def particular_positive(gs: GeneralSolution):
+    """The solution with every secondary variable at 1, by positive()."""
+    return positive(gs.vector([Fraction(1)] * len(gs.secondary_vars)))

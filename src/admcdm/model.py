@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .errors import (
     InvalidProblem,
@@ -264,16 +264,13 @@ def canonicalize(pref):
     raise TypeError(f"cannot canonicalize {type(pref).__name__}")
 
 
-def assemble(problem: Problem):
-    """Rows of the homogeneous system, one per equation preference.
-
-    The row for subject i with terms a_j reads e_i - sum a_j e_j, so a
-    consistent set of statements makes the rows linearly dependent. Entries
-    are Fractions, also for float coefficients.
-    """
+def statement_rows(problem: Problem) -> tuple:
+    """Each equation preference x_s = alpha * c * sum a_j x_j as the integer
+    row (s, L, B), at alpha = p / q the row q * L * e_s - p * B: L > 0 a
+    common denominator of the c * a_j (a float read exactly), B_j = L c a_j."""
     n = problem.criteria.n
     rows = []
-    for pref in problem.preferences:
+    for pref, c in zip(problem.preferences, problem.binding.multipliers):
         if isinstance(pref, InequalityPreference):
             raise NonEquationPreference(
                 "inequalities have no row in the system matrix")
@@ -281,12 +278,39 @@ def assemble(problem: Problem):
             raise NonlinearPreferencePresent(
                 "monomial preferences do not assemble into a linear system")
         lin = canonicalize(pref)
-        row = [Fraction(0)] * n
-        row[lin.subject] = Fraction(1)
-        for j, c in lin.terms:  # a float coefficient is read exactly
-            row[j] = row[j] - Fraction(c)
-        rows.append(row)
-    return rows
+        cn, cd = c.as_integer_ratio()
+        ratios = [(j, a.as_integer_ratio()) for j, a in lin.terms]
+        scale = lcm(*(cd * d for _, (_, d) in ratios))
+        terms = [0] * n
+        for j, (a, d) in ratios:
+            terms[j] = cn * a * (scale // (cd * d))
+        rows.append((lin.subject, scale, tuple(terms)))
+    return tuple(rows)
+
+
+def row_at(row, p: int, q: int) -> list:
+    """The integer row (s, L, B) at alpha = p / q: q * L * e_s - p * B."""
+    s, scale, terms = row
+    return [q * scale if j == s else -p * b for j, b in enumerate(terms)]
+
+
+def unit_rows(problem: Problem, rows) -> list:
+    """The statement rows as written, each at alpha = 1 / its multiplier:
+    assemble()'s system in integers."""
+    return [row_at(r, *c.as_integer_ratio()[::-1])
+            for r, c in zip(rows, problem.binding.multipliers)]
+
+
+def assemble(problem: Problem):
+    """Rows of the homogeneous system, one per equation preference.
+
+    The row for subject i with terms a_j reads e_i - sum a_j e_j, so a
+    consistent set of statements makes the rows linearly dependent. Entries
+    are Fractions, also for float coefficients.
+    """
+    rows = statement_rows(problem)
+    return [[Fraction(x, r[s]) for x in r]
+            for r, (s, _, _) in zip(unit_rows(problem, rows), rows)]
 
 
 def make_cyclic_example(t) -> Problem:

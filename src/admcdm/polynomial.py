@@ -7,7 +7,8 @@ Root extraction reads the coefficients exactly (a float as the Fraction of
 its binary value), strips the factor alpha**k and clears the rest to a
 primitive integer polynomial. One gcd(p, p') modulo a large prime proves
 the usual polynomial square-free; only when it does not are square-free
-factors f_k of multiplicity k split off (Yun's algorithm), and each root of
+factors f_k of multiplicity k split off (Yun's algorithm, each gcd a
+primitive pseudo-remainder sequence over the integers), and each root of
 f_k is reported k times. A factor of degree 1 has its root read off as
 an exact Fraction. Other positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
@@ -80,102 +81,12 @@ def poly(coeffs) -> Poly:
 ZERO = poly(())
 
 
-def padd(a: Poly, b: Poly) -> Poly:
-    la, lb = a.coeffs, b.coeffs
-    if len(la) < len(lb):
-        la, lb = lb, la
-    out = list(la)
-    for i, c in enumerate(lb):
-        out[i] = out[i] + c
-    return poly(out)
-
-
-def pneg(a: Poly) -> Poly:
-    return Poly(tuple(-c for c in a.coeffs))
-
-
-def pmul(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + ca * cb
-    return poly(out)
-
-
-def pscale(a: Poly, s) -> Poly:
-    if s == 0:
-        return ZERO
-    return poly(tuple(c * s for c in a.coeffs))
-
-
 def peval(p: Poly, x) -> Scalar:
     """Horner evaluation; exact when both coefficients and x are exact."""
     acc = 0
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
-
-
-def pdiff(p: Poly) -> Poly:
-    return poly(tuple(k * c for k, c in enumerate(p.coeffs) if k > 0))
-
-
-def pdivmod(a: Poly, b: Poly):
-    """Euclidean division, exact for exact coefficients."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    quo = [0] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-    lead = Fraction(b.coeffs[-1])
-    db = len(b.coeffs) - 1
-    for k in range(len(rem) - 1, db - 1, -1):
-        q = rem[k] / lead
-        quo[k - db] = q
-        if q != 0:
-            for j, c in enumerate(b.coeffs):
-                rem[k - db + j] = rem[k - db + j] - q * c
-    return poly(quo), poly(rem[:db])
-
-
-def _monic(a: Poly) -> Poly:
-    return pscale(a, 1 / Fraction(a.coeffs[-1]))
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    # monic gcd; each remainder is made monic so that its coefficients
-    # stay small
-    while not b.is_zero():
-        a, b = _monic(b), pdivmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return _monic(a)
-
-
-def _square_free_factors(p: Poly) -> list:
-    """Yun's square-free factorization: pairs (k, f_k) with p a constant
-    times the product of the f_k**k, each f_k square-free and the f_k
-    pairwise coprime."""
-    dp = pdiff(p)
-    g = _pgcd(p, dp)
-    if g.degree < 1:
-        # square-free after all (the modular test in positive_roots can
-        # miss)
-        return [(1, p)]
-    b, c = pdivmod(p, g)[0], pdivmod(dp, g)[0]
-    out = []
-    k = 1
-    while b.degree >= 1:
-        d = padd(c, pneg(pdiff(b)))
-        a = _pgcd(b, d)
-        if a.degree >= 1:
-            out.append((k, a))
-        b, c = pdivmod(b, a)[0], pdivmod(d, a)[0]
-        k += 1
-    return out
 
 
 # The prime of the square-free test. Any prime that does not divide the
@@ -185,14 +96,64 @@ _PRIME = (1 << 61) - 1
 
 
 def _primitive(coeffs) -> list:
-    """The primitive integer polynomial with the roots of the rational
-    coefficients: denominators cleared and the content divided out. It is a
-    positive multiple of the input, so it has the same sign everywhere."""
-    fs = [Fraction(c) for c in coeffs]
-    den = lcm(*(c.denominator for c in fs))
-    ints = [c.numerator * (den // c.denominator) for c in fs]
-    g = gcd(*ints)
+    """The primitive integer polynomial, leading coefficient positive, with
+    the roots of the rational (or float) coefficients, the last nonzero."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = lcm(*(d for _, d in ratios))
+    ints = [c * (den // d) for c, d in ratios]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return [c // g for c in ints]
+
+
+def _gcd(a: list, b: list) -> list:
+    """gcd of the integer polynomials a != 0 and b, primitive with a
+    positive leading coefficient: the primitive pseudo-remainder sequence."""
+    while b:
+        b = _primitive(b)
+        lead = b[-1] ** max(len(a) - len(b) + 1, 0)
+        a, b = b, _divmod([lead * c for c in a], b)[1]
+    return _primitive(a)
+
+
+def _divmod(a: list, b: list):
+    """(q, r) with a = q * b + r for integer polynomials whose quotient q
+    is integral: b primitive dividing a over Q (Gauss), or a multiplied by
+    lead(b) ** (deg a - deg b + 1) (pseudo-division)."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] // b[-1]
+        for j, x in enumerate(b):
+            a[k + j] -= c * x
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def _derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _square_free_factors(a: list) -> list:
+    """Yun's square-free factorization of the primitive integer polynomial
+    a, in ints alone: pairs (k, f_k) with a a constant times the product of
+    the f_k**k, each f_k primitive and square-free, pairwise coprime."""
+    da = _derivative(a)
+    g = _gcd(a, da)
+    if len(g) < 2:  # the modular test in positive_roots can miss
+        return [(1, a)]
+    b, c, k, out = _divmod(a, g)[0], _divmod(da, g)[0], 1, []
+    while len(b) >= 2:
+        d = c + [0] * (len(b) - 1 - len(c))  # d = c - b'
+        for i, x in enumerate(_derivative(b)):
+            d[i] -= x
+        while d and d[-1] == 0:
+            d.pop()
+        f = _gcd(b, d)
+        if len(f) >= 2:
+            out.append((k, f))
+        b, c, k = _divmod(b, f)[0], _divmod(d, f)[0], k + 1
+    return out
 
 
 def _square_free_mod(a: list) -> bool:
@@ -321,20 +282,10 @@ def _isolate(a: list):
         if right[0] == 0:
             exact.append(scale * Fraction(c + 1, 1 << k))
             right = right[1:]
-            left = _deflate_at_one(left)
+            left = _divmod(left, [-1, 1])[0]  # divided by x - 1
         stack.append((c, k, left))
         stack.append((c + 1, k, right))
     return exact, intervals
-
-
-def _deflate_at_one(a: list) -> list:
-    """a(x) / (x - 1), for a with a(1) = 0 (synthetic division)."""
-    out = [0] * (len(a) - 1)
-    acc = 0
-    for i in range(len(a) - 1, 0, -1):
-        acc += a[i]
-        out[i - 1] = acc
-    return out
 
 
 def _refine(a: list, lo: int, hi: int, q: int):
@@ -350,8 +301,7 @@ def _refine(a: list, lo: int, hi: int, q: int):
     that is the root is returned exactly. A root past the largest float,
     or one that rounds to 0.0, has no float and raises InvalidProblem.
     """
-    s = _homogeneous(a, hi, q) or -_homogeneous(
-        [i * c for i, c in enumerate(a)][1:], hi, q)
+    s = _homogeneous(a, hi, q) or -_homogeneous(_derivative(a), hi, q)
     top = q * int(float_info.max)
     if hi > top:  # bring hi / q into the float range
         v = _homogeneous(a, top, q) if lo < top else None
@@ -406,17 +356,14 @@ def positive_roots(p: Poly) -> list:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    cs = [Fraction(c) for c in p.coeffs]
+    cs = list(p.coeffs)
     while cs[0] == 0:  # factor out alpha^k; 0 is never a reported root
         cs.pop(0)
     if len(cs) < 2:
         return []
     ints = _primitive(cs)
-    if _square_free_mod(ints):
-        factors = [(1, ints)]
-    else:
-        factors = [(k, _primitive(f.coeffs))
-                   for k, f in _square_free_factors(poly(cs))]
+    factors = ([(1, ints)] if _square_free_mod(ints)
+               else _square_free_factors(ints))
     roots = []
     for k, ints in factors:
         if len(ints) == 2:

@@ -87,10 +87,12 @@ def fmt(value, digits: int = 12) -> str:
 
 
 def normalize(v) -> PriorityVector:
-    """The positive vector v scaled to unit sum."""
+    """The positive vector v scaled to unit sum; integers give Fractions."""
     vals = list(v)
     for x in vals:
         if not x > 0:
             raise NonPositiveComponent("can only normalize a positive vector")
     total = sum(vals)
+    if isinstance(total, int):
+        return tuple(Fraction(x, total) for x in vals)
     return tuple(x / total for x in vals)

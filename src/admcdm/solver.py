@@ -1,26 +1,26 @@
 """The discounting pipeline: parameterize the system, solve the parametric
 determinant equation, pick the discount, and produce the priority vector.
 
-The assembled system is eliminated once: if its rank is below n the
-statements are consistent, the discount is 1 and the same elimination's
-general solution gives the priority vector. Otherwise each statement's
-right-hand side is scaled by its multiplier times the shared base
-parameter, the core determinant becomes an exact polynomial whose positive
-root fixes the parameter, and the core's null space at that root, again
-eliminated once, gives the priority vector. A preference outside the core
-gets its own parameter beta: with the core's one null vector v, its row
-const + beta * slope must be orthogonal to v, so
-beta = -(const . v) / (slope . v), the value at which every auxiliary
-determinant it forms with core rows vanishes. The consistency
-degree is min(alpha, 1/alpha): a discount far below 1 or an amplification
-far above it both signal statements that had to be bent a long way to
-agree.
+Each equation statement is read once into the integer row (s, L, B) that
+at alpha = p / q is q * L * e_s - p * B (model.statement_rows); every exact
+stage runs on these ints. The rows as written are eliminated once: rank
+below n means consistent statements, discount 1 and, from the same
+elimination, the priority vector. Otherwise a positive root of the core
+determinant, an integer polynomial in alpha, fixes the parameter, and the
+core's null vector v there gives the priority vector. A preference outside
+the core gets its own parameter beta = L * v_s / (B . v), at which every
+auxiliary determinant its row forms with core rows vanishes. The
+consistency degree is min(alpha, 1/alpha). Fractions are built only for
+reported values: the equation, alpha, the betas and the vector. An
+irrational alpha is a float, and so are the core rows at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .classification import ClassificationReport, _classify_solved
 from .errors import (
@@ -29,39 +29,42 @@ from .errors import (
     InconsistentExtraParams,
     InvalidProblem,
     NoPositiveRoot,
-    NonEquationPreference,
-    NonlinearPreferencePresent,
 )
 from .linalg import (  # CONSISTENT_DET_TOL is re-exported
     CONSISTENT_DET_TOL,
     PolyMatrix,
+    det_coefficients,
     det_poly,
-    general_solution,
-    particular_positive,
+    null_vector,
+    positive,
 )
 from .model import (
     InequalityPreference,
     MonomialPreference,
     ParamBinding,
     Problem,
-    assemble,
     canonicalize,
+    row_at,
+    statement_rows,
+    unit_rows,
 )
-from .polynomial import Poly, ZERO, peval, poly, positive_roots
+from .polynomial import Poly, poly, positive_roots
 from .scalars import PriorityVector, Scalar, normalize
 
 @dataclass(frozen=True)
 class ParamSystem:
-    """Homogeneous system with parameterized right-hand coefficients.
+    """Homogeneous system with parameterized right-hand coefficients: rows
+    from statement_rows(), and matrix, the same rows over polynomials (the
+    subject entry 1, a term coefficient a as -a * c_i * alpha)."""
 
-    Row i belongs to preference i; the subject entry is the constant 1 and a
-    term coefficient a becomes the degree-1 polynomial -a * c_i * alpha.
-    Evaluating every row at alpha = 1 under all-ones multipliers recovers
-    the plain assembled matrix.
-    """
-
-    matrix: PolyMatrix
+    rows: tuple
     binding: ParamBinding
+
+    @cached_property
+    def matrix(self) -> PolyMatrix:
+        return PolyMatrix(tuple(tuple(
+            poly((1,) if j == s else (0, Fraction(-b, scale)) if b else ())
+            for j, b in enumerate(terms)) for s, scale, terms in self.rows))
 
 
 @dataclass(frozen=True)
@@ -96,43 +99,42 @@ class AlphaSolution:
     discharged: bool = False
 
 
+_CONSISTENT = AlphaSolution(roots=(Fraction(1),), alpha=Fraction(1),
+                            consistency=Fraction(1), inconsistency=Fraction(0))
+
+
 def _consistency_of(alpha) -> Scalar:
     return alpha if alpha <= 1 else 1 / alpha
 
 
 def parameterize(problem: Problem) -> ParamSystem:
-    n = problem.criteria.n
-    rows = []
-    for pos, pref in enumerate(problem.preferences):
-        if isinstance(pref, MonomialPreference):
-            raise NonlinearPreferencePresent(
-                "monomial preferences take the nonlinear route")
-        if isinstance(pref, InequalityPreference):
-            raise NonEquationPreference(
-                "inequalities cannot be parameterized")
-        lin = canonicalize(pref)
-        c = problem.binding.multipliers[pos]
-        row = [ZERO] * n
-        row[lin.subject] = poly((1,))
-        for j, a in lin.terms:  # a float coefficient is read exactly
-            row[j] = poly((0, -Fraction(a) * Fraction(c)))
-        rows.append(tuple(row))
-    return ParamSystem(PolyMatrix(tuple(rows)), problem.binding)
+    return ParamSystem(statement_rows(problem), problem.binding)
 
 
-def parametric_equation(ps: ParamSystem) -> Poly:
-    """Determinant of the core rows as a polynomial in the base parameter."""
-    core = ps.binding.core_mask
-    n = ps.matrix.n
+def _equation(ps: ParamSystem, integer: bool = True) -> Poly:
+    """The core determinant as a polynomial in the base parameter: from the
+    integer core rows at alpha = 0..n, or by det_poly on ps.matrix."""
+    core, n = ps.binding.core_mask, len(ps.rows[0][2])
     if len(core) != n:
         raise InvalidProblem(
             f"the core must contain exactly {n} preferences, got {len(core)}")
-    d = det_poly(PolyMatrix(tuple(ps.matrix.entries[i] for i in core)))
+    if integer:
+        rows = [ps.rows[i] for i in core]
+        scale = prod(r[1] for r in rows)
+        d = poly(Fraction(c, scale) for c in det_coefficients(
+            lambda x: [row_at(r, x, 1) for r in rows], n))
+    else:
+        d = det_poly(PolyMatrix(tuple(ps.matrix.entries[i] for i in core)))
     if d.is_zero():
         raise DegenerateCore(
             "core determinant vanishes identically; every parameter value "
             "leaves the core dependent, so no parametric equation exists")
     return d
+
+
+def parametric_equation(ps: ParamSystem) -> Poly:
+    """Determinant of the core rows as a polynomial in the base parameter."""
+    return _equation(ps, integer=False)
 
 
 def _choose_root(roots):
@@ -144,90 +146,87 @@ def _choose_root(roots):
     return best[1]
 
 
-def _core_solution(ps: ParamSystem, alpha):
-    """General solution of the core rows at alpha."""
-    return general_solution([[peval(e, alpha) for e in ps.matrix.entries[i]]
-                             for i in ps.binding.core_mask])
+def _core_vector(ps: ParamSystem, alpha):
+    """null_vector() of the core rows at alpha, floats at a float alpha."""
+    rows = [ps.rows[i] for i in ps.binding.core_mask]
+    if isinstance(alpha, float):
+        return null_vector([[1.0 if j == s else -b / scale * alpha if b else 0
+                             for j, b in enumerate(terms)]
+                            for s, scale, terms in rows])
+    p, q = alpha.as_integer_ratio()
+    return null_vector([row_at(r, p, q) for r in rows])
 
 
 def _solve_extras(ps: ParamSystem, alpha):
-    """Each extra preference's own parameter beta, and the core's general
-    solution at alpha it was read from (None when there is no extra
-    preference). Only its row carries beta, and every auxiliary determinant
-    it forms with n - 1 core rows is a multiple of that row dotted with the
-    core's null vector v, so the row const + beta * slope fixes
-    beta = -(const . v) / (slope . v)."""
+    """Each extra preference's own parameter beta, and the core's null
+    vector v at alpha it was read from (None without extra preferences)."""
     core = set(ps.binding.core_mask)
-    extras = [i for i in range(ps.matrix.m) if i not in core]
+    extras = [i for i in range(len(ps.rows)) if i not in core]
     if not extras:
         return (), None
     try:
-        gs = _core_solution(ps, alpha)
+        v, free = _core_vector(ps, alpha)
     except FullRank:
-        gs = None
-    if gs is None or len(gs.secondary_vars) != 1:
+        free = 0
+    if free != 1:
         raise InconsistentExtraParams(
             "the core needs exactly one null vector at the chosen parameter "
             "to fix the parameters of the remaining preferences")
-    v = gs.vector([Fraction(1)])
-    out = []
+    out, fl = [], isinstance(alpha, float)
     for pos in extras:
-        # entries are constants or multiples of beta (degree <= 1)
-        const, slope = zip(*((e.coeffs + (0, 0))[:2]
-                             for e in ps.matrix.entries[pos]))
-        c0 = sum(a * x for a, x in zip(const, v))
-        c1 = sum(a * x for a, x in zip(slope, v))
-        if c1 == 0 or not -c0 / c1 > 0:
+        s, scale, terms = ps.rows[pos]
+        # every auxiliary determinant is a multiple of the row dotted with
+        # v; a float alpha takes the float steps of ps.matrix's row
+        den = sum((b / scale if fl else b) * x for b, x in zip(terms, v) if b)
+        beta = den and (v[s] / den if fl else Fraction(scale * v[s], den))
+        if not beta > 0:
             raise InconsistentExtraParams(
                 f"auxiliary determinant for preference {pos + 1} "
                 "admits no positive parameter")
-        out.append((pos, -c0 / c1))
-    return tuple(out), gs
+        out.append((pos, beta))
+    return tuple(out), v
 
 
-def _solve(ps: ParamSystem, policy):
-    """solve_alpha's result, and the core's general solution at alpha when
-    the extra preferences needed it (else None)."""
-    if policy is None:
-        policy = ConsistencyPolicy()
-    equation = parametric_equation(ps)
+def _solve(ps: ParamSystem, policy, equation):
+    """solve_alpha's result from the core's equation, and the core's null
+    vector at alpha when the extra preferences needed it (else None)."""
+    policy = policy or ConsistencyPolicy()
     roots = tuple(positive_roots(equation))
     if not roots:
         raise NoPositiveRoot(
             f"parametric equation {equation} has no positive root")
     alpha = _choose_root(roots)
-    extras, gs = _solve_extras(ps, alpha)
+    extras, v = _solve_extras(ps, alpha)
     c = _consistency_of(alpha)
     return AlphaSolution(
         roots=roots, alpha=alpha, consistency=c, inconsistency=1 - c,
         extra_params=extras, discharged=float(c) < float(policy.threshold_c),
-    ), gs
+    ), v
 
 
 def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolution:
-    return _solve(ps, policy)[0]
+    return _solve(ps, policy, parametric_equation(ps))[0]
 
 
 def priority(problem: Problem, policy: ConsistencyPolicy = None):
     """Full pipeline: returns (priority vector, AlphaSolution, report)."""
+    rows = statement_rows(problem)
     # the consistency test is the elimination that yields the vector
     try:
-        gs = general_solution(assemble(problem))
+        v, _ = null_vector(unit_rows(problem, rows))
     except FullRank:
-        gs = None
-    consistent = gs is not None
+        v = None
+    consistent = v is not None
     if consistent:
-        one = Fraction(1)
-        solution = AlphaSolution(roots=(one,), alpha=one, consistency=one,
-                                 inconsistency=Fraction(0))
+        solution = _CONSISTENT
     else:
         # the extra rows hold at their parameters, so the core's null
         # space is the whole system's
-        ps = parameterize(problem)
-        solution, gs = _solve(ps, policy)
-        if gs is None:  # no extra preference eliminated the core yet
-            gs = _core_solution(ps, solution.alpha)
-    pv = normalize(particular_positive(gs))
+        ps = ParamSystem(rows, problem.binding)
+        solution, v = _solve(ps, policy, _equation(ps))
+        if v is None:  # no extra preference eliminated the core yet
+            v, _ = _core_vector(ps, solution.alpha)
+    pv = normalize(positive(v))
     # a consistent set got here only with its positive vector
     report = _classify_solved(problem, solved=consistent)
     return pv, solution, report

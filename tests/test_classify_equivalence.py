@@ -7,9 +7,10 @@ relation caps, and float coefficients (read exactly), and the full
 reports (label, witnesses in order, rule, det_agrees, depth_exceeded) and
 derived relations must be equal. A set that one positive vector solves as
 written is labelled without a search; where the reference search is not
-truncated its report is the same. A full pairwise set is read from its
-first criterion pairs when they settle the report; the caps and the set's
-shape decide whether it may be, and the result must not differ.
+truncated its report is the same. A full pairwise set is read pair by
+pair, then from its cycles when the pairs do not settle the report; the
+caps and the set's shape decide whether it may be, and the result must not
+differ.
 """
 
 import random
@@ -172,7 +173,7 @@ def full_searches(monkeypatch):
 
 def assert_settled(problem, monkeypatch, settled=True):
     """classify equals the reference, and runs the full search only when
-    the first pairs do not settle the report."""
+    the set's shape or caps rule out reading it pair by pair."""
     report = assert_same(problem)
     calls = full_searches(monkeypatch)
     assert classify(problem) == report
@@ -202,12 +203,28 @@ def test_statement_order_and_orientation(monkeypatch):
         monkeypatch.undo()
 
 
-def test_complete_set_without_sd4_takes_the_full_search(monkeypatch):
-    # every pair's derivations stay on one side of 1: WD1, never settled
+def test_complete_set_without_sd4_is_finished_from_its_pairs(monkeypatch):
+    # every pair's derivations stay on one side of 1: WD1, never settled,
+    # yet the pairs already walked give the report without a full search
     problem = pairwise(5, 8, False)
-    report = assert_settled(problem, monkeypatch, settled=False)
+    report = assert_settled(problem, monkeypatch)
     assert report.rule_fired == "WD1"
     assert len(report.witnesses) == classify_module._WITNESS_CAP
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unsettled_complete_set_adds_its_cycles(seed, monkeypatch):
+    # with room for every witness the pairs leave some for the cycles: the
+    # WD3 witnesses follow the pairs' in the full search's order
+    monkeypatch.setattr(classify_module, "_WITNESS_CAP", 1000)
+    base = pairwise(5, seed, True)
+    (j, c), = base.preferences[0].terms
+    prefs = (LinearPreference(base.preferences[0].subject, ((j, 2 * c),)),
+             *base.preferences[1:])
+    report = assert_settled(Problem(base.criteria, prefs), monkeypatch)
+    rules = [w[0] for w in report.witnesses]
+    assert report.rule_fired == "SD4" and len(rules) < 1000
+    assert rules[-15:] == ["WD3"] * 15 and "WD3" not in rules[:-15]
 
 
 @pytest.mark.parametrize("cap", [1, 3, 4])

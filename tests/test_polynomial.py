@@ -15,17 +15,7 @@ from fractions import Fraction
 import pytest
 
 from admcdm.errors import ZeroPolynomial
-from admcdm.polynomial import (
-    Poly,
-    padd,
-    pdiff,
-    pdivmod,
-    peval,
-    pmul,
-    poly,
-    positive_roots,
-    pscale,
-)
+from admcdm.polynomial import Poly, peval, poly, positive_roots
 
 from conftest import assert_roots_match_sympy
 
@@ -37,6 +27,16 @@ def _random_poly(max_degree: int = 5) -> Poly:
     coeffs = [Fraction(RNG.randint(-9, 9), RNG.randint(1, 9)) for _ in range(degree)]
     coeffs.append(Fraction(RNG.randint(1, 9), RNG.randint(1, 9)))
     return poly(tuple(coeffs))
+
+
+def pmul(a: Poly, b: Poly) -> Poly:
+    """The product, expanded here so that no oracle shares the solver's
+    code."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return poly(out)
 
 
 def _from_roots(roots, lead=Fraction(1)) -> Poly:
@@ -60,19 +60,6 @@ def test_degree_forty_roots_found_exactly():
     assert positive_roots(p) == list(range(1, 41))
 
 
-def test_ring_axioms_on_random_polys():
-    for _ in range(200):
-        a, b, c = _random_poly(), _random_poly(), _random_poly()
-        add, mul = padd, pmul
-        assert add(a, b) == add(b, a)
-        assert mul(a, b) == mul(b, a)
-        assert add(add(a, b), c) == add(a, add(b, c))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        left = mul(a, add(b, c))
-        right = add(mul(a, b), mul(a, c))
-        assert left == right
-
-
 def test_eval_matches_naive_power_sum():
     for _ in range(100):
         p = _random_poly()
@@ -81,26 +68,6 @@ def test_eval_matches_naive_power_sum():
             (c * x**k for k, c in enumerate(p.coeffs)), start=Fraction(0)
         )
         assert peval(p, x) == naive
-
-
-def test_division_identity():
-    for _ in range(100):
-        a = _random_poly(6)
-        b = _random_poly(3)
-        if not b.coeffs:
-            continue
-        q, r = pdivmod(a, b)
-        recomposed = padd(pmul(q, b), r)
-        assert recomposed == a
-        assert len(r.coeffs) < len(b.coeffs) or not r.coeffs
-
-
-def test_derivative_of_product_rule():
-    for _ in range(50):
-        a, b = _random_poly(4), _random_poly(4)
-        lhs = pdiff(pmul(a, b))
-        rhs = padd(pmul(pdiff(a), b), pmul(a, pdiff(b)))
-        assert lhs == rhs
 
 
 def test_zero_polynomial_rejected():
@@ -240,8 +207,7 @@ class TestOpenIntervals:
     def test_clustered_pair_gives_two_distinct_roots(self):
         # Mignotte-style x^8 - 2 (10 x - 1)^2: two roots within 1.5e-5 of
         # 1/10, and one near 2.38
-        p = padd(poly((0,) * 8 + (1,)),
-                 pscale(pmul(poly((-1, 10)), poly((-1, 10))), -2))
+        p = poly((-2, 40, -200, 0, 0, 0, 0, 0, 1))
         found = positive_roots(p)
         assert len(found) == 3
         assert found[0] < Fraction(1, 10) < found[1]

@@ -26,6 +26,7 @@ from admcdm.model import (
     CriteriaSet,
     LinearPreference,
     Problem,
+    canonicalize,
     make_cyclic_example,
 )
 from admcdm.parser import parse_problem
@@ -588,7 +589,8 @@ class TestCorpusInvariants:
                 assert abs(float(factor) - float(want)) <= 1e-9, name
 
 
-NUMERIC_ENTRY_POINTS = ("det_numeric", "rank", "general_solution")
+NUMERIC_ENTRY_POINTS = ("det_numeric", "rank", "general_solution",
+                        "null_vector")
 
 
 @pytest.fixture
@@ -643,3 +645,99 @@ class TestEliminatedOnce:
 
         assert classify(pairwise(6, 0, True)).label is Label.CONSISTENT
         assert eliminations["calls"] == 1
+
+
+PLANTED_N7_S5 = """criteria: C0 C1 C2 C3 C4 C5 C6
+pref: C0 = 3/14 C6
+pref: C1 = 1/2 C3
+pref: C2 = 2/3 C0
+pref: C3 = 1/2 C1
+pref: C4 = 1/16 C5 + 1/16 C6
+pref: C5 = 1/14 C6
+pref: C6 = 7/6 C0
+"""
+
+
+def sympy_core(pr, alpha):
+    """The core rows of pr at alpha, and every statement's row as a
+    function of its own parameter, as sympy matrices."""
+    import sympy
+
+    n = pr.criteria.n
+
+    def row(pos, a):
+        lin = canonicalize(pr.preferences[pos])
+        c = sympy.Rational(str(pr.binding.multipliers[pos]))
+        out = [0] * n
+        out[lin.subject] = 1
+        for j, k in lin.terms:
+            out[j] = -a * c * sympy.Rational(str(k))
+        return out
+
+    core = sympy.Matrix([row(i, alpha) for i in pr.binding.core_mask])
+    return core, row
+
+
+class TestIntegerPath:
+    """The integer statement rows against known values and an independent
+    sympy oracle."""
+
+    def test_core_with_several_free_variables_keeps_its_vector(self):
+        from admcdm.linalg import null_vector
+        from admcdm.model import row_at, statement_rows
+
+        pr = parse_problem(PLANTED_N7_S5)
+        pv, sol, _ = priority(pr)
+        assert sol.roots == (Fraction(2), Fraction(2))
+        assert sol.alpha == 2 and sol.extra_params == ()
+        assert pv == (Fraction(1, 10), Fraction(7, 30), Fraction(2, 15),
+                      Fraction(7, 30), Fraction(1, 30), Fraction(1, 30),
+                      Fraction(7, 30))
+        # two free variables, both at 1: a one-column kernel would not do
+        _, free = null_vector([row_at(r, 2, 1) for r in statement_rows(pr)])
+        assert free == 2
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_pairwise_sets_match_a_sympy_null_space(self, n):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for seed in range(3):
+            pr = pairwise(n, seed, False)
+            pv, sol, _ = priority(pr)
+            assert isinstance(sol.alpha, Fraction)
+            core, row = sympy_core(pr, x)
+            written = sympy.Matrix([row(i, 1) for i in range(len(
+                pr.preferences))])
+            if written.rank() < n:  # consistent as written
+                (v,) = written.nullspace()
+                assert sol.alpha == 1 and sol.extra_params == ()
+                assert pv == tuple(Fraction(str(c)) for c in v / sum(v))
+                continue
+            roots = sorted(r for r in sympy.roots(
+                sympy.Poly(core.det(), x), multiple=True)
+                if r.is_real and r > 0)
+            assert [Fraction(str(r)) for r in roots] == list(sol.roots)
+            alpha = sympy.Rational(str(sol.alpha))
+            (v,) = core.subs(x, alpha).nullspace()
+            v = v / sum(v)
+            assert pv == tuple(Fraction(str(c)) for c in v)
+            b = sympy.Symbol("b")
+            for pos, beta in sol.extra_params:
+                (want,) = sympy.solve(sympy.Matrix([row(pos, b)]).dot(v), b)
+                assert beta == Fraction(str(want))
+            assert len(sol.extra_params) == len(pr.preferences) - n
+
+    def test_irrational_alpha_keeps_its_float_vector_bit_for_bit(self):
+        pv, sol, _ = priority(parse_problem(
+            "criteria: a b c\npref: a = 2 b\npref: b = 3 c\npref: c = 5 a\n"))
+        assert sol.alpha == 0.32182979486854324
+        assert pv == (0.24022493352186666, 0.3732173610898744,
+                      0.3865577053882589)
+        # an extra statement's beta at an irrational alpha
+        pv, sol, _ = priority(parse_problem(
+            "criteria: a b c d\npref: a = 2 b\npref: b = 3 c\n"
+            "pref: c = 5/7 d\npref: d = 1.5 a\npref: a = 4 c\n"))
+        assert sol.alpha == 0.628016973395869
+        assert sol.extra_params == ((4, 0.5916079783099616),)
+        assert pv == (0.31637966364963993, 0.25188782871495,
+                      0.1336948094215351, 0.29803769821387494)
