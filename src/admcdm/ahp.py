@@ -136,10 +136,12 @@ def build_ahp_matrix(problem: Problem) -> AhpMatrix:
 def ahp_priority(m: AhpMatrix) -> AhpResult:
     """Principal eigenpair from the exact characteristic polynomial.
 
-    det(A - lambda I) is built by the integer determinant path of
-    ``linalg.det_poly``. Its largest positive root is lambda_max: for a
-    positive matrix that is the Perron root, which is simple (Saaty, The
-    Analytic Hierarchy Process, 1980). So lambda_max I - A has rank n - 1,
+    det(A - lambda I), each row of A scaled to integers, is interpolated
+    from integer determinants at lambda = 0..n by
+    ``linalg.det_coefficients``, as the discount parameter's equation is.
+    Its largest positive root is lambda_max: for a positive matrix that is
+    the Perron root, which is simple (Saaty, The Analytic Hierarchy
+    Process, 1980). So lambda_max I - A has rank n - 1,
     and each column of its adjugate is a positive eigenvector; the first
     one is taken, its cofactors exact determinants at the Fraction of
     lambda_max, so no entry is too small next to another to count. Both
@@ -148,14 +150,16 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     lambda_max is the correctly rounded float and each vector component
     the float nearest to its value at it.
     """
-    from .linalg import PolyMatrix, det_numeric, det_poly
+    from .linalg import _integer_row, det_coefficients, det_numeric
     from .polynomial import poly, positive_roots
 
     a, n = m.entries, m.n
-    char = det_poly(PolyMatrix(tuple(
-        tuple(poly((a[i][j], -1) if i == j else (a[i][j],)) for j in range(n))
-        for i in range(n))))
-    lam = positive_roots(char)[-1]
+    # the product of the row scales times det(A - x I): the same roots
+    scaled = [_integer_row(row) for row in a]
+    char = det_coefficients(lambda x: [
+        [c - scale * x if i == j else c for j, c in enumerate(ints)]
+        for i, (ints, scale) in enumerate(scaled)], n)
+    lam = positive_roots(poly(char))[-1]
     # the rows of lambda_max I - A but the first; a float is read exactly
     rows = [[Fraction(lam) - 1 if i == j else -a[i][j] for j in range(n)]
             for i in range(1, n)]

@@ -20,10 +20,10 @@ Consistent: if no rule fired it is WeakInconsistent with no rule.
 
 A set that one positive vector w solves as written needs no search: every
 derivation of a pair (i, j) has the ratio w_i / w_j and every
-self-relation the ratio 1, so no rule can fire and the full-depth search
-would find the set Consistent. When the exact test passes and the solution
-with every free variable at 1 is positive, that report is returned without
-deriving anything; only a depth below n still walks.
+self-relation the ratio 1, so no rule can fire and the search would find
+the set Consistent. When the exact test passes and the solution with every
+free variable at 1 is positive, that report is returned without deriving
+anything.
 
 Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds time as well as
@@ -99,12 +99,13 @@ class ClassificationReport:
     witnesses: tuple       # (rule, relation, other relation or None)
     rule_fired: str        # strongest rule observed, or "" when consistent
     det_agrees: bool
-    depth_exceeded: bool
+    depth_exceeded: bool   # derivation stopped at _RELATION_CAP relations
 
 
 class _Settled(Exception):
-    """The relation list is full and marked truncated: walking further can
-    change neither, so derivation stops."""
+    """A derivation was attempted with the relation list full: the result
+    is truncated, walking further can change nothing, so derivation
+    stops."""
 
 
 def _statements(problem: Problem):
@@ -136,21 +137,16 @@ def _adjacency(edges):
     return adjacency
 
 
-def _walk(adjacency, n, max_depth, starts, keep, add=None, cut=None):
+def _walk(adjacency, starts, keep, add=None):
     """For each (start, goals) of starts, walk the simple paths from start,
     passing keep each one of two or more statements that ends at a node of
     goals. With add, each cycle whose smallest node is start is added too
-    (with no goals, the walk keeps to the nodes above start); cut is called
-    where the depth cutoff leaves a statement of the node unused."""
+    (with no goals, the walk keeps to the nodes above start)."""
 
     def walk(node, p, q, trail, visited, lowest, above):
         """Extend the path start..node; lowest: it may still close a cycle
         (start is its smallest node), above: how many goals it has not
         visited."""
-        if len(trail) >= max_depth:
-            if any(pos not in trail for *_, pos in adjacency[node]):
-                cut()
-            return
         for nxt, kp, kq, pos in adjacency[node]:
             if pos in trail:
                 continue
@@ -165,8 +161,8 @@ def _walk(adjacency, n, max_depth, starts, keep, add=None, cut=None):
             found = trail and up
             low = lowest and nxt > start
             # a path past nxt derives something only if it can still close
-            # a cycle at start, reach a goal, or meet the depth cutoff
-            onward = low or above - up > 0 or max_depth < n
+            # a cycle at start or reach a goal
+            onward = low or above - up > 0
             if not (found or onward):
                 continue
             here_p, here_q = p * kp, q * kq
@@ -183,29 +179,24 @@ def _walk(adjacency, n, max_depth, starts, keep, add=None, cut=None):
         walk(start, 1, 1, (), frozenset({start}), add is not None, len(goals))
 
 
-def _search(n: int, edges, multi, max_depth: int):
+def _search(n: int, edges, multi):
     """All derived relations from _statements' edges and multi-term
     statements, as tuples (i, j, p, q, trail) with the ratio p / q
     unreduced, plus a flag for truncated exploration.
 
-    Once _RELATION_CAP relations are held, any further derivation attempt or
-    depth cutoff marks the result truncated and ends the walk; the relations
-    and the flag are those an exhaustive walk would report.
+    Once _RELATION_CAP relations are held, any further derivation attempt
+    marks the result truncated and ends the walk; the relations and the
+    flag are those an exhaustive walk would report.
     """
     adjacency = _adjacency(edges)
     relations = []
     seen = set()
-    truncated = False
 
     def keep(i, j, p, q, trail):
         """Record a relation no earlier derivation has produced."""
-        nonlocal truncated
         if len(relations) >= _RELATION_CAP:
-            truncated = True
             raise _Settled
         relations.append((i, j, p, q, trail))
-        if truncated and len(relations) >= _RELATION_CAP:
-            raise _Settled
 
     def add(i, j, p, q, trail):
         """keep() unless the pair was derived through the same statements;
@@ -215,12 +206,6 @@ def _search(n: int, edges, multi, max_depth: int):
             return
         seen.add(key)
         keep(i, j, p, q, trail)
-
-    def cut():
-        nonlocal truncated
-        truncated = True
-        if len(relations) >= _RELATION_CAP:
-            raise _Settled
 
     def substitute():
         pool = defaultdict(list)
@@ -250,38 +235,28 @@ def _search(n: int, edges, multi, max_depth: int):
     try:
         for a, b, p, q, pos in edges:
             add(a, b, p, q, (pos,))
-        _walk(adjacency, n, max_depth,
-              [(start, range(start + 1, n)) for start in range(n)], keep, add,
-              cut)
+        _walk(adjacency, [(start, range(start + 1, n)) for start in range(n)],
+              keep, add)
         if multi:
             substitute()
     except _Settled:
-        pass
-    return relations, truncated
-
-
-def _checked_depth(problem: Problem, max_depth):
-    if max_depth is None:
-        return problem.criteria.n
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    return max_depth
+        return relations, True
+    return relations, False
 
 
 def _relation(i, j, p, q, trail) -> DerivedRelation:
     return DerivedRelation(i, j, Fraction(p, q), trail)
 
 
-def _derive(problem: Problem, max_depth: int):
+def _derive(problem: Problem):
     """_search with each relation as a DerivedRelation."""
-    relations, truncated = _search(problem.criteria.n, *_statements(problem),
-                                   max_depth)
+    relations, truncated = _search(problem.criteria.n, *_statements(problem))
     return [_relation(*r) for r in relations], truncated
 
 
-def derive_relations(problem: Problem, max_depth: int = None):
+def derive_relations(problem: Problem):
     """Closure of substitution-derived two-variable and self relations."""
-    return _derive(problem, _checked_depth(problem, max_depth))[0]
+    return _derive(problem)[0]
 
 
 def _side(k) -> int:
@@ -350,13 +325,6 @@ def _pair(oriented, witnesses) -> str:
     """The strongest rule among one pair's derivations (value, relation),
     appending their witnesses while witnesses holds fewer than
     _WITNESS_CAP."""
-    if len(oriented) == 2:
-        # one comparison decides the pair: the common case in cycles, a
-        # statement against the way round
-        found = _witness(*oriented[0], *oriented[1])
-        if found and len(witnesses) < _WITNESS_CAP:
-            witnesses.append(found)
-        return found[0] if found else ""
     values = [k for k, _ in oriented]
     rule = _pair_rule(values)
     if rule and len(witnesses) < _WITNESS_CAP:
@@ -445,7 +413,7 @@ def _settled(n: int, edges, det_ok: bool):
     strongest, witnesses = "", []
     for (i, j), (a, b, p, q, pos) in sorted(stated.items()):
         oriented = [(p / q if a < b else q / p, (a, b, p, q, (pos,)))]
-        _walk(adjacency, n, n, [(i, (j,))],
+        _walk(adjacency, [(i, (j,))],
               lambda *r: oriented.append((r[2] / r[3], r)))
         rule = _pair(oriented, witnesses)
         if _RANK[rule] > _RANK[strongest]:
@@ -453,16 +421,16 @@ def _settled(n: int, edges, det_ok: bool):
         if strongest == "SD4" and len(witnesses) >= _WITNESS_CAP:
             return _finish(strongest, witnesses, False, det_ok)
     cycles = {}  # each is walked both ways; the search keeps the first
-    _walk(adjacency, n, n, [(start, ()) for start in range(n)], None,
+    _walk(adjacency, [(start, ()) for start in range(n)], None,
           lambda *r: cycles.setdefault(frozenset(r[4]), r))
     return _report(cycles.values(), False, det_ok, strongest, witnesses)
 
 
-def _searched(n: int, depth: int, statements, det_ok: bool):
-    """The report on the search at depth over _statements' output."""
+def _searched(n: int, statements, det_ok: bool):
+    """The report on the search over _statements' output."""
     edges, multi = statements
-    report = not multi and depth >= n and _settled(n, edges, det_ok)
-    return report or _report(*_search(n, edges, multi, depth), det_ok)
+    report = not multi and _settled(n, edges, det_ok)
+    return report or _report(*_search(n, edges, multi), det_ok)
 
 
 # the exhaustive search's report on statements one positive vector solves
@@ -475,8 +443,7 @@ _SOLVED = ClassificationReport(
 )
 
 
-def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
-    depth = _checked_depth(problem, max_depth)
+def classify(problem: Problem) -> ClassificationReport:
     # refuses what the search cannot classify
     statements = _statements(problem)
     # the exact test is the elimination that yields the solution, as in
@@ -486,9 +453,9 @@ def classify(problem: Problem, max_depth: int = None) -> ClassificationReport:
     except FullRank:
         v = None
     det_ok = v is not None
-    if det_ok and depth >= problem.criteria.n and min(v) > 0:
+    if det_ok and min(v) > 0:
         return _SOLVED
-    return _searched(problem.criteria.n, depth, statements, det_ok)
+    return _searched(problem.criteria.n, statements, det_ok)
 
 
 def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
@@ -497,5 +464,4 @@ def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
     other consistent set, so when it did not, the exact test has failed."""
     if solved:
         return _SOLVED
-    n = problem.criteria.n
-    return _searched(n, n, _statements(problem), False)
+    return _searched(problem.criteria.n, _statements(problem), False)

@@ -340,8 +340,8 @@ def _classify_report(problem: Problem, warnings, args):
     lines = [_label_line(report)]
     lines += [f"  {text}" for text in block["witnesses"]]
     if report.depth_exceeded:
-        lines.append("note: derivation depth was capped; label is "
-                     "conservative")
+        lines.append("note: derivation stopped at the relation cap; label "
+                     "is conservative")
     return doc, lines
 
 

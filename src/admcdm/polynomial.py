@@ -5,11 +5,11 @@ cap: the parametric determinant of n criteria has degree at most n.
 
 Root extraction reads the coefficients exactly (a float as the Fraction of
 its binary value), strips the factor alpha**k and clears the rest to a
-primitive integer polynomial. One gcd(p, p') modulo a large prime proves
-the usual polynomial square-free; only when it does not are square-free
-factors f_k of multiplicity k split off (Yun's algorithm, each gcd a
-primitive pseudo-remainder sequence over the integers), and each root of
-f_k is reported k times. A factor of degree 1 has its root read off as
+primitive integer polynomial. Its square-free factors f_k of multiplicity
+k are split off (Yun's algorithm, each gcd a primitive pseudo-remainder
+sequence over the integers; a square-free polynomial is its own single
+factor once gcd(p, p') is found constant), and each root of f_k is
+reported k times. A factor of degree 1 has its root read off as
 an exact Fraction. Other positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
 a root met at a bisection point is dyadic and reported exactly. Each
@@ -78,21 +78,12 @@ def poly(coeffs) -> Poly:
     return Poly(tuple(cs))
 
 
-ZERO = poly(())
-
-
 def peval(p: Poly, x) -> Scalar:
     """Horner evaluation; exact when both coefficients and x are exact."""
     acc = 0
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
-
-
-# The prime of the square-free test. Any prime that does not divide the
-# leading coefficient proves square-freeness when the test passes; a large
-# one makes a spurious failure (and the fallback to Yun) very unlikely.
-_PRIME = (1 << 61) - 1
 
 
 def _primitive(coeffs) -> list:
@@ -140,7 +131,7 @@ def _square_free_factors(a: list) -> list:
     the f_k**k, each f_k primitive and square-free, pairwise coprime."""
     da = _derivative(a)
     g = _gcd(a, da)
-    if len(g) < 2:  # the modular test in positive_roots can miss
+    if len(g) < 2:  # a is square-free
         return [(1, a)]
     b, c, k, out = _divmod(a, g)[0], _divmod(da, g)[0], 1, []
     while len(b) >= 2:
@@ -154,32 +145,6 @@ def _square_free_factors(a: list) -> list:
             out.append((k, f))
         b, c, k = _divmod(b, f)[0], _divmod(d, f)[0], k + 1
     return out
-
-
-def _square_free_mod(a: list) -> bool:
-    """True when gcd(a, a') is a constant modulo _PRIME.
-
-    That proves a square-free over Q: a repeated factor g of a would divide
-    a and a' modulo the prime too, and keep its degree there, because the
-    prime does not divide a's leading coefficient. False proves nothing.
-    """
-    if a[-1] % _PRIME == 0:
-        return False
-    u = [c % _PRIME for c in a]
-    v = [k * c % _PRIME for k, c in enumerate(a)][1:]
-    while v and v[-1] == 0:
-        v.pop()
-    while v:
-        inv = pow(v[-1], -1, _PRIME)
-        while len(u) >= len(v):
-            q = u[-1] * inv % _PRIME
-            shift = len(u) - len(v)
-            for j, c in enumerate(v):
-                u[shift + j] = (u[shift + j] - q * c) % _PRIME
-            while u and u[-1] == 0:
-                u.pop()
-        u, v = v, u
-    return len(u) == 1
 
 
 def _homogeneous(a: list, p: int, q: int) -> int:
@@ -209,13 +174,7 @@ def _sign_changes(a) -> int:
 
 def _descartes_unit(b: list) -> int:
     """Descartes' bound on the roots of b in (0, 1), for b(0), b(1) != 0:
-    the sign changes of (x + 1)**deg * b(1/(x + 1)). Fewer than two sign
-    changes in b itself settle it without that shift: none means no
-    positive root, one means one positive root, which lies in (0, 1)
-    exactly when b(0) and b(1) differ in sign."""
-    changes = _sign_changes(b)
-    if changes < 2:
-        return changes and int((b[0] > 0) != (sum(b) > 0))
+    the sign changes of (x + 1)**deg * b(1/(x + 1))."""
     return _sign_changes(_taylor_shift(b[::-1]))
 
 
@@ -362,10 +321,8 @@ def positive_roots(p: Poly) -> list:
     if len(cs) < 2:
         return []
     ints = _primitive(cs)
-    factors = ([(1, ints)] if _square_free_mod(ints)
-               else _square_free_factors(ints))
     roots = []
-    for k, ints in factors:
+    for k, ints in _square_free_factors(ints):
         if len(ints) == 2:
             # a linear factor's one root is read off exactly
             root = Fraction(-ints[0], ints[1])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import admcdm.classification as classify_module
 from admcdm.classification import (
     _RELATION_CAP,
     DerivedRelation,
@@ -109,10 +110,6 @@ class TestDerivedRelations:
         )
         rels = derive_relations(pr)
         assert DerivedRelation(0, 1, Fraction(2), (0,)) in rels
-
-    def test_max_depth_validation(self):
-        with pytest.raises(ValueError):
-            derive_relations(load("ex1.admp"), max_depth=0)
 
     def test_self_relation_from_multi_term_substitution(self):
         rels = derive_relations(load("ex2.admp"))
@@ -244,15 +241,24 @@ class TestGuards:
                       "only$"):
             classify(pr)
 
-    def test_truncated_search_stays_conservative(self):
-        rep = classify(load("ex1.admp"), max_depth=1)
+    def test_truncated_search_stays_conservative(self, monkeypatch):
+        # the last two statements force C0 = 0, so no positive vector
+        # spares the search, and no two derivations disagree: the full
+        # search finds the set Consistent, one capped at the four
+        # statements' relations does not
+        pr = parse_problem("criteria: C0 C1 C2 C3 C4\n"
+                           "pref: C0 = 2 C1\n"
+                           "pref: C1 = 2 C2\n"
+                           "pref: C0 = 4 C2\n"
+                           "pref: C3 = 1 C4\n"
+                           "pref: C3 = 1 C4 + 1 C0\n")
+        rep = classify(pr)
+        assert rep.label is Label.CONSISTENT and not rep.depth_exceeded
+        monkeypatch.setattr(classify_module, "_RELATION_CAP", 4)
+        rep = classify(pr)
         assert rep.depth_exceeded
         assert rep.label is Label.WEAK_INCONSISTENT
-
-    @pytest.mark.parametrize("depth", [0, -1])
-    def test_max_depth_below_one_is_refused(self, depth):
-        with pytest.raises(ValueError):
-            classify(load("ex1.admp"), max_depth=depth)
+        assert rep.rule_fired == "" and not rep.det_agrees
 
 
 class TestBoundedTime:

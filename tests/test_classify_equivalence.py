@@ -135,20 +135,17 @@ def outcome(fn, problem, *args):
         return type(exc).__name__, str(exc)
 
 
-def assert_same(problem, max_depth=None):
-    depth = problem.criteria.n if max_depth is None else max_depth
-    assert outcome(_derive, problem, depth) == outcome(
-        reference_derive, problem, depth)
-    got = outcome(classify, problem, max_depth)
-    assert got == outcome(reference_classify, problem, max_depth)
+def assert_same(problem):
+    assert outcome(_derive, problem) == outcome(
+        reference_derive, problem, problem.criteria.n)
+    got = outcome(classify, problem)
+    assert got == outcome(reference_classify, problem)
     return got
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.admp")))
 def test_corpus(name):
-    problem = parse_problem((CORPUS / name).read_text(encoding="utf-8"))
-    for depth in (None, 1, 2):
-        assert_same(problem, depth)
+    assert_same(parse_problem((CORPUS / name).read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -242,7 +239,7 @@ def test_unreachable_witness_cap_walks_no_pair(monkeypatch):
     walks = []
     real = classify_module._walk
     monkeypatch.setattr(classify_module, "_walk",
-                        lambda *args: walks.append(args[3]) or real(*args))
+                        lambda *args: walks.append(args[1]) or real(*args))
     report = classify(pairwise(4, 0, False))
     assert report.rule_fired == "SD4" and len(walks) == 1
     assert len(walks[0]) == 4  # one walk from every criterion
@@ -276,7 +273,6 @@ def test_settled_sets_skip_the_full_search(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_search", no_search)
     assert classify(problem) == expected
-    assert classify(problem, 7) == expected  # no path is longer than 6
     assert priority(problem)[2] == expected
     # a set past the relation cap keeps the capped walk and its order
     monkeypatch.undo()
@@ -321,16 +317,13 @@ def test_float_coefficients_are_read_exactly():
         # the binary value of 1/3 or 7/3 has a large power-of-two denominator
         inexact += any(Fraction(c).denominator > 2**40 for c in floats)
         assert classify(problem) == classify(twin)
-        assert _derive(problem, problem.criteria.n) == _derive(
-            twin, twin.criteria.n)
+        assert _derive(problem) == _derive(twin)
     assert inexact == 4  # multi_term seed 4 draws only dyadic coefficients
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_multi_term_substitution(seed):
-    problem = multi_term(4 + seed % 3, seed)
-    assert_same(problem)
-    assert_same(problem, 2)
+    assert_same(multi_term(4 + seed % 3, seed))
 
 
 def test_substitution_is_exercised():
@@ -339,20 +332,9 @@ def test_substitution_is_exercised():
         problem = multi_term(4 + seed % 3, seed)
         positions = {pos for pos, p in enumerate(problem.preferences)
                      if len(p.terms) > 1}
-        relations = _derive(problem, problem.criteria.n)[0]
+        relations = _derive(problem)[0]
         multi += sum(r.trail[0] in positions for r in relations)
     assert multi > 0
-
-
-def test_depth_cutoff_met_only_past_every_greater_node():
-    # at depth 2 only the walk from C2 through C0 meets the cutoff, at C1,
-    # whose second statement is unused; that walk derives nothing, yet it
-    # marks the search truncated
-    problem = parse_problem("criteria: C0 C1 C2\n"
-                            "pref: C0 = 2 C1\n"
-                            "pref: C0 = 3 C1\n"
-                            "pref: C2 = 3 C0\n")
-    assert assert_same(problem, 2).depth_exceeded
 
 
 def test_witness_cap_is_reached():
@@ -363,8 +345,7 @@ def test_witness_cap_is_reached():
 def assert_solved_past_the_cap(problem):
     """The relations stop at the cap as the reference's do, but a set one
     positive vector solves is labelled without the search."""
-    depth = problem.criteria.n
-    assert _derive(problem, depth) == reference_derive(problem, depth)
+    assert _derive(problem) == reference_derive(problem, problem.criteria.n)
     assert classify(problem) == SOLVED
 
 
@@ -424,7 +405,6 @@ def test_positive_solution_needs_no_search(monkeypatch):
     monkeypatch.setattr(classify_module, "_search", no_search)
     for problem in problems:
         assert classify(problem) == SOLVED
-        assert classify(problem, problem.criteria.n + 1) == SOLVED
 
 
 def test_no_positive_vector_falls_back_to_the_search():

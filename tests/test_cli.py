@@ -6,9 +6,9 @@ import json
 import pytest
 
 from admcdm.cli import main
-from admcdm.parser import parse_problem
+from admcdm.parser import format_problem, parse_problem
 
-from conftest import CORPUS
+from conftest import CORPUS, pairwise
 
 EX = {name: str(CORPUS / f"{name}.admp")
       for name in ("ex1", "ex2", "ex9", "ex9_expert", "ex10", "ex11",
@@ -145,6 +145,17 @@ class TestClassify:
         assert doc["classification"]["label"] == "Consistent"
         assert doc["alpha"] is None
         assert doc["priority"] is None
+
+    def test_capped_search_names_the_relation_cap(self, capsys, tmp_path):
+        # a full 7-criteria set derives 8,018 relations, past the cap
+        path = tmp_path / "pairwise7.admp"
+        path.write_text(format_problem(pairwise(7, 0, False)))
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        assert ("note: derivation stopped at the relation cap; label is "
+                "conservative") in out
+        code, out, _ = run(capsys, "classify", "--json", str(path))
+        assert code == 0 and '"depth_exceeded":true' in out
 
 
 class TestAhp:

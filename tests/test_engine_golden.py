@@ -1,0 +1,84 @@
+"""Engine golden gate: the library's results on a fixed set of problems
+must stay bit-identical.
+
+tests/golden/engine.json holds, per case, a short digest of the repr of
+priority(p), discount_report(p, pv) and classify(p), an error's type and
+message standing in for a result where one is raised. The cases are the
+benchmark's pairwise and linear inputs at seed 1, generated by
+bench/workloads.py, and every corpus file. Regenerate the file only when a
+result change is intended, with
+``PYTHONPATH=src python3 tests/test_engine_golden.py`` from the repository
+root, and say why in the change description.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
+
+from admcdm.classification import classify
+from admcdm.errors import EngineError
+from admcdm.parser import parse_problem
+from admcdm.solver import discount_report, priority
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "engine.json"
+SEED = 1
+
+
+def _workloads():
+    """bench/workloads.py, loaded under its own name."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        module = module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def cases():
+    """(case id, problem text) for every case, in a fixed order."""
+    workloads = _workloads()
+    out = [(f"{name}:{case.id}", case.text)
+           for name in ("pairwise", "linear")
+           for case in getattr(workloads, name)(SEED)]
+    out += [(f"corpus:{path.name}", path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "corpus").glob("*.admp"))]
+    return out
+
+
+def _error(exc: EngineError):
+    return type(exc).__name__, str(exc)
+
+
+def digest(text: str) -> str:
+    problem = parse_problem(text)
+    try:
+        pv, solution, report = priority(problem)
+        solved = (pv, solution, report, discount_report(problem, pv))
+    except EngineError as exc:
+        solved = _error(exc)
+    try:
+        classified = classify(problem)
+    except EngineError as exc:
+        classified = _error(exc)
+    outcome = (solved, classified)
+    return hashlib.sha256(repr(outcome).encode()).hexdigest()[:16]
+
+
+def test_engine_results_are_unchanged():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = {case_id: digest(text) for case_id, text in cases()}
+    changed = sorted(k for k in expected.keys() | got.keys()
+                     if expected.get(k) != got.get(k))
+    assert not changed, f"changed cases: {', '.join(changed)}"
+
+
+if __name__ == "__main__":
+    doc = {case_id: digest(text) for case_id, text in cases()}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
