@@ -5,8 +5,11 @@ tests/golden/engine.json holds, per case, a short digest of the repr of
 priority(p), discount_report(p, pv) and classify(p), an error's type and
 message standing in for a result where one is raised. The cases are the
 benchmark's pairwise and linear inputs at seed 1, generated by
-bench/workloads.py, and every corpus file. Regenerate the file only when a
-result change is intended, with
+bench/workloads.py, and every corpus file. The other users of the root
+finder have their own entries, keyed ``<call>|<case id>``: AHP on the
+corpus and the pairwise inputs, error minimization and the regime analysis
+on the corpus, an error's type standing in for a result. Regenerate the
+file only when a result change is intended, with
 ``PYTHONPATH=src python3 tests/test_engine_golden.py`` from the repository
 root, and say why in the change description.
 """
@@ -19,8 +22,12 @@ import sys
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
+from admcdm.ahp import ahp_priority, build_ahp_matrix
 from admcdm.classification import classify
+from admcdm.error_min import minimize_error
 from admcdm.errors import EngineError
+from admcdm.model import InequalityPreference
+from admcdm.nonlinear import regime_analysis, solve_triangular
 from admcdm.parser import parse_problem
 from admcdm.solver import discount_report, priority
 
@@ -70,15 +77,48 @@ def digest(text: str) -> str:
     return hashlib.sha256(repr(outcome).encode()).hexdigest()[:16]
 
 
+def _regimes(problem):
+    inequalities = [p for p in problem.preferences
+                    if isinstance(p, InequalityPreference)]
+    return regime_analysis(solve_triangular(problem), inequalities)
+
+
+CALLS = {
+    "ahp": lambda problem: ahp_priority(build_ahp_matrix(problem)),
+    "error-min": minimize_error,
+    "regimes": _regimes,
+}
+
+
+def call_digest(call: str, text: str) -> str:
+    """The digest of one of CALLS on the problem, or of its error type."""
+    try:
+        outcome = CALLS[call](parse_problem(text))
+    except EngineError as exc:
+        outcome = type(exc).__name__
+    return hashlib.sha256(repr(outcome).encode()).hexdigest()[:16]
+
+
+def digests() -> dict:
+    out = {}
+    for case_id, text in cases():
+        out[case_id] = digest(text)
+        group = case_id.split(":")[0]
+        for call in CALLS:
+            if group == "corpus" or (group, call) == ("pairwise", "ahp"):
+                out[f"{call}|{case_id}"] = call_digest(call, text)
+    return out
+
+
 def test_engine_results_are_unchanged():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = {case_id: digest(text) for case_id, text in cases()}
+    got = digests()
     changed = sorted(k for k in expected.keys() | got.keys()
                      if expected.get(k) != got.get(k))
     assert not changed, f"changed cases: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
-    doc = {case_id: digest(text) for case_id, text in cases()}
+    doc = digests()
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
