@@ -55,6 +55,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, factorial, perm
+from sys import float_info
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
 from .linalg import null_vector
@@ -341,12 +342,16 @@ def _report(relations, truncated: bool, det_ok: bool, strongest="",
     selves = []
     for r in relations:
         i, j, p, q, _ = r
-        if i == j:
-            selves.append((p / q, r))
-        elif i < j:
-            pairs[(i, j)].append((p / q, r))
-        else:
-            pairs[(j, i)].append((q / p, r))
+        try:
+            if i == j:
+                selves.append((p / q, r))
+            elif i < j:
+                pairs[(i, j)].append((p / q, r))
+            else:
+                pairs[(j, i)].append((q / p, r))
+        except OverflowError:  # past the largest float: read as it, above 1
+            key = (min(i, j), max(i, j))
+            (selves if i == j else pairs[key]).append((float_info.max, r))
 
     witnesses = list(witnesses)
     for _, oriented in sorted(pairs.items()):
@@ -402,7 +407,7 @@ def _settled(n: int, edges, det_ok: bool):
     with its statement, then the paths walk(i) finds to j, and then from
     the simple cycles in the search's order. Once SD4 has fired and
     _WITNESS_CAP witnesses are held, nothing later changes the report.
-    None for another shape or a search reaching a cap."""
+    None for another shape, a capped search or a ratio past the floats."""
     stated = {tuple(sorted(e[:2])): e for e in edges}
     if not len(stated) == len(edges) == comb(n, 2):
         return None
@@ -412,9 +417,12 @@ def _settled(n: int, edges, det_ok: bool):
     adjacency = _adjacency(edges)
     strongest, witnesses = "", []
     for (i, j), (a, b, p, q, pos) in sorted(stated.items()):
-        oriented = [(p / q if a < b else q / p, (a, b, p, q, (pos,)))]
-        _walk(adjacency, [(i, (j,))],
-              lambda *r: oriented.append((r[2] / r[3], r)))
+        try:
+            oriented = [(p / q if a < b else q / p, (a, b, p, q, (pos,)))]
+            _walk(adjacency, [(i, (j,))],
+                  lambda *r: oriented.append((r[2] / r[3], r)))
+        except OverflowError:  # the full search reads it
+            return None
         rule = _pair(oriented, witnesses)
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule

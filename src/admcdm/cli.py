@@ -332,7 +332,7 @@ def _cmd_solve(args) -> int:
 
 
 def _classify_report(problem: Problem, warnings, args):
-    classify, = _library("classify")
+    Label, classify = _library("Label", "classify")
     names = problem.criteria.names
     report = classify(problem)
     block = _classification_block(report, names)
@@ -340,8 +340,10 @@ def _classify_report(problem: Problem, warnings, args):
     lines = [_label_line(report)]
     lines += [f"  {text}" for text in block["witnesses"]]
     if report.depth_exceeded:
-        lines.append("note: derivation stopped at the relation cap; label "
-                     "is conservative")
+        # no relation past the cap can undo a fired SD4
+        lines.append("note: derivation stopped at the relation cap" + (
+            "" if report.label is Label.STRONG_INCONSISTENT
+            else "; label is conservative"))
     return doc, lines
 
 

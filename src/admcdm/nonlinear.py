@@ -10,14 +10,12 @@ points where two components cross and flips or degenerates at them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     EmptyDomain,
-    InvalidProblem,
     MultipleFreeVars,
     NotTriangular,
     OverDetermined,
@@ -221,45 +219,16 @@ def _verify(
 
 
 def _nth_root(ratio: Scalar, degree: int) -> Scalar:
-    """Positive degree-th root, exact when the operand is a perfect power,
-    else a float. A Fraction far outside the float range is never made a
-    float: its root is taken through the base-2 logarithms of its
-    numerator and denominator.
-
-    Raises:
-        InvalidProblem: the root itself lies outside the float range.
+    """The positive degree-th root of ratio > 0: the positive root of
+    z**degree - ratio from positive_roots, an exact Fraction when rational
+    (a float ratio read as its binary value), else the correctly rounded
+    float. InvalidProblem is raised for an irrational root with no float.
     """
     if degree == 1:
         return ratio
-    if isinstance(ratio, float):
-        return ratio ** (1.0 / degree)
-    num = _int_root(ratio.numerator, degree)
-    den = _int_root(ratio.denominator, degree)
-    if num is not None and den is not None:
-        return Fraction(num, den)
-    bits = ratio.numerator.bit_length() - ratio.denominator.bit_length()
-    if abs(bits) <= 1020:  # a normal float
-        return float(ratio) ** (1.0 / degree)
-    t = (math.log2(ratio.numerator) - math.log2(ratio.denominator)) / degree
-    try:
-        return math.ldexp(2.0 ** (t % 1), math.floor(t))
-    except OverflowError:
-        raise InvalidProblem(
-            "a crossing point lies outside the float range") from None
+    from .polynomial import poly, positive_roots
 
-
-def _int_root(value: int, degree: int) -> int | None:
-    """The integer r > 0 with r**degree == value, if there is one (integer
-    Newton iteration from above, which stops at the floor of the root)."""
-    if value <= 0:
-        return None
-    root = 1 << -(-value.bit_length() // degree)
-    while True:
-        step = ((degree - 1) * root + value // root ** (degree - 1)) // degree
-        if step >= root:
-            break
-        root = step
-    return root if root**degree == value else None
+    return positive_roots(poly([-ratio] + [0] * (degree - 1) + [1]))[0]
 
 
 def _crossing(
@@ -317,10 +286,11 @@ def regime_analysis(
 ) -> RegimeReport:
     """Split the free variable's positive axis into constant-order pieces.
 
-    Crossing points come from the closed form z = (c_b/c_a)^{1/(d_a-d_b)}
-    for every pair with different exponents (exact when the ratio is a
-    perfect power). Inequalities shrink the admissible domain by the same
-    closed forms; equal-exponent comparisons hold everywhere or nowhere.
+    Crossing points are the roots z > 0 of c_a z^{d_a} = c_b z^{d_b} for
+    every pair with different exponents, from positive_roots: exact when
+    rational, else the correctly rounded float. Inequalities shrink the
+    admissible domain at the same crossings; equal-exponent comparisons
+    hold everywhere or nowhere.
     Each open piece between crossings gets its ordering from an interior
     sample, and each crossing inside the domain gets a single-point regime
     whose tied criteria keep the order they had just left of the point.
@@ -346,14 +316,11 @@ def regime_analysis(
                     "for every value of the free variable"
                 )
             continue
+        bound = _crossing(coef_l, power_l, coef_r, power_r)
         if power_l > power_r:
-            bound = _nth_root(coef_r / coef_l, power_l - power_r)
-            if upper is None or bound < upper:
-                upper = bound
+            upper = bound if upper is None else min(upper, bound)
         else:
-            bound = _nth_root(coef_l / coef_r, power_r - power_l)
-            if bound > lower:
-                lower = bound
+            lower = max(lower, bound)
     if upper is not None and not lower < upper:
         raise EmptyDomain("the inequalities bound the free variable away "
                           "from its required range")

@@ -16,10 +16,12 @@ a root met at a bisection point is dyadic and reported exactly. Each
 isolating interval is refined by further bisection at dyadic points, each
 sign read exactly from the integer polynomial, until both ends round to
 the same float: that float is the correctly rounded root (Rouillier &
-Zimmermann, Efficient isolation of polynomial's real roots, 2004). It is
-snapped to a nearby small-denominator rational whenever that rational is
-an exact zero. The snap step is what lets rational roots such as 5/12 or
-1/729 flow through the rest of the pipeline exactly.
+Zimmermann, Efficient isolation of polynomial's real roots, 2004). First,
+though, it is narrowed to hold at most one point y / lead, lead the
+factor's leading coefficient: every rational root is such a point, so one
+exact evaluation there finds a rational root, reported as an exact
+Fraction of any size. Rational roots such as 5/12 or 1/729 thus flow
+through the rest of the pipeline exactly.
 
 The root alpha = 0 is never reported; every positive root is. An
 irrational root too small or too large for a float raises InvalidProblem.
@@ -249,27 +251,32 @@ def _isolate(a: list):
 
 def _refine(a: list, lo: int, hi: int, q: int):
     """The one root of the square-free integer polynomial a in the open
-    interval (lo / q, hi / q), q a power of two, as the float nearest to it.
+    interval (lo / q, hi / q), q a power of two: an exact Fraction when it
+    is rational, else the float nearest to it.
 
-    The interval is bisected at dyadic points, and each midpoint's sign is
-    read exactly from the integer q**d * a(mid / q). a has one sign s
-    between the root and the upper end, and s steers the bisection: the
-    sign of a there, or of -a' when that end is itself a (dyadic) root.
-    Integer division rounds correctly to a float, so once both ends round
-    to the same float, the root between them rounds to it too. A midpoint
-    that is the root is returned exactly. A root past the largest float,
-    or one that rounds to 0.0, has no float and raises InvalidProblem.
+    The interval is bisected at dyadic points, each midpoint's sign read
+    exactly from the integer q**d * a(mid / q) and steered by the sign s
+    of a between the root and the upper end (of -a' there when that end is
+    itself a root); a midpoint that is the root is returned. Every rational
+    root is y / lead(a) for an integer y, so once the interval is no wider
+    than 1 / lead(a), the one such point in it is tested exactly. An
+    irrational root is bisected on until both ends round to the same float
+    (integer division rounds correctly); one past the largest float, or
+    one that rounds to 0.0, has no float and raises InvalidProblem.
     """
+    lead, rational = abs(a[-1]), True
     s = _homogeneous(a, hi, q) or -_homogeneous(_derivative(a), hi, q)
-    top = q * int(float_info.max)
-    if hi > top:  # bring hi / q into the float range
-        v = _homogeneous(a, top, q) if lo < top else None
-        if v == 0:
-            return Fraction(top, q)
-        if v is None or (v > 0) != (s > 0):
-            raise InvalidProblem("a root lies outside the float range")
-        hi = top
-    while lo / q != hi / q:
+    while rational or lo / q != hi / q:
+        if rational and (hi - lo) * lead <= q:
+            y = lo * lead // q + 1  # the least y with y / lead > lo / q
+            if y * q < hi * lead and _homogeneous(a, y, lead) == 0:
+                return Fraction(y, lead)
+            rational, top = False, q * int(float_info.max)
+            if hi > top:  # bring hi / q into the float range
+                if lo >= top or (_homogeneous(a, top, q) > 0) != (s > 0):
+                    raise InvalidProblem("a root lies outside the float range")
+                hi = top
+            continue
         if hi - lo == 1:
             lo, hi, q = 2 * lo, 2 * hi, 2 * q
         mid = (lo + hi) >> 1
@@ -285,29 +292,12 @@ def _refine(a: list, lo: int, hi: int, q: int):
     return lo / q
 
 
-def _snap_rational(ints: list, r, lo: int, hi: int, q: int):
-    """Identify r as an exact rational root of the integer polynomial ints,
-    if it is one.
-
-    The candidate must lie inside the open isolating interval (lo / q,
-    hi / q): a nearby rational that happens to be a DIFFERENT root, at an
-    end of the interval or beyond it, must not capture this interval's
-    root.
-    """
-    for limit in (1, 12, 100, 10_000, 1_000_000, 10**9):
-        cand = Fraction(r).limit_denominator(limit)
-        num, den = cand.numerator, cand.denominator
-        if lo * den < num * q < hi * den and _homogeneous(ints, num, den) == 0:
-            return cand
-    return r
-
-
 def positive_roots(p: Poly) -> list:
     """All real roots > 0, ascending, each repeated per its multiplicity.
 
-    A rational root is an exact Fraction; an irrational one is the float
-    nearest to it, and InvalidProblem is raised when that float would be
-    0.0 or past float_info.max.
+    A rational root is an exact Fraction, however large or small; an
+    irrational one is the float nearest to it, and InvalidProblem is raised
+    when that float would be 0.0 or past float_info.max.
 
     Raises ZeroPolynomial for the identically-zero input: that case means the
     parametric system is dependent for every alpha and the caller must treat
@@ -329,8 +319,7 @@ def positive_roots(p: Poly) -> list:
             found = [root] if root > 0 else []
         else:
             exact, intervals = _isolate(ints)
-            found = exact + [_snap_rational(ints, _refine(ints, *iv), *iv)
-                             for iv in intervals]
+            found = exact + [_refine(ints, *iv) for iv in intervals]
         for r in found:
             roots.extend([r] * k)
     roots.sort()

@@ -101,6 +101,7 @@ class AlphaSolution:
 
 _CONSISTENT = AlphaSolution(roots=(Fraction(1),), alpha=Fraction(1),
                             consistency=Fraction(1), inconsistency=Fraction(0))
+_FLOAT_RANGE = "a coefficient ratio lies outside the float range"
 
 
 def _consistency_of(alpha) -> Scalar:
@@ -150,9 +151,12 @@ def _core_vector(ps: ParamSystem, alpha):
     """null_vector() of the core rows at alpha, floats at a float alpha."""
     rows = [ps.rows[i] for i in ps.binding.core_mask]
     if isinstance(alpha, float):
-        return null_vector([[1.0 if j == s else -b / scale * alpha if b else 0
-                             for j, b in enumerate(terms)]
-                            for s, scale, terms in rows])
+        try:
+            rows = [[1.0 if j == s else -b / scale * alpha if b else 0
+                     for j, b in enumerate(terms)] for s, scale, terms in rows]
+        except OverflowError:
+            raise InvalidProblem(_FLOAT_RANGE) from None
+        return null_vector(rows)
     p, q = alpha.as_integer_ratio()
     return null_vector([row_at(r, p, q) for r in rows])
 
@@ -177,7 +181,11 @@ def _solve_extras(ps: ParamSystem, alpha):
         s, scale, terms = ps.rows[pos]
         # every auxiliary determinant is a multiple of the row dotted with
         # v; a float alpha takes the float steps of ps.matrix's row
-        den = sum((b / scale if fl else b) * x for b, x in zip(terms, v) if b)
+        try:
+            den = sum((b / scale if fl else b) * x
+                      for b, x in zip(terms, v) if b)
+        except OverflowError:
+            raise InvalidProblem(_FLOAT_RANGE) from None
         beta = den and (v[s] / den if fl else Fraction(scale * v[s], den))
         if not beta > 0:
             raise InconsistentExtraParams(

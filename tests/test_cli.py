@@ -147,15 +147,31 @@ class TestClassify:
         assert doc["priority"] is None
 
     def test_capped_search_names_the_relation_cap(self, capsys, tmp_path):
-        # a full 7-criteria set derives 8,018 relations, past the cap
+        # a full 7-criteria set derives 8,018 relations, past the cap; SD4
+        # fires, and no relation past the cap could change that label
         path = tmp_path / "pairwise7.admp"
         path.write_text(format_problem(pairwise(7, 0, False)))
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0
-        assert ("note: derivation stopped at the relation cap; label is "
-                "conservative") in out
+        assert "label: StrongInconsistent (SD4)" in out
+        assert "note: derivation stopped at the relation cap\n" in out
+        assert "conservative" not in out
         code, out, _ = run(capsys, "classify", "--json", str(path))
         assert code == 0 and '"depth_exceeded":true' in out
+
+    def test_capped_weak_label_is_conservative(self, capsys, tmp_path,
+                                               monkeypatch):
+        from admcdm import classification
+
+        monkeypatch.setattr(classification, "_RELATION_CAP", 2)
+        path = tmp_path / "weak.admp"
+        path.write_text("criteria: x y z\npref: x = 2 y\npref: y = 2 z\n"
+                        "pref: x = 3 z\n")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        assert out.startswith("label: WeakInconsistent")
+        assert ("note: derivation stopped at the relation cap; label is "
+                "conservative") in out
 
 
 class TestAhp:
@@ -360,6 +376,32 @@ class TestHugeValues:
             code, _, err = run(capsys, command, *flags, str(path))
             assert code in (0, 3), err
             assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "classify", "compare"])
+    @pytest.mark.parametrize("text", [
+        f"criteria: x y\npref: x = {HUGE} y\npref: y = 3 x\n",
+        "criteria: x y z\n" + "".join(
+            f"pref: {a} = 1{'0' * 200} {b}\n" for a, b in ("xy", "yz", "zx")),
+    ], ids=["huge-pair", "huge-cycle"])
+    def test_linear_sets_exit_0_or_3(self, capsys, tmp_path, command, text):
+        # each ratio or a product of them is past the largest float
+        path = tmp_path / "huge.admp"
+        path.write_text(text)
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, command, *flags, str(path))
+            assert code in (0, 3), err
+            assert "internal error" not in err
+        if command == "classify":
+            assert '"label":"StrongInconsistent","rule":"SD4"' in out
+
+    def test_a_rational_root_with_a_large_denominator_is_exact(self, capsys,
+                                                               tmp_path):
+        path = tmp_path / "cycle.admp"
+        path.write_text("criteria: x y z\n" + "".join(
+            f"pref: {a} = 10000000001 {b}\n" for a, b in ("xy", "yz", "zx")))
+        doc = run_json(capsys, "solve", "--json", str(path))
+        assert doc["alpha"]["exact"] == "1/10000000001"
+        assert doc["priority"]["exact"] == ["1/3", "1/3", "1/3"]
 
     def test_error_min_names_a_root_below_the_float_range(self, capsys,
                                                           tmp_path):

@@ -181,6 +181,20 @@ class TestRegimes:
         assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
             "y>z>x", "y>z=x", "y>x>z", "y=x>z", "x>y>z"]
 
+    def test_crossings_of_higher_degree_are_correctly_rounded(self):
+        """Each irrational crossing, and the bound an inequality puts at
+        one, is the float nearest to the root, here z = (1/7)^(1/2) and
+        z = (1/10)^(1/3)."""
+        mpmath = pytest.importorskip("mpmath")
+        pr = parse_problem("criteria: x y z\npref: x = 7 z * z * z\n"
+                           "pref: y = 10 z * z * z * z\npref: y < z\n")
+        rep = regime_analysis(solve_triangular(pr), inequalities_of(pr))
+        with mpmath.workdps(50):
+            seventh = float(mpmath.root(mpmath.mpf(1) / 7, 2))
+            tenth = float(mpmath.root(mpmath.mpf(1) / 10, 3))
+        assert rep.breakpoints == (seventh, tenth, Fraction(7, 10))
+        assert rep.domain == (0, tenth)
+
     def test_interval_orderings_hold_throughout_each_piece(self):
         sol = solve_triangular(load("ex15.admp"))
         rep = regime_analysis(sol)

@@ -96,7 +96,7 @@ def test_multiple_root_reported_with_multiplicity():
 
 
 def test_linear_factor_root_is_exact_at_any_size():
-    # past every snap candidate: a huge integer and a tiny unit fraction
+    # a huge integer and a tiny unit fraction
     big = 2 * 10**200
     assert positive_roots(poly((-big, 1))) == [Fraction(big)]
     tiny = Fraction(1, 10**12 + 1)
@@ -105,6 +105,10 @@ def test_linear_factor_root_is_exact_at_any_size():
     assert positive_roots(pmul(poly((-tiny, 1)), poly((-tiny, 1)))) == [
         tiny, tiny]
     assert positive_roots(poly((big, 1))) == []
+    # the same roots next to the factor a^2 + 1, found by isolation
+    assert positive_roots(pmul(poly((-big, 1)), poly((1, 0, 1)))) == [big]
+    assert positive_roots(pmul(poly((-1, 10**12 + 1)),
+                               poly((1, 0, 1)))) == [tiny]
 
 
 def test_irrational_double_root_reported_twice():
@@ -259,22 +263,27 @@ def test_a_root_isolated_under_a_huge_bound_is_refined():
 
 
 def test_a_root_past_the_float_range_is_refused():
+    """a^2 - 2 * 10^800 has the irrational root 2^(1/2) * 10^400, which has
+    no float; the rational root 10^400 of a^2 - 10^800 is exact."""
     from admcdm.errors import InvalidProblem
 
     with pytest.raises(InvalidProblem, match="float range"):
         positive_roots(poly((-2 * 10**800, 0, 1)))
+    assert positive_roots(poly((-10**800, 0, 1))) == [Fraction(10**400)]
     # the largest float itself is a root that has its float
     big = int(1.7976931348623157e308)
     assert positive_roots(pmul(poly((-big, 1)), poly((1, 0, 1)))) == [big]
 
 
 def test_a_root_below_the_float_range_is_refused():
-    """10^800 a^2 - 1 has the root 10^-400, which rounds to 0.0; 0 is never
-    a positive root, so it is refused as a root past the largest float
-    is. A subnormal root keeps its float."""
+    """10^800 a^2 - 2 has the irrational root 2^(1/2) * 10^-400, which
+    rounds to 0.0; 0 is never a positive root, so it is refused as a root
+    past the largest float is. The rational root 10^-400 of 10^800 a^2 - 1
+    is exact, and a subnormal irrational root keeps its float."""
     from admcdm.errors import InvalidProblem
 
     with pytest.raises(InvalidProblem, match="float range"):
-        positive_roots(poly((-1, 0, 10**800)))
+        positive_roots(poly((-2, 0, 10**800)))
+    assert positive_roots(poly((-1, 0, 10**800))) == [Fraction(1, 10**400)]
     (root,) = positive_roots(poly((-2, 0, 10**640)))
     assert 0 < root and abs(root - math.sqrt(2) * 1e-320) <= 5e-324
