@@ -141,16 +141,16 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     ``linalg.det_coefficients``, as the discount parameter's equation is.
     Its largest positive root is lambda_max: for a positive matrix that is
     the Perron root, which is simple (Saaty, The Analytic Hierarchy
-    Process, 1980). So lambda_max I - A has rank n - 1,
-    and each column of its adjugate is a positive eigenvector; the first
-    one is taken, its cofactors exact determinants at the Fraction of
+    Process, 1980). So lambda_max I - A has rank n - 1, and the vector is
+    the integer null vector of its last n - 1 rows (the first column of its
+    adjugate, up to a positive scale), taken exactly at the Fraction of
     lambda_max, so no entry is too small next to another to count. Both
     are exact when lambda_max is rational and every entry is (a consistent
     matrix gives lambda_max = n, ci = 0 and w / sum(w)); otherwise
     lambda_max is the correctly rounded float and each vector component
     the float nearest to its value at it.
     """
-    from .linalg import _integer_row, det_coefficients, det_numeric
+    from .linalg import _integer_row, det_coefficients, null_vector
     from .polynomial import poly, positive_roots
 
     a, n = m.entries, m.n
@@ -161,10 +161,9 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
         for i, (ints, scale) in enumerate(scaled)], n)
     lam = positive_roots(poly(char))[-1]
     # the rows of lambda_max I - A but the first; a float is read exactly
-    rows = [[Fraction(lam) - 1 if i == j else -a[i][j] for j in range(n)]
-            for i in range(1, n)]
-    vector = normalize([(-1) ** j * det_numeric(
-        [row[:j] + row[j + 1:] for row in rows]) for j in range(n)])
+    rows = [[Fraction(lam) - 1 if i == j else -Fraction(a[i][j])
+             for j in range(n)] for i in range(1, n)]
+    vector = normalize(null_vector(rows)[0])
     if not is_exact(lam) or not all(is_exact(e) for row in a for e in row):
         vector = tuple(map(float, vector))
     return AhpResult(lam, vector, (lam - n) / (n - 1), n + 1)

@@ -29,8 +29,8 @@ Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds time as well as
 memory; it and the conservative label of a truncated search concern
 only sets without such a positive solution. A ratio travels as an
-unreduced pair of ints (p, q), read exactly (a float as its binary value),
-so a path step is two int products. The walk forms that product only for
+unreduced pair of ints (p, q), read off the statement's Fraction, so a
+path step is two int products. The walk forms that product only for
 an edge it takes, and does not enter a node past which it could neither
 close a cycle at its start nor reach a greater node. Each criterion pair's
 strongest rule is the rule of its smallest and largest derived ratio,
@@ -123,7 +123,7 @@ def _statements(problem: Problem):
                 "classification is defined on linear preferences only")
         lin = canonicalize(pref)
         if len(lin.terms) == 1:
-            j, k = lin.terms[0][0], Fraction(lin.terms[0][1])
+            j, k = lin.terms[0]
             edges.append((lin.subject, j, k.numerator, k.denominator, pos))
         else:
             multi.append((pos, lin.subject, lin.terms))
@@ -228,7 +228,7 @@ def _search(n: int, edges, multi):
                         trail += tr
                     if len(set(trail)) < len(trail):
                         continue  # two substituted relations share a statement
-                    total = sum(Fraction(coef) * k
+                    total = sum(coef * k
                                 for (_, coef), (k, _) in zip(terms, combo))
                     add(subject, target, total.numerator, total.denominator,
                         trail)

@@ -457,7 +457,7 @@ def _regimes_report(problem: Problem, warnings, args):
     free = names[sol.free_var]
     parts = []
     for k, (coef, power) in enumerate(sol.components):
-        piece = "" if coef == 1 else fmt(coef) if isinstance(coef, Fraction) else str(sig(coef))
+        piece = "" if coef == 1 else fmt(coef)
         if power == 0:
             parts.append(piece or "1")
         else:

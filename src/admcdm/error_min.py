@@ -3,10 +3,10 @@ vector is from satisfying every stated preference at once.
 
 Each equation statement contributes the absolute value of its residual in
 cleared-denominator form (the statement is multiplied through by the least
-common denominator of its exact coefficients first), and the functional is
-the sum of those absolute residuals. A consistent problem's priority vector
-drives the functional to exactly zero; an inconsistent one has a strictly
-positive floor.
+common denominator of its coefficients first, a float's binary value
+included), and the functional is the sum of those absolute residuals. A
+consistent problem's priority vector drives the functional to exactly zero;
+an inconsistent one has a strictly positive floor.
 
 When every equation statement is linear the functional is an L1 fit, and
 its minimum is the optimum of a linear program (Charnes, Cooper & Ferguson
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     InvalidGrid,
@@ -70,58 +70,42 @@ class ErrorMinResult:
     evaluations: int
 
 
-_Term = tuple[Scalar, tuple[tuple[int, int], ...]]
-_Statement = tuple[int, Scalar, tuple[_Term, ...]]
+_Term = tuple[int, tuple[tuple[int, int], ...]]
+_Statement = tuple[int, int, tuple[_Term, ...]]
 
 
 def _statements(problem: Problem) -> list[_Statement]:
     """Each equation statement in cleared-denominator form (subject, scale,
-    terms): its residual is scale * x[subject] minus, for every term
-    (w, exponents), w times the product of x[j] ** p."""
+    terms), all integers: its residual is scale * x[subject] minus, for
+    every term (w, exponents), w times the product of x[j] ** p."""
     out = []
     for pref in problem.preferences:
         if isinstance(pref, InequalityPreference):
             continue
         if isinstance(pref, MonomialPreference):
             coef = pref.coefficient
-            if isinstance(coef, Fraction):
-                scale, weight = coef.denominator, coef.numerator
-            else:
-                scale, weight = 1, coef
-            out.append((pref.subject, scale, ((weight, pref.exponents),)))
+            out.append((pref.subject, coef.denominator,
+                        ((coef.numerator, pref.exponents),)))
             continue
         flat: LinearPreference = canonicalize(pref)
-        denominators = [
-            a.denominator for _, a in flat.terms if isinstance(a, Fraction)
-        ]
-        scale = lcm(*denominators) if denominators else 1
-        terms = tuple((scale * a, ((j, 1),)) for j, a in flat.terms)
+        scale = lcm(*(a.denominator for _, a in flat.terms))
+        terms = tuple((a.numerator * (scale // a.denominator), ((j, 1),))
+                      for j, a in flat.terms)
         out.append((flat.subject, scale, terms))
     return out
 
 
-def _residual(
-    subject: int, scale: Scalar, terms: tuple[_Term, ...]
-) -> Callable[[Sequence[Scalar]], Scalar]:
-    def residual(x: Sequence[Scalar]) -> Scalar:
+def _functional(statements: list[_Statement], x: Sequence[Scalar]) -> Scalar:
+    """Sum of the absolute residuals of the statements at the point x."""
+    value: Scalar = Fraction(0)
+    for subject, scale, terms in statements:
         acc = scale * x[subject]
         for weight, exponents in terms:
             product = weight
             for j, power in exponents:
                 product = product * (x[j] if power == 1 else x[j] ** power)
             acc = acc - product
-        return acc
-
-    return residual
-
-
-def _functional(
-    residuals: list[Callable[[Sequence[Scalar]], Scalar]],
-    x: Sequence[Scalar],
-) -> Scalar:
-    value: Scalar = Fraction(0)
-    for residual in residuals:
-        value = value + abs(residual(x))
+        value = value + abs(acc)
     return value
 
 
@@ -144,9 +128,7 @@ def eval_error(problem: Problem, x: Sequence[Scalar]) -> Scalar:
     total = sum(point)
     if abs(float(total) - 1.0) > SIMPLEX_TOL:
         raise OffSimplex(f"weights must sum to 1, got {float(total)!r}")
-    return _functional(
-        [_residual(*st) for st in _statements(problem)], point
-    )
+    return _functional(_statements(problem), point)
 
 
 def _compositions(n: int, grid_points: int) -> Iterator[tuple[int, ...]]:
@@ -227,51 +209,44 @@ def _lp_minimize(problem: Problem) -> ErrorMinResult:
     """Exact L1 minimum by a fraction-free tableau simplex.
 
     Columns are x_0..x_{n-1}, u_0..u_{m-1}, v_0..v_{m-1} and the right-hand
-    side. Row i states k_i * residual_i(x) - k_i u_i + k_i v_i = 0, with k_i
-    the smallest integer that makes the residual's coefficients integral
-    (1 unless a coefficient is a float); row m states sum(x) = 1. The
-    tableau holds d * B^-1 [A | b] for the current basis B and d = |det B|,
-    so every entry is an integer and each pivot divides exactly by the
-    previous d (Edmonds). The last row holds d times the reduced costs,
-    with -d times the objective in its right-hand side.
+    side. Row i states residual_i(x) - u_i + v_i = 0, its coefficients the
+    integers of _statements; row m states sum(x) = 1. The tableau holds
+    d * B^-1 [A | b] for the current basis B and d = |det B|, so every
+    entry is an integer and each pivot divides exactly by the previous d
+    (Edmonds). The last row holds d times the reduced costs, with -d times
+    the objective in its right-hand side.
     """
     n = problem.criteria.n
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for subject, scale, terms in _statements(problem):
-        row = [Fraction(0)] * n
+        row = [0] * n
         row[subject] += scale
         for weight, ((j, _),) in terms:
-            row[j] -= Fraction(weight)
+            row[j] -= weight
         rows.append(row)
     m = len(rows)
     width = n + 2 * m
-    ks = [lcm(*(c.denominator for c in row)) for row in rows]
-    d = 1
-    for k in ks:
-        d *= k
 
-    # Start basis: x_0 on the sum row, and on row i whichever of u_i, v_i
-    # takes the residual at the vertex e_0, which is k_i * rows[i][0].
+    # Start basis, of determinant 1: x_0 on the sum row, and on row i
+    # whichever of u_i, v_i takes the residual at the vertex e_0, rows[i][0].
     tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (row, k) in enumerate(zip(rows, ks)):
-        ints = [int(c * k) for c in row]
-        sign = 1 if ints[0] >= 0 else -1
-        factor = sign * (d // k)
-        line = [factor * (ints[0] - c) for c in ints]
-        line += [0] * (2 * m) + [factor * ints[0]]
-        line[n + i] = sign * d
-        line[n + m + i] = -sign * d
+    for i, row in enumerate(rows):
+        sign = 1 if row[0] >= 0 else -1
+        line = [sign * (row[0] - c) for c in row]
+        line += [0] * (2 * m) + [sign * row[0]]
+        line[n + i] = sign
+        line[n + m + i] = -sign
         tableau.append(line)
         basis.append(n + i if sign > 0 else n + m + i)
-    tableau.append([d] * n + [0] * (2 * m) + [d])
+    tableau.append([1] * n + [0] * (2 * m) + [1])
     basis.append(0)
-    costs = [0] * n + [d] * (2 * m) + [0]
+    costs = [0] * n + [1] * (2 * m) + [0]
     for line in tableau[:m]:
         costs = [c - e for c, e in zip(costs, line)]
     tableau.append(costs)
 
-    pivots = 0
+    d, pivots = 1, 0
     while True:
         enter = next((j for j in range(width) if costs[j] < 0), None)
         if enter is None:
@@ -316,7 +291,7 @@ def _lp_minimize(problem: Problem) -> ErrorMinResult:
 
 
 def _pull_inward(
-    rows: list[list[Fraction]], vertex: list[Fraction], minimum: Fraction
+    rows: list[list[int]], vertex: list[Fraction], minimum: Fraction
 ) -> list[Fraction]:
     """Move a boundary optimum toward the barycentre c by the largest
     eps = 10^-k (k >= 0) with eps * (f(c) - minimum) <= 1e-12 * max(1,
@@ -355,13 +330,13 @@ def _family_zero(
     lower, upper = regime_analysis(family, inequalities).domain
     coeffs = [Fraction(-1)] + [0] * max(d for _, d in family.components)
     for c, d in family.components:
-        coeffs[d] += Fraction(c)
+        coeffs[d] += c
     roots = positive_roots(poly(coeffs))
     inside = roots and lower < roots[0] and (upper is None or roots[0] < upper)
     if not inside:
         return None
     z = Fraction(roots[0])
-    point = tuple(Fraction(c) * z**d for c, d in family.components)
+    point = tuple(c * z**d for c, d in family.components)
     if not isinstance(roots[0], Fraction):
         point = tuple(float(v) for v in point)
     return ErrorMinResult(point, Fraction(0), 0)
@@ -375,10 +350,10 @@ def _grid_minimize(
     """First grid point k (x = k / grid_points, lexicographic order) that
     meets every inequality with the least functional.
 
-    Every residual at x = k / G, times L * G^D with D the largest term
-    degree and L the lcm of all coefficient denominators (floats read
-    exactly), is an integer polynomial in k; the scan compares those
-    exact integers, and the inequalities compare the k's.
+    Every residual at x = k / G, times G^D with D the largest term degree,
+    is an integer polynomial in k, since _statements' coefficients are
+    integers; the scan compares those exact integers, and the inequalities
+    compare the k's.
     """
     statements = _statements(problem)
     degree = max(
@@ -386,15 +361,9 @@ def _grid_minimize(
         for _, _, terms in statements
         for _, exponents in terms
     )
-    coefficients = [
-        Fraction(c) for _, scale, terms in statements
-        for c in (scale, *(weight for weight, _ in terms))
-    ]
-    common = lcm(*(c.denominator for c in coefficients))
 
-    def integral(c: Scalar, term_degree: int) -> int:
-        scaled = common * Fraction(c) * grid_points ** (degree - term_degree)
-        return int(scaled)
+    def integral(c: int, term_degree: int) -> int:
+        return c * grid_points ** (degree - term_degree)
 
     rows = [
         (subject, integral(scale, 1), tuple(
@@ -432,5 +401,4 @@ def _grid_minimize(
         raise InvalidGrid(f"no point of the grid of {grid_points} points "
                           f"per axis meets {stated}")
     point = tuple(Fraction(k, grid_points) for k in best)
-    residuals = [_residual(*st) for st in statements]
-    return ErrorMinResult(point, _functional(residuals, point), count)
+    return ErrorMinResult(point, _functional(statements, point), count)

@@ -267,7 +267,7 @@ def canonicalize(pref):
 def statement_rows(problem: Problem) -> tuple:
     """Each equation preference x_s = alpha * c * sum a_j x_j as the integer
     row (s, L, B), at alpha = p / q the row q * L * e_s - p * B: L > 0 a
-    common denominator of the c * a_j (a float read exactly), B_j = L c a_j."""
+    common denominator of the Fractions c * a_j, B_j = L c a_j."""
     n = problem.criteria.n
     rows = []
     for pref, c in zip(problem.preferences, problem.binding.multipliers):
@@ -306,7 +306,7 @@ def assemble(problem: Problem):
 
     The row for subject i with terms a_j reads e_i - sum a_j e_j, so a
     consistent set of statements makes the rows linearly dependent. Entries
-    are Fractions, also for float coefficients.
+    are Fractions, as every coefficient the model holds is.
     """
     rows = statement_rows(problem)
     return [[Fraction(x, r[s]) for x in r]

@@ -27,8 +27,9 @@ unbound root gets multiplier 1.
 
 Formatting inverts parsing: parse(format(p)) is structurally identical to p
 for any problem that came out of the parser (exact coefficients, resolved
-binds). Programmatic problems with float coefficients survive only up to
-decimal rounding, and a ratio preference built in code is formatted in ratio
+binds), and for a problem built in code with float coefficients too: the
+model holds each float as the Fraction of its binary value, which is
+written out as p/q. A ratio preference built in code is formatted in ratio
 form, which parses back to its canonical linear equivalent.
 """
 

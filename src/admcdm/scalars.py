@@ -1,7 +1,8 @@
 """Scalar helpers: exact rationals with a float fallback.
 
-Coefficients that can be written as a ratio of integers are kept as
-fractions.Fraction so rational answers (20/57, 5/12, 125/64, ...) stay exact
+Every coefficient a problem holds is a fractions.Fraction: integers,
+decimal strings and finite floats alike (a float as the exact value of its
+binary form), so rational answers (20/57, 5/12, 125/64, ...) stay exact
 through the whole pipeline. Irrational values, such as square-root roots of
 parametric equations, live as ordinary floats; Python's numeric tower mixes
 the two transparently, so most code below is agnostic to which kind it holds.
@@ -10,6 +11,7 @@ the two transparently, so most code below is agnostic to which kind it holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from typing import Union
 
 from .errors import InvalidProblem, NonPositiveComponent
@@ -21,11 +23,12 @@ MATCH_TOL = 1e-12
 
 
 def exact(value) -> Scalar:
-    """Coerce to Fraction where that loses nothing.
+    """Coerce to the Fraction of the value's exact reading.
 
-    int, str ("2.4", "5/12") and Fraction become Fractions. A float is
-    returned unchanged: it already carries binary rounding, and pretending
-    otherwise would fabricate precision.
+    int, str ("2.4", "5/12") and Fraction become Fractions, and so does a
+    finite float: the exact value of its binary form (0.1 is
+    3602879701896397/36028797018963968), so every module reads it alike.
+    inf and nan stay floats, for the model's positivity checks to refuse.
     """
     if isinstance(value, Fraction):
         return value
@@ -39,7 +42,7 @@ def exact(value) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     if isinstance(value, float):
-        return value
+        return Fraction(value) if isfinite(value) else value
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
 
 

@@ -75,7 +75,7 @@ class ConsistencyPolicy:
     threshold_c: Scalar = 0
 
     def __post_init__(self):
-        if not 0 <= float(self.threshold_c) <= 1:
+        if not 0 <= self.threshold_c <= 1:
             raise InvalidProblem("threshold_c must lie in [0, 1]")
 
 
@@ -208,7 +208,7 @@ def _solve(ps: ParamSystem, policy, equation):
     c = _consistency_of(alpha)
     return AlphaSolution(
         roots=roots, alpha=alpha, consistency=c, inconsistency=1 - c,
-        extra_params=extras, discharged=float(c) < float(policy.threshold_c),
+        extra_params=extras, discharged=c < policy.threshold_c,
     ), v
 
 

@@ -111,12 +111,17 @@ def with_coefficients(problem, read):
     return Problem(problem.criteria, prefs)
 
 
-def float_sets():
-    """Inconsistent sets whose float coefficients (7/3 as 2.333...) are not
-    the rationals they were written from."""
+def float_sources():
+    """Inconsistent sets whose rationals (7/3, ...) have no float."""
     for seed in range(1, 5):
-        yield with_coefficients(multi_term(4 + seed % 3, seed), float)
-    yield with_coefficients(pairwise(5, 0, False), float)
+        yield multi_term(4 + seed % 3, seed)
+    yield pairwise(5, 0, False)
+
+
+def float_sets():
+    """float_sources() built from float coefficients (7/3 as 2.333...)."""
+    for source in float_sources():
+        yield with_coefficients(source, float)
 
 
 def holds_at_a_positive_vector(problem):
@@ -310,12 +315,14 @@ def test_float_coefficients():
 
 def test_float_coefficients_are_read_exactly():
     inexact = 0
-    for problem in float_sets():
-        twin = with_coefficients(problem, Fraction)
-        floats = [c for p in problem.preferences for _, c in p.terms]
-        assert all(isinstance(c, float) for c in floats)
+    for source in float_sources():
+        problem = with_coefficients(source, float)
+        twin = with_coefficients(source, lambda c: Fraction(float(c)))
+        read = [c for p in problem.preferences for _, c in p.terms]
+        assert all(isinstance(c, Fraction) for c in read)
         # the binary value of 1/3 or 7/3 has a large power-of-two denominator
-        inexact += any(Fraction(c).denominator > 2**40 for c in floats)
+        inexact += any(c.denominator > 2**40 for c in read)
+        assert problem == twin
         assert classify(problem) == classify(twin)
         assert _derive(problem) == _derive(twin)
     assert inexact == 4  # multi_term seed 4 draws only dyadic coefficients
@@ -394,8 +401,12 @@ def test_positive_solution_needs_no_search(monkeypatch):
         assert reference_classify(problem) == SOLVED
         multi += any(len(r.trail) > 1 and len(
             problem.preferences[r.trail[0]].terms) > 1 for r in relations)
-        floats += any(isinstance(c, float)
-                      for p in problem.preferences for _, c in p.terms)
+        assert all(isinstance(c, Fraction)
+                   for p in problem.preferences for _, c in p.terms)
+        # dyadic() states C0 = 0.5 x_a + 0.25 x_b in floats
+        floats += any({c for _, c in p.terms} == {Fraction(1, 2),
+                                                  Fraction(1, 4)}
+                      for p in problem.preferences)
     # every set with a multi-term statement reaches substitution
     assert multi == 18 and floats == 6
 

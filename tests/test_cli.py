@@ -99,6 +99,18 @@ class TestSolve:
                        EX["ex11"])
         assert doc["alpha"]["discharged"] is False
 
+    @pytest.mark.parametrize("threshold, discharged", [
+        ("0.33333333333333333334", True),
+        ("0.33333333333333333333", False),
+    ])
+    def test_threshold_is_compared_exactly(self, capsys, threshold,
+                                           discharged):
+        # ex3 solves at alpha = 1/3; both thresholds round to its float
+        doc = run_json(capsys, "solve", "--json", "--threshold-c", threshold,
+                       str(CORPUS / "ex3.admp"))
+        assert doc["alpha"]["exact"] == "1/3"
+        assert doc["alpha"]["discharged"] is discharged
+
     def test_uniform_fallback_replaces_strong_inconsistency(self, capsys):
         doc = run_json(capsys, "solve", "--json", "--fallback", "uniform",
                        EX["ex11"])

@@ -342,25 +342,31 @@ class TestFamilyZero:
         assert checked >= 30
 
 
-def linprog_minimum(problem):
-    """Independent oracle: scipy's HiGHS on the L1 program, each equation
-    statement multiplied through by the common denominator of its
-    coefficients, inequalities skipped."""
-    np = pytest.importorskip("numpy")
-    optimize = pytest.importorskip("scipy.optimize")
+def cleared_rows(problem):
+    """Each equation statement's residual row, multiplied through by the
+    common denominator of its coefficients; inequalities skipped."""
     n = problem.criteria.n
     rows = []
     for pref in problem.preferences:
         if isinstance(pref, InequalityPreference):
             continue
         flat = canonicalize(pref)
-        scale = lcm(*(Fraction(a).denominator for _, a in flat.terms
-                      if not isinstance(a, float)))
-        row = [0.0] * n
+        scale = lcm(*(a.denominator for _, a in flat.terms))
+        row = [Fraction(0)] * n
         row[flat.subject] += scale
         for j, a in flat.terms:
             row[j] -= scale * a
         rows.append(row)
+    return rows
+
+
+def linprog_minimum(problem):
+    """Independent oracle: scipy's HiGHS on the L1 program of
+    cleared_rows()."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    n = problem.criteria.n
+    rows = [[float(c) for c in row] for row in cleared_rows(problem)]
     m = len(rows)
     a_eq = np.vstack([
         np.hstack([np.array(rows, dtype=float), -np.eye(m), np.eye(m)]),
@@ -373,6 +379,30 @@ def linprog_minimum(problem):
                            method="highs")
     assert res.status == 0, res.message
     return res.fun
+
+
+def vertex_minimum(problem):
+    """Independent exact oracle for a small linear set: the L1 functional
+    is linear on each cell the hyperplanes residual_i = 0 cut from the
+    simplex, so its least value is at a point of sum(x) = 1 where n - 1 of
+    those hyperplanes and the faces x_j = 0 meet."""
+    sympy = pytest.importorskip("sympy")
+    n = problem.criteria.n
+    rows = cleared_rows(problem)
+    faces = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    best = None
+    for chosen in combinations(rows + faces, n - 1):
+        a = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                           for c in row] for row in (*chosen, [1] * n)])
+        if a.det() == 0:
+            continue
+        x = [Fraction(int(v.p), int(v.q))
+             for v in a.LUsolve(sympy.Matrix([0] * (n - 1) + [1]))]
+        if all(v >= 0 for v in x):
+            value = sum(abs(sum(c * v for c, v in zip(row, x)))
+                        for row in rows)
+            best = value if best is None else min(best, value)
+    return best
 
 
 def assert_exact_minimum(problem):
@@ -435,14 +465,21 @@ class TestLinearProgram:
 
     def test_float_coefficients_are_read_exactly(self):
         """0.1 and 0.3 are binary fractions with 2^55-sized denominators;
-        the program reads them exactly, so its minimum matches linprog's
-        and its value is the float functional at the argmin."""
+        the program reads them exactly, so its minimum is the exact one of
+        the arrangement's vertices and its value is the exact functional at
+        the argmin. Clearing those denominators weighs the two float
+        statements about 2^54 times the third, past what HiGHS accepts."""
         pr = Problem(CriteriaSet(("x", "y", "z")), (
             LinearPreference(0, ((1, 0.1), (2, 3))),
             LinearPreference(1, ((2, 0.3),)),
             LinearPreference(2, ((0, Fraction(7, 2)),))))
-        res = assert_exact_minimum(pr)
-        assert isinstance(res.value, float)
+        assert pr.preferences[1].terms == ((2, Fraction(0.3)),)
+        res = minimize_error(pr)
+        assert res.value == vertex_minimum(pr)
+        assert isinstance(res.value, Fraction)
+        assert all(isinstance(v, Fraction) and v > 0 for v in res.argmin)
+        assert sum(res.argmin) == 1
+        assert eval_error(pr, res.argmin) == res.value
 
     def test_random_linear_sets_match_linprog(self):
         hypothesis = pytest.importorskip("hypothesis")

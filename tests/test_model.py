@@ -4,11 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from admcdm.ahp import ahp_priority, build_ahp_matrix
+from admcdm.classification import classify
+from admcdm.error_min import minimize_error
 from admcdm.errors import (
+    ConflictingPair,
+    EngineError,
     InvalidProblem,
     NonEquationPreference,
     NonlinearPreferencePresent,
     NonPositiveParameter,
+    OverDetermined,
 )
 from admcdm.model import (
     CriteriaSet,
@@ -26,7 +32,8 @@ from admcdm.model import (
     is_equation,
     make_cyclic_example,
 )
-from admcdm.solver import priority
+from admcdm.nonlinear import solve_triangular
+from admcdm.solver import discount_report, priority
 
 INF = float("inf")
 
@@ -191,23 +198,97 @@ class TestProblem:
         assert pr.extras == (2,)
 
 
-class TestNonFiniteValues:
-    """An infinite value is refused as InvalidProblem when the model is
-    built, so priority() never meets it (assemble cannot read it as a
-    Fraction, and only EngineError may escape)."""
+NON_FINITE_SHAPES = {
+    "ratio-value":
+        lambda v: Problem(crit("x", "y"), (RatioPreference(0, 1, v),)),
+    "term-coefficient":
+        lambda v: Problem(crit("x", "y"), (LinearPreference(0, ((1, v),)),)),
+    "monomial-coefficient":
+        lambda v: Problem(crit("x", "y", "z"),
+                          (MonomialPreference(0, v, ((1, 1), (2, 1))),)),
+    "binding-multiplier":
+        lambda v: Problem(crit("x", "y"), (LinearPreference(0, ((1, 2),)),),
+                          ParamBinding((v,), (0,))),
+}
 
-    @pytest.mark.parametrize("build", [
-        lambda: Problem(crit("x", "y"), (RatioPreference(0, 1, INF),)),
-        lambda: Problem(crit("x", "y"), (LinearPreference(0, ((1, INF),)),)),
-        lambda: Problem(crit("x", "y", "z"),
-                        (MonomialPreference(0, INF, ((1, 1), (2, 1))),)),
-        lambda: Problem(crit("x", "y"), (LinearPreference(0, ((1, 2),)),),
-                        ParamBinding((INF,), (0,))),
-    ], ids=["ratio-value", "term-coefficient", "monomial-coefficient",
-            "binding-multiplier"])
-    def test_infinity_is_refused(self, build):
+
+class TestNonFiniteValues:
+    """An infinite or nan value is refused as InvalidProblem when the model
+    is built, so priority() never meets it (it has no Fraction to read,
+    and only EngineError may escape)."""
+
+    @pytest.mark.parametrize("shape", NON_FINITE_SHAPES)
+    def test_infinity_is_refused(self, shape):
         with pytest.raises(InvalidProblem, match="positive and finite"):
-            priority(build())
+            priority(NON_FINITE_SHAPES[shape](INF))
+
+    @pytest.mark.parametrize("shape", NON_FINITE_SHAPES)
+    def test_nan_is_refused(self, shape):
+        with pytest.raises(InvalidProblem, match="positive and finite"):
+            priority(NON_FINITE_SHAPES[shape](float("nan")))
+
+
+def float_built(read):
+    """Problems a caller states with float coefficients, each coefficient
+    passed through read first."""
+    xyz = crit("x", "y", "z")
+    # 0.1 * 10 * 1 is 1 in decimals but not in binary
+    yield Problem(xyz, (LinearPreference(0, ((1, read(0.1)),)),
+                        LinearPreference(1, ((2, read(10.0)),)),
+                        LinearPreference(0, ((2, read(1.0)),))))
+    # a pair stated twice, once as the float nearest to 1/3
+    yield Problem(crit("x", "y"), (
+        LinearPreference(0, ((1, read(3.0)),)),
+        LinearPreference(1, ((0, read(0.3333333333333333)),))))
+    yield Problem(xyz, (LinearPreference(0, ((1, read(0.1)), (2, read(0.7)))),
+                        RatioPreference(1, 2, read(2.5)),
+                        LinearPreference(2, ((0, read(1.3)),))),
+                  ParamBinding((1, read(0.5), 1), (0, 1, 2)))
+    yield Problem(xyz, (MonomialPreference(0, read(0.1), ((1, 1), (2, 1))),
+                        LinearPreference(1, ((2, read(2.5)),)),
+                        InequalityPreference(0, 2, Relation.STRICT_LESS)))
+
+
+def _outcome(call, problem):
+    try:
+        return repr(call(problem))
+    except EngineError as exc:
+        return type(exc).__name__
+
+
+FLOAT_CALLS = {
+    "priority": priority,
+    "classify": classify,
+    "discount_report": lambda p: discount_report(p, priority(p)[0]),
+    "ahp": lambda p: ahp_priority(build_ahp_matrix(p)),
+    "minimize_error": minimize_error,
+    "solve_triangular": solve_triangular,
+}
+
+
+class TestFloatCoefficients:
+    """A float coefficient is read once, in the model, as the exact value
+    of its binary form: every module then sees the same Problem as for
+    the Fraction of that float."""
+
+    def test_a_float_problem_is_its_fraction_twin(self):
+        for problem, twin in zip(float_built(lambda c: c),
+                                 float_built(Fraction)):
+            assert problem == twin
+            for name, call in FLOAT_CALLS.items():
+                assert _outcome(call, problem) == _outcome(call, twin), name
+
+    def test_every_module_reads_the_binary_value(self):
+        one_tenth, pair, _, _ = float_built(lambda c: c)
+        pv, solution, _ = priority(one_tenth)
+        assert solution.alpha == Fraction(2**54, 2**54 + 1)
+        assert all(isinstance(f, Fraction)
+                   for _, f in discount_report(one_tenth, pv))
+        assert isinstance(minimize_error(one_tenth).value, Fraction)
+        with pytest.raises(OverDetermined):
+            solve_triangular(one_tenth)
+        with pytest.raises(ConflictingPair):
+            build_ahp_matrix(pair)
 
 
 class TestCanonicalize:

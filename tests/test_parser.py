@@ -9,9 +9,11 @@ import pytest
 
 from admcdm.errors import ParseError
 from admcdm.model import (
+    CriteriaSet,
     InequalityPreference,
     LinearPreference,
     MonomialPreference,
+    ParamBinding,
     Problem,
     Relation,
 )
@@ -264,6 +266,18 @@ class TestRoundTrip:
         text = format_problem(pr)
         assert "bind: a2 = 2 a1" in text
         assert "bind: a3 = 1/3 a1" in text
+        assert parse_problem(text) == pr
+
+    def test_float_coefficients_round_trip_exactly(self):
+        # each float is its binary value, which fmt writes out as p/q
+        xyz = ("x", "y", "z")
+        pr = Problem(CriteriaSet(xyz), (
+            LinearPreference(0, ((1, 0.1), (2, 0.7))),
+            LinearPreference(1, ((2, 2.5),)),
+            MonomialPreference(2, 0.3, ((0, 1), (1, 2)))),
+            ParamBinding((1, 0.1, 1), (0, 1, 2)))
+        text = format_problem(pr)
+        assert "bind: a2 = 3602879701896397/36028797018963968 a1" in text
         assert parse_problem(text) == pr
 
     def test_non_default_core_is_emitted(self):

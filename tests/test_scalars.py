@@ -18,9 +18,13 @@ def test_exact_converts_ints_and_strings():
     assert exact("9/5") == Fraction(9, 5)
 
 
-def test_exact_keeps_floats_as_floats():
+def test_exact_reads_finite_floats_exactly():
     assert exact(0.5) == 0.5
-    assert isinstance(exact(0.5), float)
+    assert isinstance(exact(0.5), Fraction)
+    assert exact(0.1) == Fraction(3602879701896397, 36028797018963968)
+    # inf and nan stay floats, which the model's checks refuse
+    assert exact(float("inf")) == float("inf")
+    assert isinstance(exact(float("nan")), float)
 
 
 def test_exact_rejects_bools():
