@@ -21,7 +21,8 @@ from .model import (
     Problem,
     canonicalize,
 )
-from .scalars import PriorityVector, Scalar, is_exact, matches, normalize
+from .scalars import (PriorityVector, Scalar, integer_row, is_exact, matches,
+                      normalize)
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,12 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     lambda_max is the correctly rounded float and each vector component
     the float nearest to its value at it.
     """
-    from .linalg import _integer_row, det_coefficients, null_vector
+    from .linalg import det_coefficients, null_vector
     from .polynomial import poly, positive_roots
 
     a, n = m.entries, m.n
     # the product of the row scales times det(A - x I): the same roots
-    scaled = [_integer_row(row) for row in a]
+    scaled = [integer_row(row) for row in a]
     char = det_coefficients(lambda x: [
         [c - scale * x if i == j else c for j, c in enumerate(ints)]
         for i, (ints, scale) in enumerate(scaled)], n)

@@ -2,11 +2,12 @@
 vector is from satisfying every stated preference at once.
 
 Each equation statement contributes the absolute value of its residual in
-cleared-denominator form (the statement is multiplied through by the least
-common denominator of its coefficients first, a float's binary value
-included), and the functional is the sum of those absolute residuals. A
-consistent problem's priority vector drives the functional to exactly zero;
-an inconsistent one has a strictly positive floor.
+the integer form model.cleared gives it (the statement as written,
+multiplied through by the least common denominator of its coefficients, a
+float's binary value included), and the functional is the sum of those
+absolute residuals. A consistent problem's priority vector drives the
+functional to exactly zero; an inconsistent one has a strictly positive
+floor.
 
 When every equation statement is linear the functional is an L1 fit, and
 its minimum is the optimum of a linear program (Charnes, Cooper & Ferguson
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -40,11 +41,11 @@ from .errors import (
 )
 from .model import (
     InequalityPreference,
-    LinearPreference,
     MonomialPreference,
     Problem,
     Relation,
-    canonicalize,
+    cleared,
+    is_equation,
 )
 from .scalars import Scalar, exact
 
@@ -75,24 +76,10 @@ _Statement = tuple[int, int, tuple[_Term, ...]]
 
 
 def _statements(problem: Problem) -> list[_Statement]:
-    """Each equation statement in cleared-denominator form (subject, scale,
-    terms), all integers: its residual is scale * x[subject] minus, for
+    """Each equation statement as model.cleared writes it, (subject, scale,
+    terms) in integers: its residual is scale * x[subject] minus, for
     every term (w, exponents), w times the product of x[j] ** p."""
-    out = []
-    for pref in problem.preferences:
-        if isinstance(pref, InequalityPreference):
-            continue
-        if isinstance(pref, MonomialPreference):
-            coef = pref.coefficient
-            out.append((pref.subject, coef.denominator,
-                        ((coef.numerator, pref.exponents),)))
-            continue
-        flat: LinearPreference = canonicalize(pref)
-        scale = lcm(*(a.denominator for _, a in flat.terms))
-        terms = tuple((a.numerator * (scale // a.denominator), ((j, 1),))
-                      for j, a in flat.terms)
-        out.append((flat.subject, scale, terms))
-    return out
+    return [cleared(p) for p in problem.preferences if is_equation(p)]
 
 
 def _functional(statements: list[_Statement], x: Sequence[Scalar]) -> Scalar:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import FullRank, NonPositiveComponent, NotSquare
 from .polynomial import Poly, peval, poly
+from .scalars import integer_row
 
 RANK_TOL = 1e-9
 # Consistency is exact (rank < n). Callers that scale a
@@ -56,14 +57,6 @@ class PolyMatrix:
     @property
     def n(self) -> int:
         return len(self.entries[0])
-
-
-def _integer_row(values):
-    """values read exactly and scaled by the lcm of their denominators:
-    (integers, scale)."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*(d for _, d in ratios))
-    return [a * (scale // d) for a, d in ratios], scale
 
 
 def _bareiss(mat, reduced=False):
@@ -124,7 +117,7 @@ def det_poly(mat: PolyMatrix) -> Poly:
         raise NotSquare(f"determinant needs a square matrix, got {mat.m}x{mat.n}")
     rows, scale, deg = [], 1, 0
     for row in mat.entries:
-        ints, s = _integer_row(c for e in row for c in e.coeffs)
+        ints, s = integer_row(c for e in row for c in e.coeffs)
         it = iter(ints)
         rows.append([poly(next(it) for _ in e.coeffs) for e in row])
         scale *= s
@@ -141,7 +134,7 @@ def det_numeric(rows) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NotSquare("determinant needs a square matrix")
-    scaled = [_integer_row(r) for r in rows]
+    scaled = [integer_row(r) for r in rows]
     return Fraction(_det([ints for ints, _ in scaled]),
                     prod(s for _, s in scaled))
 
@@ -184,7 +177,7 @@ def _rref(rows):
 
 def rank(rows) -> int:
     """Exact rank, a float entry read as the Fraction of its binary value."""
-    return len(_bareiss([_integer_row(r)[0] for r in rows])[0])
+    return len(_bareiss([integer_row(r)[0] for r in rows])[0])
 
 
 @dataclass(frozen=True)
@@ -218,7 +211,7 @@ def general_solution(rows) -> GeneralSolution:
     if any(isinstance(e, float) for r in rows for e in r):
         work, pivots = _rref(rows)
     else:
-        ints = [_integer_row(r)[0] for r in rows]
+        ints = [integer_row(r)[0] for r in rows]
         pivots, _ = _bareiss(ints, reduced=True)
         # a pivot row over its pivot entry is its reduced echelon row
         work = [[Fraction(a, row[p]) for a in row]
@@ -244,7 +237,7 @@ def null_vector(rows):
         gs = general_solution(rows)
         k = len(gs.secondary_vars)
         return gs.vector([Fraction(1)] * k), k
-    mat = [_integer_row(r)[0] for r in rows]
+    mat = [integer_row(r)[0] for r in rows]
     pivots, _ = _bareiss(mat, reduced=True)
     if len(pivots) == n:
         raise FullRank(

@@ -26,7 +26,7 @@ from .errors import (
     NonlinearPreferencePresent,
     NonPositiveParameter,
 )
-from .scalars import Scalar, exact
+from .scalars import Scalar, exact, integer_row
 
 
 def _positive_finite(value) -> bool:
@@ -231,17 +231,6 @@ class Problem:
                 raise InvalidProblem(
                     "only core preferences may carry a non-unit multiplier")
 
-    @property
-    def core(self) -> tuple:
-        return self.binding.core_mask
-
-    @property
-    def extras(self) -> tuple:
-        """Equation preferences outside the core, in file order."""
-        core = set(self.binding.core_mask)
-        return tuple(i for i in equation_positions(self.preferences)
-                     if i not in core)
-
 
 def _referenced(pref):
     if isinstance(pref, RatioPreference):
@@ -262,6 +251,20 @@ def canonicalize(pref):
     if isinstance(pref, LinearPreference):
         return pref
     raise TypeError(f"cannot canonicalize {type(pref).__name__}")
+
+
+def cleared(pref) -> tuple:
+    """The equation pref as written, in integers (subject, scale, terms):
+    scale * x[subject] equals the sum over terms (w, factors) of
+    w * prod x[j] ** p. A linear term has the single factor (j, 1); a
+    product statement is one term with its exponents."""
+    if isinstance(pref, MonomialPreference):
+        (weight,), scale = integer_row((pref.coefficient,))
+        return pref.subject, scale, ((weight, pref.exponents),)
+    lin = canonicalize(pref)
+    weights, scale = integer_row(a for _, a in lin.terms)
+    return lin.subject, scale, tuple(
+        (w, ((j, 1),)) for (j, _), w in zip(lin.terms, weights))
 
 
 def statement_rows(problem: Problem) -> tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     EmptyDomain,
@@ -22,11 +22,10 @@ from .errors import (
 )
 from .model import (
     InequalityPreference,
-    LinearPreference,
-    MonomialPreference,
     Problem,
     Relation,
-    canonicalize,
+    cleared,
+    is_equation,
 )
 from .scalars import Scalar, matches
 
@@ -91,23 +90,19 @@ class RegimeReport:
     regimes: tuple[Regime, ...]
 
 
-def _equations(problem: Problem) -> list[tuple[int, Scalar, tuple[tuple[int, int], ...]]]:
-    """Equation statements as (subject, coefficient, factor list) triples."""
+def _equations(problem: Problem) -> list[tuple[int, Fraction, tuple]]:
+    """Equation statements as (subject, coefficient, factor list) triples,
+    read from model.cleared."""
     out = []
-    for pref in problem.preferences:
-        if isinstance(pref, InequalityPreference):
-            continue
-        if isinstance(pref, MonomialPreference):
-            out.append((pref.subject, pref.coefficient, pref.exponents))
-            continue
-        flat: LinearPreference = canonicalize(pref)
-        if len(flat.terms) != 1:
+    for pref in filter(is_equation, problem.preferences):
+        subject, scale, terms = cleared(pref)
+        if len(terms) != 1:
             raise NotTriangular(
                 "a multi-term statement cannot be folded into a "
                 "single-variable monomial family"
             )
-        j, coef = flat.terms[0]
-        out.append((flat.subject, coef, ((j, 1),)))
+        ((weight, factors),) = terms
+        out.append((subject, Fraction(weight, scale), factors))
     return out
 
 
@@ -118,8 +113,9 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
     forward substitution resolves a statement once all its factors are
     known, and a single-factor statement with a known subject is inverted.
     Redundant statements must reproduce the already-known component
-    exactly. The first candidate that resolves every criterion wins, and
-    the result is verified against every statement symbolically.
+    exactly. The first candidate that resolves every criterion wins. Every
+    statement held exactly when it was consumed, and no component changes
+    once set, so the family satisfies every statement.
 
     Raises:
         NotTriangular: no substitution order exists (a multi-term
@@ -155,9 +151,7 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
                         known[subject] = (total_coef, total_power)
                     else:
                         have_coef, have_power = known[subject]
-                        if have_power != total_power or not matches(
-                            have_coef, total_coef
-                        ):
+                        if have_power != total_power or have_coef != total_coef:
                             closed = True
                             break
                     progressed = True
@@ -182,11 +176,7 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
         if len(known) < n:
             saw_multi = True
             continue
-        solution = MonomialSolution(
-            free, tuple(known[k] for k in range(n))
-        )
-        _verify(solution, equations)
-        return solution
+        return MonomialSolution(free, tuple(known[k] for k in range(n)))
 
     if saw_over:
         raise OverDetermined(
@@ -198,24 +188,6 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
             "the statements leave more than one criterion free"
         )
     raise NotTriangular("no substitution order resolves these statements")
-
-
-def _verify(
-    solution: MonomialSolution,
-    equations: Iterable[tuple[int, Scalar, tuple[tuple[int, int], ...]]],
-) -> None:
-    for subject, coef, factors in equations:
-        rhs_coef: Scalar = coef
-        rhs_power = 0
-        for j, power in factors:
-            base_coef, base_power = solution.components[j]
-            rhs_coef = rhs_coef * base_coef**power
-            rhs_power += base_power * power
-        lhs_coef, lhs_power = solution.components[subject]
-        if lhs_power != rhs_power or not matches(lhs_coef, rhs_coef):
-            raise OverDetermined(
-                "resolved family fails to satisfy a statement symbolically"
-            )
 
 
 def _nth_root(ratio: Scalar, degree: int) -> Scalar:

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from sys import float_info
 
 from .errors import InvalidProblem, ZeroPolynomial
-from .scalars import Scalar
+from .scalars import Scalar, integer_row
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ def peval(p: Poly, x) -> Scalar:
 def _primitive(coeffs) -> list:
     """The primitive integer polynomial, leading coefficient positive, with
     the roots of the rational (or float) coefficients, the last nonzero."""
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    den = lcm(*(d for _, d in ratios))
-    ints = [c * (den // d) for c, d in ratios]
+    ints, _ = integer_row(coeffs)
     g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return [c // g for c in ints]
 

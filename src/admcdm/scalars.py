@@ -11,7 +11,7 @@ the two transparently, so most code below is agnostic to which kind it holds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 from typing import Union
 
 from .errors import InvalidProblem, NonPositiveComponent
@@ -60,8 +60,8 @@ def matches(a, b) -> bool:
     return abs(a - b) <= Fraction(MATCH_TOL) * max(1, abs(a), abs(b))
 
 
-def sig(value, digits: int = 12) -> float:
-    """Round to `digits` significant decimal digits.
+def sig(value) -> float:
+    """Round to 12 significant decimal digits.
 
     The result reparses to the same shortest repr, which is what makes the
     JSON reports byte-stable across serialize/parse cycles.
@@ -75,18 +75,21 @@ def sig(value, digits: int = 12) -> float:
         raise InvalidProblem(
             "a result lies outside the float range and cannot be reported"
         ) from None
-    return float(f"{value:.{digits}g}")
+    return float(f"{value:.12g}")
 
 
-def fmt(value, digits: int = 12) -> str:
-    """Compact human form: exact integers bare, rationals as p/q, floats
-    with `digits` significant digits."""
-    if is_exact(value):
-        f = Fraction(value)
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
-    return f"{float(value):.{digits}g}"
+def fmt(value) -> str:
+    """Compact exact form: integers bare, rationals as p/q, a float as the
+    p/q of its binary value (as exact() reads it)."""
+    return str(Fraction(value))
+
+
+def integer_row(values) -> tuple:
+    """values read exactly and scaled by the lcm of their denominators:
+    (integers, scale)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(d for _, d in ratios))
+    return [a * (scale // d) for a, d in ratios], scale
 
 
 def normalize(v) -> PriorityVector:

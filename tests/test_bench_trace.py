@@ -1,4 +1,4 @@
-"""The benchmark's traced pipeline against the plain one, in tier-1.
+"""The benchmark's traced paths against the plain ones, in tier-1.
 
 bench/worker.py drives priority() stage by stage through admcdm's public
 names in traced mode (``traced_case``) and calls priority() itself in plain
@@ -8,6 +8,10 @@ unnoticed. This test loads bench/worker.py the way test_engine_golden
 loads bench/workloads.py and checks that both paths give the same
 (alpha, vector), or the same error type, on the corpus and on samples of
 the benchmark's linear and small pairwise inputs (seed 1).
+
+bench/cli_call.py times the corpus CLI by rebinding library names on
+admcdm.cli and reading per-call counts off the results; the last test
+runs one corpus call per command through those wrappers.
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ import pytest
 from admcdm.errors import EngineError
 
 from test_engine_golden import ROOT, SEED, _workloads
+from test_golden import _expected, capture
 
 # every STEP-th input of a workload, which keeps both paths together
 # near half a second on a 2-vCPU machine
 LINEAR_STEP = 8
 PAIRWISE_STEP = 3
 PAIRWISE_MAX_N = 6
+
+# one corpus file per command, together reaching every name cli_call wraps
+CLI_CALLS = (("solve", "ex1"), ("classify", "ex2"), ("ahp", "ex1"),
+             ("compare", "ex9"), ("error-min", "ex15"), ("regimes", "ex15"))
 
 
 def _load(name, path):
@@ -85,3 +94,22 @@ def test_traced_case_matches_plain_case():
         traced = _answer(
             lambda t: worker.traced_case(t, tracer, Counter()), text)
         assert traced == plain, case_id
+
+
+def test_cli_call_wrappers_keep_the_output(monkeypatch):
+    import admcdm.cli as cli
+
+    _load("speed", ROOT / "bench" / "speed.py")
+    cli_call = _load("bench_cli_call", ROOT / "bench" / "cli_call.py")
+    spans, counts = [], {}
+    for attr, (span, count) in cli_call.WRAPPED.items():
+        # registers the original for monkeypatch to restore afterwards
+        monkeypatch.setattr(cli, attr, getattr(cli, attr))
+        cli_call._wrap(cli, attr, span, count, spans, counts)
+    expected = _expected()
+    for command, name in CLI_CALLS:
+        argv = (command, "--json", f"corpus/{name}.admp")
+        assert capture(argv) == expected[" ".join(argv)], argv
+    assert ({span for span, *_ in spans}
+            == {span for span, _ in cli_call.WRAPPED.values()})
+    assert set(counts) == {"ahp.iterations", "error_min.evaluations"}

@@ -27,6 +27,7 @@ from admcdm.model import (
     Relation,
     assemble,
     canonicalize,
+    cleared,
     default_binding,
     equation_positions,
     is_equation,
@@ -148,7 +149,6 @@ class TestProblem:
     def test_binding_defaults(self):
         pr = Problem(crit("x", "y"), (LinearPreference(0, ((1, 2),)),))
         assert pr.binding.core_mask == (0,)
-        assert pr.extras == ()
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(InvalidProblem):
@@ -186,16 +186,6 @@ class TestProblem:
         Problem(crit("x", "y"), prefs, ParamBinding((1, 2, 1), (0, 1)))
         with pytest.raises(InvalidProblem):
             Problem(crit("x", "y"), prefs, ParamBinding((1, 1, 2), (0, 1)))
-
-    def test_extras_lists_equations_outside_core(self):
-        prefs = (
-            LinearPreference(0, ((1, 2),)),
-            LinearPreference(1, ((0, 3),)),
-            LinearPreference(0, ((1, 5),)),
-        )
-        pr = Problem(crit("x", "y"), prefs, ParamBinding((1, 1, 1), (0, 1)))
-        assert pr.core == (0, 1)
-        assert pr.extras == (2,)
 
 
 NON_FINITE_SHAPES = {
@@ -303,6 +293,26 @@ class TestCanonicalize:
     def test_monomial_cannot_be_linearized(self):
         with pytest.raises(TypeError):
             canonicalize(MonomialPreference(0, 2, ((1, 1),)))
+
+
+class TestCleared:
+    def test_ratio(self):
+        assert cleared(RatioPreference(1, 0, Fraction(3, 2))) == (
+            1, 2, ((3, ((0, 1),)),))
+
+    def test_mixed_denominators_share_one_scale(self):
+        pref = LinearPreference(0, ((1, Fraction(1, 2)), (2, Fraction(1, 3))))
+        assert cleared(pref) == (0, 6, ((3, ((1, 1),)), (2, ((2, 1),))))
+
+    def test_product_is_one_term_with_its_exponents(self):
+        pref = MonomialPreference(0, Fraction(2, 3), ((1, 2), (2, 1)))
+        assert cleared(pref) == (0, 3, ((2, ((1, 2), (2, 1))),))
+
+    def test_float_coefficient_is_its_binary_value(self):
+        num, den = (0.1).as_integer_ratio()
+        assert cleared(LinearPreference(0, ((1, 0.1),))) == (
+            0, den, ((num, ((1, 1),)),))
+        assert den == 2**55
 
 
 class TestAssemble:

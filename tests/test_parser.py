@@ -115,7 +115,6 @@ class TestBindsAndCore:
             "core: 1 2 4",
         )
         assert pr.binding.core_mask == (0, 1, 3)
-        assert pr.extras == (2,)
 
     def test_default_core_skips_inequalities(self):
         pr = parse(

@@ -45,7 +45,7 @@ def test_sig_rounds_to_twelve_significant_digits():
 def test_fmt_fraction_and_float():
     assert fmt(Fraction(5, 12)) == "5/12"
     assert fmt(Fraction(4)) == "4"
-    assert fmt(0.125) == "0.125"
+    assert fmt(0.125) == "1/8"
 
 
 def test_sig_refuses_a_value_past_the_float_range():
