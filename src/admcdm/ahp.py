@@ -11,7 +11,6 @@ code as the discount parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConflictingPair, MissingPair, NotPairwise
@@ -21,12 +20,11 @@ from .model import (
     Problem,
     canonicalize,
 )
-from .scalars import (PriorityVector, Scalar, integer_row, is_exact, matches,
-                      normalize)
+from .scalars import (PriorityVector, Record, Scalar, integer_row, is_exact,
+                      matches, normalize)
 
 
-@dataclass(frozen=True)
-class AhpMatrix:
+class AhpMatrix(Record):
     """Square positive comparison matrix with unit diagonal.
 
     ``entries[i][j]`` holds the stated importance ratio of criterion ``i``
@@ -59,8 +57,7 @@ class AhpMatrix:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class AhpResult:
+class AhpResult(Record):
     """Principal eigenpair of a comparison matrix.
 
     ``lambda_max`` is the dominant eigenvalue (a Fraction when rational,

@@ -50,7 +50,6 @@ above their smallest node. Other sets take the full search.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
@@ -67,6 +66,7 @@ from .model import (
     statement_rows,
     unit_rows,
 )
+from .scalars import Record
 
 RATIO_BAND = 1e-9
 _RELATION_CAP = 5000
@@ -79,8 +79,7 @@ class Label(Enum):
     STRONG_INCONSISTENT = "StrongInconsistent"
 
 
-@dataclass(frozen=True)
-class DerivedRelation:
+class DerivedRelation(Record):
     """x_i = ratio * x_j, derived through the preferences listed in trail."""
 
     i: int
@@ -94,8 +93,9 @@ class DerivedRelation:
         return f"{names[self.i]} = {k} * {names[self.j]} (via {via})"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
+    """A label and the witnesses and rule behind it."""
+
     label: Label
     witnesses: tuple       # (rule, relation, other relation or None)
     rule_fired: str        # strongest rule observed, or "" when consistent

@@ -27,7 +27,6 @@ bounded by a point budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
@@ -47,7 +46,7 @@ from .model import (
     cleared,
     is_equation,
 )
-from .scalars import Scalar, exact
+from .scalars import Record, Scalar, exact
 
 SIMPLEX_TOL = 1e-9
 DEFAULT_GRID = 100
@@ -55,8 +54,7 @@ GRID_BUDGET = 200_000
 BOUNDARY_SLACK = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True)
-class ErrorMinResult:
+class ErrorMinResult(Record):
     """Outcome of minimizing the accuracy functional.
 
     ``argmin`` is the best weight vector found: exact fractions, except

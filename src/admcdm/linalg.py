@@ -16,13 +16,12 @@ are solved with partial pivoting and a relative rank tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .errors import FullRank, NonPositiveComponent, NotSquare
 from .polynomial import Poly, peval, poly
-from .scalars import integer_row
+from .scalars import Record, integer_row
 
 RANK_TOL = 1e-9
 # Consistency is exact (rank < n). Callers that scale a
@@ -31,8 +30,7 @@ RANK_TOL = 1e-9
 CONSISTENT_DET_TOL = 0
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Record):
     """Rectangular matrix of Poly entries."""
 
     entries: tuple
@@ -180,8 +178,7 @@ def rank(rows) -> int:
     return len(_bareiss([integer_row(r)[0] for r in rows])[0])
 
 
-@dataclass(frozen=True)
-class GeneralSolution:
+class GeneralSolution(Record):
     """Solution family of a dependent homogeneous system A x = 0.
 
     Non-pivot columns are the secondary (free) variables; each main variable

@@ -15,7 +15,6 @@ equation present, and the binding consistent with the preference list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import inf, lcm
@@ -26,7 +25,7 @@ from .errors import (
     NonlinearPreferencePresent,
     NonPositiveParameter,
 )
-from .scalars import Scalar, exact, integer_row
+from .scalars import Record, Scalar, exact, integer_row
 
 
 def _positive_finite(value) -> bool:
@@ -34,8 +33,7 @@ def _positive_finite(value) -> bool:
     return 0 < value < inf
 
 
-@dataclass(frozen=True)
-class CriteriaSet:
+class CriteriaSet(Record):
     """Ordered, distinct criterion names; positions are 0-based."""
 
     names: tuple
@@ -59,8 +57,7 @@ class CriteriaSet:
             raise InvalidProblem(f"unknown criterion {name!r}") from None
 
 
-@dataclass(frozen=True)
-class RatioPreference:
+class RatioPreference(Record):
     """num / den = value, e.g. C2/C1 = 3."""
 
     num: int
@@ -75,8 +72,7 @@ class RatioPreference:
             raise InvalidProblem("ratio value must be positive and finite")
 
 
-@dataclass(frozen=True)
-class LinearPreference:
+class LinearPreference(Record):
     """subject = sum of coefficient * criterion terms.
 
     terms is a tuple of (criterion index, coefficient) pairs; it is stored
@@ -105,8 +101,7 @@ class LinearPreference:
                     "term coefficients must be positive and finite")
 
 
-@dataclass(frozen=True)
-class MonomialPreference:
+class MonomialPreference(Record):
     """subject = coefficient * product of criteria raised to integer powers."""
 
     subject: int
@@ -138,8 +133,7 @@ class Relation(Enum):
     STRICT_GREATER = ">"
 
 
-@dataclass(frozen=True)
-class InequalityPreference:
+class InequalityPreference(Record):
     """lhs < rhs or lhs > rhs (strict)."""
 
     lhs: int
@@ -153,8 +147,7 @@ class InequalityPreference:
             raise InvalidProblem("relation must be STRICT_LESS or STRICT_GREATER")
 
 
-@dataclass(frozen=True)
-class ParamBinding:
+class ParamBinding(Record):
     """Per-preference discount multipliers and the fairness core.
 
     Preference i receives the parameter c_i * alpha, so with every c_i = 1
@@ -190,19 +183,26 @@ def equation_positions(preferences) -> tuple:
     return tuple(i for i, p in enumerate(preferences) if is_equation(p))
 
 
-def default_binding(preferences, n: int) -> ParamBinding:
-    """All multipliers 1; core = the first min(n, m) equation preferences."""
+def default_core(preferences, n: int) -> tuple:
+    """The first min(n, m) equation preferences' positions."""
     eq = equation_positions(preferences)
     if not eq:
         raise InvalidProblem("a problem needs at least one equation preference")
+    return eq[:n]
+
+
+def default_binding(preferences, n: int) -> ParamBinding:
+    """All multipliers 1; core = default_core(preferences, n)."""
     return ParamBinding(
         multipliers=tuple(Fraction(1) for _ in preferences),
-        core_mask=eq[: min(n, len(eq))],
+        core_mask=default_core(preferences, n),
     )
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
+    """n criteria, the statements about them and their binding, by
+    default default_binding(preferences, n)."""
+
     criteria: CriteriaSet
     preferences: tuple
     binding: ParamBinding = None

@@ -10,7 +10,6 @@ points where two components cross and flips or degenerates at them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,11 +26,10 @@ from .model import (
     cleared,
     is_equation,
 )
-from .scalars import Scalar, matches
+from .scalars import Record, Scalar, matches
 
 
-@dataclass(frozen=True)
-class MonomialSolution:
+class MonomialSolution(Record):
     """Solution family x_k = c_k * z^{d_k} in one free variable z.
 
     ``components[k]`` is the pair (coefficient, exponent) for criterion k;
@@ -62,8 +60,7 @@ class MonomialSolution:
         return coef * z**power
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(Record):
     """One piece of the admissible domain with a fixed criteria ordering.
 
     ``lower == upper`` marks a single-point regime at a crossing;
@@ -81,8 +78,7 @@ class Regime:
         return self.upper is not None and self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(Record):
     """Crossing points and the ordering on each piece of the domain."""
 
     domain: tuple[Scalar, Scalar | None]

@@ -50,7 +50,7 @@ from .model import (
     RatioPreference,
     Relation,
     canonicalize,
-    default_binding,
+    default_core,
     is_equation,
 )
 from .scalars import fmt
@@ -312,7 +312,7 @@ def parse_problem(text: str) -> Problem:
             core.append(v - 1)
         core = tuple(core)
     else:
-        core = default_binding(prefs, n).core_mask
+        core = default_core(prefs, n)
     core_set = set(core)
     for i, (j, _value, lineno, col) in binds.items():
         for p in (i, j):
@@ -379,6 +379,6 @@ def format_problem(problem: Problem) -> str:
             out.append(f"bind: a{i + 1} = {fmt(mults[i] / mults[base])} a{base + 1}")
         elif i != base and mults[i] != 1:
             out.append(f"bind: a{i + 1} = 1 a{base + 1}")
-    if core != default_binding(problem.preferences, problem.criteria.n).core_mask:
+    if core != default_core(problem.preferences, problem.criteria.n):
         out.append("core: " + " ".join(str(i + 1) for i in core))
     return "\n".join(out) + "\n"

@@ -29,17 +29,15 @@ irrational root too small or too large for a float raises InvalidProblem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from sys import float_info
 
 from .errors import InvalidProblem, ZeroPolynomial
-from .scalars import Scalar, integer_row
+from .scalars import Record, Scalar, integer_row
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """coeffs[k] multiplies alpha**k; the empty tuple is the zero polynomial."""
 
     coeffs: tuple

@@ -6,6 +6,9 @@ binary form), so rational answers (20/57, 5/12, 125/64, ...) stay exact
 through the whole pipeline. Irrational values, such as square-root roots of
 parametric equations, live as ordinary floats; Python's numeric tower mixes
 the two transparently, so most code below is agnostic to which kind it holds.
+
+Record, the base of the engine's immutable value types, lives here too:
+every engine module imports this one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,76 @@ Scalar = Union[Fraction, float]
 PriorityVector = tuple
 
 MATCH_TOL = 1e-12
+
+
+class Record:
+    """Immutable value with named fields.
+
+    A subclass declares its fields as its own annotations, in order; a
+    class attribute of a field's name is its default. An instance takes
+    its fields positionally or by keyword, then runs the class's own
+    __post_init__, which may still set a field with object.__setattr__.
+    It compares and hashes as the tuple of its fields, prints as
+    Name(field=value, ...) and refuses assignment and deletion; it keeps
+    a __dict__, so functools.cached_property works on it.
+    """
+
+    _fields = ()
+    _defaults = {}
+    _post_init = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {f: own[f] for f in cls._fields if f in own}
+        cls._post_init = own.get("__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        post_init = self._post_init
+        if post_init is not None:
+            post_init()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values, in order, of a call with keywords, defaults
+        or a wrong count of arguments."""
+        fields = cls._fields
+        values = {**cls._defaults, **kwargs}
+        values.update(zip(fields, args))
+        if (len(args) <= len(fields) and values.keys() == set(fields)
+                and kwargs.keys().isdisjoint(fields[:len(args)])):
+            return [values[f] for f in fields]
+        raise TypeError(
+            f"{cls.__qualname__}() takes the fields ({', '.join(fields)}); "
+            f"got {len(args)} positional and {sorted(kwargs)} by keyword")
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def exact(value) -> Scalar:

@@ -17,7 +17,6 @@ irrational alpha is a float, and so are the core rows at it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -49,10 +48,10 @@ from .model import (
     unit_rows,
 )
 from .polynomial import Poly, poly, positive_roots
-from .scalars import PriorityVector, Scalar, normalize
+from .scalars import PriorityVector, Record, Scalar, normalize
 
-@dataclass(frozen=True)
-class ParamSystem:
+
+class ParamSystem(Record):
     """Homogeneous system with parameterized right-hand coefficients: rows
     from statement_rows(), and matrix, the same rows over polynomials (the
     subject entry 1, a term coefficient a as -a * c_i * alpha)."""
@@ -67,8 +66,7 @@ class ParamSystem:
             for j, b in enumerate(terms)) for s, scale, terms in self.rows))
 
 
-@dataclass(frozen=True)
-class ConsistencyPolicy:
+class ConsistencyPolicy(Record):
     """A result whose solved consistency falls below threshold_c is
     discharged; the default 0 discharges none."""
 
@@ -79,8 +77,7 @@ class ConsistencyPolicy:
             raise InvalidProblem("threshold_c must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class AlphaSolution:
+class AlphaSolution(Record):
     """Outcome of the parametric solve.
 
     roots lists every positive root of the parametric equation; alpha is the
@@ -101,6 +98,7 @@ class AlphaSolution:
 
 _CONSISTENT = AlphaSolution(roots=(Fraction(1),), alpha=Fraction(1),
                             consistency=Fraction(1), inconsistency=Fraction(0))
+_DEFAULT_POLICY = ConsistencyPolicy()
 _FLOAT_RANGE = "a coefficient ratio lies outside the float range"
 
 
@@ -198,7 +196,7 @@ def _solve_extras(ps: ParamSystem, alpha):
 def _solve(ps: ParamSystem, policy, equation):
     """solve_alpha's result from the core's equation, and the core's null
     vector at alpha when the extra preferences needed it (else None)."""
-    policy = policy or ConsistencyPolicy()
+    policy = policy or _DEFAULT_POLICY
     roots = tuple(positive_roots(equation))
     if not roots:
         raise NoPositiveRoot(

@@ -102,6 +102,22 @@ def test_ahp_on_a_file_that_is_not_pairwise_loads_only_ahp():
     assert loaded(set(modules)) == SHARED | {"admcdm.ahp"}
 
 
+def test_no_command_loads_dataclasses_or_inspect():
+    # both cost a CLI call milliseconds of import; the value types are
+    # scalars.Record subclasses
+    commands = ["solve", "classify", "ahp", "compare", "error-min", "regimes"]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from admcdm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.main([command, {str(CORPUS / 'ex1.admp')!r}])\n"
+        f"             for command in {commands!r}]\n"
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert run_probe(probe) == "[0, 0, 0, 0, 0, 0] []"
+
+
 def test_every_export_is_the_object_its_module_defines():
     probe = (
         "import importlib, admcdm\n"
