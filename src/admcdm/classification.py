@@ -382,14 +382,10 @@ def _finish(strongest, witnesses, truncated, det_ok) -> ClassificationReport:
     else:
         label = Label.WEAK_INCONSISTENT
 
+    witnessed = tuple((rule, built[r1], built.get(r2))
+                      for rule, r1, r2 in witnesses)
     return ClassificationReport(
-        label=label,
-        witnesses=tuple((rule, built[r1], built.get(r2))
-                        for rule, r1, r2 in witnesses),
-        rule_fired=strongest,
-        det_agrees=found_consistent == det_ok,
-        depth_exceeded=truncated,
-    )
+        label, witnessed, strongest, found_consistent == det_ok, truncated)
 
 
 def _complete_count(n: int):

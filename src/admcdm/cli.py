@@ -76,10 +76,8 @@ def _load(path: Path, principle: str | None) -> tuple[Problem, list[str]]:
     bound = any(m != 1 for m in problem.binding.multipliers)
     if principle == "fairness" and bound:
         plain = ParamBinding(
-            multipliers=tuple(
-                Fraction(1) for _ in problem.binding.multipliers
-            ),
-            core_mask=problem.binding.core_mask,
+            tuple(Fraction(1) for _ in problem.binding.multipliers),
+            problem.binding.core_mask,
         )
         problem = Problem(problem.criteria, problem.preferences, plain)
         warnings.append(

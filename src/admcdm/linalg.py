@@ -221,8 +221,7 @@ def general_solution(rows) -> GeneralSolution:
         (p, tuple(-work[idx][s] for s in secondary))
         for idx, p in enumerate(pivots)
     )
-    return GeneralSolution(n=n, secondary_vars=secondary,
-                           expressions=expressions)
+    return GeneralSolution(n, secondary, expressions)
 
 
 def null_vector(rows):

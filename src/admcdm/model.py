@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
+from operator import itemgetter
 
 from .errors import (
     InvalidProblem,
@@ -29,8 +30,11 @@ from .scalars import Record, Scalar, exact, integer_row
 
 
 def _positive_finite(value) -> bool:
-    # false for nan too; a Fraction compares with inf without conversion
-    return 0 < value < inf
+    # value has been through exact(), which leaves only inf and nan floats
+    return isinstance(value, Fraction) and value.numerator > 0
+
+
+_index = itemgetter(0)
 
 
 class CriteriaSet(Record):
@@ -84,8 +88,8 @@ class LinearPreference(Record):
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((i, exact(c)) for i, c in self.terms)
-        terms = tuple(sorted(terms, key=lambda t: t[0]))
+        terms = tuple(sorted([(i, exact(c)) for i, c in self.terms],
+                             key=_index))
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise InvalidProblem("a linear preference needs at least one term")
@@ -193,10 +197,8 @@ def default_core(preferences, n: int) -> tuple:
 
 def default_binding(preferences, n: int) -> ParamBinding:
     """All multipliers 1; core = default_core(preferences, n)."""
-    return ParamBinding(
-        multipliers=tuple(Fraction(1) for _ in preferences),
-        core_mask=default_core(preferences, n),
-    )
+    return ParamBinding(tuple(Fraction(1) for _ in preferences),
+                        default_core(preferences, n))
 
 
 class Problem(Record):
@@ -233,10 +235,10 @@ class Problem(Record):
 
 
 def _referenced(pref):
-    if isinstance(pref, RatioPreference):
-        return (pref.num, pref.den)
     if isinstance(pref, LinearPreference):
         return (pref.subject, *(i for i, _ in pref.terms))
+    if isinstance(pref, RatioPreference):
+        return (pref.num, pref.den)
     if isinstance(pref, MonomialPreference):
         return (pref.subject, *(i for i, _ in pref.exponents))
     if isinstance(pref, InequalityPreference):

@@ -19,11 +19,14 @@ and optional parameter statements (1-based preference numbers):
     core: 1 2 3                   # which statements form the square core
 
 Coefficients are integers, decimals, or p/q fractions, and are stored as
-exact rationals (the decimal literal 0.8 means exactly 4/5). Ratio
-statements are canonicalized at parse time, so `C2 / C1 = 3` and
+exact rationals (the decimal literal 0.8 means exactly 4/5). A ratio
+statement is built as its linear form directly, so `C2 / C1 = 3` and
 `C2 = 3 C1` yield identical preferences. Bind statements are resolved to
 absolute multipliers against the shared base parameter; each chain's
 unbound root gets multiplier 1.
+
+Each line is read in one pass: one regular-expression scan splits it into
+tokens, and the statement is read from the token list by index.
 
 Formatting inverts parsing: parse(format(p)) is structurally identical to p
 for any problem that came out of the parser (exact coefficients, resolved
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from string import ascii_letters
 
 from .errors import InvalidProblem, ParseError
 from .model import (
@@ -49,250 +52,241 @@ from .model import (
     Problem,
     RatioPreference,
     Relation,
-    canonicalize,
     default_core,
     is_equation,
 )
 from .scalars import fmt
 
-_TOKEN = re.compile(
-    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<number>\d+\.\d+|\d+)"
-    r"|(?P<punct>[=+*/<>:])"
-)
+# One scan splits a line into names, numbers, punctuation marks and, by
+# the last alternative, unexpected characters. A token's kind is that of
+# its first character (re's \d is str.isdecimal), and each line's list
+# ends in _END, a blank, which no token is.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+\.\d+|\d+|[=+*/<>:]|[^ \t\r]")
+_END = " "
+_LETTERS = frozenset(ascii_letters)
+_MARKS = frozenset("=+*/<>:")
 
 _PARAM = re.compile(r"a([1-9]\d*)\Z")
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    col: int
+def _is_name(tok: str) -> bool:
+    return tok[0] in _LETTERS
 
 
-def _tokenize(body: str, lineno: int) -> list:
-    toks = []
-    pos = 0
-    while pos < len(body):
-        if body[pos] in " \t\r":
-            pos += 1
-            continue
-        m = _TOKEN.match(body, pos)
-        if m is None:
+def _is_number(tok: str) -> bool:
+    return tok[0].isdecimal()
+
+
+class _Error(Exception):
+    """A message about token k of the line being read (_END stands for
+    the line's end)."""
+
+    def __init__(self, message: str, k: int):
+        super().__init__(message)
+        self.k = k
+
+
+def _columns(body: str, lineno: int) -> list:
+    """The 1-based column of each token; ParseError at the first
+    unexpected character."""
+    cols = []
+    for m in _TOKEN.finditer(body):
+        tok = m.group()
+        if not (_is_name(tok) or _is_number(tok) or tok in _MARKS):
             raise ParseError(
-                f"unexpected character {body[pos]!r}", lineno, pos + 1)
-        toks.append(_Tok(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    return toks
+                f"unexpected character {tok!r}", lineno, m.start() + 1)
+        cols.append(m.start() + 1)
+    return cols
 
 
-class _Cursor:
-    def __init__(self, toks, lineno, width):
-        self.toks = toks
-        self.i = 0
-        self.lineno = lineno
-        self.width = max(width, 1)
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def fail(self, message, col=None):
-        if col is None:
-            t = self.peek()
-            col = t.col if t else self.width
-        raise ParseError(message, self.lineno, col)
-
-    def take(self, kind, text=None, what=None):
-        t = self.peek()
-        ok = t is not None and t.kind == kind and (text is None or t.text == text)
-        if not ok:
-            wanted = what or (repr(text) if text else kind)
-            self.fail(f"expected {wanted}")
-        self.i += 1
-        return t
-
-    def expect_end(self):
-        t = self.peek()
-        if t is not None:
-            self.fail(f"unexpected {t.text!r}", t.col)
+def _take(toks: list, k: int, kind, what: str) -> str:
+    """Token k, which must be of the given kind."""
+    tok = toks[k]
+    if not kind(tok):
+        raise _Error(f"expected {what}", k)
+    return tok
 
 
-def _coefficient(cur: _Cursor) -> Fraction:
-    t = cur.take("number", what="a coefficient")
-    nxt = cur.peek()
-    if nxt is not None and nxt.kind == "punct" and nxt.text == "/":
-        if "." in t.text:
-            cur.fail("fraction parts must be integers", t.col)
-        cur.take("punct", "/")
-        q = cur.take("number", what="a denominator")
-        if "." in q.text:
-            cur.fail("fraction parts must be integers", q.col)
-        if int(q.text) == 0:
-            cur.fail("fraction denominator is zero", q.col)
-        value = Fraction(int(t.text), int(q.text))
+def _punct(toks: list, k: int, mark: str):
+    if toks[k] != mark:
+        raise _Error(f"expected {mark!r}", k)
+
+
+def _end(toks: list, k: int):
+    if toks[k] is not _END:
+        raise _Error(f"unexpected {toks[k]!r}", k)
+
+
+def _coefficient(toks: list, k: int) -> tuple:
+    """The positive number at token k, with its /q part if one follows:
+    (value, index of the next token)."""
+    p = _take(toks, k, _is_number, "a coefficient")
+    if toks[k + 1] == "/":
+        if "." in p:
+            raise _Error("fraction parts must be integers", k)
+        q = _take(toks, k + 2, _is_number, "a denominator")
+        if "." in q:
+            raise _Error("fraction parts must be integers", k + 2)
+        if int(q) == 0:
+            raise _Error("fraction denominator is zero", k + 2)
+        value, k_next = Fraction(int(p), int(q)), k + 3
     else:
-        value = Fraction(t.text)
-    if not value > 0:
-        cur.fail("coefficient must be positive", t.col)
-    return value
+        value = Fraction(p) if "." in p else Fraction(int(p))
+        k_next = k + 1
+    if not value:
+        raise _Error("coefficient must be positive", k)
+    return value, k_next
 
 
-def _criterion(cur: _Cursor, criteria: dict, tok: _Tok) -> int:
-    if tok.text not in criteria:
-        cur.fail(f"unknown criterion {tok.text!r}", tok.col)
-    return criteria[tok.text]
+def _criterion(toks: list, k: int, criteria: dict) -> int:
+    index = criteria.get(toks[k])  # only names are keys
+    if index is None:
+        name = _take(toks, k, _is_name, "a criterion name")
+        raise _Error(f"unknown criterion {name!r}", k)
+    return index
 
 
-def _parse_pref(cur: _Cursor, criteria: dict):
-    first = cur.take("name", what="a criterion name")
-    subject = _criterion(cur, criteria, first)
-    t = cur.peek()
-    if t is None:
-        cur.fail("incomplete preference")
-    if t.kind == "punct" and t.text == "/":
-        cur.take("punct", "/")
-        den_t = cur.take("name", what="a criterion name")
-        den = _criterion(cur, criteria, den_t)
-        cur.take("punct", "=")
-        value = _coefficient(cur)
-        cur.expect_end()
+def _parse_pref(toks: list, criteria: dict):
+    """The preference in `pref: ...`, from token 2 on."""
+    subject = _criterion(toks, 2, criteria)
+    op = toks[3]
+    if op is _END:
+        raise _Error("incomplete preference", 3)
+    if op == "/":
+        den = _criterion(toks, 4, criteria)
+        _punct(toks, 5, "=")
+        value, k = _coefficient(toks, 6)
+        _end(toks, k)
         if den == subject:
-            cur.fail("ratio relates a criterion to itself", den_t.col)
-        return canonicalize(RatioPreference(subject, den, value))
-    if t.kind == "punct" and t.text in "<>":
-        cur.take("punct")
-        rhs_t = cur.take("name", what="a criterion name")
-        rhs = _criterion(cur, criteria, rhs_t)
-        cur.expect_end()
+            raise _Error("ratio relates a criterion to itself", 4)
+        return LinearPreference(subject, ((den, value),))
+    if op == "<" or op == ">":
+        rhs = _criterion(toks, 4, criteria)
+        _end(toks, 5)
         if rhs == subject:
-            cur.fail("inequality relates a criterion to itself", rhs_t.col)
-        rel = Relation.STRICT_LESS if t.text == "<" else Relation.STRICT_GREATER
+            raise _Error("inequality relates a criterion to itself", 4)
+        rel = Relation.STRICT_LESS if op == "<" else Relation.STRICT_GREATER
         return InequalityPreference(subject, rhs, rel)
-    if t.kind == "punct" and t.text == "=":
-        cur.take("punct", "=")
-        return _parse_sum(cur, subject, criteria)
-    cur.fail("expected '=', '/', '<', or '>'", t.col)
+    if op == "=":
+        return _parse_sum(toks, 4, subject, criteria)
+    raise _Error("expected '=', '/', '<', or '>'", 3)
 
 
-def _parse_sum(cur: _Cursor, subject: int, criteria: dict):
-    terms = []  # (coefficient, [(index, token), ...], start column)
+def _parse_sum(toks: list, k: int, subject: int, criteria: dict):
+    terms = []  # (coefficient, [(index, token), ...], first token)
     while True:
-        start = cur.peek().col if cur.peek() else cur.width
-        coef = _coefficient(cur)
-        name_t = cur.take("name", what="a criterion name")
-        factors = [(_criterion(cur, criteria, name_t), name_t)]
-        while (cur.peek() is not None and cur.peek().kind == "punct"
-               and cur.peek().text == "*"):
-            cur.take("punct", "*")
-            f_t = cur.take("name", what="a criterion name")
-            factors.append((_criterion(cur, criteria, f_t), f_t))
+        start = k
+        coef, k = _coefficient(toks, k)
+        factors = [(_criterion(toks, k, criteria), k)]
+        k += 1
+        while toks[k] == "*":
+            factors.append((_criterion(toks, k + 1, criteria), k + 1))
+            k += 2
         terms.append((coef, factors, start))
-        t = cur.peek()
-        if t is None:
+        if toks[k] is _END:
             break
-        if t.kind == "punct" and t.text == "+":
-            cur.take("punct", "+")
-            continue
-        cur.fail(f"unexpected {t.text!r}", t.col)
+        if toks[k] != "+":
+            raise _Error(f"unexpected {toks[k]!r}", k)
+        k += 1
     product_terms = [t for t in terms if len(t[1]) > 1]
     if product_terms:
         if len(terms) > 1:
-            cur.fail("a product term cannot be combined with other terms",
-                     product_terms[0][2])
+            raise _Error("a product term cannot be combined with other terms",
+                         product_terms[0][2])
         coef, factors, _ = terms[0]
         exponents = {}
         for idx, tok in factors:
             if idx == subject:
-                cur.fail("subject cannot appear among its own factors", tok.col)
+                raise _Error("subject cannot appear among its own factors", tok)
             exponents[idx] = exponents.get(idx, 0) + 1
         return MonomialPreference(subject, coef, tuple(exponents.items()))
     acc = {}
-    for coef, factors, _ in terms:
-        idx, tok = factors[0]
+    for coef, ((idx, tok),), _ in terms:
         if idx == subject:
-            cur.fail("subject cannot appear on the right-hand side", tok.col)
-        acc[idx] = acc.get(idx, Fraction(0)) + coef
+            raise _Error("subject cannot appear on the right-hand side", tok)
+        acc[idx] = acc.get(idx, 0) + coef
     return LinearPreference(subject, tuple(acc.items()))
 
 
-def _param(cur: _Cursor) -> tuple:
-    t = cur.take("name", what="a parameter name like a2")
-    m = _PARAM.fullmatch(t.text)
+def _param(toks: list, k: int) -> int:
+    name = _take(toks, k, _is_name, "a parameter name like a2")
+    m = _PARAM.fullmatch(name)
     if m is None:
-        cur.fail("expected a parameter name like a2", t.col)
-    return int(m.group(1)), t
+        raise _Error("expected a parameter name like a2", k)
+    return int(m.group(1))
 
 
 def parse_problem(text: str) -> Problem:
     criteria = None
     crit_names = None
     prefs = []
-    binds = {}        # 0-based pref -> (0-based target, multiplier, lineno, col)
-    core_decl = None  # (list of (value, token), lineno)
+    binds = {}        # 0-based pref -> (0-based target, multiplier, lineno, body)
+    core_decl = None  # ({value: token}, lineno, body)
     lines = text.splitlines()
     last = 1
     for lineno, raw in enumerate(lines, 1):
         body = raw.split("#", 1)[0]
-        toks = _tokenize(body, lineno)
+        toks = _TOKEN.findall(body)
         if not toks:
             continue
+        toks.append(_END)
         last = lineno
-        cur = _Cursor(toks, lineno, len(body))
-        head = cur.take("name", what="a statement keyword")
-        cur.take("punct", ":")
-        if head.text == "criteria":
-            if criteria is not None:
-                cur.fail("duplicate criteria declaration", head.col)
-            names = []
-            seen = set()
-            while cur.peek() is not None:
-                t = cur.take("name", what="a criterion name")
-                if t.text in seen:
-                    cur.fail(f"duplicate criterion {t.text!r}", t.col)
-                seen.add(t.text)
-                names.append(t.text)
-            if len(names) < 2:
-                cur.fail("at least two criteria are required", head.col)
-            crit_names = tuple(names)
-            criteria = {nm: i for i, nm in enumerate(names)}
-            continue
-        if criteria is None:
-            cur.fail("criteria must be declared first", head.col)
-        if head.text == "pref":
-            try:
-                prefs.append(_parse_pref(cur, criteria))
-            except InvalidProblem as exc:
-                cur.fail(str(exc), head.col)
-        elif head.text == "bind":
-            i, lhs_t = _param(cur)
-            cur.take("punct", "=")
-            value = _coefficient(cur)
-            j, _ = _param(cur)
-            cur.expect_end()
-            if i - 1 in binds:
-                cur.fail(f"parameter a{i} is already bound", lhs_t.col)
-            binds[i - 1] = (j - 1, value, lineno, lhs_t.col)
-        elif head.text == "core":
-            if core_decl is not None:
-                cur.fail("duplicate core declaration", head.col)
-            entries = []
-            seen_core = set()
-            while cur.peek() is not None:
-                t = cur.take("number", what="a preference number")
-                if "." in t.text:
-                    cur.fail("preference numbers must be integers", t.col)
-                v = int(t.text)
-                if v < 1:
-                    cur.fail("preference numbers start at 1", t.col)
-                if v in seen_core:
-                    cur.fail(f"preference {v} listed twice", t.col)
-                seen_core.add(v)
-                entries.append((v, t))
-            if not entries:
-                cur.fail("expected at least one preference number")
-            core_decl = (entries, lineno)
-        else:
-            cur.fail(f"unknown statement {head.text!r}", head.col)
+        try:
+            head = _take(toks, 0, _is_name, "a statement keyword")
+            _punct(toks, 1, ":")
+            if head == "pref" and criteria is not None:
+                try:
+                    prefs.append(_parse_pref(toks, criteria))
+                except InvalidProblem as exc:
+                    raise _Error(str(exc), 0) from None
+            elif head == "criteria":
+                if criteria is not None:
+                    raise _Error("duplicate criteria declaration", 0)
+                criteria = {}
+                for k in range(2, len(toks) - 1):
+                    name = _take(toks, k, _is_name, "a criterion name")
+                    if name in criteria:
+                        raise _Error(f"duplicate criterion {name!r}", k)
+                    criteria[name] = k - 2
+                if len(criteria) < 2:
+                    raise _Error("at least two criteria are required", 0)
+                crit_names = tuple(criteria)
+            elif criteria is None:
+                raise _Error("criteria must be declared first", 0)
+            elif head == "bind":
+                i = _param(toks, 2)
+                _punct(toks, 3, "=")
+                value, k = _coefficient(toks, 4)
+                j = _param(toks, k)
+                _end(toks, k + 1)
+                if i - 1 in binds:
+                    raise _Error(f"parameter a{i} is already bound", 2)
+                binds[i - 1] = (j - 1, value, lineno, body)
+            elif head == "core":
+                if core_decl is not None:
+                    raise _Error("duplicate core declaration", 0)
+                entries = {}  # preference number -> token
+                for k in range(2, len(toks) - 1):
+                    t = _take(toks, k, _is_number, "a preference number")
+                    if "." in t:
+                        raise _Error("preference numbers must be integers", k)
+                    v = int(t)
+                    if v < 1:
+                        raise _Error("preference numbers start at 1", k)
+                    if v in entries:
+                        raise _Error(f"preference {v} listed twice", k)
+                    entries[v] = k
+                if not entries:
+                    raise _Error("expected at least one preference number", 2)
+                core_decl = (entries, lineno, body)
+            else:
+                raise _Error(f"unknown statement {head!r}", 0)
+        except _Error as exc:
+            # a line read to its end has had every token checked for its
+            # kind, so an unexpected character is met here, and comes first
+            cols = _columns(body, lineno)
+            col = cols[exc.k] if exc.k < len(cols) else max(len(body), 1)
+            raise ParseError(str(exc), lineno, col) from None
     if criteria is None:
         raise ParseError("missing criteria declaration", max(len(lines), 1), 1)
     if not any(is_equation(p) for p in prefs):
@@ -300,50 +294,49 @@ def parse_problem(text: str) -> Problem:
     m = len(prefs)
     n = len(crit_names)
     if core_decl is not None:
-        entries, lineno = core_decl
+        entries, lineno, body = core_decl
         core = []
-        for v, t in entries:
+        for v, k in entries.items():
             if v > m:
-                raise ParseError(f"preference {v} does not exist", lineno, t.col)
+                raise ParseError(f"preference {v} does not exist", lineno,
+                                 _columns(body, lineno)[k])
             if not is_equation(prefs[v - 1]):
                 raise ParseError(
                     f"preference {v} is an inequality and cannot join the core",
-                    lineno, t.col)
+                    lineno, _columns(body, lineno)[k])
             core.append(v - 1)
         core = tuple(core)
     else:
         core = default_core(prefs, n)
     core_set = set(core)
-    for i, (j, _value, lineno, col) in binds.items():
+    for i, (j, _value, lineno, body) in binds.items():
         for p in (i, j):
             if not 0 <= p < m:
-                raise ParseError(f"preference a{p + 1} does not exist",
-                                 lineno, col)
-            if p not in core_set:
-                raise ParseError(
-                    f"bound preference a{p + 1} is outside the core",
-                    lineno, col)
-    multipliers = {}
+                message = f"preference a{p + 1} does not exist"
+            elif p not in core_set:
+                message = f"bound preference a{p + 1} is outside the core"
+            else:
+                continue
+            raise ParseError(message, lineno, _columns(body, lineno)[2])
+    multipliers = {}  # bound preference -> its resolved multiplier
 
     def resolve(p, trail):
-        if p in multipliers:
-            return multipliers[p]
         if p not in binds:
-            multipliers[p] = Fraction(1)
-            return multipliers[p]
-        j, value, lineno, col = binds[p]
-        if p in trail:
-            raise ParseError("circular parameter binding", lineno, col)
-        multipliers[p] = value * resolve(j, trail | {p})
+            return 1
+        if p not in multipliers:
+            j, value, lineno, body = binds[p]
+            if p in trail:
+                raise ParseError("circular parameter binding", lineno,
+                                 _columns(body, lineno)[2])
+            multipliers[p] = value * resolve(j, trail | {p})
         return multipliers[p]
 
-    for p in range(m):
+    for p in sorted(binds):
         resolve(p, frozenset())
+    one = Fraction(1)
     try:
         binding = ParamBinding(
-            multipliers=tuple(multipliers[p] for p in range(m)),
-            core_mask=core,
-        )
+            tuple(multipliers.get(p, one) for p in range(m)), core)
         return Problem(CriteriaSet(crit_names), tuple(prefs), binding)
     except InvalidProblem as exc:
         raise ParseError(str(exc), last, 1) from None

@@ -218,6 +218,46 @@ class TestNonFiniteValues:
             priority(NON_FINITE_SHAPES[shape](float("nan")))
 
 
+# each value type with one positive value in it, and its refusal message
+POSITIVE_VALUE_SHAPES = {
+    "RatioPreference": (lambda v: RatioPreference(0, 1, v),
+                        "ratio value must be positive and finite"),
+    "LinearPreference": (lambda v: LinearPreference(0, ((2, 1), (1, v))),
+                         "term coefficients must be positive and finite"),
+    "MonomialPreference": (lambda v: MonomialPreference(0, v, ((1, 1),)),
+                           "monomial coefficient must be positive and finite"),
+    "ParamBinding": (lambda v: ParamBinding((1, v), (0, 1)),
+                     "binding multipliers must be positive and finite"),
+}
+NOT_POSITIVE_FINITE = {
+    "zero": Fraction(0),
+    "negative": Fraction(-3, 7),
+    "negative-zero-float": -0.0,
+    "negative-float": -2.5,
+    "inf": INF,
+    "minus-inf": -INF,
+    "nan": float("nan"),
+}
+
+
+class TestPositiveFinite:
+    """Every coefficient, ratio value and multiplier is checked once, as a
+    Fraction with a positive numerator, on construction."""
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE_FINITE)
+    @pytest.mark.parametrize("shape", POSITIVE_VALUE_SHAPES)
+    def test_refused(self, shape, value):
+        build, message = POSITIVE_VALUE_SHAPES[shape]
+        with pytest.raises(InvalidProblem) as info:
+            build(NOT_POSITIVE_FINITE[value])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("shape", POSITIVE_VALUE_SHAPES)
+    def test_tiny_positive_float_is_kept_exactly(self, shape):
+        record = POSITIVE_VALUE_SHAPES[shape][0](5e-324)
+        assert repr(Fraction(5e-324)) in repr(record)
+
+
 def float_built(read):
     """Problems a caller states with float coefficients, each coefficient
     passed through read first."""

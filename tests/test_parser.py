@@ -1,7 +1,9 @@
 """Grammar coverage, error positions, and round-trip identity for the
 line-based problem format."""
 
+import hashlib
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from admcdm.model import (
 from admcdm.parser import format_preference, format_problem, parse_problem
 
 from conftest import CORPUS, load
+from test_engine_golden import cases as engine_cases
 
 
 def parse(*lines):
@@ -245,13 +248,17 @@ class TestErrors:
 
 
 class TestRoundTrip:
-    def test_corpus_round_trips_exactly(self, corpus_files):
-        assert corpus_files, "corpus directory must not be empty"
-        for path in corpus_files:
-            first = parse_problem(path.read_text())
-            text = format_problem(first)
-            second = parse_problem(text)
-            assert second == first, path.name
+    def test_corpus_round_trips_exactly(self):
+        """Every case of the engine golden file: the corpus and the
+        benchmark's pairwise and linear inputs at seed 1, which hold the
+        ratio form, multi-term statements and bind lines."""
+        texts = engine_cases()
+        assert any(name.startswith("corpus:") for name, _ in texts)
+        assert any("bind:" in text for _, text in texts)
+        for name, text in texts:
+            first = parse_problem(text)
+            second = parse_problem(format_problem(first))
+            assert second == first, name
 
     def test_formatting_a_programmatic_problem(self):
         pr = parse(
@@ -337,3 +344,51 @@ class TestTotality:
                 pass
             else:
                 assert isinstance(result, Problem)
+
+
+# One outcome per mutated corpus file, recorded before the parser was
+# rewritten to read each line in one pass. A change to any parse result,
+# error message, line or column changes the digest.
+MUTATION_DIGEST = "13f14bf1c5eb8913"
+MUTATIONS_PER_FILE = 200
+_PIECE = re.compile(r"\s+|[A-Za-z][A-Za-z0-9_]*|\d+(?:\.\d+)?|.")
+_FUZZ_VOCAB = ["criteria", "pref", "bind", "core", ":", "=", "+", "*", "/",
+               "<", ">", "#", "0", "1", "2", "0.5", "1/0", "2.5/3", "a1",
+               "a2", "a9", "\u00e9", "_", "\t", "\n"]
+
+
+def mutation_outcomes():
+    """Each corpus file with one token deleted, replaced or inserted, and
+    the repr of what it parses to or (message, line, column) of its
+    ParseError."""
+    rng = random.Random(0xADC)
+    for path in sorted(CORPUS.glob("*.admp")):
+        text = path.read_text(encoding="utf-8")
+        pieces = _PIECE.findall(text)
+        spots = [k for k, piece in enumerate(pieces) if not piece.isspace()]
+        vocab = _FUZZ_VOCAB + sorted({p for p in pieces if p[0].isalpha()})
+        for _ in range(MUTATIONS_PER_FILE):
+            mutated = list(pieces)
+            k = rng.choice(spots)
+            op = rng.randrange(3)
+            if op == 0:
+                del mutated[k]
+            elif op == 1:
+                mutated[k] = rng.choice(vocab)
+            else:
+                sep = rng.choice(("", " "))
+                mutated.insert(k, sep + rng.choice(vocab) + sep)
+            try:
+                yield repr(parse_problem("".join(mutated)))
+            except ParseError as exc:
+                yield repr((exc.message, exc.line, exc.column))
+
+
+class TestMutationFuzz:
+    def test_every_outcome_is_pinned(self):
+        outcomes = list(mutation_outcomes())
+        parsed = sum(not o.startswith("(") for o in outcomes)
+        # the mutants reach deep into the grammar: many still parse
+        assert parsed > len(outcomes) // 4
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest[:16] == MUTATION_DIGEST
