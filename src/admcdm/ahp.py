@@ -20,15 +20,16 @@ from .model import (
     Problem,
     canonicalize,
 )
-from .scalars import (PriorityVector, Record, Scalar, integer_row, is_exact,
-                      matches, normalize)
+from .scalars import (PriorityVector, Record, Scalar, exact, integer_row,
+                      is_exact, normalize)
 
 
 class AhpMatrix(Record):
     """Square positive comparison matrix with unit diagonal.
 
     ``entries[i][j]`` holds the stated importance ratio of criterion ``i``
-    over criterion ``j``; the transpose entry must be its reciprocal.
+    over criterion ``j``; the transpose entry must be its exact reciprocal,
+    a float read as its binary value (0.5 and 2.0 pass, 1/3 and 3.0 fail).
     """
 
     entries: tuple[tuple[Scalar, ...], ...]
@@ -46,7 +47,7 @@ class AhpMatrix(Record):
             for j in range(n):
                 if not self.entries[i][j] > 0:
                     raise ValueError("comparison matrix entries must be positive")
-                if not matches(self.entries[j][i], 1 / self.entries[i][j]):
+                if exact(self.entries[j][i]) * exact(self.entries[i][j]) != 1:
                     raise ValueError(
                         "comparison matrix must be reciprocal: "
                         f"entry ({j}, {i}) is not 1 over entry ({i}, {j})"
@@ -97,7 +98,7 @@ def build_ahp_matrix(problem: Problem) -> AhpMatrix:
         current = cells[i][j]
         if current is None:
             cells[i][j] = value
-        elif not matches(current, value):
+        elif current != value:
             raise ConflictingPair(
                 f"pair ({names[i]}, {names[j]}) is stated twice with "
                 "incompatible values"

@@ -9,7 +9,9 @@ self relation. Two derivations of the same pair that disagree on the same
 side of 1 are a weak disagreement; derivations on opposite sides of 1 flip
 the preference order itself, a strong disagreement. A self-relation with
 k != 1 is weak: the statement chain deflates or inflates a criterion against
-itself without reversing any ordering.
+itself without reversing any ordering. Every comparison is exact, with no
+band: a ratio p / q lies above 1 when p > q, and two ratios differ when
+p1 * q2 != p2 * q1.
 
 The derived picture is cross-checked against the algebraic one (the
 statements are consistent exactly when their homogeneous system has rank
@@ -29,15 +31,16 @@ Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds time as well as
 memory; it and the conservative label of a truncated search concern
 only sets without such a positive solution. A ratio travels as an
-unreduced pair of ints (p, q), read off the statement's Fraction, so a
-path step is two int products. The walk forms that product only for
-an edge it takes, and does not enter a node past which it could neither
-close a cycle at its start nor reach a greater node. Each criterion pair's
-strongest rule is the rule of its smallest and largest derived ratio,
-found in one pass, and at most _WITNESS_CAP witnesses are kept: pairs are
-searched for them in order only until the cap is reached, and only their
-relations become DerivedRelation objects. Classifying R relations
-therefore costs O(R) beyond the witness search.
+unreduced pair of ints (p, q), read off the statement's Fraction and never
+as a float, so a path step is two int products. The walk forms that
+product only for an edge it takes, and does not enter a node past which
+it could neither close a cycle at its start nor reach a greater node.
+Each criterion pair's strongest rule is the rule of its smallest and
+largest derived ratio, found in one pass of cross products, and at most
+_WITNESS_CAP witnesses are kept: pairs are searched for them in order
+only until the cap is reached, and only their relations become
+DerivedRelation objects. Classifying R relations therefore costs O(R)
+beyond the witness search.
 
 A full pairwise set (one single-term statement per pair) whose search
 stays below _RELATION_CAP is derived pair by pair in the report's order
@@ -54,7 +57,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, factorial, perm
-from sys import float_info
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
 from .linalg import null_vector
@@ -68,7 +70,6 @@ from .model import (
 )
 from .scalars import Record
 
-RATIO_BAND = 1e-9
 _RELATION_CAP = 5000
 _WITNESS_CAP = 200
 
@@ -260,61 +261,47 @@ def derive_relations(problem: Problem):
     return _derive(problem)[0]
 
 
-def _side(k) -> int:
-    kf = float(k)
-    if kf > 1 + RATIO_BAND:
-        return 1
-    if kf < 1 - RATIO_BAND:
-        return -1
-    return 0
-
-
-def _differ(k1, k2) -> bool:
-    a, b = float(k1), float(k2)
-    return abs(a - b) > RATIO_BAND * max(abs(a), abs(b))
+def _side(p, q) -> int:
+    return (p > q) - (p < q)
 
 
 def _witness(k1, r1, k2, r2):
-    """(rule, r1, r2) for two derivations of one pair that disagree, the
-    one with the lower side of 1 first, or None when they agree."""
-    if not _differ(k1, k2):
-        return None
-    s1, s2 = _side(k1), _side(k2)
+    """(rule, r1, r2) for two derivations of one pair whose ratios differ,
+    each k an int pair (p, q) for p / q, the one with the lower side of 1
+    (the sign of p - q) first."""
+    s1, s2 = _side(*k1), _side(*k2)
     if s1 > s2:
         s1, s2, r1, r2 = s2, s1, r2, r1
     if s1 == -1 and s2 == 1:
         return "SD4", r1, r2
     if s2 == 1:
         return "WD1", r1, r2
-    if s1 == -1:
-        return "WD2", r1, r2
-    return None  # both inside the band around 1: treated as equal to 1
+    return "WD2", r1, r2  # two different ratios, neither above 1
 
 
-def _pair_rule(values) -> str:
+def _pair_rule(oriented) -> str:
     """Strongest rule any two of one pair's ratios fire: the rule of the
-    smallest and the largest.
+    smallest and the largest, found in one pass of cross products. Some
+    two ratios differ exactly when these do, and they carry the lowest and
+    the highest side of 1."""
+    lo = hi = oriented[0][:2]
+    for p, q, _ in oriented:
+        if p * lo[1] < lo[0] * q:
+            lo = p, q
+        elif p * hi[1] > hi[0] * q:
+            hi = p, q
+    if lo[0] * hi[1] == hi[0] * lo[1]:
+        return ""
+    return _witness(lo, None, hi, None)[0]
 
-    values are the ratios as floats, all non-negative since coefficients
-    are positive. For 0 <= u <= v the test |u - v| > RATIO_BAND * v can
-    only turn true as u decreases or v grows (v - u is exact while
-    v <= 2u, and the band is far wider than a rounding step), so some two
-    values differ exactly when the extremes do, and the extremes also
-    carry the lowest and the highest side of 1.
-    """
-    found = _witness(min(values), None, max(values), None)
-    return found[0] if found else ""
 
-
-def _pair_witnesses(oriented, values, witnesses):
+def _pair_witnesses(oriented, witnesses):
     """Append the witness of every two disagreeing derivations of one pair,
     in derivation order, until witnesses holds _WITNESS_CAP."""
-    for x in range(len(oriented)):
-        for y in range(x + 1, len(oriented)):
-            found = _witness(values[x], oriented[x][1],
-                             values[y], oriented[y][1])
-            if found:
-                witnesses.append(found)
+    for x, (p1, q1, r1) in enumerate(oriented):
+        for p2, q2, r2 in oriented[x + 1:]:
+            if p1 * q2 != p2 * q1:
+                witnesses.append(_witness((p1, q1), r1, (p2, q2), r2))
                 if len(witnesses) >= _WITNESS_CAP:
                     return
 
@@ -323,43 +310,38 @@ _RANK = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
 
 
 def _pair(oriented, witnesses) -> str:
-    """The strongest rule among one pair's derivations (value, relation),
+    """The strongest rule among one pair's derivations (p, q, relation),
     appending their witnesses while witnesses holds fewer than
     _WITNESS_CAP."""
-    values = [k for k, _ in oriented]
-    rule = _pair_rule(values)
+    rule = _pair_rule(oriented)
     if rule and len(witnesses) < _WITNESS_CAP:
-        _pair_witnesses(oriented, values, witnesses)
+        _pair_witnesses(oriented, witnesses)
     return rule
 
 
 def _report(relations, truncated: bool, det_ok: bool, strongest="",
             witnesses=()) -> ClassificationReport:
     """The report on _search's relations, after the rule strongest and the
-    witnesses of pairs read before them. Each ratio is read as the float
-    p / q or q / p, correctly rounded as float(Fraction) is."""
+    witnesses of pairs read before them. Each pair's ratios are oriented
+    from its smaller criterion, so a relation (j, i, p, q) reads q / p."""
     pairs = defaultdict(list)
     selves = []
     for r in relations:
         i, j, p, q, _ = r
-        try:
-            if i == j:
-                selves.append((p / q, r))
-            elif i < j:
-                pairs[(i, j)].append((p / q, r))
-            else:
-                pairs[(j, i)].append((q / p, r))
-        except OverflowError:  # past the largest float: read as it, above 1
-            key = (min(i, j), max(i, j))
-            (selves if i == j else pairs[key]).append((float_info.max, r))
+        if i == j:
+            selves.append(r)
+        elif i < j:
+            pairs[(i, j)].append((p, q, r))
+        else:
+            pairs[(j, i)].append((q, p, r))
 
     witnesses = list(witnesses)
     for _, oriented in sorted(pairs.items()):
         rule = _pair(oriented, witnesses)
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule
-    for k, r in selves:
-        if _side(k) != 0:
+    for r in selves:
+        if r[2] != r[3]:
             strongest = strongest or "WD3"  # the weakest rule
             if len(witnesses) < _WITNESS_CAP:
                 witnesses.append(("WD3", r, None))
@@ -403,7 +385,7 @@ def _settled(n: int, edges, det_ok: bool):
     with its statement, then the paths walk(i) finds to j, and then from
     the simple cycles in the search's order. Once SD4 has fired and
     _WITNESS_CAP witnesses are held, nothing later changes the report.
-    None for another shape, a capped search or a ratio past the floats."""
+    None for another shape or a capped search."""
     stated = {tuple(sorted(e[:2])): e for e in edges}
     if not len(stated) == len(edges) == comb(n, 2):
         return None
@@ -413,12 +395,10 @@ def _settled(n: int, edges, det_ok: bool):
     adjacency = _adjacency(edges)
     strongest, witnesses = "", []
     for (i, j), (a, b, p, q, pos) in sorted(stated.items()):
-        try:
-            oriented = [(p / q if a < b else q / p, (a, b, p, q, (pos,)))]
-            _walk(adjacency, [(i, (j,))],
-                  lambda *r: oriented.append((r[2] / r[3], r)))
-        except OverflowError:  # the full search reads it
-            return None
+        edge = (a, b, p, q, (pos,))
+        oriented = [(p, q, edge) if a < b else (q, p, edge)]
+        _walk(adjacency, [(i, (j,))],
+              lambda *r: oriented.append((r[2], r[3], r)))
         rule = _pair(oriented, witnesses)
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule

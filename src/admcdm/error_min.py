@@ -48,6 +48,8 @@ from .model import (
 )
 from .scalars import Record, Scalar, exact
 
+# the one tolerance on a caller's input: eval_error accepts a float point
+# whose weights sum to 1 within it
 SIMPLEX_TOL = 1e-9
 DEFAULT_GRID = 100
 GRID_BUDGET = 200_000

@@ -23,6 +23,8 @@ from .errors import FullRank, NonPositiveComponent, NotSquare
 from .polynomial import Poly, peval, poly
 from .scalars import Record, integer_row
 
+# the pivot cutoff of float elimination at an irrational root, until that
+# vector is rounded once from exact cofactor polynomials
 RANK_TOL = 1e-9
 # Consistency is exact (rank < n). Callers that scale a
 # tolerance by this constant, |det| <= TOL * n! * max|a|^n, get the same

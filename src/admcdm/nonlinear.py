@@ -11,6 +11,7 @@ points where two components cross and flips or degenerates at them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ from .model import (
     cleared,
     is_equation,
 )
-from .scalars import Record, Scalar, matches
+from .scalars import Record, Scalar
 
 
 class MonomialSolution(Record):
@@ -186,38 +187,59 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
     raise NotTriangular("no substitution order resolves these statements")
 
 
-def _nth_root(ratio: Scalar, degree: int) -> Scalar:
-    """The positive degree-th root of ratio > 0: the positive root of
-    z**degree - ratio from positive_roots, an exact Fraction when rational
-    (a float ratio read as its binary value), else the correctly rounded
-    float. InvalidProblem is raised for an irrational root with no float.
-    """
-    if degree == 1:
-        return ratio
-    from .polynomial import poly, positive_roots
-
-    return positive_roots(poly([-ratio] + [0] * (degree - 1) + [1]))[0]
-
-
-def _crossing(
-    coef_a: Scalar, power_a: int, coef_b: Scalar, power_b: int
-) -> Scalar | None:
-    """The z > 0 where c_a z^{d_a} = c_b z^{d_b}, if the powers differ."""
+def _crossing(coef_a: Fraction, power_a: int, coef_b: Fraction, power_b: int):
+    """The z > 0 where c_a z^{d_a} = c_b z^{d_b}, if the powers differ, as
+    (z, r, d): z = r^(1/d) for the rational r > 0 and the integer d > 0,
+    the positive root of z^d - r from positive_roots, an exact Fraction
+    when rational, else the correctly rounded float (InvalidProblem when
+    it has none)."""
     if power_a == power_b:
         return None
-    if power_a > power_b:
-        return _nth_root(coef_b / coef_a, power_a - power_b)
-    return _nth_root(coef_a / coef_b, power_b - power_a)
+    if power_a < power_b:
+        coef_a, power_a, coef_b, power_b = coef_b, power_b, coef_a, power_a
+    r, d = coef_b / coef_a, power_a - power_b
+    if d == 1:
+        return r, r, d
+    from .polynomial import poly, positive_roots
+
+    return positive_roots(poly([-r] + [0] * (d - 1) + [1]))[0], r, d
 
 
-def _ordering(
-    values: Sequence[Scalar],
-) -> tuple[tuple[int, ...], ...]:
-    """Criterion indices grouped by component value, largest first."""
+def _compare(u, v) -> int:
+    """The sign of z_u - z_v for two crossings (z, r, d), read exactly from
+    z_u^(d_u d_v) = r_u^d_v."""
+    a, b = u[1] ** v[2], v[1] ** u[2]
+    return (a > b) - (a < b)
+
+
+_exactly = cmp_to_key(_compare)  # a sort key of crossings
+
+
+def _sample(lo, hi) -> Fraction:
+    """A rational strictly between the crossings lo < hi, or above lo when
+    hi is None, where every component value is exact. Each reported z is
+    exact or the float nearest to its root, so [z_lo / 2, 2 z_hi] holds
+    both roots, and bisecting it exactly ends inside (lo, hi)."""
+    a = Fraction(lo[0])
+    if hi is None:
+        return 2 * a if a > 0 else Fraction(1)
+    a, b = a / 2, 2 * Fraction(hi[0])
+    while True:
+        s = (a + b) / 2
+        if s ** lo[2] <= lo[1]:
+            a = s
+        elif s ** hi[2] >= hi[1]:
+            b = s
+        else:
+            return s
+
+
+def _ordering(values: Sequence[Fraction]) -> tuple[tuple[int, ...], ...]:
+    """Criterion indices grouped by exact component value, largest first."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     groups: list[list[int]] = []
     for k in order:
-        if groups and matches(values[groups[-1][-1]], values[k]):
+        if groups and values[groups[-1][-1]] == values[k]:
             groups[-1].append(k)
         else:
             groups.append([k])
@@ -256,21 +278,25 @@ def regime_analysis(
 
     Crossing points are the roots z > 0 of c_a z^{d_a} = c_b z^{d_b} for
     every pair with different exponents, from positive_roots: exact when
-    rational, else the correctly rounded float. Inequalities shrink the
-    admissible domain at the same crossings; equal-exponent comparisons
+    rational, else the correctly rounded float. Each is z = r^(1/d) for a
+    rational r, so crossings are compared, merged and tied exactly, as
+    r1^d2 against r2^d1, never through their floats. Inequalities shrink
+    the admissible domain at the same crossings; equal-exponent comparisons
     hold everywhere or nowhere.
-    Each open piece between crossings gets its ordering from an interior
-    sample, and each crossing inside the domain gets a single-point regime
-    whose tied criteria keep the order they had just left of the point.
+    Each open piece between crossings gets its ordering from the exact
+    component values (a float coefficient read as its binary value) at a
+    rational interior point, and each crossing inside the domain gets a
+    single-point regime whose tied criteria keep the order they had just
+    left of the point.
 
     Raises:
         EmptyDomain: the inequalities leave no admissible z > 0.
     """
-    components = sol.components
+    components = [(Fraction(c), d) for c, d in sol.components]
     n = len(components)
 
-    lower: Scalar = Fraction(0)
-    upper: Scalar | None = None
+    lower = (Fraction(0), Fraction(0), 1)  # z = 0, as a crossing
+    upper = None
     for ineq in inequalities:
         left, right = ineq.lhs, ineq.rhs
         if ineq.relation is Relation.STRICT_GREATER:
@@ -285,51 +311,39 @@ def regime_analysis(
                 )
             continue
         bound = _crossing(coef_l, power_l, coef_r, power_r)
-        if power_l > power_r:
-            upper = bound if upper is None else min(upper, bound)
+        if power_l < power_r:
+            lower = max(lower, bound, key=_exactly)
         else:
-            lower = max(lower, bound)
-    if upper is not None and not lower < upper:
+            upper = bound if upper is None else min(upper, bound, key=_exactly)
+    if upper is not None and _compare(lower, upper) >= 0:
         raise EmptyDomain("the inequalities bound the free variable away "
                           "from its required range")
 
-    crossings: list[Scalar] = []
-    meetings: list[tuple[Scalar, int, int]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            point = _crossing(*components[a], *components[b])
-            if point is None:
-                continue
-            meetings.append((point, a, b))
-            if not any(matches(point, seen) for seen in crossings):
-                crossings.append(point)
-    crossings.sort()
-    breakpoints = tuple(crossings)
+    meetings = sorted(
+        ((point, a, b) for a in range(n) for b in range(a + 1, n)
+         if (point := _crossing(*components[a], *components[b]))),
+        key=lambda m: _exactly(m[0]))
+    crossings = []  # (crossing, the pairs that meet there), ascending
+    for point, a, b in meetings:
+        if crossings and _compare(crossings[-1][0], point) == 0:
+            crossings[-1][1].add((a, b))
+        else:
+            crossings.append((point, {(a, b)}))
 
-    inside = [
-        p
-        for p in crossings
-        if p > lower and (upper is None or p < upper)
-    ]
-
-    def sample(a: Scalar, b: Scalar | None) -> Fraction:
-        """An exact interior point, so no huge coefficient meets a float."""
-        a = Fraction(a)
-        if b is not None:
-            return (a + Fraction(b)) / 2
-        return 2 * a if a > 0 else Fraction(1)
+    inside = [(point, tied) for point, tied in crossings
+              if _compare(point, lower) > 0
+              and (upper is None or _compare(point, upper) < 0)]
 
     regimes: list[Regime] = []
-    edges: list[Scalar | None] = [lower, *inside, upper]
-    for i in range(len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        interval_values = [sol.value_at(k, sample(a, b)) for k in range(n)]
-        regimes.append(Regime(a, b, _ordering(interval_values)))
-        if i < len(inside):
-            point = inside[i]
-            tied = {(j, k) for p, j, k in meetings if matches(p, point)}
-            regimes.append(
-                Regime(point, point, _merge_ties(regimes[-1].ordering, tied))
-            )
+    lo = lower
+    for hi, tied in [*inside, (upper, None)]:
+        z = _sample(lo, hi)
+        ordering = _ordering([c * z**d for c, d in components])
+        regimes.append(Regime(lo[0], hi and hi[0], ordering))
+        if tied:
+            regimes.append(Regime(hi[0], hi[0], _merge_ties(ordering, tied)))
+        lo = hi
 
-    return RegimeReport((lower, upper), breakpoints, tuple(regimes))
+    breakpoints = tuple(point[0] for point, _ in crossings)
+    return RegimeReport((lower[0], upper and upper[0]), breakpoints,
+                        tuple(regimes))

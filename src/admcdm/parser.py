@@ -117,6 +117,15 @@ def _end(toks: list, k: int):
         raise _Error(f"unexpected {toks[k]!r}", k)
 
 
+def _number(digits: str, k: int):
+    """The number in digits, read from token k: a Fraction for a decimal,
+    else an int; _Error there past Python's limit on digits read."""
+    try:
+        return Fraction(digits) if "." in digits else int(digits)
+    except ValueError:
+        raise _Error("number has too many digits", k) from None
+
+
 def _coefficient(toks: list, k: int) -> tuple:
     """The positive number at token k, with its /q part if one follows:
     (value, index of the next token)."""
@@ -127,12 +136,12 @@ def _coefficient(toks: list, k: int) -> tuple:
         q = _take(toks, k + 2, _is_number, "a denominator")
         if "." in q:
             raise _Error("fraction parts must be integers", k + 2)
-        if int(q) == 0:
+        num, den = _number(p, k), _number(q, k + 2)
+        if den == 0:
             raise _Error("fraction denominator is zero", k + 2)
-        value, k_next = Fraction(int(p), int(q)), k + 3
+        value, k_next = Fraction(num, den), k + 3
     else:
-        value = Fraction(p) if "." in p else Fraction(int(p))
-        k_next = k + 1
+        value, k_next = Fraction(_number(p, k)), k + 1
     if not value:
         raise _Error("coefficient must be positive", k)
     return value, k_next
@@ -213,7 +222,7 @@ def _param(toks: list, k: int) -> int:
     m = _PARAM.fullmatch(name)
     if m is None:
         raise _Error("expected a parameter name like a2", k)
-    return int(m.group(1))
+    return _number(m.group(1), k)
 
 
 def parse_problem(text: str) -> Problem:
@@ -270,7 +279,7 @@ def parse_problem(text: str) -> Problem:
                     t = _take(toks, k, _is_number, "a preference number")
                     if "." in t:
                         raise _Error("preference numbers must be integers", k)
-                    v = int(t)
+                    v = _number(t, k)
                     if v < 1:
                         raise _Error("preference numbers start at 1", k)
                     if v in entries:

@@ -22,8 +22,6 @@ from .errors import InvalidProblem, NonPositiveComponent
 Scalar = Union[Fraction, float]
 PriorityVector = tuple
 
-MATCH_TOL = 1e-12
-
 
 class Record:
     """Immutable value with named fields.
@@ -121,16 +119,6 @@ def exact(value) -> Scalar:
 
 def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int))
-
-
-def matches(a, b) -> bool:
-    """Whether two stated values agree: exactly when neither is a float,
-    else within MATCH_TOL of the larger magnitude (at least 1), compared
-    as the Fractions of their binary values so no magnitude overflows."""
-    if not (isinstance(a, float) or isinstance(b, float)):
-        return a == b
-    a, b = Fraction(a), Fraction(b)
-    return abs(a - b) <= Fraction(MATCH_TOL) * max(1, abs(a), abs(b))
 
 
 def sig(value) -> float:

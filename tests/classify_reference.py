@@ -1,7 +1,8 @@
 """Reference classifier: the straightforward O(R^2) derive-and-compare.
 
 It walks every simple path to the end even after the relation list is full,
-and compares every two derivations of each criterion pair. admcdm.classify
+and compares every two derivations of each criterion pair as Fractions,
+exactly, sharing no comparison code with the engine. admcdm.classify
 must return exactly the same ClassificationReport on every input; see
 test_classify_equivalence.py. The caps are read from admcdm.classification
 at call time, so a test that lowers them lowers them here too.
@@ -14,13 +15,7 @@ from fractions import Fraction
 from importlib import import_module
 from itertools import product as iter_product
 
-from admcdm.classification import (
-    ClassificationReport,
-    DerivedRelation,
-    Label,
-    _differ,
-    _side,
-)
+from admcdm.classification import ClassificationReport, DerivedRelation, Label
 from admcdm.errors import NonEquationPreference, NonlinearPreferencePresent
 from admcdm.linalg import rank
 from admcdm.model import (
@@ -35,6 +30,11 @@ classify_module = import_module("admcdm.classification")
 
 def _inv(k):
     return 1 / k if isinstance(k, (Fraction, int)) else 1.0 / k
+
+
+def _side(k):
+    """The side of 1 of the Fraction k: -1, 0 or 1."""
+    return (k > 1) - (k < 1)
 
 
 def reference_derive(problem, max_depth):
@@ -177,7 +177,7 @@ def reference_classify(problem, max_depth=None):
         for x in range(len(rels)):
             for y in range(x + 1, len(rels)):
                 (k1, r1), (k2, r2) = rels[x], rels[y]
-                if not _differ(k1, k2):
+                if k1 == k2:
                     continue
                 s1, s2 = _side(k1), _side(k2)
                 if s1 > s2:

@@ -95,6 +95,13 @@ class TestMatrixConstruction:
         with pytest.raises(ValueError):
             AhpMatrix(((Fraction(1),),))  # too small
 
+    def test_reciprocity_is_exact_in_the_binary_values(self):
+        # the float 1/3 times 3 is not 1, however close
+        with pytest.raises(ValueError, match="reciprocal"):
+            AhpMatrix(((1.0, 1 / 3), (3.0, 1.0)))
+        m = AhpMatrix(((1.0, 0.5), (2.0, 1.0)))
+        assert ahp_priority(m).vector == (1 / 3, 2 / 3)
+
 
 class TestEigenpair:
     def test_matches_numpy_on_random_matrices(self):
@@ -199,7 +206,10 @@ class TestExactEigenpair:
             assert res.vector == (Fraction(1, 3),) * 3
 
     def test_float_entries(self):
-        m = AhpMatrix(((1.0, 2.5, 0.3), (0.4, 1.0, 1 / 7), (1 / 0.3, 7.0, 1.0)))
+        # dyadic floats, whose reciprocals are floats too; the cycle's
+        # product 4 * 0.5 / 0.125 = 16 has no rational cube root, so
+        # lambda_max = 1 + 16^(1/3) + 16^(-1/3) is irrational
+        m = AhpMatrix(((1.0, 4.0, 0.125), (0.25, 1.0, 0.5), (8.0, 2.0, 1.0)))
         res = ahp_priority(m)
         lam, vec = numpy_principal(m)
         assert isinstance(res.lambda_max, float)

@@ -208,6 +208,37 @@ class TestDeterminantCrossCheck:
             assert report == classify(pr), name
 
 
+class TestExactRatios:
+    """Derived ratios are compared exactly: no band hides a disagreement
+    however close to 1 or to each other the ratios lie, and no ratio is
+    too large to compare."""
+
+    @pytest.mark.parametrize("statements, rules", [
+        # a cycle whose product is 1 + 10^-12: y / z is 1 as stated and
+        # 1 / (1 + 10^-12) as derived, so that pair fires WD2
+        (("x = 1.000000000001 y", "y = 1 z", "z = 1 x"),
+         ["WD1", "WD1", "WD2", "WD3"]),
+        # two derivations of x / z, 2 and 2 + 10^-12
+        (("x = 2 y", "y = 1 z", "x = 2.000000000001 z"),
+         ["WD1", "WD1", "WD1", "WD3"]),
+    ], ids=["near-one-cycle", "near-equal-pair"])
+    def test_ratios_a_hair_apart_fire_wd1(self, statements, rules):
+        rep = classify(parse_problem(
+            "criteria: x y z\n" + "".join(f"pref: {s}\n" for s in statements)))
+        assert rep.label is Label.WEAK_INCONSISTENT
+        assert rep.rule_fired == "WD1"
+        assert rep.det_agrees
+        # one witness per pair, then the cycle through all three statements
+        assert [rule for rule, _, _ in rep.witnesses] == rules
+
+    def test_cycle_past_the_float_range(self):
+        rep = classify(make_cyclic_example(Fraction(10**400)))
+        assert rep.label is Label.STRONG_INCONSISTENT
+        assert rep.rule_fired == "SD4"
+        assert len(rep.witnesses) == 4
+        assert rep.det_agrees and not rep.depth_exceeded
+
+
 class TestGuards:
     def test_inequality_is_refused(self):
         pr = problem(

@@ -2,10 +2,10 @@
 
 classify_reference.py keeps the straightforward derive-and-compare; here
 both run on the corpus, seeded pairwise sets, seeded multi-term sets that
-exercise substitution, a set that fills the witness cap, and lowered
-relation caps, and float coefficients (read exactly), and the full
-reports (label, witnesses in order, rule, det_agrees, depth_exceeded) and
-derived relations must be equal. A set that one positive vector solves as
+exercise substitution, a set that fills the witness cap, lowered relation
+caps, float coefficients (read exactly) and a ratio past the float range,
+and the full reports (label, witnesses in order, rule, det_agrees,
+depth_exceeded) and derived relations must be equal. A set that one positive vector solves as
 written is labelled without a search; where the reference search is not
 truncated its report is the same. A full pairwise set is read pair by
 pair, then from its cycles when the pairs do not settle the report; the
@@ -203,6 +203,20 @@ def test_statement_order_and_orientation(monkeypatch):
                           tuple(prefs))
         assert_settled(problem, monkeypatch)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_complete_set_with_a_ratio_past_the_float_range(consistent,
+                                                        monkeypatch):
+    # ratios are compared as exact int pairs, so a 10^400 ratio takes the
+    # pair-by-pair path like any other
+    base = pairwise(5, 0, consistent)
+    (j, _), = base.preferences[0].terms
+    prefs = (LinearPreference(base.preferences[0].subject,
+                              ((j, Fraction(10**400)),)),
+             *base.preferences[1:])
+    report = assert_settled(Problem(base.criteria, prefs), monkeypatch)
+    assert report.rule_fired and report.det_agrees
 
 
 def test_complete_set_without_sd4_is_finished_from_its_pairs(monkeypatch):

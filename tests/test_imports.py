@@ -3,10 +3,13 @@ numpy, sympy, scipy, mpmath and hypothesis are test oracles only (pyproject
 lists no runtime dependency). Each public name loads its module on first
 use, and each CLI command loads only the modules it runs.
 
-Every check runs in a fresh interpreter, since this test process has long
-since imported every module."""
+Every check of what is loaded runs in a fresh interpreter, since this test
+process has long since imported every module. The last test reads every
+module's globals for float tolerances."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -170,3 +173,25 @@ def test_unknown_name_raises_attribute_error():
         admcdm.no_such_name
     with pytest.raises(ImportError):
         from admcdm import no_such_name  # noqa: F401
+
+
+# The only module-level floats the engine may define. Every decision on a
+# problem's own statements is exact; a new tolerance must be argued here.
+ALLOWED_FLOATS = {
+    # float elimination at an irrational root, until that vector is rounded
+    # once from exact cofactor polynomials
+    ("admcdm.linalg", "RANK_TOL"),
+    # an input check: eval_error accepts a caller's float point whose
+    # weights sum to 1 within it
+    ("admcdm.error_min", "SIMPLEX_TOL"),
+}
+
+
+def test_no_module_defines_a_tolerance():
+    found = set()
+    for info in pkgutil.iter_modules(admcdm.__path__):
+        module = importlib.import_module(f"admcdm.{info.name}")
+        found |= {(module.__name__, name)
+                  for name, value in vars(module).items()
+                  if isinstance(value, float)}
+    assert found <= ALLOWED_FLOATS

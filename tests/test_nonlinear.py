@@ -181,6 +181,33 @@ class TestRegimes:
         assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
             "y>z>x", "y>z=x", "y>x>z", "y=x>z", "x>y>z"]
 
+    @pytest.mark.parametrize("coefficient", [
+        "2.0000000000001",  # crossings 10^-14 apart
+        f"2.{'0' * 29}1",   # 10^-31 apart: both round to one float
+    ])
+    def test_nearly_equal_crossings_stay_apart(self, coefficient):
+        # z meets x at (1/2)^(1/2) and y at (1/coefficient)^(1/2): two
+        # irrational crossings, each with its own tie, and the piece
+        # between them is read at a point inside it
+        pr = parse_problem("criteria: x y z\npref: x = 2 z * z * z\n"
+                           f"pref: y = {coefficient} z * z * z\n")
+        rep = regime_analysis(solve_triangular(pr))
+        assert len(rep.breakpoints) == 2
+        assert rep.breakpoints[0] <= rep.breakpoints[1]
+        names = ("x", "y", "z")
+        assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
+            "z>y>x", "z=y>x", "y>z>x", "y>z=x", "y>x>z"]
+
+    def test_one_crossing_reached_at_two_degrees_is_merged(self):
+        # z = (1/2)^(1/2) solves both 2 z^2 = 1 and 4 z^4 = 1
+        pr = parse_problem("criteria: x y z\npref: x = 2 z * z * z\n"
+                           "pref: y = 4 z * z * z * z * z\n")
+        rep = regime_analysis(solve_triangular(pr))
+        assert rep.breakpoints == (0.5**0.5,)
+        names = ("x", "y", "z")
+        assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
+            "z>x>y", "z=x=y", "y>x>z"]
+
     def test_crossings_of_higher_degree_are_correctly_rounded(self):
         """Each irrational crossing, and the bound an inequality puts at
         one, is the float nearest to the root, here z = (1/7)^(1/2) and

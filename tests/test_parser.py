@@ -332,6 +332,24 @@ class TestTotality:
             else:
                 assert isinstance(result, Problem)
 
+    LONG = "1" * 5000  # past Python's 4,300-digit limit on int("...")
+
+    @pytest.mark.parametrize("line, column", [
+        (f"pref: x = {LONG} y", 11),
+        (f"pref: x = 2/{LONG} y", 13),
+        (f"pref: x = 1.{LONG} y", 11),
+        (f"pref: y / x = {LONG}", 15),
+        (f"bind: a1 = {LONG} a2", 12),
+        (f"bind: a{LONG} = 2 a1", 7),
+        (f"core: 1 {LONG}", 9),
+    ], ids=["coefficient", "denominator", "decimal", "ratio", "bind",
+            "parameter", "core"])
+    def test_overlong_number_is_a_parse_error(self, line, column):
+        text = f"criteria: x y\npref: x = 2 y\n{line}\n"
+        with pytest.raises(ParseError, match="too many digits") as info:
+            parse_problem(text)
+        assert (info.value.line, info.value.column) == (3, column)
+
     def test_random_printable_junk(self):
         rng = random.Random(0xBEEF)
         alphabet = string.printable

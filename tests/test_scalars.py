@@ -59,17 +59,6 @@ def test_sig_refuses_a_value_past_the_float_range():
     assert sig(Fraction(1, 10**400)) == 0.0
 
 
-def test_matches_is_exact_on_fractions_and_relative_on_floats():
-    from admcdm.scalars import matches
-
-    assert not matches(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**20))
-    assert matches(1 / 3, Fraction(1, 3))
-    assert matches(1e6, 1e6 * (1 + 1e-13))
-    assert not matches(1e6, 1e6 * (1 + 1e-11))
-    assert matches(0.0, 1e-13)  # the tolerance is floored at 1
-    assert not matches(Fraction(10**400), 1e300)
-
-
 # Record keeps what callers saw of the frozen dataclasses it replaced; each
 # check runs against a dataclass twin with the same name, fields and
 # __post_init__.
