@@ -39,9 +39,8 @@ _EXPORTS = {
                "general_solution", "particular_positive", "rank"),
     "model": (
         "CriteriaSet", "InequalityPreference", "LinearPreference",
-        "MonomialPreference", "ParamBinding", "Problem", "RatioPreference",
-        "Relation", "assemble", "canonicalize", "default_binding",
-        "make_cyclic_example",
+        "MonomialPreference", "ParamBinding", "Problem", "Relation",
+        "assemble", "canonicalize", "default_binding", "make_cyclic_example",
     ),
     "nonlinear": ("MonomialSolution", "Regime", "RegimeReport",
                   "ordering_text", "regime_analysis", "solve_triangular"),
@@ -49,9 +48,9 @@ _EXPORTS = {
     "polynomial": ("Poly", "peval", "poly", "positive_roots"),
     "scalars": ("PriorityVector", "Scalar", "exact", "fmt", "is_exact",
                 "normalize", "sig"),
-    "solver": ("AlphaSolution", "ConsistencyPolicy", "ParamSystem",
-               "discount_report", "parameterize", "parametric_equation",
-               "priority", "solve_alpha"),
+    "solver": ("AlphaSolution", "ParamSystem", "discount_report",
+               "parameterize", "parametric_equation", "priority",
+               "solve_alpha"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -14,12 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConflictingPair, MissingPair, NotPairwise
-from .model import (
-    InequalityPreference,
-    MonomialPreference,
-    Problem,
-    canonicalize,
-)
+from .model import InequalityPreference, MonomialPreference, Problem
 from .scalars import (PriorityVector, Record, Scalar, exact, integer_row,
                       is_exact, normalize)
 
@@ -113,15 +108,14 @@ def build_ahp_matrix(problem: Problem) -> AhpMatrix:
             raise NotPairwise(
                 "a product statement has no comparison-matrix cell"
             )
-        flat = canonicalize(pref)
-        if len(flat.terms) != 1:
+        if len(pref.terms) != 1:
             raise NotPairwise(
                 "only pairwise ratio statements can enter a comparison "
                 "matrix; a multi-term statement has no cell"
             )
-        j, value = flat.terms[0]
-        put(flat.subject, j, value)
-        put(j, flat.subject, 1 / value)
+        j, value = pref.terms[0]
+        put(pref.subject, j, value)
+        put(j, pref.subject, 1 / value)
 
     for i in range(n):
         for j in range(n):

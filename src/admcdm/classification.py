@@ -28,9 +28,14 @@ free variable at 1 is positive, that report is returned without deriving
 anything.
 
 Cost model. Derivation stops as soon as _RELATION_CAP relations are held
-and the result is known to be truncated, so the cap bounds time as well as
-memory; it and the conservative label of a truncated search concern
-only sets without such a positive solution. A ratio travels as an
+and the result is known to be truncated, so the cap bounds memory and the
+time of the walk; it and the conservative label of a truncated search
+concern only sets without such a positive solution. The cap does not
+bound the substitution's time: a multi-term statement tries every
+combination of derived relations for its terms, depth-first, and drops a
+partial combination at its first statement shared with the rest, so
+only combinations with disjoint trails count toward the cap, and a dense
+ratio graph can still make the enumeration long. A ratio travels as an
 unreduced pair of ints (p, q), read off the statement's Fraction and never
 as a float, so a path step is two int products. The walk forms that
 product only for an edge it takes, and does not enter a node past which
@@ -55,7 +60,6 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
-from itertools import product as iter_product
 from math import comb, factorial, perm
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
@@ -64,7 +68,6 @@ from .model import (
     InequalityPreference,
     MonomialPreference,
     Problem,
-    canonicalize,
     statement_rows,
     unit_rows,
 )
@@ -122,12 +125,11 @@ def _statements(problem: Problem):
         if isinstance(pref, MonomialPreference):
             raise NonlinearPreferencePresent(
                 "classification is defined on linear preferences only")
-        lin = canonicalize(pref)
-        if len(lin.terms) == 1:
-            j, k = lin.terms[0]
-            edges.append((lin.subject, j, k.numerator, k.denominator, pos))
+        if len(pref.terms) == 1:
+            j, k = pref.terms[0]
+            edges.append((pref.subject, j, k.numerator, k.denominator, pos))
         else:
-            multi.append((pos, lin.subject, lin.terms))
+            multi.append((pos, pref.subject, pref.terms))
     return edges, multi
 
 
@@ -215,24 +217,30 @@ def _search(n: int, edges, multi):
             if i != j:
                 pool[(i, j)].append((Fraction(p, q), trail))
                 pool[(j, i)].append((Fraction(q, p), trail))
+
+        def combine(subject, target, terms, choices, used, trail, total):
+            """Substitute one of choices[0]'s relations for terms[0], then
+            the rest in turn: the combinations of itertools.product, in
+            its order, but a branch ends at its first relation that shares
+            a statement with used."""
+            if not choices:
+                add(subject, target, total.numerator, total.denominator,
+                    trail)
+                return
+            coef = terms[0][1]
+            for k, tr in choices[0]:
+                if used.isdisjoint(tr):
+                    combine(subject, target, terms[1:], choices[1:],
+                            used.union(tr), trail + tr, total + coef * k)
+
         for pos, subject, terms in multi:
             for target in range(n):
                 choices = [[(1, ())] if j == target else
                            [(k, tr) for k, tr in pool[(j, target)]
                             if pos not in tr]
                            for j, _ in terms]
-                if not all(choices):
-                    continue
-                for combo in iter_product(*choices):
-                    trail = (pos,)
-                    for _k, tr in combo:
-                        trail += tr
-                    if len(set(trail)) < len(trail):
-                        continue  # two substituted relations share a statement
-                    total = sum(coef * k
-                                for (_, coef), (k, _) in zip(terms, combo))
-                    add(subject, target, total.numerator, total.denominator,
-                        trail)
+                if all(choices):
+                    combine(subject, target, terms, choices, {pos}, (pos,), 0)
 
     try:
         for a, b, p, q, pos in edges:

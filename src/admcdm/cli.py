@@ -267,13 +267,10 @@ def _interval_text(regime) -> str:
 
 
 def _solve_report(problem: Problem, warnings, args):
-    ConsistencyPolicy, Label, discount_report, priority = _library(
-        "ConsistencyPolicy", "Label", "discount_report", "priority")
+    Label, discount_report, priority = _library(
+        "Label", "discount_report", "priority")
     names = problem.criteria.names
-    policy = None
-    if args.threshold_c is not None:
-        policy = ConsistencyPolicy(threshold_c=args.threshold_c)
-    vector, alpha_sol, report = priority(problem, policy)
+    vector, alpha_sol, report = priority(problem, args.threshold_c)
     if args.fallback == "uniform" and (
         alpha_sol.discharged or report.label is Label.STRONG_INCONSISTENT
     ):
@@ -537,7 +534,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.add_argument("files", nargs="+", metavar="FILE_OR_DIR")
     add_common(p_solve)
     p_solve.add_argument(
-        "--threshold-c", type=_rational, default=None, metavar="VALUE",
+        "--threshold-c", type=_rational, default=0, metavar="VALUE",
         help="minimum acceptable consistency degree before the solution "
              "is marked discharged",
     )

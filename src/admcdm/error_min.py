@@ -83,8 +83,9 @@ def _statements(problem: Problem) -> list[_Statement]:
 
 
 def _functional(statements: list[_Statement], x: Sequence[Scalar]) -> Scalar:
-    """Sum of the absolute residuals of the statements at the point x."""
-    value: Scalar = Fraction(0)
+    """Sum of the absolute residuals of the statements at the point x;
+    an int when x and the statements are ints."""
+    value: Scalar = 0
     for subject, scale, terms in statements:
         acc = scale * x[subject]
         for weight, exponents in terms:
@@ -204,8 +205,9 @@ def _lp_minimize(problem: Problem) -> ErrorMinResult:
     the objective in its right-hand side.
     """
     n = problem.criteria.n
+    statements = _statements(problem)
     rows: list[list[int]] = []
-    for subject, scale, terms in _statements(problem):
+    for subject, scale, terms in statements:
         row = [0] * n
         row[subject] += scale
         for weight, ((j, _),) in terms:
@@ -272,13 +274,13 @@ def _lp_minimize(problem: Problem) -> ErrorMinResult:
         if var < n:
             vertex[var] = Fraction(tableau[i][width], d)
     if any(v == 0 for v in vertex):
-        vertex = _pull_inward(rows, vertex, Fraction(-costs[width], d))
+        vertex = _pull_inward(statements, vertex, Fraction(-costs[width], d))
     point = tuple(vertex)
     return ErrorMinResult(point, eval_error(problem, point), pivots)
 
 
 def _pull_inward(
-    rows: list[list[int]], vertex: list[Fraction], minimum: Fraction
+    statements: list[_Statement], vertex: list[Fraction], minimum: Fraction
 ) -> list[Fraction]:
     """Move a boundary optimum toward the barycentre c by the largest
     eps = 10^-k (k >= 0) with eps * (f(c) - minimum) <= 1e-12 * max(1,
@@ -286,8 +288,7 @@ def _pull_inward(
     strictly positive point exceeds the minimum by at most that bound."""
     n = len(vertex)
     centre = Fraction(1, n)
-    at_centre = sum(abs(sum(row) * centre) for row in rows)
-    gap = at_centre - minimum
+    gap = _functional(statements, [centre] * n) - minimum
     bound = BOUNDARY_SLACK * max(1, minimum)
     eps = Fraction(1)
     while eps * gap > bound:
@@ -339,8 +340,8 @@ def _grid_minimize(
 
     Every residual at x = k / G, times G^D with D the largest term degree,
     is an integer polynomial in k, since _statements' coefficients are
-    integers; the scan compares those exact integers, and the inequalities
-    compare the k's.
+    integers: rows holds the statements so scaled, and the scan compares
+    _functional(rows, k), an exact int. The inequalities compare the k's.
     """
     statements = _statements(problem)
     degree = max(
@@ -370,14 +371,7 @@ def _grid_minimize(
         if any(k[a] >= k[b] for a, b in less):
             continue
         count += 1
-        total = 0
-        for subject, head, terms in rows:
-            acc = head * k[subject]
-            for product, exponents in terms:
-                for j, power in exponents:
-                    product *= k[j] ** power
-                acc -= product
-            total += abs(acc)
+        total = _functional(rows, k)
         if best_total < 0 or total < best_total:
             best, best_total = k, total
     if not count:

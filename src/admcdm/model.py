@@ -4,9 +4,10 @@ assembly of the homogeneous system matrix.
 A preference file describes n criteria and m statements about them. Each
 equation-type statement ("C1 is worth 4 times C2", "C1 equals 2 C2 plus
 3 C3", "x equals 2 y z") pins the subject criterion to an expression in the
-others; inequalities only constrain the ordering. Statements are canonicalized
-so the subject sits alone on the left, which makes every linear statement a
-homogeneous row: +1 in the subject column, the negated coefficients elsewhere.
+others; inequalities only constrain the ordering. A linear statement keeps
+its subject alone on the left (a ratio "C2 / C1 = 3" is the one-term
+statement C2 = 3 C1), which makes it a homogeneous row: +1 in the subject
+column, the negated coefficients elsewhere.
 
 All types are immutable and validated on construction, so a Problem in hand
 is always well-formed: indices in range, coefficients positive, at least one
@@ -59,21 +60,6 @@ class CriteriaSet(Record):
             return self.names.index(name)
         except ValueError:
             raise InvalidProblem(f"unknown criterion {name!r}") from None
-
-
-class RatioPreference(Record):
-    """num / den = value, e.g. C2/C1 = 3."""
-
-    num: int
-    den: int
-    value: Scalar
-
-    def __post_init__(self):
-        if self.num == self.den:
-            raise InvalidProblem("ratio relates a criterion to itself")
-        object.__setattr__(self, "value", exact(self.value))
-        if not _positive_finite(self.value):
-            raise InvalidProblem("ratio value must be positive and finite")
 
 
 class LinearPreference(Record):
@@ -237,8 +223,6 @@ class Problem(Record):
 def _referenced(pref):
     if isinstance(pref, LinearPreference):
         return (pref.subject, *(i for i, _ in pref.terms))
-    if isinstance(pref, RatioPreference):
-        return (pref.num, pref.den)
     if isinstance(pref, MonomialPreference):
         return (pref.subject, *(i for i, _ in pref.exponents))
     if isinstance(pref, InequalityPreference):
@@ -247,9 +231,8 @@ def _referenced(pref):
 
 
 def canonicalize(pref):
-    """Rewrite num/den = k as num = k * den; linear statements pass through."""
-    if isinstance(pref, RatioPreference):
-        return LinearPreference(pref.num, ((pref.den, pref.value),))
+    """A linear statement, unchanged; TypeError for any other. No engine
+    module calls it: a ratio statement is a LinearPreference already."""
     if isinstance(pref, LinearPreference):
         return pref
     raise TypeError(f"cannot canonicalize {type(pref).__name__}")
@@ -263,10 +246,9 @@ def cleared(pref) -> tuple:
     if isinstance(pref, MonomialPreference):
         (weight,), scale = integer_row((pref.coefficient,))
         return pref.subject, scale, ((weight, pref.exponents),)
-    lin = canonicalize(pref)
-    weights, scale = integer_row(a for _, a in lin.terms)
-    return lin.subject, scale, tuple(
-        (w, ((j, 1),)) for (j, _), w in zip(lin.terms, weights))
+    weights, scale = integer_row(a for _, a in pref.terms)
+    return pref.subject, scale, tuple(
+        (w, ((j, 1),)) for (j, _), w in zip(pref.terms, weights))
 
 
 def statement_rows(problem: Problem) -> tuple:
@@ -282,14 +264,13 @@ def statement_rows(problem: Problem) -> tuple:
         if isinstance(pref, MonomialPreference):
             raise NonlinearPreferencePresent(
                 "monomial preferences do not assemble into a linear system")
-        lin = canonicalize(pref)
         cn, cd = c.as_integer_ratio()
-        ratios = [(j, a.as_integer_ratio()) for j, a in lin.terms]
+        ratios = [(j, a.as_integer_ratio()) for j, a in pref.terms]
         scale = lcm(*(cd * d for _, (_, d) in ratios))
         terms = [0] * n
         for j, (a, d) in ratios:
             terms[j] = cn * a * (scale // (cd * d))
-        rows.append((lin.subject, scale, tuple(terms)))
+        rows.append((pref.subject, scale, tuple(terms)))
     return tuple(rows)
 
 

@@ -32,8 +32,8 @@ Formatting inverts parsing: parse(format(p)) is structurally identical to p
 for any problem that came out of the parser (exact coefficients, resolved
 binds), and for a problem built in code with float coefficients too: the
 model holds each float as the Fraction of its binary value, which is
-written out as p/q. A ratio preference built in code is formatted in ratio
-form, which parses back to its canonical linear equivalent.
+written out as p/q. A problem whose core carries no multiplier 1 has no
+file form, since each bind chain's root is read as 1, and is refused.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .model import (
     MonomialPreference,
     ParamBinding,
     Problem,
-    RatioPreference,
     Relation,
     default_core,
     is_equation,
@@ -352,8 +351,6 @@ def parse_problem(text: str) -> Problem:
 
 
 def format_preference(pref, names) -> str:
-    if isinstance(pref, RatioPreference):
-        return f"{names[pref.num]} / {names[pref.den]} = {fmt(pref.value)}"
     if isinstance(pref, LinearPreference):
         rhs = " + ".join(f"{fmt(c)} {names[i]}" for i, c in pref.terms)
         return f"{names[pref.subject]} = {rhs}"
@@ -375,12 +372,14 @@ def format_problem(problem: Problem) -> str:
         out.append("pref: " + format_preference(pref, names))
     mults = problem.binding.multipliers
     core = problem.binding.core_mask
-    base = next((i for i in core if mults[i] == 1), core[0])
+    base = next((i for i in core if mults[i] == 1), None)
+    if base is None:
+        raise InvalidProblem(
+            "a core with no multiplier 1 has no file form: each bind "
+            "chain's root is read as 1")
     for i in core:
-        if i != base and mults[i] != mults[base]:
-            out.append(f"bind: a{i + 1} = {fmt(mults[i] / mults[base])} a{base + 1}")
-        elif i != base and mults[i] != 1:
-            out.append(f"bind: a{i + 1} = 1 a{base + 1}")
+        if mults[i] != 1:
+            out.append(f"bind: a{i + 1} = {fmt(mults[i])} a{base + 1}")
     if core != default_core(problem.preferences, problem.criteria.n):
         out.append("core: " + " ".join(str(i + 1) for i in core))
     return "\n".join(out) + "\n"

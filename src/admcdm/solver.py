@@ -42,7 +42,6 @@ from .model import (
     MonomialPreference,
     ParamBinding,
     Problem,
-    canonicalize,
     row_at,
     statement_rows,
     unit_rows,
@@ -66,17 +65,6 @@ class ParamSystem(Record):
             for j, b in enumerate(terms)) for s, scale, terms in self.rows))
 
 
-class ConsistencyPolicy(Record):
-    """A result whose solved consistency falls below threshold_c is
-    discharged; the default 0 discharges none."""
-
-    threshold_c: Scalar = 0
-
-    def __post_init__(self):
-        if not 0 <= self.threshold_c <= 1:
-            raise InvalidProblem("threshold_c must lie in [0, 1]")
-
-
 class AlphaSolution(Record):
     """Outcome of the parametric solve.
 
@@ -85,7 +73,7 @@ class AlphaSolution(Record):
     min(alpha, 1/alpha), inconsistency its complement to 1. extra_params
     holds (preference position, value) pairs for preferences outside the
     core. discharged marks a result whose consistency fell below the
-    policy's threshold.
+    caller's threshold_c.
     """
 
     roots: tuple
@@ -98,7 +86,6 @@ class AlphaSolution(Record):
 
 _CONSISTENT = AlphaSolution((Fraction(1),), Fraction(1), Fraction(1),
                             Fraction(0), (), False)
-_DEFAULT_POLICY = ConsistencyPolicy()
 _FLOAT_RANGE = "a coefficient ratio lies outside the float range"
 
 
@@ -193,10 +180,14 @@ def _solve_extras(ps: ParamSystem, alpha):
     return tuple(out), v
 
 
-def _solve(ps: ParamSystem, policy, equation):
+def _check_threshold(threshold_c):
+    if not 0 <= threshold_c <= 1:
+        raise InvalidProblem("threshold_c must lie in [0, 1]")
+
+
+def _solve(ps: ParamSystem, threshold_c, equation):
     """solve_alpha's result from the core's equation, and the core's null
     vector at alpha when the extra preferences needed it (else None)."""
-    policy = policy or _DEFAULT_POLICY
     roots = tuple(positive_roots(equation))
     if not roots:
         raise NoPositiveRoot(
@@ -206,15 +197,22 @@ def _solve(ps: ParamSystem, policy, equation):
     c = _consistency_of(alpha)
     # positional: a keyword construction costs a Record about 2 us more
     return AlphaSolution(
-        roots, alpha, c, 1 - c, extras, c < policy.threshold_c), v
+        roots, alpha, c, 1 - c, extras, c < threshold_c), v
 
 
-def solve_alpha(ps: ParamSystem, policy: ConsistencyPolicy = None) -> AlphaSolution:
-    return _solve(ps, policy, parametric_equation(ps))[0]
+def solve_alpha(ps: ParamSystem, threshold_c: Scalar = 0) -> AlphaSolution:
+    """The parametric solve; discharged when the consistency falls below
+    threshold_c, which must lie in [0, 1] (the default 0 discharges
+    none)."""
+    _check_threshold(threshold_c)
+    return _solve(ps, threshold_c, parametric_equation(ps))[0]
 
 
-def priority(problem: Problem, policy: ConsistencyPolicy = None):
-    """Full pipeline: returns (priority vector, AlphaSolution, report)."""
+def priority(problem: Problem, threshold_c: Scalar = 0):
+    """Full pipeline: returns (priority vector, AlphaSolution, report).
+    The solution is discharged when its consistency falls below
+    threshold_c, which must lie in [0, 1]; a consistent set never is."""
+    _check_threshold(threshold_c)
     rows = statement_rows(problem)
     # the consistency test is the elimination that yields the vector
     try:
@@ -228,7 +226,7 @@ def priority(problem: Problem, policy: ConsistencyPolicy = None):
         # the extra rows hold at their parameters, so the core's null
         # space is the whole system's
         ps = ParamSystem(rows, problem.binding)
-        solution, v = _solve(ps, policy, _equation(ps))
+        solution, v = _solve(ps, threshold_c, _equation(ps))
         if v is None:  # no extra preference eliminated the core yet
             v, _ = _core_vector(ps, solution.alpha)
     pv = normalize(positive(v))
@@ -248,7 +246,6 @@ def discount_report(problem: Problem, pv: PriorityVector):
     for pos, pref in enumerate(problem.preferences):
         if isinstance(pref, (InequalityPreference, MonomialPreference)):
             continue
-        lin = canonicalize(pref)
-        stated = sum(a * pv[j] for j, a in lin.terms)
-        out.append((pos, pv[lin.subject] / stated))
+        stated = sum(a * pv[j] for j, a in pref.terms)
+        out.append((pos, pv[pref.subject] / stated))
     return tuple(out)

@@ -1,9 +1,13 @@
 """Consistency classification: labels, witnesses, rule precedence, and the
 determinant cross-check."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +335,30 @@ class TestBoundedTime:
         assert report.label is Label.CONSISTENT
         assert report.witnesses == ()
         assert not report.depth_exceeded
+
+
+    def test_multi_term_statement_over_a_dense_ratio_graph(self, tmp_path):
+        # C0 as the sum of six criteria that twelve ratios link: the
+        # substitution ends each combination at its first shared statement
+        # instead of enumerating the whole product of derivations
+        lines = ["criteria: c0 c1 c2 c3 c4 c5 c6"]
+        lines += [f"pref: c{a} = {k} c{b}" for a, k, b in (
+            (5, 1, 6), (3, 7, 5), (1, 7, 2), (4, 1, 6), (2, 8, 4),
+            (2, 5, 3), (1, 4, 5), (2, 2, 6), (2, 6, 5), (3, 1, 6),
+            (1, 1, 6), (1, 1, 3))]
+        lines.append("pref: c0 = " + " + ".join(
+            f"1 c{j}" for j in range(1, 7)))
+        path = tmp_path / "dense.admp"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        src = str(Path(classify_module.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-m", "admcdm", "classify", str(path)],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[0] == "label: StrongInconsistent (SD4)"
 
 
 class TestPositiveSolution:

@@ -2,11 +2,11 @@
 
 classify_reference.py keeps the straightforward derive-and-compare; here
 both run on the corpus, seeded pairwise sets, seeded multi-term sets that
-exercise substitution, a set that fills the witness cap, lowered relation
-caps, float coefficients (read exactly) and a ratio past the float range,
-and the full reports (label, witnesses in order, rule, det_agrees,
-depth_exceeded) and derived relations must be equal. A set that one positive vector solves as
-written is labelled without a search; where the reference search is not
+exercise substitution (some over a dense ratio graph), a set that fills
+the witness cap, lowered relation caps, float coefficients (read exactly)
+and a ratio past the float range, and the full reports (label, witnesses
+in order, rule, det_agrees, depth_exceeded) and derived relations must be
+equal. A set that one positive vector solves as written is labelled without a search; where the reference search is not
 truncated its report is the same. A full pairwise set is read pair by
 pair, then from its cycles when the pairs do not settle the report; the
 caps and the set's shape decide whether it may be, and the result must not
@@ -80,6 +80,26 @@ def multi_term(n, seed, planted=False):
         prefs.append(statement(subject, sorted(terms)))
     rng.shuffle(prefs)
     return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                   tuple(prefs))
+
+
+def dense_multi_term(seed, ratios, width):
+    """C0 stated as a sum of width terms over C1..C6, which ratio
+    statements link densely: a chain through C1..C6 and extra pairs up to
+    the given number of ratios, so many derivations reach each term."""
+    rng = random.Random(f"dense-multi:{seed}")
+    order = rng.sample(range(1, 7), 6)
+    pairs = list(zip(order, order[1:]))
+    rest = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)
+            if (a, b) not in pairs and (b, a) not in pairs]
+    pairs += rng.sample(rest, ratios - 5)
+    prefs = [LinearPreference(a, ((b, Fraction(rng.randint(1, 9))),))
+             for a, b in pairs]
+    terms = sorted(rng.sample(range(1, 7), width))
+    prefs.append(LinearPreference(
+        0, tuple((j, Fraction(rng.randint(1, 3))) for j in terms)))
+    rng.shuffle(prefs)
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(7))),
                    tuple(prefs))
 
 
@@ -356,6 +376,18 @@ def test_substitution_is_exercised():
         relations = _derive(problem)[0]
         multi += sum(r.trail[0] in positions for r in relations)
     assert multi > 0
+
+
+@pytest.mark.parametrize("seed, ratios, width",
+                         [(1, 8, 5), (0, 9, 4), (1, 9, 5)])
+def test_dense_multi_term_substitution(seed, ratios, width):
+    # many combinations of derived relations share a statement; those
+    # the search drops must be the ones the exhaustive product drops
+    problem = dense_multi_term(seed, ratios, width)
+    assert_same(problem)
+    relations = _derive(problem)[0]
+    assert any(len(problem.preferences[r.trail[0]].terms) > 1
+               for r in relations)
 
 
 def test_witness_cap_is_reached():

@@ -23,7 +23,6 @@ from admcdm.model import (
     MonomialPreference,
     ParamBinding,
     Problem,
-    RatioPreference,
     Relation,
     assemble,
     canonicalize,
@@ -34,6 +33,7 @@ from admcdm.model import (
     make_cyclic_example,
 )
 from admcdm.nonlinear import solve_triangular
+from admcdm.parser import parse_problem
 from admcdm.solver import discount_report, priority
 
 INF = float("inf")
@@ -65,18 +65,6 @@ class TestCriteriaSet:
 
 
 class TestPreferences:
-    def test_ratio_value_is_exact(self):
-        p = RatioPreference(1, 0, "0.8")
-        assert p.value == Fraction(4, 5)
-
-    def test_ratio_self_reference_rejected(self):
-        with pytest.raises(InvalidProblem):
-            RatioPreference(2, 2, 3)
-
-    def test_ratio_nonpositive_rejected(self):
-        with pytest.raises(InvalidProblem):
-            RatioPreference(0, 1, 0)
-
     def test_linear_terms_sorted_so_order_is_irrelevant(self):
         a = LinearPreference(0, ((2, 3), (1, 2)))
         b = LinearPreference(0, ((1, 2), (2, 3)))
@@ -189,8 +177,9 @@ class TestProblem:
 
 
 NON_FINITE_SHAPES = {
+    # a ratio statement y / x = v is the one-term statement y = v x
     "ratio-value":
-        lambda v: Problem(crit("x", "y"), (RatioPreference(0, 1, v),)),
+        lambda v: Problem(crit("x", "y"), (LinearPreference(1, ((0, v),)),)),
     "term-coefficient":
         lambda v: Problem(crit("x", "y"), (LinearPreference(0, ((1, v),)),)),
     "monomial-coefficient":
@@ -220,8 +209,6 @@ class TestNonFiniteValues:
 
 # each value type with one positive value in it, and its refusal message
 POSITIVE_VALUE_SHAPES = {
-    "RatioPreference": (lambda v: RatioPreference(0, 1, v),
-                        "ratio value must be positive and finite"),
     "LinearPreference": (lambda v: LinearPreference(0, ((2, 1), (1, v))),
                          "term coefficients must be positive and finite"),
     "MonomialPreference": (lambda v: MonomialPreference(0, v, ((1, 1),)),
@@ -271,7 +258,7 @@ def float_built(read):
         LinearPreference(0, ((1, read(3.0)),)),
         LinearPreference(1, ((0, read(0.3333333333333333)),))))
     yield Problem(xyz, (LinearPreference(0, ((1, read(0.1)), (2, read(0.7)))),
-                        RatioPreference(1, 2, read(2.5)),
+                        LinearPreference(1, ((2, read(2.5)),)),
                         LinearPreference(2, ((0, read(1.3)),))),
                   ParamBinding((1, read(0.5), 1), (0, 1, 2)))
     yield Problem(xyz, (MonomialPreference(0, read(0.1), ((1, 1), (2, 1))),
@@ -322,10 +309,6 @@ class TestFloatCoefficients:
 
 
 class TestCanonicalize:
-    def test_ratio_becomes_linear(self):
-        assert canonicalize(RatioPreference(1, 0, 3)) == LinearPreference(
-            1, ((0, 3),))
-
     def test_linear_passes_through(self):
         p = LinearPreference(0, ((1, 2), (2, 3)))
         assert canonicalize(p) is p
@@ -337,7 +320,7 @@ class TestCanonicalize:
 
 class TestCleared:
     def test_ratio(self):
-        assert cleared(RatioPreference(1, 0, Fraction(3, 2))) == (
+        assert cleared(LinearPreference(1, ((0, Fraction(3, 2)),))) == (
             1, 2, ((3, ((0, 1),)),))
 
     def test_mixed_denominators_share_one_scale(self):
@@ -373,7 +356,7 @@ class TestAssemble:
 
     def test_ratio_rows_match_their_linear_form(self):
         lin = Problem(crit("C1", "C2"), (LinearPreference(1, ((0, 3),)),))
-        rat = Problem(crit("C1", "C2"), (RatioPreference(1, 0, 3),))
+        rat = parse_problem("criteria: C1 C2\npref: C2 / C1 = 3\n")
         assert assemble(lin) == assemble(rat)
 
     def test_inequality_has_no_row(self):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from admcdm.errors import ParseError
+from admcdm.errors import InvalidProblem, ParseError
 from admcdm.model import (
     CriteriaSet,
     InequalityPreference,
@@ -285,6 +285,22 @@ class TestRoundTrip:
         text = format_problem(pr)
         assert "bind: a2 = 3602879701896397/36028797018963968 a1" in text
         assert parse_problem(text) == pr
+
+    def test_binding_without_a_unit_multiplier_is_refused(self):
+        # the file pins each bind chain's root at 1, so (2, 4, 2) would
+        # read back as (1, 2, 1), a different problem with another alpha
+        pr = Problem(CriteriaSet(("x", "y", "z")), (
+            LinearPreference(0, ((1, 2),)),
+            LinearPreference(1, ((2, 3),)),
+            LinearPreference(2, ((0, Fraction(1, 5)),))),
+            ParamBinding((2, 4, 2), (0, 1, 2)))
+        with pytest.raises(InvalidProblem, match="no multiplier 1"):
+            format_problem(pr)
+        halved = Problem(pr.criteria, pr.preferences,
+                         ParamBinding((1, 2, 1), (0, 1, 2)))
+        text = format_problem(halved)
+        assert "bind: a2 = 2 a1" in text and "a3" not in text
+        assert parse_problem(text) == halved
 
     def test_non_default_core_is_emitted(self):
         pr = parse(

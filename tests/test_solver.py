@@ -32,7 +32,6 @@ from admcdm.model import (
 from admcdm.parser import parse_problem
 from admcdm.polynomial import peval, positive_roots
 from admcdm.solver import (
-    ConsistencyPolicy,
     _choose_root,
     _solve_extras,
     discount_report,
@@ -501,13 +500,20 @@ class TestExtraParameters:
 
 
 class TestPolicy:
+    """The discharge policy: priority()'s threshold_c."""
+
     def test_threshold_must_be_a_probability(self):
+        # refused before anything is solved, on a consistent set too
+        for problem in (load("ex1.admp"), load("ex11.admp")):
+            with pytest.raises(InvalidProblem,
+                               match=r"threshold_c must lie in \[0, 1\]"):
+                priority(problem, 2)
+        ps = parameterize(load("ex11.admp"))
         with pytest.raises(InvalidProblem):
-            ConsistencyPolicy(threshold_c=2)
+            solve_alpha(ps, threshold_c=-Fraction(1, 2))
 
     def test_reject_policy_discharges_low_consistency(self):
-        policy = ConsistencyPolicy(Fraction(1, 2))
-        _, sol, _ = priority(load("ex11.admp"), policy)
+        _, sol, _ = priority(load("ex11.admp"), Fraction(1, 2))
         assert sol.discharged
 
     def test_no_policy_never_discharges(self):
@@ -515,8 +521,7 @@ class TestPolicy:
         assert not sol.discharged
 
     def test_high_consistency_passes_a_rejecting_policy(self):
-        policy = ConsistencyPolicy(Fraction(1, 3))
-        _, sol, _ = priority(load("ex9.admp"), policy)
+        _, sol, _ = priority(load("ex9.admp"), threshold_c=Fraction(1, 3))
         assert not sol.discharged  # 5/12 > 1/3
 
 
