@@ -6,10 +6,13 @@ All exact work is one fraction-free Bareiss elimination over the integers,
 each row scaled to integers first (a float entry read as its binary value):
 the determinant is the signed last pivot, the rank the pivot count, and
 carried above the pivots it gives the reduced echelon form times the last
-pivot. null_vector keeps integer rows in integers; Fractions are built only
-for det_poly's and det_numeric's results and general_solution's
-coefficients. A polynomial determinant is interpolated from integer ones at
-deg + 1 points (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+pivot. A step rewrites only the rows with a nonzero in its pivot column;
+every other row is scaled lazily, once, so a statement's sparse row costs
+work only at the steps that eliminate it. null_vector keeps integer rows in
+integers; Fractions are built only for det_poly's and det_numeric's results
+and general_solution's coefficients. A polynomial determinant is
+interpolated from integer ones at deg + 1 points (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 5).
 Floats appear only when an irrational discount is substituted; such rows
 are solved with partial pivoting and a relative rank tolerance.
 """
@@ -65,9 +68,25 @@ def _bareiss(mat, reduced=False):
     The first nonzero entry pivots; a column with none is skipped. Entries
     stay minors of the rows (Sylvester), so every division is exact. With
     reduced, rows above a pivot are cleared too, and the pivot rows over
-    the last pivot are the reduced row echelon form (Cramer)."""
+    the last pivot are the reduced row echelon form (Cramer).
+
+    A step rewrites only the rows with a nonzero in its pivot column: the
+    eager step would just multiply any other row by pivot / previous pivot.
+    Each row records the step it is current at, and is brought up to date
+    once, by a * dets[k] // dets[level], when it becomes the pivot row or
+    when elimination ends; a step that eliminates it divides by
+    dets[level] instead of the previous pivot, which folds that scaling
+    in. Every quotient is the eager entry, so the result is the eager
+    one, and a core of n one-term statements costs O(n^2), not O(n^3)."""
     m, n = len(mat), len(mat[0]) if mat else 0
-    pivots, sign, prev = [], 1, 1
+    pivots, sign, lo = [], 1, 0
+    dets, level = [1], [0] * m  # dets[k]: the pivot of step k - 1
+
+    def lift(i, k):  # bring row i up to step k, from lo on
+        d, e = dets[k], dets[level[i]]
+        mat[i][lo:] = [a * d // e for a in mat[i][lo:]]
+        level[i] = k
+
     for col in range(n):
         r = len(pivots)
         if r == m:
@@ -77,16 +96,28 @@ def _bareiss(mat, reduced=False):
             continue
         if swap != r:
             mat[r], mat[swap] = mat[swap], mat[r]
+            level[r], level[swap] = level[swap], level[r]
             sign = -sign
         lo = 0 if reduced else col  # rows below are 0 left of col
+        if level[r] != r:
+            lift(r, r)
         pivot, top = mat[r][col], mat[r][lo:]
         for i in range(0 if reduced else r + 1, m):
-            if i != r:
-                f = mat[i][col]
-                mat[i][lo:] = [(pivot * a - f * b) // prev
+            f = mat[i][col]
+            if f and i != r:
+                e = dets[level[i]]
+                mat[i][lo:] = [(pivot * a - f * b) // e
                                for a, b in zip(mat[i][lo:], top)]
-        prev = pivot
+                level[i] = r + 1
+        dets.append(pivot)
         pivots.append(col)
+        if reduced:  # its own step leaves the pivot row as it is
+            level[r] = r + 1
+    # non-reduced, the rows above the rank never change after their step
+    k = len(pivots)
+    for i in range(0 if reduced else k, m):
+        if level[i] != k:
+            lift(i, k)
     return pivots, sign
 
 

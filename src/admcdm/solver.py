@@ -136,8 +136,8 @@ def _core_vector(ps: ParamSystem, alpha):
     """null_vector() of the core rows at alpha, floats at a float alpha."""
     rows = [ps.rows[i] for i in ps.binding.core_mask]
     if isinstance(alpha, float):
-        try:
-            rows = [[1.0 if j == s else -b / scale * alpha if b else 0
+        try:  # 0.0, not 0: _rref turns an int into a Fraction
+            rows = [[1.0 if j == s else -b / scale * alpha if b else 0.0
                      for j, b in enumerate(terms)] for s, scale, terms in rows]
         except OverflowError:
             raise InvalidProblem(_FLOAT_RANGE) from None

@@ -3,6 +3,7 @@ against numpy and sympy oracles."""
 
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -12,9 +13,11 @@ from admcdm.errors import FullRank, NonPositiveComponent, NotSquare
 from admcdm.linalg import (
     GeneralSolution,
     PolyMatrix,
+    _bareiss,
     det_numeric,
     det_poly,
     general_solution,
+    null_vector,
     particular_positive,
     rank,
 )
@@ -183,6 +186,86 @@ class TestRank:
         assert det_numeric([[1, 2], [3, 4]]) == Fraction(-2)
 
 
+def _eager_bareiss(mat, reduced=False):
+    """The textbook loop: every step rewrites every row below its pivot
+    (with reduced, every other row), so each row is current at every step."""
+    m, n = len(mat), len(mat[0]) if mat else 0
+    pivots, sign, prev = [], 1, 1
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        swap = next((i for i in range(r, m) if mat[i][col]), None)
+        if swap is None:
+            continue
+        if swap != r:
+            mat[r], mat[swap] = mat[swap], mat[r]
+            sign = -sign
+        lo = 0 if reduced else col
+        pivot, top = mat[r][col], mat[r][lo:]
+        for i in range(0 if reduced else r + 1, m):
+            if i != r:
+                f = mat[i][col]
+                mat[i][lo:] = [(pivot * a - f * b) // prev
+                               for a, b in zip(mat[i][lo:], top)]
+        prev = pivot
+        pivots.append(col)
+    return pivots, sign
+
+
+def int_matrix(rng, m, n):
+    """Seeded integer m x n matrix with a nonzero density from 0.1 to 1 and
+    entries up to 10^30; three times in four it is rank-deficient by
+    construction: a product through a thinner inner dimension, a row
+    repeated as a multiple of another, or a zero column."""
+    density = rng.choice((0.1, 0.25, 0.5, 0.75, 1.0))
+    bound = rng.choice((1, 9, 10**6, 10**30))
+
+    def draw(b):
+        return rng.randint(-b, b) if rng.random() < density else 0
+
+    kind = rng.randrange(4)
+    if kind == 0 and min(m, n) > 1:
+        r, b = rng.randrange(1, min(m, n)), isqrt(bound)
+        left = [[draw(b) for _ in range(r)] for _ in range(m)]
+        right = [[draw(b) for _ in range(n)] for _ in range(r)]
+        return [[sum(left[i][k] * right[k][j] for k in range(r))
+                 for j in range(n)] for i in range(m)]
+    rows = [[draw(bound) for _ in range(n)] for _ in range(m)]
+    if kind == 1 and m > 1:
+        i, j = rng.sample(range(m), 2)
+        k = rng.choice((1, -1, 3))
+        rows[j] = [k * e for e in rows[i]]
+    elif kind == 2:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+class TestBareiss:
+    def test_matches_the_eager_loop(self):
+        """The lazily scaled elimination leaves exactly what the eager loop
+        leaves: the same pivots, sign and matrix, entry for entry. Without
+        reduced, a pivot row must stay as its own step left it; scaling the
+        earlier pivot rows up to the last pivot at the end would change
+        neither the determinant (the last pivot) nor the rank, only the
+        entries compared here."""
+        rng = random.Random(0xE4E1)
+        seen = {"square": 0, "wide": 0, "tall": 0, "deficient": 0}
+        for size in [9] * 1000 + [24] * 20:
+            m, n = rng.randint(1, size), rng.randint(1, size)
+            rows = int_matrix(rng, m, n)
+            for reduced in (False, True):
+                want, got = [r[:] for r in rows], [r[:] for r in rows]
+                pivots, sign = _eager_bareiss(want, reduced)
+                assert _bareiss(got, reduced) == (pivots, sign)
+                assert got == want
+            seen["square" if m == n else "wide" if m < n else "tall"] += 1
+            seen["deficient"] += len(pivots) < min(m, n)
+        assert min(seen.values()) >= 30
+
+
 class TestGeneralSolution:
     def test_known_dependent_system(self):
         rows = [
@@ -273,11 +356,51 @@ def _oracle_entry(rng):
     return Fraction(rng.choice((-1, 1)), 10**10)
 
 
-def oracle_matrix(rng, m, n):
+def _positive_entry(rng):
+    return rng.choice((rng.randint(1, 9),
+                       Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+
+
+def _statement_rows(rng, m, n):
+    if m == n and rng.random() < 0.5:
+        # a ratio-cycle core x_a = k x_b around n criteria, balanced (so
+        # singular) half the time
+        ks = [_positive_entry(rng) for _ in range(n)]
+        if rng.random() < 0.5:
+            ks[-1] = 1 / prod(Fraction(k) for k in ks[:-1])
+        order = rng.sample(range(n), n)
+        rows = [[0] * n for _ in range(n)]
+        for i, k in enumerate(ks):
+            rows[i][order[i]], rows[i][order[(i + 1) % n]] = 1, -k
+        rng.shuffle(rows)
+    else:
+        rows = []
+        for _ in range(m):
+            subject, *terms = rng.sample(range(n), rng.randint(2, min(4, n)))
+            row = [0] * n
+            row[subject] = _positive_entry(rng)
+            for j in terms:
+                row[j] = -_positive_entry(rng)
+            rows.append(row)
+    if m > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        k = _positive_entry(rng)
+        rows[j] = [k * e for e in rows[i]]
+    return rows
+
+
+def oracle_matrix(rng, m, n, statements=False):
     """Seeded exact m x n matrix of int and Fraction entries: a product of
     random m x r and r x n factors (any rank r up to min(m, n)) or plain
     random entries, then perhaps a zero row and a middle column with no
-    pivot (zero, or a multiple of the column before it)."""
+    pivot (zero, or a multiple of the column before it).
+
+    With statements, each row is shaped like a parsed statement instead:
+    one positive entry (the subject), one to three negative ones (its
+    terms) and 0 elsewhere; a square matrix is a ratio-cycle core half the
+    time; and perhaps one row repeats another, scaled."""
+    if statements:
+        return _statement_rows(rng, m, n)
     if rng.random() < 0.7:
         r = rng.randrange(0, min(m, n) + 1)
         left = [[_oracle_entry(rng) for _ in range(r)] for _ in range(m)]
@@ -297,11 +420,22 @@ def oracle_matrix(rng, m, n):
 
 
 ORACLE_SHAPES = ((1, 3), (2, 5), (3, 6), (3, 3), (4, 4), (6, 6), (5, 3),
-                 (8, 4), (36, 9))
+                 (8, 4), (36, 9), (10, 5), (5, 10), (24, 24))
+
+
+def to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(e).numerator,
+                                         Fraction(e).denominator)
+                          for e in row] for row in rows])
+
+
+def to_fraction(x):
+    return Fraction(int(x.p), int(x.q))
 
 
 class TestSympyOracle:
-    """The one exact elimination against sympy's rank, det and rref."""
+    """The one exact elimination against sympy's rank, det, rref and null
+    space, on near-dense matrices and on statement-shaped sparse ones."""
 
     @pytest.fixture(autouse=True)
     def sympy(self):
@@ -310,23 +444,19 @@ class TestSympyOracle:
     @staticmethod
     def cases():
         rng = random.Random(0xBA2E155)
+        sparse = random.Random(0x57A7E)
         for m, n in ORACLE_SHAPES:
             for _ in range(3 if m * n > 100 else 12):
-                yield oracle_matrix(rng, m, n)
+                # sympy's dense rational elimination at 24 x 24 takes minutes
+                if m * n <= 400:
+                    yield oracle_matrix(rng, m, n)
+                yield oracle_matrix(sparse, m, n, statements=True)
 
     def test_rank_det_and_rref_match(self, sympy):
-        def to_sympy(rows):
-            return sympy.Matrix([[sympy.Rational(Fraction(e).numerator,
-                                                 Fraction(e).denominator)
-                                  for e in row] for row in rows])
-
-        def to_fraction(x):
-            return Fraction(int(x.p), int(x.q))
-
         seen = {"deficient": 0, "full": 0}
         for rows in self.cases():
             m, n = len(rows), len(rows[0])
-            want = to_sympy(rows)
+            want = to_sympy(sympy, rows)
             assert rank(rows) == want.rank()
             if m == n:
                 assert det_numeric(rows) == to_fraction(want.det())
@@ -346,3 +476,30 @@ class TestSympyOracle:
             assert all(isinstance(c, Fraction)
                        for _, coefs in gs.expressions for c in coefs)
         assert seen["deficient"] >= 30 and seen["full"] >= 10
+
+    def test_null_vector_is_integer_and_spans_the_null_space(self, sympy):
+        """The vector solves every row in integers, and a one-dimensional
+        null space is its span."""
+        seen = {"one": 0, "more": 0, "full": 0}
+        for rows in self.cases():
+            n = len(rows[0])
+            want = to_sympy(sympy, rows).nullspace()
+            if not want:
+                seen["full"] += 1
+                with pytest.raises(FullRank):
+                    null_vector(rows)
+                continue
+            v, free = null_vector(rows)
+            assert free == len(want)
+            assert all(type(x) is int for x in v) and any(v)
+            assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0
+                       for row in rows)
+            if free > 1:
+                seen["more"] += 1
+                continue
+            seen["one"] += 1
+            basis = [to_fraction(x) for x in want[0]]
+            j = next(j for j, x in enumerate(basis) if x)
+            assert [basis[i] * v[j] for i in range(n)] == \
+                [Fraction(x) * basis[j] for x in v]
+        assert min(seen.values()) >= 20
