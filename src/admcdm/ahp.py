@@ -6,12 +6,14 @@ only accepts problems whose statements are all pairwise ratios: a single
 multi-term or product statement makes the comparison-matrix construction
 impossible, which is precisely the limitation the discounting method lifts.
 The eigenpair comes from the same exact determinant, root and null-space
-code as the discount parameter.
+code as the discount parameter: the characteristic polynomial is one
+integer determinant at a single large point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, prod
 
 from .errors import ConflictingPair, MissingPair, NotPairwise
 from .model import InequalityPreference, MonomialPreference, Problem
@@ -60,7 +62,7 @@ class AhpResult(Record):
     else the correctly rounded float), ``vector`` the normalized priority
     vector, ``ci`` the Consistency Index ``(lambda_max - n) / (n - 1)``,
     and ``iterations`` the number of integer determinants behind the
-    characteristic polynomial (n + 1).
+    characteristic polynomial (1, at a single large point).
     """
 
     lambda_max: Scalar
@@ -129,9 +131,9 @@ def build_ahp_matrix(problem: Problem) -> AhpMatrix:
 def ahp_priority(m: AhpMatrix) -> AhpResult:
     """Principal eigenpair from the exact characteristic polynomial.
 
-    det(A - lambda I), each row of A scaled to integers, is interpolated
-    from integer determinants at lambda = 0..n by
-    ``linalg.det_coefficients``, as the discount parameter's equation is.
+    det(A - lambda I), each row of A scaled to integers, is read off one
+    integer determinant at lambda = 2**k by ``linalg.det_coefficients``,
+    under Hadamard's bound, as the discount parameter's equation is.
     Its largest positive root is lambda_max: for a positive matrix that is
     the Perron root, which is simple (Saaty, The Analytic Hierarchy
     Process, 1980). So lambda_max I - A has rank n - 1, and the vector is
@@ -151,7 +153,9 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     scaled = [integer_row(row) for row in a]
     char = det_coefficients(lambda x: [
         [c - scale * x if i == j else c for j, c in enumerate(ints)]
-        for i, (ints, scale) in enumerate(scaled)], n)
+        for i, (ints, scale) in enumerate(scaled)],
+        isqrt(prod(sum(c * c for c in ints) + scale * (scale + 2 * ints[i])
+                   for i, (ints, scale) in enumerate(scaled))))
     lam = positive_roots(poly(char))[-1]
     # the rows of lambda_max I - A but the first; a float is read exactly
     rows = [[Fraction(lam) - 1 if i == j else -Fraction(a[i][j])
@@ -159,4 +163,4 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     vector = normalize(null_vector(rows)[0])
     if not is_exact(lam) or not all(is_exact(e) for row in a for e in row):
         vector = tuple(map(float, vector))
-    return AhpResult(lam, vector, (lam - n) / (n - 1), n + 1)
+    return AhpResult(lam, vector, (lam - n) / (n - 1), 1)

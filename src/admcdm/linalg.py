@@ -10,9 +10,10 @@ pivot. A step rewrites only the rows with a nonzero in its pivot column;
 every other row is scaled lazily, once, so a statement's sparse row costs
 work only at the steps that eliminate it. null_vector keeps integer rows in
 integers; Fractions are built only for det_poly's and det_numeric's results
-and general_solution's coefficients. A polynomial determinant is
-interpolated from integer ones at deg + 1 points (von zur Gathen & Gerhard,
-Modern Computer Algebra, ch. 5).
+and general_solution's coefficients. A polynomial determinant is one
+integer determinant at x = 2**k, its coefficients read off as the signed
+base-2**k digits of that value (Kronecker substitution: von zur Gathen &
+Gerhard, Modern Computer Algebra, 8.4).
 Floats appear only when an irrational discount is substituted; such rows
 are solved with partial pivoting and a relative rank tolerance.
 """
@@ -20,7 +21,7 @@ are solved with partial pivoting and a relative rank tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 from .errors import FullRank, NonPositiveComponent, NotSquare
 from .polynomial import Poly, peval, poly
@@ -127,35 +128,43 @@ def _det(mat) -> int:
     return sign * mat[-1][-1] if len(pivots) == len(mat) else 0
 
 
-def det_coefficients(rows_at, deg: int) -> list:
+def det_coefficients(rows_at, bound: int) -> list:
     """Integer coefficients, constant first, of det(rows_at(x)), an integer
-    polynomial of degree at most deg in x, from its values at 0..deg by
-    Newton interpolation: at points one apart its divided differences are
-    integers, so every division is exact."""
-    diffs = [_det(rows_at(x)) for x in range(deg + 1)]
-    for k in range(1, len(diffs)):
-        for i in range(len(diffs) - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    polynomial in x with no coefficient above bound in absolute value. They
+    are the signed base-2**k digits of the one determinant at x = 2**k,
+    k = bound.bit_length() + 1, since each lies strictly between
+    -2**(k - 1) and 2**(k - 1) (Kronecker substitution).
+
+    Callers pass Hadamard's bound isqrt(prod(r_i)), r_i the sum over row i
+    of the squared sums of |coefficients| of its entries: a coefficient is
+    at most the determinant's largest modulus on the unit circle, where an
+    entry's modulus is at most its sum of |coefficients|, and Hadamard's
+    inequality bounds that determinant by the product of the rows' norms."""
+    k = bound.bit_length() + 1
+    v, half = _det(rows_at(1 << k)), 1 << (k - 1)
     acc = []
-    for k in range(len(diffs) - 1, -1, -1):  # acc = acc * (x - k) + diffs[k]
-        acc = [lo - k * a for lo, a in zip([diffs[k]] + acc, acc + [0])]
+    while v:
+        c = (v + half) % (1 << k) - half
+        acc.append(c)
+        v = (v - c) >> k
     return acc
 
 
 def det_poly(mat: PolyMatrix) -> Poly:
-    """Exact determinant over the polynomial ring, by det_coefficients."""
+    """Exact determinant over the polynomial ring: each row scaled to
+    integers, by det_coefficients under Hadamard's bound."""
     if mat.m != mat.n:
         raise NotSquare(f"determinant needs a square matrix, got {mat.m}x{mat.n}")
-    rows, scale, deg = [], 1, 0
+    rows, scale = [], 1
     for row in mat.entries:
         ints, s = integer_row(c for e in row for c in e.coeffs)
         it = iter(ints)
         rows.append([poly(next(it) for _ in e.coeffs) for e in row])
         scale *= s
-        deg += max(e.degree for e in row)
-    # a zero row leaves deg too small, but then every value is 0 anyway
     acc = det_coefficients(
-        lambda x: [[peval(e, x) for e in row] for row in rows], max(deg, 0))
+        lambda x: [[peval(e, x) for e in row] for row in rows],
+        isqrt(prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row)
+                   for row in rows)))
     return poly(Fraction(c, scale) for c in acc)
 
 

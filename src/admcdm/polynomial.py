@@ -7,9 +7,10 @@ Root extraction reads the coefficients exactly (a float as the Fraction of
 its binary value), strips the factor alpha**k and clears the rest to a
 primitive integer polynomial. Its square-free factors f_k of multiplicity
 k are split off (Yun's algorithm, each gcd a primitive pseudo-remainder
-sequence over the integers; a square-free polynomial is its own single
-factor once gcd(p, p') is found constant), and each root of f_k is
-reported k times. A factor of degree 1 has its root read off as
+sequence over the integers), and each root of f_k is reported k times. A
+polynomial p is its own single factor when gcd(p, p') is constant modulo
+the prime 2**61 - 1, one Euclid gcd over that field, which skips Yun's
+first integer gcd. A factor of degree 1 has its root read off as
 an exact Fraction. Other positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
 a root met at a bisection point is dyadic and reported exactly. Each
@@ -123,10 +124,42 @@ def _derivative(a: list) -> list:
     return [k * c for k, c in enumerate(a)][1:]
 
 
+# a Mersenne prime, for the square-free certificate
+_P = (1 << 61) - 1
+
+
+def _square_free_mod_p(a: list) -> bool:
+    """True when gcd(a, a') is constant modulo _P, by Euclid's algorithm
+    over that field, which proves the integer polynomial a square-free:
+    were a = g**2 * h over the integers (Gauss), _P would not divide
+    lead(g), since it does not divide lead(a), so g modulo _P would keep
+    its degree and divide both a and a' there. False when _P divides
+    lead(a), or when the gcd modulo _P is not constant."""
+    if a[-1] % _P == 0:
+        return False
+    u, v = [c % _P for c in a], [k * c % _P for k, c in enumerate(a)][1:]
+    while len(v) > 1:
+        inv = pow(v[-1], -1, _P)
+        v = [c * inv % _P for c in v]  # monic
+        m = len(v) - 1
+        for k in range(len(u) - 1 - m, -1, -1):  # u = u mod v
+            f = u[k + m]
+            if f:
+                u[k:k + m] = [(x - f * y) % _P for x, y in zip(u[k:k + m], v)]
+        del u[m:]
+        while u and u[-1] == 0:
+            u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
 def _square_free_factors(a: list) -> list:
     """Yun's square-free factorization of the primitive integer polynomial
     a, in ints alone: pairs (k, f_k) with a a constant times the product of
-    the f_k**k, each f_k primitive and square-free, pairwise coprime."""
+    the f_k**k, each f_k primitive and square-free, pairwise coprime. A
+    polynomial that _square_free_mod_p proves square-free skips it."""
+    if _square_free_mod_p(a):
+        return [(1, a)]
     da = _derivative(a)
     g = _gcd(a, da)
     if len(g) < 2:  # a is square-free

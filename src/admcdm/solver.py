@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import isqrt, prod
 
 from .classification import ClassificationReport, _classify_solved
 from .errors import (
@@ -99,7 +99,9 @@ def parameterize(problem: Problem) -> ParamSystem:
 
 def _equation(ps: ParamSystem, integer: bool = True) -> Poly:
     """The core determinant as a polynomial in the base parameter: from the
-    integer core rows at alpha = 0..n, or by det_poly on ps.matrix."""
+    integer core rows at one alpha = 2**k by det_coefficients, under
+    Hadamard's bound (a row (s, L, B) has the squared norm L**2 + sum B**2),
+    or by det_poly on ps.matrix."""
     core, n = ps.binding.core_mask, len(ps.rows[0][2])
     if len(core) != n:
         raise InvalidProblem(
@@ -108,7 +110,8 @@ def _equation(ps: ParamSystem, integer: bool = True) -> Poly:
         rows = [ps.rows[i] for i in core]
         scale = prod(r[1] for r in rows)
         d = poly(Fraction(c, scale) for c in det_coefficients(
-            lambda x: [row_at(r, x, 1) for r in rows], n))
+            lambda x: [row_at(r, x, 1) for r in rows],
+            isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows))))
     else:
         d = det_poly(PolyMatrix(tuple(ps.matrix.entries[i] for i in core)))
     if d.is_zero():

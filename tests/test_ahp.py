@@ -184,7 +184,7 @@ class TestExactEigenpair:
         assert isinstance(res.lambda_max, Fraction) and res.lambda_max == n
         assert res.ci == 0
         assert res.vector == tuple(x / sum(w) for x in w)
-        assert res.iterations == n + 1
+        assert res.iterations == 1
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_matches_numpy_at_every_size(self, n):
@@ -196,7 +196,7 @@ class TestExactEigenpair:
             assert abs(res.lambda_max - lam) <= 1e-12 * lam
             assert max(abs(a - b) for a, b in zip(res.vector, vec)) <= 1e-12
             assert res.ci == pytest.approx((lam - n) / (n - 1), abs=1e-12)
-            assert res.iterations == n + 1
+            assert res.iterations == 1
 
     def test_rational_perron_root_is_a_fraction(self):
         """ex11 and ex12 close their cycles with a rational lambda_max."""

@@ -9,11 +9,16 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from admcdm.errors import FullRank, NonPositiveComponent, NotSquare
+from admcdm import linalg, solver
+from admcdm.ahp import ahp_priority, build_ahp_matrix
+from admcdm.errors import (EngineError, FullRank, NonPositiveComponent,
+                           NotSquare)
 from admcdm.linalg import (
     GeneralSolution,
     PolyMatrix,
     _bareiss,
+    _det,
+    det_coefficients,
     det_numeric,
     det_poly,
     general_solution,
@@ -21,8 +26,13 @@ from admcdm.linalg import (
     particular_positive,
     rank,
 )
+from admcdm.parser import parse_problem
 from admcdm.polynomial import peval, poly
 from admcdm.scalars import normalize
+
+from conftest import dense, pairwise
+from test_ahp import random_reciprocal
+from test_engine_golden import cases as _engine_cases
 
 RNG = random.Random(0xA11A)
 
@@ -264,6 +274,145 @@ class TestBareiss:
             seen["square" if m == n else "wide" if m < n else "tall"] += 1
             seen["deficient"] += len(pivots) < min(m, n)
         assert min(seen.values()) >= 30
+
+
+def _interpolated(rows_at, deg):
+    """The reference for det_coefficients: det(rows_at(x)) from its values
+    at x = 0..deg by Newton interpolation, trailing zeros trimmed. At
+    points one apart the divided differences are integers, so every
+    division is exact."""
+    diffs = [_det(rows_at(x)) for x in range(deg + 1)]
+    for k in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) // k
+    acc = []
+    for k in range(len(diffs) - 1, -1, -1):  # acc = acc * (x - k) + diffs[k]
+        acc = [lo - k * a for lo, a in zip([diffs[k]] + acc, acc + [0])]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+def _poly_matrix(rng, n, degree, zero_row=False):
+    """n x n matrix of entries of degree up to degree, with signed
+    Fraction coefficients; row 0 is zero with zero_row."""
+    def entry(i):
+        if zero_row and i == 0:
+            return poly(())
+        return poly(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, degree + 1)))
+
+    return PolyMatrix(tuple(tuple(entry(i) for _ in range(n))
+                            for i in range(n)))
+
+
+class TestDetCoefficients:
+    """The one determinant at 2**k gives the interpolation reference's
+    coefficients, under the bound each caller computes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every det_coefficients call of solver, ahp and det_poly, as the
+        pair (rows_at, coefficients)."""
+        seen = []
+
+        def recorded(rows_at, bound):
+            got = det_coefficients(rows_at, bound)
+            seen.append((rows_at, got))
+            return got
+
+        monkeypatch.setattr(linalg, "det_coefficients", recorded)
+        monkeypatch.setattr(solver, "det_coefficients", recorded)
+        return seen
+
+    def test_cores_match_the_reference(self, calls):
+        """Ratio cycles, planted multi-term sets and full pairwise sets
+        (the benchmark's seed-1 inputs), and dense cores up to n = 32."""
+        problems = [parse_problem(text) for _, text in _engine_cases()]
+        problems += [dense(n, seed) for n in (4, 8, 16, 24, 32)
+                     for seed in range(2)]
+        checked = 0
+        for problem in problems:
+            calls.clear()
+            try:
+                solver._equation(solver.parameterize(problem))
+            except EngineError:
+                pass
+            for rows_at, got in calls:
+                assert got == _interpolated(rows_at, problem.criteria.n)
+                checked += 1
+        assert checked >= 600
+
+    def test_ahp_pencils_match_the_reference(self, calls):
+        """Full pairwise sets, n = 3..9, and matrices of random Saaty
+        ratios up to n = 32, whose equal-sized entries leave Hadamard's
+        bound a few bits above the largest coefficient."""
+        rng = random.Random(0xA4B)
+        matrices = [build_ahp_matrix(pairwise(n, seed, False))
+                    for n in range(3, 10) for seed in range(3)]
+        matrices += [random_reciprocal(n, rng) for n in (16, 24, 32)]
+        for m in matrices:
+            ahp_priority(m)
+            (rows_at, got), = calls
+            calls.clear()
+            assert got == _interpolated(rows_at, m.n)
+            assert any(c < 0 for c in got)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_det_poly_entries_of_higher_degree(self, calls, degree):
+        rng = random.Random(degree)
+        for n in range(2, 13):
+            for zero_row in (False, True):
+                d = det_poly(_poly_matrix(rng, n, degree, zero_row))
+                (rows_at, got), = calls
+                calls.clear()
+                assert got == _interpolated(rows_at, degree * n)
+                assert d.is_zero() == zero_row == (got == [])
+
+    def test_det_poly_sign_pencils(self, calls):
+        """Entries +-1 +- x: every entry has the same sum of |coefficients|,
+        so no row's largest entry bounds the row."""
+        rng = random.Random(0x5164)
+        for n in range(4, 13):
+            det_poly(PolyMatrix(tuple(
+                tuple(poly((rng.choice((-1, 1)), rng.choice((-1, 1))))
+                      for _ in range(n)) for _ in range(n))))
+            (rows_at, got), = calls
+            calls.clear()
+            assert got == _interpolated(rows_at, n)
+
+    def test_identically_zero_determinant(self):
+        def rows_at(x):
+            return [[1, x, 2], [2, 2 * x, 4], [x, 3, -x]]
+
+        assert det_coefficients(rows_at, 10**6) == [] == _interpolated(
+            rows_at, 3)
+
+    def test_tight_bounds(self):
+        """A bound equal to the largest |coefficient| is enough, and on a
+        diagonal pencil Hadamard's bound is the sum of every |coefficient|,
+        which det_poly passes."""
+        assert det_coefficients(lambda x: [[-3]], 3) == [-3]
+        assert det_coefficients(lambda x: [[3]], 3) == [3]
+        rng = random.Random(0xD1A6)
+        for n in range(1, 9):
+            sign = rng.choice((-1, 1))  # one sign: no coefficient cancels
+            terms = [(rng.randint(1, 9), sign * rng.randint(1, 9))
+                     for _ in range(n)]
+
+            def rows_at(x):
+                return [[a + b * x if i == j else 0
+                         for j, (a, b) in enumerate(terms)]
+                        for i in range(n)]
+
+            want = _interpolated(rows_at, n)
+            assert sum(map(abs, want)) == prod(a + abs(b) for a, b in terms)
+            assert det_coefficients(rows_at, max(map(abs, want))) == want
+            if n >= 2:
+                d = det_poly(PolyMatrix(tuple(
+                    tuple(poly((a, b) if i == j else ()) for j in range(n))
+                    for i, (a, b) in enumerate(terms))))
+                assert list(d.coeffs) == want
 
 
 class TestGeneralSolution:

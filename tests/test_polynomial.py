@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from admcdm import polynomial
 from admcdm.errors import ZeroPolynomial
 from admcdm.polynomial import Poly, peval, poly, positive_roots
 
@@ -287,3 +288,44 @@ def test_a_root_below_the_float_range_is_refused():
     assert positive_roots(poly((-1, 0, 10**800))) == [Fraction(1, 10**400)]
     (root,) = positive_roots(poly((-2, 0, 10**640)))
     assert 0 < root and abs(root - math.sqrt(2) * 1e-320) <= 5e-324
+
+
+class TestSquareFreeCertificate:
+    """The gcd modulo the prime 2^61 - 1 proves most polynomials square-free
+    before Yun's split; whatever it cannot prove goes through Yun's integer
+    gcd, with the same result."""
+
+    def yun_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return gcd_(a, b)
+
+        gcd_ = polynomial._gcd
+        monkeypatch.setattr(polynomial, "_gcd", counted)
+        return calls
+
+    def test_square_free_polynomial_is_proved_without_yun(self, monkeypatch):
+        calls = self.yun_calls(monkeypatch)
+        a = [-2, 0, 0, 1]  # x^3 - 2
+        assert polynomial._square_free_factors(a) == [(1, a)]
+        assert calls == []
+
+    @pytest.mark.parametrize("a", [
+        [-polynomial._P, 0, 1],  # x^2 modulo p, square-free over Q
+        [-1, 0, polynomial._P],  # p divides the leading coefficient
+    ], ids=["x2-p", "px2-1"])
+    def test_what_the_certificate_cannot_prove_reaches_yun(self, monkeypatch,
+                                                           a):
+        calls = self.yun_calls(monkeypatch)
+        assert not polynomial._square_free_mod_p(a)
+        assert polynomial._square_free_factors(a) == [(1, a)]
+        assert calls
+
+    def test_repeated_roots_are_split(self):
+        # (x - 1)^2 (x - 2) and (x^2 - 2)^2 (x - 3)
+        assert polynomial._square_free_factors([-2, 5, -4, 1]) == [
+            (1, [-2, 1]), (2, [-1, 1])]
+        assert polynomial._square_free_factors([-12, 4, 12, -4, -3, 1]) == [
+            (1, [-3, 1]), (2, [-2, 0, 1])]
