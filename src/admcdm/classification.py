@@ -43,16 +43,23 @@ it could neither close a cycle at its start nor reach a greater node.
 Each criterion pair's strongest rule is the rule of its smallest and
 largest derived ratio, found in one pass of cross products, and at most
 _WITNESS_CAP witnesses are kept: pairs are searched for them in order
-only until the cap is reached, and only their relations become
-DerivedRelation objects. Classifying R relations therefore costs O(R)
+only until the cap is reached, each derivation's side of 1 is computed
+once per pair, and only the witnesses' relations become DerivedRelation
+objects, each built once. Classifying R relations therefore costs O(R)
 beyond the witness search.
 
-A full pairwise set (one single-term statement per pair) whose search
-stays below _RELATION_CAP is derived pair by pair in the report's order
-and stops once SD4 has fired and _WITNESS_CAP witnesses are held: nothing
-later can change the report (at n = 6, after about 200 of 1,172
-relations); one that never settles adds its simple cycles, walked only
-above their smallest node. Other sets take the full search.
+A full pairwise set (one single-term statement per pair) is derived pair
+by pair in the report's order and stops once SD4 has fired and
+_WITNESS_CAP witnesses are held: nothing later can change the report (at
+n = 6, after about 200 of 1,172 relations). How many relations the full
+search holds when each start's walk ends has a closed form, so a set
+whose search passes _RELATION_CAP is read only from the pairs whose walk
+ends below the cap, and settles there with a truncated report (at n = 7
+the pairs of C0 and C1, whose walks end at 2,946 and 4,731 of 8,018
+relations). A set below the cap that never settles adds its simple
+cycles, walked only above their smallest node. A capped set that does
+not settle, a search of exactly _RELATION_CAP relations and every other
+shape take the full search.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, perm
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
 from .linalg import null_vector
@@ -273,18 +280,9 @@ def _side(p, q) -> int:
     return (p > q) - (p < q)
 
 
-def _witness(k1, r1, k2, r2):
-    """(rule, r1, r2) for two derivations of one pair whose ratios differ,
-    each k an int pair (p, q) for p / q, the one with the lower side of 1
-    (the sign of p - q) first."""
-    s1, s2 = _side(*k1), _side(*k2)
-    if s1 > s2:
-        s1, s2, r1, r2 = s2, s1, r2, r1
-    if s1 == -1 and s2 == 1:
-        return "SD4", r1, r2
-    if s2 == 1:
-        return "WD1", r1, r2
-    return "WD2", r1, r2  # two different ratios, neither above 1
+# the rule two differing ratios fire, by their sides of 1, the lower first
+_RULE = {(-1, 1): "SD4", (0, 1): "WD1", (1, 1): "WD1",
+         (-1, 0): "WD2", (-1, -1): "WD2"}
 
 
 def _pair_rule(oriented) -> str:
@@ -300,16 +298,26 @@ def _pair_rule(oriented) -> str:
             hi = p, q
     if lo[0] * hi[1] == hi[0] * lo[1]:
         return ""
-    return _witness(lo, None, hi, None)[0]
+    return _RULE[_side(*lo), _side(*hi)]
 
 
 def _pair_witnesses(oriented, witnesses):
-    """Append the witness of every two disagreeing derivations of one pair,
-    in derivation order, until witnesses holds _WITNESS_CAP."""
-    for x, (p1, q1, r1) in enumerate(oriented):
-        for p2, q2, r2 in oriented[x + 1:]:
+    """Append the witness (rule, relation, relation) of every two
+    disagreeing derivations of one pair, in derivation order, the one with
+    the lower side of 1 first, until witnesses holds _WITNESS_CAP. Each
+    derivation's side is computed, and its DerivedRelation built, once."""
+    sides = [_side(p, q) for p, q, _ in oriented]
+    built = [None] * len(oriented)
+    for x, (p1, q1, _) in enumerate(oriented):
+        for y in range(x + 1, len(oriented)):
+            p2, q2, _ = oriented[y]
             if p1 * q2 != p2 * q1:
-                witnesses.append(_witness((p1, q1), r1, (p2, q2), r2))
+                a, b = (y, x) if sides[x] > sides[y] else (x, y)
+                for z in (a, b):
+                    if built[z] is None:
+                        built[z] = _relation(*oriented[z][2])
+                witnesses.append((_RULE[sides[a], sides[b]],
+                                  built[a], built[b]))
                 if len(witnesses) >= _WITNESS_CAP:
                     return
 
@@ -352,15 +360,13 @@ def _report(relations, truncated: bool, det_ok: bool, strongest="",
         if r[2] != r[3]:
             strongest = strongest or "WD3"  # the weakest rule
             if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(("WD3", r, None))
+                witnesses.append(("WD3", _relation(*r), None))
     return _finish(strongest, witnesses, truncated, det_ok)
 
 
 def _finish(strongest, witnesses, truncated, det_ok) -> ClassificationReport:
-    # only the witnesses' relations become objects, each one once
-    raws = {r for _, r1, r2 in witnesses for r in (r1, r2) if r}
-    built = {r: _relation(*r) for r in raws}
-
+    """The report with the rule strongest and the witnesses as built, on a
+    search that was truncated or not."""
     # the search finds the set consistent when no rule fired and nothing was
     # left unexplored; a capped search, or one the exact test contradicts,
     # is labelled WeakInconsistent conservatively
@@ -372,19 +378,26 @@ def _finish(strongest, witnesses, truncated, det_ok) -> ClassificationReport:
     else:
         label = Label.WEAK_INCONSISTENT
 
-    witnessed = tuple((rule, built[r1], built.get(r2))
-                      for rule, r1, r2 in witnesses)
-    return ClassificationReport(
-        label, witnessed, strongest, found_consistent == det_ok, truncated)
+    return ClassificationReport(label, tuple(witnesses), strongest,
+                                found_consistent == det_ok, truncated)
 
 
 def _complete_count(n: int):
-    """(d, R) for one single-term statement per criterion pair: d simple
-    paths join each pair, and the full search derives R relations, d per
-    pair plus one per simple cycle of K_n."""
+    """(d, ends) for one single-term statement per criterion pair: d simple
+    paths join each pair, and ends[s] relations are held when the full
+    search's walk from s ends. That is the C(n, 2) statements, then from
+    each start t <= s its d - 1 longer paths to each of the n - 1 - t
+    greater criteria and the simple cycles of K_{n-t} whose smallest node
+    is t; ends[-1] is every relation the search derives."""
     paths = sum(perm(n - 2, k) for k in range(n - 1))
-    cycles = sum(comb(n, k) * factorial(k - 1) // 2 for k in range(3, n + 1))
-    return paths, comb(n, 2) * paths + cycles
+    ends, held = [], comb(n, 2)
+    for t in range(n):
+        # a cycle through t closing over k - 1 >= 2 greater nodes, counted
+        # once in each direction by perm
+        cycles = sum(perm(n - 1 - t, k) for k in range(2, n - t)) // 2
+        held += (n - 1 - t) * (paths - 1) + cycles
+        ends.append(held)
+    return paths, ends
 
 
 def _settled(n: int, edges, det_ok: bool):
@@ -393,16 +406,26 @@ def _settled(n: int, edges, det_ok: bool):
     with its statement, then the paths walk(i) finds to j, and then from
     the simple cycles in the search's order. Once SD4 has fired and
     _WITNESS_CAP witnesses are held, nothing later changes the report.
-    None for another shape or a capped search."""
+
+    A search past _RELATION_CAP holds every relation of pair (i, j) while
+    the walk from i ends below the cap (_complete_count), so such a set is
+    read only that far and settles there, truncated; the relations past
+    the cap could add nothing to a full witness list and a fired SD4.
+    None for another shape, a search of exactly _RELATION_CAP relations or
+    a capped set that does not settle."""
     stated = {tuple(sorted(e[:2])): e for e in edges}
     if not len(stated) == len(edges) == comb(n, 2):
         return None
-    paths, total = _complete_count(n)
-    if total >= _RELATION_CAP or comb(n, 2) * comb(paths, 2) < _WITNESS_CAP:
+    paths, ends = _complete_count(n)
+    truncated = ends[-1] > _RELATION_CAP
+    if (ends[-1] == _RELATION_CAP
+            or comb(n, 2) * comb(paths, 2) < _WITNESS_CAP):
         return None
     adjacency = _adjacency(edges)
     strongest, witnesses = "", []
     for (i, j), (a, b, p, q, pos) in sorted(stated.items()):
+        if ends[i] >= _RELATION_CAP:
+            return None
         edge = (a, b, p, q, (pos,))
         oriented = [(p, q, edge) if a < b else (q, p, edge)]
         _walk(adjacency, [(i, (j,))],
@@ -411,7 +434,8 @@ def _settled(n: int, edges, det_ok: bool):
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule
         if strongest == "SD4" and len(witnesses) >= _WITNESS_CAP:
-            return _finish(strongest, witnesses, False, det_ok)
+            return _finish(strongest, witnesses, truncated, det_ok)
+    # every walk ended below the cap: the search was not truncated
     cycles = {}  # each is walked both ways; the search keeps the first
     _walk(adjacency, [(start, ()) for start in range(n)], None,
           lambda *r: cycles.setdefault(frozenset(r[4]), r))

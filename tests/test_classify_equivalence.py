@@ -6,13 +6,17 @@ exercise substitution (some over a dense ratio graph), a set that fills
 the witness cap, lowered relation caps, float coefficients (read exactly)
 and a ratio past the float range, and the full reports (label, witnesses
 in order, rule, det_agrees, depth_exceeded) and derived relations must be
-equal. A set that one positive vector solves as written is labelled without a search; where the reference search is not
-truncated its report is the same. A full pairwise set is read pair by
-pair, then from its cycles when the pairs do not settle the report; the
-caps and the set's shape decide whether it may be, and the result must not
-differ.
+equal. A set that one positive vector solves as written is labelled
+without a search; where the reference search is not truncated its report
+is the same. A full pairwise set is read pair by pair, then from its
+cycles when the pairs do not settle the report; the caps and the set's
+shape decide whether it may be, and the result must not differ. Past the
+relation cap only the pairs whose walk ends below it are read; there the
+engine's own capped search is the check, which the reference would take
+seconds per 7-criteria set to give.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -23,6 +27,10 @@ from admcdm.classification import (
     Label,
     _complete_count,
     _derive,
+    _report,
+    _search,
+    _settled,
+    _statements,
     classify,
     derive_relations,
 )
@@ -287,20 +295,41 @@ def test_unreachable_witness_cap_walks_no_pair(monkeypatch):
 @pytest.mark.parametrize("n", [5, 6])
 def test_relation_cap_around_the_closed_form_count(n, monkeypatch):
     problem = pairwise(n, 0, False)
-    total = _complete_count(n)[1]
+    total = _complete_count(n)[1][-1]
     for cap, settled in ((total, False), (total + 1, True)):
         monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
         assert_settled(problem, monkeypatch, settled)
 
 
+def walk_ends(problem):
+    """How many relations the full search holds when each start's walk
+    ends, from a _walk that walks the starts one at a time."""
+    ends = []
+    real = classify_module._walk
+
+    def per_start(adjacency, starts, keep, add=None):
+        relations = inspect.getclosurevars(keep).nonlocals["relations"]
+        for start in starts:
+            real(adjacency, [start], keep, add)
+            ends.append(len(relations))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify_module, "_walk", per_start)
+        patch.setattr(classify_module, "_RELATION_CAP", 10**6)
+        relations = derive_relations(problem)
+    return ends, len(relations)
+
+
 def test_closed_form_relation_count():
-    for n in range(3, 7):
-        for seed in range(2):
-            problem = pairwise(n, seed, False)
-            assert _complete_count(n)[1] == len(derive_relations(problem))
-    assert _complete_count(5) == (16, 197)
-    assert _complete_count(6) == (65, 1172)
-    assert _complete_count(7)[1] >= classify_module._RELATION_CAP
+    for n in range(3, 8):
+        for seed in range(2 if n < 7 else 1):
+            ends, total = walk_ends(pairwise(n, seed, False))
+            assert _complete_count(n)[1] == ends
+            assert ends[-1] == total
+    assert _complete_count(5) == (16, [100, 151, 182, 197, 197])
+    assert _complete_count(6)[1][-1] == 1172
+    assert _complete_count(7)[1][:2] == [2946, 4731]
+    assert _complete_count(7)[1][-1] == 8018
 
 
 def test_settled_sets_skip_the_full_search(monkeypatch):
@@ -313,11 +342,38 @@ def test_settled_sets_skip_the_full_search(monkeypatch):
     monkeypatch.setattr(classify_module, "_search", no_search)
     assert classify(problem) == expected
     assert priority(problem)[2] == expected
-    # a set past the relation cap keeps the capped walk and its order
+    # a set past the relation cap settles from the pairs whose walks end
+    # below it
+    report = classify(pairwise(7, 0, False))
+    assert report.rule_fired == "SD4" and report.depth_exceeded
+    # at n = 8 the first walk alone passes the cap: the capped search runs
     monkeypatch.undo()
     calls = full_searches(monkeypatch)
-    assert classify(pairwise(7, 0, False)).depth_exceeded
+    assert classify(pairwise(8, 0, False)).depth_exceeded
     assert len(calls) == 1
+
+
+# the relations held when the walks from C0 and C1 end, and all of them
+_SEVEN_ENDS = (2946, 4731, 8018)
+
+
+@pytest.mark.parametrize("cap", [c + d for c in _SEVEN_ENDS
+                                 for d in (-1, 0, 1)])
+def test_capped_complete_sets_settle_as_the_search_reports(cap, monkeypatch):
+    # past the cap a set is read only from pairs whose walk ends below it,
+    # and a search of exactly the cap is left to the full search
+    monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
+    settled = 0
+    for seed in range(10):
+        edges, multi = _statements(pairwise(7, seed, False))
+        expected = _report(*_search(7, edges, multi), False)
+        report = _settled(7, edges, False)
+        if report is not None:
+            settled += 1
+            assert report == expected
+        assert expected.depth_exceeded == (cap < 8018)
+    # every one of these sets settles within the pairs of C0
+    assert settled == (0 if cap in (2945, 2946, 8018) else 10)
 
 
 def test_pairwise_past_the_relation_cap():

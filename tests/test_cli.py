@@ -171,6 +171,26 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--json", str(path))
         assert code == 0 and '"depth_exceeded":true' in out
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_sets_print_what_the_full_search_gives(self, seed, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # a 7-criteria set settles from its first pairs; with that path
+        # closed every command takes the capped full search
+        from admcdm import classification
+
+        path = tmp_path / "pairwise7.admp"
+        path.write_text(format_problem(pairwise(7, seed, False)))
+        argvs = [(command, *flags, str(path))
+                 for command in ("classify", "solve", "compare")
+                 for flags in ((), ("--json",))]
+        settled = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(classification, "_settled", lambda *args: None)
+        assert [run(capsys, *argv) for argv in argvs] == settled
+        code, out, _ = settled[0]
+        assert code == 0
+        assert out.endswith("note: derivation stopped at the relation cap\n")
+
     def test_capped_weak_label_is_conservative(self, capsys, tmp_path,
                                                monkeypatch):
         from admcdm import classification
