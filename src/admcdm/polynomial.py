@@ -13,16 +13,20 @@ the prime 2**61 - 1, one Euclid gcd over that field, which skips Yun's
 first integer gcd. A factor of degree 1 has its root read off as
 an exact Fraction. Other positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
-a root met at a bisection point is dyadic and reported exactly. Each
-isolating interval is refined by further bisection at dyadic points, each
-sign read exactly from the integer polynomial, until both ends round to
-the same float: that float is the correctly rounded root (Rouillier &
-Zimmermann, Efficient isolation of polynomial's real roots, 2004). First,
-though, it is narrowed to hold at most one point y / lead, lead the
-factor's leading coefficient: every rational root is such a point, so one
-exact evaluation there finds a rational root, reported as an exact
-Fraction of any size. Rational roots such as 5/12 or 1/729 thus flow
-through the rest of the pipeline exactly.
+a root met at a bisection point is dyadic and reported exactly. In each
+isolating interval, a float guess from Newton's method is confirmed when
+the exact signs of the integer polynomial at the midpoints between it and
+its float neighbours bracket the root: every point of that bracket rounds
+to the guess. Without a confirmed guess, the interval is refined by
+further bisection at dyadic points, each sign read exactly, until both
+ends round to the same float: that float is the correctly rounded root
+(Rouillier & Zimmermann, Efficient isolation of polynomial's real roots,
+2004). Either way, before an irrational root is reported, its interval
+is narrowed to hold at most one point y / lead, lead the factor's
+leading coefficient: every rational root is such a point, so one exact
+evaluation there finds a rational root, reported as an exact Fraction of
+any size. Rational roots such as 5/12 or 1/729 thus flow through the
+rest of the pipeline exactly.
 
 The root alpha = 0 is never reported; every positive root is. An
 irrational root too small or too large for a float raises InvalidProblem.
@@ -31,7 +35,7 @@ irrational root too small or too large for a float raises InvalidProblem.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, nextafter
 from sys import float_info
 
 from .errors import InvalidProblem, ZeroPolynomial
@@ -278,28 +282,92 @@ def _isolate(a: list):
     return exact, intervals
 
 
+_NEWTON_STEPS = 32
+
+
+def _guess(a: list, lo: int, hi: int, q: int):
+    """A float near the root of a in (lo / q, hi / q): Newton's method in
+    floats from the middle of that interval. None when it leaves the
+    interval, or when a coefficient or an end has no float."""
+    try:
+        fa = [float(c) for c in reversed(a)]
+        left, right = lo / q, hi / q
+    except OverflowError:
+        return None
+    x, last = (left + right) / 2, None
+    for _ in range(_NEWTON_STEPS):
+        f = df = 0.0
+        for c in fa:
+            df = df * x + f
+            f = f * x + c
+        if not df:
+            return None
+        x, last, before = x - f / df, x, last
+        # settled, or swapping two neighbouring floats; nan leaves too
+        if x == last or x == before or not left < x < right:
+            break
+    return x if left < x < right else None
+
+
 def _refine(a: list, lo: int, hi: int, q: int):
     """The one root of the square-free integer polynomial a in the open
     interval (lo / q, hi / q), q a power of two: an exact Fraction when it
     is rational, else the float nearest to it.
 
-    The interval is bisected at dyadic points, each midpoint's sign read
-    exactly from the integer q**d * a(mid / q) and steered by the sign s
-    of a between the root and the upper end (of -a' there when that end is
-    itself a root); a midpoint that is the root is returned. Every rational
-    root is y / lead(a) for an integer y, so once the interval is no wider
-    than 1 / lead(a), the one such point in it is tested exactly. An
-    irrational root is bisected on until both ends round to the same float
-    (integer division rounds correctly); one past the largest float, or
-    one that rounds to 0.0, has no float and raises InvalidProblem.
+    First a float guess x (_guess) is checked exactly (Ziv, Fast
+    evaluation of elementary mathematical functions with correctly
+    rounded last bit, 1991): the signs of a at the dyadic midpoints
+    between x and its float neighbours narrow the interval, where they
+    lie in it. When they bracket the root, every point of the bracket
+    rounds to x; when they put it past one midpoint, the neighbour there
+    is checked the same way. The interval is then bisected at dyadic
+    points, each midpoint's sign read exactly from the integer
+    q**d * a(mid / q) and steered by the sign s of a between the root and
+    the upper end (of -a' there when that end is itself a root); a
+    midpoint that is the root is returned. Every rational root is
+    y / lead(a) for an integer y, so once the interval is no wider than
+    1 / lead(a), the one such point in it is tested exactly. An irrational
+    root is then the confirmed float, if any, else it is bisected on until
+    both ends round to the same float (integer division rounds
+    correctly); one past the largest float, or one that rounds to 0.0,
+    has no float and raises InvalidProblem.
     """
     lead, rational = abs(a[-1]), True
     s = _homogeneous(a, hi, q) or -_homogeneous(_derivative(a), hi, q)
+    x = _guess(a, lo, hi, q)
+    for _ in range(2):  # x, then the neighbour the signs point to
+        if not x:  # no guess, or 0.0, which is no positive root
+            x = None
+            break
+        near = [v.as_integer_ratio() for v in
+                (nextafter(x, 0), x, nextafter(x, float_info.max))]
+        den = 2 * max(d for _, d in near)
+        if den > q:
+            lo, hi, q = lo * (den // q), hi * (den // q), den
+        xs = [p * (q // d) for p, d in near]  # x and neighbours, over q
+        bracket = (xs[0] + xs[1]) >> 1, (xs[1] + xs[2]) >> 1
+        for mid in bracket:
+            if lo < mid < hi:
+                v = _homogeneous(a, mid, q)
+                if v == 0:
+                    return Fraction(mid, q)
+                if (v > 0) == (s > 0):
+                    hi = mid
+                else:
+                    lo = mid
+        if bracket[0] <= lo and hi <= bracket[1]:
+            break  # the root lies in x's bracket
+        x = (nextafter(x, float_info.max) if lo >= bracket[1]
+             else nextafter(x, 0) if hi <= bracket[0] else None)
+    else:
+        x = None  # the bracket may not hold the root
     while rational or lo / q != hi / q:
         if rational and (hi - lo) * lead <= q:
             y = lo * lead // q + 1  # the least y with y / lead > lo / q
             if y * q < hi * lead and _homogeneous(a, y, lead) == 0:
                 return Fraction(y, lead)
+            if x is not None:
+                return x
             rational, top = False, q * int(float_info.max)
             if hi > top:  # bring hi / q into the float range
                 if lo >= top or (_homogeneous(a, top, q) > 0) != (s > 0):

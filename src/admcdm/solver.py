@@ -3,16 +3,19 @@ determinant equation, pick the discount, and produce the priority vector.
 
 Each equation statement is read once into the integer row (s, L, B) that
 at alpha = p / q is q * L * e_s - p * B (model.statement_rows); every exact
-stage runs on these ints. The rows as written are eliminated once: rank
-below n means consistent statements, discount 1 and, from the same
-elimination, the priority vector. Otherwise a positive root of the core
-determinant, an integer polynomial in alpha, fixes the parameter, and the
-core's null vector v there gives the priority vector. A preference outside
-the core gets its own parameter beta = L * v_s / (B . v), at which every
-auxiliary determinant its row forms with core rows vanishes. The
-consistency degree is min(alpha, 1/alpha). Fractions are built only for
-reported values: the equation, alpha, the betas and the vector. An
-irrational alpha is a float, and so are the core rows at it.
+stage runs on these ints. The core determinant f, an integer polynomial
+in alpha, comes first when every multiplier is 1 and the core has n rows:
+those rows at alpha = 1 are the statements as written, so f(1) != 0 means
+inconsistent statements. Otherwise the rows as written are eliminated
+once: rank below n means consistent statements, discount 1 and, from the
+same elimination, the priority vector. An inconsistent set has a
+positive root of f fix the parameter, and the core's null vector v there
+gives the priority vector. A preference outside the core gets its own
+parameter beta = L * v_s / (B . v), at which every auxiliary determinant
+its row forms with core rows vanishes. The consistency degree is
+min(alpha, 1/alpha). Fractions are built only for reported values: the
+equation, alpha, the betas and the vector. An irrational alpha is a
+float, and so are the core rows at it.
 """
 
 from __future__ import annotations
@@ -97,21 +100,27 @@ def parameterize(problem: Problem) -> ParamSystem:
     return ParamSystem(statement_rows(problem), problem.binding)
 
 
-def _equation(ps: ParamSystem, integer: bool = True) -> Poly:
-    """The core determinant as a polynomial in the base parameter: from the
-    integer core rows at one alpha = 2**k by det_coefficients, under
-    Hadamard's bound (a row (s, L, B) has the squared norm L**2 + sum B**2),
-    or by det_poly on ps.matrix."""
+def _core_det(ps: ParamSystem):
+    """(scale, c): the core determinant is the sum of c[k] * alpha**k /
+    scale, from the integer core rows at one alpha = 2**k by
+    det_coefficients, under Hadamard's bound (a row (s, L, B) has the
+    squared norm L**2 + sum B**2)."""
+    rows = [ps.rows[i] for i in ps.binding.core_mask]
+    return prod(r[1] for r in rows), det_coefficients(
+        lambda x: [row_at(r, x, 1) for r in rows],
+        isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows)))
+
+
+def _equation(ps: ParamSystem, integer: bool = True, det=None) -> Poly:
+    """The core determinant as a polynomial in the base parameter: from
+    det, or else _core_det(ps), or by det_poly on ps.matrix."""
     core, n = ps.binding.core_mask, len(ps.rows[0][2])
     if len(core) != n:
         raise InvalidProblem(
             f"the core must contain exactly {n} preferences, got {len(core)}")
     if integer:
-        rows = [ps.rows[i] for i in core]
-        scale = prod(r[1] for r in rows)
-        d = poly(Fraction(c, scale) for c in det_coefficients(
-            lambda x: [row_at(r, x, 1) for r in rows],
-            isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows))))
+        scale, cs = det or _core_det(ps)
+        d = poly(Fraction(c, scale) for c in cs)
     else:
         d = det_poly(PolyMatrix(tuple(ps.matrix.entries[i] for i in core)))
     if d.is_zero():
@@ -214,22 +223,34 @@ def solve_alpha(ps: ParamSystem, threshold_c: Scalar = 0) -> AlphaSolution:
 def priority(problem: Problem, threshold_c: Scalar = 0):
     """Full pipeline: returns (priority vector, AlphaSolution, report).
     The solution is discharged when its consistency falls below
-    threshold_c, which must lie in [0, 1]; a consistent set never is."""
+    threshold_c, which must lie in [0, 1]; a consistent set never is.
+
+    With every multiplier 1 and a core of n statements, the core's
+    determinant f comes first: f(1) != 0 means the core rows as written
+    are independent, so the statements are inconsistent. Otherwise the
+    rows as written are eliminated, and f, if computed, is kept for the
+    parametric solve."""
     _check_threshold(threshold_c)
     rows = statement_rows(problem)
-    # the consistency test is the elimination that yields the vector
-    try:
-        v, _ = null_vector(unit_rows(problem, rows))
-    except FullRank:
+    ps = ParamSystem(rows, problem.binding)
+    b, det = problem.binding, None
+    if len(b.core_mask) == len(rows[0][2]) and all(
+            c == 1 for c in b.multipliers):
+        det = _core_det(ps)
+    if det and sum(det[1]):  # f(1) != 0
         v = None
+    else:  # the consistency test is the elimination that yields the vector
+        try:
+            v, _ = null_vector(unit_rows(problem, rows))
+        except FullRank:
+            v = None
     consistent = v is not None
     if consistent:
         solution = _CONSISTENT
     else:
         # the extra rows hold at their parameters, so the core's null
         # space is the whole system's
-        ps = ParamSystem(rows, problem.binding)
-        solution, v = _solve(ps, threshold_c, _equation(ps))
+        solution, v = _solve(ps, threshold_c, _equation(ps, det=det))
         if v is None:  # no extra preference eliminated the core yet
             v, _ = _core_vector(ps, solution.alpha)
     pv = normalize(positive(v))

@@ -11,6 +11,7 @@ real_roots.
 import math
 import random
 from fractions import Fraction
+from sys import float_info
 
 import pytest
 
@@ -329,3 +330,213 @@ class TestSquareFreeCertificate:
             (1, [-2, 1]), (2, [-1, 1])]
         assert polynomial._square_free_factors([-12, 4, 12, -4, -3, 1]) == [
             (1, [-3, 1]), (2, [-2, 0, 1])]
+
+
+def _bisected(a, lo, hi, q):
+    """The reference for _refine, without the float guess: bisection at
+    dyadic points until the interval is no wider than 1 / lead(a), one
+    exact test of the one point y / lead(a) in it, then bisection until
+    both ends round to the same float."""
+    from admcdm.errors import InvalidProblem
+
+    lead, rational = abs(a[-1]), True
+    h = polynomial._homogeneous
+    s = h(a, hi, q) or -h(polynomial._derivative(a), hi, q)
+    while rational or lo / q != hi / q:
+        if rational and (hi - lo) * lead <= q:
+            y = lo * lead // q + 1
+            if y * q < hi * lead and h(a, y, lead) == 0:
+                return Fraction(y, lead)
+            rational, top = False, q * int(float_info.max)
+            if hi > top:
+                if lo >= top or (h(a, top, q) > 0) != (s > 0):
+                    raise InvalidProblem("a root lies outside the float range")
+                hi = top
+            continue
+        if hi - lo == 1:
+            lo, hi, q = 2 * lo, 2 * hi, 2 * q
+        mid = (lo + hi) >> 1
+        v = h(a, mid, q)
+        if v == 0:
+            return Fraction(mid, q)
+        if (v > 0) == (s > 0):
+            hi = mid
+        else:
+            lo = mid
+    if hi / q == 0:
+        raise InvalidProblem("a root lies outside the float range")
+    return lo / q
+
+
+def _outcome(refine, a, interval):
+    """refine's root, or the type of the engine error it raised."""
+    from admcdm.errors import EngineError
+
+    try:
+        root = refine(a, *interval)
+    except EngineError as exc:
+        return type(exc)
+    return type(root), root
+
+
+def _assert_refined_as_bisected(p) -> list:
+    """Every isolating interval of every square-free factor of p gives
+    _refine's outcome equal to the reference's, in value and type; returns
+    the float guess at each interval, None where there is none."""
+    cs = list(p.coeffs)
+    while cs[0] == 0:
+        cs.pop(0)
+    guesses = []
+    for _, a in polynomial._square_free_factors(polynomial._primitive(cs)):
+        if len(a) < 3:
+            continue
+        for interval in polynomial._isolate(a)[1]:
+            assert (_outcome(polynomial._refine, a, interval)
+                    == _outcome(_bisected, a, interval)), (a, interval)
+            guesses.append(polynomial._guess(a, *interval))
+    return guesses
+
+
+class TestCheckedFloat:
+    """_refine takes a float guess that exact signs confirm; its outcome
+    is the bisection reference's in every case."""
+
+    def test_benchmark_and_dense_equations(self):
+        from admcdm import solver
+        from admcdm.errors import EngineError
+        from admcdm.parser import parse_problem
+
+        from conftest import dense
+        from test_engine_golden import _workloads
+
+        workloads = _workloads()
+        problems = [parse_problem(case.text) for name in ("linear", "pairwise")
+                    for case in getattr(workloads, name)(1)]
+        problems += [dense(n, seed) for n in range(4, 33, 4)
+                     for seed in range(2)]
+        guesses = []
+        for problem in problems:
+            try:
+                p = solver._equation(solver.parameterize(problem))
+            except EngineError:
+                continue
+            guesses += _assert_refined_as_bisected(p)
+        assert len(guesses) >= 500
+        assert sum(g is not None for g in guesses) >= 0.9 * len(guesses)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_roots_next_to_a_power_of_two(self, d):
+        """x^d - r for x just above and just below 2^k: the float brackets
+        of 2^k are uneven, a quarter ulp below and a half above."""
+        guesses = []
+        for k in (-150, -40, -1, 0, 1, 17, 60, 150):
+            for delta in (-1, 1):
+                for bits in (20, 60, 120):
+                    s = 1 << bits
+                    num, den = (s << (k * d), s) if k >= 0 else (
+                        s, s << (-k * d))
+                    guesses += _assert_refined_as_bisected(
+                        poly([-(num + delta)] + [0] * (d - 1) + [den]))
+        assert len(guesses) == 48
+        assert sum(g is not None for g in guesses) >= 40
+
+    @pytest.mark.parametrize("lead", [(1 << 60) + 1, 3 ** 40, 10 ** 30])
+    def test_rational_roots_with_a_lead_past_the_float_precision(self, lead):
+        """(lead x - y)(x^2 - 2): the guess at the rational root y / lead
+        has a bracket wider than 1 / lead, so the exact test at y / lead
+        must still decide it."""
+        for num, den in ((3, 5), (11, 10), (9, 5)):
+            y = num * lead // den
+            while math.gcd(y, lead) != 1:
+                y += 1
+            p = pmul(poly((-y, lead)), poly((-2, 0, 1)))
+            guesses = _assert_refined_as_bisected(p)
+            assert len(guesses) == 2 and None not in guesses
+            assert Fraction(y, lead) in positive_roots(p)
+
+    def test_roots_near_the_largest_float(self):
+        """x^2 - c x - 1 has a root just above c: Newton's method overflows
+        there and makes no guess; a root past the largest float raises
+        InvalidProblem."""
+        from admcdm.errors import InvalidProblem
+
+        big = int(float_info.max)
+        ulp = int(math.ulp(float_info.max))
+        for c in (big // 3, big - 3 * ulp, big - ulp, big, big + ulp // 4):
+            assert _assert_refined_as_bisected(poly((-1, -c, 1))) == [None]
+        with pytest.raises(InvalidProblem, match="float range"):
+            positive_roots(poly((-1, -big, 1)))
+
+    def test_any_guess_gives_the_reference_outcome(self, monkeypatch):
+        """The exact check alone decides: with guesses that are wrong by
+        one or two floats, outside the interval, 0.0's neighbour or the
+        largest float, _refine's outcome is still the reference's."""
+        big = int(float_info.max)
+        ulp = int(math.ulp(float_info.max))
+        cases = [([-2, 0, 1], (1, 2, 1)), ([-3, 0, 2], (0, 2, 1)),
+                 ([-1, -1, 1], (1, 2, 1)), ([-5, 4, 0, 1], (0, 4, 4)),
+                 ([-1, -(big - ulp), 1], (big - 2 * ulp, big, 1)),
+                 ([-1, -(big - 2 * ulp), 1], (big - 3 * ulp, big, 1)),
+                 ([-1, -big, 1], (big - ulp, 2 * big, 1)),
+                 ([-(1 << 80) - 1, 0, 1 << 2230], (0, 1, 1 << 1070)),
+                 ([-(1 << 80) + 1, 0, 1 << 2230], (0, 1, 1 << 1070))]
+        for a, interval in cases:
+            want = _outcome(_bisected, a, interval)
+            root = want[1] if isinstance(want, tuple) else None
+            near = [5e-324, float_info.max, math.nextafter(float_info.max, 0),
+                    1.0, 1.5, 0.5]
+            if isinstance(root, float):
+                down, up = math.nextafter(root, 0), math.nextafter(root, 2)
+                near += [root, down, up, math.nextafter(down, 0),
+                         math.nextafter(up, 2)]
+            for x in near:
+                monkeypatch.setattr(polynomial, "_guess", lambda *_: x)
+                assert _outcome(polynomial._refine, a, interval) == want, (
+                    a, interval, x)
+
+    def test_an_end_without_a_float_skips_the_guess(self):
+        """Float coefficients, yet the root bound 2^1024 of x^2 - c x - 1,
+        c near half the largest float, has no float: the guess is skipped,
+        not an OverflowError raised (error-min on the tiny-square input of
+        test_cli.TestHugeValues reaches an interval of such a bound)."""
+        c = int(float_info.max) // 2
+        a = [-1, -c, 1]
+        ((_, hi, q),) = polynomial._isolate(a)[1]
+        with pytest.raises(OverflowError):
+            hi / q
+        assert _assert_refined_as_bisected(poly(a)) == [None]
+        (root,) = positive_roots(poly(a))
+        assert root == float(c)
+
+    def test_roots_that_round_to_zero_are_refused(self):
+        """Roots near half the least subnormal, 2^-1075: just above it,
+        they round to it; just below, to 0.0, and InvalidProblem is
+        raised."""
+        from admcdm.errors import InvalidProblem
+
+        s = 1 << 80
+        for delta in (-1, 1):
+            p = poly((-(s + delta), 0, s << 2150))
+            assert _assert_refined_as_bisected(p) == [None]
+        assert positive_roots(poly((-(s + 1), 0, s << 2150))) == [5e-324]
+        with pytest.raises(InvalidProblem, match="float range"):
+            positive_roots(poly((-(s - 1), 0, s << 2150)))
+
+    def test_coefficients_past_the_float_range(self):
+        """(10^400 + k) x^2 - 2 * 10^400, its reverse and a cubic: no
+        guess is made where a coefficient has no float."""
+        big = 10 ** 400
+        for k in (1, 7, 10 ** 399 + 3):
+            for a in ([-2 * big, 0, big + k], [-(big + k), 0, 2 * big],
+                      [-1, 3, -big, big + k]):
+                guesses = _assert_refined_as_bisected(poly(a))
+                assert guesses and set(guesses) == {None}
+
+    def test_seeded_products(self):
+        rng = random.Random("checked-float")
+        guesses = []
+        for degree in range(2, 21):
+            for _ in range(4):
+                guesses += _assert_refined_as_bisected(
+                    _factor_product(rng, degree))
+        assert len(guesses) >= 100

@@ -636,13 +636,29 @@ class TestEliminatedOnce:
         lambda: load("ex10.admp"),
         lambda: pairwise(5, 1, False),
     ], ids=["ex10", "pairwise"])
-    def test_inconsistent_set_with_extras_is_eliminated_twice(
+    def test_inconsistent_set_with_extras_is_eliminated_once(
             self, eliminations, make):
-        """The assembled rows, then the core at alpha, shared by the extra
-        parameters and the priority vector."""
+        """The core determinant is nonzero at alpha = 1, which proves the
+        set inconsistent without eliminating the rows as written; the core
+        at alpha is shared by the extra parameters and the vector."""
         pr = make()
         _, sol, _ = priority(pr)
         assert sol.extra_params
+        assert eliminations["calls"] == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: pairwise(5, 0, False),
+        lambda: load("ex9_expert.admp"),
+    ], ids=["consistent-core", "bind"])
+    def test_undecided_inconsistent_set_is_eliminated_twice(
+            self, eliminations, make):
+        """A core consistent at alpha = 1 (its triangle agrees, the extra
+        statements do not), or a bind line, leaves the consistency to the
+        rows as written; then the core at alpha gives the vector."""
+        pr = make()
+        _, sol, _ = priority(pr)
+        # inconsistent: discounted, or held only by extra parameters
+        assert sol.alpha != 1 or any(b != 1 for _, b in sol.extra_params)
         assert eliminations["calls"] == 2
 
     def test_classify_eliminates_once(self, eliminations):
@@ -650,6 +666,144 @@ class TestEliminatedOnce:
 
         assert classify(pairwise(6, 0, True)).label is Label.CONSISTENT
         assert eliminations["calls"] == 1
+
+
+def sympy_rank_as_written(pr) -> int:
+    """sympy's rank of the statements as written, x_s - sum a_j x_j, the
+    bind multipliers left out."""
+    import sympy
+
+    n = pr.criteria.n
+    rows = []
+    for pref in pr.preferences:
+        row = [0] * n
+        row[pref.subject] = 1
+        for j, a in pref.terms:
+            row[j] -= sympy.Rational(a.numerator, a.denominator)
+        rows.append(row)
+    return sympy.Matrix(rows).rank()
+
+
+class TestConsistencyFromTheCore:
+    """priority() reports the consistent solution, alpha 1 with no extra
+    parameter, exactly when sympy's rank of the statements as written is
+    below n, whether the core's determinant at 1 or the elimination of
+    the rows decided it."""
+
+    def assert_consistent_iff_rank_deficient(self, pr):
+        consistent = sympy_rank_as_written(pr) < pr.criteria.n
+        try:
+            _, sol, _ = priority(pr)
+        except EngineError:
+            assert not consistent
+            return None
+        assert (sol.alpha == 1 and not sol.extra_params) == consistent
+        if consistent:
+            assert sol.roots == (1,)
+        return consistent
+
+    def core_at_one(self, pr):
+        """f(1) for the default core, None where a multiplier is not 1."""
+        if any(c != 1 for c in pr.binding.multipliers):
+            return None
+        return peval(parametric_equation(parameterize(pr)), 1)
+
+    def test_benchmark_sets(self):
+        """The benchmark's seed-1 linear and pairwise sets, a sample: the
+        core decides most of them, and bind sets fall back."""
+        pytest.importorskip("sympy")
+        from test_engine_golden import _workloads
+
+        workloads = _workloads()
+        linear = workloads.linear(1)
+        cases = (linear[::7] + workloads.pairwise(1)[::5]
+                 + [case for case in linear if "bind:" in case.text])
+        seen = {"core": 0, "bind": 0, "undecided": 0, "consistent": 0}
+        for case in cases:
+            pr = parse_problem(case.text)
+            if self.assert_consistent_iff_rank_deficient(pr):
+                seen["consistent"] += 1
+            try:
+                f1 = self.core_at_one(pr)
+            except EngineError:
+                continue
+            seen["bind" if f1 is None else "core" if f1 else "undecided"] += 1
+        assert min(seen.values()) >= 3, seen
+
+    def test_core_nonzero_at_one(self):
+        pytest.importorskip("sympy")
+        for pr in (load("ex10.admp"), pairwise(5, 1, False),
+                   ratio_cycle(5, Fraction(3, 2))):
+            assert self.core_at_one(pr) != 0
+            assert self.assert_consistent_iff_rank_deficient(pr) is False
+
+    def test_core_zero_at_one_yet_inconsistent(self):
+        """The core triangle agrees, the statements outside it do not."""
+        pytest.importorskip("sympy")
+        pr = pairwise(5, 0, False)
+        assert self.core_at_one(pr) == 0
+        assert self.assert_consistent_iff_rank_deficient(pr) is False
+        _, sol, _ = priority(pr)
+        assert sol.alpha == 1 and any(b != 1 for _, b in sol.extra_params)
+
+    def test_bind_sets(self):
+        """A bind line puts the rows as written off every single alpha of
+        the core, so its determinant cannot decide."""
+        pytest.importorskip("sympy")
+        consistent = parse_problem(
+            "criteria: x y z\npref: x = 2 y\npref: y = 3 z\n"
+            "pref: x = 6 z\nbind: a2 = 2 a1\n")
+        for pr in (load("ex9_expert.admp"), consistent):
+            assert self.core_at_one(pr) is None
+        assert self.assert_consistent_iff_rank_deficient(
+            load("ex9_expert.admp")) is False
+        assert self.assert_consistent_iff_rank_deficient(consistent) is True
+
+    def test_fewer_statements_than_criteria(self):
+        """m < n: always consistent, with the vector or its refusal as
+        before; an inconsistent set with a short core line still gets the
+        core-size error, after the consistency test."""
+        pytest.importorskip("sympy")
+        pr = problem("x y z", LinearPreference(0, ((1, Fraction(2)),)),
+                     LinearPreference(1, ((2, Fraction(3)),)))
+        assert self.assert_consistent_iff_rank_deficient(pr) is True
+        # rank 2 < 3, yet only x = y = 0 solves the pair
+        zero = problem("x y z", LinearPreference(0, ((1, Fraction(2)),)),
+                       LinearPreference(1, ((0, Fraction(3)),)))
+        assert sympy_rank_as_written(zero) == 2
+        with pytest.raises(NonPositiveComponent):
+            priority(zero)
+        short = parse_problem(
+            "criteria: x y z\npref: x = 2 y\npref: y = 3 z\n"
+            "pref: x = 7 z\ncore: 1 2\n")
+        assert sympy_rank_as_written(short) == 3
+        with pytest.raises(InvalidProblem, match="exactly 3"):
+            priority(short)
+        consistent_short = parse_problem(
+            "criteria: x y z\npref: x = 2 y\npref: y = 3 z\n"
+            "pref: x = 6 z\ncore: 1 2\n")
+        assert self.assert_consistent_iff_rank_deficient(
+            consistent_short) is True
+
+    def test_core_singular_for_every_alpha(self):
+        """A repeated statement makes the core's determinant vanish
+        identically: a consistent set still solves, an inconsistent one
+        raises DegenerateCore."""
+        pytest.importorskip("sympy")
+        text = ("criteria: x y z\npref: x = 2 y\npref: x = 2 y\n"
+                "pref: y = 3 z\n")
+        consistent = parse_problem(text + "pref: x = 6 z\n")
+        inconsistent = parse_problem(text + "pref: x = 7 z\n")
+        for pr in (consistent, inconsistent):
+            with pytest.raises(DegenerateCore):
+                parametric_equation(parameterize(pr))
+        pv, sol, _ = priority(consistent)
+        assert sol.alpha == 1
+        assert pv == (Fraction(6, 10), Fraction(3, 10), Fraction(1, 10))
+        assert self.assert_consistent_iff_rank_deficient(consistent) is True
+        assert sympy_rank_as_written(inconsistent) == 3
+        with pytest.raises(DegenerateCore):
+            priority(inconsistent)
 
 
 PLANTED_N7_S5 = """criteria: C0 C1 C2 C3 C4 C5 C6
