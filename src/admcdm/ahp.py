@@ -146,7 +146,7 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
     the float nearest to its value at it.
     """
     from .linalg import det_coefficients, null_vector
-    from .polynomial import poly, positive_roots
+    from .polynomial import integer_positive_roots
 
     a, n = m.entries, m.n
     # the product of the row scales times det(A - x I): the same roots
@@ -156,7 +156,7 @@ def ahp_priority(m: AhpMatrix) -> AhpResult:
         for i, (ints, scale) in enumerate(scaled)],
         isqrt(prod(sum(c * c for c in ints) + scale * (scale + 2 * ints[i])
                    for i, (ints, scale) in enumerate(scaled))))
-    lam = positive_roots(poly(char))[-1]
+    lam = integer_positive_roots(char)[-1]
     # the rows of lambda_max I - A but the first; a float is read exactly
     rows = [[Fraction(lam) - 1 if i == j else -Fraction(a[i][j])
              for j in range(n)] for i in range(1, n)]

@@ -37,16 +37,18 @@ partial combination at its first statement shared with the rest, so
 only combinations with disjoint trails count toward the cap, and a dense
 ratio graph can still make the enumeration long. A ratio travels as an
 unreduced pair of ints (p, q), read off the statement's Fraction and never
-as a float, so a path step is two int products. The walk forms that
-product only for an edge it takes, and does not enter a node past which
-it could neither close a cycle at its start nor reach a greater node.
-Each criterion pair's strongest rule is the rule of its smallest and
-largest derived ratio, found in one pass of cross products, and at most
-_WITNESS_CAP witnesses are kept: pairs are searched for them in order
-only until the cap is reached, each derivation's side of 1 is computed
-once per pair, and only the witnesses' relations become DerivedRelation
-objects, each built once. Classifying R relations therefore costs O(R)
-beyond the witness search.
+as a float, so a path step is two int products. The walk keeps its nodes
+as a bitmask, forms that product only for an edge it takes, checks only
+an edge that closes a cycle against its trail, and does not enter a node
+past which it could neither close a cycle at its start nor reach a
+greater node. Each criterion pair is read in one pass: its strongest rule
+is the rule of its smallest and largest derived ratio, by cross
+products, and only while fewer than _WITNESS_CAP witnesses are held are
+its disagreeing derivations listed, each side of 1 computed once. Only
+the witnesses' relations become DerivedRelation objects, each built once
+at a constant cost. No search leaves a reference cycle, so reference
+counting frees a case's relations when it ends. Classifying R relations
+therefore costs O(R) beyond the witness search.
 
 A full pairwise set (one single-term statement per pair) is derived pair
 by pair in the report's order and stops once SD4 has fired and
@@ -97,6 +99,15 @@ class DerivedRelation(Record):
     j: int
     ratio: Fraction
     trail: tuple
+
+    def __init__(self, i, j, ratio, trail):
+        # the fields written directly: Record's generic __init__ costs
+        # twice as much as the Fraction
+        d = self.__dict__
+        d["i"] = i
+        d["j"] = j
+        d["ratio"] = ratio
+        d["trail"] = trail
 
     def describe(self, names) -> str:
         k = self.ratio
@@ -155,18 +166,18 @@ def _walk(adjacency, starts, keep, add=None):
     (with no goals, the walk keeps to the nodes above start)."""
 
     def walk(node, p, q, trail, visited, lowest, above):
-        """Extend the path start..node; lowest: it may still close a cycle
-        (start is its smallest node), above: how many goals it has not
-        visited."""
+        """Extend the path start..node; visited: a bitmask of its nodes,
+        lowest: it may still close a cycle (start is its smallest node),
+        above: how many goals it has not visited."""
         for nxt, kp, kq, pos in adjacency[node]:
-            if pos in trail:
-                continue
             # the product is formed only for an edge the walk takes
             if nxt == start:
-                if trail and lowest:
+                if trail and lowest and pos not in trail:
                     add(start, start, p * kp, q * kq, trail + (pos,))
                 continue
-            if nxt in visited:
+            # a trail edge joins two visited nodes, so an edge to a node
+            # not visited is not on the trail
+            if visited >> nxt & 1:
                 continue
             up = nxt in goals
             found = trail and up
@@ -183,11 +194,29 @@ def _walk(adjacency, starts, keep, add=None):
                 # no other walk step derives it
                 keep(start, nxt, here_p, here_q, path)
             if onward:
-                walk(nxt, here_p, here_q, path, visited | {nxt}, low,
+                walk(nxt, here_p, here_q, path, visited | 1 << nxt, low,
                      above - up)
 
-    for start, goals in starts:
-        walk(start, 1, 1, (), frozenset({start}), add is not None, len(goals))
+    try:
+        for start, goals in starts:
+            walk(start, 1, 1, (), 1 << start, add is not None, len(goals))
+    finally:
+        del walk  # it refers to itself: reference counting frees it
+
+
+def _combine(add, subject, target, terms, choices, used, trail, total):
+    """Substitute one of choices[0]'s relations for terms[0], then the rest
+    in turn, and add each result: the combinations of itertools.product,
+    in its order, but a branch ends at its first relation that shares a
+    statement with used."""
+    if not choices:
+        add(subject, target, total.numerator, total.denominator, trail)
+        return
+    coef = terms[0][1]
+    for k, tr in choices[0]:
+        if used.isdisjoint(tr):
+            _combine(add, subject, target, terms[1:], choices[1:],
+                     used.union(tr), trail + tr, total + coef * k)
 
 
 def _search(n: int, edges, multi):
@@ -225,21 +254,6 @@ def _search(n: int, edges, multi):
                 pool[(i, j)].append((Fraction(p, q), trail))
                 pool[(j, i)].append((Fraction(q, p), trail))
 
-        def combine(subject, target, terms, choices, used, trail, total):
-            """Substitute one of choices[0]'s relations for terms[0], then
-            the rest in turn: the combinations of itertools.product, in
-            its order, but a branch ends at its first relation that shares
-            a statement with used."""
-            if not choices:
-                add(subject, target, total.numerator, total.denominator,
-                    trail)
-                return
-            coef = terms[0][1]
-            for k, tr in choices[0]:
-                if used.isdisjoint(tr):
-                    combine(subject, target, terms[1:], choices[1:],
-                            used.union(tr), trail + tr, total + coef * k)
-
         for pos, subject, terms in multi:
             for target in range(n):
                 choices = [[(1, ())] if j == target else
@@ -247,7 +261,8 @@ def _search(n: int, edges, multi):
                             if pos not in tr]
                            for j, _ in terms]
                 if all(choices):
-                    combine(subject, target, terms, choices, {pos}, (pos,), 0)
+                    _combine(add, subject, target, terms, choices, {pos},
+                             (pos,), 0)
 
     try:
         for a, b, p, q, pos in edges:
@@ -261,14 +276,11 @@ def _search(n: int, edges, multi):
     return relations, False
 
 
-def _relation(i, j, p, q, trail) -> DerivedRelation:
-    return DerivedRelation(i, j, Fraction(p, q), trail)
-
-
 def _derive(problem: Problem):
     """_search with each relation as a DerivedRelation."""
     relations, truncated = _search(problem.criteria.n, *_statements(problem))
-    return [_relation(*r) for r in relations], truncated
+    return [DerivedRelation(i, j, Fraction(p, q), trail)
+            for i, j, p, q, trail in relations], truncated
 
 
 def derive_relations(problem: Problem):
@@ -276,62 +288,48 @@ def derive_relations(problem: Problem):
     return _derive(problem)[0]
 
 
-def _side(p, q) -> int:
-    return (p > q) - (p < q)
-
-
 # the rule two differing ratios fire, by their sides of 1, the lower first
 _RULE = {(-1, 1): "SD4", (0, 1): "WD1", (1, 1): "WD1",
          (-1, 0): "WD2", (-1, -1): "WD2"}
-
-
-def _pair_rule(oriented) -> str:
-    """Strongest rule any two of one pair's ratios fire: the rule of the
-    smallest and the largest, found in one pass of cross products. Some
-    two ratios differ exactly when these do, and they carry the lowest and
-    the highest side of 1."""
-    lo = hi = oriented[0][:2]
-    for p, q, _ in oriented:
-        if p * lo[1] < lo[0] * q:
-            lo = p, q
-        elif p * hi[1] > hi[0] * q:
-            hi = p, q
-    if lo[0] * hi[1] == hi[0] * lo[1]:
-        return ""
-    return _RULE[_side(*lo), _side(*hi)]
-
-
-def _pair_witnesses(oriented, witnesses):
-    """Append the witness (rule, relation, relation) of every two
-    disagreeing derivations of one pair, in derivation order, the one with
-    the lower side of 1 first, until witnesses holds _WITNESS_CAP. Each
-    derivation's side is computed, and its DerivedRelation built, once."""
-    sides = [_side(p, q) for p, q, _ in oriented]
-    built = [None] * len(oriented)
-    for x, (p1, q1, _) in enumerate(oriented):
-        for y in range(x + 1, len(oriented)):
-            p2, q2, _ = oriented[y]
-            if p1 * q2 != p2 * q1:
-                a, b = (y, x) if sides[x] > sides[y] else (x, y)
-                for z in (a, b):
-                    if built[z] is None:
-                        built[z] = _relation(*oriented[z][2])
-                witnesses.append((_RULE[sides[a], sides[b]],
-                                  built[a], built[b]))
-                if len(witnesses) >= _WITNESS_CAP:
-                    return
-
 
 _RANK = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
 
 
 def _pair(oriented, witnesses) -> str:
     """The strongest rule among one pair's derivations (p, q, relation),
-    appending their witnesses while witnesses holds fewer than
-    _WITNESS_CAP."""
-    rule = _pair_rule(oriented)
-    if rule and len(witnesses) < _WITNESS_CAP:
-        _pair_witnesses(oriented, witnesses)
+    the rule of the smallest and the largest ratio, found in one pass of
+    cross products: some two ratios differ exactly when these do, and they
+    carry the lowest and the highest side of 1. While witnesses holds fewer
+    than _WITNESS_CAP, the witness (rule, relation, relation) of each two
+    disagreeing derivations follows, in derivation order, the lower side
+    of 1 first; each derivation's DerivedRelation is built once."""
+    lp, lq, _ = oriented[0]
+    hp, hq = lp, lq
+    for p, q, _ in oriented:
+        if p * lq < lp * q:
+            lp, lq = p, q
+        elif p * hq > hp * q:
+            hp, hq = p, q
+    if lp * hq == hp * lq:
+        return ""
+    rule = _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
+    if len(witnesses) >= _WITNESS_CAP:
+        return rule
+    sides = [(p > q) - (p < q) for p, q, _ in oriented]
+    built = [None] * len(oriented)
+    for x, (p1, q1, _) in enumerate(oriented):
+        for y in range(x + 1, len(oriented)):
+            p2, q2, _ = oriented[y]
+            if p1 * q2 == p2 * q1:
+                continue
+            a, b = (y, x) if sides[x] > sides[y] else (x, y)
+            for z in (a, b):
+                if built[z] is None:
+                    i, j, p, q, trail = oriented[z][2]
+                    built[z] = DerivedRelation(i, j, Fraction(p, q), trail)
+            witnesses.append((_RULE[sides[a], sides[b]], built[a], built[b]))
+            if len(witnesses) >= _WITNESS_CAP:
+                return rule
     return rule
 
 
@@ -356,11 +354,12 @@ def _report(relations, truncated: bool, det_ok: bool, strongest="",
         rule = _pair(oriented, witnesses)
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule
-    for r in selves:
-        if r[2] != r[3]:
+    for i, j, p, q, trail in selves:
+        if p != q:
             strongest = strongest or "WD3"  # the weakest rule
             if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(("WD3", _relation(*r), None))
+                witnesses.append(("WD3", DerivedRelation(
+                    i, j, Fraction(p, q), trail), None))
     return _finish(strongest, witnesses, truncated, det_ok)
 
 

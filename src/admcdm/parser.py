@@ -212,7 +212,8 @@ def _parse_sum(toks: list, k: int, subject: int, criteria: dict):
     for coef, ((idx, tok),), _ in terms:
         if idx == subject:
             raise _Error("subject cannot appear on the right-hand side", tok)
-        acc[idx] = acc.get(idx, 0) + coef
+        # a coefficient is kept as read unless its criterion repeats
+        acc[idx] = acc[idx] + coef if idx in acc else coef
     return LinearPreference(subject, tuple(acc.items()))
 
 
@@ -339,8 +340,11 @@ def parse_problem(text: str) -> Problem:
             multipliers[p] = value * resolve(j, trail | {p})
         return multipliers[p]
 
-    for p in sorted(binds):
-        resolve(p, frozenset())
+    try:
+        for p in sorted(binds):
+            resolve(p, frozenset())
+    finally:
+        del resolve  # it refers to itself: reference counting frees it
     one = Fraction(1)
     try:
         binding = ParamBinding(

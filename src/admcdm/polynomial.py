@@ -5,7 +5,8 @@ cap: the parametric determinant of n criteria has degree at most n.
 
 Root extraction reads the coefficients exactly (a float as the Fraction of
 its binary value), strips the factor alpha**k and clears the rest to a
-primitive integer polynomial. Its square-free factors f_k of multiplicity
+primitive integer polynomial; integer coefficients enter directly
+through integer_positive_roots. Its square-free factors f_k of multiplicity
 k are split off (Yun's algorithm, each gcd a primitive pseudo-remainder
 sequence over the integers), and each root of f_k is reported k times. A
 polynomial p is its own single factor when gcd(p, p') is constant modulo
@@ -91,10 +92,9 @@ def peval(p: Poly, x) -> Scalar:
     return acc
 
 
-def _primitive(coeffs) -> list:
+def _primitive(ints: list) -> list:
     """The primitive integer polynomial, leading coefficient positive, with
-    the roots of the rational (or float) coefficients, the last nonzero."""
-    ints, _ = integer_row(coeffs)
+    the roots of the integer coefficients ints, the last nonzero."""
     g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return [c // g for c in ints]
 
@@ -402,14 +402,19 @@ def positive_roots(p: Poly) -> list:
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    cs = list(p.coeffs)
-    while cs[0] == 0:  # factor out alpha^k; 0 is never a reported root
-        cs.pop(0)
-    if len(cs) < 2:
+    return integer_positive_roots(integer_row(p.coeffs)[0])
+
+
+def integer_positive_roots(ints: list) -> list:
+    """positive_roots of the polynomial with the integer coefficients ints,
+    constant first, the last nonzero."""
+    k = 0
+    while ints[k] == 0:  # factor out alpha^k; 0 is never a reported root
+        k += 1
+    if len(ints) - k < 2:
         return []
-    ints = _primitive(cs)
     roots = []
-    for k, ints in _square_free_factors(ints):
+    for m, ints in _square_free_factors(_primitive(ints[k:])):
         if len(ints) == 2:
             # a linear factor's one root is read off exactly
             root = Fraction(-ints[0], ints[1])
@@ -418,6 +423,6 @@ def positive_roots(p: Poly) -> list:
             exact, intervals = _isolate(ints)
             found = exact + [_refine(ints, *iv) for iv in intervals]
         for r in found:
-            roots.extend([r] * k)
+            roots.extend([r] * m)
     roots.sort()
     return roots

@@ -13,9 +13,11 @@ positive root of f fix the parameter, and the core's null vector v there
 gives the priority vector. A preference outside the core gets its own
 parameter beta = L * v_s / (B . v), at which every auxiliary determinant
 its row forms with core rows vanishes. The consistency degree is
-min(alpha, 1/alpha). Fractions are built only for reported values: the
-equation, alpha, the betas and the vector. An irrational alpha is a
-float, and so are the core rows at it.
+min(alpha, 1/alpha). Fractions are built only for reported values:
+alpha, the betas and the vector. The integer coefficients of f go to
+root isolation as they are; f as a Fraction Poly is built only for
+parametric_equation and for the NoPositiveRoot message. An irrational
+alpha is a float, and so are the core rows at it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .model import (
     statement_rows,
     unit_rows,
 )
-from .polynomial import Poly, poly, positive_roots
-from .scalars import PriorityVector, Record, Scalar, normalize
+from .polynomial import Poly, integer_positive_roots, poly
+from .scalars import PriorityVector, Record, Scalar, integer_row, normalize
 
 
 class ParamSystem(Record):
@@ -111,28 +113,38 @@ def _core_det(ps: ParamSystem):
         isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows)))
 
 
-def _equation(ps: ParamSystem, integer: bool = True, det=None) -> Poly:
-    """The core determinant as a polynomial in the base parameter: from
-    det, or else _core_det(ps), or by det_poly on ps.matrix."""
+def _core(ps: ParamSystem) -> tuple:
+    """The core's positions; InvalidProblem unless it has n rows."""
     core, n = ps.binding.core_mask, len(ps.rows[0][2])
     if len(core) != n:
         raise InvalidProblem(
             f"the core must contain exactly {n} preferences, got {len(core)}")
-    if integer:
-        scale, cs = det or _core_det(ps)
-        d = poly(Fraction(c, scale) for c in cs)
-    else:
-        d = det_poly(PolyMatrix(tuple(ps.matrix.entries[i] for i in core)))
-    if d.is_zero():
-        raise DegenerateCore(
-            "core determinant vanishes identically; every parameter value "
-            "leaves the core dependent, so no parametric equation exists")
-    return d
+    return core
+
+
+_DEGENERATE = ("core determinant vanishes identically; every parameter "
+               "value leaves the core dependent, so no parametric equation "
+               "exists")
+
+
+def _equation(ps: ParamSystem, det=None):
+    """The core determinant (scale, c), the sum of c[k] * alpha**k / scale:
+    det, or else _core_det(ps). Its roots are those of the integers c, so
+    the Fraction Poly is built only for a message."""
+    _core(ps)
+    scale, cs = det or _core_det(ps)
+    if not cs:
+        raise DegenerateCore(_DEGENERATE)
+    return scale, cs
 
 
 def parametric_equation(ps: ParamSystem) -> Poly:
-    """Determinant of the core rows as a polynomial in the base parameter."""
-    return _equation(ps, integer=False)
+    """Determinant of the core rows as a polynomial in the base parameter,
+    by det_poly on ps.matrix."""
+    d = det_poly(PolyMatrix(tuple(ps.matrix.entries[i] for i in _core(ps))))
+    if d.is_zero():
+        raise DegenerateCore(_DEGENERATE)
+    return d
 
 
 def _choose_root(roots):
@@ -198,10 +210,13 @@ def _check_threshold(threshold_c):
 
 
 def _solve(ps: ParamSystem, threshold_c, equation):
-    """solve_alpha's result from the core's equation, and the core's null
-    vector at alpha when the extra preferences needed it (else None)."""
-    roots = tuple(positive_roots(equation))
+    """solve_alpha's result from the core's equation (scale, c), and the
+    core's null vector at alpha when the extra preferences needed it (else
+    None)."""
+    scale, cs = equation
+    roots = tuple(integer_positive_roots(cs))
     if not roots:
+        equation = poly(Fraction(c, scale) for c in cs)
         raise NoPositiveRoot(
             f"parametric equation {equation} has no positive root")
     alpha = _choose_root(roots)
@@ -217,7 +232,8 @@ def solve_alpha(ps: ParamSystem, threshold_c: Scalar = 0) -> AlphaSolution:
     threshold_c, which must lie in [0, 1] (the default 0 discharges
     none)."""
     _check_threshold(threshold_c)
-    return _solve(ps, threshold_c, parametric_equation(ps))[0]
+    cs, scale = integer_row(parametric_equation(ps).coeffs)
+    return _solve(ps, threshold_c, (scale, cs))[0]
 
 
 def priority(problem: Problem, threshold_c: Scalar = 0):
@@ -267,9 +283,15 @@ def discount_report(problem: Problem, pv: PriorityVector):
     is (pv_i / pv_j) / k, the realized ratio against the stated one.
     """
     out = []
+    # a Fraction times a float is float(a) * x; stated so, the term skips
+    # Fraction's operator fallback
+    floats = all(isinstance(x, float) for x in pv)
     for pos, pref in enumerate(problem.preferences):
         if isinstance(pref, (InequalityPreference, MonomialPreference)):
             continue
-        stated = sum(a * pv[j] for j, a in pref.terms)
+        if floats:
+            stated = sum(float(a) * pv[j] for j, a in pref.terms)
+        else:
+            stated = sum(a * pv[j] for j, a in pref.terms)
         out.append((pos, pv[pref.subject] / stated))
     return tuple(out)

@@ -1,11 +1,14 @@
-"""Consistency classification: labels, witnesses, rule precedence, and the
-determinant cross-check."""
+"""Consistency classification: labels, witnesses, rule precedence, the
+determinant cross-check, the walk over a ratio multigraph, and a pipeline
+that leaves no reference cycle."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from admcdm.classification import (
     _RELATION_CAP,
     DerivedRelation,
     Label,
+    _derive,
     classify,
     derive_relations,
 )
@@ -33,9 +37,10 @@ from admcdm.model import (
     Relation,
     make_cyclic_example,
 )
-from admcdm.parser import parse_problem
-from admcdm.solver import priority
+from admcdm.parser import format_problem, parse_problem
+from admcdm.solver import discount_report, priority
 
+from classify_reference import reference_classify, reference_derive
 from conftest import load, pairwise
 
 
@@ -375,3 +380,125 @@ class TestPositiveSolution:
                 assert report.witnesses == ()
                 assert report.det_agrees
                 assert not report.depth_exceeded
+
+
+def multigraph(n, seed):
+    """Single-term statements over n criteria: a ratio cycle through all of
+    them, a chord or two, and one to three pairs stated again, the same or
+    the other way round, so the ratio graph holds 2-cycles. Ratios come
+    from a few values, so some derivations agree."""
+    rng = random.Random(f"multigraph:{n}:{seed}")
+    order = rng.sample(range(n), n)
+    pairs = list(zip(order, order[1:] + order[:1]))
+    pairs += [tuple(rng.sample(range(n), 2))
+              for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(pairs)
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    ratios = [Fraction(k) for k in (1, 2, 3)] + [Fraction(1, 2)]
+    prefs = [LinearPreference(a, ((b, rng.choice(ratios)),))
+             for a, b in pairs]
+    rng.shuffle(prefs)
+    return problem(" ".join(f"C{i}" for i in range(n)), *prefs)
+
+
+class TestMultigraphWalk:
+    """The walk checks only an edge that closes a cycle against its trail:
+    an edge to a node not yet visited cannot be on it. A criterion pair
+    stated twice is where a closing edge may be a different statement on
+    the same pair; the derivations and reports must still be the
+    reference's."""
+
+    SETS = [(n, seed) for n in range(3, 7) for seed in range(8)]
+
+    @pytest.mark.parametrize("n, seed", SETS)
+    def test_equals_the_reference(self, n, seed):
+        pr = multigraph(n, seed)
+        assert _derive(pr) == reference_derive(pr, n)
+        assert classify(pr) == reference_classify(pr)
+
+    def test_two_cycles_both_ways_are_derived(self):
+        same = opposite = 0
+        for n, seed in self.SETS:
+            pr = multigraph(n, seed)
+            stated = [(p.subject, p.terms[0][0]) for p in pr.preferences]
+            for r in derive_relations(pr):
+                if r.i == r.j and len(r.trail) == 2:
+                    a, b = (stated[pos] for pos in r.trail)
+                    same += a == b
+                    opposite += a == b[::-1]
+        assert same and opposite
+
+
+def ratio_cycle(n, seed):
+    rng = random.Random(f"ratio-cycle:{n}:{seed}")
+    return problem(" ".join(f"C{i}" for i in range(n)), *(
+        LinearPreference(i, (((i + 1) % n,
+                              Fraction(rng.randint(1, 9),
+                                       rng.randint(1, 9))),))
+        for i in range(n)))
+
+
+class TestNoCyclicGarbage:
+    """Parsing, priority(), discount_report() and classify() leave no
+    reference cycle: reference counting frees every object of a case, so
+    a case's relations do not wait for the cycle collector."""
+
+    def panel(self):
+        """Ratio cycles n = 3..24, full pairwise sets n = 3..7 (n = 7
+        past the relation cap), multi-term sets that reach substitution,
+        a file with bind lines and the input that has no positive
+        root, each as file text."""
+        from test_classify_equivalence import multi_term
+        from test_engine_golden import _workloads
+
+        problems = [ratio_cycle(n, 0) for n in range(3, 25)]
+        problems += [pairwise(n, seed, consistent) for n in range(3, 8)
+                     for seed in range(2) for consistent in (True, False)]
+        problems += [multi_term(4 + seed % 3, seed, planted)
+                     for seed in range(6) for planted in (False, True)]
+        texts = [format_problem(p) for p in problems]
+        texts.append((Path(__file__).resolve().parent.parent / "corpus"
+                      / "ex9_expert.admp").read_text(encoding="utf-8"))
+        texts.append(_workloads().REGRESSION_TEXT)
+        return texts
+
+    @staticmethod
+    def run(text):
+        """The pipeline on one text; the engine error it raised, if any."""
+        pr = parse_problem(text)
+        classify(pr)
+        try:
+            pv, _, _ = priority(pr)
+        except EngineError as exc:
+            return type(exc).__name__
+        discount_report(pr, pv)
+        return None
+
+    def test_no_unreachable_objects(self):
+        texts = self.panel()
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            errors = [self.run(text) for text in texts]
+            found = gc.collect()
+            kinds = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert found == 0, f"unreachable objects by type: {kinds}"
+        assert errors[-1] == "NoPositiveRoot"
+        assert "bind:" in texts[-2]
+
+    def test_substitution_is_reached(self, monkeypatch):
+        calls = []
+        real = classify_module._combine
+        monkeypatch.setattr(classify_module, "_combine",
+                            lambda *a: calls.append(a) or real(*a))
+        for text in self.panel():
+            self.run(text)
+        assert calls

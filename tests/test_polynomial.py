@@ -18,6 +18,7 @@ import pytest
 from admcdm import polynomial
 from admcdm.errors import ZeroPolynomial
 from admcdm.polynomial import Poly, peval, poly, positive_roots
+from admcdm.scalars import integer_row
 
 from conftest import assert_roots_match_sympy
 
@@ -383,7 +384,7 @@ def _assert_refined_as_bisected(p) -> list:
     """Every isolating interval of every square-free factor of p gives
     _refine's outcome equal to the reference's, in value and type; returns
     the float guess at each interval, None where there is none."""
-    cs = list(p.coeffs)
+    cs = integer_row(p.coeffs)[0]
     while cs[0] == 0:
         cs.pop(0)
     guesses = []
@@ -417,10 +418,10 @@ class TestCheckedFloat:
         guesses = []
         for problem in problems:
             try:
-                p = solver._equation(solver.parameterize(problem))
+                _, cs = solver._equation(solver.parameterize(problem))
             except EngineError:
                 continue
-            guesses += _assert_refined_as_bisected(p)
+            guesses += _assert_refined_as_bisected(poly(cs))
         assert len(guesses) >= 500
         assert sum(g is not None for g in guesses) >= 0.9 * len(guesses)
 

@@ -900,3 +900,56 @@ class TestIntegerPath:
         assert sol.extra_params == ((4, 0.5916079783099616),)
         assert pv == (0.31637966364963993, 0.25188782871495,
                       0.1336948094215351, 0.29803769821387494)
+
+
+class TestDiscountReport:
+    """A float vector's terms are computed as float(a) * x, which is what
+    Fraction's operator gives a float operand; an exact vector keeps
+    Fraction arithmetic. Either way the factors equal, value and type, the
+    plain expression pv[s] / sum(a * pv[j])."""
+
+    @staticmethod
+    def statements(rng, n):
+        """One-term and multi-term statements, coefficients from small
+        ratios to the binary value of a float."""
+        def coefficient():
+            return rng.choice((
+                Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9)),
+                Fraction(rng.uniform(0.01, 100.0))))
+
+        prefs = []
+        for subject in range(n):
+            others = [j for j in range(n) if j != subject]
+            terms = rng.sample(others, rng.randint(1, min(3, n - 1)))
+            prefs.append(LinearPreference(
+                subject, tuple((j, coefficient()) for j in sorted(terms))))
+        return prefs
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_factors_equal_the_fraction_expression(self, seed):
+        rng = random.Random(f"discount-report:{seed}")
+        n = rng.randint(2, 7)
+        prefs = self.statements(rng, n)
+        problem = Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                          tuple(prefs))
+        weights = [rng.uniform(0.1, 10.0) for _ in range(n)]
+        floats = tuple(w / sum(weights) for w in weights)
+        exact = tuple(Fraction(w) / sum(map(Fraction, weights))
+                      for w in weights)
+        for pv, kind in ((floats, float), (exact, Fraction)):
+            expected = tuple(
+                (pos, pv[p.subject] / sum(a * pv[j] for j, a in p.terms))
+                for pos, p in enumerate(prefs))
+            got = discount_report(problem, pv)
+            assert [(pos, type(f), f) for pos, f in got] == [
+                (pos, type(f), f) for pos, f in expected]
+            assert {type(f) for _, f in got} == {kind}
+
+    def test_both_statement_shapes_are_drawn(self):
+        shapes = set()
+        for seed in range(20):
+            rng = random.Random(f"discount-report:{seed}")
+            shapes |= {len(p.terms) > 1
+                       for p in self.statements(rng, rng.randint(2, 7))}
+        assert shapes == {False, True}
