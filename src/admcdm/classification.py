@@ -69,14 +69,15 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
-from math import comb, perm
+from math import comb, isqrt, perm, prod
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
-from .linalg import null_vector
+from .linalg import det_coefficients, null_vector
 from .model import (
     InequalityPreference,
     MonomialPreference,
     Problem,
+    row_at,
     statement_rows,
     unit_rows,
 )
@@ -458,15 +459,56 @@ _SOLVED = ClassificationReport(
 )
 
 
+def _core_det(rows, core):
+    """(scale, c): the determinant of the statement rows at the positions
+    core is the sum of c[k] * alpha**k / scale, from the integer rows at
+    one alpha = 2**k by det_coefficients, under Hadamard's bound (a row
+    (s, L, B) has the squared norm L**2 + sum B**2)."""
+    rows = [rows[i] for i in core]
+    return prod(r[1] for r in rows), det_coefficients(
+        lambda x: [row_at(r, x, 1) for r in rows],
+        isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows)))
+
+
+def _exact_test(problem: Problem, rows):
+    """(v, det, line) for statement_rows' rows: v solves every statement
+    as written (None when only 0 does), det is _core_det's f when computed,
+    and line is (v, 1), the core's null line at alpha = 1, when a
+    statement outside the core misses it.
+
+    With every multiplier 1 and n core rows, f comes first: those rows at
+    alpha = 1 are the statements as written, so f(1) != 0 makes the set
+    inconsistent. Otherwise the core rows alone are eliminated at 1. If
+    their null space is a line spanned by v, the set is consistent exactly
+    when each other row vanishes on v, and the whole system then has that
+    line and its free column, so the same normalized vector. Without other
+    rows the core is the system. Every other case eliminates all m rows."""
+    b, n = problem.binding, len(rows[0][2])
+    core, det = b.core_mask, None
+    if len(core) == n and all(c == 1 for c in b.multipliers):
+        det = _core_det(rows, core)
+        if sum(det[1]):  # f(1) != 0
+            return None, det, None
+        v, free = null_vector([row_at(rows[i], 1, 1) for i in core])
+        extras = [r for i, r in enumerate(rows) if i not in core]
+        if free == 1 or not extras:
+            if all(scale * v[s] == sum(a * x for a, x in zip(terms, v) if a)
+                   for s, scale, terms in extras):
+                return v, det, None
+            return None, det, (v, 1)
+    try:
+        v, _ = null_vector(unit_rows(problem, rows))
+    except FullRank:
+        v = None
+    return v, det, None
+
+
 def classify(problem: Problem) -> ClassificationReport:
     # refuses what the search cannot classify
     statements = _statements(problem)
-    # the exact test is the elimination that yields the solution, as in
-    # priority(); its secondary variables are positive
-    try:
-        v, _ = null_vector(unit_rows(problem, statement_rows(problem)))
-    except FullRank:
-        v = None
+    # priority()'s exact test; a vector solving the set has positive
+    # secondary variables
+    v = _exact_test(problem, statement_rows(problem))[0]
     det_ok = v is not None
     if det_ok and min(v) > 0:
         return _SOLVED

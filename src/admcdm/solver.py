@@ -6,27 +6,34 @@ at alpha = p / q is q * L * e_s - p * B (model.statement_rows); every exact
 stage runs on these ints. The core determinant f, an integer polynomial
 in alpha, comes first when every multiplier is 1 and the core has n rows:
 those rows at alpha = 1 are the statements as written, so f(1) != 0 means
-inconsistent statements. Otherwise the rows as written are eliminated
-once: rank below n means consistent statements, discount 1 and, from the
-same elimination, the priority vector. An inconsistent set has a
-positive root of f fix the parameter, and the core's null vector v there
-gives the priority vector. A preference outside the core gets its own
-parameter beta = L * v_s / (B . v), at which every auxiliary determinant
-its row forms with core rows vanishes. The consistency degree is
-min(alpha, 1/alpha). Fractions are built only for reported values:
-alpha, the betas and the vector. The integer coefficients of f go to
-root isolation as they are; f as a Fraction Poly is built only for
-parametric_equation and for the NoPositiveRoot message. An irrational
-alpha is a float, and so are the core rows at it.
+inconsistent statements. When f(1) = 0 the core rows alone are
+eliminated at 1; a null line v there decides the set by one dot product
+per other row. If every one vanishes on v, the set is consistent:
+discount 1 and the vector v. If not, the root 1 is chosen and v fixes the
+other parameters. In every other case the rows as written are eliminated
+once (classification._exact_test, which classify() shares). An
+inconsistent set has a positive root of f fix the parameter, and the
+core's null vector v there gives the priority vector. A preference
+outside the core gets its own parameter beta = L * v_s / (B . v), at
+which every auxiliary determinant its row forms with core rows vanishes.
+The consistency degree is min(alpha, 1/alpha). Fractions are built only
+for reported values: alpha, the betas and the vector. The integer
+coefficients of f go to root isolation as they are; f as a Fraction Poly
+is built only for parametric_equation and for the NoPositiveRoot
+message. An irrational alpha is a float, and so are the core rows at it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, prod
 
-from .classification import ClassificationReport, _classify_solved
+from .classification import (
+    ClassificationReport,
+    _classify_solved,
+    _core_det,
+    _exact_test,
+)
 from .errors import (
     DegenerateCore,
     FullRank,
@@ -37,7 +44,6 @@ from .errors import (
 from .linalg import (  # CONSISTENT_DET_TOL is re-exported
     CONSISTENT_DET_TOL,
     PolyMatrix,
-    det_coefficients,
     det_poly,
     null_vector,
     positive,
@@ -49,7 +55,6 @@ from .model import (
     Problem,
     row_at,
     statement_rows,
-    unit_rows,
 )
 from .polynomial import Poly, integer_positive_roots, poly
 from .scalars import PriorityVector, Record, Scalar, integer_row, normalize
@@ -102,17 +107,6 @@ def parameterize(problem: Problem) -> ParamSystem:
     return ParamSystem(statement_rows(problem), problem.binding)
 
 
-def _core_det(ps: ParamSystem):
-    """(scale, c): the core determinant is the sum of c[k] * alpha**k /
-    scale, from the integer core rows at one alpha = 2**k by
-    det_coefficients, under Hadamard's bound (a row (s, L, B) has the
-    squared norm L**2 + sum B**2)."""
-    rows = [ps.rows[i] for i in ps.binding.core_mask]
-    return prod(r[1] for r in rows), det_coefficients(
-        lambda x: [row_at(r, x, 1) for r in rows],
-        isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows)))
-
-
 def _core(ps: ParamSystem) -> tuple:
     """The core's positions; InvalidProblem unless it has n rows."""
     core, n = ps.binding.core_mask, len(ps.rows[0][2])
@@ -129,10 +123,10 @@ _DEGENERATE = ("core determinant vanishes identically; every parameter "
 
 def _equation(ps: ParamSystem, det=None):
     """The core determinant (scale, c), the sum of c[k] * alpha**k / scale:
-    det, or else _core_det(ps). Its roots are those of the integers c, so
+    det, or else _core_det. Its roots are those of the integers c, so
     the Fraction Poly is built only for a message."""
     _core(ps)
-    scale, cs = det or _core_det(ps)
+    scale, cs = det or _core_det(ps.rows, ps.binding.core_mask)
     if not cs:
         raise DegenerateCore(_DEGENERATE)
     return scale, cs
@@ -170,15 +164,16 @@ def _core_vector(ps: ParamSystem, alpha):
     return null_vector([row_at(r, p, q) for r in rows])
 
 
-def _solve_extras(ps: ParamSystem, alpha):
+def _solve_extras(ps: ParamSystem, alpha, line=None):
     """Each extra preference's own parameter beta, and the core's null
-    vector v at alpha it was read from (None without extra preferences)."""
+    vector v at alpha it was read from (None without extra preferences):
+    line, the (v, 1) _exact_test found at alpha = 1, or else computed."""
     core = set(ps.binding.core_mask)
     extras = [i for i in range(len(ps.rows)) if i not in core]
     if not extras:
         return (), None
     try:
-        v, free = _core_vector(ps, alpha)
+        v, free = line or _core_vector(ps, alpha)
     except FullRank:
         free = 0
     if free != 1:
@@ -209,10 +204,10 @@ def _check_threshold(threshold_c):
         raise InvalidProblem("threshold_c must lie in [0, 1]")
 
 
-def _solve(ps: ParamSystem, threshold_c, equation):
+def _solve(ps: ParamSystem, threshold_c, equation, line=None):
     """solve_alpha's result from the core's equation (scale, c), and the
     core's null vector at alpha when the extra preferences needed it (else
-    None)."""
+    None); line is _solve_extras', for a root alpha = 1."""
     scale, cs = equation
     roots = tuple(integer_positive_roots(cs))
     if not roots:
@@ -220,7 +215,7 @@ def _solve(ps: ParamSystem, threshold_c, equation):
         raise NoPositiveRoot(
             f"parametric equation {equation} has no positive root")
     alpha = _choose_root(roots)
-    extras, v = _solve_extras(ps, alpha)
+    extras, v = _solve_extras(ps, alpha, line)
     c = _consistency_of(alpha)
     # positional: a keyword construction costs a Record about 2 us more
     return AlphaSolution(
@@ -241,32 +236,22 @@ def priority(problem: Problem, threshold_c: Scalar = 0):
     The solution is discharged when its consistency falls below
     threshold_c, which must lie in [0, 1]; a consistent set never is.
 
-    With every multiplier 1 and a core of n statements, the core's
-    determinant f comes first: f(1) != 0 means the core rows as written
-    are independent, so the statements are inconsistent. Otherwise the
-    rows as written are eliminated, and f, if computed, is kept for the
-    parametric solve."""
+    The consistency test is _exact_test's: core first, and the core's
+    determinant f, when computed, is kept for the parametric solve. When
+    f(1) = 0 and a statement outside the core missed the core's null
+    line at 1, that root 1 is chosen and the line fixes the extra
+    parameters without a second elimination."""
     _check_threshold(threshold_c)
     rows = statement_rows(problem)
-    ps = ParamSystem(rows, problem.binding)
-    b, det = problem.binding, None
-    if len(b.core_mask) == len(rows[0][2]) and all(
-            c == 1 for c in b.multipliers):
-        det = _core_det(ps)
-    if det and sum(det[1]):  # f(1) != 0
-        v = None
-    else:  # the consistency test is the elimination that yields the vector
-        try:
-            v, _ = null_vector(unit_rows(problem, rows))
-        except FullRank:
-            v = None
+    v, det, line = _exact_test(problem, rows)
     consistent = v is not None
     if consistent:
         solution = _CONSISTENT
     else:
         # the extra rows hold at their parameters, so the core's null
         # space is the whole system's
-        solution, v = _solve(ps, threshold_c, _equation(ps, det=det))
+        ps = ParamSystem(rows, problem.binding)
+        solution, v = _solve(ps, threshold_c, _equation(ps, det), line)
         if v is None:  # no extra preference eliminated the core yet
             v, _ = _core_vector(ps, solution.alpha)
     pv = normalize(positive(v))
@@ -280,14 +265,27 @@ def discount_report(problem: Problem, pv: PriorityVector):
 
     For statement subject = sum of a_j * x_j the report carries the factor f
     with pv[subject] = f * sum of a_j * pv[j]; for a one-term statement this
-    is (pv_i / pv_j) / k, the realized ratio against the stated one.
+    is (pv_i / pv_j) / k, the realized ratio against the stated one. With no
+    float in pv, f is one Fraction(num, den) from integers: the sum is kept
+    over a common denominator, so a statement costs one gcd.
     """
     out = []
     # a Fraction times a float is float(a) * x; stated so, the term skips
     # Fraction's operator fallback
     floats = all(isinstance(x, float) for x in pv)
+    ints = None if any(isinstance(x, float) for x in pv) else [
+        (x.numerator, x.denominator) for x in pv]
     for pos, pref in enumerate(problem.preferences):
         if isinstance(pref, (InequalityPreference, MonomialPreference)):
+            continue
+        if ints:
+            num, den = 0, 1
+            for j, a in pref.terms:
+                n, d = ints[j]
+                n, d = a.numerator * n, a.denominator * d
+                num, den = num * d + n * den, den * d
+            n, d = ints[pref.subject]
+            out.append((pos, Fraction(n * den, d * num)))
             continue
         if floats:
             stated = sum(float(a) * pv[j] for j, a in pref.terms)

@@ -9,7 +9,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from admcdm import linalg, solver
+from admcdm import classification, linalg, solver
 from admcdm.ahp import ahp_priority, build_ahp_matrix
 from admcdm.errors import (EngineError, FullRank, NonPositiveComponent,
                            NotSquare)
@@ -312,8 +312,8 @@ class TestDetCoefficients:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Every det_coefficients call of solver, ahp and det_poly, as the
-        pair (rows_at, coefficients)."""
+        """Every det_coefficients call of the core determinant, ahp and
+        det_poly, as the pair (rows_at, coefficients)."""
         seen = []
 
         def recorded(rows_at, bound):
@@ -322,7 +322,7 @@ class TestDetCoefficients:
             return got
 
         monkeypatch.setattr(linalg, "det_coefficients", recorded)
-        monkeypatch.setattr(solver, "det_coefficients", recorded)
+        monkeypatch.setattr(classification, "det_coefficients", recorded)
         return seen
 
     def test_cores_match_the_reference(self, calls):

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from admcdm.classification import _exact_test
 from admcdm.errors import (
     DegenerateCore,
     EngineError,
@@ -25,9 +26,11 @@ from admcdm.linalg import det_numeric
 from admcdm.model import (
     CriteriaSet,
     LinearPreference,
+    ParamBinding,
     Problem,
     canonicalize,
     make_cyclic_example,
+    statement_rows,
 )
 from admcdm.parser import parse_problem
 from admcdm.polynomial import peval, positive_roots
@@ -602,19 +605,22 @@ NUMERIC_ENTRY_POINTS = ("det_numeric", "rank", "general_solution",
 def eliminations(monkeypatch):
     """Counts the numeric systems eliminated: outermost calls of linalg's
     numeric entry points, patched wherever they are imported (a call one
-    of them makes to another is the same elimination)."""
+    of them makes to another is the same elimination); "rows" lists each
+    one's row count."""
     classify_module = importlib.import_module("admcdm.classification")
     from admcdm import linalg, solver
 
     originals = {name: getattr(linalg, name) for name in NUMERIC_ENTRY_POINTS}
-    count = {"calls": 0, "depth": 0}
+    count = {"calls": 0, "depth": 0, "rows": []}
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            count["calls"] += count["depth"] == 0
+        def wrapper(rows, *args, **kwargs):
+            if count["depth"] == 0:
+                count["calls"] += 1
+                count["rows"].append(len(rows))
             count["depth"] += 1
             try:
-                return fn(*args, **kwargs)
+                return fn(rows, *args, **kwargs)
             finally:
                 count["depth"] -= 1
         return wrapper
@@ -632,6 +638,41 @@ class TestEliminatedOnce:
         assert sol.alpha == 1
         assert eliminations["calls"] == 1
 
+    def test_consistent_pairwise_set_eliminates_only_its_core(
+            self, eliminations):
+        """The core's null line at alpha = 1 is checked against the 9
+        other statements by dot products: 6 rows are eliminated, not 15."""
+        pr = pairwise(6, 0, True)
+        assert len(pr.preferences) == 15
+        _, sol, _ = priority(pr)
+        assert sol.alpha == 1 and sol.extra_params == ()
+        assert eliminations["rows"] == [6]
+
+    def test_core_line_missed_by_an_extra_is_eliminated_once(
+            self, eliminations):
+        """The core triangle agrees, the statements outside it do not: the
+        core's null line at alpha = 1 decides the set and fixes the extra
+        parameters, so the core at the chosen root 1 is not eliminated
+        again."""
+        pr = pairwise(5, 0, False)
+        _, sol, _ = priority(pr)
+        assert sol.alpha == 1 and any(b != 1 for _, b in sol.extra_params)
+        assert eliminations["rows"] == [5]
+
+    def test_core_plane_at_one_with_extras_eliminates_the_rows_as_written(
+            self, eliminations):
+        """f = (1 - alpha**2)**2: at alpha = 1 the core's 4 rows have a
+        null plane, which no check against the extra statement can settle,
+        so the 5 rows as written are eliminated after them."""
+        pr = parse_problem(
+            "criteria: x y z w\npref: x = 1 y\npref: y = 1 x\n"
+            "pref: z = 1 w\npref: w = 1 z\npref: x = 2 z\n")
+        pv, sol, _ = priority(pr)
+        assert sol.alpha == 1 and sol.extra_params == ()
+        assert pv == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 6),
+                      Fraction(1, 6))
+        assert eliminations["rows"] == [4, 5]
+
     @pytest.mark.parametrize("make", [
         lambda: load("ex10.admp"),
         lambda: pairwise(5, 1, False),
@@ -647,14 +688,12 @@ class TestEliminatedOnce:
         assert eliminations["calls"] == 1
 
     @pytest.mark.parametrize("make", [
-        lambda: pairwise(5, 0, False),
         lambda: load("ex9_expert.admp"),
-    ], ids=["consistent-core", "bind"])
+    ], ids=["bind"])
     def test_undecided_inconsistent_set_is_eliminated_twice(
             self, eliminations, make):
-        """A core consistent at alpha = 1 (its triangle agrees, the extra
-        statements do not), or a bind line, leaves the consistency to the
-        rows as written; then the core at alpha gives the vector."""
+        """A bind line leaves the consistency to the rows as written; then
+        the core at alpha gives the vector."""
         pr = make()
         _, sol, _ = priority(pr)
         # inconsistent: discounted, or held only by extra parameters
@@ -692,6 +731,9 @@ class TestConsistencyFromTheCore:
 
     def assert_consistent_iff_rank_deficient(self, pr):
         consistent = sympy_rank_as_written(pr) < pr.criteria.n
+        # classify() takes the same test
+        v = _exact_test(pr, statement_rows(pr))[0]
+        assert (v is not None) == consistent
         try:
             _, sol, _ = priority(pr)
         except EngineError:
@@ -805,6 +847,121 @@ class TestConsistencyFromTheCore:
         with pytest.raises(DegenerateCore):
             priority(inconsistent)
 
+    @staticmethod
+    def planted(rng, w, subject, factor=1):
+        """x_subject = the sum of a_j * x_j over one or two other
+        criteria, which w solves; factor scales the coefficients."""
+        others = [j for j in range(len(w)) if j != subject]
+        terms = sorted(rng.sample(others, rng.randint(1, 2)))
+        c = {j: Fraction(rng.randint(1, 5)) for j in terms}
+        total = sum(c[j] * w[j] for j in terms)
+        return LinearPreference(subject, tuple(
+            (j, factor * c[j] * w[subject] / total) for j in terms))
+
+    def generated(self, rng, family):
+        """A set of the family, planted on a positive integer vector, its
+        last statement bent in about half of them."""
+        n = 4 if family == "plane" else rng.randint(3, 5)
+        w = [rng.randint(1, 9) for _ in range(n)]
+        if family == "plane":  # x_a = k x_b and back, for two pairs
+            a, b, c, d = rng.sample(range(n), 4)
+            prefs = [LinearPreference(i, ((j, Fraction(w[i], w[j])),))
+                     for i, j in ((a, b), (b, a), (c, d), (d, c))]
+        else:
+            prefs = [self.planted(rng, w, rng.randrange(n))
+                     for _ in range(n - (family == "zero"))]
+        if family == "zero":  # a repeated core statement: f = 0
+            prefs.insert(rng.randrange(n), rng.choice(prefs))
+        if family != "square":
+            prefs += [self.planted(rng, w, rng.randrange(n))
+                      for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            prefs[-1] = self.planted(rng, w, prefs[-1].subject,
+                                     rng.choice((2, Fraction(1, 3))))
+        binding = None
+        if family == "square":
+            core = list(range(n))
+            while core == sorted(core):
+                rng.shuffle(core)
+            binding = ParamBinding((Fraction(1),) * n, tuple(core))
+        elif family == "bind":
+            binding = ParamBinding(
+                tuple(rng.choice((Fraction(1, 2), 2, 3)) if i < n else 1
+                      for i in range(len(prefs))), tuple(range(n)))
+        names = tuple(f"C{i}" for i in range(n))
+        return Problem(CriteriaSet(names), tuple(prefs), binding)
+
+    @staticmethod
+    def path(pr):
+        """The path of the core-first test, read off sympy's matrices of
+        the statements as written."""
+        import sympy
+
+        n, b = pr.criteria.n, pr.binding
+        if any(c != 1 for c in b.multipliers):
+            return "bind"
+        core, row = sympy_core(pr, 1)
+        if core.det() != 0:
+            return "f(1) != 0"
+        # f has degree at most n: n + 1 zeros make it vanish identically
+        zero = all(sympy_core(pr, k)[0].det() == 0 for k in range(2, n + 3))
+        extras = [sympy.Matrix([row(i, 1)])
+                  for i in range(len(pr.preferences))
+                  if i not in b.core_mask]
+        null = core.nullspace()
+        if len(null) > 1:
+            return "plane" if extras else "square"
+        held = all(e.dot(null[0]) == 0 for e in extras)
+        if not extras:
+            return "square"
+        return ("f = 0, " if zero else "line, ") + (
+            "held" if held else "missed")
+
+    def test_generated_sets_reach_every_path(self):
+        """Planted sets for each path of the test: a core null line that
+        every other statement vanishes on or one misses, a null plane at 1
+        with other statements, f = 0 held and missed (DegenerateCore), a
+        square set with its core listed in another order, and bind sets.
+        The verdict is sympy's rank; where a statement misses the line,
+        the betas are those of the core eliminated afresh at 1. A null
+        space wider than a line may leave no positive vector with its free
+        variables at 1, and NonPositiveComponent refuses the set whatever
+        the verdict (ROADMAP item 9)."""
+        pytest.importorskip("sympy")
+        rng = random.Random("core-first")
+        seen = {}
+        for family in ("line", "plane", "zero", "square", "bind"):
+            for _ in range(14):
+                pr = self.generated(rng, family)
+                path = self.path(pr)
+                consistent = sympy_rank_as_written(pr) < pr.criteria.n
+                v = _exact_test(pr, statement_rows(pr))[0]
+                assert (v is not None) == consistent
+                seen.setdefault((family, path), set()).add(consistent)
+                try:
+                    _, sol, _ = priority(pr)
+                except NonPositiveComponent:
+                    continue
+                except EngineError as e:
+                    assert not consistent
+                    if path == "f = 0, missed":
+                        assert isinstance(e, DegenerateCore)
+                    continue
+                assert (sol.alpha == 1 and not sol.extra_params) == consistent
+                if path == "line, missed":
+                    assert sol.alpha == 1
+                    assert sol.extra_params == _solve_extras(
+                        parameterize(pr), Fraction(1))[0]
+        paths = {path for _, path in seen}
+        assert paths >= {"line, held", "line, missed", "f = 0, held",
+                         "f = 0, missed"}, seen
+        for family in ("plane", "square", "bind"):
+            verdicts = set().union(*(got for (fam, path), got in seen.items()
+                                     if fam == family))
+            assert verdicts == {True, False}, (family, seen)
+        assert seen[("plane", "plane")] == {True, False}
+        assert seen[("zero", "f = 0, missed")] == {False}
+
 
 PLANTED_N7_S5 = """criteria: C0 C1 C2 C3 C4 C5 C6
 pref: C0 = 3/14 C6
@@ -902,11 +1059,36 @@ class TestIntegerPath:
                       0.1336948094215351, 0.29803769821387494)
 
 
+def reference_discounts(problem, pv):
+    """discount_report's factors by Fraction's operators, the reference
+    for its integer path: pv[s] / sum(a * pv[j]), each term of an all-float
+    vector as float(a) * x."""
+    floats = all(isinstance(x, float) for x in pv)
+    out = []
+    for pos, pref in enumerate(problem.preferences):
+        if not isinstance(pref, LinearPreference):
+            continue
+        if floats:
+            stated = sum(float(a) * pv[j] for j, a in pref.terms)
+        else:
+            stated = sum(a * pv[j] for j, a in pref.terms)
+        out.append((pos, pv[pref.subject] / stated))
+    return tuple(out)
+
+
+def assert_same_factors(got, want):
+    """Equal positions, types and values; floats bit for bit."""
+    def key(factors):
+        return [(pos, type(f), f.hex() if isinstance(f, float) else f)
+                for pos, f in factors]
+    assert key(got) == key(want)
+
+
 class TestDiscountReport:
     """A float vector's terms are computed as float(a) * x, which is what
-    Fraction's operator gives a float operand; an exact vector keeps
-    Fraction arithmetic. Either way the factors equal, value and type, the
-    plain expression pv[s] / sum(a * pv[j])."""
+    Fraction's operator gives a float operand; a vector with no float
+    gives each factor as one Fraction of integers. Either way the factors
+    equal, value and type, the plain expression pv[s] / sum(a * pv[j])."""
 
     @staticmethod
     def statements(rng, n):
@@ -945,6 +1127,52 @@ class TestDiscountReport:
             assert [(pos, type(f), f) for pos, f in got] == [
                 (pos, type(f), f) for pos, f in expected]
             assert {type(f) for _, f in got} == {kind}
+
+    KINDS = {
+        "fraction": lambda rng: Fraction(rng.randint(1, 10**6),
+                                         rng.randint(1, 10**6)),
+        "int": lambda rng: rng.randint(1, 50),
+        "float": lambda rng: rng.uniform(0.01, 10.0),
+    }
+
+    @pytest.mark.parametrize("kinds", [
+        ("fraction",), ("int",), ("float",), ("fraction", "int"),
+        ("fraction", "float"), ("int", "float"),
+        ("fraction", "int", "float"),
+    ], ids="+".join)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_factors_equal_the_reference(self, seed, kinds):
+        """Vectors of Fractions, ints, floats and every mix of them."""
+        rng = random.Random(f"discount-kinds:{seed}:{kinds}")
+        n = rng.randint(2, 7)
+        prefs = self.statements(rng, n)
+        problem = Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                          tuple(prefs))
+        pv = [self.KINDS[kinds[i % len(kinds)]](rng) for i in range(n)]
+        rng.shuffle(pv)
+        assert_same_factors(discount_report(problem, pv),
+                            reference_discounts(problem, pv))
+
+    def test_solved_vectors_equal_the_reference(self, corpus_files):
+        """The corpus and the benchmark's seed-1 sets, as priority() solves
+        them: exact and irrational vectors."""
+        from test_engine_golden import _workloads
+
+        workloads = _workloads()
+        texts = [case.text for name in ("pairwise", "linear")
+                 for case in getattr(workloads, name)(1)]
+        texts += [path.read_text(encoding="utf-8") for path in corpus_files]
+        kinds = set()
+        for text in texts:
+            try:
+                pr = parse_problem(text)
+                pv, _, _ = priority(pr)
+            except EngineError:
+                continue
+            kinds.add(type(pv[0]))
+            assert_same_factors(discount_report(pr, pv),
+                                reference_discounts(pr, pv))
+        assert kinds == {Fraction, float}
 
     def test_both_statement_shapes_are_drawn(self):
         shapes = set()
