@@ -43,18 +43,23 @@ an edge that closes a cycle against its trail, and does not enter a node
 past which it could neither close a cycle at its start nor reach a
 greater node. Each criterion pair is read in one pass: its strongest rule
 is the rule of its smallest and largest derived ratio, by cross
-products, and only while fewer than _WITNESS_CAP witnesses are held are
-its disagreeing derivations listed, each side of 1 computed once. Only
-the witnesses' relations become DerivedRelation objects, each built once
-at a constant cost. No search leaves a reference cycle, so reference
-counting frees a case's relations when it ends. Classifying R relations
-therefore costs O(R) beyond the witness search.
+products. The witnesses are listed on the report's first read of them:
+the report keeps the derivations of the pairs whose rule fired and the
+self-relations whose ratio is not 1, and lists their disagreements, each
+side of 1 computed once, until _WITNESS_CAP witnesses are held. A caller
+that reads only the label, the rule or the flags lists none. Only the
+witnesses' relations become DerivedRelation objects, each built once at
+a constant cost. No search leaves a reference cycle, so reference
+counting frees a case's relations when its report goes. Classifying R
+relations therefore costs O(R); a first read of the witnesses adds
+their listing.
 
 A full pairwise set (one single-term statement per pair) is derived pair
-by pair in the report's order and stops once SD4 has fired and
-_WITNESS_CAP witnesses are held: nothing later can change the report (at
-n = 6, after about 200 of 1,172 relations). How many relations the full
-search holds when each start's walk ends has a closed form, so a set
+by pair in the report's order and stops once SD4 has fired and its
+pairs hold _WITNESS_CAP witnesses, counted from each pair's groups of
+equal ratio without listing them: nothing later can change the report
+(at n = 6, after about 200 of 1,172 relations). How many relations the
+full search holds when each start's walk ends has a closed form, so a set
 whose search passes _RELATION_CAP is read only from the pairs whose walk
 ends below the cap, and settles there with a truncated report (at n = 7
 the pairs of C0 and C1, whose walks end at 2,946 and 4,731 of 8,018
@@ -66,10 +71,10 @@ shape take the full search.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import Enum
 from fractions import Fraction
-from math import comb, isqrt, perm, prod
+from math import comb, gcd, isqrt, perm, prod
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
 from .linalg import det_coefficients, null_vector
@@ -117,13 +122,39 @@ class DerivedRelation(Record):
 
 
 class ClassificationReport(Record):
-    """A label and the witnesses and rule behind it."""
+    """A label and the witnesses and rule behind it.
+
+    classify() lists the witnesses on their first read, from the
+    derivations its search kept, and stores the tuple: equality, hashing,
+    repr, pickling and copying read it first, so a report compares and
+    copies as one built with its witnesses."""
 
     label: Label
     witnesses: tuple       # (rule, relation, other relation or None)
     rule_fired: str        # strongest rule observed, or "" when consistent
     det_agrees: bool
     depth_exceeded: bool   # derivation stopped at _RELATION_CAP relations
+
+    def __getattr__(self, name):
+        # only a report whose witnesses are not listed yet lacks a field
+        d = self.__dict__
+        if name != "witnesses" or "_pending" not in d:
+            raise AttributeError(
+                f"{type(self).__qualname__!r} object has no attribute "
+                f"{name!r}")
+        d["witnesses"] = witnesses = _listed(*d["_pending"])
+        del d["_pending"]  # frees the search's derivations
+        return witnesses
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self):
+        self.witnesses  # listed on first read
+        return super().__repr__()
+
+    def __getstate__(self):
+        return dict(zip(self._fields, self._values()))
 
 
 class _Settled(Exception):
@@ -296,14 +327,11 @@ _RULE = {(-1, 1): "SD4", (0, 1): "WD1", (1, 1): "WD1",
 _RANK = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
 
 
-def _pair(oriented, witnesses) -> str:
+def _pair(oriented) -> str:
     """The strongest rule among one pair's derivations (p, q, relation),
     the rule of the smallest and the largest ratio, found in one pass of
     cross products: some two ratios differ exactly when these do, and they
-    carry the lowest and the highest side of 1. While witnesses holds fewer
-    than _WITNESS_CAP, the witness (rule, relation, relation) of each two
-    disagreeing derivations follows, in derivation order, the lower side
-    of 1 first; each derivation's DerivedRelation is built once."""
+    carry the lowest and the highest side of 1."""
     lp, lq, _ = oriented[0]
     hp, hq = lp, lq
     for p, q, _ in oriented:
@@ -313,9 +341,14 @@ def _pair(oriented, witnesses) -> str:
             hp, hq = p, q
     if lp * hq == hp * lq:
         return ""
-    rule = _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
-    if len(witnesses) >= _WITNESS_CAP:
-        return rule
+    return _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
+
+
+def _list(oriented, witnesses):
+    """Append to witnesses, while it holds fewer than _WITNESS_CAP, the
+    witness (rule, relation, relation) of each two disagreeing derivations
+    of one pair, in derivation order, the lower side of 1 first; each
+    derivation's DerivedRelation is built once."""
     sides = [(p > q) - (p < q) for p, q, _ in oriented]
     built = [None] * len(oriented)
     for x, (p1, q1, _) in enumerate(oriented):
@@ -330,43 +363,67 @@ def _pair(oriented, witnesses) -> str:
                     built[z] = DerivedRelation(i, j, Fraction(p, q), trail)
             witnesses.append((_RULE[sides[a], sides[b]], built[a], built[b]))
             if len(witnesses) >= _WITNESS_CAP:
-                return rule
-    return rule
+                return
+
+
+def _count(oriented) -> int:
+    """How many witnesses _list finds in one pair with room for all: the
+    C(d, 2) two derivations of d, less C(m, 2) for each m of one reduced
+    ratio."""
+    d = len(oriented)
+    groups = Counter([(p // g, q // g) for p, q, _ in oriented
+                      for g in (gcd(p, q),)])
+    return (d * (d - 1) - sum(m * (m - 1) for m in groups.values())) // 2
+
+
+def _listed(fired, selves) -> tuple:
+    """The witnesses of the pairs fired (their oriented derivations) and
+    of the self-relations selves, in that order, up to _WITNESS_CAP."""
+    witnesses = []
+    for oriented in fired:
+        if len(witnesses) >= _WITNESS_CAP:
+            break
+        _list(oriented, witnesses)
+    for i, j, p, q, trail in selves[:_WITNESS_CAP - len(witnesses)]:
+        witnesses.append(
+            ("WD3", DerivedRelation(i, j, Fraction(p, q), trail), None))
+    return tuple(witnesses)
 
 
 def _report(relations, truncated: bool, det_ok: bool, strongest="",
-            witnesses=()) -> ClassificationReport:
+            fired=()) -> ClassificationReport:
     """The report on _search's relations, after the rule strongest and the
-    witnesses of pairs read before them. Each pair's ratios are oriented
-    from its smaller criterion, so a relation (j, i, p, q) reads q / p."""
+    pairs fired before them. Each pair's ratios are oriented from its
+    smaller criterion, so a relation (j, i, p, q) reads q / p."""
     pairs = defaultdict(list)
     selves = []
     for r in relations:
         i, j, p, q, _ = r
         if i == j:
-            selves.append(r)
+            if p != q:
+                selves.append(r)
         elif i < j:
             pairs[(i, j)].append((p, q, r))
         else:
             pairs[(j, i)].append((q, p, r))
 
-    witnesses = list(witnesses)
+    fired = list(fired)
     for _, oriented in sorted(pairs.items()):
-        rule = _pair(oriented, witnesses)
-        if _RANK[rule] > _RANK[strongest]:
-            strongest = rule
-    for i, j, p, q, trail in selves:
-        if p != q:
-            strongest = strongest or "WD3"  # the weakest rule
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(("WD3", DerivedRelation(
-                    i, j, Fraction(p, q), trail), None))
-    return _finish(strongest, witnesses, truncated, det_ok)
+        rule = _pair(oriented)
+        if rule:
+            fired.append(oriented)
+            if _RANK[rule] > _RANK[strongest]:
+                strongest = rule
+    if selves:
+        strongest = strongest or "WD3"  # the weakest rule
+    return _finish(strongest, fired, selves, truncated, det_ok)
 
 
-def _finish(strongest, witnesses, truncated, det_ok) -> ClassificationReport:
-    """The report with the rule strongest and the witnesses as built, on a
-    search that was truncated or not."""
+def _finish(strongest, fired, selves, truncated,
+            det_ok) -> ClassificationReport:
+    """The report with the rule strongest, whose witnesses _listed finds
+    in fired and selves on first read, on a search that was truncated or
+    not."""
     # the search finds the set consistent when no rule fired and nothing was
     # left unexplored; a capped search, or one the exact test contradicts,
     # is labelled WeakInconsistent conservatively
@@ -378,8 +435,12 @@ def _finish(strongest, witnesses, truncated, det_ok) -> ClassificationReport:
     else:
         label = Label.WEAK_INCONSISTENT
 
-    return ClassificationReport(label, tuple(witnesses), strongest,
-                                found_consistent == det_ok, truncated)
+    report = ClassificationReport.__new__(ClassificationReport)
+    report.__dict__.update(label=label, rule_fired=strongest,
+                           det_agrees=found_consistent == det_ok,
+                           depth_exceeded=truncated,
+                           _pending=(fired, selves))
+    return report
 
 
 def _complete_count(n: int):
@@ -404,8 +465,9 @@ def _settled(n: int, edges, det_ok: bool):
     """_report on the full search of a set with one single-term statement
     per criterion pair, read from its pairs in the report's order, each
     with its statement, then the paths walk(i) finds to j, and then from
-    the simple cycles in the search's order. Once SD4 has fired and
-    _WITNESS_CAP witnesses are held, nothing later changes the report.
+    the simple cycles in the search's order. Once SD4 has fired and the
+    pairs read hold _WITNESS_CAP witnesses, by _count, nothing later
+    changes the report.
 
     A search past _RELATION_CAP holds every relation of pair (i, j) while
     the walk from i ends below the cap (_complete_count), so such a set is
@@ -422,7 +484,7 @@ def _settled(n: int, edges, det_ok: bool):
             or comb(n, 2) * comb(paths, 2) < _WITNESS_CAP):
         return None
     adjacency = _adjacency(edges)
-    strongest, witnesses = "", []
+    strongest, fired, held = "", [], 0
     for (i, j), (a, b, p, q, pos) in sorted(stated.items()):
         if ends[i] >= _RELATION_CAP:
             return None
@@ -430,16 +492,21 @@ def _settled(n: int, edges, det_ok: bool):
         oriented = [(p, q, edge) if a < b else (q, p, edge)]
         _walk(adjacency, [(i, (j,))],
               lambda *r: oriented.append((r[2], r[3], r)))
-        rule = _pair(oriented, witnesses)
+        rule = _pair(oriented)
+        if not rule:
+            continue
+        fired.append(oriented)
         if _RANK[rule] > _RANK[strongest]:
             strongest = rule
-        if strongest == "SD4" and len(witnesses) >= _WITNESS_CAP:
-            return _finish(strongest, witnesses, truncated, det_ok)
+        if held < _WITNESS_CAP:
+            held += _count(oriented)
+        if strongest == "SD4" and held >= _WITNESS_CAP:
+            return _finish(strongest, fired, [], truncated, det_ok)
     # every walk ended below the cap: the search was not truncated
     cycles = {}  # each is walked both ways; the search keeps the first
     _walk(adjacency, [(start, ()) for start in range(n)], None,
           lambda *r: cycles.setdefault(frozenset(r[4]), r))
-    return _report(cycles.values(), False, det_ok, strongest, witnesses)
+    return _report(cycles.values(), False, det_ok, strongest, fired)
 
 
 def _searched(n: int, statements, det_ok: bool):
@@ -473,8 +540,9 @@ def _core_det(rows, core):
 def _exact_test(problem: Problem, rows):
     """(v, det, line) for statement_rows' rows: v solves every statement
     as written (None when only 0 does), det is _core_det's f when computed,
-    and line is (v, 1), the core's null line at alpha = 1, when a
-    statement outside the core misses it.
+    and line is (v, free), the core's null vector at alpha = 1 and its
+    count of free variables, when f(1) = 0 and the set is inconsistent.
+    f(1) = 0 makes 1 the root chosen, so line is the core at that root.
 
     With every multiplier 1 and n core rows, f comes first: those rows at
     alpha = 1 are the statements as written, so f(1) != 0 makes the set
@@ -484,22 +552,23 @@ def _exact_test(problem: Problem, rows):
     line and its free column, so the same normalized vector. Without other
     rows the core is the system. Every other case eliminates all m rows."""
     b, n = problem.binding, len(rows[0][2])
-    core, det = b.core_mask, None
+    core, det, line = b.core_mask, None, None
     if len(core) == n and all(c == 1 for c in b.multipliers):
         det = _core_det(rows, core)
         if sum(det[1]):  # f(1) != 0
             return None, det, None
         v, free = null_vector([row_at(rows[i], 1, 1) for i in core])
+        line = (v, free)
         extras = [r for i, r in enumerate(rows) if i not in core]
         if free == 1 or not extras:
             if all(scale * v[s] == sum(a * x for a, x in zip(terms, v) if a)
                    for s, scale, terms in extras):
                 return v, det, None
-            return None, det, (v, 1)
+            return None, det, line
     try:
         v, _ = null_vector(unit_rows(problem, rows))
     except FullRank:
-        v = None
+        return None, det, line
     return v, det, None
 
 

@@ -268,14 +268,20 @@ def general_solution(rows) -> GeneralSolution:
 
 def null_vector(rows):
     """(v, k): the solution of rows * x = 0 with its k secondary variables
-    at 1, or for exact rows, scaled to integers, at |d|, d the last Bareiss
-    pivot, so that v is integer; FullRank when only x = 0 solves it."""
+    at 1.0 for rows holding a float, or for exact rows, scaled to
+    integers, at |d|, d the last Bareiss pivot, so that v is integer;
+    FullRank when only x = 0 solves it."""
     n = len(rows[0])
-    if any(isinstance(e, float) for r in rows for e in r):
+    kinds = {type(e) for r in rows for e in r}
+    if any(issubclass(t, float) for t in kinds):
         gs = general_solution(rows)
         k = len(gs.secondary_vars)
-        return gs.vector([Fraction(1)] * k), k
-    mat = [integer_row(r)[0] for r in rows]
+        # 1.0: one Fraction among floats would send every later
+        # operation on the vector through Fraction's fallbacks
+        return gs.vector([1.0] * k), k
+    # rows of ints, as row_at gives, need no clearing
+    mat = ([list(r) for r in rows] if kinds == {int}
+           else [integer_row(r)[0] for r in rows])
     pivots, _ = _bareiss(mat, reduced=True)
     if len(pivots) == n:
         raise FullRank(

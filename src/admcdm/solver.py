@@ -10,7 +10,10 @@ inconsistent statements. When f(1) = 0 the core rows alone are
 eliminated at 1; a null line v there decides the set by one dot product
 per other row. If every one vanishes on v, the set is consistent:
 discount 1 and the vector v. If not, the root 1 is chosen and v fixes the
-other parameters. In every other case the rows as written are eliminated
+other parameters. A null plane at 1 with other rows has the rows as
+written eliminated too; if only 0 solves them, the root 1 is chosen and
+the plane leaves the other parameters unfixed (InconsistentExtraParams).
+In every other case the rows as written are eliminated
 once (classification._exact_test, which classify() shares). An
 inconsistent set has a positive root of f fix the parameter, and the
 core's null vector v there gives the priority vector. A preference
@@ -167,7 +170,8 @@ def _core_vector(ps: ParamSystem, alpha):
 def _solve_extras(ps: ParamSystem, alpha, line=None):
     """Each extra preference's own parameter beta, and the core's null
     vector v at alpha it was read from (None without extra preferences):
-    line, the (v, 1) _exact_test found at alpha = 1, or else computed."""
+    line, the (v, free) _exact_test found at alpha = 1, or else computed;
+    InconsistentExtraParams unless the core has one free variable."""
     core = set(ps.binding.core_mask)
     extras = [i for i in range(len(ps.rows)) if i not in core]
     if not extras:
@@ -238,9 +242,10 @@ def priority(problem: Problem, threshold_c: Scalar = 0):
 
     The consistency test is _exact_test's: core first, and the core's
     determinant f, when computed, is kept for the parametric solve. When
-    f(1) = 0 and a statement outside the core missed the core's null
-    line at 1, that root 1 is chosen and the line fixes the extra
-    parameters without a second elimination."""
+    f(1) = 0 and the set is inconsistent, that root 1 is chosen and the
+    core's elimination at 1 is reused: a null line fixes the extra
+    parameters, and a null plane raises InconsistentExtraParams, without
+    a second elimination."""
     _check_threshold(threshold_c)
     rows = statement_rows(problem)
     v, det, line = _exact_test(problem, rows)

@@ -1,9 +1,12 @@
 """Consistency classification: labels, witnesses, rule precedence, the
-determinant cross-check, the walk over a ratio multigraph, and a pipeline
-that leaves no reference cycle."""
+determinant cross-check, the walk over a ratio multigraph, witnesses
+listed on their first read, and a pipeline that leaves no reference
+cycle."""
 
+import copy
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -17,9 +20,15 @@ import pytest
 import admcdm.classification as classify_module
 from admcdm.classification import (
     _RELATION_CAP,
+    ClassificationReport,
     DerivedRelation,
     Label,
+    _complete_count,
+    _count,
     _derive,
+    _list,
+    _settled,
+    _statements,
     classify,
     derive_relations,
 )
@@ -41,11 +50,21 @@ from admcdm.parser import format_problem, parse_problem
 from admcdm.solver import discount_report, priority
 
 from classify_reference import reference_classify, reference_derive
-from conftest import load, pairwise
+from conftest import CORPUS, load, pairwise
 
 
 def problem(names, *prefs):
     return Problem(CriteriaSet(tuple(names.split())), tuple(prefs))
+
+
+# the last two statements force C0 = 0, so no positive vector spares the
+# search, and no two derivations disagree
+CONSERVATIVE = ("criteria: C0 C1 C2 C3 C4\n"
+                "pref: C0 = 2 C1\n"
+                "pref: C1 = 2 C2\n"
+                "pref: C0 = 4 C2\n"
+                "pref: C3 = 1 C4\n"
+                "pref: C3 = 1 C4 + 1 C0\n")
 
 
 class TestWorkedLabels:
@@ -282,16 +301,9 @@ class TestGuards:
             classify(pr)
 
     def test_truncated_search_stays_conservative(self, monkeypatch):
-        # the last two statements force C0 = 0, so no positive vector
-        # spares the search, and no two derivations disagree: the full
-        # search finds the set Consistent, one capped at the four
-        # statements' relations does not
-        pr = parse_problem("criteria: C0 C1 C2 C3 C4\n"
-                           "pref: C0 = 2 C1\n"
-                           "pref: C1 = 2 C2\n"
-                           "pref: C0 = 4 C2\n"
-                           "pref: C3 = 1 C4\n"
-                           "pref: C3 = 1 C4 + 1 C0\n")
+        # the full search finds CONSERVATIVE Consistent, one capped at
+        # the four statements' relations does not
+        pr = parse_problem(CONSERVATIVE)
         rep = classify(pr)
         assert rep.label is Label.CONSISTENT and not rep.depth_exceeded
         monkeypatch.setattr(classify_module, "_RELATION_CAP", 4)
@@ -465,9 +477,10 @@ class TestNoCyclicGarbage:
 
     @staticmethod
     def run(text):
-        """The pipeline on one text; the engine error it raised, if any."""
+        """The pipeline on one text, classify()'s report read and
+        priority()'s never read; the engine error it raised, if any."""
         pr = parse_problem(text)
-        classify(pr)
+        classify(pr).witnesses
         try:
             pv, _, _ = priority(pr)
         except EngineError as exc:
@@ -502,3 +515,158 @@ class TestNoCyclicGarbage:
         for text in self.panel():
             self.run(text)
         assert calls
+
+
+def counted_relations(monkeypatch):
+    """A list that gets one entry per DerivedRelation built from now on."""
+    built = []
+    real = classify_module.DerivedRelation
+    monkeypatch.setattr(classify_module, "DerivedRelation",
+                        lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def unread(report):
+    """Whether report's witnesses are still to be listed."""
+    return "witnesses" not in vars(report)
+
+
+class TestWitnessesListedOnRead:
+    """A report lists its witnesses on their first read. Until then it
+    holds the derivations of the pairs whose rule fired; read or not, it
+    compares, hashes, prints, pickles and copies as the report built with
+    its witnesses, and each read returns the one tuple."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: pairwise(6, 0, False),
+        lambda: parse_problem("criteria: C0 C1 C2 C3 C4\n" + "".join(
+            f"pref: C{i} = 2 C{(i + 1) % 5}\n" for i in range(5))),
+    ], ids=["pairwise-6", "cycle-5"])
+    def test_priority_builds_no_relation_until_read(self, make,
+                                                    monkeypatch):
+        pr = make()
+        built = counted_relations(monkeypatch)
+        report = priority(pr)[2]
+        assert report.label is Label.STRONG_INCONSISTENT
+        assert built == [] and unread(report)
+        witnesses = report.witnesses
+        assert built and witnesses == classify(pr).witnesses
+        assert witnesses == reference_classify(pr).witnesses
+
+    @staticmethod
+    def panel():
+        """The equivalence inputs: the linear corpus (ex2 holds WD3
+        self-relations from a multi-term substitution), pairwise sets
+        n = 3..6, multi-term, dense multi-term and float sets, a capped
+        n = 7 and a truncated n = 8 pairwise set."""
+        from test_classify_equivalence import (
+            dense_multi_term,
+            float_sets,
+            multi_term,
+        )
+
+        problems = [load(p.name) for p in sorted(CORPUS.glob("*.admp"))]
+        problems += [pairwise(n, seed, c) for n in range(3, 7)
+                     for seed in range(2) for c in (True, False)]
+        problems += [multi_term(4 + seed % 3, seed) for seed in range(12)]
+        problems += [dense_multi_term(1, 8, 5), *float_sets()]
+        problems += [pairwise(7, 0, False), pairwise(8, 0, False)]
+        return problems
+
+    def assert_alike(self, pr):
+        """An unread report and a read one, each operation on a fresh
+        unread report; the read report, or None for a refused set."""
+        try:
+            read = classify(pr)
+        except EngineError:
+            return None
+        witnesses = read.witnesses
+        assert read.witnesses is witnesses
+        whole = ClassificationReport(read.label, witnesses, read.rule_fired,
+                                     read.det_agrees, read.depth_exceeded)
+        assert read == whole and repr(read) == repr(whole)
+        assert pickle.dumps(read) == pickle.dumps(whole)
+        for op in (lambda r: r, hash, repr, pickle.dumps,
+                   lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                   copy.deepcopy, lambda r: r.witnesses):
+            fresh = classify(pr)
+            assert op(fresh) == op(whole)
+            assert fresh.witnesses == witnesses
+            assert fresh.witnesses is fresh.witnesses
+        assert pickle.loads(pickle.dumps(classify(pr))).witnesses == \
+            witnesses
+        return read
+
+    def test_read_and_unread_reports_are_alike(self):
+        reports = [self.assert_alike(pr) for pr in self.panel()]
+        reports = [r for r in reports if r is not None]
+        rules = {w[0] for r in reports for w in r.witnesses}
+        assert rules == {"SD4", "WD1", "WD2", "WD3"}
+        assert any(r.depth_exceeded and r.witnesses for r in reports)
+
+    def test_truncated_search_report_is_alike(self, monkeypatch):
+        # TestGuards' capped search: truncated, with no witness
+        pr = parse_problem(CONSERVATIVE)
+        monkeypatch.setattr(classify_module, "_RELATION_CAP", 4)
+        report = self.assert_alike(pr)
+        assert report.depth_exceeded and report.witnesses == ()
+
+    def test_only_a_deferred_field_is_listed(self):
+        report = classify(pairwise(5, 0, False))
+        with pytest.raises(AttributeError, match="no attribute 'other'"):
+            report.other
+        assert unread(report)
+        report.witnesses
+        with pytest.raises(AttributeError):
+            report._pending
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_settled_count_is_the_listed_length(self, n, monkeypatch):
+        """_settled stops on the witnesses _count finds, and the report
+        lists min(cap, that count); each pair's count is the length of
+        its full list, by cross products, where that list is small."""
+        counts = []
+        real = classify_module._count
+
+        def counting(oriented):
+            counts.append(real(oriented))
+            if len(oriented) <= 400:
+                everything = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(classify_module, "_WITNESS_CAP", 10**6)
+                    _list(oriented, everything)
+                assert counts[-1] == len(everything)
+            return counts[-1]
+
+        monkeypatch.setattr(classify_module, "_count", counting)
+        if n >= 8:  # read the first pairs of a set past the relation cap
+            monkeypatch.setattr(classify_module, "_RELATION_CAP", 10**9)
+        for seed in range(3 if n < 8 else 1):
+            counts.clear()
+            report = _settled(n, _statements(pairwise(n, seed, False))[0],
+                              False)
+            cap = classify_module._WITNESS_CAP
+            assert report.rule_fired == "SD4" and counts
+            assert len(report.witnesses) == min(cap, sum(counts)) == cap
+            # the count stops once it reaches the cap
+            assert sum(counts[:-1]) < cap
+
+    def test_count_is_the_brute_count(self):
+        """_count against a count over every two derivations, on the pairs
+        of C0 in K5 and K6 sets, where many derivations share a ratio."""
+        shared = 0
+        for n in (5, 6):
+            edges, _ = _statements(pairwise(n, 1, False))
+            adjacency = classify_module._adjacency(edges)
+            for j in range(1, n):
+                oriented = []
+                classify_module._walk(
+                    adjacency, [(0, (j,))],
+                    lambda *r: oriented.append((r[2], r[3], r)))
+                brute = sum(p1 * q2 != p2 * q1
+                            for x, (p1, q1, _) in enumerate(oriented)
+                            for p2, q2, _ in oriented[x + 1:])
+                assert _count(oriented) == brute
+                assert len(oriented) == _complete_count(n)[0] - 1
+                shared += brute < len(oriented) * (len(oriented) - 1) // 2
+        assert shared == 9

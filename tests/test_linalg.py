@@ -454,6 +454,14 @@ class TestGeneralSolution:
                     resid = sum(e * x for e, x in zip(row, v))
                     assert abs(float(resid)) <= 1e-9 * max(1.0, top)
 
+    def test_float_rows_give_a_float_vector(self):
+        """Every component of a float null vector is a float, the free
+        ones 1.0, so no later operation on it meets a Fraction."""
+        rows = [[1.0, -2.5, 0.0, 0.0], [0.0, 0.0, 1.0, -0.5]]
+        v, free = null_vector(rows)
+        assert free == 2 and v == [2.5, 1.0, 0.5, 1.0]
+        assert all(type(x) is float for x in v)
+
     def test_exact_input_gives_exact_solution(self):
         rows = [[Fraction(1), Fraction(-2), Fraction(0)],
                 [Fraction(0), Fraction(1), Fraction(-5)]]
@@ -625,6 +633,29 @@ class TestSympyOracle:
             assert all(isinstance(c, Fraction)
                        for _, coefs in gs.expressions for c in coefs)
         assert seen["deficient"] >= 30 and seen["full"] >= 10
+
+    def test_integer_rows_are_not_cleared(self, monkeypatch):
+        """Rows of ints, as row_at gives them, go to the elimination as
+        they are and are left unchanged: the vector is the one their
+        Fraction form gives."""
+        def uncleared(values):
+            raise AssertionError("an integer row was cleared")
+
+        for rows in self.cases():
+            ints = [linalg.integer_row(r)[0] for r in rows]
+            kept = [list(r) for r in ints]
+            fractions = [[Fraction(a) for a in r] for r in ints]
+            try:
+                want = null_vector(fractions)
+            except FullRank:
+                want = None
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "integer_row", uncleared)
+                try:
+                    got = null_vector(ints)
+                except FullRank:
+                    got = None
+            assert got == want and ints == kept
 
     def test_null_vector_is_integer_and_spans_the_null_space(self, sympy):
         """The vector solves every row in integers, and a one-dimensional

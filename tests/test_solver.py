@@ -673,6 +673,25 @@ class TestEliminatedOnce:
                       Fraction(1, 6))
         assert eliminations["rows"] == [4, 5]
 
+    def test_core_plane_at_one_missed_by_the_extras_is_not_eliminated_again(
+            self, eliminations):
+        """f = (1 - alpha**2)**2 again, but the extra statements y = 2 x
+        and w = 3 z miss the plane: the 6 rows as written have only the
+        zero solution, so the root 1 is chosen, and the core's plane at 1
+        from the consistency test leaves the extra parameters unfixed
+        without a third elimination."""
+        pr = parse_problem(
+            "criteria: x y z w\npref: x = 1 y\npref: y = 1 x\n"
+            "pref: z = 1 w\npref: w = 1 z\npref: y = 2 x\n"
+            "pref: w = 3 z\n")
+        with pytest.raises(InconsistentExtraParams,
+                           match="^the core needs exactly one null vector "
+                                 "at the chosen parameter to fix the "
+                                 "parameters of the remaining "
+                                 "preferences$"):
+            priority(pr)
+        assert eliminations["rows"] == [4, 6]
+
     @pytest.mark.parametrize("make", [
         lambda: load("ex10.admp"),
         lambda: pairwise(5, 1, False),
