@@ -30,7 +30,8 @@ anything.
 Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds memory and the
 time of the walk; it and the conservative label of a truncated search
-concern only sets without such a positive solution. The cap does not
+concern only sets without such a positive solution. Of these, a set of
+one-term statements is not searched (below). The cap does not
 bound the substitution's time: a multi-term statement tries every
 combination of derived relations for its terms, depth-first, and drops a
 partial combination at its first statement shared with the rest, so
@@ -54,27 +55,31 @@ counting frees a case's relations when its report goes. Classifying R
 relations therefore costs O(R); a first read of the witnesses adds
 their listing.
 
-A full pairwise set (one single-term statement per pair) is derived pair
-by pair in the report's order and stops once SD4 has fired and its
-pairs hold _WITNESS_CAP witnesses, counted from each pair's groups of
-equal ratio without listing them: nothing later can change the report
-(at n = 6, after about 200 of 1,172 relations). How many relations the
-full search holds when each start's walk ends has a closed form, so a set
-whose search passes _RELATION_CAP is read only from the pairs whose walk
-ends below the cap, and settles there with a truncated report (at n = 7
-the pairs of C0 and C1, whose walks end at 2,946 and 4,731 of 8,018
-relations). A set below the cap that never settles adds its simple
-cycles, walked only above their smallest node. A capped set that does
-not settle, a search of exactly _RELATION_CAP relations and every other
-shape take the full search.
+A set of one-term statements is not enumerated: the extremes of the
+ratio product over the simple paths joining a pair come from the
+recursion over (node set, end node) of Bellman (1962) and Held and Karp
+(1962), since a product of positive ratios is smallest, or largest, when
+each factor is. Each start's pairs are read when its recursion ends, none
+after SD4 fires, and its states count toward _RELATION_CAP: (n - 1) *
+2**(n - 2) per start of a complete set, 1,024 at n = 9. Past the cap the
+report is truncated and its label conservative. The witnesses are listed
+as the search with no cap lists them: the pairs whose rule fires, in the
+report's order, then the cycles through them, each walked within
+_RELATION_CAP derivations, so a pair whose derivations past the cap
+would add to its list is listed from the capped walk. The starts after
+the one where SD4 fired are taken then, within a cap each. A pair's walk
+ends once its first derivation disagrees with as many others as there
+is room for, and enters no node past which the pair's other end is cut
+off.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, isqrt, perm, prod
+from itertools import combinations
+from math import isqrt, prod
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
 from .linalg import det_coefficients, null_vector
@@ -124,16 +129,17 @@ class DerivedRelation(Record):
 class ClassificationReport(Record):
     """A label and the witnesses and rule behind it.
 
-    classify() lists the witnesses on their first read, from the
-    derivations its search kept, and stores the tuple: equality, hashing,
-    repr, pickling and copying read it first, so a report compares and
-    copies as one built with its witnesses."""
+    classify() lists the witnesses on their first read, by a callable its
+    search left, and stores the tuple: equality, hashing, repr, pickling
+    and copying read it first, so a report compares and copies as one
+    built with its witnesses."""
 
     label: Label
     witnesses: tuple       # (rule, relation, other relation or None)
     rule_fired: str        # strongest rule observed, or "" when consistent
     det_agrees: bool
-    depth_exceeded: bool   # derivation stopped at _RELATION_CAP relations
+    depth_exceeded: bool   # the search stopped at _RELATION_CAP relations
+                           # (states, for one-term statements only)
 
     def __getattr__(self, name):
         # only a report whose witnesses are not listed yet lacks a field
@@ -142,8 +148,8 @@ class ClassificationReport(Record):
             raise AttributeError(
                 f"{type(self).__qualname__!r} object has no attribute "
                 f"{name!r}")
-        d["witnesses"] = witnesses = _listed(*d["_pending"])
-        del d["_pending"]  # frees the search's derivations
+        # dropped once called: the listing holds the search's derivations
+        d["witnesses"] = witnesses = d.pop("_pending")()
         return witnesses
 
     def _values(self) -> tuple:
@@ -191,11 +197,28 @@ def _adjacency(edges):
     return adjacency
 
 
+def _reaches(near, v, visited, want) -> bool:
+    """Whether a path from v off visited meets want (node bitmasks)."""
+    seen = front = 1 << v
+    while front:
+        grow = 0
+        while front:
+            grow |= near[(front & -front).bit_length() - 1]
+            front &= front - 1
+        if grow & want:
+            return True
+        front = grow & ~seen & ~visited
+        seen |= front
+    return False
+
+
 def _walk(adjacency, starts, keep, add=None):
     """For each (start, goals) of starts, walk the simple paths from start,
     passing keep each one of two or more statements that ends at a node of
     goals. With add, each cycle whose smallest node is start is added too
-    (with no goals, the walk keeps to the nodes above start)."""
+    (with no goals, the walk keeps to the nodes above start); without, the
+    walk enters no node past which every goal is cut off."""
+    near = {v: sum({1 << u for u, *_ in out}) for v, out in adjacency.items()}
 
     def walk(node, p, q, trail, visited, lowest, above):
         """Extend the path start..node; visited: a bitmask of its nodes,
@@ -217,6 +240,8 @@ def _walk(adjacency, starts, keep, add=None):
             # a path past nxt derives something only if it can still close
             # a cycle at start or reach a goal
             onward = low or above - up > 0
+            if onward and add is None:
+                onward = _reaches(near, nxt, visited, want & ~visited)
             if not (found or onward):
                 continue
             here_p, here_q = p * kp, q * kq
@@ -231,6 +256,7 @@ def _walk(adjacency, starts, keep, add=None):
 
     try:
         for start, goals in starts:
+            want = sum(1 << g for g in goals)
             walk(start, 1, 1, (), 1 << start, add is not None, len(goals))
     finally:
         del walk  # it refers to itself: reference counting frees it
@@ -327,6 +353,13 @@ _RULE = {(-1, 1): "SD4", (0, 1): "WD1", (1, 1): "WD1",
 _RANK = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
 
 
+def _rule(lp, lq, hp, hq) -> str:
+    """The rule of derivations from lp / lq to hp / hq, or "" if equal."""
+    if lp * hq == hp * lq:
+        return ""
+    return _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
+
+
 def _pair(oriented) -> str:
     """The strongest rule among one pair's derivations (p, q, relation),
     the rule of the smallest and the largest ratio, found in one pass of
@@ -339,22 +372,29 @@ def _pair(oriented) -> str:
             lp, lq = p, q
         elif p * hq > hp * q:
             hp, hq = p, q
-    if lp * hq == hp * lq:
-        return ""
-    return _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
+    return _rule(lp, lq, hp, hq)
 
 
 def _list(oriented, witnesses):
     """Append to witnesses, while it holds fewer than _WITNESS_CAP, the
     witness (rule, relation, relation) of each two disagreeing derivations
     of one pair, in derivation order, the lower side of 1 first; each
-    derivation's DerivedRelation is built once."""
+    derivation's DerivedRelation is built once. A run of derivations equal
+    to the first of two is passed in one step, so d derivations cost O(d)
+    besides the witnesses."""
+    d = len(oriented)
     sides = [(p > q) - (p < q) for p, q, _ in oriented]
-    built = [None] * len(oriented)
+    built = [None] * d
+    past = [d] * d  # past[y]: the first derivation after y that differs
+    for y in range(d - 2, -1, -1):
+        (p1, q1, _), (p2, q2, _) = oriented[y], oriented[y + 1]
+        past[y] = y + 1 if p1 * q2 != p2 * q1 else past[y + 1]
     for x, (p1, q1, _) in enumerate(oriented):
-        for y in range(x + 1, len(oriented)):
+        y = x + 1
+        while y < d:
             p2, q2, _ = oriented[y]
             if p1 * q2 == p2 * q1:
+                y = past[y]
                 continue
             a, b = (y, x) if sides[x] > sides[y] else (x, y)
             for z in (a, b):
@@ -364,16 +404,7 @@ def _list(oriented, witnesses):
             witnesses.append((_RULE[sides[a], sides[b]], built[a], built[b]))
             if len(witnesses) >= _WITNESS_CAP:
                 return
-
-
-def _count(oriented) -> int:
-    """How many witnesses _list finds in one pair with room for all: the
-    C(d, 2) two derivations of d, less C(m, 2) for each m of one reduced
-    ratio."""
-    d = len(oriented)
-    groups = Counter([(p // g, q // g) for p, q, _ in oriented
-                      for g in (gcd(p, q),)])
-    return (d * (d - 1) - sum(m * (m - 1) for m in groups.values())) // 2
+            y += 1
 
 
 def _listed(fired, selves) -> tuple:
@@ -390,11 +421,9 @@ def _listed(fired, selves) -> tuple:
     return tuple(witnesses)
 
 
-def _report(relations, truncated: bool, det_ok: bool, strongest="",
-            fired=()) -> ClassificationReport:
-    """The report on _search's relations, after the rule strongest and the
-    pairs fired before them. Each pair's ratios are oriented from its
-    smaller criterion, so a relation (j, i, p, q) reads q / p."""
+def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
+    """The report on _search's relations. Each pair's ratios are oriented
+    from its smaller criterion, so a relation (j, i, p, q) reads q / p."""
     pairs = defaultdict(list)
     selves = []
     for r in relations:
@@ -407,7 +436,7 @@ def _report(relations, truncated: bool, det_ok: bool, strongest="",
         else:
             pairs[(j, i)].append((q, p, r))
 
-    fired = list(fired)
+    strongest, fired = "", []
     for _, oriented in sorted(pairs.items()):
         rule = _pair(oriented)
         if rule:
@@ -416,14 +445,13 @@ def _report(relations, truncated: bool, det_ok: bool, strongest="",
                 strongest = rule
     if selves:
         strongest = strongest or "WD3"  # the weakest rule
-    return _finish(strongest, fired, selves, truncated, det_ok)
+    return _finish(strongest, lambda: _listed(fired, selves), truncated,
+                   det_ok)
 
 
-def _finish(strongest, fired, selves, truncated,
-            det_ok) -> ClassificationReport:
-    """The report with the rule strongest, whose witnesses _listed finds
-    in fired and selves on first read, on a search that was truncated or
-    not."""
+def _finish(strongest, pending, truncated, det_ok) -> ClassificationReport:
+    """The report with the rule strongest, whose witnesses pending() lists
+    on first read, on a search that was truncated or not."""
     # the search finds the set consistent when no rule fired and nothing was
     # left unexplored; a capped search, or one the exact test contradicts,
     # is labelled WeakInconsistent conservatively
@@ -438,82 +466,148 @@ def _finish(strongest, fired, selves, truncated,
     report = ClassificationReport.__new__(ClassificationReport)
     report.__dict__.update(label=label, rule_fired=strongest,
                            det_agrees=found_consistent == det_ok,
-                           depth_exceeded=truncated,
-                           _pending=(fired, selves))
+                           depth_exceeded=truncated, _pending=pending)
     return report
 
 
-def _complete_count(n: int):
-    """(d, ends) for one single-term statement per criterion pair: d simple
-    paths join each pair, and ends[s] relations are held when the full
-    search's walk from s ends. That is the C(n, 2) statements, then from
-    each start t <= s its d - 1 longer paths to each of the n - 1 - t
-    greater criteria and the simple cycles of K_{n-t} whose smallest node
-    is t; ends[-1] is every relation the search derives."""
-    paths = sum(perm(n - 2, k) for k in range(n - 1))
-    ends, held = [], comb(n, 2)
-    for t in range(n):
-        # a cycle through t closing over k - 1 >= 2 greater nodes, counted
-        # once in each direction by perm
-        cycles = sum(perm(n - 1 - t, k) for k in range(2, n - t)) // 2
-        held += (n - 1 - t) * (paths - 1) + cycles
-        ends.append(held)
-    return paths, ends
+def _wider(old, lp, lq, hp, hq) -> tuple:
+    """The ratios lp / lq .. hp / hq, widened to take in old if given."""
+    if old is not None:
+        olp, olq, ohp, ohq = old
+        if olp * lq < lp * olq:
+            lp, lq = olp, olq
+        if ohp * hq > hp * ohq:
+            hp, hq = ohp, ohq
+    return lp, lq, hp, hq
 
 
-def _settled(n: int, edges, det_ok: bool):
-    """_report on the full search of a set with one single-term statement
-    per criterion pair, read from its pairs in the report's order, each
-    with its statement, then the paths walk(i) finds to j, and then from
-    the simple cycles in the search's order. Once SD4 has fired and the
-    pairs read hold _WITNESS_CAP witnesses, by _count, nothing later
-    changes the report.
+def _ranges(steps, i: int, held: int):
+    """(ends, held, truncated): from start i, each state (S, v), S the
+    node bitmask of paths from i to v, holds the range of their ratio
+    products; ends[v] takes in every S. held counts the states toward
+    _RELATION_CAP; past it ends has the layers finished."""
+    ends = {}
+    layer = {(1 << i, i): (1, 1, 1, 1)}
+    try:
+        while layer:
+            nxt = {}
+            for (mask, v), (lp, lq, hp, hq) in layer.items():
+                for u, (sp, sq, tp, tq) in steps[v].items():
+                    if mask >> u & 1:
+                        continue
+                    key = (mask | 1 << u, u)
+                    old = nxt.get(key)
+                    held += old is None
+                    if held > _RELATION_CAP:
+                        raise _Settled
+                    nxt[key] = _wider(old, lp * sp, lq * sq, hp * tp, hq * tq)
+            for (_, v), span in nxt.items():
+                ends[v] = _wider(ends.get(v), *span)
+            layer = nxt
+    except _Settled:
+        return ends, held, True
+    return ends, held, False
 
-    A search past _RELATION_CAP holds every relation of pair (i, j) while
-    the walk from i ends below the cap (_complete_count), so such a set is
-    read only that far and settles there, truncated; the relations past
-    the cap could add nothing to a full witness list and a fired SD4.
-    None for another shape, a search of exactly _RELATION_CAP relations or
-    a capped set that does not settle."""
-    stated = {tuple(sorted(e[:2])): e for e in edges}
-    if not len(stated) == len(edges) == comb(n, 2):
-        return None
-    paths, ends = _complete_count(n)
-    truncated = ends[-1] > _RELATION_CAP
-    if (ends[-1] == _RELATION_CAP
-            or comb(n, 2) * comb(paths, 2) < _WITNESS_CAP):
-        return None
+
+def _ratios(n: int, edges, det_ok: bool) -> ClassificationReport:
+    """The report on _statements' edges alone, from _ranges of each start
+    in turn up to the one where SD4 fires, all within _RELATION_CAP."""
+    steps = defaultdict(dict)  # steps[a][b]: the range of a's statements on b
+    for a, b, p, q, _ in edges:
+        steps[a][b] = _wider(steps[a].get(b), p, q, p, q)
+        steps[b][a] = _wider(steps[b].get(a), q, p, q, p)
+    strongest, held, truncated, read = "", 0, False, {}
+    for i in range(n - 1):
+        ends, held, truncated = _ranges(steps, i, held)
+        read[i] = {j: _rule(*ends[j]) for j in ends if j > i}
+        strongest = max([*read[i].values(), strongest], key=_RANK.get)
+        if truncated or strongest == "SD4":
+            break
+    return _finish(strongest,
+                   lambda: _walked(n, edges, steps, read, truncated),
+                   truncated, det_ok)
+
+
+def _derivations(adjacency, stated, i, j, room) -> list:
+    """Pair (i, j)'s derivations (p, q, relation), oriented from i, as
+    _search holds them: its statements, then the paths _walk finds. At
+    most _RELATION_CAP, and none past the room-th that differs from the
+    first: _list would list only the first's disagreements."""
+    oriented, differ = [], 0
+
+    def keep(a, b, p, q, trail):
+        nonlocal differ
+        if len(oriented) >= _RELATION_CAP:
+            raise _Settled
+        r = (a, b, p, q, trail)
+        if a > b:
+            p, q = q, p
+        oriented.append((p, q, r))
+        differ += p * oriented[0][1] != oriented[0][0] * q
+        if differ >= room:
+            raise _Settled
+
+    try:
+        for r in stated:
+            keep(*r)
+        _walk(adjacency, [(i, (j,))], keep)
+    except _Settled:
+        pass
+    return oriented
+
+
+def _walked(n: int, edges, steps, read, truncated) -> tuple:
+    """The witnesses _report lists from _search over edges alone, with no
+    cap on the derivations: those of each pair that fires, in order, then
+    of the cycles through such pairs, as an unbalanced cycle fires each
+    pair it joins. read[i] has the rules _ranges finds from start i; a
+    start classify() did not take is taken here, within a cap of its own,
+    unless the report is truncated. Each pair's walk, and the cycles',
+    holds at most _RELATION_CAP derivations."""
     adjacency = _adjacency(edges)
-    strongest, fired, held = "", [], 0
-    for (i, j), (a, b, p, q, pos) in sorted(stated.items()):
-        if ends[i] >= _RELATION_CAP:
-            return None
-        edge = (a, b, p, q, (pos,))
-        oriented = [(p, q, edge) if a < b else (q, p, edge)]
-        _walk(adjacency, [(i, (j,))],
-              lambda *r: oriented.append((r[2], r[3], r)))
-        rule = _pair(oriented)
-        if not rule:
-            continue
-        fired.append(oriented)
-        if _RANK[rule] > _RANK[strongest]:
-            strongest = rule
-        if held < _WITNESS_CAP:
-            held += _count(oriented)
-        if strongest == "SD4" and held >= _WITNESS_CAP:
-            return _finish(strongest, fired, [], truncated, det_ok)
-    # every walk ended below the cap: the search was not truncated
-    cycles = {}  # each is walked both ways; the search keeps the first
-    _walk(adjacency, [(start, ()) for start in range(n)], None,
-          lambda *r: cycles.setdefault(frozenset(r[4]), r))
-    return _report(cycles.values(), False, det_ok, strongest, fired)
+    stated = defaultdict(list)
+    for a, b, p, q, pos in edges:
+        stated[min(a, b), max(a, b)].append((a, b, p, q, (pos,)))
+    witnesses, live = [], set()
+    for i, j in combinations(range(n), 2):
+        if i not in read:
+            ends = {} if truncated else _ranges(steps, i, 0)[0]
+            read[i] = {v: _rule(*ends[v]) for v in ends if v > i}
+        if read[i].get(j):
+            live.add((i, j))
+            _list(_derivations(adjacency, stated[i, j], i, j,
+                               _WITNESS_CAP - len(witnesses)), witnesses)
+            if len(witnesses) >= _WITNESS_CAP:
+                return tuple(witnesses)
+
+    room, cycles, selves = _WITNESS_CAP - len(witnesses), set(), []
+
+    def cycle(i, j, p, q, trail):  # the walk takes each cycle both ways
+        if frozenset(trail) in cycles:
+            return
+        if len(cycles) >= _RELATION_CAP:
+            raise _Settled
+        cycles.add(frozenset(trail))
+        if p != q:
+            selves.append((i, j, p, q, trail))
+            if len(selves) >= room:
+                raise _Settled
+
+    fired = [e for e in edges if (min(e[:2]), max(e[:2])) in live]
+    try:
+        _walk(_adjacency(fired), [(start, ()) for start in range(n)], None,
+              cycle)
+    except _Settled:
+        pass
+    return tuple(witnesses) + _listed((), selves)
 
 
 def _searched(n: int, statements, det_ok: bool):
     """The report on the search over _statements' output."""
     edges, multi = statements
-    report = not multi and _settled(n, edges, det_ok)
-    return report or _report(*_search(n, edges, multi), det_ok)
+    if multi:
+        return _report(*_search(n, edges, multi), det_ok)
+    return _ratios(n, edges, det_ok)
 
 
 # the exhaustive search's report on statements one positive vector solves

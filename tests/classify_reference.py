@@ -3,9 +3,13 @@
 It walks every simple path to the end even after the relation list is full,
 and compares every two derivations of each criterion pair as Fractions,
 exactly, sharing no comparison code with the engine. admcdm.classify
-must return exactly the same ClassificationReport on every input; see
-test_classify_equivalence.py. The caps are read from admcdm.classification
-at call time, so a test that lowers them lowers them here too.
+must return exactly the same ClassificationReport on every input, except
+on a set of one-term statements that this search truncates: the engine
+reads such a set whole, and returns the report this search gives with
+the relation cap raised past it, up to the witnesses of a pair with more
+derivations than the cap; see test_classify_equivalence.py. The
+caps are read from admcdm.classification at call time, so a test that
+lowers or raises them changes them here too.
 """
 
 from __future__ import annotations

@@ -41,6 +41,32 @@ def pairwise(n, seed, consistent):
     return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))), prefs)
 
 
+def ranked(n, seed):
+    """Full set of one-term statements Ci = k Cj, i < j, that fires no SD4:
+    k is 10**(j - i) times 10/11, 1 or 11/10, so every derivation of
+    Ci / Cj, a path of at most n - 1 statements, lies above 1 for n <= 25."""
+    rng = random.Random(f"ranked:{n}:{seed}")
+    noise = (Fraction(10, 11), Fraction(1), Fraction(11, 10))
+    prefs = tuple(
+        LinearPreference(i, ((j, 10 ** (j - i) * rng.choice(noise)),))
+        for i in range(n) for j in range(i + 1, n))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))), prefs)
+
+
+def blocks(m, seed):
+    """Two full sets of one-term statements, k/l with k and l in 1..9, on
+    C0..C(m-1) and C(m-1)..C(2m-2): a path between two criteria of one
+    block cannot pass through the other, which only C(m-1) joins to it."""
+    rng = random.Random(f"blocks:{m}:{seed}")
+    prefs = tuple(
+        LinearPreference(a, ((b, Fraction(rng.randint(1, 9),
+                                          rng.randint(1, 9))),))
+        for block in (range(m), range(m - 1, 2 * m - 1))
+        for a in block for b in block if a < b)
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(2 * m - 1))),
+                   prefs)
+
+
 def dense(n, seed):
     """Dense linear system: row i states Ci = three other criteria, each
     with a coefficient k/l, k and l in 1..9."""

@@ -23,12 +23,7 @@ from admcdm.classification import (
     ClassificationReport,
     DerivedRelation,
     Label,
-    _complete_count,
-    _count,
     _derive,
-    _list,
-    _settled,
-    _statements,
     classify,
     derive_relations,
 )
@@ -50,7 +45,7 @@ from admcdm.parser import format_problem, parse_problem
 from admcdm.solver import discount_report, priority
 
 from classify_reference import reference_classify, reference_derive
-from conftest import CORPUS, load, pairwise
+from conftest import CORPUS, blocks, load, pairwise, ranked
 
 
 def problem(names, *prefs):
@@ -315,8 +310,10 @@ class TestGuards:
 
 class TestBoundedTime:
     """The relation cap bounds time: a full pairwise set at n = 9 has far
-    more simple paths than the cap admits. A set that one positive vector
-    solves as written is labelled without the search."""
+    more simple paths than the cap admits, and the recursion that reads a
+    set of one-term statements instead builds 1,024 states from C0. A set
+    that one positive vector solves as written is labelled without the
+    search."""
 
     def pairwise_9(self):
         weights = (1, 2, 4, 8, 1, 2, 4, 8, 2)
@@ -331,8 +328,8 @@ class TestBoundedTime:
         pr = pairwise(9, 0, False)
         assert len(derive_relations(pr)) == _RELATION_CAP
         report = classify(pr)
-        assert report.depth_exceeded
-        assert report.label is not Label.CONSISTENT
+        assert not report.depth_exceeded
+        assert report.label is Label.STRONG_INCONSISTENT
         solved = self.pairwise_9()
         assert len(derive_relations(solved)) == _RELATION_CAP
         report = classify(solved)
@@ -344,7 +341,7 @@ class TestBoundedTime:
         _, solution, report = priority(pairwise(9, 0, False))
         assert time.perf_counter() - start < 2.0
         assert solution.alpha != 1
-        assert report.depth_exceeded
+        assert report.rule_fired == "SD4" and not report.depth_exceeded
         start = time.perf_counter()
         _, solution, report = priority(self.pairwise_9())
         assert time.perf_counter() - start < 2.0
@@ -353,6 +350,62 @@ class TestBoundedTime:
         assert report.witnesses == ()
         assert not report.depth_exceeded
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_complete_sets_are_read_whole(self, n):
+        # the full search passes the cap from C0 on (20,566 relations at
+        # n = 8), yet SD4 fires within the recursion's states from C0
+        for seed in range(5):
+            report = classify(pairwise(n, seed, False))
+            assert report.rule_fired == "SD4" and not report.depth_exceeded
+            assert report.label is Label.STRONG_INCONSISTENT
+
+    def test_state_budget_ends_a_set_without_sd4(self):
+        # a 12-criteria set whose pairs fire no SD4 would build 11 * 2**10
+        # states from each start; the recursion stops at the cap, and
+        # listing the witnesses holds at most the cap's derivations
+        pr = ranked(12, 0)
+        start = time.perf_counter()
+        report = classify(pr)
+        assert time.perf_counter() - start < 1.0
+        assert report.depth_exceeded
+        assert report.label is Label.WEAK_INCONSISTENT
+        assert report.rule_fired == "WD1"
+        start = time.perf_counter()
+        witnesses = report.witnesses
+        assert time.perf_counter() - start < 1.0
+        assert len(witnesses) == classify_module._WITNESS_CAP
+        assert {w[0] for w in witnesses} == {"WD1"}
+
+    def test_witnesses_past_a_shared_criterion_are_bounded(self):
+        # two full 8-criteria sets sharing C7: a walk between criteria of
+        # the first block that entered the second through C7 could never
+        # leave it, so the listing does not enter it
+        report = classify(blocks(8, 0))
+        assert report.rule_fired == "SD4"
+        start = time.perf_counter()
+        assert len(report.witnesses) == classify_module._WITNESS_CAP
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_long_run_of_equal_derivations_lists_in_bounded_time(self):
+        # a consistent 9-criteria set but for C0 = 2 C5: pairs (C0, C1) to
+        # (C0, C4) fire, yet their walks hold 5,000 equal derivations
+        # before the first through C5. Listing passes a run of equal
+        # derivations in one step, and then C0 = 2 C5's own pair fills the
+        # list, each witness two derivations that differ
+        w = [random.Random(1).randint(1, 9) for _ in range(9)]
+        off = {(0, 5): 2}
+        pr = problem(" ".join(f"C{i}" for i in range(9)), *[
+            LinearPreference(a, ((b, Fraction(w[a] * off.get((a, b), 1),
+                                              w[b])),))
+            for a in range(9) for b in range(a + 1, 9)])
+        report = classify(pr)
+        assert report.rule_fired == "SD4" and not report.depth_exceeded
+        start = time.perf_counter()
+        witnesses = report.witnesses
+        assert time.perf_counter() - start < 1.0
+        assert len(witnesses) == classify_module._WITNESS_CAP
+        assert all(a.ratio != b.ratio for _, a, b in witnesses)
+        assert {(a.i, a.j) for _, a, _ in witnesses} == {(0, 5)}
 
     def test_multi_term_statement_over_a_dense_ratio_graph(self, tmp_path):
         # C0 as the sum of six criteria that twelve ratios link: the
@@ -557,8 +610,8 @@ class TestWitnessesListedOnRead:
     def panel():
         """The equivalence inputs: the linear corpus (ex2 holds WD3
         self-relations from a multi-term substitution), pairwise sets
-        n = 3..6, multi-term, dense multi-term and float sets, a capped
-        n = 7 and a truncated n = 8 pairwise set."""
+        n = 3..8, multi-term, dense multi-term and float sets, and a
+        ranked 12-criteria set past the cap."""
         from test_classify_equivalence import (
             dense_multi_term,
             float_sets,
@@ -571,6 +624,7 @@ class TestWitnessesListedOnRead:
         problems += [multi_term(4 + seed % 3, seed) for seed in range(12)]
         problems += [dense_multi_term(1, 8, 5), *float_sets()]
         problems += [pairwise(7, 0, False), pairwise(8, 0, False)]
+        problems.append(ranked(12, 0))
         return problems
 
     def assert_alike(self, pr):
@@ -622,51 +676,49 @@ class TestWitnessesListedOnRead:
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_settled_count_is_the_listed_length(self, n, monkeypatch):
-        """_settled stops on the witnesses _count finds, and the report
-        lists min(cap, that count); each pair's count is the length of
-        its full list, by cross products, where that list is small."""
-        counts = []
-        real = classify_module._count
+        """Listing walks the pairs in the report's order and stops at the
+        pair whose witnesses reach _WITNESS_CAP; with the relation cap
+        raised past every pair's walk, the list is the same."""
+        walks = []
+        real = classify_module._walk
 
-        def counting(oriented):
-            counts.append(real(oriented))
-            if len(oriented) <= 400:
-                everything = []
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(classify_module, "_WITNESS_CAP", 10**6)
-                    _list(oriented, everything)
-                assert counts[-1] == len(everything)
-            return counts[-1]
+        def recorded(*args, **kwargs):
+            walks.append(args[1])
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(classify_module, "_count", counting)
-        if n >= 8:  # read the first pairs of a set past the relation cap
-            monkeypatch.setattr(classify_module, "_RELATION_CAP", 10**9)
+        monkeypatch.setattr(classify_module, "_walk", recorded)
+        cap = classify_module._WITNESS_CAP
         for seed in range(3 if n < 8 else 1):
-            counts.clear()
-            report = _settled(n, _statements(pairwise(n, seed, False))[0],
-                              False)
-            cap = classify_module._WITNESS_CAP
-            assert report.rule_fired == "SD4" and counts
-            assert len(report.witnesses) == min(cap, sum(counts)) == cap
-            # the count stops once it reaches the cap
-            assert sum(counts[:-1]) < cap
+            pr = pairwise(n, seed, False)
+            report = classify(pr)
+            walks.clear()
+            witnesses = report.witnesses
+            assert report.rule_fired == "SD4"
+            assert len(witnesses) == cap
+            pairs = [(i, j) for (i, (j,)), in walks]
+            assert pairs == sorted(pairs)
+            last = witnesses[-1][1]
+            assert {last.i, last.j} == set(pairs[-1])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classify_module, "_RELATION_CAP", 10**6)
+                assert classify(pr).witnesses == witnesses
 
-    def test_count_is_the_brute_count(self):
-        """_count against a count over every two derivations, on the pairs
-        of C0 in K5 and K6 sets, where many derivations share a ratio."""
-        shared = 0
+    def test_count_is_the_brute_count(self, monkeypatch):
+        """With room for every witness, the list is the reference's: one
+        witness for every two disagreeing derivations of a pair, in K5 and
+        K6 sets where many derivations share a ratio, then the cycles."""
+        monkeypatch.setattr(classify_module, "_WITNESS_CAP", 10**6)
         for n in (5, 6):
-            edges, _ = _statements(pairwise(n, 1, False))
-            adjacency = classify_module._adjacency(edges)
-            for j in range(1, n):
-                oriented = []
-                classify_module._walk(
-                    adjacency, [(0, (j,))],
-                    lambda *r: oriented.append((r[2], r[3], r)))
-                brute = sum(p1 * q2 != p2 * q1
-                            for x, (p1, q1, _) in enumerate(oriented)
-                            for p2, q2, _ in oriented[x + 1:])
-                assert _count(oriented) == brute
-                assert len(oriented) == _complete_count(n)[0] - 1
-                shared += brute < len(oriented) * (len(oriented) - 1) // 2
-        assert shared == 9
+            pr = pairwise(n, 1, False)
+            relations = reference_derive(pr, n)[0]
+            groups = {}
+            for r in relations:
+                if r.i != r.j:
+                    k = r.ratio if r.i < r.j else 1 / r.ratio
+                    groups.setdefault(frozenset((r.i, r.j)), []).append(k)
+            brute = sum(a != b for ks in groups.values()
+                        for x, a in enumerate(ks) for b in ks[x + 1:])
+            brute += sum(r.i == r.j and r.ratio != 1 for r in relations)
+            witnesses = classify(pr).witnesses
+            assert witnesses == reference_classify(pr).witnesses
+            assert len(witnesses) == brute

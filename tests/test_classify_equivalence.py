@@ -2,21 +2,27 @@
 
 classify_reference.py keeps the straightforward derive-and-compare; here
 both run on the corpus, seeded pairwise sets, seeded multi-term sets that
-exercise substitution (some over a dense ratio graph), a set that fills
-the witness cap, lowered relation caps, float coefficients (read exactly)
-and a ratio past the float range, and the full reports (label, witnesses
-in order, rule, det_agrees, depth_exceeded) and derived relations must be
-equal. A set that one positive vector solves as written is labelled
-without a search; where the reference search is not truncated its report
-is the same. A full pairwise set is read pair by pair, then from its
-cycles when the pairs do not settle the report; the caps and the set's
-shape decide whether it may be, and the result must not differ. Past the
-relation cap only the pairs whose walk ends below it are read; there the
-engine's own capped search is the check, which the reference would take
-seconds per 7-criteria set to give.
+exercise substitution (some over a dense ratio graph), seeded ratio
+multigraphs, a set that fills the witness cap, lowered relation caps,
+float coefficients (read exactly) and a ratio past the float range, and
+the full reports (label, witnesses in order, rule, det_agrees,
+depth_exceeded) and derived relations must be equal. A set that one
+positive vector solves as written is labelled without a search; where the
+reference search is not truncated its report is the same.
+
+A set of one-term statements is not searched: the range of each pair's
+derived ratios comes from a recursion over (node set, end node), whose
+states count toward the relation cap. Its report is the reference's with
+the relation cap raised past the whole search, so it differs from the
+capped reference exactly on such sets that the reference truncates. Its
+witnesses are listed from the pairs that fire, each walked within the
+cap on its own, so a consistent block cannot use up the walk of a pair
+that fires; they are the uncapped reference's while no such pair has
+more derivations than the cap that would add to its list. Past the cap,
+at n = 7, the engine's own capped search is the check, which the
+reference would take seconds per set to give.
 """
 
-import inspect
 import random
 from fractions import Fraction
 
@@ -25,14 +31,11 @@ import pytest
 from admcdm.classification import (
     ClassificationReport,
     Label,
-    _complete_count,
     _derive,
     _report,
     _search,
-    _settled,
     _statements,
     classify,
-    derive_relations,
 )
 from admcdm.errors import EngineError
 from admcdm.linalg import general_solution, particular_positive
@@ -52,7 +55,7 @@ from classify_reference import (
     reference_classify,
     reference_derive,
 )
-from conftest import CORPUS, pairwise
+from conftest import CORPUS, blocks, pairwise, ranked
 
 # what the exhaustive search reports on a set that one positive vector
 # solves: no rule can fire
@@ -168,12 +171,56 @@ def outcome(fn, problem, *args):
         return type(exc).__name__, str(exc)
 
 
+def ratio_only(problem):
+    return all(len(p.terms) == 1 for p in problem.preferences)
+
+
+def uncapped(fn, problem, *args):
+    """fn(problem, *args) with the relation cap raised past every search."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify_module, "_RELATION_CAP", 10**9)
+        return fn(problem, *args)
+
+
 def assert_same(problem):
+    """classify equals the reference, which on a set of one-term
+    statements it truncates is taken with the relation cap raised."""
     assert outcome(_derive, problem) == outcome(
         reference_derive, problem, problem.criteria.n)
     got = outcome(classify, problem)
-    assert got == outcome(reference_classify, problem)
+    want = outcome(reference_classify, problem)
+    if getattr(want, "depth_exceeded", False) and ratio_only(problem):
+        want = uncapped(reference_classify, problem)
+    assert got == want
     return got
+
+
+def recursion_states(problem):
+    """How many states the recursion builds, counted from the simple
+    paths: from each start i < n - 1 in turn, one per node set and end of
+    the paths from i, up to the start whose pairs fire SD4."""
+    n = problem.criteria.n
+    adjacency = classify_module._adjacency(_statements(problem)[0])
+    sides = {}
+    for r in uncapped(reference_derive, problem, n)[0]:
+        k = r.ratio if r.i < r.j else 1 / r.ratio
+        sides.setdefault(frozenset((r.i, r.j)), set()).add((k > 1) - (k < 1))
+    total = 0
+    for i in range(n - 1):
+        states = set()
+
+        def extend(v, nodes):
+            for u, *_ in adjacency[v]:
+                if u not in nodes:
+                    states.add((nodes | {u}, u))
+                    extend(u, nodes | {u})
+
+        extend(i, frozenset((i,)))
+        total += len(states)
+        if any({-1, 1} <= sides.get(frozenset((i, j)), set())
+               for j in range(i + 1, n)):
+            break
+    return total
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.admp")))
@@ -186,6 +233,88 @@ def test_pairwise(n):
     for seed in range(3 if n < 6 else 1):
         for consistent in (True, False):
             assert_same(pairwise(n, seed, consistent))
+
+
+def ratio_multigraph(seed):
+    """2..7 criteria and one-term statements k/l, k and l in 1..9, on
+    random pairs: a pair may be stated several times, either way round,
+    and the graph need not be connected."""
+    rng = random.Random(f"ratio-multigraph:{seed}")
+    n = rng.randint(2, 7)
+    prefs = []
+    for _ in range(rng.randint(1, n + 4)):
+        a, b = rng.sample(range(n), 2)
+        prefs.append(LinearPreference(
+            a, ((b, Fraction(rng.randint(1, 9), rng.randint(1, 9))),)))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                   tuple(prefs))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_ratio_multigraphs_equal_the_uncapped_reference(block):
+    searched = 0
+    for seed in range(50 * block, 50 * block + 50):
+        problem = ratio_multigraph(seed)
+        report = classify(problem)
+        assert report == uncapped(reference_classify, problem), seed
+        searched += report.label is not Label.CONSISTENT
+    assert searched >= 25
+
+
+def test_dead_ends_are_skipped_without_changing_the_witnesses(monkeypatch):
+    # listing walks a pair's paths only through criteria from which the
+    # pair's other end can still be reached; walking every criterion, as
+    # the search does, lists the same witnesses
+    problems = [ratio_multigraph(seed) for seed in range(100)]
+    problems += [blocks(m, seed) for m in (4, 5) for seed in range(3)]
+    pruned = [classify(problem).witnesses for problem in problems]
+    monkeypatch.setattr(classify_module, "_reaches", lambda *args: True)
+    assert [classify(p).witnesses for p in problems] == pruned
+    assert sum(len(w) for w in pruned[-6:]) == 6 * 200
+
+
+def block_and_pair(m, triangle=False):
+    """A consistent full set on m criteria, then C_m = 2 C_(m+1) and
+    C_m = 3 C_(m+1); with triangle, three criteria ahead of them whose
+    statements fire SD4, so the recursion stops at C0."""
+    rng = random.Random(f"block-and-pair:{m}")
+    w = [rng.randint(1, 9) for _ in range(m)]
+    at = 3 if triangle else 0
+    prefs = [LinearPreference(0, ((1, Fraction(2)),)),
+             LinearPreference(1, ((2, Fraction(2)),)),
+             LinearPreference(0, ((2, Fraction(1, 2)),))] if triangle else []
+    prefs += [LinearPreference(at + a, ((at + b, Fraction(w[a], w[b])),))
+              for a in range(m) for b in range(a + 1, m)]
+    prefs += [LinearPreference(at + m, ((at + m + 1, Fraction(k)),))
+              for k in (2, 3)]
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(at + m + 2))),
+                   tuple(prefs))
+
+
+def test_a_consistent_block_leaves_the_fired_pair_its_walk():
+    # the 21 pairs of the block hold 326 derivations each, more than the
+    # relation cap together; none fires, so none is walked, and the
+    # parallel pair and its cycle are listed as the uncapped search lists
+    problem = block_and_pair(7)
+    report = classify(problem)
+    assert report.rule_fired == "WD1" and not report.depth_exceeded
+    assert [w[0] for w in report.witnesses] == ["WD1", "WD3"]
+    assert report == uncapped(reference_classify, problem)
+
+
+@pytest.mark.parametrize("m", [8, 11])
+def test_criteria_past_sd4_are_read_when_listing(m, monkeypatch):
+    # SD4 fires from C0, so classifying takes no later criterion; listing
+    # takes them within a cap each (a full set on 11 criteria passes it,
+    # and its pairs are read from the states built), and the list is the
+    # one classifying every criterion with no cap gives
+    problem = block_and_pair(m, triangle=True)
+    report = classify(problem)
+    assert report.rule_fired == "SD4" and not report.depth_exceeded
+    listed = report.witnesses
+    assert [w[0] for w in listed] == ["SD4"] * 3 + ["WD1"] + ["WD3"] * 2
+    monkeypatch.setattr(classify_module, "_RELATION_CAP", 10**7)
+    assert classify(problem).witnesses == listed
 
 
 def full_searches(monkeypatch):
@@ -201,13 +330,14 @@ def full_searches(monkeypatch):
     return calls
 
 
-def assert_settled(problem, monkeypatch, settled=True):
-    """classify equals the reference, and runs the full search only when
-    the set's shape or caps rule out reading it pair by pair."""
+def assert_settled(problem, monkeypatch):
+    """classify equals the reference, and a set of one-term statements
+    never runs the full search."""
     report = assert_same(problem)
     calls = full_searches(monkeypatch)
     assert classify(problem) == report
-    assert len(calls) == (0 if settled else 1)
+    assert report.witnesses == classify(problem).witnesses
+    assert calls == []
     return report
 
 
@@ -276,60 +406,83 @@ def test_lowered_witness_cap_settles_small_sets(cap, monkeypatch):
     # K3 holds 3 witnesses at most, one per pair; K4 (pairwise(4, 0)) 39
     monkeypatch.setattr(classify_module, "_WITNESS_CAP", cap)
     cycle = make_cyclic_example(Fraction(9))
-    assert_settled(cycle, monkeypatch, settled=cap <= 3)
+    assert_settled(cycle, monkeypatch)
     report = assert_settled(pairwise(4, 0, False), monkeypatch)
     assert len(report.witnesses) == cap
 
 
 def test_unreachable_witness_cap_walks_no_pair(monkeypatch):
-    # K4 holds at most 6 * C(5, 2) = 60 witnesses, fewer than the cap
+    # classifying walks no path; K4 holds at most 6 * C(5, 2) = 60
+    # witnesses, fewer than the cap, so listing them walks every pair in
+    # the report's order and then the cycles from every criterion
     walks = []
     real = classify_module._walk
-    monkeypatch.setattr(classify_module, "_walk",
-                        lambda *args: walks.append(args[1]) or real(*args))
+
+    def recorded(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "_walk", recorded)
     report = classify(pairwise(4, 0, False))
-    assert report.rule_fired == "SD4" and len(walks) == 1
-    assert len(walks[0]) == 4  # one walk from every criterion
+    assert report.rule_fired == "SD4" and walks == []
+    assert len(report.witnesses) == 39
+    assert walks[:-1] == [[(i, (j,))] for i in range(4)
+                          for j in range(i + 1, 4)]
+    assert walks[-1] == [(start, ()) for start in range(4)]
+
+
+def complete_states(n):
+    """The states the recursion builds from each start of a complete set:
+    one per nonempty node set S of the n - 1 others and end node in S."""
+    return (n - 1) * 2 ** (n - 2)
+
+
+def assert_capped(problem, exact):
+    """A truncated report: its rule is one the exact report's rule
+    outranks or equals, and its label is conservative."""
+    report = classify(problem)
+    assert report.depth_exceeded and report.label is not Label.CONSISTENT
+    assert (report.rule_fired, exact.rule_fired) in {
+        ("", ""), ("", "WD1"), ("WD1", "WD1"), ("", "SD4"), ("WD1", "SD4"),
+        ("SD4", "SD4")}
+    return report
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_relation_cap_around_the_closed_form_count(n, monkeypatch):
-    problem = pairwise(n, 0, False)
-    total = _complete_count(n)[1][-1]
-    for cap, settled in ((total, False), (total + 1, True)):
+    # ranked sets fire no SD4, so the recursion takes every start
+    problem = ranked(n, 0)
+    exact = uncapped(reference_classify, problem)
+    total = (n - 1) * complete_states(n)
+    for cap in (total - 1, total, total + 1):
         monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
-        assert_settled(problem, monkeypatch, settled)
+        if cap < total:
+            assert_capped(problem, exact)
+        else:
+            assert assert_settled(problem, monkeypatch) == exact
+        monkeypatch.undo()
 
 
-def walk_ends(problem):
-    """How many relations the full search holds when each start's walk
-    ends, from a _walk that walks the starts one at a time."""
-    ends = []
-    real = classify_module._walk
-
-    def per_start(adjacency, starts, keep, add=None):
-        relations = inspect.getclosurevars(keep).nonlocals["relations"]
-        for start in starts:
-            real(adjacency, [start], keep, add)
-            ends.append(len(relations))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classify_module, "_walk", per_start)
-        patch.setattr(classify_module, "_RELATION_CAP", 10**6)
-        relations = derive_relations(problem)
-    return ends, len(relations)
-
-
-def test_closed_form_relation_count():
-    for n in range(3, 8):
-        for seed in range(2 if n < 7 else 1):
-            ends, total = walk_ends(pairwise(n, seed, False))
-            assert _complete_count(n)[1] == ends
-            assert ends[-1] == total
-    assert _complete_count(5) == (16, [100, 151, 182, 197, 197])
-    assert _complete_count(6)[1][-1] == 1172
-    assert _complete_count(7)[1][:2] == [2946, 4731]
-    assert _complete_count(7)[1][-1] == 8018
+def test_closed_form_relation_count(monkeypatch):
+    # the states counted from the simple paths take the closed form per
+    # start, and the report stops being truncated at a cap of that many:
+    # every start of a ranked set, up to the start whose pairs fire SD4
+    # of a pairwise set, and only C0's of those with n >= 7 (the
+    # recursion's own count, which the paths would take long to give)
+    cases = [(ranked(n, 0), (n - 1) * complete_states(n))
+             for n in range(3, 7)]
+    cases += [(pairwise(n, s, False), None) for n in (5, 6) for s in range(3)]
+    cases = [(problem, recursion_states(problem)) for problem, _ in cases]
+    assert [total // complete_states(problem.criteria.n)
+            for problem, total in cases] == [2, 3, 4, 5, 2, 2, 3, 2, 1, 1]
+    cases += [(pairwise(n, s, False), complete_states(n))
+              for n in range(7, 11) for s in range(2)]
+    assert complete_states(9) == 1024
+    for problem, total in cases:
+        for cap, truncated in ((total - 1, True), (total, False)):
+            monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
+            assert classify(problem).depth_exceeded is truncated
+        monkeypatch.undo()
 
 
 def test_settled_sets_skip_the_full_search(monkeypatch):
@@ -337,48 +490,51 @@ def test_settled_sets_skip_the_full_search(monkeypatch):
     expected = reference_classify(problem)
 
     def no_search(*args):
-        raise AssertionError("a settled set ran the full search")
+        raise AssertionError("a set of one-term statements was searched")
 
     monkeypatch.setattr(classify_module, "_search", no_search)
     assert classify(problem) == expected
     assert priority(problem)[2] == expected
-    # a set past the relation cap settles from the pairs whose walks end
-    # below it
-    report = classify(pairwise(7, 0, False))
-    assert report.rule_fired == "SD4" and report.depth_exceeded
-    # at n = 8 the first walk alone passes the cap: the capped search runs
-    monkeypatch.undo()
-    calls = full_searches(monkeypatch)
-    assert classify(pairwise(8, 0, False)).depth_exceeded
-    assert len(calls) == 1
+    # the sets the relation cap used to truncate are read whole
+    for n in (7, 8):
+        report = classify(pairwise(n, 0, False))
+        assert report.rule_fired == "SD4" and not report.depth_exceeded
+        assert len(report.witnesses) == classify_module._WITNESS_CAP
 
 
-# the relations held when the walks from C0 and C1 end, and all of them
+# the relations the full search holds when its walks from C0 and C1 end,
+# and all of them, for a complete 7-criteria set
 _SEVEN_ENDS = (2946, 4731, 8018)
 
 
 @pytest.mark.parametrize("cap", [c + d for c in _SEVEN_ENDS
                                  for d in (-1, 0, 1)])
 def test_capped_complete_sets_settle_as_the_search_reports(cap, monkeypatch):
-    # past the cap a set is read only from pairs whose walk ends below it,
-    # and a search of exactly the cap is left to the full search
+    # the full search of a complete 7-criteria set passes any of these
+    # caps but holds every relation of the pairs of C0; the recursion
+    # builds at most 1,152 states, so its report is never truncated and
+    # otherwise the capped search's
     monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
-    settled = 0
     for seed in range(10):
-        edges, multi = _statements(pairwise(7, seed, False))
-        expected = _report(*_search(7, edges, multi), False)
-        report = _settled(7, edges, False)
-        if report is not None:
-            settled += 1
-            assert report == expected
+        problem = pairwise(7, seed, False)
+        expected = _report(*_search(7, *_statements(problem)), False)
+        report = classify(problem)
         assert expected.depth_exceeded == (cap < 8018)
-    # every one of these sets settles within the pairs of C0
-    assert settled == (0 if cap in (2945, 2946, 8018) else 10)
+        assert not report.depth_exceeded
+        assert (report.label, report.rule_fired, report.witnesses) == (
+            expected.label, expected.rule_fired, expected.witnesses)
 
 
 def test_pairwise_past_the_relation_cap():
-    report = assert_same(pairwise(7, 0, False))
-    assert report.depth_exceeded
+    # the capped reference holds every relation of the pairs of C0, which
+    # list the witnesses; only its truncation differs
+    problem = pairwise(7, 0, False)
+    report = classify(problem)
+    expected = reference_classify(problem)
+    assert expected.depth_exceeded and not report.depth_exceeded
+    assert report == ClassificationReport(
+        expected.label, expected.witnesses, expected.rule_fired,
+        expected.det_agrees, False)
     assert len(report.witnesses) == classify_module._WITNESS_CAP
 
 
@@ -459,9 +615,15 @@ def assert_solved_past_the_cap(problem):
 
 
 def test_lowered_relation_cap(monkeypatch):
+    # 300 relations truncate the reference; the recursion builds 80
+    # states from C0, where SD4 fires, and a cap below them truncates it
     monkeypatch.setattr(classify_module, "_RELATION_CAP", 300)
-    report = assert_same(pairwise(6, 0, False))
-    assert report.depth_exceeded
+    problem = pairwise(6, 0, False)
+    assert reference_classify(problem).depth_exceeded
+    exact = assert_same(problem)
+    assert exact.rule_fired == "SD4" and not exact.depth_exceeded
+    monkeypatch.setattr(classify_module, "_RELATION_CAP", 40)
+    assert_capped(problem, exact)
     consistent = pairwise(6, 0, True)
     assert reference_derive(consistent, 6)[1]  # the search is truncated
     assert_solved_past_the_cap(consistent)
@@ -470,17 +632,27 @@ def test_lowered_relation_cap(monkeypatch):
 @pytest.mark.parametrize("name", ["ex1.admp", "ex2.admp", "ex9.admp",
                                   "ex11.admp"])
 def test_relation_cap_at_the_exact_count(name, monkeypatch):
-    # a cap equal to the number of relations is full but not truncated
-    # unless another derivation is attempted; around it the flag flips.
-    # ex1 is consistent: only its relations meet the cap
+    # a cap equal to the number of relations, or of the recursion's states
+    # for a set of one-term statements, is full but not truncated unless
+    # another is attempted; around it the flag flips. ex1 is consistent:
+    # only its relations meet the cap. Each pair's listing holds up to the
+    # cap's derivations on its own, so ex11's witnesses are whole at a cap
+    # of its 4 states, below its 7 relations
     problem = parse_problem((CORPUS / name).read_text(encoding="utf-8"))
     total = len(reference_derive(problem, problem.criteria.n)[0])
+    searched = name != "ex1.admp" and ratio_only(problem)
+    if searched:
+        exact = uncapped(reference_classify, problem)
+        total = recursion_states(problem)
     for cap in (total - 1, total, total + 1):
         monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
         if name == "ex1.admp":
             assert_solved_past_the_cap(problem)
+        elif searched and cap < total:
+            assert_capped(problem, exact)
         else:
-            assert_same(problem)
+            report = assert_same(problem)
+            assert not searched or report == exact
 
 
 def solved_sets():

@@ -159,10 +159,11 @@ class TestClassify:
         assert doc["priority"] is None
 
     def test_capped_search_names_the_relation_cap(self, capsys, tmp_path):
-        # a full 7-criteria set derives 8,018 relations, past the cap; SD4
-        # fires, and no relation past the cap could change that label
-        path = tmp_path / "pairwise7.admp"
-        path.write_text(format_problem(pairwise(7, 0, False)))
+        # a full 11-criteria set builds 5,120 states from C0, past the
+        # cap; SD4 fires within them, and no state past the cap could
+        # change that label
+        path = tmp_path / "pairwise11.admp"
+        path.write_text(format_problem(pairwise(11, 0, False)))
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0
         assert "label: StrongInconsistent (SD4)" in out
@@ -175,21 +176,23 @@ class TestClassify:
     def test_capped_sets_print_what_the_full_search_gives(self, seed, capsys,
                                                           tmp_path,
                                                           monkeypatch):
-        # a 7-criteria set settles from its first pairs; with that path
-        # closed every command takes the capped full search
+        # the full search of a 9-criteria set passes the relation cap from
+        # C0 on; every command prints what it prints with the cap raised
+        # past the whole search, and no note
         from admcdm import classification
 
-        path = tmp_path / "pairwise7.admp"
-        path.write_text(format_problem(pairwise(7, seed, False)))
+        path = tmp_path / "pairwise9.admp"
+        path.write_text(format_problem(pairwise(9, seed, False)))
         argvs = [(command, *flags, str(path))
                  for command in ("classify", "solve", "compare")
                  for flags in ((), ("--json",))]
-        settled = [run(capsys, *argv) for argv in argvs]
-        monkeypatch.setattr(classification, "_settled", lambda *args: None)
-        assert [run(capsys, *argv) for argv in argvs] == settled
-        code, out, _ = settled[0]
+        capped = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(classification, "_RELATION_CAP", 10**6)
+        assert [run(capsys, *argv) for argv in argvs] == capped
+        code, out, _ = capped[0]
         assert code == 0
-        assert out.endswith("note: derivation stopped at the relation cap\n")
+        assert out.startswith("label: StrongInconsistent (SD4)")
+        assert "note:" not in out
 
     def test_capped_weak_label_is_conservative(self, capsys, tmp_path,
                                                monkeypatch):
