@@ -31,12 +31,13 @@ Cost model. Derivation stops as soon as _RELATION_CAP relations are held
 and the result is known to be truncated, so the cap bounds memory and the
 time of the walk; it and the conservative label of a truncated search
 concern only sets without such a positive solution. Of these, a set of
-one-term statements is not searched (below). The cap does not
-bound the substitution's time: a multi-term statement tries every
-combination of derived relations for its terms, depth-first, and drops a
-partial combination at its first statement shared with the rest, so
-only combinations with disjoint trails count toward the cap, and a dense
-ratio graph can still make the enumeration long. A ratio travels as an
+one-term statements is not searched (below). The substitution tries the
+combinations of derived relations for a multi-term statement's terms,
+depth-first, and drops a partial combination at its first statement
+shared with the rest. Each combination it tries, partial or whole, kept
+or dropped, is a step; past _RELATION_CAP steps the result is truncated
+too, so the cap bounds the substitution's time as well, also on a dense
+ratio graph. A ratio travels as an
 unreduced pair of ints (p, q), read off the statement's Fraction and never
 as a float, so a path step is two int products. The walk keeps its nodes
 as a bitmask, forms that product only for an edge it takes, checks only
@@ -59,18 +60,20 @@ A set of one-term statements is not enumerated: the extremes of the
 ratio product over the simple paths joining a pair come from the
 recursion over (node set, end node) of Bellman (1962) and Held and Karp
 (1962), since a product of positive ratios is smallest, or largest, when
-each factor is. Each start's pairs are read when its recursion ends, none
-after SD4 fires, and its states count toward _RELATION_CAP: (n - 1) *
-2**(n - 2) per start of a complete set, 1,024 at n = 9. Past the cap the
-report is truncated and its label conservative. The witnesses are listed
-as the search with no cap lists them: the pairs whose rule fires, in the
-report's order, then the cycles through them, each walked within
-_RELATION_CAP derivations, so a pair whose derivations past the cap
-would add to its list is listed from the capped walk. The starts after
-the one where SD4 fired are taken then, within a cap each. A pair's walk
-ends once its first derivation disagrees with as many others as there
-is room for, and enters no node past which the pair's other end is cut
-off.
+each factor is. Each layer of a start's recursion takes the paths one
+statement longer. After each layer a pair whose range crosses 1 fires
+SD4, which no rule outranks, and ends the search; otherwise a start's
+pairs are read when its recursion ends. The states count toward
+_RELATION_CAP: (n - 1) * 2**(n - 2) per start of a complete set, 1,024 at
+n = 9. Past the cap the report is truncated and its label conservative.
+The witnesses are listed as the search with no cap lists them: the pairs
+whose rule fires, in the report's order, then the cycles through them,
+each walked within _RELATION_CAP derivations, so a pair whose derivations
+past the cap would add to its list is listed from the capped walk. The
+start where SD4 fired and those after it are taken then in full, within a
+cap each. A pair's walk ends once its first derivation disagrees with as
+many others as there is room for, and enters no node past which the
+pair's other end is cut off.
 """
 
 from __future__ import annotations
@@ -110,15 +113,6 @@ class DerivedRelation(Record):
     j: int
     ratio: Fraction
     trail: tuple
-
-    def __init__(self, i, j, ratio, trail):
-        # the fields written directly: Record's generic __init__ costs
-        # twice as much as the Fraction
-        d = self.__dict__
-        d["i"] = i
-        d["j"] = j
-        d["ratio"] = ratio
-        d["trail"] = trail
 
     def describe(self, names) -> str:
         k = self.ratio
@@ -262,19 +256,26 @@ def _walk(adjacency, starts, keep, add=None):
         del walk  # it refers to itself: reference counting frees it
 
 
-def _combine(add, subject, target, terms, choices, used, trail, total):
+def _combine(add, subject, target, terms, choices, used, trail, total,
+             room):
     """Substitute one of choices[0]'s relations for terms[0], then the rest
     in turn, and add each result: the combinations of itertools.product,
     in its order, but a branch ends at its first relation that shares a
-    statement with used."""
+    statement with used. Each call is a step out of room; the room left
+    is returned, and _Settled raised once none is."""
+    if not room:
+        raise _Settled
+    room -= 1
     if not choices:
         add(subject, target, total.numerator, total.denominator, trail)
-        return
+        return room
     coef = terms[0][1]
     for k, tr in choices[0]:
         if used.isdisjoint(tr):
-            _combine(add, subject, target, terms[1:], choices[1:],
-                     used.union(tr), trail + tr, total + coef * k)
+            room = _combine(add, subject, target, terms[1:], choices[1:],
+                            used.union(tr), trail + tr, total + coef * k,
+                            room)
+    return room
 
 
 def _search(n: int, edges, multi):
@@ -312,6 +313,7 @@ def _search(n: int, edges, multi):
                 pool[(i, j)].append((Fraction(p, q), trail))
                 pool[(j, i)].append((Fraction(q, p), trail))
 
+        room = _RELATION_CAP
         for pos, subject, terms in multi:
             for target in range(n):
                 choices = [[(1, ())] if j == target else
@@ -319,8 +321,8 @@ def _search(n: int, edges, multi):
                             if pos not in tr]
                            for j, _ in terms]
                 if all(choices):
-                    _combine(add, subject, target, terms, choices, {pos},
-                             (pos,), 0)
+                    room = _combine(add, subject, target, terms, choices,
+                                    {pos}, (pos,), 0, room)
 
     try:
         for a, b, p, q, pos in edges:
@@ -358,21 +360,6 @@ def _rule(lp, lq, hp, hq) -> str:
     if lp * hq == hp * lq:
         return ""
     return _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
-
-
-def _pair(oriented) -> str:
-    """The strongest rule among one pair's derivations (p, q, relation),
-    the rule of the smallest and the largest ratio, found in one pass of
-    cross products: some two ratios differ exactly when these do, and they
-    carry the lowest and the highest side of 1."""
-    lp, lq, _ = oriented[0]
-    hp, hq = lp, lq
-    for p, q, _ in oriented:
-        if p * lq < lp * q:
-            lp, lq = p, q
-        elif p * hq > hp * q:
-            hp, hq = p, q
-    return _rule(lp, lq, hp, hq)
 
 
 def _list(oriented, witnesses):
@@ -423,7 +410,10 @@ def _listed(fired, selves) -> tuple:
 
 def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
     """The report on _search's relations. Each pair's ratios are oriented
-    from its smaller criterion, so a relation (j, i, p, q) reads q / p."""
+    from its smaller criterion, so a relation (j, i, p, q) reads q / p.
+    A pair's rule is that of its smallest and largest ratio (_wider): some
+    two ratios differ exactly when these do, and they carry the lowest and
+    the highest side of 1."""
     pairs = defaultdict(list)
     selves = []
     for r in relations:
@@ -438,7 +428,10 @@ def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
 
     strongest, fired = "", []
     for _, oriented in sorted(pairs.items()):
-        rule = _pair(oriented)
+        span = None
+        for p, q, _ in oriented:
+            span = _wider(span, p, q, p, q)
+        rule = _rule(*span)
         if rule:
             fired.append(oriented)
             if _RANK[rule] > _RANK[strongest]:
@@ -482,47 +475,56 @@ def _wider(old, lp, lq, hp, hq) -> tuple:
 
 
 def _ranges(steps, i: int, held: int):
-    """(ends, held, truncated): from start i, each state (S, v), S the
-    node bitmask of paths from i to v, holds the range of their ratio
-    products; ends[v] takes in every S. held counts the states toward
-    _RELATION_CAP; past it ends has the layers finished."""
+    """From start i, each state (S, v), S the node bitmask of paths from i
+    to v, holds the range of their ratio products; after each layer this
+    yields (ends, held), ends[v] taking in every S so far and held counting
+    the states toward _RELATION_CAP. Past the cap it yields the layers
+    finished once more, with held past the cap, and stops."""
     ends = {}
     layer = {(1 << i, i): (1, 1, 1, 1)}
-    try:
-        while layer:
-            nxt = {}
-            for (mask, v), (lp, lq, hp, hq) in layer.items():
-                for u, (sp, sq, tp, tq) in steps[v].items():
-                    if mask >> u & 1:
-                        continue
-                    key = (mask | 1 << u, u)
-                    old = nxt.get(key)
-                    held += old is None
-                    if held > _RELATION_CAP:
-                        raise _Settled
-                    nxt[key] = _wider(old, lp * sp, lq * sq, hp * tp, hq * tq)
-            for (_, v), span in nxt.items():
-                ends[v] = _wider(ends.get(v), *span)
-            layer = nxt
-    except _Settled:
-        return ends, held, True
-    return ends, held, False
+    while layer:
+        nxt = {}
+        for (mask, v), (lp, lq, hp, hq) in layer.items():
+            for u, (sp, sq, tp, tq) in steps[v].items():
+                if mask >> u & 1:
+                    continue
+                key = (mask | 1 << u, u)
+                old = nxt.get(key)
+                held += old is None
+                if held > _RELATION_CAP:
+                    yield ends, held
+                    return
+                nxt[key] = _wider(old, lp * sp, lq * sq, hp * tp, hq * tq)
+        for (_, v), span in nxt.items():
+            ends[v] = _wider(ends.get(v), *span)
+        yield ends, held
+        layer = nxt
 
 
 def _ratios(n: int, edges, det_ok: bool) -> ClassificationReport:
     """The report on _statements' edges alone, from _ranges of each start
-    in turn up to the one where SD4 fires, all within _RELATION_CAP."""
+    in turn up to the first layer where a pair's range crosses 1 (SD4),
+    all within _RELATION_CAP. The start where SD4 fires is left unread:
+    the listing takes it in full."""
     steps = defaultdict(dict)  # steps[a][b]: the range of a's statements on b
     for a, b, p, q, _ in edges:
         steps[a][b] = _wider(steps[a].get(b), p, q, p, q)
         steps[b][a] = _wider(steps[b].get(a), q, p, q, p)
-    strongest, held, truncated, read = "", 0, False, {}
+    strongest, held, read = "", 0, {}
     for i in range(n - 1):
-        ends, held, truncated = _ranges(steps, i, held)
+        for ends, held in _ranges(steps, i, held):
+            # the smallest ratio below 1 and the largest above it
+            if any(lp < lq and hp > hq
+                   for v, (lp, lq, hp, hq) in ends.items() if v > i):
+                strongest = "SD4"
+                break
+        if strongest == "SD4":
+            break
         read[i] = {j: _rule(*ends[j]) for j in ends if j > i}
         strongest = max([*read[i].values(), strongest], key=_RANK.get)
-        if truncated or strongest == "SD4":
+        if held > _RELATION_CAP:
             break
+    truncated = held > _RELATION_CAP
     return _finish(strongest,
                    lambda: _walked(n, edges, steps, read, truncated),
                    truncated, det_ok)
@@ -561,9 +563,10 @@ def _walked(n: int, edges, steps, read, truncated) -> tuple:
     cap on the derivations: those of each pair that fires, in order, then
     of the cycles through such pairs, as an unbalanced cycle fires each
     pair it joins. read[i] has the rules _ranges finds from start i; a
-    start classify() did not take is taken here, within a cap of its own,
-    unless the report is truncated. Each pair's walk, and the cycles',
-    holds at most _RELATION_CAP derivations."""
+    start classify() did not finish (the one where SD4 fired, and those
+    after it) is taken here, within a cap of its own, unless the report is
+    truncated. Each pair's walk, and the cycles', holds at most
+    _RELATION_CAP derivations."""
     adjacency = _adjacency(edges)
     stated = defaultdict(list)
     for a, b, p, q, pos in edges:
@@ -571,7 +574,10 @@ def _walked(n: int, edges, steps, read, truncated) -> tuple:
     witnesses, live = [], set()
     for i, j in combinations(range(n), 2):
         if i not in read:
-            ends = {} if truncated else _ranges(steps, i, 0)[0]
+            ends = {}
+            if not truncated:
+                for ends, _ in _ranges(steps, i, 0):
+                    pass
             read[i] = {v: _rule(*ends[v]) for v in ends if v > i}
         if read[i].get(j):
             live.add((i, j))

@@ -453,11 +453,8 @@ def _regimes_report(problem: Problem, warnings, args):
     parts = []
     for k, (coef, power) in enumerate(sol.components):
         piece = "" if coef == 1 else fmt(coef)
-        if power == 0:
-            parts.append(piece or "1")
-        else:
-            var = free if power == 1 else f"{free}^{power}"
-            parts.append(f"{piece}{var}" if piece else var)
+        var = free if power == 1 else f"{free}^{power}"
+        parts.append(f"{piece}{var}" if piece else var)
     lines = [f"solution family: [{', '.join(parts)}] for {free} > 0"]
     lower, upper = report.domain
     upper_text = "inf" if upper is None else _show(upper)

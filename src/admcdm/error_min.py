@@ -46,7 +46,7 @@ from .model import (
     cleared,
     is_equation,
 )
-from .scalars import Record, Scalar, exact
+from .scalars import Record, Scalar, exact, integer_row
 
 # the one tolerance on a caller's input: eval_error accepts a float point
 # whose weights sum to 1 within it
@@ -309,7 +309,7 @@ def _family_zero(
     component is rounded once from its exact value there.
     """
     from .nonlinear import regime_analysis, solve_triangular
-    from .polynomial import poly, positive_roots
+    from .polynomial import integer_positive_roots
 
     try:
         family = solve_triangular(problem)
@@ -319,7 +319,7 @@ def _family_zero(
     coeffs = [Fraction(-1)] + [0] * max(d for _, d in family.components)
     for c, d in family.components:
         coeffs[d] += c
-    roots = positive_roots(poly(coeffs))
+    roots = integer_positive_roots(integer_row(coeffs)[0])
     inside = roots and lower < roots[0] and (upper is None or roots[0] < upper)
     if not inside:
         return None

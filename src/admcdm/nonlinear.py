@@ -103,16 +103,56 @@ def _equations(problem: Problem) -> list[tuple[int, Fraction, tuple]]:
     return out
 
 
+def _resolve(equations, n: int, free: int):
+    """The components from substitution with the given free variable, in
+    passes over the statements not yet consumed: "stuck" when a pass
+    consumes none, "conflict" when one closes a criterion to a second
+    monomial, "free" when all are consumed and a criterion is unknown."""
+    known: dict[int, tuple[Scalar, int]] = {free: (Fraction(1), 1)}
+    while equations:
+        still = []
+        for subject, coef, factors in equations:
+            if all(j in known for j, _ in factors):
+                total_coef: Scalar = coef
+                total_power = 0
+                for j, power in factors:
+                    base_coef, base_power = known[j]
+                    total_coef = total_coef * base_coef**power
+                    total_power += base_power * power
+                total = (total_coef, total_power)
+                if known.setdefault(subject, total) != total:
+                    return "conflict"
+            elif (
+                subject in known
+                and len(factors) == 1
+                and factors[0][1] == 1
+                and factors[0][0] not in known
+            ):
+                have_coef, have_power = known[subject]
+                known[factors[0][0]] = (have_coef / coef, have_power)
+            else:
+                still.append((subject, coef, factors))
+        if len(still) == len(equations):
+            return "stuck"
+        equations = still
+    if len(known) < n:
+        return "free"
+    return tuple(known[k] for k in range(n))
+
+
 def solve_triangular(problem: Problem) -> MonomialSolution:
     """Resolve the system into one monomial family by substitution.
 
-    Each candidate free variable is tried from the last criterion down;
-    forward substitution resolves a statement once all its factors are
-    known, and a single-factor statement with a known subject is inverted.
-    Redundant statements must reproduce the already-known component
-    exactly. The first candidate that resolves every criterion wins. Every
-    statement held exactly when it was consumed, and no component changes
-    once set, so the family satisfies every statement.
+    Each candidate free variable is tried from the last criterion down
+    (_resolve): forward substitution resolves a statement once all its
+    factors are known, and a single-factor statement with a known subject
+    is inverted. Redundant statements must reproduce the already-known
+    component exactly. The first candidate that resolves every criterion
+    wins. Every statement held exactly when it was consumed, and no
+    component changes once set, so the family satisfies every statement.
+    When no candidate wins, the error names the gravest outcome among
+    them: a conflict, then a criterion left free, then statements left
+    unresolved.
 
     Raises:
         NotTriangular: no substitution order exists (a multi-term
@@ -124,63 +164,19 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
     """
     equations = _equations(problem)
     n = problem.criteria.n
-    saw_over = False
-    saw_multi = False
-
+    outcomes = set()
     for free in reversed(range(n)):
-        known: dict[int, tuple[Scalar, int]] = {free: (Fraction(1), 1)}
-        pending = list(range(len(equations)))
-        closed = False
-        progressed = True
-        while progressed and not closed:
-            progressed = False
-            still = []
-            for idx in pending:
-                subject, coef, factors = equations[idx]
-                if all(j in known for j, _ in factors):
-                    total_coef: Scalar = coef
-                    total_power = 0
-                    for j, power in factors:
-                        base_coef, base_power = known[j]
-                        total_coef = total_coef * base_coef**power
-                        total_power += base_power * power
-                    if subject not in known:
-                        known[subject] = (total_coef, total_power)
-                    else:
-                        have_coef, have_power = known[subject]
-                        if have_power != total_power or have_coef != total_coef:
-                            closed = True
-                            break
-                    progressed = True
-                elif (
-                    subject in known
-                    and len(factors) == 1
-                    and factors[0][1] == 1
-                    and factors[0][0] not in known
-                ):
-                    have_coef, have_power = known[subject]
-                    known[factors[0][0]] = (have_coef / coef, have_power)
-                    progressed = True
-                else:
-                    still.append(idx)
-            else:
-                pending = still
-        if closed:
-            saw_over = True
-            continue
-        if pending:
-            continue
-        if len(known) < n:
-            saw_multi = True
-            continue
-        return MonomialSolution(free, tuple(known[k] for k in range(n)))
+        components = _resolve(equations, n, free)
+        if isinstance(components, tuple):
+            return MonomialSolution(free, components)
+        outcomes.add(components)
 
-    if saw_over:
+    if "conflict" in outcomes:
         raise OverDetermined(
             "substitution closes the free variable to a constant: the "
             "statements pin two different monomials to one criterion"
         )
-    if saw_multi:
+    if "free" in outcomes:
         raise MultipleFreeVars(
             "the statements leave more than one criterion free"
         )
@@ -190,9 +186,9 @@ def solve_triangular(problem: Problem) -> MonomialSolution:
 def _crossing(coef_a: Fraction, power_a: int, coef_b: Fraction, power_b: int):
     """The z > 0 where c_a z^{d_a} = c_b z^{d_b}, if the powers differ, as
     (z, r, d): z = r^(1/d) for the rational r > 0 and the integer d > 0,
-    the positive root of z^d - r from positive_roots, an exact Fraction
-    when rational, else the correctly rounded float (InvalidProblem when
-    it has none)."""
+    the positive root of the integer polynomial q z^d - p (r = p / q) from
+    integer_positive_roots, an exact Fraction when rational, else the
+    correctly rounded float (InvalidProblem when it has none)."""
     if power_a == power_b:
         return None
     if power_a < power_b:
@@ -200,9 +196,10 @@ def _crossing(coef_a: Fraction, power_a: int, coef_b: Fraction, power_b: int):
     r, d = coef_b / coef_a, power_a - power_b
     if d == 1:
         return r, r, d
-    from .polynomial import poly, positive_roots
+    from .polynomial import integer_positive_roots
 
-    return positive_roots(poly([-r] + [0] * (d - 1) + [1]))[0], r, d
+    ints = [-r.numerator] + [0] * (d - 1) + [r.denominator]
+    return integer_positive_roots(ints)[0], r, d
 
 
 def _compare(u, v) -> int:
@@ -277,7 +274,7 @@ def regime_analysis(
     """Split the free variable's positive axis into constant-order pieces.
 
     Crossing points are the roots z > 0 of c_a z^{d_a} = c_b z^{d_b} for
-    every pair with different exponents, from positive_roots: exact when
+    every pair with different exponents, from _crossing: exact when
     rational, else the correctly rounded float. Each is z = r^(1/d) for a
     rational r, so crossings are compared, merged and tied exactly, as
     r1^d2 against r2^d1, never through their floats. Inequalities shrink

@@ -31,12 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .classification import (
-    ClassificationReport,
-    _classify_solved,
-    _core_det,
-    _exact_test,
-)
+from .classification import _classify_solved, _core_det, _exact_test
 from .errors import (
     DegenerateCore,
     FullRank,

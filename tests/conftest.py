@@ -67,6 +67,22 @@ def blocks(m, seed):
                    prefs)
 
 
+def summed(k, seed):
+    """C0 = C1 + ... + C7 beside k one-term statements Ca = (p/q) Cb on
+    random pairs of C1..C7, p and q in 1..9: each term of the sum has many
+    derivations, whose combinations the substitution tries."""
+    rng = random.Random(seed)
+    prefs = []
+    for _ in range(k):
+        a, b = rng.sample(range(1, 8), 2)
+        prefs.append(LinearPreference(
+            a, ((b, Fraction(rng.randint(1, 9), rng.randint(1, 9))),)))
+    prefs.append(LinearPreference(0, tuple((j, Fraction(1))
+                                           for j in range(1, 8))))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(8))),
+                   tuple(prefs))
+
+
 def dense(n, seed):
     """Dense linear system: row i states Ci = three other criteria, each
     with a coefficient k/l, k and l in 1..9."""

@@ -45,7 +45,7 @@ from admcdm.parser import format_problem, parse_problem
 from admcdm.solver import discount_report, priority
 
 from classify_reference import reference_classify, reference_derive
-from conftest import CORPUS, blocks, load, pairwise, ranked
+from conftest import CORPUS, blocks, load, pairwise, ranked, summed
 
 
 def problem(names, *prefs):
@@ -311,7 +311,8 @@ class TestGuards:
 class TestBoundedTime:
     """The relation cap bounds time: a full pairwise set at n = 9 has far
     more simple paths than the cap admits, and the recursion that reads a
-    set of one-term statements instead builds 1,024 states from C0. A set
+    set of one-term statements instead builds 1,024 states from C0 at
+    most; the substitution counts each combination it tries. A set
     that one positive vector solves as written is labelled without the
     search."""
 
@@ -375,6 +376,19 @@ class TestBoundedTime:
         assert time.perf_counter() - start < 1.0
         assert len(witnesses) == classify_module._WITNESS_CAP
         assert {w[0] for w in witnesses} == {"WD1"}
+
+    def test_substitution_steps_count_toward_the_cap(self):
+        # C0 as the sum of C1..C7 beside 18 ratios among them: each
+        # combination the substitution tries is a step toward the cap,
+        # also one that ends at a shared statement, so the search stops
+        # there instead of trying combinations for tens of seconds
+        pr = summed(18, 0)
+        start = time.perf_counter()
+        report = classify(pr)
+        assert time.perf_counter() - start < 1.0
+        assert report.depth_exceeded
+        assert report.rule_fired == "SD4"
+        assert report.label is Label.STRONG_INCONSISTENT
 
     def test_witnesses_past_a_shared_criterion_are_bounded(self):
         # two full 8-criteria sets sharing C7: a walk between criteria of

@@ -24,7 +24,9 @@ reference would take seconds per set to give.
 """
 
 import random
+from collections import defaultdict
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -198,28 +200,57 @@ def assert_same(problem):
 def recursion_states(problem):
     """How many states the recursion builds, counted from the simple
     paths: from each start i < n - 1 in turn, one per node set and end of
-    the paths from i, up to the start whose pairs fire SD4."""
+    the paths from i, layer by layer (the paths one statement longer), up
+    to the first layer whose paths give a pair (i, j) derivations on both
+    sides of 1 (SD4)."""
     n = problem.criteria.n
     adjacency = classify_module._adjacency(_statements(problem)[0])
-    sides = {}
-    for r in uncapped(reference_derive, problem, n)[0]:
-        k = r.ratio if r.i < r.j else 1 / r.ratio
-        sides.setdefault(frozenset((r.i, r.j)), set()).add((k > 1) - (k < 1))
     total = 0
     for i in range(n - 1):
-        states = set()
+        paths = [(i, frozenset((i,)), Fraction(1))]
+        sides = defaultdict(set)
+        while paths:
+            paths = [(u, nodes | {u}, k * Fraction(p, q))
+                     for v, nodes, k in paths
+                     for u, p, q, _ in adjacency[v] if u not in nodes]
+            total += len({(nodes, v) for v, nodes, _ in paths})
+            for v, _, k in paths:
+                if v > i:
+                    sides[v].add((k > 1) - (k < 1))
+            if any({-1, 1} <= side for side in sides.values()):
+                return total
+    return total
 
-        def extend(v, nodes):
-            for u, *_ in adjacency[v]:
-                if u not in nodes:
-                    states.add((nodes | {u}, u))
-                    extend(u, nodes | {u})
 
-        extend(i, frozenset((i,)))
-        total += len(states)
-        if any({-1, 1} <= sides.get(frozenset((i, j)), set())
-               for j in range(i + 1, n)):
-            break
+def substitution_steps(problem):
+    """How many partial combinations the substitution tries, counted from
+    the reference's relations of one-term statements alone: per multi-term
+    statement and target whose every term has a derivation, the empty one
+    and each prefix whose relations share no statement with each other or
+    with the statement."""
+    n = problem.criteria.n
+    multi = _statements(problem)[1]
+    positions = {pos for pos, *_ in multi}
+    pool = defaultdict(list)
+    for r in uncapped(reference_derive, problem, n)[0]:
+        if r.i != r.j and positions.isdisjoint(r.trail):
+            pool[r.i, r.j].append(r.trail)
+            pool[r.j, r.i].append(r.trail)
+
+    def prefixes(choices, used):
+        if not choices:
+            return 1
+        return 1 + sum(prefixes(choices[1:], used | set(trail))
+                       for trail in choices[0] if used.isdisjoint(trail))
+
+    total = 0
+    for pos, _, terms in multi:
+        for target in range(n):
+            choices = [[()] if j == target else
+                       [trail for trail in pool[j, target] if pos not in trail]
+                       for j, _ in terms]
+            if all(choices):
+                total += prefixes(choices, {pos})
     return total
 
 
@@ -463,22 +494,34 @@ def test_relation_cap_around_the_closed_form_count(n, monkeypatch):
         monkeypatch.undo()
 
 
+def layer_states(n, layers):
+    """The states the recursion builds from one start of a complete set on
+    n criteria in its first layers: l * C(n - 1, l) in layer l."""
+    return sum(layer * comb(n - 1, layer) for layer in range(1, layers + 1))
+
+
+# (n, seed, start, layer): where SD4 first fires on pairwise(n, seed, False)
+_SD4_AT = [(5, 0, 1, 3), (5, 1, 1, 4), (5, 2, 2, 3), (6, 0, 1, 3),
+           (6, 1, 0, 3), (6, 2, 0, 5), (7, 2, 0, 4)] + [
+    (n, s, 0, 3) for n in (7, 8, 9, 10, 11, 12) for s in range(2)]
+
+
 def test_closed_form_relation_count(monkeypatch):
     # the states counted from the simple paths take the closed form per
-    # start, and the report stops being truncated at a cap of that many:
-    # every start of a ranked set, up to the start whose pairs fire SD4
-    # of a pairwise set, and only C0's of those with n >= 7 (the
-    # recursion's own count, which the paths would take long to give)
+    # layer, and the report stops being truncated at a cap of that many:
+    # every start of a ranked set; of a pairwise set, every start before
+    # the one whose pairs fire SD4, and that one's layers up to the first
+    # where its pairs do
+    assert complete_states(9) == 1024
+    assert all(layer_states(n, n - 1) == complete_states(n)
+               for n in range(2, 13))
     cases = [(ranked(n, 0), (n - 1) * complete_states(n))
              for n in range(3, 7)]
-    cases += [(pairwise(n, s, False), None) for n in (5, 6) for s in range(3)]
-    cases = [(problem, recursion_states(problem)) for problem, _ in cases]
-    assert [total // complete_states(problem.criteria.n)
-            for problem, total in cases] == [2, 3, 4, 5, 2, 2, 3, 2, 1, 1]
-    cases += [(pairwise(n, s, False), complete_states(n))
-              for n in range(7, 11) for s in range(2)]
-    assert complete_states(9) == 1024
+    cases += [(pairwise(n, s, False),
+               start * complete_states(n) + layer_states(n, layer))
+              for n, s, start, layer in _SD4_AT]
     for problem, total in cases:
+        assert recursion_states(problem) == total
         for cap, truncated in ((total - 1, True), (total, False)):
             monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
             assert classify(problem).depth_exceeded is truncated
@@ -632,27 +675,32 @@ def test_lowered_relation_cap(monkeypatch):
 @pytest.mark.parametrize("name", ["ex1.admp", "ex2.admp", "ex9.admp",
                                   "ex11.admp"])
 def test_relation_cap_at_the_exact_count(name, monkeypatch):
-    # a cap equal to the number of relations, or of the recursion's states
-    # for a set of one-term statements, is full but not truncated unless
-    # another is attempted; around it the flag flips. ex1 is consistent:
-    # only its relations meet the cap. Each pair's listing holds up to the
-    # cap's derivations on its own, so ex11's witnesses are whole at a cap
-    # of its 4 states, below its 7 relations
+    # a cap equal to the number of relations, of the substitution's steps
+    # when it takes more, or of the recursion's states for a set of
+    # one-term statements, is full but not truncated unless another is
+    # attempted; around it the flag flips. ex1 is consistent: only its
+    # relations meet the cap. ex2's substitution takes 9 steps for its 6
+    # relations. Each pair's listing holds up to the cap's derivations on
+    # its own, so ex11's witnesses are whole at a cap of its 4 states,
+    # below its 7 relations
     problem = parse_problem((CORPUS / name).read_text(encoding="utf-8"))
     total = len(reference_derive(problem, problem.criteria.n)[0])
+    exact = uncapped(reference_classify, problem)
     searched = name != "ex1.admp" and ratio_only(problem)
     if searched:
-        exact = uncapped(reference_classify, problem)
         total = recursion_states(problem)
+    else:
+        total = max(total, substitution_steps(problem))
+    if name == "ex2.admp":
+        assert total == 9
     for cap in (total - 1, total, total + 1):
         monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
         if name == "ex1.admp":
             assert_solved_past_the_cap(problem)
-        elif searched and cap < total:
+        elif cap < total:
             assert_capped(problem, exact)
         else:
-            report = assert_same(problem)
-            assert not searched or report == exact
+            assert assert_same(problem) == exact
 
 
 def solved_sets():

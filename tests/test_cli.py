@@ -8,7 +8,7 @@ import pytest
 from admcdm.cli import main
 from admcdm.parser import format_problem, parse_problem
 
-from conftest import CORPUS, pairwise
+from conftest import CORPUS, pairwise, ranked, summed
 
 EX = {name: str(CORPUS / f"{name}.admp")
       for name in ("ex1", "ex2", "ex9", "ex9_expert", "ex10", "ex11",
@@ -159,18 +159,23 @@ class TestClassify:
         assert doc["priority"] is None
 
     def test_capped_search_names_the_relation_cap(self, capsys, tmp_path):
-        # a full 11-criteria set builds 5,120 states from C0, past the
-        # cap; SD4 fires within them, and no state past the cap could
-        # change that label
-        path = tmp_path / "pairwise11.admp"
-        path.write_text(format_problem(pairwise(11, 0, False)))
-        code, out, _ = run(capsys, "classify", str(path))
-        assert code == 0
-        assert "label: StrongInconsistent (SD4)" in out
-        assert "note: derivation stopped at the relation cap\n" in out
-        assert "conservative" not in out
-        code, out, _ = run(capsys, "classify", "--json", str(path))
-        assert code == 0 and '"depth_exceeded":true' in out
+        # a full 12-criteria set that fires no SD4 builds 11 * 2**10
+        # states from each start, past the cap: its WD1 label is
+        # conservative. A multi-term set whose substitution passes the cap
+        # after SD4 fired keeps its label, which no later derivation could
+        # change
+        for problem, label in ((ranked(12, 0), "WeakInconsistent (WD1)"),
+                               (summed(18, 0), "StrongInconsistent (SD4)")):
+            path = tmp_path / "capped.admp"
+            path.write_text(format_problem(problem))
+            code, out, _ = run(capsys, "classify", str(path))
+            assert code == 0
+            assert out.startswith(f"label: {label}\n")
+            suffix = "; label is conservative" if "Weak" in label else ""
+            assert (f"note: derivation stopped at the relation cap{suffix}\n"
+                    in out)
+            code, out, _ = run(capsys, "classify", "--json", str(path))
+            assert code == 0 and '"depth_exceeded":true' in out
 
     @pytest.mark.parametrize("seed", range(3))
     def test_capped_sets_print_what_the_full_search_gives(self, seed, capsys,

@@ -4,9 +4,11 @@ lists no runtime dependency). Each public name loads its module on first
 use, and each CLI command loads only the modules it runs.
 
 Every check of what is loaded runs in a fresh interpreter, since this test
-process has long since imported every module. The last test reads every
-module's globals for float tolerances."""
+process has long since imported every module. The last tests read every
+module's globals for float tolerances and every module's source for
+imported names it never uses."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -195,3 +197,29 @@ def test_no_module_defines_a_tolerance():
                   for name, value in vars(module).items()
                   if isinstance(value, float)}
     assert found <= ALLOWED_FLOATS
+
+
+# names a module imports only for other code to import from it
+RE_EXPORTS = {
+    # bench/worker.py reads the consistency tolerance from the solver
+    ("admcdm.solver", "CONSISTENT_DET_TOL"),
+}
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in sorted(Path(admcdm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0]
+                             for alias in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused |= {(f"admcdm.{path.stem}", name) for name in imported - used}
+    assert unused == RE_EXPORTS

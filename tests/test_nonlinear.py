@@ -1,5 +1,7 @@
 """Triangular monomial families and ordering-regime analysis."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,17 @@ from admcdm.errors import (
     NotTriangular,
     OverDetermined,
 )
-from admcdm.model import InequalityPreference, Relation
+from admcdm.model import (
+    CriteriaSet,
+    InequalityPreference,
+    LinearPreference,
+    MonomialPreference,
+    Problem,
+    Relation,
+)
 from admcdm.nonlinear import (
     MonomialSolution,
+    _equations,
     ordering_text,
     regime_analysis,
     solve_triangular,
@@ -27,7 +37,117 @@ def inequalities_of(problem):
                  if isinstance(p, InequalityPreference))
 
 
+def reference_solve_triangular(problem):
+    """The substitution loop solve_triangular ran with four flags: each
+    candidate free variable in passes until one consumes no statement or
+    closes a criterion twice; the first candidate that resolves every
+    criterion wins, and else the gravest outcome is raised."""
+    equations = _equations(problem)
+    n = problem.criteria.n
+    saw_over = False
+    saw_multi = False
+
+    for free in reversed(range(n)):
+        known = {free: (Fraction(1), 1)}
+        pending = list(range(len(equations)))
+        closed = False
+        progressed = True
+        while progressed and not closed:
+            progressed = False
+            still = []
+            for idx in pending:
+                subject, coef, factors = equations[idx]
+                if all(j in known for j, _ in factors):
+                    total_coef = coef
+                    total_power = 0
+                    for j, power in factors:
+                        base_coef, base_power = known[j]
+                        total_coef = total_coef * base_coef**power
+                        total_power += base_power * power
+                    if subject not in known:
+                        known[subject] = (total_coef, total_power)
+                    else:
+                        have_coef, have_power = known[subject]
+                        if have_power != total_power or have_coef != total_coef:
+                            closed = True
+                            break
+                    progressed = True
+                elif (
+                    subject in known
+                    and len(factors) == 1
+                    and factors[0][1] == 1
+                    and factors[0][0] not in known
+                ):
+                    have_coef, have_power = known[subject]
+                    known[factors[0][0]] = (have_coef / coef, have_power)
+                    progressed = True
+                else:
+                    still.append(idx)
+            else:
+                pending = still
+        if closed:
+            saw_over = True
+            continue
+        if pending:
+            continue
+        if len(known) < n:
+            saw_multi = True
+            continue
+        return MonomialSolution(free, tuple(known[k] for k in range(n)))
+
+    if saw_over:
+        raise OverDetermined(
+            "substitution closes the free variable to a constant: the "
+            "statements pin two different monomials to one criterion"
+        )
+    if saw_multi:
+        raise MultipleFreeVars(
+            "the statements leave more than one criterion free"
+        )
+    raise NotTriangular("no substitution order resolves these statements")
+
+
+def ratio_and_product_set(rng):
+    """2..6 criteria and 1 to n + 1 statements, each a ratio Ci = k Cj or
+    a product Ci = k Cj^a Ck^b of one or two factors, exponents 1..2."""
+    n = rng.randint(2, 6)
+    prefs = []
+    for _ in range(rng.randint(1, n + 1)):
+        subject = rng.randrange(n)
+        others = [j for j in range(n) if j != subject]
+        k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        if rng.random() < 0.5:
+            prefs.append(LinearPreference(subject,
+                                          ((rng.choice(others), k),)))
+        else:
+            factors = rng.sample(others, min(len(others), rng.randint(1, 2)))
+            prefs.append(MonomialPreference(
+                subject, k, tuple((j, rng.randint(1, 2)) for j in factors)))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                   tuple(prefs))
+
+
+def outcome(fn, problem):
+    try:
+        return fn(problem)
+    except (NotTriangular, MultipleFreeVars, OverDetermined) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestSolveTriangular:
+    def test_equals_the_flag_loop_on_random_sets(self):
+        rng = random.Random(7)
+        kinds = Counter()
+        for _ in range(2000):
+            problem = ratio_and_product_set(rng)
+            got = outcome(solve_triangular, problem)
+            assert got == outcome(reference_solve_triangular, problem)
+            kinds[got[0] if isinstance(got, tuple) else "family"] += 1
+        assert set(kinds) == {"family", "OverDetermined", "NotTriangular",
+                              "MultipleFreeVars"}
+        assert min(kinds.values()) >= 100
+
+
     def test_product_with_chain(self):
         sol = solve_triangular(load("ex15.admp"))
         assert sol.free_var == 2

@@ -441,6 +441,16 @@ class TestCheckedFloat:
         assert len(guesses) == 48
         assert sum(g is not None for g in guesses) >= 40
 
+    def test_a_rational_root_at_a_bracket_midpoint(self):
+        """(2^53 x - (2^53 + 1))(x - 3): the root 1 + 2^-53 has no float;
+        it is the midpoint between the guess 1.0 and its upper neighbour,
+        where the exact sign is 0 and the root is returned as it is."""
+        s = 1 << 53
+        ints = [3 * (s + 1), -(4 * s + 1), s]
+        assert polynomial.integer_positive_roots(ints) == [
+            Fraction(s + 1, s), 3]
+        assert sorted(_assert_refined_as_bisected(poly(ints))) == [1.0, 3.0]
+
     @pytest.mark.parametrize("lead", [(1 << 60) + 1, 3 ** 40, 10 ** 30])
     def test_rational_roots_with_a_lead_past_the_float_precision(self, lead):
         """(lead x - y)(x^2 - 2): the guess at the rational root y / lead
