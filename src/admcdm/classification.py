@@ -45,16 +45,15 @@ an edge that closes a cycle against its trail, and does not enter a node
 past which it could neither close a cycle at its start nor reach a
 greater node. Each criterion pair is read in one pass: its strongest rule
 is the rule of its smallest and largest derived ratio, by cross
-products. The witnesses are listed on the report's first read of them:
-the report keeps the derivations of the pairs whose rule fired and the
-self-relations whose ratio is not 1, and lists their disagreements, each
-side of 1 computed once, until _WITNESS_CAP witnesses are held. A caller
-that reads only the label, the rule or the flags lists none. Only the
-witnesses' relations become DerivedRelation objects, each built once at
-a constant cost. No search leaves a reference cycle, so reference
-counting frees a case's relations when its report goes. Classifying R
-relations therefore costs O(R); a first read of the witnesses adds
-their listing.
+products, and its witness is the two derivations that rule reads, the
+first derived at each extreme. Each criterion with a self-relation whose
+ratio is not 1 then has one WD3 witness, its first such. The witnesses
+are listed, up to _WITNESS_CAP, on the report's first read of them; a
+caller that reads only the label, the rule or the flags lists none, and
+only the witnesses' relations become DerivedRelation objects. No search
+leaves a reference cycle, so reference counting frees a case's relations
+when its report goes. Classifying R relations therefore costs O(R), and
+so does listing the witnesses.
 
 A set of one-term statements is not enumerated: the extremes of the
 ratio product over the simple paths joining a pair come from the
@@ -66,14 +65,14 @@ SD4, which no rule outranks, and ends the search; otherwise a start's
 pairs are read when its recursion ends. The states count toward
 _RELATION_CAP: (n - 1) * 2**(n - 2) per start of a complete set, 1,024 at
 n = 9. Past the cap the report is truncated and its label conservative.
-The witnesses are listed as the search with no cap lists them: the pairs
-whose rule fires, in the report's order, then the cycles through them,
-each walked within _RELATION_CAP derivations, so a pair whose derivations
-past the cap would add to its list is listed from the capped walk. The
-start where SD4 fired and those after it are taken then in full, within a
-cap each. A pair's walk ends once its first derivation disagrees with as
-many others as there is room for, and enters no node past which the
-pair's other end is cut off.
+Each start's layers are kept, and a pair's witness is traced back
+through them from the first state at each end of its range, one
+predecessor state and one statement per layer. A start read whole gives
+its pairs' true extremes. The start where the search stopped, at SD4 or
+at the cap, gives the extremes of the layers it built, so an SD4 witness
+has one ratio on each side of 1; the starts after it list nothing. No
+start is recursed twice and no path is walked. Such a set lists no WD3
+witness: a cycle whose product is not 1 fires every pair it joins.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from __future__ import annotations
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import islice
 from math import isqrt, prod
 
 from .errors import FullRank, NonEquationPreference, NonlinearPreferencePresent
@@ -142,7 +141,7 @@ class ClassificationReport(Record):
             raise AttributeError(
                 f"{type(self).__qualname__!r} object has no attribute "
                 f"{name!r}")
-        # dropped once called: the listing holds the search's derivations
+        # dropped once called: the listing holds what the search kept
         d["witnesses"] = witnesses = d.pop("_pending")()
         return witnesses
 
@@ -191,33 +190,15 @@ def _adjacency(edges):
     return adjacency
 
 
-def _reaches(near, v, visited, want) -> bool:
-    """Whether a path from v off visited meets want (node bitmasks)."""
-    seen = front = 1 << v
-    while front:
-        grow = 0
-        while front:
-            grow |= near[(front & -front).bit_length() - 1]
-            front &= front - 1
-        if grow & want:
-            return True
-        front = grow & ~seen & ~visited
-        seen |= front
-    return False
-
-
-def _walk(adjacency, starts, keep, add=None):
-    """For each (start, goals) of starts, walk the simple paths from start,
-    passing keep each one of two or more statements that ends at a node of
-    goals. With add, each cycle whose smallest node is start is added too
-    (with no goals, the walk keeps to the nodes above start); without, the
-    walk enters no node past which every goal is cut off."""
-    near = {v: sum({1 << u for u, *_ in out}) for v, out in adjacency.items()}
+def _walk(adjacency, n: int, keep, add):
+    """From each start, walk the simple paths, passing keep each one of two
+    or more statements that ends at a node above start, and add each cycle
+    whose smallest node is start."""
 
     def walk(node, p, q, trail, visited, lowest, above):
         """Extend the path start..node; visited: a bitmask of its nodes,
         lowest: it may still close a cycle (start is its smallest node),
-        above: how many goals it has not visited."""
+        above: how many nodes above start it has not visited."""
         for nxt, kp, kq, pos in adjacency[node]:
             # the product is formed only for an edge the walk takes
             if nxt == start:
@@ -228,14 +209,12 @@ def _walk(adjacency, starts, keep, add=None):
             # not visited is not on the trail
             if visited >> nxt & 1:
                 continue
-            up = nxt in goals
+            up = nxt > start
             found = trail and up
-            low = lowest and nxt > start
+            low = lowest and up
             # a path past nxt derives something only if it can still close
-            # a cycle at start or reach a goal
+            # a cycle at start or reach a node above start
             onward = low or above - up > 0
-            if onward and add is None:
-                onward = _reaches(near, nxt, visited, want & ~visited)
             if not (found or onward):
                 continue
             here_p, here_q = p * kp, q * kq
@@ -249,9 +228,8 @@ def _walk(adjacency, starts, keep, add=None):
                      above - up)
 
     try:
-        for start, goals in starts:
-            want = sum(1 << g for g in goals)
-            walk(start, 1, 1, (), 1 << start, add is not None, len(goals))
+        for start in range(n):
+            walk(start, 1, 1, (), 1 << start, True, n - 1 - start)
     finally:
         del walk  # it refers to itself: reference counting frees it
 
@@ -327,8 +305,7 @@ def _search(n: int, edges, multi):
     try:
         for a, b, p, q, pos in edges:
             add(a, b, p, q, (pos,))
-        _walk(adjacency, [(start, range(start + 1, n)) for start in range(n)],
-              keep, add)
+        _walk(adjacency, n, keep, add)
         if multi:
             substitute()
     except _Settled:
@@ -339,8 +316,12 @@ def _search(n: int, edges, multi):
 def _derive(problem: Problem):
     """_search with each relation as a DerivedRelation."""
     relations, truncated = _search(problem.criteria.n, *_statements(problem))
-    return [DerivedRelation(i, j, Fraction(p, q), trail)
-            for i, j, p, q, trail in relations], truncated
+    return [_relation(r) for r in relations], truncated
+
+
+def _relation(r) -> DerivedRelation:
+    i, j, p, q, trail = r
+    return DerivedRelation(i, j, Fraction(p, q), trail)
 
 
 def derive_relations(problem: Problem):
@@ -362,84 +343,47 @@ def _rule(lp, lq, hp, hq) -> str:
     return _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
 
 
-def _list(oriented, witnesses):
-    """Append to witnesses, while it holds fewer than _WITNESS_CAP, the
-    witness (rule, relation, relation) of each two disagreeing derivations
-    of one pair, in derivation order, the lower side of 1 first; each
-    derivation's DerivedRelation is built once. A run of derivations equal
-    to the first of two is passed in one step, so d derivations cost O(d)
-    besides the witnesses."""
-    d = len(oriented)
-    sides = [(p > q) - (p < q) for p, q, _ in oriented]
-    built = [None] * d
-    past = [d] * d  # past[y]: the first derivation after y that differs
-    for y in range(d - 2, -1, -1):
-        (p1, q1, _), (p2, q2, _) = oriented[y], oriented[y + 1]
-        past[y] = y + 1 if p1 * q2 != p2 * q1 else past[y + 1]
-    for x, (p1, q1, _) in enumerate(oriented):
-        y = x + 1
-        while y < d:
-            p2, q2, _ = oriented[y]
-            if p1 * q2 == p2 * q1:
-                y = past[y]
-                continue
-            a, b = (y, x) if sides[x] > sides[y] else (x, y)
-            for z in (a, b):
-                if built[z] is None:
-                    i, j, p, q, trail = oriented[z][2]
-                    built[z] = DerivedRelation(i, j, Fraction(p, q), trail)
-            witnesses.append((_RULE[sides[a], sides[b]], built[a], built[b]))
-            if len(witnesses) >= _WITNESS_CAP:
-                return
-            y += 1
-
-
-def _listed(fired, selves) -> tuple:
-    """The witnesses of the pairs fired (their oriented derivations) and
-    of the self-relations selves, in that order, up to _WITNESS_CAP."""
-    witnesses = []
-    for oriented in fired:
-        if len(witnesses) >= _WITNESS_CAP:
-            break
-        _list(oriented, witnesses)
-    for i, j, p, q, trail in selves[:_WITNESS_CAP - len(witnesses)]:
-        witnesses.append(
-            ("WD3", DerivedRelation(i, j, Fraction(p, q), trail), None))
-    return tuple(witnesses)
+def _witnesses(found) -> tuple:
+    """The first _WITNESS_CAP of found's witnesses (rule, relation, other
+    relation or None), each relation an (i, j, p, q, trail) tuple, with
+    the relations as DerivedRelation objects."""
+    return tuple((rule, _relation(a), b and _relation(b))
+                 for rule, a, b in islice(found, _WITNESS_CAP))
 
 
 def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
     """The report on _search's relations. Each pair's ratios are oriented
     from its smaller criterion, so a relation (j, i, p, q) reads q / p.
-    A pair's rule is that of its smallest and largest ratio (_wider): some
-    two ratios differ exactly when these do, and they carry the lowest and
-    the highest side of 1."""
-    pairs = defaultdict(list)
-    selves = []
+    A pair's rule is that of its smallest and largest ratio: some two
+    ratios differ exactly when these do, and they carry the lowest and the
+    highest side of 1. Its witness is the first relation at each; then a
+    criterion's is its first self-relation whose ratio is not 1."""
+    spans, selves = {}, {}
     for r in relations:
         i, j, p, q, _ = r
         if i == j:
             if p != q:
-                selves.append(r)
-        elif i < j:
-            pairs[(i, j)].append((p, q, r))
-        else:
-            pairs[(j, i)].append((q, p, r))
+                selves.setdefault(i, r)
+            continue
+        if i > j:
+            i, j, p, q = j, i, q, p
+        span = spans.get((i, j))
+        if span is None:
+            spans[i, j] = [p, q, r, p, q, r]
+            continue
+        if p * span[1] < span[0] * q:
+            span[:3] = p, q, r
+        if p * span[4] > span[3] * q:
+            span[3:] = p, q, r
 
-    strongest, fired = "", []
-    for _, oriented in sorted(pairs.items()):
-        span = None
-        for p, q, _ in oriented:
-            span = _wider(span, p, q, p, q)
-        rule = _rule(*span)
+    found = []
+    for _, (lp, lq, a, hp, hq, b) in sorted(spans.items()):
+        rule = _rule(lp, lq, hp, hq)
         if rule:
-            fired.append(oriented)
-            if _RANK[rule] > _RANK[strongest]:
-                strongest = rule
-    if selves:
-        strongest = strongest or "WD3"  # the weakest rule
-    return _finish(strongest, lambda: _listed(fired, selves), truncated,
-                   det_ok)
+            found.append((rule, a, b))
+    found += [("WD3", selves[i], None) for i in sorted(selves)]
+    strongest = max(["", *(rule for rule, _, _ in found)], key=_RANK.get)
+    return _finish(strongest, lambda: _witnesses(found), truncated, det_ok)
 
 
 def _finish(strongest, pending, truncated, det_ok) -> ClassificationReport:
@@ -474,17 +418,18 @@ def _wider(old, lp, lq, hp, hq) -> tuple:
     return lp, lq, hp, hq
 
 
-def _ranges(steps, i: int, held: int):
-    """From start i, each state (S, v), S the node bitmask of paths from i
-    to v, holds the range of their ratio products; after each layer this
-    yields (ends, held), ends[v] taking in every S so far and held counting
-    the states toward _RELATION_CAP. Past the cap it yields the layers
-    finished once more, with held past the cap, and stops."""
+def _ranges(steps, layers, held: int):
+    """Extend layers, whose last holds states (S, v) of the paths from one
+    start, S their node bitmask and v their end, each with the range of
+    their ratio products: each new layer takes the paths one statement
+    longer. After each this yields (ends, held), ends[v] taking in every S
+    so far and held counting the states toward _RELATION_CAP. Past the cap
+    it yields the layers finished once more, with held past the cap, and
+    stops."""
     ends = {}
-    layer = {(1 << i, i): (1, 1, 1, 1)}
-    while layer:
+    while layers[-1]:
         nxt = {}
-        for (mask, v), (lp, lq, hp, hq) in layer.items():
+        for (mask, v), (lp, lq, hp, hq) in layers[-1].items():
             for u, (sp, sq, tp, tq) in steps[v].items():
                 if mask >> u & 1:
                     continue
@@ -497,115 +442,80 @@ def _ranges(steps, i: int, held: int):
                 nxt[key] = _wider(old, lp * sp, lq * sq, hp * tp, hq * tq)
         for (_, v), span in nxt.items():
             ends[v] = _wider(ends.get(v), *span)
+        layers.append(nxt)
         yield ends, held
-        layer = nxt
 
 
 def _ratios(n: int, edges, det_ok: bool) -> ClassificationReport:
     """The report on _statements' edges alone, from _ranges of each start
     in turn up to the first layer where a pair's range crosses 1 (SD4),
-    all within _RELATION_CAP. The start where SD4 fires is left unread:
-    the listing takes it in full."""
+    all within _RELATION_CAP. Each start's layers and ends are kept for
+    the listing."""
     steps = defaultdict(dict)  # steps[a][b]: the range of a's statements on b
     for a, b, p, q, _ in edges:
         steps[a][b] = _wider(steps[a].get(b), p, q, p, q)
         steps[b][a] = _wider(steps[b].get(a), q, p, q, p)
-    strongest, held, read = "", 0, {}
+    strongest, held, kept = "", 0, []
     for i in range(n - 1):
-        for ends, held in _ranges(steps, i, held):
+        layers = [{(1 << i, i): (1, 1, 1, 1)}]
+        for ends, held in _ranges(steps, layers, held):
             # the smallest ratio below 1 and the largest above it
             if any(lp < lq and hp > hq
                    for v, (lp, lq, hp, hq) in ends.items() if v > i):
-                strongest = "SD4"
                 break
-        if strongest == "SD4":
+        kept.append((layers, ends))
+        rules = [_rule(*ends[j]) for j in ends if j > i]
+        strongest = max([strongest, *rules], key=_RANK.get)
+        if strongest == "SD4" or held > _RELATION_CAP:
             break
-        read[i] = {j: _rule(*ends[j]) for j in ends if j > i}
-        strongest = max([*read[i].values(), strongest], key=_RANK.get)
-        if held > _RELATION_CAP:
-            break
-    truncated = held > _RELATION_CAP
-    return _finish(strongest,
-                   lambda: _walked(n, edges, steps, read, truncated),
-                   truncated, det_ok)
+    return _finish(strongest, lambda: _witnesses(_traced(edges, kept)),
+                   held > _RELATION_CAP, det_ok)
 
 
-def _derivations(adjacency, stated, i, j, room) -> list:
-    """Pair (i, j)'s derivations (p, q, relation), oriented from i, as
-    _search holds them: its statements, then the paths _walk finds. At
-    most _RELATION_CAP, and none past the room-th that differs from the
-    first: _list would list only the first's disagreements."""
-    oriented, differ = [], 0
-
-    def keep(a, b, p, q, trail):
-        nonlocal differ
-        if len(oriented) >= _RELATION_CAP:
-            raise _Settled
-        r = (a, b, p, q, trail)
-        if a > b:
-            p, q = q, p
-        oriented.append((p, q, r))
-        differ += p * oriented[0][1] != oriented[0][0] * q
-        if differ >= room:
-            raise _Settled
-
-    try:
-        for r in stated:
-            keep(*r)
-        _walk(adjacency, [(i, (j,))], keep)
-    except _Settled:
-        pass
-    return oriented
-
-
-def _walked(n: int, edges, steps, read, truncated) -> tuple:
-    """The witnesses _report lists from _search over edges alone, with no
-    cap on the derivations: those of each pair that fires, in order, then
-    of the cycles through such pairs, as an unbalanced cycle fires each
-    pair it joins. read[i] has the rules _ranges finds from start i; a
-    start classify() did not finish (the one where SD4 fired, and those
-    after it) is taken here, within a cap of its own, unless the report is
-    truncated. Each pair's walk, and the cycles', holds at most
-    _RELATION_CAP derivations."""
+def _traced(edges, kept):
+    """The witness (rule, a, b) of each pair (i, j) whose rule fires on
+    kept[i]'s ends, in order: a and b are paths to the first states of
+    kept[i]'s layers at the pair's smallest and largest ratio, traced
+    back one predecessor state and one statement per layer. A path of one
+    statement keeps the statement's own orientation."""
     adjacency = _adjacency(edges)
-    stated = defaultdict(list)
-    for a, b, p, q, pos in edges:
-        stated[min(a, b), max(a, b)].append((a, b, p, q, (pos,)))
-    witnesses, live = [], set()
-    for i, j in combinations(range(n), 2):
-        if i not in read:
-            ends = {}
-            if not truncated:
-                for ends, _ in _ranges(steps, i, 0):
-                    pass
-            read[i] = {v: _rule(*ends[v]) for v in ends if v > i}
-        if read[i].get(j):
-            live.add((i, j))
-            _list(_derivations(adjacency, stated[i, j], i, j,
-                               _WITNESS_CAP - len(witnesses)), witnesses)
-            if len(witnesses) >= _WITNESS_CAP:
-                return tuple(witnesses)
+    subject = {pos: a for a, _, _, _, pos in edges}
 
-    room, cycles, selves = _WITNESS_CAP - len(witnesses), set(), []
+    def trace(layers, depth, mask, v, side):
+        """The relation (i, v, p, q, trail) whose ratio p / q is the low
+        (side 0) or high (side 2) end of state (mask, v) of layers[depth]."""
+        p, q = layers[depth][mask, v][side:side + 2]
+        j, ratio, trail = v, (p, q), []
+        while depth:
+            depth -= 1
+            prev = mask & ~(1 << v)
+            # x_v = (a / b) x_u: the statement from u to v multiplies by b / a
+            for u, a, b, pos in adjacency[v]:
+                state = layers[depth].get((prev, u))
+                if state and state[side] * b * q == p * state[side + 1] * a:
+                    break
+            trail.append(pos)
+            (p, q), mask, v = state[side:side + 2], prev, u
+        if len(trail) == 1 and subject[trail[0]] == j:
+            return j, v, ratio[1], ratio[0], tuple(trail)
+        return v, j, *ratio, tuple(reversed(trail))
 
-    def cycle(i, j, p, q, trail):  # the walk takes each cycle both ways
-        if frozenset(trail) in cycles:
-            return
-        if len(cycles) >= _RELATION_CAP:
-            raise _Settled
-        cycles.add(frozenset(trail))
-        if p != q:
-            selves.append((i, j, p, q, trail))
-            if len(selves) >= room:
-                raise _Settled
-
-    fired = [e for e in edges if (min(e[:2]), max(e[:2])) in live]
-    try:
-        _walk(_adjacency(fired), [(start, ()) for start in range(n)], None,
-              cycle)
-    except _Settled:
-        pass
-    return tuple(witnesses) + _listed((), selves)
+    for i, (layers, ends) in enumerate(kept):
+        fired = {j: _rule(*ends[j]) for j in sorted(ends) if j > i}
+        fired = {j: rule for j, rule in fired.items() if rule}
+        first = {}  # (j, side): the first state at that end of j's range
+        for depth, layer in enumerate(layers):
+            for (mask, v), (lp, lq, hp, hq) in layer.items():
+                if v not in fired:
+                    continue
+                elp, elq, ehp, ehq = ends[v]
+                if lp * elq == elp * lq:
+                    first.setdefault((v, 0), (depth, mask))
+                if hp * ehq == ehp * hq:
+                    first.setdefault((v, 2), (depth, mask))
+        for j, rule in fired.items():
+            yield (rule, trace(layers, *first[j, 0], j, 0),
+                   trace(layers, *first[j, 2], j, 2))
 
 
 def _searched(n: int, statements, det_ok: bool):

@@ -308,14 +308,16 @@ def _family_zero(
     there. An irrational root is the correctly rounded float, and each
     component is rounded once from its exact value there.
     """
-    from .nonlinear import regime_analysis, solve_triangular
+    from .nonlinear import _domain, solve_triangular
     from .polynomial import integer_positive_roots
 
     try:
         family = solve_triangular(problem)
     except (NotTriangular, MultipleFreeVars, OverDetermined):
         return None
-    lower, upper = regime_analysis(family, inequalities).domain
+    lower, upper = _domain([(Fraction(c), d) for c, d in family.components],
+                           inequalities)
+    lower, upper = lower[0], upper and upper[0]
     coeffs = [Fraction(-1)] + [0] * max(d for _, d in family.components)
     for c, d in family.components:
         coeffs[d] += c

@@ -267,6 +267,40 @@ def ordering_text(
     return ">".join("=".join(names[k] for k in group) for group in ordering)
 
 
+def _domain(components, inequalities: Sequence[InequalityPreference]):
+    """(lower, upper): the crossings bounding the z > 0 that the
+    inequalities admit, over the exact components (c, d); upper is None
+    when none bounds z above.
+
+    Raises:
+        EmptyDomain: the inequalities leave no admissible z > 0.
+    """
+    lower = (Fraction(0), Fraction(0), 1)  # z = 0, as a crossing
+    upper = None
+    for ineq in inequalities:
+        left, right = ineq.lhs, ineq.rhs
+        if ineq.relation is Relation.STRICT_GREATER:
+            left, right = right, left
+        coef_l, power_l = components[left]
+        coef_r, power_r = components[right]
+        if power_l == power_r:
+            if not coef_l < coef_r:
+                raise EmptyDomain(
+                    "an inequality between proportional components fails "
+                    "for every value of the free variable"
+                )
+            continue
+        bound = _crossing(coef_l, power_l, coef_r, power_r)
+        if power_l < power_r:
+            lower = max(lower, bound, key=_exactly)
+        else:
+            upper = bound if upper is None else min(upper, bound, key=_exactly)
+    if upper is not None and _compare(lower, upper) >= 0:
+        raise EmptyDomain("the inequalities bound the free variable away "
+                          "from its required range")
+    return lower, upper
+
+
 def regime_analysis(
     sol: MonomialSolution,
     inequalities: Sequence[InequalityPreference] = (),
@@ -291,30 +325,7 @@ def regime_analysis(
     """
     components = [(Fraction(c), d) for c, d in sol.components]
     n = len(components)
-
-    lower = (Fraction(0), Fraction(0), 1)  # z = 0, as a crossing
-    upper = None
-    for ineq in inequalities:
-        left, right = ineq.lhs, ineq.rhs
-        if ineq.relation is Relation.STRICT_GREATER:
-            left, right = right, left
-        coef_l, power_l = components[left]
-        coef_r, power_r = components[right]
-        if power_l == power_r:
-            if not coef_l < coef_r:
-                raise EmptyDomain(
-                    "an inequality between proportional components fails "
-                    "for every value of the free variable"
-                )
-            continue
-        bound = _crossing(coef_l, power_l, coef_r, power_r)
-        if power_l < power_r:
-            lower = max(lower, bound, key=_exactly)
-        else:
-            upper = bound if upper is None else min(upper, bound, key=_exactly)
-    if upper is not None and _compare(lower, upper) >= 0:
-        raise EmptyDomain("the inequalities bound the free variable away "
-                          "from its required range")
+    lower, upper = _domain(components, inequalities)
 
     meetings = sorted(
         ((point, a, b) for a in range(n) for b in range(a + 1, n)

@@ -2,14 +2,20 @@
 
 It walks every simple path to the end even after the relation list is full,
 and compares every two derivations of each criterion pair as Fractions,
-exactly, sharing no comparison code with the engine. admcdm.classify
-must return exactly the same ClassificationReport on every input, except
-on a set of one-term statements that this search truncates: the engine
-reads such a set whole, and returns the report this search gives with
-the relation cap raised past it, up to the witnesses of a pair with more
-derivations than the cap; see test_classify_equivalence.py. The
-caps are read from admcdm.classification at call time, so a test that
-lowers or raises them changes them here too.
+exactly, sharing no comparison code with the engine. A pair whose rule
+fired has one witness: the first derivation at its smallest ratio and the
+first at its largest. Then, on
+a set with a multi-term statement, each criterion in turn has one WD3
+witness, its first self-relation whose ratio is not 1; a set of one-term
+statements lists none, since such a cycle fires every pair it joins.
+admcdm.classify must return exactly the same ClassificationReport on
+every set with a multi-term statement. On a set of one-term statements it
+reads the set whole, and its report is the one this search gives with
+the relation cap raised past it, but for the witnesses' paths, which ties
+may pick otherwise, and for the pairs of the criterion where the engine's
+search stopped; see test_classify_equivalence.py. The caps are read from
+admcdm.classification at call time, so a test that lowers or raises them
+changes them here too.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from importlib import import_module
+from itertools import combinations
 from itertools import product as iter_product
 
 from admcdm.classification import ClassificationReport, DerivedRelation, Label
@@ -39,6 +46,15 @@ def _inv(k):
 def _side(k):
     """The side of 1 of the Fraction k: -1, 0 or 1."""
     return (k > 1) - (k < 1)
+
+
+def reference_rule(low, high):
+    """The rule two derivations of one pair fire, by their ratios, low
+    below high, both oriented from the pair's smaller criterion."""
+    s1, s2 = _side(low), _side(high)
+    if s1 == -1 and s2 == 1:
+        return "SD4"
+    return "WD1" if s2 == 1 else "WD2"
 
 
 def reference_derive(problem, max_depth):
@@ -167,35 +183,22 @@ def reference_classify(problem, max_depth=None):
             pairs[(a, b)].append((k, r))
 
     rank_of = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
-    strongest = ""
+    off = [r for r in selves if r.ratio != 1]
+    strongest = "WD3" if off else ""
     witnesses = []
-
-    def fire(rule, rel, other=None):
-        nonlocal strongest
-        if rank_of[rule] > rank_of[strongest]:
-            strongest = rule
-        if len(witnesses) < classify_module._WITNESS_CAP:
-            witnesses.append((rule, rel, other))
-
     for _, rels in sorted(pairs.items()):
-        for x in range(len(rels)):
-            for y in range(x + 1, len(rels)):
-                (k1, r1), (k2, r2) = rels[x], rels[y]
-                if k1 == k2:
-                    continue
-                s1, s2 = _side(k1), _side(k2)
-                if s1 > s2:
-                    s1, s2 = s2, s1
-                    r1, r2 = r2, r1
-                if s1 == -1 and s2 == 1:
-                    fire("SD4", r1, r2)
-                elif s2 == 1:
-                    fire("WD1", r1, r2)
-                elif s1 == -1:
-                    fire("WD2", r1, r2)
-    for r in selves:
-        if _side(r.ratio) != 0:
-            fire("WD3", r)
+        # the rule from every two derivations, compared on their own
+        fired = {reference_rule(*sorted((k1, k2)))
+                 for (k1, _), (k2, _) in combinations(rels, 2) if k1 != k2}
+        if fired:
+            strongest = max([strongest, *fired], key=rank_of.get)
+            # min and max return the first of equal ratios
+            (low, r1), (high, r2) = (min(rels, key=lambda kr: kr[0]),
+                                     max(rels, key=lambda kr: kr[0]))
+            witnesses.append((reference_rule(low, high), r1, r2))
+    if any(len(canonicalize(p).terms) > 1 for p in problem.preferences):
+        for i in range(problem.criteria.n):
+            witnesses += [("WD3", r, None) for r in off if r.i == i][:1]
 
     det_ok = rank(assemble(problem)) < problem.criteria.n
     found_consistent = not strongest and not truncated
@@ -208,7 +211,7 @@ def reference_classify(problem, max_depth=None):
 
     return ClassificationReport(
         label=label,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(witnesses[:classify_module._WITNESS_CAP]),
         rule_fired=strongest,
         det_agrees=found_consistent == det_ok,
         depth_exceeded=truncated,

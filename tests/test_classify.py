@@ -46,6 +46,7 @@ from admcdm.solver import discount_report, priority
 
 from classify_reference import reference_classify, reference_derive
 from conftest import CORPUS, blocks, load, pairwise, ranked, summed
+from test_classify_equivalence import assert_matches, listed
 
 
 def problem(names, *prefs):
@@ -240,10 +241,10 @@ class TestExactRatios:
         # a cycle whose product is 1 + 10^-12: y / z is 1 as stated and
         # 1 / (1 + 10^-12) as derived, so that pair fires WD2
         (("x = 1.000000000001 y", "y = 1 z", "z = 1 x"),
-         ["WD1", "WD1", "WD2", "WD3"]),
+         ["WD1", "WD1", "WD2"]),
         # two derivations of x / z, 2 and 2 + 10^-12
         (("x = 2 y", "y = 1 z", "x = 2.000000000001 z"),
-         ["WD1", "WD1", "WD1", "WD3"]),
+         ["WD1", "WD1", "WD1"]),
     ], ids=["near-one-cycle", "near-equal-pair"])
     def test_ratios_a_hair_apart_fire_wd1(self, statements, rules):
         rep = classify(parse_problem(
@@ -251,14 +252,15 @@ class TestExactRatios:
         assert rep.label is Label.WEAK_INCONSISTENT
         assert rep.rule_fired == "WD1"
         assert rep.det_agrees
-        # one witness per pair, then the cycle through all three statements
+        # one witness per pair, each pair fired by the unbalanced cycle
         assert [rule for rule, _, _ in rep.witnesses] == rules
 
     def test_cycle_past_the_float_range(self):
         rep = classify(make_cyclic_example(Fraction(10**400)))
         assert rep.label is Label.STRONG_INCONSISTENT
         assert rep.rule_fired == "SD4"
-        assert len(rep.witnesses) == 4
+        # SD4 fires from x, so only x's two pairs are listed
+        assert len(rep.witnesses) == 2
         assert rep.det_agrees and not rep.depth_exceeded
 
 
@@ -363,7 +365,7 @@ class TestBoundedTime:
     def test_state_budget_ends_a_set_without_sd4(self):
         # a 12-criteria set whose pairs fire no SD4 would build 11 * 2**10
         # states from each start; the recursion stops at the cap, and
-        # listing the witnesses holds at most the cap's derivations
+        # listing traces C0's 11 pairs back through the states it built
         pr = ranked(12, 0)
         start = time.perf_counter()
         report = classify(pr)
@@ -374,8 +376,8 @@ class TestBoundedTime:
         start = time.perf_counter()
         witnesses = report.witnesses
         assert time.perf_counter() - start < 1.0
-        assert len(witnesses) == classify_module._WITNESS_CAP
-        assert {w[0] for w in witnesses} == {"WD1"}
+        assert [listed(pr, w)[:2] for w in witnesses] == [
+            ("WD1", (0, j)) for j in range(1, 12)]
 
     def test_substitution_steps_count_toward_the_cap(self):
         # C0 as the sum of C1..C7 beside 18 ratios among them: each
@@ -391,21 +393,23 @@ class TestBoundedTime:
         assert report.label is Label.STRONG_INCONSISTENT
 
     def test_witnesses_past_a_shared_criterion_are_bounded(self):
-        # two full 8-criteria sets sharing C7: a walk between criteria of
-        # the first block that entered the second through C7 could never
-        # leave it, so the listing does not enter it
-        report = classify(blocks(8, 0))
+        # two full 8-criteria sets sharing C7: SD4 fires from C0, and the
+        # listing traces back only the states the recursion built from C0
+        pr = blocks(8, 0)
+        report = classify(pr)
         assert report.rule_fired == "SD4"
         start = time.perf_counter()
-        assert len(report.witnesses) == classify_module._WITNESS_CAP
+        witnesses = report.witnesses
         assert time.perf_counter() - start < 1.0
+        assert [listed(pr, w)[:2] for w in witnesses] == [
+            ("SD4", (0, j)) for j in range(1, 8)]
 
     def test_a_long_run_of_equal_derivations_lists_in_bounded_time(self):
-        # a consistent 9-criteria set but for C0 = 2 C5: pairs (C0, C1) to
-        # (C0, C4) fire, yet their walks hold 5,000 equal derivations
-        # before the first through C5. Listing passes a run of equal
-        # derivations in one step, and then C0 = 2 C5's own pair fills the
-        # list, each witness two derivations that differ
+        # a consistent 9-criteria set but for C0 = 2 C5: every pair fires
+        # that a cycle through that statement joins, yet most derivations
+        # of each are equal. C0's pairs, read whole, fire WD1 and SD4 fires
+        # from C1. Listing traces each pair's two extremes back through the
+        # recursion's states, whatever the number of equal derivations
         w = [random.Random(1).randint(1, 9) for _ in range(9)]
         off = {(0, 5): 2}
         pr = problem(" ".join(f"C{i}" for i in range(9)), *[
@@ -417,9 +421,10 @@ class TestBoundedTime:
         start = time.perf_counter()
         witnesses = report.witnesses
         assert time.perf_counter() - start < 1.0
-        assert len(witnesses) == classify_module._WITNESS_CAP
-        assert all(a.ratio != b.ratio for _, a, b in witnesses)
-        assert {(a.i, a.j) for _, a, _ in witnesses} == {(0, 5)}
+        got = [listed(pr, w)[:2] for w in witnesses]
+        assert got[:8] == [("WD1", (0, j)) for j in range(1, 9)]
+        assert {i for _, (i, _) in got[8:]} == {1}
+        assert ("SD4", (1, 2)) in got
 
     def test_multi_term_statement_over_a_dense_ratio_graph(self, tmp_path):
         # C0 as the sum of six criteria that twelve ratios link: the
@@ -494,7 +499,7 @@ class TestMultigraphWalk:
     def test_equals_the_reference(self, n, seed):
         pr = multigraph(n, seed)
         assert _derive(pr) == reference_derive(pr, n)
-        assert classify(pr) == reference_classify(pr)
+        assert_matches(pr, classify(pr), reference_classify(pr))
 
     def test_two_cycles_both_ways_are_derived(self):
         same = opposite = 0
@@ -618,7 +623,7 @@ class TestWitnessesListedOnRead:
         assert built == [] and unread(report)
         witnesses = report.witnesses
         assert built and witnesses == classify(pr).witnesses
-        assert witnesses == reference_classify(pr).witnesses
+        assert_matches(pr, report, reference_classify(pr))
 
     @staticmethod
     def panel():
@@ -690,49 +695,33 @@ class TestWitnessesListedOnRead:
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_settled_count_is_the_listed_length(self, n, monkeypatch):
-        """Listing walks the pairs in the report's order and stops at the
-        pair whose witnesses reach _WITNESS_CAP; with the relation cap
-        raised past every pair's walk, the list is the same."""
-        walks = []
-        real = classify_module._walk
-
-        def recorded(*args, **kwargs):
-            walks.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(classify_module, "_walk", recorded)
-        cap = classify_module._WITNESS_CAP
+        """A lowered _WITNESS_CAP keeps the first witnesses of the list,
+        and a relation cap raised past every search leaves it the same."""
         for seed in range(3 if n < 8 else 1):
             pr = pairwise(n, seed, False)
-            report = classify(pr)
-            walks.clear()
-            witnesses = report.witnesses
-            assert report.rule_fired == "SD4"
-            assert len(witnesses) == cap
-            pairs = [(i, j) for (i, (j,)), in walks]
-            assert pairs == sorted(pairs)
-            last = witnesses[-1][1]
-            assert {last.i, last.j} == set(pairs[-1])
+            witnesses = classify(pr).witnesses
+            assert 0 < len(witnesses) < classify_module._WITNESS_CAP
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(classify_module, "_RELATION_CAP", 10**6)
                 assert classify(pr).witnesses == witnesses
+            for cap in range(1, len(witnesses) + 1):
+                monkeypatch.setattr(classify_module, "_WITNESS_CAP", cap)
+                assert classify(pr).witnesses == witnesses[:cap]
+            monkeypatch.undo()
 
-    def test_count_is_the_brute_count(self, monkeypatch):
-        """With room for every witness, the list is the reference's: one
-        witness for every two disagreeing derivations of a pair, in K5 and
-        K6 sets where many derivations share a ratio, then the cycles."""
-        monkeypatch.setattr(classify_module, "_WITNESS_CAP", 10**6)
-        for n in (5, 6):
-            pr = pairwise(n, 1, False)
-            relations = reference_derive(pr, n)[0]
+    def test_count_is_the_brute_count(self):
+        """Where no SD4 ends the search, every start is read whole, and
+        the list is the reference's: one witness for each pair with two
+        derivations that differ."""
+        for pr in (pairwise(5, 8, False), ranked(5, 0), ranked(6, 0)):
+            n = pr.criteria.n
             groups = {}
-            for r in relations:
+            for r in reference_derive(pr, n)[0]:
                 if r.i != r.j:
                     k = r.ratio if r.i < r.j else 1 / r.ratio
-                    groups.setdefault(frozenset((r.i, r.j)), []).append(k)
-            brute = sum(a != b for ks in groups.values()
-                        for x, a in enumerate(ks) for b in ks[x + 1:])
-            brute += sum(r.i == r.j and r.ratio != 1 for r in relations)
-            witnesses = classify(pr).witnesses
-            assert witnesses == reference_classify(pr).witnesses
-            assert len(witnesses) == brute
+                    groups.setdefault(frozenset((r.i, r.j)), set()).add(k)
+            brute = sum(len(ks) > 1 for ks in groups.values())
+            report = classify(pr)
+            assert report.rule_fired == "WD1"
+            assert_matches(pr, report, reference_classify(pr))
+            assert len(report.witnesses) == brute

@@ -15,11 +15,11 @@ derived ratios comes from a recursion over (node set, end node), whose
 states count toward the relation cap. Its report is the reference's with
 the relation cap raised past the whole search, so it differs from the
 capped reference exactly on such sets that the reference truncates. Its
-witnesses are listed from the pairs that fire, each walked within the
-cap on its own, so a consistent block cannot use up the walk of a pair
-that fires; they are the uncapped reference's while no such pair has
-more derivations than the cap that would add to its list. Past the cap,
-at n = 7, the engine's own capped search is the check, which the
+witnesses are traced back through the recursion's states, so where two
+paths tie the engine may list the other: they are compared with the
+reference's by rule, pair and ratios, and each is checked to be a simple
+path of statements whose product is its ratio (assert_witnesses). Past
+the cap, at n = 7, the engine's own capped search is the check, which the
 reference would take seconds per set to give.
 """
 
@@ -56,8 +56,9 @@ from classify_reference import (
     classify_module,
     reference_classify,
     reference_derive,
+    reference_rule,
 )
-from conftest import CORPUS, blocks, pairwise, ranked
+from conftest import CORPUS, pairwise, ranked
 
 # what the exhaustive search reports on a set that one positive vector
 # solves: no rule can fire
@@ -184,16 +185,90 @@ def uncapped(fn, problem, *args):
         return fn(problem, *args)
 
 
+def fields(report):
+    """A report's fields but its witnesses."""
+    return (report.label, report.rule_fired, report.det_agrees,
+            report.depth_exceeded)
+
+
+def oriented(problem, relation):
+    """The pair (i, j), i < j, of a derivation from one-term statements,
+    and its ratio oriented from i, once its trail is checked to be a
+    simple path of statements from relation.i to relation.j whose
+    product is relation.ratio."""
+    node, nodes, k = relation.i, [relation.i], Fraction(1)
+    for pos in relation.trail:
+        pref = canonicalize(problem.preferences[pos])
+        (term, c), = pref.terms
+        if node == pref.subject:
+            node, k = term, k * Fraction(c)
+        else:
+            assert node == term, (relation, pos)
+            node, k = pref.subject, k / Fraction(c)
+        nodes.append(node)
+    assert node == relation.j and k == relation.ratio, relation
+    assert len(set(nodes)) == len(nodes), relation
+    i, j = sorted((relation.i, relation.j))
+    return (i, j), k if i == relation.i else 1 / k
+
+
+def listed(problem, witness):
+    """(rule, pair, low, high) of a witness on one-term statements, once
+    both its relations are checked to derive the pair, low below high,
+    and its rule to be theirs: an SD4 witness has one ratio on each side
+    of 1."""
+    rule, a, b = witness
+    (pair, low), (other, high) = oriented(problem, a), oriented(problem, b)
+    assert pair == other and low < high, witness
+    assert rule == reference_rule(low, high), witness
+    assert rule != "SD4" or low < 1 < high
+    return rule, pair, low, high
+
+
+def assert_witnesses(problem, report, reference):
+    """report's witnesses on one-term statements against the uncapped
+    reference's. Each is valid (listed). The pairs read whole are the
+    reference's, by rule, pair and ratios: all of them, unless the search
+    stopped at SD4 or at the cap, and then the pairs of the criteria
+    before the last one listed. That one's pairs fired within the layers
+    its recursion built, so their ratios lie within the reference's
+    range."""
+    got = [listed(problem, w) for w in report.witnesses]
+    want = [listed(problem, w) for w in reference.witnesses]
+    stopped = report.rule_fired == "SD4" or report.depth_exceeded
+    last = got[-1][1][0] if stopped and got else problem.criteria.n
+    assert [w for w in got if w[1][0] < last] == [
+        w for w in want if w[1][0] < last]
+    ranges = {pair: (low, high) for _, pair, low, high in want}
+    for _, pair, low, high in got:
+        if pair[0] == last:
+            assert ranges[pair][0] <= low < high <= ranges[pair][1]
+
+
+def assert_matches(problem, report, reference):
+    """report is reference, up to the witnesses' paths on a set of one-term
+    statements, which assert_witnesses checks."""
+    if ratio_only(problem):
+        assert fields(report) == fields(reference)
+        assert_witnesses(problem, report, reference)
+    else:
+        assert report == reference
+
+
 def assert_same(problem):
-    """classify equals the reference, which on a set of one-term
-    statements it truncates is taken with the relation cap raised."""
+    """classify equals the reference (assert_matches), which on a set of
+    one-term statements it truncates is taken with the relation cap
+    raised."""
     assert outcome(_derive, problem) == outcome(
         reference_derive, problem, problem.criteria.n)
     got = outcome(classify, problem)
     want = outcome(reference_classify, problem)
-    if getattr(want, "depth_exceeded", False) and ratio_only(problem):
+    if not isinstance(want, ClassificationReport):
+        assert got == want
+        return got
+    if want.depth_exceeded and ratio_only(problem):
         want = uncapped(reference_classify, problem)
-    assert got == want
+    assert_matches(problem, got, want)
     return got
 
 
@@ -287,21 +362,44 @@ def test_ratio_multigraphs_equal_the_uncapped_reference(block):
     for seed in range(50 * block, 50 * block + 50):
         problem = ratio_multigraph(seed)
         report = classify(problem)
-        assert report == uncapped(reference_classify, problem), seed
+        assert_matches(problem, report,
+                       uncapped(reference_classify, problem))
         searched += report.label is not Label.CONSISTENT
     assert searched >= 25
 
 
-def test_dead_ends_are_skipped_without_changing_the_witnesses(monkeypatch):
-    # listing walks a pair's paths only through criteria from which the
-    # pair's other end can still be reached; walking every criterion, as
-    # the search does, lists the same witnesses
-    problems = [ratio_multigraph(seed) for seed in range(100)]
-    problems += [blocks(m, seed) for m in (4, 5) for seed in range(3)]
-    pruned = [classify(problem).witnesses for problem in problems]
-    monkeypatch.setattr(classify_module, "_reaches", lambda *args: True)
-    assert [classify(p).witnesses for p in problems] == pruned
-    assert sum(len(w) for w in pruned[-6:]) == 6 * 200
+@pytest.mark.parametrize("kind", ["multigraph", "multi-term", "pairwise"])
+def test_each_fired_pair_lists_its_extremes(kind):
+    # one witness per fired pair, in the pairs' order: two derivations of
+    # it, at its smallest and its largest ratio where its start was read
+    # whole; then, with a multi-term statement, one WD3 witness per
+    # criterion, its first self-relation whose ratio is not 1
+    if kind == "multigraph":
+        fired = 0
+        for seed in range(300):
+            problem = ratio_multigraph(seed)
+            report = classify(problem)
+            assert_witnesses(problem, report,
+                             uncapped(reference_classify, problem))
+            fired += len(report.witnesses)
+        assert fired > 300
+    elif kind == "multi-term":
+        for seed in range(30):
+            problem = multi_term(4 + seed % 4, seed)
+            report = assert_same(problem)
+            relations = _derive(problem)[0]
+            assert all(r in relations for w in report.witnesses
+                       for r in w[1:] if r is not None)
+            selves = [w[1].i for w in report.witnesses if w[0] == "WD3"]
+            assert selves == sorted(set(selves))
+    else:
+        for n in range(7, 15):
+            for seed in range(3):
+                problem = pairwise(n, seed, False)
+                report = classify(problem)
+                assert report.rule_fired == "SD4" and report.witnesses
+                pairs = [listed(problem, w)[1] for w in report.witnesses]
+                assert pairs == sorted(set(pairs))
 
 
 def block_and_pair(m, triangle=False):
@@ -324,28 +422,28 @@ def block_and_pair(m, triangle=False):
 
 def test_a_consistent_block_leaves_the_fired_pair_its_walk():
     # the 21 pairs of the block hold 326 derivations each, more than the
-    # relation cap together; none fires, so none is walked, and the
-    # parallel pair and its cycle are listed as the uncapped search lists
+    # relation cap together; none fires, and the parallel pair is listed
+    # as the uncapped search lists it
     problem = block_and_pair(7)
     report = classify(problem)
     assert report.rule_fired == "WD1" and not report.depth_exceeded
-    assert [w[0] for w in report.witnesses] == ["WD1", "WD3"]
-    assert report == uncapped(reference_classify, problem)
+    assert [w[0] for w in report.witnesses] == ["WD1"]
+    assert_matches(problem, report, uncapped(reference_classify, problem))
 
 
 @pytest.mark.parametrize("m", [8, 11])
-def test_criteria_past_sd4_are_read_when_listing(m, monkeypatch):
-    # SD4 fires from C0, so classifying takes no later criterion; listing
-    # takes them within a cap each (a full set on 11 criteria passes it,
-    # and its pairs are read from the states built), and the list is the
-    # one classifying every criterion with no cap gives
+def test_criteria_past_sd4_are_not_listed(m, monkeypatch):
+    # SD4 fires from C0, so classifying takes no later criterion, and
+    # listing takes none either: only C0's pairs are listed, the same
+    # however high the relation cap
     problem = block_and_pair(m, triangle=True)
     report = classify(problem)
     assert report.rule_fired == "SD4" and not report.depth_exceeded
-    listed = report.witnesses
-    assert [w[0] for w in listed] == ["SD4"] * 3 + ["WD1"] + ["WD3"] * 2
+    witnesses = report.witnesses
+    assert [listed(problem, w)[:2] for w in witnesses] == [
+        ("SD4", (0, 1)), ("SD4", (0, 2))]
     monkeypatch.setattr(classify_module, "_RELATION_CAP", 10**7)
-    assert classify(problem).witnesses == listed
+    assert classify(problem).witnesses == witnesses
 
 
 def full_searches(monkeypatch):
@@ -410,56 +508,73 @@ def test_complete_set_with_a_ratio_past_the_float_range(consistent,
 
 def test_complete_set_without_sd4_is_finished_from_its_pairs(monkeypatch):
     # every pair's derivations stay on one side of 1: WD1, never settled,
-    # yet the pairs already walked give the report without a full search
+    # yet every start read whole gives the report without a full search,
+    # and lists each of the ten pairs, all of which fire
     problem = pairwise(5, 8, False)
     report = assert_settled(problem, monkeypatch)
     assert report.rule_fired == "WD1"
-    assert len(report.witnesses) == classify_module._WITNESS_CAP
+    assert [listed(problem, w)[1] for w in report.witnesses] == [
+        (i, j) for i in range(5) for j in range(i + 1, 5)]
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_unsettled_complete_set_adds_its_cycles(seed, monkeypatch):
-    # with room for every witness the pairs leave some for the cycles: the
-    # WD3 witnesses follow the pairs' in the full search's order
-    monkeypatch.setattr(classify_module, "_WITNESS_CAP", 1000)
+def test_unsettled_complete_set_lists_the_pairs_its_cycles_join(seed,
+                                                                monkeypatch):
+    # one statement of a consistent complete set doubled: every cycle
+    # through it has the product 2 or 1/2, and fires each pair it joins,
+    # which is every pair; those are listed, and no WD3 witness
     base = pairwise(5, seed, True)
     (j, c), = base.preferences[0].terms
     prefs = (LinearPreference(base.preferences[0].subject, ((j, 2 * c),)),
              *base.preferences[1:])
-    report = assert_settled(Problem(base.criteria, prefs), monkeypatch)
-    rules = [w[0] for w in report.witnesses]
-    assert report.rule_fired == "SD4" and len(rules) < 1000
-    assert rules[-15:] == ["WD3"] * 15 and "WD3" not in rules[:-15]
+    problem = Problem(base.criteria, prefs)
+    report = assert_settled(problem, monkeypatch)
+    assert report.rule_fired == "SD4" and report.witnesses
+    assert "WD3" not in [w[0] for w in report.witnesses]
 
 
 @pytest.mark.parametrize("cap", [1, 3, 4])
 def test_lowered_witness_cap_settles_small_sets(cap, monkeypatch):
-    # K3 holds 3 witnesses at most, one per pair; K4 (pairwise(4, 0)) 39
+    # the K3 cycle lists two pairs and K4 (pairwise(4, 0)) three, all from
+    # C0, where SD4 fires; the cap keeps the first of them
+    whole = [classify(p).witnesses for p in (
+        make_cyclic_example(Fraction(9)), pairwise(4, 0, False))]
+    assert [len(w) for w in whole] == [2, 3]
     monkeypatch.setattr(classify_module, "_WITNESS_CAP", cap)
-    cycle = make_cyclic_example(Fraction(9))
-    assert_settled(cycle, monkeypatch)
+    cycle = assert_settled(make_cyclic_example(Fraction(9)), monkeypatch)
     report = assert_settled(pairwise(4, 0, False), monkeypatch)
-    assert len(report.witnesses) == cap
+    assert cycle.witnesses == whole[0][:cap]
+    assert report.witnesses == whole[1][:cap]
 
 
-def test_unreachable_witness_cap_walks_no_pair(monkeypatch):
-    # classifying walks no path; K4 holds at most 6 * C(5, 2) = 60
-    # witnesses, fewer than the cap, so listing them walks every pair in
-    # the report's order and then the cycles from every criterion
-    walks = []
-    real = classify_module._walk
+def test_listing_walks_no_path(monkeypatch):
+    # on one-term statements, listing traces the witnesses back through
+    # the layers the recursion kept: it walks no path, and no start's
+    # recursion runs again
+    problems = [pairwise(n, 0, False) for n in range(4, 10)]
+    problems += [ranked(n, 0) for n in (5, 12)]
+    problems += [ratio_multigraph(seed) for seed in range(50)]
+    starts = []
+    real = classify_module._ranges
 
-    def recorded(*args, **kwargs):
-        walks.append(args[1])
-        return real(*args, **kwargs)
+    def recorded(steps, layers, held):
+        starts.extend(v for _, v in layers[0])
+        return real(steps, layers, held)
 
-    monkeypatch.setattr(classify_module, "_walk", recorded)
-    report = classify(pairwise(4, 0, False))
-    assert report.rule_fired == "SD4" and walks == []
-    assert len(report.witnesses) == 39
-    assert walks[:-1] == [[(i, (j,))] for i in range(4)
-                          for j in range(i + 1, 4)]
-    assert walks[-1] == [(start, ()) for start in range(4)]
+    def no_walk(*args):
+        raise AssertionError("listing walked a path")
+
+    monkeypatch.setattr(classify_module, "_walk", no_walk)
+    monkeypatch.setattr(classify_module, "_ranges", recorded)
+    listed_any = False
+    for problem in problems:
+        report = classify(problem)
+        recursed = list(starts)
+        assert len(set(recursed)) == len(recursed)
+        listed_any |= bool(report.witnesses)
+        assert starts == recursed
+        starts.clear()
+    assert listed_any
 
 
 def complete_states(n):
@@ -490,7 +605,8 @@ def test_relation_cap_around_the_closed_form_count(n, monkeypatch):
         if cap < total:
             assert_capped(problem, exact)
         else:
-            assert assert_settled(problem, monkeypatch) == exact
+            assert_matches(problem, assert_settled(problem, monkeypatch),
+                           exact)
         monkeypatch.undo()
 
 
@@ -536,13 +652,16 @@ def test_settled_sets_skip_the_full_search(monkeypatch):
         raise AssertionError("a set of one-term statements was searched")
 
     monkeypatch.setattr(classify_module, "_search", no_search)
-    assert classify(problem) == expected
-    assert priority(problem)[2] == expected
+    assert_matches(problem, classify(problem), expected)
+    assert_matches(problem, priority(problem)[2], expected)
     # the sets the relation cap used to truncate are read whole
     for n in (7, 8):
-        report = classify(pairwise(n, 0, False))
+        problem = pairwise(n, 0, False)
+        report = classify(problem)
         assert report.rule_fired == "SD4" and not report.depth_exceeded
-        assert len(report.witnesses) == classify_module._WITNESS_CAP
+        assert report.witnesses
+        for witness in report.witnesses:
+            listed(problem, witness)
 
 
 # the relations the full search holds when its walks from C0 and C1 end,
@@ -556,7 +675,7 @@ def test_capped_complete_sets_settle_as_the_search_reports(cap, monkeypatch):
     # the full search of a complete 7-criteria set passes any of these
     # caps but holds every relation of the pairs of C0; the recursion
     # builds at most 1,152 states, so its report is never truncated and
-    # otherwise the capped search's
+    # otherwise the capped search's, and its witnesses derive their pairs
     monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
     for seed in range(10):
         problem = pairwise(7, seed, False)
@@ -564,21 +683,24 @@ def test_capped_complete_sets_settle_as_the_search_reports(cap, monkeypatch):
         report = classify(problem)
         assert expected.depth_exceeded == (cap < 8018)
         assert not report.depth_exceeded
-        assert (report.label, report.rule_fired, report.witnesses) == (
-            expected.label, expected.rule_fired, expected.witnesses)
+        assert (report.label, report.rule_fired) == (
+            expected.label, expected.rule_fired)
+        for witness in report.witnesses:
+            listed(problem, witness)
 
 
 def test_pairwise_past_the_relation_cap():
-    # the capped reference holds every relation of the pairs of C0, which
-    # list the witnesses; only its truncation differs
+    # the capped reference holds every relation of the pairs of C0, where
+    # SD4 fires and whose pairs list the witnesses; only its truncation
+    # differs
     problem = pairwise(7, 0, False)
     report = classify(problem)
     expected = reference_classify(problem)
     assert expected.depth_exceeded and not report.depth_exceeded
-    assert report == ClassificationReport(
+    assert_matches(problem, report, ClassificationReport(
         expected.label, expected.witnesses, expected.rule_fired,
-        expected.det_agrees, False)
-    assert len(report.witnesses) == classify_module._WITNESS_CAP
+        expected.det_agrees, False))
+    assert {w[1].i for w in report.witnesses} == {0}
 
 
 def test_only_witnesses_become_relation_objects(monkeypatch):
@@ -592,8 +714,9 @@ def test_only_witnesses_become_relation_objects(monkeypatch):
 
     monkeypatch.setattr(classify_module, "DerivedRelation", counting)
     report = classify(pairwise(7, 0, False))
-    assert len(report.witnesses) == classify_module._WITNESS_CAP
-    assert 0 < built <= 2 * classify_module._WITNESS_CAP
+    assert built == 0
+    witnesses = report.witnesses
+    assert 0 < built == 2 * len(witnesses)
 
 
 def test_float_coefficients():
@@ -645,9 +768,15 @@ def test_dense_multi_term_substitution(seed, ratios, width):
                for r in relations)
 
 
-def test_witness_cap_is_reached():
-    report = assert_same(pairwise(6, 0, False))
-    assert len(report.witnesses) == classify_module._WITNESS_CAP
+def test_witness_cap_is_reached(monkeypatch):
+    # a lowered cap keeps the first witnesses of the list, on one-term
+    # statements and, with its WD3 witnesses, on a multi-term set
+    for problem in (pairwise(6, 0, False), multi_term(6, 2)):
+        whole = assert_same(problem).witnesses
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify_module, "_WITNESS_CAP", len(whole) - 1)
+            assert assert_same(problem).witnesses == whole[:-1]
+        assert len(whole) > 3
 
 
 def assert_solved_past_the_cap(problem):
@@ -680,9 +809,9 @@ def test_relation_cap_at_the_exact_count(name, monkeypatch):
     # one-term statements, is full but not truncated unless another is
     # attempted; around it the flag flips. ex1 is consistent: only its
     # relations meet the cap. ex2's substitution takes 9 steps for its 6
-    # relations. Each pair's listing holds up to the cap's derivations on
-    # its own, so ex11's witnesses are whole at a cap of its 4 states,
-    # below its 7 relations
+    # relations. ex11's witnesses are traced back through the states its
+    # recursion keeps, so they are whole at a cap of its 4 states, below
+    # its 7 relations
     problem = parse_problem((CORPUS / name).read_text(encoding="utf-8"))
     total = len(reference_derive(problem, problem.criteria.n)[0])
     exact = uncapped(reference_classify, problem)
@@ -700,7 +829,7 @@ def test_relation_cap_at_the_exact_count(name, monkeypatch):
         elif cap < total:
             assert_capped(problem, exact)
         else:
-            assert assert_same(problem) == exact
+            assert_matches(problem, assert_same(problem), exact)
 
 
 def solved_sets():

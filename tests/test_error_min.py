@@ -292,6 +292,24 @@ class TestFamilyZero:
         assert res.argmin == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         assert res.value == 0 and eval_error(pr, res.argmin) == 0
 
+    def test_the_zero_reads_only_the_domain(self, monkeypatch):
+        # the admitted range of z is all the zero needs: no crossing of
+        # two components is isolated and no regime is sampled. x < y
+        # admits z < 1/2, and the zero lies there
+        import admcdm.nonlinear as nonlinear
+
+        pr = parse_problem((CORPUS / "ex15.admp").read_text()
+                           + "pref: x < y\n")
+        expected = minimize_error(pr)
+        assert expected.value == 0 and expected.evaluations == 0
+
+        def no_regimes(*args):
+            raise AssertionError("the regimes were analysed")
+
+        monkeypatch.setattr(nonlinear, "regime_analysis", no_regimes)
+        monkeypatch.setattr(nonlinear, "_sample", no_regimes)
+        assert minimize_error(pr) == expected
+
     def test_inequalities_with_no_admissible_value_raise(self):
         # y = 5z and y < z fail for every z
         pr = parse_problem((CORPUS / "ex15.admp").read_text()
