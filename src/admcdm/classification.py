@@ -1,10 +1,9 @@
-"""Consistency classification by substitution closure.
+"""Consistency classification from the extremes of the derived ratios.
 
 Single-term statements form a ratio graph: the statement "x_i equals k times
-x_j" is an edge carrying k from i to j (and 1/k the other way). Walking
-simple paths derives new two-variable relations, closing a cycle derives a
-self-relation x_i = k * x_i, and substituting derived single-variable
-relations into a multi-term statement collapses it to a two-variable or
+x_j" is an edge carrying k from i to j (and 1/k the other way). A simple
+path derives a two-variable relation, and substituting such relations into
+a multi-term statement, one per term, collapses it to a two-variable or
 self relation. Two derivations of the same pair that disagree on the same
 side of 1 are a weak disagreement; derivations on opposite sides of 1 flip
 the preference order itself, a strong disagreement. A self-relation with
@@ -16,9 +15,10 @@ p1 * q2 != p2 * q1.
 The derived picture is cross-checked against the algebraic one (the
 statements are consistent exactly when their homogeneous system has rank
 below n); agreement of the search's own verdict with it is reported as a
-diagnostic, since multi-term statements can defeat the substitution
-search. A set the exact test calls inconsistent is never labelled
-Consistent: if no rule fired it is WeakInconsistent with no rule.
+diagnostic, since the derivations of multi-term statements can miss a
+disagreement the exact test finds. A set the exact test calls
+inconsistent is never labelled Consistent: if no rule fired it is
+WeakInconsistent with no rule.
 
 A set that one positive vector w solves as written needs no search: every
 derivation of a pair (i, j) has the ratio w_i / w_j and every
@@ -27,54 +27,44 @@ the set Consistent. When the exact test passes and the solution with every
 free variable at 1 is positive, that report is returned without deriving
 anything.
 
-Cost model. Derivation stops as soon as _RELATION_CAP relations are held
-and the result is known to be truncated, so the cap bounds memory and the
-time of the walk; it and the conservative label of a truncated search
-concern only sets without such a positive solution. Of these, a set of
-one-term statements is not searched (below). The substitution tries the
-combinations of derived relations for a multi-term statement's terms,
-depth-first, and drops a partial combination at its first statement
-shared with the rest. Each combination it tries, partial or whole, kept
-or dropped, is a step; past _RELATION_CAP steps the result is truncated
-too, so the cap bounds the substitution's time as well, also on a dense
-ratio graph. A ratio travels as an
-unreduced pair of ints (p, q), read off the statement's Fraction and never
-as a float, so a path step is two int products. The walk keeps its nodes
-as a bitmask, forms that product only for an edge it takes, checks only
-an edge that closes a cycle against its trail, and does not enter a node
-past which it could neither close a cycle at its start nor reach a
-greater node. Each criterion pair is read in one pass: its strongest rule
-is the rule of its smallest and largest derived ratio, by cross
-products, and its witness is the two derivations that rule reads, the
-first derived at each extreme. Each criterion with a self-relation whose
-ratio is not 1 then has one WD3 witness, its first such. The witnesses
-are listed, up to _WITNESS_CAP, on the report's first read of them; a
-caller that reads only the label, the rule or the flags lists none, and
-only the witnesses' relations become DerivedRelation objects. No search
-leaves a reference cycle, so reference counting frees a case's relations
-when its report goes. Classifying R relations therefore costs O(R), and
-so does listing the witnesses.
+A pair's rule reads only its smallest and largest derived ratio, so no
+derivation is enumerated. The extremes of the ratio product over the
+simple paths joining a pair come from the recursion over (node set, end
+node) of Bellman (1962) and Held and Karp (1962), since a product of
+positive ratios is smallest, or largest, when each factor is. Each layer
+of a start's recursion takes the paths one statement longer. After each
+layer a pair whose range crosses 1 fires SD4, which no rule outranks, and
+ends the search. The states count toward _RELATION_CAP: (n - 1) *
+2**(n - 2) per start of a complete set, 1,024 at n = 9. Past the cap the
+report is truncated and its label conservative, and the ranges built are
+read as below. Unless SD4 ended the search, each multi-term statement
+x_s = sum c_j x_j is then substituted once toward each target t that all
+its terms have ranges to: x_s / x_t = sum c_j x_j / x_t rises in each
+term's ratio, so its extremes are the sums at the terms' extremes, for any
+combination of derivations (one statement may serve several terms). That
+range joins pair (s, t), or is s's self range when s = t, and is not
+substituted again. A criterion whose self range is not exactly 1 fires
+WD3. A ratio travels as an unreduced pair of ints (p, q), read off the
+statement's Fraction and never as a float, so a recursion step is two int
+products; a substituted sum is a Fraction.
 
-A set of one-term statements is not enumerated: the extremes of the
-ratio product over the simple paths joining a pair come from the
-recursion over (node set, end node) of Bellman (1962) and Held and Karp
-(1962), since a product of positive ratios is smallest, or largest, when
-each factor is. Each layer of a start's recursion takes the paths one
-statement longer. After each layer a pair whose range crosses 1 fires
-SD4, which no rule outranks, and ends the search; otherwise a start's
-pairs are read when its recursion ends. The states count toward
-_RELATION_CAP: (n - 1) * 2**(n - 2) per start of a complete set, 1,024 at
-n = 9. Past the cap the report is truncated and its label conservative.
-Each start's layers are kept, and a pair's witness is traced back
-through them from the first state at each end of its range, one
-predecessor state and one statement per layer. A start read whole gives
-its pairs' true extremes. The start where the search stopped, at SD4 or
-at the cap, gives the extremes of the layers it built, so an SD4 witness
-has one ratio on each side of 1; the starts after it list nothing. No
-start is recursed twice and no path is walked. Such a set lists no WD3
-witness: a cycle whose product is not 1 fires every pair it joins.
+The witnesses are listed, up to _WITNESS_CAP, on the report's first read
+of them; a caller that reads only the label, the rule or the flags lists
+none, and only the witnesses' relations become DerivedRelation objects.
+A fired pair lists its derivations at the two ends of its range, a
+criterion with WD3 the one at its smallest self ratio, or at its largest
+when that is 1. A path is traced back through the layers each start keeps
+from the first state at its end, one predecessor state and one statement
+per layer; a substituted derivation is its statement, then each term's
+traced path. On a tie the path goes first, then the statements in order.
+A start read whole gives its pairs' true extremes. The start where the
+search stopped, at SD4 or at the cap, gives the extremes of the layers it
+built, so an SD4 witness has one ratio on each side of 1; the starts after
+it list nothing. No start is recursed twice. A cycle of the ratio graph
+lists no WD3 witness: one whose product is not 1 fires every pair it
+joins. No search leaves a reference cycle, so reference counting frees a
+case's ranges when its report goes.
 """
-
 from __future__ import annotations
 
 from collections import defaultdict
@@ -131,8 +121,7 @@ class ClassificationReport(Record):
     witnesses: tuple       # (rule, relation, other relation or None)
     rule_fired: str        # strongest rule observed, or "" when consistent
     det_agrees: bool
-    depth_exceeded: bool   # the search stopped at _RELATION_CAP relations
-                           # (states, for one-term statements only)
+    depth_exceeded: bool   # the recursion stopped at _RELATION_CAP states
 
     def __getattr__(self, name):
         # only a report whose witnesses are not listed yet lacks a field
@@ -154,12 +143,6 @@ class ClassificationReport(Record):
 
     def __getstate__(self):
         return dict(zip(self._fields, self._values()))
-
-
-class _Settled(Exception):
-    """A derivation was attempted with the relation list full: the result
-    is truncated, walking further can change nothing, so derivation
-    stops."""
 
 
 def _statements(problem: Problem):
@@ -190,143 +173,9 @@ def _adjacency(edges):
     return adjacency
 
 
-def _walk(adjacency, n: int, keep, add):
-    """From each start, walk the simple paths, passing keep each one of two
-    or more statements that ends at a node above start, and add each cycle
-    whose smallest node is start."""
-
-    def walk(node, p, q, trail, visited, lowest, above):
-        """Extend the path start..node; visited: a bitmask of its nodes,
-        lowest: it may still close a cycle (start is its smallest node),
-        above: how many nodes above start it has not visited."""
-        for nxt, kp, kq, pos in adjacency[node]:
-            # the product is formed only for an edge the walk takes
-            if nxt == start:
-                if trail and lowest and pos not in trail:
-                    add(start, start, p * kp, q * kq, trail + (pos,))
-                continue
-            # a trail edge joins two visited nodes, so an edge to a node
-            # not visited is not on the trail
-            if visited >> nxt & 1:
-                continue
-            up = nxt > start
-            found = trail and up
-            low = lowest and up
-            # a path past nxt derives something only if it can still close
-            # a cycle at start or reach a node above start
-            onward = low or above - up > 0
-            if not (found or onward):
-                continue
-            here_p, here_q = p * kp, q * kq
-            path = trail + (pos,)
-            if found:
-                # a simple path is fixed by its edge set and endpoints, so
-                # no other walk step derives it
-                keep(start, nxt, here_p, here_q, path)
-            if onward:
-                walk(nxt, here_p, here_q, path, visited | 1 << nxt, low,
-                     above - up)
-
-    try:
-        for start in range(n):
-            walk(start, 1, 1, (), 1 << start, True, n - 1 - start)
-    finally:
-        del walk  # it refers to itself: reference counting frees it
-
-
-def _combine(add, subject, target, terms, choices, used, trail, total,
-             room):
-    """Substitute one of choices[0]'s relations for terms[0], then the rest
-    in turn, and add each result: the combinations of itertools.product,
-    in its order, but a branch ends at its first relation that shares a
-    statement with used. Each call is a step out of room; the room left
-    is returned, and _Settled raised once none is."""
-    if not room:
-        raise _Settled
-    room -= 1
-    if not choices:
-        add(subject, target, total.numerator, total.denominator, trail)
-        return room
-    coef = terms[0][1]
-    for k, tr in choices[0]:
-        if used.isdisjoint(tr):
-            room = _combine(add, subject, target, terms[1:], choices[1:],
-                            used.union(tr), trail + tr, total + coef * k,
-                            room)
-    return room
-
-
-def _search(n: int, edges, multi):
-    """All derived relations from _statements' edges and multi-term
-    statements, as tuples (i, j, p, q, trail) with the ratio p / q
-    unreduced, plus a flag for truncated exploration.
-
-    Once _RELATION_CAP relations are held, any further derivation attempt
-    marks the result truncated and ends the walk; the relations and the
-    flag are those an exhaustive walk would report.
-    """
-    adjacency = _adjacency(edges)
-    relations = []
-    seen = set()
-
-    def keep(i, j, p, q, trail):
-        """Record a relation no earlier derivation has produced."""
-        if len(relations) >= _RELATION_CAP:
-            raise _Settled
-        relations.append((i, j, p, q, trail))
-
-    def add(i, j, p, q, trail):
-        """keep() unless the pair was derived through the same statements;
-        at the cap even such a repeat marks the result truncated."""
-        key = (i, j, frozenset(trail))
-        if key in seen and len(relations) < _RELATION_CAP:
-            return
-        seen.add(key)
-        keep(i, j, p, q, trail)
-
-    def substitute():
-        pool = defaultdict(list)
-        for i, j, p, q, trail in relations:
-            if i != j:
-                pool[(i, j)].append((Fraction(p, q), trail))
-                pool[(j, i)].append((Fraction(q, p), trail))
-
-        room = _RELATION_CAP
-        for pos, subject, terms in multi:
-            for target in range(n):
-                choices = [[(1, ())] if j == target else
-                           [(k, tr) for k, tr in pool[(j, target)]
-                            if pos not in tr]
-                           for j, _ in terms]
-                if all(choices):
-                    room = _combine(add, subject, target, terms, choices,
-                                    {pos}, (pos,), 0, room)
-
-    try:
-        for a, b, p, q, pos in edges:
-            add(a, b, p, q, (pos,))
-        _walk(adjacency, n, keep, add)
-        if multi:
-            substitute()
-    except _Settled:
-        return relations, True
-    return relations, False
-
-
-def _derive(problem: Problem):
-    """_search with each relation as a DerivedRelation."""
-    relations, truncated = _search(problem.criteria.n, *_statements(problem))
-    return [_relation(r) for r in relations], truncated
-
-
 def _relation(r) -> DerivedRelation:
     i, j, p, q, trail = r
     return DerivedRelation(i, j, Fraction(p, q), trail)
-
-
-def derive_relations(problem: Problem):
-    """Closure of substitution-derived two-variable and self relations."""
-    return _derive(problem)[0]
 
 
 # the rule two differing ratios fire, by their sides of 1, the lower first
@@ -343,47 +192,29 @@ def _rule(lp, lq, hp, hq) -> str:
     return _RULE[(lp > lq) - (lp < lq), (hp > hq) - (hp < hq)]
 
 
+def _fires(key, span) -> str:
+    """The rule the range span of _spans' key fires: a pair's, or WD3
+    for a criterion's self-relations unless all are exactly 1."""
+    i, j = key
+    if i != j:
+        return _rule(*span)
+    lp, lq, hp, hq = span
+    return "WD3" if lp != lq or hp != hq else ""
+
+
+def _in_order(spans):
+    """The items of _spans' spans in report order: the pairs (i, j),
+    i < j, in order, then the criteria's self-relations."""
+    return sorted(spans.items(), key=lambda item: (item[0][0] == item[0][1],
+                                                   item[0]))
+
+
 def _witnesses(found) -> tuple:
     """The first _WITNESS_CAP of found's witnesses (rule, relation, other
     relation or None), each relation an (i, j, p, q, trail) tuple, with
     the relations as DerivedRelation objects."""
     return tuple((rule, _relation(a), b and _relation(b))
                  for rule, a, b in islice(found, _WITNESS_CAP))
-
-
-def _report(relations, truncated: bool, det_ok: bool) -> ClassificationReport:
-    """The report on _search's relations. Each pair's ratios are oriented
-    from its smaller criterion, so a relation (j, i, p, q) reads q / p.
-    A pair's rule is that of its smallest and largest ratio: some two
-    ratios differ exactly when these do, and they carry the lowest and the
-    highest side of 1. Its witness is the first relation at each; then a
-    criterion's is its first self-relation whose ratio is not 1."""
-    spans, selves = {}, {}
-    for r in relations:
-        i, j, p, q, _ = r
-        if i == j:
-            if p != q:
-                selves.setdefault(i, r)
-            continue
-        if i > j:
-            i, j, p, q = j, i, q, p
-        span = spans.get((i, j))
-        if span is None:
-            spans[i, j] = [p, q, r, p, q, r]
-            continue
-        if p * span[1] < span[0] * q:
-            span[:3] = p, q, r
-        if p * span[4] > span[3] * q:
-            span[3:] = p, q, r
-
-    found = []
-    for _, (lp, lq, a, hp, hq, b) in sorted(spans.items()):
-        rule = _rule(lp, lq, hp, hq)
-        if rule:
-            found.append((rule, a, b))
-    found += [("WD3", selves[i], None) for i in sorted(selves)]
-    strongest = max(["", *(rule for rule, _, _ in found)], key=_RANK.get)
-    return _finish(strongest, lambda: _witnesses(found), truncated, det_ok)
 
 
 def _finish(strongest, pending, truncated, det_ok) -> ClassificationReport:
@@ -446,46 +277,114 @@ def _ranges(steps, layers, held: int):
         yield ends, held
 
 
-def _ratios(n: int, edges, det_ok: bool) -> ClassificationReport:
-    """The report on _statements' edges alone, from _ranges of each start
-    in turn up to the first layer where a pair's range crosses 1 (SD4),
-    all within _RELATION_CAP. Each start's layers and ends are kept for
-    the listing."""
+def _inverted(span) -> tuple:
+    """The range of the reciprocals of span's ratios."""
+    lp, lq, hp, hq = span
+    return hq, hp, lq, lp
+
+
+def _pair_range(s, t, span) -> tuple:
+    """(key, range): the range span of x_s / x_t as that of the pair
+    key, s and t in order, read from its smaller criterion."""
+    return ((s, t), span) if s <= t else ((t, s), _inverted(span))
+
+
+def _path_range(kept, j, t):
+    """The range of x_j / x_t over the paths kept holds: 1 when j == t,
+    else the ends of start min(j, t), inverted when j > t; None when no
+    path was taken."""
+    if j == t:
+        return 1, 1, 1, 1
+    i, v = min(j, t), max(j, t)
+    span = kept[i][1].get(v) if i < len(kept) else None
+    return span if span is None or j < t else _inverted(span)
+
+
+def _substituted(kept, terms, t):
+    """The range of x_s / x_t over a multi-term statement x_s = sum c_j
+    x_j: it rises in each x_j / x_t, so its ends are the sums at each
+    term's ends, as unreduced int pairs; None unless every term has a
+    range to t."""
+    lp, lq, hp, hq = 0, 1, 0, 1
+    for j, c in terms:
+        span = _path_range(kept, j, t)
+        if span is None:
+            return None
+        cp, cq = c.numerator, c.denominator
+        lp, lq = lp * cq * span[1] + cp * span[0] * lq, lq * cq * span[1]
+        hp, hq = hp * cq * span[3] + cp * span[2] * hq, hq * cq * span[3]
+    return lp, lq, hp, hq
+
+
+def _spans(n: int, edges, multi):
+    """(spans, truncated, kept): spans[i, j], i < j, the range (lp, lq, hp,
+    hq) of the derived ratios x_i / x_j, spans[s, s] that of s's
+    self-relations, and kept[i] start i's (layers, ends).
+
+    _ranges takes each start i < n - 1 in turn, up to the first layer where
+    a pair's range crosses 1 (SD4), all within _RELATION_CAP. Unless SD4
+    fired, each multi-term statement is then substituted once toward each
+    target its terms have ranges to, from the ranges built; what it derives
+    is not substituted again."""
     steps = defaultdict(dict)  # steps[a][b]: the range of a's statements on b
     for a, b, p, q, _ in edges:
         steps[a][b] = _wider(steps[a].get(b), p, q, p, q)
         steps[b][a] = _wider(steps[b].get(a), q, p, q, p)
-    strongest, held, kept = "", 0, []
+    held, kept, crossed = 0, [], False
     for i in range(n - 1):
         layers = [{(1 << i, i): (1, 1, 1, 1)}]
         for ends, held in _ranges(steps, layers, held):
             # the smallest ratio below 1 and the largest above it
-            if any(lp < lq and hp > hq
-                   for v, (lp, lq, hp, hq) in ends.items() if v > i):
+            crossed = any(lp < lq and hp > hq
+                          for v, (lp, lq, hp, hq) in ends.items() if v > i)
+            if crossed:
                 break
         kept.append((layers, ends))
-        rules = [_rule(*ends[j]) for j in ends if j > i]
-        strongest = max([strongest, *rules], key=_RANK.get)
-        if strongest == "SD4" or held > _RELATION_CAP:
+        if crossed or held > _RELATION_CAP:
             break
-    return _finish(strongest, lambda: _witnesses(_traced(edges, kept)),
-                   held > _RELATION_CAP, det_ok)
+    spans = {(i, j): span for i, (_, ends) in enumerate(kept)
+             for j, span in ends.items() if j > i}
+    for _, s, terms in () if crossed else multi:
+        for t in range(n):
+            span = _substituted(kept, terms, t)
+            if span is not None:
+                key, span = _pair_range(s, t, span)
+                spans[key] = _wider(spans.get(key), *span)
+    return spans, held > _RELATION_CAP, kept
 
 
-def _traced(edges, kept):
-    """The witness (rule, a, b) of each pair (i, j) whose rule fires on
-    kept[i]'s ends, in order: a and b are paths to the first states of
-    kept[i]'s layers at the pair's smallest and largest ratio, traced
-    back one predecessor state and one statement per layer. A path of one
-    statement keeps the statement's own orientation."""
+def _deriver(edges, multi, kept, spans):
+    """derivation(key, side): a derivation (i, j, p, q, trail), x_i equal
+    to p / q times x_j, at the low (side 0) or high (side 2) end of
+    _spans' range spans[key]. A tie goes to the ratio graph's path first,
+    then to the multi-term statements in order.
+
+    A path is traced back through kept[i]'s layers from their first state
+    at that end, one predecessor state and one statement per layer; a path
+    of one statement keeps the statement's own orientation. A substituted
+    derivation reads x_s = ratio * x_t, its trail the statement's position
+    and then each term's path in term order, each at the end of its range
+    that the statement's end takes."""
     adjacency = _adjacency(edges)
     subject = {pos: a for a, _, _, _, pos in edges}
+    firsts = {}  # firsts[i][v, side]: (depth, mask) of that first state
 
-    def trace(layers, depth, mask, v, side):
-        """The relation (i, v, p, q, trail) whose ratio p / q is the low
-        (side 0) or high (side 2) end of state (mask, v) of layers[depth]."""
-        p, q = layers[depth][mask, v][side:side + 2]
-        j, ratio, trail = v, (p, q), []
+    def path(i, j, side):
+        layers, ends = kept[i]
+        first = firsts.get(i)
+        if first is None:
+            first = firsts[i] = {}
+            for depth, layer in enumerate(layers):
+                for (mask, v), (lp, lq, hp, hq) in layer.items():
+                    if v > i:
+                        elp, elq, ehp, ehq = ends[v]
+                        if lp * elq == elp * lq:
+                            first.setdefault((v, 0), (depth, mask))
+                        if hp * ehq == ehp * hq:
+                            first.setdefault((v, 2), (depth, mask))
+        depth, mask = first[j, side]
+        p, q = layers[depth][mask, j][side:side + 2]
+        v, ratio, trail = j, (p, q), []
         while depth:
             depth -= 1
             prev = mask & ~(1 << v)
@@ -500,30 +399,74 @@ def _traced(edges, kept):
             return j, v, ratio[1], ratio[0], tuple(trail)
         return v, j, *ratio, tuple(reversed(trail))
 
-    for i, (layers, ends) in enumerate(kept):
-        fired = {j: _rule(*ends[j]) for j in sorted(ends) if j > i}
-        fired = {j: rule for j, rule in fired.items() if rule}
-        first = {}  # (j, side): the first state at that end of j's range
-        for depth, layer in enumerate(layers):
-            for (mask, v), (lp, lq, hp, hq) in layer.items():
-                if v not in fired:
-                    continue
-                elp, elq, ehp, ehq = ends[v]
-                if lp * elq == elp * lq:
-                    first.setdefault((v, 0), (depth, mask))
-                if hp * ehq == ehp * hq:
-                    first.setdefault((v, 2), (depth, mask))
-        for j, rule in fired.items():
-            yield (rule, trace(layers, *first[j, 0], j, 0),
-                   trace(layers, *first[j, 2], j, 2))
+    def substituted(pos, s, terms, t, side):
+        total, trail = 0, (pos,)
+        for j, c in terms:
+            if j == t:
+                total += c
+                continue
+            a, _, p, q, tr = path(min(j, t), max(j, t),
+                                  side if j < t else 2 - side)
+            total += c * (Fraction(p, q) if a == j else Fraction(q, p))
+            trail += tr
+        return s, t, total.numerator, total.denominator, trail
+
+    def derivation(key, side):
+        i, j = key
+        lp, lq = spans[key][side:side + 2]
+        span = i < j and _path_range(kept, i, j)
+        if span and span[side] * lq == lp * span[side + 1]:
+            return path(i, j, side)
+        for pos, s, terms in multi:
+            t = j if s == i else i
+            span = s in key and _substituted(kept, terms, t)
+            if not span:
+                continue
+            span = _pair_range(s, t, span)[1]
+            if span[side] * lq == lp * span[side + 1]:
+                # the pair's low end is the statement's high one when
+                # x_s / x_t is the pair's reciprocal
+                return substituted(pos, s, terms, t,
+                                   side if s <= t else 2 - side)
+
+    return derivation
 
 
-def _searched(n: int, statements, det_ok: bool):
-    """The report on the search over _statements' output."""
-    edges, multi = statements
-    if multi:
-        return _report(*_search(n, edges, multi), det_ok)
-    return _ratios(n, edges, det_ok)
+def _found(spans, derivation):
+    """The witnesses (rule, a, b) in report order: each pair whose rule
+    fires, a and b its derivations at the ends of its range; then each
+    criterion whose self-relations are not all exactly 1, a the one at the
+    smallest ratio, or at the largest when that is 1, and b None."""
+    for key, span in _in_order(spans):
+        rule = _fires(key, span)
+        if rule == "WD3":
+            yield rule, derivation(key, 0 if span[0] != span[1] else 2), None
+        elif rule:
+            yield rule, derivation(key, 0), derivation(key, 2)
+
+
+def _ratios(n: int, edges, multi, det_ok: bool) -> ClassificationReport:
+    """The report on _statements' output, its rule read off _spans'
+    ranges; the witnesses are listed on first read."""
+    spans, truncated, kept = _spans(n, edges, multi)
+    strongest = max(["", *map(_fires, spans.keys(), spans.values())],
+                    key=_RANK.get)
+    return _finish(
+        strongest,
+        lambda: _witnesses(_found(spans, _deriver(edges, multi, kept, spans))),
+        truncated, det_ok)
+
+
+def derive_relations(problem: Problem):
+    """The derivations classify's search reads, with its stops: each pair
+    (i, j), i < j, in order, at its smallest ratio and, if it differs, at
+    its largest; then each criterion's self-relations the same way."""
+    edges, multi = _statements(problem)
+    spans, _, kept = _spans(problem.criteria.n, edges, multi)
+    derivation = _deriver(edges, multi, kept, spans)
+    return [_relation(derivation(key, side))
+            for key, (lp, lq, hp, hq) in _in_order(spans)
+            for side in ((0,) if lp * hq == hp * lq else (0, 2))]
 
 
 # the exhaustive search's report on statements one positive vector solves
@@ -591,7 +534,7 @@ def classify(problem: Problem) -> ClassificationReport:
     det_ok = v is not None
     if det_ok and min(v) > 0:
         return _SOLVED
-    return _searched(problem.criteria.n, statements, det_ok)
+    return _ratios(problem.criteria.n, *statements, det_ok)
 
 
 def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
@@ -600,4 +543,4 @@ def _classify_solved(problem: Problem, solved: bool) -> ClassificationReport:
     other consistent set, so when it did not, the exact test has failed."""
     if solved:
         return _SOLVED
-    return _searched(problem.criteria.n, _statements(problem), False)
+    return _ratios(problem.criteria.n, *_statements(problem), False)

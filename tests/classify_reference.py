@@ -1,21 +1,22 @@
-"""Reference classifier: the straightforward O(R^2) derive-and-compare.
+"""Reference classifier: the straightforward derive-and-compare.
 
-It walks every simple path to the end even after the relation list is full,
-and compares every two derivations of each criterion pair as Fractions,
-exactly, sharing no comparison code with the engine. A pair whose rule
-fired has one witness: the first derivation at its smallest ratio and the
-first at its largest. Then, on
-a set with a multi-term statement, each criterion in turn has one WD3
-witness, its first self-relation whose ratio is not 1; a set of one-term
-statements lists none, since such a cycle fires every pair it joins.
-admcdm.classify must return exactly the same ClassificationReport on
-every set with a multi-term statement. On a set of one-term statements it
-reads the set whole, and its report is the one this search gives with
-the relation cap raised past it, but for the witnesses' paths, which ties
-may pick otherwise, and for the pairs of the criterion where the engine's
-search stopped; see test_classify_equivalence.py. The caps are read from
-admcdm.classification at call time, so a test that lowers or raises them
-changes them here too.
+It walks every simple path and cycle of the ratio graph, substitutes every
+combination of those paths into each multi-term statement (one path per
+term; a statement may recur across the terms), and fires the rule of every
+two differing derivations of each criterion pair, read from the sides of
+1 their Fractions lie on, exactly, sharing no comparison code with the
+engine. It has no cap. A pair whose rule fired
+has one witness: the first derivation at its smallest ratio and the first
+at its largest. Then each criterion whose substituted self-relations are
+not all 1 has one WD3 witness: the first at the smallest such ratio when
+that is not 1, else the first at the largest. A cycle of the ratio graph
+counts toward the rule but lists no WD3 witness, since a cycle whose
+product is not 1 fires every pair it joins.
+
+admcdm.classify must give the same label, rule and det_agrees wherever
+its search is not truncated, and witnesses with the same rules, pairs and
+ratios wherever it read every range whole; where two derivations tie at
+an extreme it may list the other (see test_classify_equivalence.py).
 """
 
 from __future__ import annotations
@@ -23,24 +24,17 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from importlib import import_module
-from itertools import combinations
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
 
 from admcdm.classification import ClassificationReport, DerivedRelation, Label
 from admcdm.errors import NonEquationPreference, NonlinearPreferencePresent
 from admcdm.linalg import rank
-from admcdm.model import (
-    InequalityPreference,
-    MonomialPreference,
-    assemble,
-    canonicalize,
-)
+from admcdm.model import InequalityPreference, MonomialPreference, assemble
 
+# the witness cap is read from here at call time, so a test that lowers it
+# lowers it for the reference too
 classify_module = import_module("admcdm.classification")
-
-
-def _inv(k):
-    return 1 / k if isinstance(k, (Fraction, int)) else 1.0 / k
 
 
 def _side(k):
@@ -57,9 +51,11 @@ def reference_rule(low, high):
     return "WD1" if s2 == 1 else "WD2"
 
 
-def reference_derive(problem, max_depth):
-    """All derived relations plus a flag for truncated exploration."""
-    cap = classify_module._RELATION_CAP
+def reference_derive(problem):
+    """Every derived relation: each statement, each simple path of two or
+    more one-term statements from a criterion to a greater one, each cycle
+    from its smallest criterion, and each multi-term statement with a path
+    substituted for each term, in every combination."""
     n = problem.criteria.n
     edges = []
     multi = []
@@ -70,107 +66,69 @@ def reference_derive(problem, max_depth):
         if isinstance(pref, MonomialPreference):
             raise NonlinearPreferencePresent(
                 "classification is defined on linear preferences only")
-        lin = canonicalize(pref)
-        if len(lin.terms) == 1:
-            j, k = lin.terms[0]  # a float coefficient is read exactly
-            edges.append((lin.subject, j, Fraction(k), pos))
+        if len(pref.terms) == 1:
+            (j, k), = pref.terms
+            edges.append((pref.subject, j, Fraction(k), pos))
         else:
-            multi.append((pos, lin.subject, lin.terms))
+            multi.append((pos, pref.subject, pref.terms))
 
     adjacency = defaultdict(list)
     for a, b, k, pos in edges:
         adjacency[a].append((b, k, pos))
-        adjacency[b].append((a, _inv(k), pos))
+        adjacency[b].append((a, 1 / k, pos))
 
     relations = []
     seen = set()
-    truncated = False
 
     def add(i, j, k, trail):
-        nonlocal truncated
-        if len(relations) >= cap:
-            truncated = True
-            return
+        # a cycle is walked both ways round
         key = (i, j, frozenset(trail))
-        if key in seen:
-            return
-        seen.add(key)
-        relations.append(DerivedRelation(i, j, k, tuple(trail)))
+        if key not in seen:
+            seen.add(key)
+            relations.append(DerivedRelation(i, j, k, tuple(trail)))
 
     for a, b, k, pos in edges:
         add(a, b, k, (pos,))
 
     def walk(start, node, prod, trail, visited):
-        nonlocal truncated
-        if len(trail) >= max_depth:
-            if any(pos not in trail for _, _, pos in adjacency[node]):
-                truncated = True
-            return
         for nxt, k, pos in adjacency[node]:
             if pos in trail:
                 continue
             here = prod * k
             if nxt == start:
-                if len(trail) >= 1 and start == min(visited):
+                if start == min(visited):
                     add(start, start, here, trail + (pos,))
                 continue
             if nxt in visited:
                 continue
-            if len(trail) + 1 >= 2 and start < nxt:
+            if trail and start < nxt:
                 add(start, nxt, here, trail + (pos,))
             walk(start, nxt, here, trail + (pos,), visited | {nxt})
 
     for start in range(n):
         walk(start, start, Fraction(1), (), frozenset({start}))
 
-    if multi:
-        pool = defaultdict(list)
-        for r in relations:
-            if r.i != r.j:
-                pool[(r.i, r.j)].append((r.ratio, r.trail))
-                pool[(r.j, r.i)].append((_inv(r.ratio), r.trail))
-        for pos, subject, terms in multi:
-            for target in range(n):
-                choices = []
-                for j, _coef in terms:
-                    if j == target:
-                        opts = [(Fraction(1), ())]
-                    else:
-                        opts = [(k, tr) for k, tr in pool[(j, target)]
-                                if pos not in tr]
-                    if not opts:
-                        choices = None
-                        break
-                    choices.append(opts)
-                if choices is None:
-                    continue
-                for combo in iter_product(*choices):
-                    used = set()
-                    ok = True
-                    for _k, tr in combo:
-                        tset = set(tr)
-                        if used & tset:
-                            ok = False
-                            break
-                        used |= tset
-                    if not ok:
-                        continue
-                    total = sum(Fraction(coef) * k
-                                for (_, coef), (k, _) in zip(terms, combo))
-                    trail = (pos,)
-                    for _k, tr in combo:
-                        trail += tr
-                    add(subject, target, total, trail)
-
-    return relations, truncated
+    pool = defaultdict(list)
+    for r in relations:
+        if r.i != r.j:
+            pool[(r.i, r.j)].append((r.ratio, r.trail))
+            pool[(r.j, r.i)].append((1 / r.ratio, r.trail))
+    for pos, subject, terms in multi:
+        for target in range(n):
+            choices = [[(Fraction(1), ())] if j == target else pool[(j, target)]
+                       for j, _ in terms]
+            for combo in iter_product(*choices):
+                total = sum(Fraction(coef) * k
+                            for (_, coef), (k, _) in zip(terms, combo))
+                trail = (pos,)
+                for _k, tr in combo:
+                    trail += tr
+                relations.append(DerivedRelation(subject, target, total, trail))
+    return relations
 
 
-def reference_classify(problem, max_depth=None):
-    if max_depth is None:
-        max_depth = problem.criteria.n
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    relations, truncated = reference_derive(problem, max_depth)
+def reference_classify(problem):
+    relations = reference_derive(problem)
 
     pairs = defaultdict(list)
     selves = []
@@ -179,29 +137,40 @@ def reference_classify(problem, max_depth=None):
             selves.append(r)
         else:
             a, b = (r.i, r.j) if r.i < r.j else (r.j, r.i)
-            k = r.ratio if r.i < r.j else _inv(r.ratio)
+            k = r.ratio if r.i < r.j else 1 / r.ratio
             pairs[(a, b)].append((k, r))
 
     rank_of = {"": 0, "WD3": 1, "WD2": 2, "WD1": 3, "SD4": 4}
-    off = [r for r in selves if r.ratio != 1]
-    strongest = "WD3" if off else ""
+    strongest = "WD3" if any(r.ratio != 1 for r in selves) else ""
     witnesses = []
     for _, rels in sorted(pairs.items()):
-        # the rule from every two derivations, compared on their own
-        fired = {reference_rule(*sorted((k1, k2)))
-                 for (k1, _), (k2, _) in combinations(rels, 2) if k1 != k2}
+        # the rules of every two differing derivations: two ratios on sides
+        # s1 <= s2 of 1 differ when the sides do or the side holds two
+        # ratios, and the rule reads only the sides
+        sides = defaultdict(set)
+        for k, _ in rels:
+            sides[_side(k)].add(k)
+        fired = {reference_rule(min(sides[s1]), max(sides[s2]))
+                 for s1, s2 in combinations_with_replacement(sorted(sides), 2)
+                 if s1 < s2 or len(sides[s1]) > 1}
         if fired:
             strongest = max([strongest, *fired], key=rank_of.get)
             # min and max return the first of equal ratios
             (low, r1), (high, r2) = (min(rels, key=lambda kr: kr[0]),
                                      max(rels, key=lambda kr: kr[0]))
             witnesses.append((reference_rule(low, high), r1, r2))
-    if any(len(canonicalize(p).terms) > 1 for p in problem.preferences):
-        for i in range(problem.criteria.n):
-            witnesses += [("WD3", r, None) for r in off if r.i == i][:1]
+    multi = {pos for pos, p in enumerate(problem.preferences)
+             if len(p.terms) > 1}
+    for i in range(problem.criteria.n):
+        own = [r for r in selves if r.i == i and r.trail[0] in multi]
+        if any(r.ratio != 1 for r in own):
+            low = min(own, key=lambda r: r.ratio)
+            witness = low if low.ratio != 1 else max(own,
+                                                     key=lambda r: r.ratio)
+            witnesses.append(("WD3", witness, None))
 
     det_ok = rank(assemble(problem)) < problem.criteria.n
-    found_consistent = not strongest and not truncated
+    found_consistent = not strongest
     if strongest == "SD4":
         label = Label.STRONG_INCONSISTENT
     elif found_consistent and det_ok:
@@ -214,5 +183,5 @@ def reference_classify(problem, max_depth=None):
         witnesses=tuple(witnesses[:classify_module._WITNESS_CAP]),
         rule_fired=strongest,
         det_agrees=found_consistent == det_ok,
-        depth_exceeded=truncated,
+        depth_exceeded=False,
     )

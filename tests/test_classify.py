@@ -1,5 +1,5 @@
 """Consistency classification: labels, witnesses, rule precedence, the
-determinant cross-check, the walk over a ratio multigraph, witnesses
+determinant cross-check, the ranges over a ratio multigraph, witnesses
 listed on their first read, and a pipeline that leaves no reference
 cycle."""
 
@@ -19,11 +19,9 @@ import pytest
 
 import admcdm.classification as classify_module
 from admcdm.classification import (
-    _RELATION_CAP,
     ClassificationReport,
     DerivedRelation,
     Label,
-    _derive,
     classify,
     derive_relations,
 )
@@ -46,7 +44,12 @@ from admcdm.solver import discount_report, priority
 
 from classify_reference import reference_classify, reference_derive
 from conftest import CORPUS, blocks, load, pairwise, ranked, summed
-from test_classify_equivalence import assert_matches, listed
+from test_classify_equivalence import (
+    assert_matches,
+    derived,
+    extremes,
+    listed,
+)
 
 
 def problem(names, *prefs):
@@ -116,7 +119,9 @@ class TestWorkedLabels:
 
 class TestDerivedRelations:
     def test_chain_composition(self):
-        rels = derive_relations(load("ex1.admp"))
+        # ex1 without the statement that closes its chain
+        pr = load("ex1.admp")
+        rels = derive_relations(Problem(pr.criteria, pr.preferences[:2]))
         assert DerivedRelation(0, 2, Fraction(12), (0, 1)) in rels
 
     def test_ratio_statements_compose(self):
@@ -312,11 +317,11 @@ class TestGuards:
 
 class TestBoundedTime:
     """The relation cap bounds time: a full pairwise set at n = 9 has far
-    more simple paths than the cap admits, and the recursion that reads a
-    set of one-term statements instead builds 1,024 states from C0 at
-    most; the substitution counts each combination it tries. A set
-    that one positive vector solves as written is labelled without the
-    search."""
+    more simple paths than the cap admits, and the recursion that reads
+    its ranges builds 1,024 states from each start at most; a multi-term
+    statement is substituted once per target, from its terms' ranges. A
+    set that one positive vector solves as written is labelled without
+    the search."""
 
     def pairwise_9(self):
         weights = (1, 2, 4, 8, 1, 2, 4, 8, 2)
@@ -328,13 +333,21 @@ class TestBoundedTime:
         return parse_problem("\n".join(lines))
 
     def test_derivation_stops_at_the_cap(self):
+        # derive_relations runs classify's search with its stops: SD4
+        # fires from C0, whose pairs it lists at both ends of their range;
+        # the solved set, which classify labels without a search, builds
+        # 1,024 states from each start and stops at the cap within C4
         pr = pairwise(9, 0, False)
-        assert len(derive_relations(pr)) == _RELATION_CAP
+        relations = derive_relations(pr)
+        assert [(r.i, r.j) for r in relations][::2] == [
+            (0, j) for j in range(1, 9)]
         report = classify(pr)
         assert not report.depth_exceeded
         assert report.label is Label.STRONG_INCONSISTENT
         solved = self.pairwise_9()
-        assert len(derive_relations(solved)) == _RELATION_CAP
+        pairs = {tuple(sorted((r.i, r.j))) for r in derive_relations(solved)}
+        assert len(derive_relations(solved)) == len(pairs)
+        assert {i for i, _ in pairs} == set(range(5))
         report = classify(solved)
         assert report.label is Label.CONSISTENT
         assert not report.depth_exceeded
@@ -379,18 +392,49 @@ class TestBoundedTime:
         assert [listed(pr, w)[:2] for w in witnesses] == [
             ("WD1", (0, j)) for j in range(1, 12)]
 
-    def test_substitution_steps_count_toward_the_cap(self):
-        # C0 as the sum of C1..C7 beside 18 ratios among them: each
-        # combination the substitution tries is a step toward the cap,
-        # also one that ends at a shared statement, so the search stops
-        # there instead of trying combinations for tens of seconds
-        pr = summed(18, 0)
+    @pytest.mark.parametrize("k", range(14, 19))
+    def test_summed_sets_are_read_whole(self, k):
+        # C0 as the sum of C1..C7 beside k ratios among them: the ratios'
+        # ranges give SD4 within the recursion's states, so no
+        # combination of their paths is tried
+        pr = summed(k, 0)
         start = time.perf_counter()
         report = classify(pr)
-        assert time.perf_counter() - start < 1.0
-        assert report.depth_exceeded
+        witnesses = report.witnesses
+        assert time.perf_counter() - start < 0.5
+        assert not report.depth_exceeded
         assert report.rule_fired == "SD4"
         assert report.label is Label.STRONG_INCONSISTENT
+        for witness in witnesses:
+            listed(pr, witness)
+
+    def test_planted_sum_without_sd4(self):
+        # summed(18, 0)'s shape with its ratios planted on weights 1..9,
+        # plus C0 = (2 * sum(w) / w1) C1: the sum derives C0 / Cj at half
+        # the ratio the two statements do, both above 1, so pair (C0, Cj)
+        # fires WD1 and C0 derives itself at 1/2 (WD3), read whole from
+        # the per-term extremes
+        rng = random.Random(0)
+        w = [rng.randint(1, 9) for _ in range(8)]
+        prefs = []
+        for _ in range(18):
+            a, b = rng.sample(range(1, 8), 2)
+            prefs.append(LinearPreference(a, ((b, Fraction(w[a], w[b])),)))
+        prefs.append(LinearPreference(0, tuple((j, Fraction(1))
+                                               for j in range(1, 8))))
+        prefs.append(LinearPreference(
+            0, ((1, Fraction(2 * sum(w[1:]), w[1])),)))
+        pr = problem(" ".join(f"C{i}" for i in range(8)), *prefs)
+        start = time.perf_counter()
+        report = classify(pr)
+        witnesses = report.witnesses
+        assert time.perf_counter() - start < 0.5
+        assert report.rule_fired == "WD1" and not report.depth_exceeded
+        assert report.label is Label.WEAK_INCONSISTENT
+        got = [listed(pr, w) for w in witnesses]
+        assert [(rule, pair) for rule, pair, _, _ in got] == [
+            ("WD1", (0, j)) for j in range(1, 8)] + [("WD3", (0, 0))]
+        assert got[-1][2] == Fraction(1, 2)
 
     def test_witnesses_past_a_shared_criterion_are_bounded(self):
         # two full 8-criteria sets sharing C7: SD4 fires from C0, and the
@@ -428,8 +472,8 @@ class TestBoundedTime:
 
     def test_multi_term_statement_over_a_dense_ratio_graph(self, tmp_path):
         # C0 as the sum of six criteria that twelve ratios link: the
-        # substitution ends each combination at its first shared statement
-        # instead of enumerating the whole product of derivations
+        # substitution reads each term's range instead of enumerating the
+        # product of their derivations
         lines = ["criteria: c0 c1 c2 c3 c4 c5 c6"]
         lines += [f"pref: c{a} = {k} c{b}" for a, k, b in (
             (5, 1, 6), (3, 7, 5), (1, 7, 2), (4, 1, 6), (2, 8, 4),
@@ -457,7 +501,10 @@ class TestPositiveSolution:
     def test_capped_consistent_pairwise_set(self, n):
         for seed in range(2):
             pr = pairwise(n, seed, True)
-            assert len(derive_relations(pr)) == _RELATION_CAP
+            # every derivation of a pair has one ratio, so the search
+            # reads one per pair
+            relations = derive_relations(pr)
+            assert len({(r.i, r.j) for r in relations}) == len(relations)
             for report in (classify(pr), priority(pr)[2]):
                 assert report.label is Label.CONSISTENT
                 assert report.rule_fired == ""
@@ -487,30 +534,41 @@ def multigraph(n, seed):
 
 
 class TestMultigraphWalk:
-    """The walk checks only an edge that closes a cycle against its trail:
-    an edge to a node not yet visited cannot be on it. A criterion pair
-    stated twice is where a closing edge may be a different statement on
-    the same pair; the derivations and reports must still be the
-    reference's."""
+    """The recursion folds the statements on one criterion pair into one
+    step, whichever way round each is stated. A criterion pair stated
+    twice is where two statements make a cycle of their own; the
+    derivations and reports must still be the reference's."""
 
     SETS = [(n, seed) for n in range(3, 7) for seed in range(8)]
 
     @pytest.mark.parametrize("n, seed", SETS)
     def test_equals_the_reference(self, n, seed):
         pr = multigraph(n, seed)
-        assert _derive(pr) == reference_derive(pr, n)
-        assert_matches(pr, classify(pr), reference_classify(pr))
+        report = classify(pr)
+        assert_matches(pr, report, reference_classify(pr))
+        if report.rule_fired != "SD4":
+            assert (extremes(pr, derive_relations(pr))
+                    == extremes(pr, reference_derive(pr)))
 
     def test_two_cycles_both_ways_are_derived(self):
+        # each statement of a pair stated twice, the same way round or
+        # the other, lies within the range the search reads for the pair
         same = opposite = 0
         for n, seed in self.SETS:
             pr = multigraph(n, seed)
-            stated = [(p.subject, p.terms[0][0]) for p in pr.preferences]
-            for r in derive_relations(pr):
-                if r.i == r.j and len(r.trail) == 2:
-                    a, b = (stated[pos] for pos in r.trail)
-                    same += a == b
-                    opposite += a == b[::-1]
+            ranges = extremes(pr, derive_relations(pr))
+            stated = {}
+            for pos, p in enumerate(pr.preferences):
+                (j, _), = p.terms
+                rel = DerivedRelation(p.subject, j, p.terms[0][1], (pos,))
+                pair, k = derived(pr, rel)
+                if pair in ranges:
+                    assert ranges[pair][0] <= k <= ranges[pair][1]
+                if pair in stated:
+                    same += stated[pair] == (p.subject, j)
+                    opposite += stated[pair] == (j, p.subject)
+                else:
+                    stated[pair] = (p.subject, j)
         assert same and opposite
 
 
@@ -581,8 +639,8 @@ class TestNoCyclicGarbage:
 
     def test_substitution_is_reached(self, monkeypatch):
         calls = []
-        real = classify_module._combine
-        monkeypatch.setattr(classify_module, "_combine",
+        real = classify_module._substituted
+        monkeypatch.setattr(classify_module, "_substituted",
                             lambda *a: calls.append(a) or real(*a))
         for text in self.panel():
             self.run(text)
@@ -716,7 +774,7 @@ class TestWitnessesListedOnRead:
         for pr in (pairwise(5, 8, False), ranked(5, 0), ranked(6, 0)):
             n = pr.criteria.n
             groups = {}
-            for r in reference_derive(pr, n)[0]:
+            for r in reference_derive(pr):
                 if r.i != r.j:
                     k = r.ratio if r.i < r.j else 1 / r.ratio
                     groups.setdefault(frozenset((r.i, r.j)), set()).add(k)

@@ -1,26 +1,23 @@
-"""The classifier returns exactly what the exhaustive reference returns.
+"""The classifier gives what the exhaustive reference gives.
 
-classify_reference.py keeps the straightforward derive-and-compare; here
-both run on the corpus, seeded pairwise sets, seeded multi-term sets that
-exercise substitution (some over a dense ratio graph), seeded ratio
-multigraphs, a set that fills the witness cap, lowered relation caps,
-float coefficients (read exactly) and a ratio past the float range, and
-the full reports (label, witnesses in order, rule, det_agrees,
-depth_exceeded) and derived relations must be equal. A set that one
-positive vector solves as written is labelled without a search; where the
-reference search is not truncated its report is the same.
+classify_reference.py keeps the straightforward derive-and-compare, which
+walks every path and substitutes every combination of them; here both run
+on the corpus, seeded pairwise sets, seeded multi-term sets that exercise
+substitution (some over a dense ratio graph), seeded ratio multigraphs,
+random small linear sets, lowered caps, float coefficients (read exactly)
+and a ratio past the float range. The label, rule and det_agrees must be
+equal. A set that one positive vector solves as written is labelled
+without a search.
 
-A set of one-term statements is not searched: the range of each pair's
+The engine searches no path or combination: the range of each pair's
 derived ratios comes from a recursion over (node set, end node), whose
-states count toward the relation cap. Its report is the reference's with
-the relation cap raised past the whole search, so it differs from the
-capped reference exactly on such sets that the reference truncates. Its
-witnesses are traced back through the recursion's states, so where two
-paths tie the engine may list the other: they are compared with the
-reference's by rule, pair and ratios, and each is checked to be a simple
-path of statements whose product is its ratio (assert_witnesses). Past
-the cap, at n = 7, the engine's own capped search is the check, which the
-reference would take seconds per set to give.
+states count toward the relation cap, and a multi-term statement's range
+toward each target from its terms' ranges. Its witnesses are the
+derivations at the ends of those ranges, so where two derivations tie the
+engine may list the other: they are compared with the reference's by
+rule, pair and ratios, and each is checked to derive its ratio
+(assert_witnesses). Where the search stopped, at SD4 or at the cap, each
+lies within the reference's range.
 """
 
 import random
@@ -33,11 +30,10 @@ import pytest
 from admcdm.classification import (
     ClassificationReport,
     Label,
-    _derive,
-    _report,
-    _search,
+    _spans,
     _statements,
     classify,
+    derive_relations,
 )
 from admcdm.errors import EngineError
 from admcdm.linalg import general_solution, particular_positive
@@ -97,17 +93,24 @@ def multi_term(n, seed, planted=False):
                    tuple(prefs))
 
 
-def dense_multi_term(seed, ratios, width):
+def dense_multi_term(seed, ratios, width, graded=False):
     """C0 stated as a sum of width terms over C1..C6, which ratio
     statements link densely: a chain through C1..C6 and extra pairs up to
-    the given number of ratios, so many derivations reach each term."""
+    the given number of ratios, so many derivations reach each term. When
+    graded, each ratio states Ca = 10**(b - a) * k Cb, a < b and k in
+    {10/11, 1, 11/10}, so no derivation of Ca / Cb lies below 1 and no
+    pair of C1..C6 fires SD4 (as in conftest.ranked)."""
     rng = random.Random(f"dense-multi:{seed}")
     order = rng.sample(range(1, 7), 6)
     pairs = list(zip(order, order[1:]))
     rest = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)
             if (a, b) not in pairs and (b, a) not in pairs]
     pairs += rng.sample(rest, ratios - 5)
-    prefs = [LinearPreference(a, ((b, Fraction(rng.randint(1, 9))),))
+    noise = (Fraction(10, 11), Fraction(1), Fraction(11, 10))
+    prefs = [LinearPreference(min(a, b), ((max(a, b), 10 ** abs(b - a)
+                                           * rng.choice(noise)),))
+             if graded else LinearPreference(a, ((b, Fraction(
+                 rng.randint(1, 9))),))
              for a, b in pairs]
     terms = sorted(rng.sample(range(1, 7), width))
     prefs.append(LinearPreference(
@@ -178,97 +181,131 @@ def ratio_only(problem):
     return all(len(p.terms) == 1 for p in problem.preferences)
 
 
-def uncapped(fn, problem, *args):
-    """fn(problem, *args) with the relation cap raised past every search."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classify_module, "_RELATION_CAP", 10**9)
-        return fn(problem, *args)
-
-
 def fields(report):
     """A report's fields but its witnesses."""
     return (report.label, report.rule_fired, report.det_agrees,
             report.depth_exceeded)
 
 
-def oriented(problem, relation):
-    """The pair (i, j), i < j, of a derivation from one-term statements,
-    and its ratio oriented from i, once its trail is checked to be a
-    simple path of statements from relation.i to relation.j whose
-    product is relation.ratio."""
-    node, nodes, k = relation.i, [relation.i], Fraction(1)
-    for pos in relation.trail:
-        pref = canonicalize(problem.preferences[pos])
+def follow(problem, node, trail, end):
+    """(k, rest): x_node = k x_end along trail's first statements, once
+    they are checked to be one-term statements on a simple path from node
+    that first reaches end at the last of them; rest the statements after
+    it."""
+    nodes, k = [node], Fraction(1)
+    for taken, pos in enumerate(trail, 1):
+        pref = problem.preferences[pos]
         (term, c), = pref.terms
         if node == pref.subject:
-            node, k = term, k * Fraction(c)
+            node, k = term, k * c
         else:
-            assert node == term, (relation, pos)
-            node, k = pref.subject, k / Fraction(c)
+            assert node == term, (trail, pos)
+            node, k = pref.subject, k / c
         nodes.append(node)
-    assert node == relation.j and k == relation.ratio, relation
-    assert len(set(nodes)) == len(nodes), relation
+        if node == end:
+            assert len(set(nodes)) == len(nodes), trail
+            return k, trail[taken:]
+    raise AssertionError(f"{trail} does not reach {end}")
+
+
+def derived(problem, relation):
+    """The pair (i, j), i <= j, of a derivation and its ratio oriented from
+    i, once its trail is checked to give relation.ratio. The trail is a
+    simple path of one-term statements from relation.i to relation.j, or a
+    multi-term statement whose subject is relation.i followed, for each
+    term but relation.j in term order, by a simple path between the term
+    and relation.j, from the smaller of the two."""
+    head = problem.preferences[relation.trail[0]]
+    if len(head.terms) == 1:
+        k, rest = follow(problem, relation.i, relation.trail, relation.j)
+    else:
+        assert head.subject == relation.i, relation
+        k, rest, t = 0, relation.trail[1:], relation.j
+        for j, c in head.terms:
+            if j == t:
+                k += c
+                continue
+            r, rest = follow(problem, min(j, t), rest, max(j, t))
+            k += c * (r if j < t else 1 / r)
+    assert not rest and k == relation.ratio, relation
     i, j = sorted((relation.i, relation.j))
     return (i, j), k if i == relation.i else 1 / k
 
 
 def listed(problem, witness):
-    """(rule, pair, low, high) of a witness on one-term statements, once
-    both its relations are checked to derive the pair, low below high,
-    and its rule to be theirs: an SD4 witness has one ratio on each side
-    of 1."""
+    """(rule, pair, low, high) of a witness, once it is checked: a pair's
+    two relations derive it (derived), low below high, and its rule is
+    theirs, so an SD4 witness has one ratio on each side of 1; a WD3
+    witness's one relation derives a self-relation whose ratio is not 1,
+    both low and high."""
     rule, a, b = witness
-    (pair, low), (other, high) = oriented(problem, a), oriented(problem, b)
-    assert pair == other and low < high, witness
+    pair, low = derived(problem, a)
+    if b is None:
+        assert rule == "WD3" and pair[0] == pair[1] and low != 1, witness
+        return rule, pair, low, low
+    other, high = derived(problem, b)
+    assert pair == other and pair[0] < pair[1] and low < high, witness
     assert rule == reference_rule(low, high), witness
-    assert rule != "SD4" or low < 1 < high
     return rule, pair, low, high
 
 
 def assert_witnesses(problem, report, reference):
-    """report's witnesses on one-term statements against the uncapped
-    reference's. Each is valid (listed). The pairs read whole are the
-    reference's, by rule, pair and ratios: all of them, unless the search
-    stopped at SD4 or at the cap, and then the pairs of the criteria
-    before the last one listed. That one's pairs fired within the layers
-    its recursion built, so their ratios lie within the reference's
-    range."""
+    """report's witnesses against the reference's, each checked (listed).
+    Where the search read every range whole they are the reference's, by
+    rule, pair and ratios. Where it may have stopped, at SD4 or at the
+    cap, each pair's lies within the reference's range; on one-term
+    statements the pairs of the criteria before the last one listed are
+    the reference's, whose starts were read whole."""
     got = [listed(problem, w) for w in report.witnesses]
     want = [listed(problem, w) for w in reference.witnesses]
-    stopped = report.rule_fired == "SD4" or report.depth_exceeded
-    last = got[-1][1][0] if stopped and got else problem.criteria.n
-    assert [w for w in got if w[1][0] < last] == [
-        w for w in want if w[1][0] < last]
+    if report.rule_fired != "SD4" and not report.depth_exceeded:
+        assert got == want
+        return
     ranges = {pair: (low, high) for _, pair, low, high in want}
-    for _, pair, low, high in got:
-        if pair[0] == last:
+    for rule, pair, low, high in got:
+        if rule != "WD3":
             assert ranges[pair][0] <= low < high <= ranges[pair][1]
+    if ratio_only(problem):
+        last = got[-1][1][0] if got else problem.criteria.n
+        assert [w for w in got if w[1][0] < last] == [
+            w for w in want if w[1][0] < last]
 
 
 def assert_matches(problem, report, reference):
-    """report is reference, up to the witnesses' paths on a set of one-term
-    statements, which assert_witnesses checks."""
-    if ratio_only(problem):
-        assert fields(report) == fields(reference)
-        assert_witnesses(problem, report, reference)
-    else:
-        assert report == reference
+    """report is reference but for the witnesses' derivations, which
+    assert_witnesses checks."""
+    assert fields(report) == fields(reference)
+    assert_witnesses(problem, report, reference)
+
+
+def extremes(problem, relations):
+    """Each pair's or criterion's (smallest, largest) ratio among
+    relations, each checked (derived); a cycle of one-term statements is
+    left out."""
+    out = {}
+    for r in relations:
+        if r.i == r.j and len(problem.preferences[r.trail[0]].terms) == 1:
+            continue
+        key, k = derived(problem, r)
+        low, high = out.get(key, (k, k))
+        out[key] = (min(low, k), max(high, k))
+    return out
 
 
 def assert_same(problem):
-    """classify equals the reference (assert_matches), which on a set of
-    one-term statements it truncates is taken with the relation cap
-    raised."""
-    assert outcome(_derive, problem) == outcome(
-        reference_derive, problem, problem.criteria.n)
+    """classify matches the reference (assert_matches), and where it read
+    every range whole derive_relations holds each pair's and criterion's
+    extremes, the reference's."""
     got = outcome(classify, problem)
     want = outcome(reference_classify, problem)
     if not isinstance(want, ClassificationReport):
         assert got == want
+        assert outcome(derive_relations, problem) == want
         return got
-    if want.depth_exceeded and ratio_only(problem):
-        want = uncapped(reference_classify, problem)
     assert_matches(problem, got, want)
+    if got.rule_fired != "SD4":
+        assert (extremes(problem, derive_relations(problem))
+                == extremes(problem, reference_derive(problem)))
     return got
 
 
@@ -294,38 +331,6 @@ def recursion_states(problem):
                     sides[v].add((k > 1) - (k < 1))
             if any({-1, 1} <= side for side in sides.values()):
                 return total
-    return total
-
-
-def substitution_steps(problem):
-    """How many partial combinations the substitution tries, counted from
-    the reference's relations of one-term statements alone: per multi-term
-    statement and target whose every term has a derivation, the empty one
-    and each prefix whose relations share no statement with each other or
-    with the statement."""
-    n = problem.criteria.n
-    multi = _statements(problem)[1]
-    positions = {pos for pos, *_ in multi}
-    pool = defaultdict(list)
-    for r in uncapped(reference_derive, problem, n)[0]:
-        if r.i != r.j and positions.isdisjoint(r.trail):
-            pool[r.i, r.j].append(r.trail)
-            pool[r.j, r.i].append(r.trail)
-
-    def prefixes(choices, used):
-        if not choices:
-            return 1
-        return 1 + sum(prefixes(choices[1:], used | set(trail))
-                       for trail in choices[0] if used.isdisjoint(trail))
-
-    total = 0
-    for pos, _, terms in multi:
-        for target in range(n):
-            choices = [[()] if j == target else
-                       [trail for trail in pool[j, target] if pos not in trail]
-                       for j, _ in terms]
-            if all(choices):
-                total += prefixes(choices, {pos})
     return total
 
 
@@ -362,10 +367,44 @@ def test_ratio_multigraphs_equal_the_uncapped_reference(block):
     for seed in range(50 * block, 50 * block + 50):
         problem = ratio_multigraph(seed)
         report = classify(problem)
-        assert_matches(problem, report,
-                       uncapped(reference_classify, problem))
+        assert_matches(problem, report, reference_classify(problem))
         searched += report.label is not Label.CONSISTENT
     assert searched >= 25
+
+
+def random_linear(rng):
+    """3..6 criteria and 2 to n + 3 statements on random criteria, each
+    multi-term (2 or 3 terms) with probability 0.3 and a ratio otherwise,
+    coefficients k/l with k and l in 1..9."""
+    n = rng.randint(3, 6)
+    prefs = []
+    for _ in range(rng.randint(2, n + 3)):
+        width = rng.randint(2, min(3, n - 1)) if rng.random() < 0.3 else 1
+        subject, *terms = rng.sample(range(n), width + 1)
+        prefs.append(LinearPreference(subject, tuple(
+            (j, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for j in terms)))
+    return Problem(CriteriaSet(tuple(f"C{i}" for i in range(n))),
+                   tuple(prefs))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_random_linear_sets_equal_the_reference(block):
+    # the label, rule and det_agrees are the exhaustive search's, where a
+    # substituted derivation may take a statement in more than one term;
+    # each witness derives its ratio, and where no SD4 stopped the search
+    # the witnesses and derive_relations hold the reference's extremes
+    rng = random.Random(f"random-linear:{block}")
+    rules = set()
+    substituted = 0
+    for _ in range(100):
+        problem = random_linear(rng)
+        report = assert_same(problem)
+        rules.add(report.rule_fired)
+        substituted += any(len(problem.preferences[r.trail[0]].terms) > 1
+                           for w in report.witnesses for r in w[1:] if r)
+    assert {"", "WD1", "WD2", "SD4"} <= rules
+    assert substituted > 10
 
 
 @pytest.mark.parametrize("kind", ["multigraph", "multi-term", "pairwise"])
@@ -373,21 +412,21 @@ def test_each_fired_pair_lists_its_extremes(kind):
     # one witness per fired pair, in the pairs' order: two derivations of
     # it, at its smallest and its largest ratio where its start was read
     # whole; then, with a multi-term statement, one WD3 witness per
-    # criterion, its first self-relation whose ratio is not 1
+    # criterion, at its smallest self ratio unless that is 1. Each is one
+    # of the derivations derive_relations lists
     if kind == "multigraph":
         fired = 0
         for seed in range(300):
             problem = ratio_multigraph(seed)
             report = classify(problem)
-            assert_witnesses(problem, report,
-                             uncapped(reference_classify, problem))
+            assert_witnesses(problem, report, reference_classify(problem))
             fired += len(report.witnesses)
         assert fired > 300
     elif kind == "multi-term":
         for seed in range(30):
             problem = multi_term(4 + seed % 4, seed)
             report = assert_same(problem)
-            relations = _derive(problem)[0]
+            relations = derive_relations(problem)
             assert all(r in relations for w in report.witnesses
                        for r in w[1:] if r is not None)
             selves = [w[1].i for w in report.witnesses if w[0] == "WD3"]
@@ -423,12 +462,12 @@ def block_and_pair(m, triangle=False):
 def test_a_consistent_block_leaves_the_fired_pair_its_walk():
     # the 21 pairs of the block hold 326 derivations each, more than the
     # relation cap together; none fires, and the parallel pair is listed
-    # as the uncapped search lists it
+    # as the exhaustive search lists it
     problem = block_and_pair(7)
     report = classify(problem)
     assert report.rule_fired == "WD1" and not report.depth_exceeded
     assert [w[0] for w in report.witnesses] == ["WD1"]
-    assert_matches(problem, report, uncapped(reference_classify, problem))
+    assert_matches(problem, report, reference_classify(problem))
 
 
 @pytest.mark.parametrize("m", [8, 11])
@@ -446,24 +485,25 @@ def test_criteria_past_sd4_are_not_listed(m, monkeypatch):
     assert classify(problem).witnesses == witnesses
 
 
-def full_searches(monkeypatch):
-    """A list that gets one entry per full search run from now on."""
+def substitutions(monkeypatch):
+    """A list that gets one entry per multi-term substitution from now
+    on."""
     calls = []
-    real = classify_module._search
+    real = classify_module._substituted
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(classify_module, "_search", counted)
+    monkeypatch.setattr(classify_module, "_substituted", counted)
     return calls
 
 
 def assert_settled(problem, monkeypatch):
     """classify equals the reference, and a set of one-term statements
-    never runs the full search."""
+    substitutes nothing, classifying or listing."""
     report = assert_same(problem)
-    calls = full_searches(monkeypatch)
+    calls = substitutions(monkeypatch)
     assert classify(problem) == report
     assert report.witnesses == classify(problem).witnesses
     assert calls == []
@@ -548,12 +588,13 @@ def test_lowered_witness_cap_settles_small_sets(cap, monkeypatch):
 
 
 def test_listing_walks_no_path(monkeypatch):
-    # on one-term statements, listing traces the witnesses back through
-    # the layers the recursion kept: it walks no path, and no start's
+    # listing traces the witnesses back through the layers the recursion
+    # kept, also the paths a multi-term statement's terms take: no start's
     # recursion runs again
     problems = [pairwise(n, 0, False) for n in range(4, 10)]
     problems += [ranked(n, 0) for n in (5, 12)]
     problems += [ratio_multigraph(seed) for seed in range(50)]
+    problems += [multi_term(4 + seed % 4, seed) for seed in range(20)]
     starts = []
     real = classify_module._ranges
 
@@ -561,10 +602,6 @@ def test_listing_walks_no_path(monkeypatch):
         starts.extend(v for _, v in layers[0])
         return real(steps, layers, held)
 
-    def no_walk(*args):
-        raise AssertionError("listing walked a path")
-
-    monkeypatch.setattr(classify_module, "_walk", no_walk)
     monkeypatch.setattr(classify_module, "_ranges", recorded)
     listed_any = False
     for problem in problems:
@@ -585,12 +622,12 @@ def complete_states(n):
 
 def assert_capped(problem, exact):
     """A truncated report: its rule is one the exact report's rule
-    outranks or equals, and its label is conservative."""
+    outranks or equals, since each range it read lies within the exact
+    one, and its label is conservative."""
     report = classify(problem)
     assert report.depth_exceeded and report.label is not Label.CONSISTENT
-    assert (report.rule_fired, exact.rule_fired) in {
-        ("", ""), ("", "WD1"), ("WD1", "WD1"), ("", "SD4"), ("WD1", "SD4"),
-        ("SD4", "SD4")}
+    rank = ["", "WD3", "WD2", "WD1", "SD4"].index
+    assert rank(report.rule_fired) <= rank(exact.rule_fired)
     return report
 
 
@@ -598,7 +635,7 @@ def assert_capped(problem, exact):
 def test_relation_cap_around_the_closed_form_count(n, monkeypatch):
     # ranked sets fire no SD4, so the recursion takes every start
     problem = ranked(n, 0)
-    exact = uncapped(reference_classify, problem)
+    exact = reference_classify(problem)
     total = (n - 1) * complete_states(n)
     for cap in (total - 1, total, total + 1):
         monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
@@ -648,10 +685,10 @@ def test_settled_sets_skip_the_full_search(monkeypatch):
     problem = pairwise(6, 0, False)
     expected = reference_classify(problem)
 
-    def no_search(*args):
-        raise AssertionError("a set of one-term statements was searched")
+    def no_substitution(*args):
+        raise AssertionError("a set of one-term statements substituted")
 
-    monkeypatch.setattr(classify_module, "_search", no_search)
+    monkeypatch.setattr(classify_module, "_substituted", no_substitution)
     assert_matches(problem, classify(problem), expected)
     assert_matches(problem, priority(problem)[2], expected)
     # the sets the relation cap used to truncate are read whole
@@ -664,42 +701,38 @@ def test_settled_sets_skip_the_full_search(monkeypatch):
             listed(problem, witness)
 
 
-# the relations the full search holds when its walks from C0 and C1 end,
-# and all of them, for a complete 7-criteria set
+# the relations a walk of every path held when its walks from C0 and C1
+# ended, and all of them, for a complete 7-criteria set
 _SEVEN_ENDS = (2946, 4731, 8018)
 
 
 @pytest.mark.parametrize("cap", [c + d for c in _SEVEN_ENDS
                                  for d in (-1, 0, 1)])
 def test_capped_complete_sets_settle_as_the_search_reports(cap, monkeypatch):
-    # the full search of a complete 7-criteria set passes any of these
-    # caps but holds every relation of the pairs of C0; the recursion
-    # builds at most 1,152 states, so its report is never truncated and
-    # otherwise the capped search's, and its witnesses derive their pairs
+    # a walk of every path of a complete 7-criteria set passed any of
+    # these caps; the recursion builds at most 1,152 states, so its report
+    # is never truncated and the same at any of them, and its witnesses
+    # derive their pairs
+    problems = [pairwise(7, seed, False) for seed in range(10)]
+    expected = [classify(problem) for problem in problems]
     monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
-    for seed in range(10):
-        problem = pairwise(7, seed, False)
-        expected = _report(*_search(7, *_statements(problem)), False)
+    for problem, want in zip(problems, expected):
         report = classify(problem)
-        assert expected.depth_exceeded == (cap < 8018)
         assert not report.depth_exceeded
-        assert (report.label, report.rule_fired) == (
-            expected.label, expected.rule_fired)
+        assert report == want
         for witness in report.witnesses:
             listed(problem, witness)
 
 
 def test_pairwise_past_the_relation_cap():
-    # the capped reference holds every relation of the pairs of C0, where
-    # SD4 fires and whose pairs list the witnesses; only its truncation
-    # differs
+    # a walk of every path passes the cap on a complete 7-criteria set;
+    # the recursion stops at C0, where SD4 fires and whose pairs list the
+    # witnesses, each within the exhaustive search's range
     problem = pairwise(7, 0, False)
     report = classify(problem)
-    expected = reference_classify(problem)
-    assert expected.depth_exceeded and not report.depth_exceeded
-    assert_matches(problem, report, ClassificationReport(
-        expected.label, expected.witnesses, expected.rule_fired,
-        expected.det_agrees, False))
+    assert len(reference_derive(problem)) > classify_module._RELATION_CAP
+    assert not report.depth_exceeded
+    assert_matches(problem, report, reference_classify(problem))
     assert {w[1].i for w in report.witnesses} == {0}
 
 
@@ -736,7 +769,7 @@ def test_float_coefficients_are_read_exactly():
         inexact += any(c.denominator > 2**40 for c in read)
         assert problem == twin
         assert classify(problem) == classify(twin)
-        assert _derive(problem) == _derive(twin)
+        assert derive_relations(problem) == derive_relations(twin)
     assert inexact == 4  # multi_term seed 4 draws only dyadic coefficients
 
 
@@ -751,7 +784,7 @@ def test_substitution_is_exercised():
         problem = multi_term(4 + seed % 3, seed)
         positions = {pos for pos, p in enumerate(problem.preferences)
                      if len(p.terms) > 1}
-        relations = _derive(problem)[0]
+        relations = derive_relations(problem)
         multi += sum(r.trail[0] in positions for r in relations)
     assert multi > 0
 
@@ -759,11 +792,13 @@ def test_substitution_is_exercised():
 @pytest.mark.parametrize("seed, ratios, width",
                          [(1, 8, 5), (0, 9, 4), (1, 9, 5)])
 def test_dense_multi_term_substitution(seed, ratios, width):
-    # many combinations of derived relations share a statement; those
-    # the search drops must be the ones the exhaustive product drops
-    problem = dense_multi_term(seed, ratios, width)
-    assert_same(problem)
-    relations = _derive(problem)[0]
+    # many paths reach each term: the extremes of the substituted ratios
+    # must be those of the exhaustive product of them. The ratios are
+    # graded, since SD4 among them would end the search before the
+    # substitution
+    problem = dense_multi_term(seed, ratios, width, graded=True)
+    assert assert_same(problem).rule_fired != "SD4"
+    relations = derive_relations(problem)
     assert any(len(problem.preferences[r.trail[0]].terms) > 1
                for r in relations)
 
@@ -780,48 +815,37 @@ def test_witness_cap_is_reached(monkeypatch):
 
 
 def assert_solved_past_the_cap(problem):
-    """The relations stop at the cap as the reference's do, but a set one
-    positive vector solves is labelled without the search."""
-    assert _derive(problem) == reference_derive(problem, problem.criteria.n)
+    """A set one positive vector solves is labelled without the search,
+    whatever the cap; returns whether the search would be truncated."""
     assert classify(problem) == SOLVED
+    return _spans(problem.criteria.n, *_statements(problem))[1]
 
 
 def test_lowered_relation_cap(monkeypatch):
-    # 300 relations truncate the reference; the recursion builds 80
-    # states from C0, where SD4 fires, and a cap below them truncates it
+    # the recursion builds 80 states from C0, where SD4 fires, and a cap
+    # below them truncates it
     monkeypatch.setattr(classify_module, "_RELATION_CAP", 300)
     problem = pairwise(6, 0, False)
-    assert reference_classify(problem).depth_exceeded
     exact = assert_same(problem)
     assert exact.rule_fired == "SD4" and not exact.depth_exceeded
     monkeypatch.setattr(classify_module, "_RELATION_CAP", 40)
     assert_capped(problem, exact)
-    consistent = pairwise(6, 0, True)
-    assert reference_derive(consistent, 6)[1]  # the search is truncated
-    assert_solved_past_the_cap(consistent)
+    assert assert_solved_past_the_cap(pairwise(6, 0, True))
 
 
 @pytest.mark.parametrize("name", ["ex1.admp", "ex2.admp", "ex9.admp",
                                   "ex11.admp"])
 def test_relation_cap_at_the_exact_count(name, monkeypatch):
-    # a cap equal to the number of relations, of the substitution's steps
-    # when it takes more, or of the recursion's states for a set of
-    # one-term statements, is full but not truncated unless another is
-    # attempted; around it the flag flips. ex1 is consistent: only its
-    # relations meet the cap. ex2's substitution takes 9 steps for its 6
-    # relations. ex11's witnesses are traced back through the states its
-    # recursion keeps, so they are whole at a cap of its 4 states, below
-    # its 7 relations
+    # a cap equal to the recursion's states is full but not truncated
+    # unless another is attempted; around it the flag flips. ex1 is
+    # consistent and never searched. ex2's multi-term statements are
+    # substituted from the ranges of its 4 states, and ex11's witnesses
+    # are traced back through its 4, below its 7 relations
     problem = parse_problem((CORPUS / name).read_text(encoding="utf-8"))
-    total = len(reference_derive(problem, problem.criteria.n)[0])
-    exact = uncapped(reference_classify, problem)
-    searched = name != "ex1.admp" and ratio_only(problem)
-    if searched:
-        total = recursion_states(problem)
-    else:
-        total = max(total, substitution_steps(problem))
+    exact = reference_classify(problem)
+    total = recursion_states(problem)
     if name == "ex2.admp":
-        assert total == 9
+        assert total == 4
     for cap in (total - 1, total, total + 1):
         monkeypatch.setattr(classify_module, "_RELATION_CAP", cap)
         if name == "ex1.admp":
@@ -847,8 +871,7 @@ def test_positive_solution_needs_no_search(monkeypatch):
     multi = floats = 0
     for problem in problems:
         assert holds_at_a_positive_vector(problem)
-        relations, truncated = reference_derive(problem, problem.criteria.n)
-        assert not truncated
+        relations = reference_derive(problem)
         assert reference_classify(problem) == SOLVED
         multi += any(len(r.trail) > 1 and len(
             problem.preferences[r.trail[0]].terms) > 1 for r in relations)
@@ -864,7 +887,7 @@ def test_positive_solution_needs_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("a solved set was searched")
 
-    monkeypatch.setattr(classify_module, "_search", no_search)
+    monkeypatch.setattr(classify_module, "_spans", no_search)
     for problem in problems:
         assert classify(problem) == SOLVED
 

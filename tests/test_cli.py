@@ -2,13 +2,15 @@
 mode, fallbacks, and the generator subcommand."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from admcdm.cli import main
+from admcdm.model import LinearPreference, Problem
 from admcdm.parser import format_problem, parse_problem
 
-from conftest import CORPUS, pairwise, ranked, summed
+from conftest import CORPUS, pairwise, ranked
 
 EX = {name: str(CORPUS / f"{name}.admp")
       for name in ("ex1", "ex2", "ex9", "ex9_expert", "ex10", "ex11",
@@ -161,11 +163,14 @@ class TestClassify:
     def test_capped_search_names_the_relation_cap(self, capsys, tmp_path):
         # a full 12-criteria set that fires no SD4 builds 11 * 2**10
         # states from each start, past the cap: its WD1 label is
-        # conservative. A multi-term set whose substitution passes the cap
-        # after SD4 fired keeps its label, which no later derivation could
-        # change
-        for problem, label in ((ranked(12, 0), "WeakInconsistent (WD1)"),
-                               (summed(18, 0), "StrongInconsistent (SD4)")):
+        # conservative. With C1 = C0 + C2 beside it, the substitution from
+        # the ranges built derives C0 / C1 below 1, where the ratios put it
+        # above: SD4 keeps its label, which no later derivation could change
+        ranked_12 = ranked(12, 0)
+        with_sum = Problem(ranked_12.criteria, ranked_12.preferences + (
+            LinearPreference(1, ((0, Fraction(1)), (2, Fraction(1)))),))
+        for problem, label in ((ranked_12, "WeakInconsistent (WD1)"),
+                               (with_sum, "StrongInconsistent (SD4)")):
             path = tmp_path / "capped.admp"
             path.write_text(format_problem(problem))
             code, out, _ = run(capsys, "classify", str(path))
