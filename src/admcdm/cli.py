@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     from .ahp import AhpResult
     from .classification import ClassificationReport
     from .error_min import ErrorMinResult
-    from .nonlinear import MonomialSolution, RegimeReport
     from .solver import AlphaSolution
 
 _BLOCKS = ("problem", "classification", "alpha", "priority", "discounts",
@@ -205,50 +204,6 @@ def _error_min_block(result: ErrorMinResult) -> dict:
     }
 
 
-def _regimes_block(
-    sol: MonomialSolution,
-    report: RegimeReport,
-    names,
-    orderings: list[str],
-    at: tuple[Scalar, tuple[Scalar, ...]] | None,
-) -> dict:
-    """``orderings`` holds the ordering text of each regime."""
-    lower, upper = report.domain
-    pieces = []
-    for regime, ordering in zip(report.regimes, orderings):
-        pieces.append(
-            {
-                "kind": "point" if regime.is_point else "interval",
-                "lower": sig(regime.lower),
-                "upper": None if regime.upper is None else sig(regime.upper),
-                "ordering": ordering,
-            }
-        )
-    return {
-        "free_var": names[sol.free_var],
-        "components": [
-            {
-                "criterion": names[k],
-                "coefficient": sig(coef),
-                "exact": _exact_or_none(coef),
-                "exponent": power,
-            }
-            for k, (coef, power) in enumerate(sol.components)
-        ],
-        "domain": [
-            sig(lower),
-            None if upper is None else sig(upper),
-        ],
-        "breakpoints": [sig(b) for b in report.breakpoints],
-        "regimes": pieces,
-        "at": (
-            None
-            if at is None
-            else {"z": sig(at[0]), "vector": [sig(v) for v in at[1]]}
-        ),
-    }
-
-
 def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
     """Print the document as JSON, or the text lines and then the
     document's warnings."""
@@ -257,13 +212,6 @@ def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
     else:
         for line in lines + [f"warning: {w}" for w in doc["warnings"]]:
             print(line)
-
-
-def _interval_text(regime) -> str:
-    if regime.is_point:
-        return f"z = {_show(regime.lower)}"
-    upper = "inf" if regime.upper is None else _show(regime.upper)
-    return f"z in ({_show(regime.lower)}, {upper})"
 
 
 def _solve_report(problem: Problem, warnings, args):
@@ -428,50 +376,74 @@ def _regimes_report(problem: Problem, warnings, args):
         p for p in problem.preferences if isinstance(p, InequalityPreference)
     ]
     report = regime_analysis(sol, inequalities)
-    at = None
+    free = names[sol.free_var]
+    lower, upper = report.domain
+    at, at_lines = None, []
     if args.at is not None:
         name, z = args.at
-        if name != names[sol.free_var]:
-            raise InvalidProblem(
-                f"the free variable is {names[sol.free_var]}, not {name}"
-            )
+        if name != free:
+            raise InvalidProblem(f"the free variable is {free}, not {name}")
         if not z > 0:
             raise InvalidProblem("--at needs a positive value")
-        lower, upper = report.domain
         if not (z > lower and (upper is None or z < upper)):
             warnings.append(
                 "the requested point lies outside the admissible domain"
             )
-        values = tuple(sol.value_at(k, z) for k in range(sol.n))
-        at = (z, normalize(values))
+        vector = normalize(tuple(sol.value_at(k, z) for k in range(sol.n)))
+        at = {"z": sig(z), "vector": [sig(v) for v in vector]}
+        at_lines = [f"normalized priorities at {free} = {_show(z)}:",
+                    *_named(names, vector)]
 
-    orderings = [ordering_text(r.ordering, names) for r in report.regimes]
-    doc = _doc(problem, warnings,
-               regimes=_regimes_block(sol, report, names, orderings, at))
-
-    free = names[sol.free_var]
-    parts = []
-    for k, (coef, power) in enumerate(sol.components):
-        piece = "" if coef == 1 else fmt(coef)
+    components, terms = [], []
+    for name, (coef, power) in zip(names, sol.components):
+        components.append(
+            {
+                "criterion": name,
+                "coefficient": sig(coef),
+                "exact": _exact_or_none(coef),
+                "exponent": power,
+            }
+        )
         var = free if power == 1 else f"{free}^{power}"
-        parts.append(f"{piece}{var}" if piece else var)
-    lines = [f"solution family: [{', '.join(parts)}] for {free} > 0"]
-    lower, upper = report.domain
+        terms.append(var if coef == 1 else f"{fmt(coef)}{var}")
+    pieces, regime_lines = [], []
+    for regime in report.regimes:
+        ordering = ordering_text(regime.ordering, names)
+        pieces.append(
+            {
+                "kind": "point" if regime.is_point else "interval",
+                "lower": sig(regime.lower),
+                "upper": None if regime.upper is None else sig(regime.upper),
+                "ordering": ordering,
+            }
+        )
+        if regime.is_point:
+            where = f"z = {_show(regime.lower)}"
+        else:
+            end = "inf" if regime.upper is None else _show(regime.upper)
+            where = f"z in ({_show(regime.lower)}, {end})"
+        regime_lines.append(f"  {where}: {ordering}")
+    doc = _doc(problem, warnings, regimes={
+        "free_var": free,
+        "components": components,
+        "domain": [
+            sig(lower),
+            None if upper is None else sig(upper),
+        ],
+        "breakpoints": [sig(b) for b in report.breakpoints],
+        "regimes": pieces,
+        "at": at,
+    })
+
     upper_text = "inf" if upper is None else _show(upper)
-    lines.append(f"admissible domain: ({_show(lower)}, {upper_text})")
+    lines = [f"solution family: [{', '.join(terms)}] for {free} > 0",
+             f"admissible domain: ({_show(lower)}, {upper_text})"]
     if report.breakpoints:
         lines.append(
             "crossings: "
             + ", ".join(_show(b) for b in report.breakpoints)
         )
-    lines.append("regimes:")
-    for regime, ordering in zip(report.regimes, orderings):
-        lines.append(f"  {_interval_text(regime)}: {ordering}")
-    if at is not None:
-        z, vector = at
-        lines.append(f"normalized priorities at {free} = {_show(z)}:")
-        lines += _named(names, vector)
-    return doc, lines
+    return doc, [*lines, "regimes:", *regime_lines, *at_lines]
 
 
 def _run(args) -> int:

@@ -28,6 +28,7 @@ bounded by a point budget.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
@@ -133,16 +134,10 @@ def _compositions(n: int, grid_points: int) -> Iterator[tuple[int, ...]]:
             f"a grid of {grid_points} points per axis over {n} criteria has "
             f"{count} points, more than the budget of {GRID_BUDGET}"
         )
-
-    def parts(total: int, count: int) -> Iterator[tuple[int, ...]]:
-        if count == 1:
-            yield (total,)
-            return
-        for first in range(1, total - count + 2):
-            for rest in parts(total - first, count - 1):
-                yield (first, *rest)
-
-    return parts(grid_points, n)
+    return (
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, grid_points)))
+        for cuts in combinations(range(1, grid_points), n - 1)
+    )
 
 
 def simplex_grid(n: int, grid_points: int) -> Iterator[tuple[Fraction, ...]]:
@@ -306,7 +301,9 @@ def _family_zero(
     sum(c_k * z^{d_k}) = 1; every c_k > 0 and the free variable has
     d = 1, so the sum rises strictly on z > 0 and has at most one root
     there. An irrational root is the correctly rounded float, and each
-    component is rounded once from its exact value there.
+    component is its exact value at that float, rounded once; the rounding
+    of the root carries into it, so a component can be up to 2 ulps from
+    the correctly rounded value of the exact component.
     """
     from .nonlinear import _domain, solve_triangular
     from .polynomial import integer_positive_roots

@@ -212,52 +212,18 @@ def _compare(u, v) -> int:
 _exactly = cmp_to_key(_compare)  # a sort key of crossings
 
 
-def _sample(lo, hi) -> Fraction:
-    """A rational strictly between the crossings lo < hi, or above lo when
-    hi is None, where every component value is exact. Each reported z is
-    exact or the float nearest to its root, so [z_lo / 2, 2 z_hi] holds
-    both roots, and bisecting it exactly ends inside (lo, hi)."""
-    a = Fraction(lo[0])
-    if hi is None:
-        return 2 * a if a > 0 else Fraction(1)
-    a, b = a / 2, 2 * Fraction(hi[0])
-    while True:
-        s = (a + b) / 2
-        if s ** lo[2] <= lo[1]:
-            a = s
-        elif s ** hi[2] >= hi[1]:
-            b = s
-        else:
-            return s
-
-
-def _ordering(values: Sequence[Fraction]) -> tuple[tuple[int, ...], ...]:
-    """Criterion indices grouped by exact component value, largest first."""
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+def _groups(order: list[int], compare) -> tuple[tuple[int, ...], ...]:
+    """Sort ``order`` in place by ``compare`` (negative when the first
+    criterion's component is the larger) and group equal neighbours. The
+    sort is stable, so tied criteria keep their order in ``order``."""
+    order.sort(key=cmp_to_key(compare))
     groups: list[list[int]] = []
     for k in order:
-        if groups and values[groups[-1][-1]] == values[k]:
+        if groups and compare(groups[-1][-1], k) == 0:
             groups[-1].append(k)
         else:
             groups.append([k])
     return tuple(tuple(g) for g in groups)
-
-
-def _merge_ties(
-    groups: tuple[tuple[int, ...], ...], tied: set[tuple[int, int]]
-) -> tuple[tuple[int, ...], ...]:
-    """The ordering just left of a crossing, with neighbouring groups merged
-    where a pair of ``tied`` (index pairs, smaller first) meets there. Every
-    other order holds at the point by continuity, and a criterion between
-    two that meet must meet them too, so the tied groups are neighbours."""
-    merged: list[list[int]] = []
-    for group in groups:
-        if merged and any((min(j, k), max(j, k)) in tied
-                          for j in merged[-1] for k in group):
-            merged[-1].extend(group)
-        else:
-            merged.append(list(group))
-    return tuple(tuple(g) for g in merged)
 
 
 def ordering_text(
@@ -314,11 +280,15 @@ def regime_analysis(
     r1^d2 against r2^d1, never through their floats. Inequalities shrink
     the admissible domain at the same crossings; equal-exponent comparisons
     hold everywhere or nowhere.
-    Each open piece between crossings gets its ordering from the exact
-    component values (a float coefficient read as its binary value) at a
-    rational interior point, and each crossing inside the domain gets a
-    single-point regime whose tied criteria keep the order they had just
-    left of the point.
+    Orderings are read off that exact crossing order, never from a value
+    at a sample point or a crossing's float: two components of different
+    exponents tie at their crossing, and the larger exponent is the larger
+    component above it and the smaller below it; equal exponents compare
+    by coefficient (a float read as its binary value) everywhere. Each
+    open piece sorts the ordering of the regime before it, and each
+    crossing inside the domain gets a single-point regime that sorts the
+    ordering just left of it; the sort is stable, so tied criteria keep
+    the order they had just left of the point.
 
     Raises:
         EmptyDomain: the inequalities leave no admissible z > 0.
@@ -342,14 +312,28 @@ def regime_analysis(
               if _compare(point, lower) > 0
               and (upper is None or _compare(point, upper) < 0)]
 
+    # each pair's side of its crossing in the current regime: -1 below,
+    # 0 at, 1 above
+    side = {(a, b): 1 if _compare(point, lower) <= 0 else -1
+            for point, a, b in meetings}
+
+    def larger_first(j: int, k: int) -> int:
+        (coef_j, power_j), (coef_k, power_k) = components[j], components[k]
+        if power_j == power_k:
+            return (coef_k > coef_j) - (coef_k < coef_j)
+        above = side[min(j, k), max(j, k)]
+        return -above if power_j > power_k else above
+
+    order = list(range(n))
     regimes: list[Regime] = []
     lo = lower
     for hi, tied in [*inside, (upper, None)]:
-        z = _sample(lo, hi)
-        ordering = _ordering([c * z**d for c, d in components])
-        regimes.append(Regime(lo[0], hi and hi[0], ordering))
+        regimes.append(Regime(lo[0], hi and hi[0],
+                              _groups(order, larger_first)))
         if tied:
-            regimes.append(Regime(hi[0], hi[0], _merge_ties(ordering, tied)))
+            side.update(dict.fromkeys(tied, 0))
+            regimes.append(Regime(hi[0], hi[0], _groups(order, larger_first)))
+            side.update(dict.fromkeys(tied, 1))
         lo = hi
 
     breakpoints = tuple(point[0] for point, _ in crossings)

@@ -240,7 +240,8 @@ def priority(problem: Problem, threshold_c: Scalar = 0):
     f(1) = 0 and the set is inconsistent, that root 1 is chosen and the
     core's elimination at 1 is reused: a null line fixes the extra
     parameters, and a null plane raises InconsistentExtraParams, without
-    a second elimination."""
+    a second elimination. An irrational alpha whose float elimination of
+    the core keeps every pivot raises InvalidProblem."""
     _check_threshold(threshold_c)
     rows = statement_rows(problem)
     v, det, line = _exact_test(problem, rows)
@@ -253,7 +254,12 @@ def priority(problem: Problem, threshold_c: Scalar = 0):
         ps = ParamSystem(rows, problem.binding)
         solution, v = _solve(ps, threshold_c, _equation(ps, det), line)
         if v is None:  # no extra preference eliminated the core yet
-            v, _ = _core_vector(ps, solution.alpha)
+            try:
+                v, _ = _core_vector(ps, solution.alpha)
+            except FullRank:  # only a float alpha misses the exact zero
+                raise InvalidProblem(
+                    "the float elimination of the core at the irrational "
+                    "root alpha keeps every pivot: no null vector") from None
     pv = normalize(positive(v))
     # a consistent set got here only with its positive vector
     report = _classify_solved(problem, solved=consistent)

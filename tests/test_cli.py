@@ -459,6 +459,17 @@ class TestHugeValues:
         assert code == 3
         assert "InvalidProblem: a root lies outside the float range" in err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_a_full_rank_float_core_exits_3(self, capsys, tmp_path, command):
+        # alpha = sqrt(7) 10^-9, where the float elimination of the core
+        # keeps every pivot
+        path = tmp_path / "full-rank.admp"
+        path.write_text("criteria: c0 c1 c2\npref: c1 = 1000000000/7 c0\n"
+                        "pref: c2 = 9/5 c1\npref: c0 = 7000000000/7 c1\n")
+        code, _, err = run(capsys, command, str(path))
+        assert code == 3
+        assert err.startswith("InvalidProblem: the float elimination")
+
     def test_ahp_on_ratios_far_apart(self, capsys, tmp_path):
         path = tmp_path / "huge-ratio.admp"
         path.write_text("criteria: x y z\npref: x = 3 y\npref: y = 2 z\n"

@@ -294,7 +294,7 @@ class TestFamilyZero:
 
     def test_the_zero_reads_only_the_domain(self, monkeypatch):
         # the admitted range of z is all the zero needs: no crossing of
-        # two components is isolated and no regime is sampled. x < y
+        # two components is isolated and no regime is ordered. x < y
         # admits z < 1/2, and the zero lies there
         import admcdm.nonlinear as nonlinear
 
@@ -307,7 +307,7 @@ class TestFamilyZero:
             raise AssertionError("the regimes were analysed")
 
         monkeypatch.setattr(nonlinear, "regime_analysis", no_regimes)
-        monkeypatch.setattr(nonlinear, "_sample", no_regimes)
+        monkeypatch.setattr(nonlinear, "_groups", no_regimes)
         assert minimize_error(pr) == expected
 
     def test_inequalities_with_no_admissible_value_raise(self):

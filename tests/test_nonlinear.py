@@ -29,6 +29,7 @@ from admcdm.nonlinear import (
 )
 from admcdm.parser import parse_problem
 
+import regimes_reference as reference
 from conftest import load
 
 
@@ -130,8 +131,31 @@ def ratio_and_product_set(rng):
 def outcome(fn, problem):
     try:
         return fn(problem)
-    except (NotTriangular, MultipleFreeVars, OverDetermined) as exc:
+    except (NotTriangular, MultipleFreeVars, OverDetermined,
+            EmptyDomain) as exc:
         return type(exc).__name__, str(exc)
+
+
+def random_family(rng):
+    """A 2..6 criterion family, coefficients p/q with p, q <= 30 or a
+    dyadic float, exponents 0..4, and up to two inequalities."""
+    n = rng.randint(2, 6)
+    free = rng.randrange(n)
+    components = []
+    for k in range(n):
+        if k == free:
+            components.append((Fraction(1), 1))
+            continue
+        if rng.random() < 0.2:
+            coef = rng.randint(1, 64) / 2 ** rng.randint(0, 6)
+        else:
+            coef = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        components.append((coef, rng.randint(0, 4)))
+    inequalities = tuple(
+        InequalityPreference(*rng.sample(range(n), 2), rng.choice(
+            list(Relation)))
+        for _ in range(rng.randint(0, 2)))
+    return MonomialSolution(free, tuple(components)), inequalities
 
 
 class TestSolveTriangular:
@@ -308,7 +332,7 @@ class TestRegimes:
     def test_nearly_equal_crossings_stay_apart(self, coefficient):
         # z meets x at (1/2)^(1/2) and y at (1/coefficient)^(1/2): two
         # irrational crossings, each with its own tie, and the piece
-        # between them is read at a point inside it
+        # between them is ordered from their exact order
         pr = parse_problem("criteria: x y z\npref: x = 2 z * z * z\n"
                            f"pref: y = {coefficient} z * z * z\n")
         rep = regime_analysis(solve_triangular(pr))
@@ -385,6 +409,28 @@ class TestRegimes:
                     assert any(
                         abs(z - bp) <= bp * 0.06 for bp in bps
                     ), (a, b, z)
+
+    def test_orderings_equal_the_value_reference(self):
+        """Orderings read off the exact crossing order equal those read
+        from exact component values at a rational point of each piece,
+        merged at each crossing (regimes_reference), and so do the
+        errors."""
+        rng = random.Random(5)
+        seen = Counter()
+        for _ in range(400):
+            sol, inequalities = random_family(rng)
+            want = outcome(lambda s: reference.regime_analysis(
+                s, inequalities), sol)
+            got = outcome(lambda s: regime_analysis(s, inequalities), sol)
+            assert repr(got) == repr(want), (sol, inequalities)
+            if isinstance(got, tuple):
+                seen[got[0]] += 1
+            else:
+                seen["point"] += sum(r.is_point for r in got.regimes)
+                seen["three tied"] += any(
+                    len(g) > 2 for r in got.regimes if r.is_point
+                    for g in r.ordering)
+        assert seen["EmptyDomain"] and seen["point"] and seen["three tied"]
 
 
 class TestHugeValues:

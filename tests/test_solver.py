@@ -6,8 +6,9 @@ import math
 import random
 import signal
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -260,6 +261,34 @@ class TestFailureModes:
         )
         with pytest.raises(InconsistentExtraParams):
             solve_alpha(parameterize(pr))
+
+    def test_a_full_rank_float_core_is_refused_never_leaked(self):
+        """At an irrational alpha the core's float elimination can keep
+        every pivot, where the exact core is singular: priority() then
+        raises InvalidProblem, never the internal FullRank. Some
+        two-cycles c1 = 10^e1/k1 c0, c0 = k2 10^e2 c1 with a tail
+        c2 = p/q c1 meet it, and so does the last set, at
+        alpha = sqrt(7) 10^-9."""
+        outcomes = Counter()
+        for e1, e2, k1, k2, p, q in product(
+                range(0, 13, 2), range(0, 13, 2), (1, 3, 7), (1, 2, 7),
+                (1, 9), (1, 5)):
+            pr = parse_problem(
+                f"criteria: c0 c1 c2\npref: c1 = {10**e1}/{k1} c0\n"
+                f"pref: c0 = {k2 * 10**e2} c1\npref: c2 = {p}/{q} c1\n")
+            try:
+                priority(pr)
+                outcomes["solved"] += 1
+            except EngineError as exc:
+                outcomes[type(exc).__name__] += 1
+        assert sum(outcomes.values()) == 1764
+        assert "FullRank" not in outcomes and outcomes["InvalidProblem"]
+        pr = parse_problem("criteria: c0 c1 c2\n"
+                           "pref: c1 = 1000000000/7 c0\n"
+                           "pref: c2 = 9/5 c1\n"
+                           "pref: c0 = 7000000000/7 c1\n")
+        with pytest.raises(InvalidProblem, match="float elimination"):
+            priority(pr)
 
     def test_monomials_and_inequalities_are_refused(self):
         with pytest.raises(NonlinearPreferencePresent):
