@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import isqrt, prod
 
 from .errors import FullRank, NonPositiveComponent, NotSquare
-from .polynomial import Poly, peval, poly
 from .scalars import Record, integer_row
 
 # the pivot cutoff of float elimination at an irrational root, until that
@@ -42,6 +41,8 @@ class PolyMatrix(Record):
     entries: tuple
 
     def __post_init__(self):
+        from .polynomial import Poly
+
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or len(rows[0]) < 2:
@@ -153,6 +154,8 @@ def det_coefficients(rows_at, bound: int) -> list:
 def det_poly(mat: PolyMatrix) -> Poly:
     """Exact determinant over the polynomial ring: each row scaled to
     integers, by det_coefficients under Hadamard's bound."""
+    from .polynomial import peval, poly
+
     if mat.m != mat.n:
         raise NotSquare(f"determinant needs a square matrix, got {mat.m}x{mat.n}")
     rows, scale = [], 1

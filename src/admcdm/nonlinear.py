@@ -203,9 +203,15 @@ def _crossing(coef_a: Fraction, power_a: int, coef_b: Fraction, power_b: int):
 
 
 def _compare(u, v) -> int:
-    """The sign of z_u - z_v for two crossings (z, r, d), read exactly from
-    z_u^(d_u d_v) = r_u^d_v."""
-    a, b = u[1] ** v[2], v[1] ** u[2]
+    """The sign of z_u - z_v for two crossings (z, r, d): from their
+    floats when these differ, since correct rounding is monotone, and
+    otherwise read exactly from z_u^(d_u d_v) = r_u^d_v."""
+    try:
+        a, b = float(u[0]), float(v[0])
+    except OverflowError:  # a rational crossing past the float range
+        a = b = 0.0
+    if a == b:
+        a, b = u[1] ** v[2], v[1] ** u[2]
     return (a > b) - (a < b)
 
 
@@ -276,8 +282,9 @@ def regime_analysis(
     Crossing points are the roots z > 0 of c_a z^{d_a} = c_b z^{d_b} for
     every pair with different exponents, from _crossing: exact when
     rational, else the correctly rounded float. Each is z = r^(1/d) for a
-    rational r, so crossings are compared, merged and tied exactly, as
-    r1^d2 against r2^d1, never through their floats. Inequalities shrink
+    rational r, so crossings are compared, merged and tied exactly: by
+    their floats where these differ (correct rounding is monotone), else
+    as r1^d2 against r2^d1. Inequalities shrink
     the admissible domain at the same crossings; equal-exponent comparisons
     hold everywhere or nowhere.
     Orderings are read off that exact crossing order, never from a value

@@ -6,28 +6,36 @@ cap: the parametric determinant of n criteria has degree at most n.
 Root extraction reads the coefficients exactly (a float as the Fraction of
 its binary value), strips the factor alpha**k and clears the rest to a
 primitive integer polynomial; integer coefficients enter directly
-through integer_positive_roots. Its square-free factors f_k of multiplicity
-k are split off (Yun's algorithm, each gcd a primitive pseudo-remainder
+through integer_positive_roots. By Descartes' rule of signs, without a
+sign change there is no positive root, and with one there is exactly one,
+a simple root below the root bound 2**e, refined with no split and no
+isolation. Any other polynomial is split into its square-free factors f_k
+of multiplicity k (Yun's algorithm, each gcd a primitive pseudo-remainder
 sequence over the integers), and each root of f_k is reported k times. A
 polynomial p is its own single factor when gcd(p, p') is constant modulo
 the prime 2**61 - 1, one Euclid gcd over that field, which skips Yun's
-first integer gcd. A factor of degree 1 has its root read off as
-an exact Fraction. Other positive roots are isolated by Descartes' rule of
+first integer gcd. Positive roots are isolated by Descartes' rule of
 signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
-a root met at a bisection point is dyadic and reported exactly. In each
-isolating interval, a float guess from Newton's method is confirmed when
-the exact signs of the integer polynomial at the midpoints between it and
-its float neighbours bracket the root: every point of that bracket rounds
-to the guess. Without a confirmed guess, the interval is refined by
-further bisection at dyadic points, each sign read exactly, until both
-ends round to the same float: that float is the correctly rounded root
-(Rouillier & Zimmermann, Efficient isolation of polynomial's real roots,
-2004). Either way, before an irrational root is reported, its interval
-is narrowed to hold at most one point y / lead, lead the factor's
-leading coefficient: every rational root is such a point, so one exact
-evaluation there finds a rational root, reported as an exact Fraction of
-any size. Rational roots such as 5/12 or 1/729 thus flow through the
-rest of the pipeline exactly.
+a root met at a bisection point is dyadic and reported exactly.
+
+A binomial den * x**d - num (a linear polynomial among them), num and
+den coprime, has a rational root exactly when both are perfect d-th
+powers, which integer d-th roots decide. Any other root is refined in its isolating
+interval: a float guess (exp and log for a binomial, Newton's method in
+floats otherwise) is confirmed when the exact signs of the integer
+polynomial, over its nonzero terms alone, at the midpoints between it and
+its float neighbours bracket the root: every point of that bracket
+rounds to the guess. Without a confirmed guess, the interval is bisected
+further at dyadic points, each sign read exactly, until both ends round
+to the same float: that float is the correctly rounded root (Rouillier &
+Zimmermann, Efficient isolation of polynomial's real roots, 2004). Every
+rational root is y / lead, lead the leading coefficient; where one is
+still possible, the interval is first narrowed to hold at most one such
+point, and one exact evaluation there decides it. None is possible for
+a binomial that is not a perfect power, nor for a polynomial without a
+root modulo a small prime not dividing lead, which is tested only when
+the narrowing would take bisection steps. Rational roots such as 5/12
+or 1/729 thus flow through the rest of the pipeline exactly.
 
 The root alpha = 0 is never reported; every positive root is. An
 irrational root too small or too large for a float raises InvalidProblem.
@@ -36,7 +44,8 @@ irrational root too small or too large for a float raises InvalidProblem.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, nextafter
+from math import exp, gcd, ldexp, log, nextafter
+from operator import ne
 from sys import float_info
 
 from .errors import InvalidProblem, ZeroPolynomial
@@ -184,12 +193,18 @@ def _square_free_factors(a: list) -> list:
 
 def _homogeneous(a: list, p: int, q: int) -> int:
     """q**d * a(p/q) for q > 0: the integer sum of a_i * p**i * q**(d-i),
-    zero exactly where a(p/q) is and of the same sign."""
-    acc, qpow = a[-1], 1
+    zero exactly where a(p/q) is and of the same sign. Horner's rule over
+    the nonzero a_i alone: a run of zeros costs one power of p and of q."""
+    acc, qpow, zeros = a[-1], 1, 0
     for c in reversed(a[:-1]):
+        if not c:
+            zeros += 1
+            continue
+        if zeros:
+            acc, qpow, zeros = acc * p ** zeros, qpow * q ** zeros, 0
         qpow *= q
         acc = acc * p + c * qpow
-    return acc
+    return acc * p ** zeros
 
 
 def _taylor_shift(a: list) -> list:
@@ -204,7 +219,7 @@ def _taylor_shift(a: list) -> list:
 
 def _sign_changes(a) -> int:
     signs = [c > 0 for c in a if c]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+    return sum(map(ne, signs, signs[1:]))
 
 
 def _descartes_unit(b: list) -> int:
@@ -309,32 +324,89 @@ def _guess(a: list, lo: int, hi: int, q: int):
     return x if left < x < right else None
 
 
-def _refine(a: list, lo: int, hi: int, q: int):
-    """The one root of the square-free integer polynomial a in the open
-    interval (lo / q, hi / q), q a power of two: an exact Fraction when it
-    is rational, else the float nearest to it.
+def _iroot(n: int, d: int) -> int:
+    """The integer part of n ** (1 / d), n >= 1: Newton's iteration on ints
+    falls monotonically to it from any start above it (Cohen 1993, 1.7.1),
+    here a float estimate of its top 41 bits, plus 2."""
+    if d == 1 or n == 1:
+        return n
+    shift = max(n.bit_length() // d - 40, 0)
+    x = int(exp(log(n >> shift * d) / d)) + 2 << shift
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
-    First a float guess x (_guess) is checked exactly (Ziv, Fast
-    evaluation of elementary mathematical functions with correctly
-    rounded last bit, 1991): the signs of a at the dyadic midpoints
-    between x and its float neighbours narrow the interval, where they
-    lie in it. When they bracket the root, every point of the bracket
-    rounds to x; when they put it past one midpoint, the neighbour there
-    is checked the same way. The interval is then bisected at dyadic
-    points, each midpoint's sign read exactly from the integer
-    q**d * a(mid / q) and steered by the sign s of a between the root and
-    the upper end (of -a' there when that end is itself a root); a
-    midpoint that is the root is returned. Every rational root is
-    y / lead(a) for an integer y, so once the interval is no wider than
+
+def _binomial_guess(num: int, den: int, d: int):
+    """A float near (num / den) ** (1 / d), within an ulp or two of it in
+    the normal range, None past the largest float: num / den is
+    m * 2**(k * d + j) with m in (1/2, 2) and 0 <= j < d, so the root is
+    2**k * exp((log m + j log 2) / d), whose exponent stays small."""
+    s = num.bit_length() - den.bit_length()
+    m = num / (den << s) if s >= 0 else (num << -s) / den
+    k, j = divmod(s, d)
+    try:
+        return ldexp(exp((log(m) + j * log(2)) / d), k)
+    except OverflowError:
+        return None
+
+
+def _no_rational_root(a: list) -> bool:
+    """True when a has no root modulo a small prime p not dividing lead(a),
+    which proves that it has no rational root y / l: l divides lead(a), so
+    y / l would be a root modulo p. On that field x**i is
+    x**((i - 1) % (p - 1) + 1) for i >= 1."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        if a[-1] % p:
+            r = [0] * p
+            for i, c in enumerate(a):
+                if c:
+                    r[i and (i - 1) % (p - 1) + 1] += c
+            if all(_homogeneous(r, x, 1) % p for x in range(p)):
+                return True
+    return False
+
+
+def _refine(a: list, lo: int, hi: int, q: int):
+    """The one root of the integer polynomial a in the open interval
+    (lo / q, hi / q), q a power of two, a simple root: an exact Fraction
+    when it is rational, else the float nearest to it.
+
+    A binomial returns its root |a_0 / a_d| ** (1 / d) at once, as a
+    Fraction, when a_0 and a_d over their gcd are perfect d-th powers
+    (_iroot); otherwise it has no rational root, and its float guess x is
+    _binomial_guess. Any other a takes x from _guess. The guess is checked exactly (Ziv, Fast evaluation of
+    elementary mathematical functions with correctly rounded last bit,
+    1991): the signs of a at the dyadic midpoints between x and its float
+    neighbours narrow the interval, where they lie in it. When they
+    bracket the root, every point of the bracket rounds to x; when they
+    put it past one midpoint, the neighbour there is checked the same way.
+    The interval is then bisected at dyadic points, each midpoint's sign
+    read exactly from the integer q**d * a(mid / q) and steered by the sign
+    s of a between the root and the upper end (of -a' there when that end
+    is itself a root); a midpoint that is the root is returned. Every
+    rational root is y / lead(a) for an integer y, so unless a binomial or
+    _no_rational_root rules them out, once the interval is no wider than
     1 / lead(a), the one such point in it is tested exactly. An irrational
     root is then the confirmed float, if any, else it is bisected on until
     both ends round to the same float (integer division rounds
     correctly); one past the largest float, or one that rounds to 0.0,
     has no float and raises InvalidProblem.
     """
-    lead, rational = abs(a[-1]), True
+    d = len(a) - 1
+    if not any(a[1:-1]):  # a binomial: the root is |a_0 / a_d| ** (1 / d)
+        g = gcd(a[0], a[-1])
+        c0, cd = abs(a[0]) // g, abs(a[-1]) // g
+        u = _iroot(c0, d)
+        if u ** d == c0 and (w := _iroot(cd, d)) ** d == cd:
+            return Fraction(u, w)
+        lead, x = 0, _binomial_guess(c0, cd, d)
+    else:
+        lead, x = abs(a[-1]), _guess(a, lo, hi, q)
+    rational = True  # until the rational test is done, at once if lead = 0
     s = _homogeneous(a, hi, q) or -_homogeneous(_derivative(a), hi, q)
-    x = _guess(a, lo, hi, q)
     for _ in range(2):  # x, then the neighbour the signs point to
         if not x:  # no guess, or 0.0, which is no positive root
             x = None
@@ -361,10 +433,12 @@ def _refine(a: list, lo: int, hi: int, q: int):
              else nextafter(x, 0) if hi <= bracket[0] else None)
     else:
         x = None  # the bracket may not hold the root
+    if (hi - lo) * lead > q and _no_rational_root(a):
+        lead = 0  # narrowing would cost bisection steps, and finds nothing
     while rational or lo / q != hi / q:
         if rational and (hi - lo) * lead <= q:
             y = lo * lead // q + 1  # the least y with y / lead > lo / q
-            if y * q < hi * lead and _homogeneous(a, y, lead) == 0:
+            if lead and y * q < hi * lead and _homogeneous(a, y, lead) == 0:
                 return Fraction(y, lead)
             if x is not None:
                 return x
@@ -407,22 +481,22 @@ def positive_roots(p: Poly) -> list:
 
 def integer_positive_roots(ints: list) -> list:
     """positive_roots of the polynomial with the integer coefficients ints,
-    constant first, the last nonzero."""
+    constant first, the last nonzero. One sign change means one simple
+    positive root (Descartes), refined in (0, 2**e) with no split."""
     k = 0
     while ints[k] == 0:  # factor out alpha^k; 0 is never a reported root
         k += 1
-    if len(ints) - k < 2:
+    a = _primitive(ints[k:])
+    changes = _sign_changes(a)
+    if not changes:
         return []
+    if changes == 1:
+        e = _root_bound_exponent(a)
+        return [_refine(a, 0, 1 << max(e, 0), 1 << max(-e, 0))]
     roots = []
-    for m, ints in _square_free_factors(_primitive(ints[k:])):
-        if len(ints) == 2:
-            # a linear factor's one root is read off exactly
-            root = Fraction(-ints[0], ints[1])
-            found = [root] if root > 0 else []
-        else:
-            exact, intervals = _isolate(ints)
-            found = exact + [_refine(ints, *iv) for iv in intervals]
-        for r in found:
+    for m, f in _square_free_factors(a):
+        exact, intervals = _isolate(f)
+        for r in exact + [_refine(f, *iv) for iv in intervals]:
             roots.extend([r] * m)
     roots.sort()
     return roots

@@ -67,7 +67,8 @@ def test_import_and_argument_parser_load_only_the_shared_modules():
 
 @pytest.mark.parametrize("argv, extra", [
     (["solve", "ex1"], SOLVE),
-    (["classify", "ex1"], SOLVE - {"admcdm.solver"}),
+    # classify builds no polynomial
+    (["classify", "ex1"], {"admcdm.classification", "admcdm.linalg"}),
     # the eigenpair comes from the exact determinant and root code
     (["ahp", "ex9"], {"admcdm.ahp", "admcdm.linalg", "admcdm.polynomial"}),
     (["compare", "ex9"], SOLVE | {"admcdm.ahp"}),

@@ -1,5 +1,6 @@
 """Triangular monomial families and ordering-regime analysis."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -468,3 +469,80 @@ class TestHugeValues:
         names = ("x", "y", "z")
         assert [ordering_text(r.ordering, names) for r in rep.regimes] == [
             "y=z>x", "y=z=x", "x>y=z"]
+
+
+def _thousands_of_factors(tmp_path):
+    """x = 2 y^2000 and y = 3 z as a 2,000-factor product statement: the
+    family (2 * 3^2000 z^2000, 3 z, z), whose crossings and family zero
+    are roots of degree 1,999 and 2,000."""
+    path = tmp_path / "factors.admp"
+    path.write_text("criteria: x y z\npref: x = 2 " + " * ".join(["y"] * 2000)
+                    + "\npref: y = 3 z\n", encoding="utf-8")
+    return path
+
+
+class TestHighDegrees:
+    """Roots of degree in the thousands: binomial crossings in closed form,
+    the family zero without isolation, and crossings ordered by their
+    floats where these differ."""
+
+    @pytest.mark.parametrize("command", ["regimes", "error-min"])
+    def test_a_product_of_2000_factors_ends(self, tmp_path, command):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import admcdm
+
+        env = dict(os.environ)
+        src = str(Path(admcdm.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-m", "admcdm", command,
+             str(_thousands_of_factors(tmp_path))],
+            env=env, capture_output=True, text=True, timeout=20)
+        # regimes refuses the coefficient 2 * 3^2000, which has no float
+        assert (run.returncode, run.stderr) in {
+            (0, ""), (3, "InvalidProblem: a result lies outside the float "
+                         "range and cannot be reported\n")}
+        if command == "error-min":
+            assert run.returncode == 0 and "z = 0.25" in run.stdout
+
+    def test_the_2000_factor_roots_agree_with_sympy(self, tmp_path):
+        sympy = pytest.importorskip("sympy")
+        from admcdm.error_min import minimize_error
+
+        problem = parse_problem(
+            _thousands_of_factors(tmp_path).read_text(encoding="utf-8"))
+        rep = regime_analysis(solve_triangular(problem))
+        want = [float(sympy.root(sympy.Rational(1, 2 * 3 ** k), 1999)
+                      .evalf(60)) for k in (2000, 1999)]
+        assert list(rep.breakpoints) == want
+        # the family zero: 2 * 3^2000 z^2000 + 4 z = 1 changes sign between
+        # the midpoints around the reported float
+        result = minimize_error(problem)
+        x, y, z = result.argmin
+        assert (result.value, y, z) == (0, 0.75, 0.25)
+        zs = sympy.Symbol("z")
+        f = 2 * 3 ** 2000 * zs ** 2000 + 4 * zs - 1
+        below, above = (sympy.Rational(math.nextafter(z, t)) for t in (0, 1))
+        assert f.subs(zs, (below + sympy.Rational(z)) / 2) < 0
+        assert f.subs(zs, (above + sympy.Rational(z)) / 2) > 0
+        assert x == float(2 * sympy.Rational(z) ** 2000 * 3 ** 2000)
+
+    def test_crossings_with_one_float_are_ordered_exactly(self):
+        from admcdm.nonlinear import _compare
+
+        root2 = 2 ** 0.5
+        near = Fraction(2) + Fraction(1, 10 ** 30)  # the same float root
+        assert _compare((root2, Fraction(2), 2), (root2, near, 2)) == -1
+        assert _compare((root2, near, 2), (root2, Fraction(2), 2)) == 1
+        assert _compare((root2, Fraction(2), 2),
+                        (root2, Fraction(4), 4)) == 0
+        # floats that differ decide; past the float range, exactly
+        assert _compare((1.5, Fraction(9, 4), 2), (root2, Fraction(2), 2)) == 1
+        huge = Fraction(10 ** 400)
+        assert _compare((huge, huge, 1), (root2, Fraction(2), 2)) == 1
+        assert _compare((root2, Fraction(2), 2), (huge, huge, 1)) == -1

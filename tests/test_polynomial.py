@@ -551,3 +551,190 @@ class TestCheckedFloat:
                 guesses += _assert_refined_as_bisected(
                     _factor_product(rng, degree))
         assert len(guesses) >= 100
+
+
+def _reference_roots(ints) -> list:
+    """The roots of a square-free integer polynomial by the general path
+    without any shape test: Descartes isolation (_isolate) and the
+    bisection reference _bisected on each interval; an engine error is
+    returned as its type."""
+    from admcdm.errors import EngineError
+
+    a = polynomial._primitive(ints)
+    exact, intervals = polynomial._isolate(a)
+    try:
+        return sorted(exact + [_bisected(a, *iv) for iv in intervals])
+    except EngineError as exc:
+        return type(exc)
+
+
+def _found(ints):
+    from admcdm.errors import EngineError
+
+    try:
+        return polynomial.integer_positive_roots(ints)
+    except EngineError as exc:
+        return type(exc)
+
+
+def _typed(roots):
+    return roots if isinstance(roots, type) else [(type(r), r) for r in roots]
+
+
+def _seeded_binomials(rng):
+    """den * x^d - num: perfect powers, random ratios, ratios past the float
+    range both ways, and the subnormal cases of TestCheckedFloat."""
+    s = 1 << 80
+    out = [[-(s + 1), 0, s << 2150], [-(s - 1), 0, s << 2150],
+           [-(s + 1), 0, 0, s << 3225], [-1, 0, 1 << 2149]]
+    for _ in range(150):
+        d = rng.choice([1, 2, 3, 4, 5, 7, 12, 24])
+        kind = rng.random()
+        if kind < 0.3:  # perfect powers, sometimes times 2 or 3
+            num = rng.randint(1, 60) ** d * rng.choice([1, 1, 2, 3])
+            den = rng.randint(1, 60) ** d
+        elif kind < 0.6:
+            num = rng.randint(1, 10 ** rng.randint(1, 30))
+            den = rng.randint(1, 10 ** rng.randint(1, 30))
+        else:  # the root is past the float range, or near it
+            num = rng.randint(1, 9) * 10 ** rng.randint(300, 700)
+            den = rng.randint(1, 9) ** rng.choice([1, d])
+            if rng.random() < 0.5:
+                num, den = den, num
+        out.append([-num] + [0] * (d - 1) + [den])
+    return out
+
+
+class TestShapes:
+    """Binomials and polynomials with one sign change skip Yun's split and
+    isolation; their roots are the general path's, in value and type."""
+
+    def test_binomials_match_the_general_path(self):
+        rng = random.Random("binomials")
+        types = set()
+        for ints in _seeded_binomials(rng):
+            want = _reference_roots(ints)
+            assert _typed(_found(ints)) == _typed(want), ints
+            types |= {want} if isinstance(want, type) else set(map(type, want))
+        from admcdm.errors import InvalidProblem
+
+        assert types == {Fraction, float, InvalidProblem}
+
+    def test_any_binomial_guess_gives_the_reference_outcome(self,
+                                                            monkeypatch):
+        """The exact bracket alone decides: a guess off by floats, far
+        off, missing or at the ends of the float range changes nothing."""
+        rng = random.Random("binomial-guesses")
+        cases = [[-2, 0, 1], [-3, 0, 0, 1 << 60], [-(10 ** 40 + 1), 0, 7],
+                 [-5, 0, 0, 0, 0, 0, 0, 11], [-((1 << 80) + 1), 0, 1 << 2230]]
+        for ints in cases:
+            want = _typed(_reference_roots(ints))
+            guess = polynomial._binomial_guess(-ints[0], ints[-1],
+                                               len(ints) - 1)
+            near = [None, 0.0, 5e-324, float_info.max, 1.0, 1e300]
+            x = guess or 1.0
+            for _ in range(3):
+                x = math.nextafter(x, math.inf)
+            near += [x, -x, math.nextafter(guess or 1.0, 0),
+                     (guess or 1.0) * (1 + rng.random() / 100)]
+            for y in near:
+                monkeypatch.setattr(polynomial, "_binomial_guess",
+                                    lambda *_: y)
+                assert _typed(_found(ints)) == want, (ints, y)
+
+    def test_binomial_guesses_are_within_two_ulps(self):
+        """The float guess is within the neighbours that Ziv's check walks
+        to, so a normal-range root takes no bisection step."""
+        rng = random.Random("guess-quality")
+        for _ in range(300):
+            d = rng.randint(2, 40)
+            num, den = rng.randint(2, 10 ** 18), rng.randint(2, 10 ** 18)
+            (root,) = polynomial.integer_positive_roots(
+                [-num] + [0] * (d - 1) + [den])
+            if isinstance(root, float):
+                guess = polynomial._binomial_guess(num, den, d)
+                assert abs(guess - root) <= 2 * math.ulp(root)
+
+    def test_integer_roots(self):
+        rng = random.Random("iroot")
+        for _ in range(300):
+            d = rng.randint(1, 60)
+            n = rng.randint(1, 1 << rng.randint(1, 3000))
+            r = polynomial._iroot(n, d)
+            assert r ** d <= n < (r + 1) ** d, (n, d)
+            assert polynomial._iroot(r ** d, d) == r
+        assert polynomial._iroot(10 ** 800, 2) == 10 ** 400
+        assert polynomial._iroot((10 ** 40 + 1) ** 7 - 1, 7) == 10 ** 40
+
+    def test_one_sign_change_skips_the_split_and_isolation(self,
+                                                           monkeypatch):
+        def refused(*_):
+            raise AssertionError("general path taken")
+
+        monkeypatch.setattr(polynomial, "_square_free_factors", refused)
+        monkeypatch.setattr(polynomial, "_isolate", refused)
+        assert polynomial.integer_positive_roots(
+            [-1, 4] + [0] * 1998 + [2 * 3 ** 2000]) == [0.25]
+        assert polynomial.integer_positive_roots([-2] + [0] * 2999 + [1, 1]
+                                                 ) == [1]
+        assert polynomial.integer_positive_roots([0, 0, -9, 0, 1]) == [3]
+        assert polynomial.integer_positive_roots([5, 0, 2, 1]) == []
+
+    def test_sparse_one_sign_change_is_correctly_rounded(self):
+        """sum c_k z^d_k = c_0, degrees up to 3,000: the one positive root
+        against mpmath at 50 digits, or exact where it is 1, 2 or 1/2."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random("one-sign-change")
+        for trial in range(24):
+            top = rng.choice([3, 40, 500, 3000])
+            degrees = sorted(rng.sample(range(1, top), min(top - 1, 3)))
+            degrees.append(top)
+            coeffs = {k: rng.randint(1, 10 ** rng.randint(1, 40))
+                      for k in degrees}
+            planted = (None, Fraction(1), Fraction(2), Fraction(1, 2))[
+                trial % 4]
+            if planted is None:
+                const = rng.randint(1, 10 ** rng.randint(1, 40))
+            else:  # scale so that the planted root is a root
+                scale = planted.denominator ** top
+                coeffs = {k: c * scale for k, c in coeffs.items()}
+                const = sum(c * planted ** k for k, c in coeffs.items())
+                assert const.denominator == 1
+                const = int(const)
+            ints = [-const] + [0] * top
+            for k, c in coeffs.items():
+                ints[k] = c
+            (root,) = polynomial.integer_positive_roots(ints)
+            if planted is not None:
+                assert root == planted and isinstance(root, Fraction)
+                continue
+            with mpmath.workdps(50):
+                def f(z):
+                    return sum(c * z ** k for k, c in coeffs.items()) - const
+
+                lo, hi = mpmath.mpf(0), mpmath.mpf(2) ** 20
+                while f(hi) < 0:
+                    hi *= 2
+                for _ in range(400):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+                want = float(lo)
+            assert isinstance(root, float) and root == want, (trial, root)
+
+    def test_the_prime_check_never_rules_out_a_rational_root(self):
+        """(l x - y) g(x) has the rational root y / l, so every small prime
+        not dividing its lead leaves a root modulo p."""
+        rng = random.Random("primes")
+        for _ in range(200):
+            g = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+            g.append(rng.randint(1, 50))
+            lin = [-rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)]
+            a = [0] * (len(g) + 1)
+            for i, c in enumerate(g):
+                a[i] += lin[0] * c
+                a[i + 1] += lin[1] * c
+            assert not polynomial._no_rational_root(a)
+        # x^2 - 2 has no root modulo 3, 2 x^2000 + 4 x - 1 none modulo 19
+        assert polynomial._no_rational_root([-2, 0, 1])
+        assert polynomial._no_rational_root([-1, 4] + [0] * 1998
+                                            + [2 * 3 ** 2000])
