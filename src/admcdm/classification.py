@@ -45,8 +45,8 @@ combination of derivations (one statement may serve several terms). That
 range joins pair (s, t), or is s's self range when s = t, and is not
 substituted again. A criterion whose self range is not exactly 1 fires
 WD3. A ratio travels as an unreduced pair of ints (p, q), read off the
-statement's Fraction and never as a float, so a recursion step is two int
-products; a substituted sum is a Fraction.
+statement's integer form and never as a float, so a recursion step is two
+int products; a substituted sum is over the form's scale.
 
 The witnesses are listed, up to _WITNESS_CAP, on the report's first read
 of them; a caller that reads only the label, the rule or the flags lists
@@ -146,8 +146,9 @@ class ClassificationReport(Record):
 
 
 def _statements(problem: Problem):
-    """The ratio edges (subject, term, p, q, position), k = p / q, and the
-    multi-term statements (position, subject, terms); refuses the rest."""
+    """From each statement's form, the ratio edges (subject, term, w,
+    scale, position), k = w / scale, and the multi-term statements
+    (position, subject, scale, terms); refuses the rest."""
     edges = []
     multi = []
     for pos, pref in enumerate(problem.preferences):
@@ -157,11 +158,12 @@ def _statements(problem: Problem):
         if isinstance(pref, MonomialPreference):
             raise NonlinearPreferencePresent(
                 "classification is defined on linear preferences only")
-        if len(pref.terms) == 1:
-            j, k = pref.terms[0]
-            edges.append((pref.subject, j, k.numerator, k.denominator, pos))
+        s, scale, terms = pref.form
+        if len(terms) == 1:
+            ((w, ((j, _),)),) = terms
+            edges.append((s, j, w, scale, pos))
         else:
-            multi.append((pos, pref.subject, pref.terms))
+            multi.append((pos, s, scale, terms))
     return edges, multi
 
 
@@ -300,20 +302,19 @@ def _path_range(kept, j, t):
     return span if span is None or j < t else _inverted(span)
 
 
-def _substituted(kept, terms, t):
-    """The range of x_s / x_t over a multi-term statement x_s = sum c_j
-    x_j: it rises in each x_j / x_t, so its ends are the sums at each
-    term's ends, as unreduced int pairs; None unless every term has a
-    range to t."""
+def _substituted(kept, scale, terms, t):
+    """The range of x_s / x_t over a multi-term statement scale * x_s =
+    sum w_j x_j: it rises in each x_j / x_t, so its ends are the sums at
+    each term's ends over scale, as unreduced int pairs; None unless every
+    term has a range to t."""
     lp, lq, hp, hq = 0, 1, 0, 1
-    for j, c in terms:
+    for w, ((j, _),) in terms:
         span = _path_range(kept, j, t)
         if span is None:
             return None
-        cp, cq = c.numerator, c.denominator
-        lp, lq = lp * cq * span[1] + cp * span[0] * lq, lq * cq * span[1]
-        hp, hq = hp * cq * span[3] + cp * span[2] * hq, hq * cq * span[3]
-    return lp, lq, hp, hq
+        lp, lq = lp * span[1] + w * span[0] * lq, lq * span[1]
+        hp, hq = hp * span[3] + w * span[2] * hq, hq * span[3]
+    return lp, lq * scale, hp, hq * scale
 
 
 def _spans(n: int, edges, multi):
@@ -344,9 +345,9 @@ def _spans(n: int, edges, multi):
             break
     spans = {(i, j): span for i, (_, ends) in enumerate(kept)
              for j, span in ends.items() if j > i}
-    for _, s, terms in () if crossed else multi:
+    for _, s, scale, terms in () if crossed else multi:
         for t in range(n):
-            span = _substituted(kept, terms, t)
+            span = _substituted(kept, scale, terms, t)
             if span is not None:
                 key, span = _pair_range(s, t, span)
                 spans[key] = _wider(spans.get(key), *span)
@@ -399,16 +400,17 @@ def _deriver(edges, multi, kept, spans):
             return j, v, ratio[1], ratio[0], tuple(trail)
         return v, j, *ratio, tuple(reversed(trail))
 
-    def substituted(pos, s, terms, t, side):
+    def substituted(pos, s, scale, terms, t, side):
         total, trail = 0, (pos,)
-        for j, c in terms:
+        for w, ((j, _),) in terms:
             if j == t:
-                total += c
+                total += w
                 continue
             a, _, p, q, tr = path(min(j, t), max(j, t),
                                   side if j < t else 2 - side)
-            total += c * (Fraction(p, q) if a == j else Fraction(q, p))
+            total += w * (Fraction(p, q) if a == j else Fraction(q, p))
             trail += tr
+        total /= scale
         return s, t, total.numerator, total.denominator, trail
 
     def derivation(key, side):
@@ -417,16 +419,16 @@ def _deriver(edges, multi, kept, spans):
         span = i < j and _path_range(kept, i, j)
         if span and span[side] * lq == lp * span[side + 1]:
             return path(i, j, side)
-        for pos, s, terms in multi:
+        for pos, s, scale, terms in multi:
             t = j if s == i else i
-            span = s in key and _substituted(kept, terms, t)
+            span = s in key and _substituted(kept, scale, terms, t)
             if not span:
                 continue
             span = _pair_range(s, t, span)[1]
             if span[side] * lq == lp * span[side + 1]:
                 # the pair's low end is the statement's high one when
                 # x_s / x_t is the pair's reciprocal
-                return substituted(pos, s, terms, t,
+                return substituted(pos, s, scale, terms, t,
                                    side if s <= t else 2 - side)
 
     return derivation

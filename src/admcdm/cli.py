@@ -396,10 +396,14 @@ def _regimes_report(problem: Problem, warnings, args):
 
     components, terms = [], []
     for name, (coef, power) in zip(names, sol.components):
+        try:
+            rounded = sig(coef)
+        except InvalidProblem:  # no float: "exact" carries the value
+            rounded = None
         components.append(
             {
                 "criterion": name,
-                "coefficient": sig(coef),
+                "coefficient": rounded,
                 "exact": _exact_or_none(coef),
                 "exponent": power,
             }
@@ -514,52 +518,36 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_classify = sub.add_parser(
-        "classify", help="label the statement set by derived-ratio "
-                         "agreement"
-    )
-    p_classify.add_argument("file", metavar="FILE")
-    add_common(p_classify)
-    p_classify.set_defaults(func=_run, report=_classify_report)
+    def one_file(name: str, report, text: str, principle: bool = True):
+        """The subcommand name, with the help text, reporting on one FILE."""
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file", metavar="FILE")
+        add_common(p, principle)
+        p.set_defaults(func=_run, report=report)
+        return p
 
-    p_ahp = sub.add_parser(
-        "ahp", help="pairwise eigenvector baseline for ratio-only problems"
-    )
-    p_ahp.add_argument("file", metavar="FILE")
-    add_common(p_ahp, principle=False)
-    p_ahp.set_defaults(func=_run, report=_ahp_report)
-
-    p_compare = sub.add_parser(
-        "compare", help="discounted priorities next to the pairwise "
-                        "baseline"
-    )
-    p_compare.add_argument("file", metavar="FILE")
-    add_common(p_compare)
-    p_compare.set_defaults(func=_run, report=_compare_report)
-
-    p_err = sub.add_parser(
-        "error-min", help="minimize the accuracy functional on the simplex"
-    )
-    p_err.add_argument("file", metavar="FILE")
-    add_common(p_err, principle=False)
+    one_file("classify", _classify_report,
+             "label the statement set by derived-ratio agreement")
+    one_file("ahp", _ahp_report,
+             "pairwise eigenvector baseline for ratio-only problems",
+             principle=False)
+    one_file("compare", _compare_report,
+             "discounted priorities next to the pairwise baseline")
+    p_err = one_file("error-min", _error_min_report,
+                     "minimize the accuracy functional on the simplex",
+                     principle=False)
     p_err.add_argument("--grid", type=int, default=None, metavar="N",
                        help="barycentric grid resolution (product "
                        "statements off the exact path, and --csv)")
     p_err.add_argument("--csv", default=None, metavar="PATH",
                        help="write the evaluated grid as CSV for plotting")
-    p_err.set_defaults(func=_run, report=_error_min_report)
-
-    p_reg = sub.add_parser(
-        "regimes", help="resolve a triangular nonlinear system and report "
-                        "ordering regimes"
-    )
-    p_reg.add_argument("file", metavar="FILE")
-    add_common(p_reg, principle=False)
+    p_reg = one_file("regimes", _regimes_report,
+                     "resolve a triangular nonlinear system and report "
+                     "ordering regimes", principle=False)
     p_reg.add_argument("--at", type=_assignment, default=None,
                        metavar="NAME=VALUE",
                        help="also report normalized priorities at a "
                             "specific free-variable value")
-    p_reg.set_defaults(func=_run, report=_regimes_report)
 
     p_gen = sub.add_parser(
         "gen-cyclic", help="print the three-criteria cyclic family member "

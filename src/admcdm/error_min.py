@@ -2,12 +2,11 @@
 vector is from satisfying every stated preference at once.
 
 Each equation statement contributes the absolute value of its residual in
-the integer form model.cleared gives it (the statement as written,
-multiplied through by the least common denominator of its coefficients, a
-float's binary value included), and the functional is the sum of those
-absolute residuals. A consistent problem's priority vector drives the
-functional to exactly zero; an inconsistent one has a strictly positive
-floor.
+its integer form (model's form: the statement as written, multiplied
+through by the least common denominator of its coefficients, a float's
+binary value included), and the functional is the sum of those absolute
+residuals. A consistent problem's priority vector drives the functional
+to exactly zero; an inconsistent one has a strictly positive floor.
 
 When every equation statement is linear the functional is an L1 fit, and
 its minimum is the optimum of a linear program (Charnes, Cooper & Ferguson
@@ -44,7 +43,6 @@ from .model import (
     MonomialPreference,
     Problem,
     Relation,
-    cleared,
     is_equation,
 )
 from .scalars import Record, Scalar, exact, integer_row
@@ -77,10 +75,10 @@ _Statement = tuple[int, int, tuple[_Term, ...]]
 
 
 def _statements(problem: Problem) -> list[_Statement]:
-    """Each equation statement as model.cleared writes it, (subject, scale,
-    terms) in integers: its residual is scale * x[subject] minus, for
-    every term (w, exponents), w times the product of x[j] ** p."""
-    return [cleared(p) for p in problem.preferences if is_equation(p)]
+    """Each equation statement's form, (subject, scale, terms) in
+    integers: its residual is scale * x[subject] minus, for every term
+    (w, exponents), w times the product of x[j] ** p."""
+    return [p.form for p in problem.preferences if is_equation(p)]
 
 
 def _functional(statements: list[_Statement], x: Sequence[Scalar]) -> Scalar:

@@ -7,7 +7,9 @@ equation-type statement ("C1 is worth 4 times C2", "C1 equals 2 C2 plus
 others; inequalities only constrain the ordering. A linear statement keeps
 its subject alone on the left (a ratio "C2 / C1 = 3" is the one-term
 statement C2 = 3 C1), which makes it a homogeneous row: +1 in the subject
-column, the negated coefficients elsewhere.
+column, the negated coefficients elsewhere. Each equation statement is
+read into integers once, when it is built, by _form; every engine module
+takes a statement's integers from that form.
 
 All types are immutable and validated on construction, so a Problem in hand
 is always well-formed: indices in range, coefficients positive, at least one
@@ -27,7 +29,7 @@ from .errors import (
     NonlinearPreferencePresent,
     NonPositiveParameter,
 )
-from .scalars import Record, Scalar, exact, integer_row
+from .scalars import Record, Scalar, exact
 
 
 def _positive_finite(value) -> bool:
@@ -67,7 +69,7 @@ class LinearPreference(Record):
 
     terms is a tuple of (criterion index, coefficient) pairs; it is stored
     sorted by index so equal preferences compare equal regardless of the
-    order the terms were given in.
+    order the terms were given in. form is the statement in integers.
     """
 
     subject: int
@@ -89,10 +91,12 @@ class LinearPreference(Record):
             if not _positive_finite(c):
                 raise InvalidProblem(
                     "term coefficients must be positive and finite")
+        object.__setattr__(self, "form", _form(self))
 
 
 class MonomialPreference(Record):
-    """subject = coefficient * product of criteria raised to integer powers."""
+    """subject = coefficient * product of criteria raised to integer powers;
+    form is the statement in integers."""
 
     subject: int
     coefficient: Scalar
@@ -116,6 +120,25 @@ class MonomialPreference(Record):
             seen.add(i)
             if e < 1:
                 raise InvalidProblem("exponents must be positive integers")
+        object.__setattr__(self, "form", _form(self))
+
+
+def _form(pref) -> tuple:
+    """pref's form (subject, scale, ((w, factors), ...)): scale * x[subject]
+    = sum of w * prod x[j] ** p over the factors (j, p), scale the lcm of
+    the coefficients' denominators. A linear term has the factor (j, 1)."""
+    if isinstance(pref, MonomialPreference):
+        w, scale = pref.coefficient.as_integer_ratio()
+        return pref.subject, scale, ((w, pref.exponents),)
+    terms = pref.terms
+    if len(terms) == 1:
+        ((j, a),) = terms
+        w, scale = a.as_integer_ratio()
+        return pref.subject, scale, ((w, ((j, 1),)),)
+    scale = lcm(*[a.denominator for _, a in terms])
+    return pref.subject, scale, tuple([
+        (a.numerator * (scale // a.denominator), ((j, 1),))
+        for j, a in terms])
 
 
 class Relation(Enum):
@@ -238,23 +261,10 @@ def canonicalize(pref):
     raise TypeError(f"cannot canonicalize {type(pref).__name__}")
 
 
-def cleared(pref) -> tuple:
-    """The equation pref as written, in integers (subject, scale, terms):
-    scale * x[subject] equals the sum over terms (w, factors) of
-    w * prod x[j] ** p. A linear term has the single factor (j, 1); a
-    product statement is one term with its exponents."""
-    if isinstance(pref, MonomialPreference):
-        (weight,), scale = integer_row((pref.coefficient,))
-        return pref.subject, scale, ((weight, pref.exponents),)
-    weights, scale = integer_row(a for _, a in pref.terms)
-    return pref.subject, scale, tuple(
-        (w, ((j, 1),)) for (j, _), w in zip(pref.terms, weights))
-
-
 def statement_rows(problem: Problem) -> tuple:
     """Each equation preference x_s = alpha * c * sum a_j x_j as the integer
-    row (s, L, B), at alpha = p / q the row q * L * e_s - p * B: L > 0 a
-    common denominator of the Fractions c * a_j, B_j = L c a_j."""
+    row (s, L, B), at alpha = p / q the row q * L * e_s - p * B: the dense
+    view of its form times c = k / d, L = d * scale and B_j = k * w_j."""
     n = problem.criteria.n
     rows = []
     for pref, c in zip(problem.preferences, problem.binding.multipliers):
@@ -264,13 +274,12 @@ def statement_rows(problem: Problem) -> tuple:
         if isinstance(pref, MonomialPreference):
             raise NonlinearPreferencePresent(
                 "monomial preferences do not assemble into a linear system")
-        cn, cd = c.as_integer_ratio()
-        ratios = [(j, a.as_integer_ratio()) for j, a in pref.terms]
-        scale = lcm(*(cd * d for _, (_, d) in ratios))
-        terms = [0] * n
-        for j, (a, d) in ratios:
-            terms[j] = cn * a * (scale // (cd * d))
-        rows.append((pref.subject, scale, tuple(terms)))
+        s, scale, terms = pref.form
+        k, d = c.as_integer_ratio()
+        row = [0] * n
+        for w, ((j, _),) in terms:
+            row[j] = k * w
+        rows.append((s, d * scale, tuple(row)))
     return tuple(rows)
 
 

@@ -24,7 +24,6 @@ from .model import (
     InequalityPreference,
     Problem,
     Relation,
-    cleared,
     is_equation,
 )
 from .scalars import Record, Scalar
@@ -89,10 +88,10 @@ class RegimeReport(Record):
 
 def _equations(problem: Problem) -> list[tuple[int, Fraction, tuple]]:
     """Equation statements as (subject, coefficient, factor list) triples,
-    read from model.cleared."""
+    read from each statement's form."""
     out = []
     for pref in filter(is_equation, problem.preferences):
-        subject, scale, terms = cleared(pref)
+        subject, scale, terms = pref.form
         if len(terms) != 1:
             raise NotTriangular(
                 "a multi-term statement cannot be folded into a "

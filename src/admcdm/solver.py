@@ -1,7 +1,7 @@
 """The discounting pipeline: parameterize the system, solve the parametric
 determinant equation, pick the discount, and produce the priority vector.
 
-Each equation statement is read once into the integer row (s, L, B) that
+Each statement's integer form (model's form) gives the row (s, L, B) that
 at alpha = p / q is q * L * e_s - p * B (model.statement_rows); every exact
 stage runs on these ints. The core determinant f, an integer polynomial
 in alpha, comes first when every multiplier is 1 and the core has n rows:
@@ -272,8 +272,8 @@ def discount_report(problem: Problem, pv: PriorityVector):
     For statement subject = sum of a_j * x_j the report carries the factor f
     with pv[subject] = f * sum of a_j * pv[j]; for a one-term statement this
     is (pv_i / pv_j) / k, the realized ratio against the stated one. With no
-    float in pv, f is one Fraction(num, den) from integers: the sum is kept
-    over a common denominator, so a statement costs one gcd.
+    float in pv, f is one Fraction from the statement's form, its weighted
+    sum kept over a common denominator, so a statement costs one gcd.
     """
     out = []
     # a Fraction times a float is float(a) * x; stated so, the term skips
@@ -285,13 +285,13 @@ def discount_report(problem: Problem, pv: PriorityVector):
         if isinstance(pref, (InequalityPreference, MonomialPreference)):
             continue
         if ints:
+            s, scale, terms = pref.form
             num, den = 0, 1
-            for j, a in pref.terms:
+            for w, ((j, _),) in terms:
                 n, d = ints[j]
-                n, d = a.numerator * n, a.denominator * d
-                num, den = num * d + n * den, den * d
-            n, d = ints[pref.subject]
-            out.append((pos, Fraction(n * den, d * num)))
+                num, den = num * d + w * n * den, den * d
+            n, d = ints[s]
+            out.append((pos, Fraction(n * den * scale, d * num)))
             continue
         if floats:
             stated = sum(float(a) * pv[j] for j, a in pref.terms)

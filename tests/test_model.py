@@ -1,9 +1,12 @@
 """Domain-model construction, validation, and system assembly."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from admcdm import model
 from admcdm.ahp import ahp_priority, build_ahp_matrix
 from admcdm.classification import classify
 from admcdm.error_min import minimize_error
@@ -26,17 +29,28 @@ from admcdm.model import (
     Relation,
     assemble,
     canonicalize,
-    cleared,
     default_binding,
     equation_positions,
     is_equation,
     make_cyclic_example,
+    statement_rows,
 )
 from admcdm.nonlinear import solve_triangular
 from admcdm.parser import parse_problem
 from admcdm.solver import discount_report, priority
 
 INF = float("inf")
+
+
+def random_coefficient(rng):
+    """A positive coefficient as a Fraction, a decimal string or a
+    float."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.randint(1, 30), rng.randint(1, 30))
+    if kind == 1:
+        return f"{rng.randint(0, 9)}.{rng.randint(1, 999):03d}"
+    return rng.uniform(0.01, 10)
 
 
 def crit(*names):
@@ -319,23 +333,117 @@ class TestCanonicalize:
 
 
 class TestCleared:
+    """A statement's integer form, built with it."""
+
     def test_ratio(self):
-        assert cleared(LinearPreference(1, ((0, Fraction(3, 2)),))) == (
+        assert LinearPreference(1, ((0, Fraction(3, 2)),)).form == (
             1, 2, ((3, ((0, 1),)),))
 
     def test_mixed_denominators_share_one_scale(self):
         pref = LinearPreference(0, ((1, Fraction(1, 2)), (2, Fraction(1, 3))))
-        assert cleared(pref) == (0, 6, ((3, ((1, 1),)), (2, ((2, 1),))))
+        assert pref.form == (0, 6, ((3, ((1, 1),)), (2, ((2, 1),))))
 
     def test_product_is_one_term_with_its_exponents(self):
         pref = MonomialPreference(0, Fraction(2, 3), ((1, 2), (2, 1)))
-        assert cleared(pref) == (0, 3, ((2, ((1, 2), (2, 1))),))
+        assert pref.form == (0, 3, ((2, ((1, 2), (2, 1))),))
 
     def test_float_coefficient_is_its_binary_value(self):
         num, den = (0.1).as_integer_ratio()
-        assert cleared(LinearPreference(0, ((1, 0.1),))) == (
+        assert LinearPreference(0, ((1, 0.1),)).form == (
             0, den, ((num, ((1, 1),)),))
         assert den == 2**55
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_form_states_the_statement_as_written(self, seed):
+        """scale is the lcm of the coefficients' denominators, and scale *
+        x_s - sum w * prod x_j ** p is scale times x_s - sum a * prod
+        x_j ** p at rational points, a each coefficient read as a
+        Fraction from its Fraction, decimal string or float."""
+        rng = random.Random(f"form:{seed}")
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            subject = rng.randrange(n)
+            others = rng.sample([j for j in range(n) if j != subject],
+                                rng.randint(1, n - 1))
+            product = rng.random() < 0.3
+            count = 1 if product else len(others)
+            given = [random_coefficient(rng) for _ in range(count)]
+            if product:
+                factors = [tuple((j, rng.randint(1, 3)) for j in others)]
+                pref = MonomialPreference(subject, given[0], factors[0])
+            else:
+                factors = [((j, 1),) for j in others]
+                pref = LinearPreference(subject, tuple(zip(others, given)))
+            stated = [Fraction(c) for c in given]
+            s, scale, terms = pref.form
+            assert s == subject
+            assert scale == math.lcm(*(a.denominator for a in stated))
+            assert all(type(w) is int for w, _ in terms)
+            for _ in range(3):
+                x = [Fraction(rng.randint(1, 50), rng.randint(1, 50))
+                     for _ in range(n)]
+                cleared = scale * x[s] - sum(
+                    w * math.prod(x[j] ** p for j, p in fs) for w, fs in terms)
+                written = x[subject] - sum(
+                    a * math.prod(x[j] ** p for j, p in fs)
+                    for a, fs in zip(stated, factors))
+                assert cleared == scale * written
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_under_multipliers_are_the_terms(self, seed):
+        """statement_rows' (s, L, B) has B_j / L = c * a_j under a
+        multiplier c != 1, and assemble is e_s - sum a_j e_j in Fractions,
+        both read from terms."""
+        rng = random.Random(f"rows:{seed}")
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            prefs = []
+            for _ in range(rng.randint(1, n + 2)):
+                s = rng.randrange(n)
+                js = rng.sample([j for j in range(n) if j != s],
+                                rng.randint(1, n - 1))
+                prefs.append(LinearPreference(s, tuple(
+                    (j, random_coefficient(rng)) for j in js)))
+            core = default_binding(prefs, n).core_mask
+            mults = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                     if i in core else 1 for i in range(len(prefs))]
+            pr = Problem(crit(*(f"C{i}" for i in range(n))), prefs,
+                         ParamBinding(mults, core))
+            for (s, scale, row), pref, c in zip(
+                    statement_rows(pr), prefs, pr.binding.multipliers):
+                coefficients = dict(pref.terms)
+                assert s == pref.subject
+                assert all(type(b) is int for b in row)
+                assert [Fraction(b, scale) for b in row] == [
+                    c * coefficients.get(j, 0) for j in range(n)]
+            assert assemble(pr) == [
+                [Fraction(1) if j == p.subject else -dict(p.terms).get(j, 0)
+                 for j in range(n)] for p in prefs]
+
+    def test_each_form_is_built_once(self, corpus_files, monkeypatch):
+        """Parsing builds each statement's form once, and no reader
+        builds one again."""
+        built = []
+        real = model._form
+        monkeypatch.setattr(model, "_form",
+                            lambda pref: built.append(pref) or real(pref))
+        for path in corpus_files:
+            del built[:]
+            problem = parse_problem(path.read_text(encoding="utf-8"))
+            stages = [classify, minimize_error]
+            try:
+                pv = priority(problem)[0]
+            except EngineError:
+                pass
+            else:
+                stages.append(lambda p: discount_report(p, pv))
+            for stage in stages:
+                try:
+                    stage(problem)
+                except EngineError:
+                    pass
+            assert sorted(map(id, built)) == sorted(
+                id(p) for p in problem.preferences if is_equation(p)), path
 
 
 class TestAssemble:

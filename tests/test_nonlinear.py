@@ -1,5 +1,6 @@
 """Triangular monomial families and ordering-regime analysis."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -499,16 +500,22 @@ class TestHighDegrees:
         src = str(Path(admcdm.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
+        path = str(_thousands_of_factors(tmp_path))
         run = subprocess.run(
-            [sys.executable, "-m", "admcdm", command,
-             str(_thousands_of_factors(tmp_path))],
+            [sys.executable, "-m", "admcdm", command, path],
             env=env, capture_output=True, text=True, timeout=20)
-        # regimes refuses the coefficient 2 * 3^2000, which has no float
-        assert (run.returncode, run.stderr) in {
-            (0, ""), (3, "InvalidProblem: a result lies outside the float "
-                         "range and cannot be reported\n")}
+        assert (run.returncode, run.stderr) == (0, "")
         if command == "error-min":
-            assert run.returncode == 0 and "z = 0.25" in run.stdout
+            assert "z = 0.25" in run.stdout
+            return
+        # x's coefficient 2 * 3^2000 has no float: only its exact form
+        assert f"[{2 * 3**2000}z^2000, 3z, z]" in run.stdout
+        run = subprocess.run(
+            [sys.executable, "-m", "admcdm", command, "--json", path],
+            env=env, capture_output=True, text=True, timeout=20)
+        assert (run.returncode, run.stderr) == (0, "")
+        x = json.loads(run.stdout)["regimes"]["components"][0]
+        assert (x["coefficient"], x["exact"]) == (None, str(2 * 3**2000))
 
     def test_the_2000_factor_roots_agree_with_sympy(self, tmp_path):
         sympy = pytest.importorskip("sympy")
