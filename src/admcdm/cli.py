@@ -3,9 +3,12 @@ and emit deterministic text or JSON reports.
 
 Every subcommand fills the same nine-block report document (problem echo,
 classification, alpha, priority, discounts, ahp, error_min, regimes,
-warnings); blocks a subcommand does not compute are null. Output depends
-only on the input bytes and flags — no timestamps, no locale formatting —
-and the JSON form survives a parse/serialize round trip byte for byte.
+warnings); blocks a subcommand does not compute are null. Each number
+passes through one formatter, _num, into a float field and an exact p/q
+sibling (null when the value has no float, or no exact form), and the
+text report is rendered from the document alone. Output depends only on
+the input bytes and flags — no timestamps, no locale formatting — and
+the JSON form survives a parse/serialize round trip byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import EngineError, InvalidProblem, ParseError
 from .model import (
@@ -25,13 +28,7 @@ from .model import (
     make_cyclic_example,
 )
 from .parser import format_preference, format_problem, parse_problem
-from .scalars import Scalar, exact, fmt, normalize, sig
-
-if TYPE_CHECKING:
-    from .ahp import AhpResult
-    from .classification import ClassificationReport
-    from .error_min import ErrorMinResult
-    from .solver import AlphaSolution
+from .scalars import exact, fmt, normalize, sig
 
 _BLOCKS = ("problem", "classification", "alpha", "priority", "discounts",
            "ahp", "error_min", "regimes")
@@ -56,17 +53,64 @@ def _library(*names: str) -> list:
     return [getattr(cli, name) for name in names]
 
 
-def _exact_or_none(value: Scalar) -> str | None:
-    return fmt(value) if isinstance(value, Fraction) else None
+def _num(value, each=False) -> tuple:
+    """A number's two faces in a report: its float rounded to 12
+    significant digits (sig) and its exact p/q.
+
+    The float is None when the value has none (past the float range, or
+    nonzero and rounding to 0.0), the exact form when the value is not a
+    Fraction; an unbounded end (None) is None in both. A list gives the
+    list of its values' floats and the list of their exact forms when
+    every one has one, else None; with each, one exact entry per value.
+    """
+    if isinstance(value, (list, tuple)):
+        pairs = [_num(v) for v in value]
+        exacts = [e for _, e in pairs]
+        return [f for f, _ in pairs], (
+            exacts if each or None not in exacts else None)
+    if value is None:
+        return None, None
+    try:
+        rounded = sig(value)
+    except InvalidProblem:  # past the float range
+        rounded = None
+    if rounded == 0 and value != 0:
+        rounded = None
+    return rounded, fmt(value) if isinstance(value, Fraction) else None
 
 
-def _show(value: Scalar) -> str:
-    """Both faces of a number: exact fraction plus decimal when rational."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{fmt(value)} = {sig(value)}"
-    return str(sig(value))
+def _field(key: str, value, exact_key: str | None = None,
+           each=False) -> dict:
+    """The value's float(s) under key and its exact form(s) under
+    exact_key, by default key + "_exact" (see _num)."""
+    return dict(zip((key, exact_key or f"{key}_exact"), _num(value, each)))
+
+
+def _text(rounded: float | None, form: str | None, alone=False) -> str:
+    """A number as a text line prints it from its float and exact form:
+    an integer bare, a fraction as "p/q = float", any other value as its
+    float; alone, the float in every case. Without a float it is its
+    exact form, or inf for an unbounded end."""
+    if rounded is None:
+        return form or "inf"
+    if form is None or alone:
+        return str(rounded)
+    return f"{form} = {rounded}" if "/" in form else form
+
+
+def _show(block: dict, key: str, exact_key: str | None = None, alone=False):
+    """The text of the number block[key], or the texts of the list there,
+    whose exact form is under exact_key, by default key + "_exact" (for
+    a list, None when a value has none)."""
+    rounded, exacts = block[key], block[exact_key or f"{key}_exact"]
+    if not isinstance(rounded, list):
+        return _text(rounded, exacts, alone)
+    exacts = exacts or [None] * len(rounded)
+    return [_text(f, e, alone) for f, e in zip(rounded, exacts)]
+
+
+def _named(names, texts) -> list[str]:
+    return [f"  {name} = {text}" for name, text in zip(names, texts)]
 
 
 def _load(path: Path, principle: str | None) -> tuple[Problem, list[str]]:
@@ -108,7 +152,7 @@ def _doc(problem: Problem, warnings, **blocks) -> dict:
     return doc
 
 
-def _classification_block(report: ClassificationReport, names) -> dict:
+def _classification_block(report, names) -> dict:
     texts = []
     for rule, rel, other in report.witnesses:
         line = f"{rule}: {rel.describe(names)}"
@@ -124,83 +168,47 @@ def _classification_block(report: ClassificationReport, names) -> dict:
     }
 
 
-def _label_line(report: ClassificationReport) -> str:
-    rule = f" ({report.rule_fired})" if report.rule_fired else ""
-    return f"label: {report.label.value}{rule}"
-
-
-def _named(names, values, show=_show) -> list[str]:
-    return [f"  {name} = {show(v)}" for name, v in zip(names, values)]
-
-
-def _solved_blocks(report, names, sol: AlphaSolution, vector,
-                   discounts) -> dict:
-    """The blocks of a discounting result, shared by solve and compare."""
-    return {
-        "classification": _classification_block(report, names),
-        "alpha": _alpha_block(sol),
-        "priority": _priority_block(vector),
-        "discounts": _statement_values(discounts, "factor"),
-    }
-
-
-def _alpha_block(sol: AlphaSolution) -> dict:
-    return {
-        "value": sig(sol.alpha),
-        "exact": _exact_or_none(sol.alpha),
-        "roots": [sig(r) for r in sol.roots],
-        "consistency": sig(sol.consistency),
-        "inconsistency": sig(sol.inconsistency),
-        "extras": _statement_values(sol.extra_params, "value"),
-        "discharged": sol.discharged,
-    }
-
-
-def _priority_block(vector) -> dict:
-    all_exact = all(isinstance(v, Fraction) for v in vector)
-    return {
-        "decimal": [sig(v) for v in vector],
-        "exact": [fmt(v) for v in vector] if all_exact else None,
-    }
+def _label_line(block: dict) -> str:
+    rule = f" ({block['rule']})" if block["rule"] else ""
+    return f"label: {block['label']}{rule}"
 
 
 def _statement_values(pairs, key: str) -> list:
     """One entry per (statement position, value) pair."""
-    return [
-        {
-            "statement": pos + 1,
-            key: sig(value),
-            "exact": _exact_or_none(value),
-        }
-        for pos, value in pairs
-    ]
+    return [{"statement": pos + 1, **_field(key, value, "exact")}
+            for pos, value in pairs]
 
 
-def _ahp_block(matrix, result: AhpResult | None, failure: str | None) -> dict:
-    if failure is not None:
-        return dict.fromkeys(("matrix", "lambda_max", "vector", "ci",
-                              "iterations"), None) | {"error": failure}
-    assert result is not None
+def _solved_blocks(report, names, sol, vector, discounts) -> dict:
+    """The blocks of a discounting result, shared by solve and compare."""
     return {
-        "error": None,
-        "matrix": [[sig(e) for e in row] for row in matrix.entries],
-        "lambda_max": sig(result.lambda_max),
-        "vector": [sig(v) for v in result.vector],
-        "ci": sig(result.ci),
-        "iterations": result.iterations,
+        "classification": _classification_block(report, names),
+        "alpha": {
+            **_field("value", sol.alpha, "exact"),
+            **_field("roots", sol.roots),
+            **_field("consistency", sol.consistency),
+            **_field("inconsistency", sol.inconsistency),
+            "extras": _statement_values(sol.extra_params, "value"),
+            "discharged": sol.discharged,
+        },
+        "priority": _field("decimal", vector, "exact"),
+        "discounts": _statement_values(discounts, "factor"),
     }
 
 
-def _error_min_block(result: ErrorMinResult) -> dict:
-    all_exact = all(isinstance(v, Fraction) for v in result.argmin)
+def _ahp_block(matrix, result, failure: str | None) -> dict:
+    keys = ("matrix", "lambda_max", "vector", "ci")
+    if failure is not None:
+        return dict.fromkeys(
+            [*keys, *(f"{k}_exact" for k in keys), "iterations"]
+        ) | {"error": failure}
     return {
-        "argmin": [sig(v) for v in result.argmin],
-        "argmin_exact": (
-            [fmt(v) for v in result.argmin] if all_exact else None
-        ),
-        "value": sig(result.value),
-        "value_exact": _exact_or_none(result.value),
-        "evaluations": result.evaluations,
+        "error": None,
+        **_field("matrix", matrix.entries),
+        **_field("lambda_max", result.lambda_max),
+        **_field("vector", result.vector),
+        **_field("ci", result.ci),
+        "iterations": result.iterations,
     }
 
 
@@ -224,29 +232,28 @@ def _solve_report(problem: Problem, warnings, args):
     ):
         n = problem.criteria.n
         vector = tuple(Fraction(1, n) for _ in range(n))
+        why = ("exceeds the requested threshold" if alpha_sol.discharged
+               else "comes from strongly contradictory statements")
         warnings.append(
             "priorities replaced by the uniform fallback: inconsistency "
-            f"{sig(alpha_sol.inconsistency)} "
-            + (
-                "exceeds the requested threshold"
-                if alpha_sol.discharged
-                else "comes from strongly contradictory statements"
-            )
-        )
-    discounts = discount_report(problem, vector)
+            f"{_text(*_num(alpha_sol.inconsistency), alone=True)} {why}")
     doc = _doc(problem, warnings, **_solved_blocks(
-        report, names, alpha_sol, vector, discounts))
+        report, names, alpha_sol, vector, discount_report(problem, vector)))
 
-    lines = [_label_line(report), f"alpha = {_show(alpha_sol.alpha)}"]
-    for pos, value in alpha_sol.extra_params:
-        lines.append(f"alpha[{pos + 1}] = {_show(value)}")
+    alpha = doc["alpha"]
+    lines = [_label_line(doc["classification"]),
+             f"alpha = {_show(alpha, 'value', 'exact')}"]
+    lines += [f"alpha[{e['statement']}] = {_show(e, 'value', 'exact')}"
+              for e in alpha["extras"]]
     lines.append(
-        f"consistency c = {_show(alpha_sol.consistency)}, "
-        f"inconsistency 1 - c = {_show(alpha_sol.inconsistency)}"
+        f"consistency c = {_show(alpha, 'consistency')}, "
+        f"inconsistency 1 - c = {_show(alpha, 'inconsistency')}"
     )
-    lines += ["priority:", *_named(names, vector), "discounts:"]
-    for pos, value in discounts:
-        lines.append(f"  statement {pos + 1}: {_show(value)}")
+    lines += ["priority:",
+              *_named(names, _show(doc["priority"], "decimal", "exact")),
+              "discounts:"]
+    lines += [f"  statement {e['statement']}: {_show(e, 'factor', 'exact')}"
+              for e in doc["discounts"]]
     return doc, lines
 
 
@@ -276,16 +283,14 @@ def _cmd_solve(args) -> int:
 
 def _classify_report(problem: Problem, warnings, args):
     Label, classify = _library("Label", "classify")
-    names = problem.criteria.names
-    report = classify(problem)
-    block = _classification_block(report, names)
+    block = _classification_block(classify(problem), problem.criteria.names)
     doc = _doc(problem, warnings, classification=block)
-    lines = [_label_line(report)]
+    lines = [_label_line(block)]
     lines += [f"  {text}" for text in block["witnesses"]]
-    if report.depth_exceeded:
+    if block["depth_exceeded"]:
         # no relation past the cap can undo a fired SD4
         lines.append("note: derivation stopped at the relation cap" + (
-            "" if report.label is Label.STRONG_INCONSISTENT
+            "" if block["label"] == Label.STRONG_INCONSISTENT.value
             else "; label is conservative"))
     return doc, lines
 
@@ -299,12 +304,13 @@ def _pairwise_baseline(problem: Problem):
 
 
 def _ahp_report(problem: Problem, warnings, args):
-    names = problem.criteria.names
-    matrix, result = _pairwise_baseline(problem)
-    doc = _doc(problem, warnings, ahp=_ahp_block(matrix, result, None))
-    lines = [f"lambda_max = {sig(result.lambda_max)}",
-             f"consistency index = {sig(result.ci)}",
-             "priority:", *_named(names, result.vector, sig)]
+    doc = _doc(problem, warnings,
+               ahp=_ahp_block(*_pairwise_baseline(problem), None))
+    ahp = doc["ahp"]
+    lines = [f"lambda_max = {_show(ahp, 'lambda_max', alone=True)}",
+             f"consistency index = {_show(ahp, 'ci', alone=True)}",
+             "priority:", *_named(problem.criteria.names,
+                                  _show(ahp, "vector", alone=True))]
     return doc, lines
 
 
@@ -312,29 +318,29 @@ def _compare_report(problem: Problem, warnings, args):
     discount_report, priority = _library("discount_report", "priority")
     names = problem.criteria.names
     vector, alpha_sol, report = priority(problem)
-    matrix = None
-    ahp_result: AhpResult | None = None
-    failure: str | None = None
+    matrix = result = failure = None
     try:
-        matrix, ahp_result = _pairwise_baseline(problem)
+        matrix, result = _pairwise_baseline(problem)
     except EngineError as exc:
         failure = f"{type(exc).__name__}: {exc}"
-
-    doc = _doc(problem, warnings, ahp=_ahp_block(matrix, ahp_result, failure),
+    doc = _doc(problem, warnings, ahp=_ahp_block(matrix, result, failure),
                **_solved_blocks(report, names, alpha_sol, vector,
                                 discount_report(problem, vector)))
 
-    lines = [f"label: {report.label.value}",
-             f"alpha = {_show(alpha_sol.alpha)}"]
-    lines.append("discounted priority vs pairwise eigenvector:")
-    if ahp_result is None:
-        lines += _named(names, vector)
-        lines.append(f"pairwise baseline unavailable: {failure}")
+    ahp = doc["ahp"]
+    discounted = _show(doc["priority"], "decimal", "exact")
+    lines = [f"label: {doc['classification']['label']}",
+             f"alpha = {_show(doc['alpha'], 'value', 'exact')}",
+             "discounted priority vs pairwise eigenvector:"]
+    if ahp["error"] is not None:
+        lines += _named(names, discounted)
+        lines.append(f"pairwise baseline unavailable: {ahp['error']}")
     else:
-        for name, v, w in zip(names, vector, ahp_result.vector):
-            lines.append(f"  {name} = {_show(v)}  |  {sig(w)}")
-        lines.append(f"lambda_max = {sig(ahp_result.lambda_max)}, "
-                     f"consistency index = {sig(ahp_result.ci)}")
+        baseline = _show(ahp, "vector", alone=True)
+        lines += [f"  {name} = {v}  |  {w}"
+                  for name, v, w in zip(names, discounted, baseline)]
+        lines.append(f"lambda_max = {_show(ahp, 'lambda_max', alone=True)}, "
+                     f"consistency index = {_show(ahp, 'ci', alone=True)}")
     return doc, lines
 
 
@@ -346,22 +352,25 @@ def _error_min_report(problem: Problem, warnings, args):
     grid = DEFAULT_GRID if args.grid is None else args.grid
     result = minimize_error(problem, grid_points=grid)
     if args.csv is not None:
-        n = problem.criteria.n
         rows = [",".join([*problem.criteria.names, "e"])]
-        for point in simplex_grid(n, grid):
-            value = eval_error(problem, point)
-            rows.append(
-                ",".join([str(sig(v)) for v in point] + [str(sig(value))])
-            )
+        for point in simplex_grid(problem.criteria.n, grid):
+            cells = [*point, eval_error(problem, point)]
+            rows.append(",".join(_text(*_num(v), alone=True) for v in cells))
         body = "\n".join(rows) + "\n"
         if args.csv == "-":
             print(body, end="")
         else:
             Path(args.csv).write_text(body, encoding="utf-8")
-    doc = _doc(problem, warnings, error_min=_error_min_block(result))
-    lines = [f"minimum value = {_show(result.value)}", "argmin:",
-             *_named(problem.criteria.names, result.argmin),
-             f"evaluations = {result.evaluations}"]
+    doc = _doc(problem, warnings, error_min={
+        **_field("argmin", result.argmin),
+        **_field("value", result.value),
+        "evaluations": result.evaluations,
+    })
+
+    block = doc["error_min"]
+    lines = [f"minimum value = {_show(block, 'value')}", "argmin:",
+             *_named(problem.criteria.names, _show(block, "argmin")),
+             f"evaluations = {block['evaluations']}"]
     if args.csv is not None and args.csv != "-":
         lines.append(f"grid written to {args.csv}")
     return doc, lines
@@ -378,7 +387,7 @@ def _regimes_report(problem: Problem, warnings, args):
     report = regime_analysis(sol, inequalities)
     free = names[sol.free_var]
     lower, upper = report.domain
-    at, at_lines = None, []
+    at = None
     if args.at is not None:
         name, z = args.at
         if name != free:
@@ -390,64 +399,47 @@ def _regimes_report(problem: Problem, warnings, args):
                 "the requested point lies outside the admissible domain"
             )
         vector = normalize(tuple(sol.value_at(k, z) for k in range(sol.n)))
-        at = {"z": sig(z), "vector": [sig(v) for v in vector]}
-        at_lines = [f"normalized priorities at {free} = {_show(z)}:",
-                    *_named(names, vector)]
-
-    components, terms = [], []
-    for name, (coef, power) in zip(names, sol.components):
-        try:
-            rounded = sig(coef)
-        except InvalidProblem:  # no float: "exact" carries the value
-            rounded = None
-        components.append(
-            {
-                "criterion": name,
-                "coefficient": rounded,
-                "exact": _exact_or_none(coef),
-                "exponent": power,
-            }
-        )
-        var = free if power == 1 else f"{free}^{power}"
-        terms.append(var if coef == 1 else f"{fmt(coef)}{var}")
-    pieces, regime_lines = [], []
-    for regime in report.regimes:
-        ordering = ordering_text(regime.ordering, names)
-        pieces.append(
-            {
-                "kind": "point" if regime.is_point else "interval",
-                "lower": sig(regime.lower),
-                "upper": None if regime.upper is None else sig(regime.upper),
-                "ordering": ordering,
-            }
-        )
-        if regime.is_point:
-            where = f"z = {_show(regime.lower)}"
-        else:
-            end = "inf" if regime.upper is None else _show(regime.upper)
-            where = f"z in ({_show(regime.lower)}, {end})"
-        regime_lines.append(f"  {where}: {ordering}")
+        at = {**_field("z", z), **_field("vector", vector)}
     doc = _doc(problem, warnings, regimes={
         "free_var": free,
-        "components": components,
-        "domain": [
-            sig(lower),
-            None if upper is None else sig(upper),
+        "components": [
+            {"criterion": name, "exponent": power,
+             **_field("coefficient", coef, "exact")}
+            for name, (coef, power) in zip(names, sol.components)
         ],
-        "breakpoints": [sig(b) for b in report.breakpoints],
-        "regimes": pieces,
+        # the domain's ends and the crossings each keep their exact form
+        **_field("domain", report.domain, each=True),
+        **_field("breakpoints", report.breakpoints, each=True),
+        "regimes": [
+            {"kind": "point" if regime.is_point else "interval",
+             "ordering": ordering_text(regime.ordering, names),
+             **_field("lower", regime.lower), **_field("upper", regime.upper)}
+            for regime in report.regimes
+        ],
         "at": at,
     })
 
-    upper_text = "inf" if upper is None else _show(upper)
+    block = doc["regimes"]
+    terms = []
+    for entry in block["components"]:
+        power = entry["exponent"]
+        var = free if power == 1 else f"{free}^{power}"
+        terms.append(var if entry["exact"] == "1" else entry["exact"] + var)
+    lower, upper = _show(block, "domain")
     lines = [f"solution family: [{', '.join(terms)}] for {free} > 0",
-             f"admissible domain: ({_show(lower)}, {upper_text})"]
-    if report.breakpoints:
-        lines.append(
-            "crossings: "
-            + ", ".join(_show(b) for b in report.breakpoints)
-        )
-    return doc, [*lines, "regimes:", *regime_lines, *at_lines]
+             f"admissible domain: ({lower}, {upper})"]
+    if block["breakpoints"]:
+        lines.append("crossings: " + ", ".join(_show(block, "breakpoints")))
+    lines.append("regimes:")
+    for piece in block["regimes"]:
+        where = (f"z = {_show(piece, 'lower')}" if piece["kind"] == "point"
+                 else f"z in ({_show(piece, 'lower')}, "
+                      f"{_show(piece, 'upper')})")
+        lines.append(f"  {where}: {piece['ordering']}")
+    if at is not None:
+        lines += [f"normalized priorities at {free} = {_show(at, 'z')}:",
+                  *_named(names, _show(at, "vector"))]
+    return doc, lines
 
 
 def _run(args) -> int:

@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 
 from .errors import (
     InvalidGrid,
+    InvalidProblem,
     MultipleFreeVars,
     NotTriangular,
     OffSimplex,
@@ -301,7 +302,8 @@ def _family_zero(
     there. An irrational root is the correctly rounded float, and each
     component is its exact value at that float, rounded once; the rounding
     of the root carries into it, so a component can be up to 2 ulps from
-    the correctly rounded value of the exact component.
+    the correctly rounded value of the exact component. A component
+    that rounds to 0.0 is refused, as polynomial._refine refuses a root.
     """
     from .nonlinear import _domain, solve_triangular
     from .polynomial import integer_positive_roots
@@ -324,6 +326,8 @@ def _family_zero(
     point = tuple(c * z**d for c, d in family.components)
     if not isinstance(roots[0], Fraction):
         point = tuple(float(v) for v in point)
+        if 0.0 in point:  # a positive weight below the float range
+            raise InvalidProblem("a root lies outside the float range")
     return ErrorMinResult(point, Fraction(0), 0)
 
 

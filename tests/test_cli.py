@@ -373,6 +373,26 @@ class TestRegimes:
         # [10/16, 5/4, 1/4] normalized: (5/17, 10/17, 2/17)
         assert at["vector"] == pytest.approx(
             [5 / 17, 10 / 17, 2 / 17], abs=1e-9)
+        assert at["z_exact"] == "1/4"
+        assert at["vector_exact"] == ["5/17", "10/17", "2/17"]
+
+    def test_each_crossing_keeps_its_own_exact_form(self, capsys, tmp_path):
+        # [18z^4, 3z^2, z]: y and z cross at 1/3, x meets z at
+        # 18^(-1/3) and y at 6^(-1/2), both irrational
+        path = tmp_path / "mixed.admp"
+        path.write_text("criteria: x y z\npref: x = 2 y * y\n"
+                        "pref: y = 3 z * z\n")
+        code, out, _ = run(capsys, "regimes", str(path))
+        assert code == 0
+        assert ("crossings: 1/3 = 0.333333333333, 0.381571414184, "
+                "0.408248290464\n") in out
+        block = run_json(capsys, "regimes", "--json", str(path))["regimes"]
+        assert block["breakpoints_exact"] == ["1/3", None, None]
+        assert block["domain"] == [0.0, None]
+        assert block["domain_exact"] == ["0", None]
+        assert [(r["lower_exact"], r["upper_exact"])
+                for r in block["regimes"][:3]] == [
+            ("0", "1/3"), ("1/3", "1/3"), ("1/3", None)]
 
     def test_point_outside_domain_warns(self, capsys):
         doc = run_json(capsys, "regimes", "--json", "--at", "z=1/2",
@@ -403,6 +423,11 @@ class TestHugeValues:
     """Exact values far outside the float range end in a result or a typed
     refusal, never in an internal error."""
 
+    # the cases whose exit code is known; every other one exits 0 or 3
+    EXIT = {("huge-square", "regimes"): (0,), ("tiny-square", "regimes"): (0,),
+            # x near 10^-401 / 4 at the irrational zero has no float
+            ("tiny-square", "error-min"): (3,)}
+
     @pytest.mark.parametrize("command", ["regimes", "error-min"])
     @pytest.mark.parametrize("statements", [
         (f"x = {HUGE} y * y", "y = 1 z"),
@@ -413,14 +438,77 @@ class TestHugeValues:
         (f"x = {TINY[:-1]}2 y * y * y", "y = 1 z"),
     ], ids=["huge-square", "huge-cube", "tiny-square", "huge-irrational",
             "tiny-irrational"])
-    def test_exits_0_or_3(self, capsys, tmp_path, command, statements):
+    def test_exits_0_or_3(self, capsys, tmp_path, request, command,
+                          statements):
         path = tmp_path / "huge.admp"
         path.write_text("criteria: x y z\n"
                         + "".join(f"pref: {s}\n" for s in statements))
+        case = request.node.callspec.id.removesuffix(f"-{command}")
+        expected = self.EXIT.get((case, command), (0, 3))
         for flags in ([], ["--json"]):
             code, _, err = run(capsys, command, *flags, str(path))
-            assert code in (0, 3), err
+            assert code in expected, err
             assert "internal error" not in err
+        if expected == (3,):
+            assert err == ("InvalidProblem: a root lies outside the float "
+                           "range\n")
+
+    @pytest.mark.parametrize("statements, value", [
+        ((f"x = {HUGE} y * y", "y = 1 z"), f"1/{HUGE}"),
+        ((f"x = {TINY} y * y", "y = 1 z"), f"{HUGE}0"),
+        ((f"x = 1/{HUGE} y * y", "y = 1 z"), HUGE),
+    ], ids=["huge-square", "tiny-square", "huge-crossing"])
+    def test_regimes_print_a_crossing_without_a_float(self, capsys, tmp_path,
+                                                      statements, value):
+        # x = c z^2 and y = z cross at z = 1/c, which has no float
+        path = tmp_path / "huge.admp"
+        path.write_text("criteria: x y z\n"
+                        + "".join(f"pref: {s}\n" for s in statements))
+        code, out, err = run(capsys, "regimes", str(path))
+        assert (code, err) == (0, "")
+        assert f"crossings: {value}\n" in out
+        assert f"  z = {value}: y=z=x\n" in out
+        block = run_json(capsys, "regimes", "--json", str(path))["regimes"]
+        assert block["breakpoints"] == [None]
+        assert block["breakpoints_exact"] == [value]
+        point = block["regimes"][1]
+        assert (point["lower"], point["lower_exact"]) == (None, value)
+        assert block["regimes"][2]["upper"] is None  # unbounded
+        assert block["regimes"][2]["upper_exact"] is None
+        coefficient = block["components"][0]
+        assert coefficient["coefficient"] is None
+        assert Fraction(coefficient["exact"]) == 1 / Fraction(value)
+
+    @pytest.mark.parametrize("command", ["ahp", "compare"])
+    def test_a_ratio_past_the_float_range_is_reported(self, capsys, tmp_path,
+                                                      command):
+        # lambda_max = 2 and w = (10^400, 1) / (10^400 + 1): the matrix
+        # cells 10^400 and 10^-400 and the weight of y have no float
+        path = tmp_path / "huge.admp"
+        path.write_text(f"criteria: x y\npref: x = {HUGE} y\n")
+        weight = f"1/1{HUGE[2:]}1"
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        assert f"{weight}\n" in out
+        ahp = run_json(capsys, command, "--json", str(path))["ahp"]
+        assert ahp["matrix"] == [[1.0, None], [None, 1.0]]
+        assert ahp["matrix_exact"] == [["1", HUGE], [f"1/{HUGE}", "1"]]
+        assert (ahp["lambda_max"], ahp["lambda_max_exact"]) == (2.0, "2")
+        assert ahp["vector"] == [1.0, None]
+        assert ahp["vector_exact"] == [f"{HUGE}/1{HUGE[2:]}1", weight]
+
+    def test_the_grid_csv_prints_a_value_without_a_float(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "huge.admp"
+        path.write_text(f"criteria: x y z\npref: x = {HUGE} y * y\n"
+                        "pref: y = 1 z\n")
+        code, out, err = run(capsys, "error-min", "--grid", "4", "--csv", "-",
+                             str(path))
+        assert (code, err) == (0, "")
+        rows = out.split("minimum value")[0].splitlines()
+        assert rows[0] == "x,y,z,e"
+        # at (1/4, 1/4, 1/2), e = |1/4 - 10^400/16| + |1/4 - 1/2|, exact
+        assert rows[1] == f"0.25,0.25,0.5,{Fraction(HUGE) / 16}"
 
     @pytest.mark.parametrize("command", ["solve", "classify", "compare"])
     @pytest.mark.parametrize("text", [

@@ -19,7 +19,13 @@ from admcdm.error_min import (
     minimize_error,
     simplex_grid,
 )
-from admcdm.errors import EmptyDomain, EngineError, InvalidGrid, OffSimplex
+from admcdm.errors import (
+    EmptyDomain,
+    EngineError,
+    InvalidGrid,
+    InvalidProblem,
+    OffSimplex,
+)
 from admcdm.model import (
     CriteriaSet,
     InequalityPreference,
@@ -316,6 +322,24 @@ class TestFamilyZero:
                            + "pref: y < z\n")
         with pytest.raises(EmptyDomain):
             minimize_error(pr)
+
+    def test_a_weight_below_the_float_range_is_refused(self):
+        # x = 10^-401 z^2, y = z: the root z is irrational and near 1/2,
+        # and x near 10^-401 / 4 rounds to 0.0, which is no positive weight
+        pr = parse_problem("criteria: x y z\n"
+                           f"pref: x = 1/1{'0' * 401} y * y\n"
+                           "pref: y = 1 z\n")
+        with pytest.raises(InvalidProblem,
+                           match="a root lies outside the float range"):
+            minimize_error(pr)
+        # a rational root keeps its exact point, however small a weight:
+        # x = c z^2 and y = (1 - c/2) z meet the simplex at z = 1/2
+        c = Fraction(1, 10**401)
+        pr = parse_problem("criteria: x y z\n"
+                           f"pref: x = {c} z * z\n"
+                           f"pref: y = {1 - c / 2} z\n")
+        res = minimize_error(pr)
+        assert res.argmin == (c / 4, (2 - c) / 4, Fraction(1, 2))
 
     def test_random_chains_reach_exactly_zero(self):
         rng = random.Random(20260)

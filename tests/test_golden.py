@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -61,6 +62,28 @@ def _test_id(argv):
 @pytest.mark.parametrize("argv", command_lines(), ids=_test_id)
 def test_cli_output_is_byte_identical(argv):
     assert capture(argv) == _expected()[" ".join(argv)]
+
+
+# an exact fraction p/q, not part of a longer number
+FRACTION = re.compile(r"(?<![\d/])\d+/\d+(?![\d/])")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_carries_every_exact_value_the_text_prints(command):
+    # the text report is rendered from the document, so each p/q it
+    # prints is a value of the document
+    missing = []
+    for argv in command_lines():
+        if argv[0] != command or "--json" in argv:
+            continue
+        text = capture(argv)
+        if text["exit"] != 0:
+            continue
+        doc = capture((command, "--json", *argv[1:]))["stdout"]
+        missing += [(argv[-1], p_q) for p_q in sorted(
+            set(FRACTION.findall(text["stdout"]))
+            - set(FRACTION.findall(doc)))]
+    assert missing == []
 
 
 if __name__ == "__main__":
