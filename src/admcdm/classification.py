@@ -481,13 +481,13 @@ _SOLVED = ClassificationReport(
 )
 
 
-def _core_det(rows, core):
-    """(scale, c): the determinant of the statement rows at the positions
-    core is the sum of c[k] * alpha**k / scale, from the integer rows at
-    one alpha = 2**k by det_coefficients, under Hadamard's bound (a row
+def _core_det(rows, core) -> list:
+    """c: the determinant of the integer statement rows at the positions
+    core is the sum of c[k] * alpha**k, from those rows at one
+    alpha = 2**k by det_coefficients, under Hadamard's bound (a row
     (s, L, B) has the squared norm L**2 + sum B**2)."""
     rows = [rows[i] for i in core]
-    return prod(r[1] for r in rows), det_coefficients(
+    return det_coefficients(
         lambda x: [row_at(r, x, 1) for r in rows],
         isqrt(prod(s * s + sum(b * b for b in bs) for _, s, bs in rows)))
 
@@ -510,7 +510,7 @@ def _exact_test(problem: Problem, rows):
     core, det, line = b.core_mask, None, None
     if len(core) == n and all(c == 1 for c in b.multipliers):
         det = _core_det(rows, core)
-        if sum(det[1]):  # f(1) != 0
+        if sum(det):  # f(1) != 0
             return None, det, None
         v, free = null_vector([row_at(rows[i], 1, 1) for i in core])
         line = (v, free)

@@ -519,7 +519,8 @@ def _parser() -> argparse.ArgumentParser:
         return p
 
     one_file("classify", _classify_report,
-             "label the statement set by derived-ratio agreement")
+             "label the statement set by derived-ratio agreement",
+             principle=False)
     one_file("ahp", _ahp_report,
              "pairwise eigenvector baseline for ratio-only problems",
              principle=False)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, nextafter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -299,14 +299,12 @@ def _family_zero(
     The family x_k = c_k * z^{d_k} meets the simplex where
     sum(c_k * z^{d_k}) = 1; every c_k > 0 and the free variable has
     d = 1, so the sum rises strictly on z > 0 and has at most one root
-    there. An irrational root is the correctly rounded float, and each
-    component is its exact value at that float, rounded once; the rounding
-    of the root carries into it, so a component can be up to 2 ulps from
-    the correctly rounded value of the exact component. A component
-    that rounds to 0.0 is refused, as polynomial._refine refuses a root.
+    there. At an irrational root each component is the correctly rounded
+    float of its exact value there. A component that rounds to 0.0 is
+    refused, as polynomial._refine refuses a root.
     """
     from .nonlinear import _domain, solve_triangular
-    from .polynomial import integer_positive_roots
+    from .polynomial import _homogeneous, integer_positive_roots
 
     try:
         family = solve_triangular(problem)
@@ -318,17 +316,36 @@ def _family_zero(
     coeffs = [Fraction(-1)] + [0] * max(d for _, d in family.components)
     for c, d in family.components:
         coeffs[d] += c
-    roots = integer_positive_roots(integer_row(coeffs)[0])
+    a = integer_row(coeffs)[0]
+    roots = integer_positive_roots(a)
     inside = roots and lower < roots[0] and (upper is None or roots[0] < upper)
     if not inside:
         return None
-    z = Fraction(roots[0])
-    point = tuple(c * z**d for c, d in family.components)
-    if not isinstance(roots[0], Fraction):
-        point = tuple(float(v) for v in point)
-        if 0.0 in point:  # a positive weight below the float range
-            raise InvalidProblem("a root lies outside the float range")
-    return ErrorMinResult(point, Fraction(0), 0)
+    z = roots[0]
+    if isinstance(z, Fraction):
+        return ErrorMinResult(tuple(c * z**d for c, d in family.components),
+                              Fraction(0), 0)
+
+    def rounded(x):
+        return tuple(float(c * x**d) for c, d in family.components)
+
+    # z < 1 is correctly rounded, so the zero lies between the midpoints
+    # from z to its neighbours, where a rises through 0. Each component
+    # rises in z and is irrational at the zero: were z**d rational for a
+    # least d > 1, the irreducible x**d - r would divide a, which reduced
+    # modulo it keeps a's positive x term. So the bisection ends, once
+    # both ends round every component alike
+    lo, hi = ((Fraction(z) + Fraction(nextafter(z, w))) / 2 for w in (0, 1))
+    low, high = rounded(lo), rounded(hi)
+    while low != high:
+        mid = (lo + hi) / 2
+        if _homogeneous(a, mid.numerator, mid.denominator) < 0:
+            lo, low = mid, rounded(mid)
+        else:
+            hi, high = mid, rounded(mid)
+    if 0.0 in low:  # a positive weight below the float range
+        raise InvalidProblem("a root lies outside the float range")
+    return ErrorMinResult(low, Fraction(0), 0)
 
 
 def _grid_minimize(

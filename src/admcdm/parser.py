@@ -229,7 +229,8 @@ def parse_problem(text: str) -> Problem:
     criteria = None
     crit_names = None
     prefs = []
-    binds = {}        # 0-based pref -> (0-based target, multiplier, lineno, body)
+    # 0-based pref -> (0-based target, multiplier, lineno, body, its token)
+    binds = {}
     core_decl = None  # ({value: token}, lineno, body)
     lines = text.splitlines()
     last = 1
@@ -270,7 +271,7 @@ def parse_problem(text: str) -> Problem:
                 _end(toks, k + 1)
                 if i - 1 in binds:
                     raise _Error(f"parameter a{i} is already bound", 2)
-                binds[i - 1] = (j - 1, value, lineno, body)
+                binds[i - 1] = (j - 1, value, lineno, body, k)
             elif head == "core":
                 if core_decl is not None:
                     raise _Error("duplicate core declaration", 0)
@@ -318,22 +319,22 @@ def parse_problem(text: str) -> Problem:
     else:
         core = default_core(prefs, n)
     core_set = set(core)
-    for i, (j, _value, lineno, body) in binds.items():
-        for p in (i, j):
+    for i, (j, _value, lineno, body, k) in binds.items():
+        for p, tok in ((i, 2), (j, k)):
             if not 0 <= p < m:
                 message = f"preference a{p + 1} does not exist"
             elif p not in core_set:
                 message = f"bound preference a{p + 1} is outside the core"
             else:
                 continue
-            raise ParseError(message, lineno, _columns(body, lineno)[2])
+            raise ParseError(message, lineno, _columns(body, lineno)[tok])
     multipliers = {}  # bound preference -> its resolved multiplier
 
     def resolve(p, trail):
         if p not in binds:
             return 1
         if p not in multipliers:
-            j, value, lineno, body = binds[p]
+            j, value, lineno, body, _ = binds[p]
             if p in trail:
                 raise ParseError("circular parameter binding", lineno,
                                  _columns(body, lineno)[2])

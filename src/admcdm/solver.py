@@ -1,35 +1,34 @@
-"""The discounting pipeline: parameterize the system, solve the parametric
-determinant equation, pick the discount, and produce the priority vector.
+"""The discounting pipeline in one pass: a positive root alpha of the core
+determinant, the core's null vector at alpha, and from that vector the
+parameter of each statement outside the core and the priority vector.
 
 Each statement's integer form (model's form) gives the row (s, L, B) that
 at alpha = p / q is q * L * e_s - p * B (model.statement_rows); every exact
-stage runs on these ints. The core determinant f, an integer polynomial
-in alpha, comes first when every multiplier is 1 and the core has n rows:
-those rows at alpha = 1 are the statements as written, so f(1) != 0 means
-inconsistent statements. When f(1) = 0 the core rows alone are
-eliminated at 1; a null line v there decides the set by one dot product
-per other row. If every one vanishes on v, the set is consistent:
-discount 1 and the vector v. If not, the root 1 is chosen and v fixes the
-other parameters. A null plane at 1 with other rows has the rows as
-written eliminated too; if only 0 solves them, the root 1 is chosen and
-the plane leaves the other parameters unfixed (InconsistentExtraParams).
-In every other case the rows as written are eliminated
-once (classification._exact_test, which classify() shares). An
-inconsistent set has a positive root of f fix the parameter, and the
-core's null vector v there gives the priority vector. A preference
-outside the core gets its own parameter beta = L * v_s / (B . v), at
-which every auxiliary determinant its row forms with core rows vanishes.
-The consistency degree is min(alpha, 1/alpha). Fractions are built only
-for reported values: alpha, the betas and the vector. The integer
-coefficients of f go to root isolation as they are; f as a Fraction Poly
-is built only for parametric_equation and for the NoPositiveRoot
-message. An irrational alpha is a float, and so are the core rows at it.
+stage runs on these ints. The statements as written are tested first
+(classification._exact_test, which classify() shares): a consistent set
+has discount 1 and the vector that test found. Otherwise the core
+determinant f, an integer polynomial in alpha, is the test's when it
+computed one, and the positive root of f closest to 1 in log scale is
+the discount. The core's null vector v at alpha is taken once: it is the
+test's own elimination of the core at 1 when f(1) = 0 (1 is then the
+root chosen), else an elimination of the core rows at alpha. A
+preference outside the core gets its own parameter
+beta = L * v_s / (B . v), at which every auxiliary determinant its row
+forms with core rows vanishes; the extra rows then hold, so v is the
+whole system's vector. Without a null line at alpha the extra parameters
+stay unfixed (InconsistentExtraParams). The consistency degree is
+min(alpha, 1/alpha). Fractions are built only for reported values:
+alpha, the betas and the vector. The integer coefficients of f go to
+root isolation as they are; f as a Fraction Poly is built only for
+parametric_equation and for the NoPositiveRoot message. An irrational
+alpha is a float, and so are the core rows at it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .classification import _classify_solved, _core_det, _exact_test
 from .errors import (
@@ -55,7 +54,7 @@ from .model import (
     statement_rows,
 )
 from .polynomial import Poly, integer_positive_roots, poly
-from .scalars import PriorityVector, Record, Scalar, integer_row, normalize
+from .scalars import PriorityVector, Record, Scalar, normalize
 
 
 class ParamSystem(Record):
@@ -119,15 +118,15 @@ _DEGENERATE = ("core determinant vanishes identically; every parameter "
                "exists")
 
 
-def _equation(ps: ParamSystem, det=None):
-    """The core determinant (scale, c), the sum of c[k] * alpha**k / scale:
-    det, or else _core_det. Its roots are those of the integers c, so
-    the Fraction Poly is built only for a message."""
-    _core(ps)
-    scale, cs = det or _core_det(ps.rows, ps.binding.core_mask)
+def _equation(ps: ParamSystem, det=None) -> list:
+    """The core determinant's integer coefficients c, constant first: det,
+    or else _core_det's. The determinant is the sum of c[k] * alpha**k over
+    the product of the core rows' scales, so its roots are those of c."""
+    core = _core(ps)
+    cs = _core_det(ps.rows, core) if det is None else det
     if not cs:
         raise DegenerateCore(_DEGENERATE)
-    return scale, cs
+    return cs
 
 
 def parametric_equation(ps: ParamSystem) -> Poly:
@@ -140,12 +139,9 @@ def parametric_equation(ps: ParamSystem) -> Poly:
 
 
 def _choose_root(roots):
-    best = None
-    for r in roots:
-        c = _consistency_of(r)
-        if best is None or c > best[0] or (c == best[0] and r < best[1]):
-            best = (c, r)
-    return best[1]
+    """The root closest to 1 in log scale; the roots ascend, so of two
+    equally close max keeps the smaller."""
+    return max(roots, key=_consistency_of)
 
 
 def _core_vector(ps: ParamSystem, alpha):
@@ -162,20 +158,14 @@ def _core_vector(ps: ParamSystem, alpha):
     return null_vector([row_at(r, p, q) for r in rows])
 
 
-def _solve_extras(ps: ParamSystem, alpha, line=None):
-    """Each extra preference's own parameter beta, and the core's null
-    vector v at alpha it was read from (None without extra preferences):
-    line, the (v, free) _exact_test found at alpha = 1, or else computed;
-    InconsistentExtraParams unless the core has one free variable."""
+def _solve_extras(ps: ParamSystem, alpha, v, free) -> tuple:
+    """Each extra preference's own parameter beta, read off the core's null
+    vector v at alpha and its count of free variables free (v None and
+    free 0 when the core keeps every pivot); InconsistentExtraParams
+    unless free is 1."""
     core = set(ps.binding.core_mask)
     extras = [i for i in range(len(ps.rows)) if i not in core]
-    if not extras:
-        return (), None
-    try:
-        v, free = line or _core_vector(ps, alpha)
-    except FullRank:
-        free = 0
-    if free != 1:
+    if extras and free != 1:
         raise InconsistentExtraParams(
             "the core needs exactly one null vector at the chosen parameter "
             "to fix the parameters of the remaining preferences")
@@ -195,7 +185,7 @@ def _solve_extras(ps: ParamSystem, alpha, line=None):
                 f"auxiliary determinant for preference {pos + 1} "
                 "admits no positive parameter")
         out.append((pos, beta))
-    return tuple(out), v
+    return tuple(out)
 
 
 def _check_threshold(threshold_c):
@@ -203,18 +193,23 @@ def _check_threshold(threshold_c):
         raise InvalidProblem("threshold_c must lie in [0, 1]")
 
 
-def _solve(ps: ParamSystem, threshold_c, equation, line=None):
-    """solve_alpha's result from the core's equation (scale, c), and the
-    core's null vector at alpha when the extra preferences needed it (else
-    None); line is _solve_extras', for a root alpha = 1."""
-    scale, cs = equation
+def _solve(ps: ParamSystem, threshold_c, cs: list, line=None):
+    """solve_alpha's result from _equation's coefficients cs, and the
+    core's null vector v at alpha (None when the core keeps every pivot
+    there); line, _exact_test's (v, free) at alpha = 1, is given only when
+    1 is a root, and so the root chosen."""
     roots = tuple(integer_positive_roots(cs))
     if not roots:
-        equation = poly(Fraction(c, scale) for c in cs)
+        scale = prod(ps.rows[i][1] for i in ps.binding.core_mask)
         raise NoPositiveRoot(
-            f"parametric equation {equation} has no positive root")
+            f"parametric equation {poly(Fraction(c, scale) for c in cs)} "
+            "has no positive root")
     alpha = _choose_root(roots)
-    extras, v = _solve_extras(ps, alpha, line)
+    try:
+        v, free = line or _core_vector(ps, alpha)
+    except FullRank:  # only a float alpha misses the exact zero
+        v, free = None, 0
+    extras = _solve_extras(ps, alpha, v, free)
     c = _consistency_of(alpha)
     # positional: a keyword construction costs a Record about 2 us more
     return AlphaSolution(
@@ -226,8 +221,10 @@ def solve_alpha(ps: ParamSystem, threshold_c: Scalar = 0) -> AlphaSolution:
     threshold_c, which must lie in [0, 1] (the default 0 discharges
     none)."""
     _check_threshold(threshold_c)
-    cs, scale = integer_row(parametric_equation(ps).coeffs)
-    return _solve(ps, threshold_c, (scale, cs))[0]
+    # times the core rows' scales, the equation has _equation's integers
+    scale = prod(ps.rows[i][1] for i in _core(ps))
+    cs = [int(c * scale) for c in parametric_equation(ps).coeffs]
+    return _solve(ps, threshold_c, cs)[0]
 
 
 def priority(problem: Problem, threshold_c: Scalar = 0):
@@ -235,13 +232,13 @@ def priority(problem: Problem, threshold_c: Scalar = 0):
     The solution is discharged when its consistency falls below
     threshold_c, which must lie in [0, 1]; a consistent set never is.
 
-    The consistency test is _exact_test's: core first, and the core's
-    determinant f, when computed, is kept for the parametric solve. When
-    f(1) = 0 and the set is inconsistent, that root 1 is chosen and the
-    core's elimination at 1 is reused: a null line fixes the extra
-    parameters, and a null plane raises InconsistentExtraParams, without
-    a second elimination. An irrational alpha whose float elimination of
-    the core keeps every pivot raises InvalidProblem."""
+    One pass: _exact_test tests the statements as written and keeps the
+    core determinant f when it computes one. An inconsistent set takes
+    its discount alpha from the roots of f, and the core's null vector at
+    alpha, taken once, fixes the extra parameters and is the priority
+    vector; at alpha = 1 it is the test's own elimination of the core. An
+    irrational alpha whose float elimination of the core keeps every
+    pivot raises InvalidProblem."""
     _check_threshold(threshold_c)
     rows = statement_rows(problem)
     v, det, line = _exact_test(problem, rows)
@@ -249,17 +246,12 @@ def priority(problem: Problem, threshold_c: Scalar = 0):
     if consistent:
         solution = _CONSISTENT
     else:
-        # the extra rows hold at their parameters, so the core's null
-        # space is the whole system's
         ps = ParamSystem(rows, problem.binding)
         solution, v = _solve(ps, threshold_c, _equation(ps, det), line)
-        if v is None:  # no extra preference eliminated the core yet
-            try:
-                v, _ = _core_vector(ps, solution.alpha)
-            except FullRank:  # only a float alpha misses the exact zero
-                raise InvalidProblem(
-                    "the float elimination of the core at the irrational "
-                    "root alpha keeps every pivot: no null vector") from None
+        if v is None:
+            raise InvalidProblem(
+                "the float elimination of the core at the irrational "
+                "root alpha keeps every pivot: no null vector")
     pv = normalize(positive(v))
     # a consistent set got here only with its positive vector
     report = _classify_solved(problem, solved=consistent)

@@ -35,6 +35,7 @@ from admcdm.model import (
     InequalityPreference,
     LinearPreference,
     MonomialPreference,
+    ParamBinding,
     Problem,
     Relation,
     make_cyclic_example,
@@ -177,6 +178,28 @@ class TestInvariance:
                 rng.shuffle(prefs)
                 twin = Problem(pr.criteria, tuple(prefs))
                 assert classify(twin).label is classify(pr).label, name
+
+    def test_multipliers_leave_the_report_alone(self):
+        """classify reads the statements as written, which bind
+        multipliers only rescale: seeded random multipliers on the core
+        give the same report, witnesses included."""
+        rng = random.Random(0xB1D)
+        problems = [load(name) for name in ("ex1.admp", "ex2.admp",
+                                            "ex9.admp", "ex10.admp",
+                                            "ex11.admp", "ex14.admp")]
+        problems += [pairwise(n, seed, False) for n in (3, 5)
+                     for seed in range(2)]
+        for pr in problems:
+            expected = classify(pr)
+            core = pr.binding.core_mask
+            for _ in range(4):
+                mults = tuple(
+                    Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    if i in core else 1 for i in range(len(pr.preferences)))
+                twin = Problem(pr.criteria, pr.preferences,
+                               ParamBinding(mults, core))
+                assert classify(twin) == expected
+                assert classify(twin).witnesses == expected.witnesses
 
 
 class TestCyclicFamily:

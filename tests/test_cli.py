@@ -160,6 +160,20 @@ class TestClassify:
         assert doc["alpha"] is None
         assert doc["priority"] is None
 
+    def test_multipliers_leave_the_classification_alone(self, capsys):
+        # ex9_expert is ex9 with bind: lines, which only rescale statements
+        blocks = [run_json(capsys, "classify", "--json", EX[name])
+                  ["classification"] for name in ("ex9", "ex9_expert")]
+        assert blocks[0] == blocks[1]
+
+    @pytest.mark.parametrize("principle", ["fairness", "expert"])
+    def test_principle_is_a_usage_error(self, capsys, principle):
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", "--principle", principle, EX["ex9_expert"]])
+        _, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --principle" in err
+
     def test_capped_search_names_the_relation_cap(self, capsys, tmp_path):
         # a full 12-criteria set that fires no SD4 builds 11 * 2**10
         # states from each start, past the cap: its WD1 label is

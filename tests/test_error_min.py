@@ -282,13 +282,38 @@ class TestFamilyZero:
             f = Fraction(x)
             return sympy.Rational(f.numerator, f.denominator)
 
-        # the root lies within half an ulp of z on either side
+        # the family [10z^2, 5z, z] at the exact root: each weight lies
+        # within half an ulp of its float on either side
         root = (sympy.sqrt(19) - 3) / 10
-        assert (rational(nextafter(z, 0)) + rational(z)) / 2 < root
-        assert root < (rational(z) + rational(nextafter(z, 1))) / 2
-        # the family [10z^2, 5z, z], each component rounded once
-        exact_z = Fraction(z)
-        assert res.argmin == (float(10 * exact_z**2), float(5 * exact_z), z)
+        exact = (10 * root**2, 5 * root, root)
+        for w, x in zip(res.argmin, exact):
+            assert (rational(nextafter(w, 0)) + rational(w)) / 2 < x
+            assert x < (rational(w) + rational(nextafter(w, 1))) / 2
+        assert res.argmin[0] == 0.18466063387559586
+
+    def test_seeded_family_zeros_are_correctly_rounded(self):
+        """x = (a/c) y z and y = (b/d) z, a..d in 1..9: the zero of
+        (ab/cd) z^2 + (b/d + 1) z - 1 and each weight at 50 digits,
+        rounded by float(), on 300 seeded sets."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(0)
+        irrational = 0
+        for _ in range(300):
+            a, b, c, d = (rng.randint(1, 9) for _ in range(4))
+            res = minimize_error(parse_problem(
+                f"criteria: x y z\npref: x = {a}/{c} y * z\n"
+                f"pref: y = {b}/{d} z\n"))
+            assert res.value == 0
+            if isinstance(res.argmin[2], Fraction):
+                continue
+            irrational += 1
+            with mpmath.workdps(50):
+                p, q = mpmath.mpf(a * b) / (c * d), mpmath.mpf(b) / d + 1
+                z = 2 / (q + mpmath.sqrt(q * q + 4 * p))
+                exact = (float(p * z * z), float(mpmath.mpf(b) / d * z),
+                         float(z))
+            assert res.argmin == exact, (a, b, c, d)
+        assert irrational == 283
 
     def test_a_rational_root_gives_an_exact_point(self):
         # x = 8 z^2, y = z: 8 z^2 + 2 z = 1 at z = 1/4

@@ -148,6 +148,22 @@ class TestBindsAndCore:
         )
         assert "outside the core" in e.message
 
+    @pytest.mark.parametrize("multiplier, column", [("2", 14), ("1/2", 16)])
+    @pytest.mark.parametrize("bind, message", [
+        ("a1 = {} a3", "bound preference a3 is outside the core"),
+        ("a2 = {} a5", "preference a5 does not exist"),
+    ], ids=["outside", "missing"])
+    def test_bind_target_error_points_at_the_target(
+            self, bind, message, multiplier, column):
+        e = err(
+            "criteria: C1 C2",
+            "pref: C1 = 2 C2",
+            "pref: C2 = 3 C1",
+            "pref: C1 = 5 C2",
+            "bind: " + bind.format(multiplier),
+        )
+        assert (e.message, e.line, e.column) == (message, 5, column)
+
     def test_bind_rebinding_rejected(self):
         e = err(
             "criteria: C1 C2",
@@ -166,6 +182,18 @@ class TestBindsAndCore:
             "core: 1 2",
         )
         assert "inequality" in e.message
+
+    @pytest.mark.parametrize("core, message, column", [
+        ("core: 1 2\ncore: 1 2", "duplicate core declaration", 1),
+        ("core: 1.5", "preference numbers must be integers", 7),
+        ("core: 0", "preference numbers start at 1", 7),
+        ("core: 1 1", "preference 1 listed twice", 9),
+        ("core:", "expected at least one preference number", 5),
+    ], ids=["duplicate", "decimal", "zero", "twice", "empty"])
+    def test_core_line_refusals(self, core, message, column):
+        e = err("criteria: x y", "pref: x = 2 y", "pref: y = 1/2 x", core)
+        line = 4 + core.count("\n")
+        assert (e.message, e.line, e.column) == (message, line, column)
 
     def test_core_number_out_of_range(self):
         e = err("criteria: x y", "pref: x = 2 y", "core: 1 5")

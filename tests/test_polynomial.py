@@ -418,7 +418,7 @@ class TestCheckedFloat:
         guesses = []
         for problem in problems:
             try:
-                _, cs = solver._equation(solver.parameterize(problem))
+                cs = solver._equation(solver.parameterize(problem))
             except EngineError:
                 continue
             guesses += _assert_refined_as_bisected(poly(cs))

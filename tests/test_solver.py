@@ -16,6 +16,7 @@ from admcdm.classification import _exact_test
 from admcdm.errors import (
     DegenerateCore,
     EngineError,
+    FullRank,
     InconsistentExtraParams,
     InvalidProblem,
     NoPositiveRoot,
@@ -37,6 +38,7 @@ from admcdm.parser import parse_problem
 from admcdm.polynomial import peval, positive_roots
 from admcdm.solver import (
     _choose_root,
+    _core_vector,
     _solve_extras,
     discount_report,
     parameterize,
@@ -247,8 +249,10 @@ class TestFailureModes:
         the solved parameter; evaluating the core anywhere else makes them
         clash, which the guard reports rather than averaging away."""
         ps = parameterize(load("ex10.admp"))
+        with pytest.raises(FullRank):
+            _core_vector(ps, Fraction(1, 2))
         with pytest.raises(InconsistentExtraParams):
-            _solve_extras(ps, Fraction(1, 2))
+            _solve_extras(ps, Fraction(1, 2), None, 0)
 
     def test_extras_with_all_minors_vanishing(self):
         pr = parse_problem(
@@ -998,8 +1002,9 @@ class TestConsistencyFromTheCore:
                 assert (sol.alpha == 1 and not sol.extra_params) == consistent
                 if path == "line, missed":
                     assert sol.alpha == 1
+                    ps = parameterize(pr)
                     assert sol.extra_params == _solve_extras(
-                        parameterize(pr), Fraction(1))[0]
+                        ps, Fraction(1), *_core_vector(ps, Fraction(1)))
         paths = {path for _, path in seen}
         assert paths >= {"line, held", "line, missed", "f = 0, held",
                          "f = 0, missed"}, seen
