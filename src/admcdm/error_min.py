@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, nextafter
+from math import comb, ulp
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -164,9 +164,9 @@ def minimize_error(
     vertex has a zero weight. ``value`` is ``eval_error(problem, argmin)``
     and ``evaluations`` the number of pivots.
 
-    With a product statement: a triangular set whose family root lies
-    strictly inside the range the inequalities admit gets value exactly
-    0 at the family point of that root, with no evaluation. Any other set
+    With a product statement: a triangular set whose family point (exact,
+    or correctly rounded floats at an irrational root) meets every
+    inequality exactly gets value 0 there, with no evaluation. Any other set
     gets the first least grid point (lexicographic order) among the
     interior barycentric grid points that meet every inequality; the
     value there is exact and ``evaluations`` counts those points.
@@ -294,58 +294,53 @@ def _family_zero(
     problem: Problem, inequalities: list[InequalityPreference]
 ) -> ErrorMinResult | None:
     """The exact zero of a triangular set, or None when the set is not
-    triangular or its root lies outside the admitted range.
+    triangular or its point breaks an inequality.
 
     The family x_k = c_k * z^{d_k} meets the simplex where
     sum(c_k * z^{d_k}) = 1; every c_k > 0 and the free variable has
-    d = 1, so the sum rises strictly on z > 0 and has at most one root
-    there. At an irrational root each component is the correctly rounded
-    float of its exact value there. A component that rounds to 0.0 is
-    refused, as polynomial._refine refuses a root.
+    d = 1, so the sum rises strictly on z > 0 and has one root there. At
+    an irrational root each component is the correctly rounded float of
+    its exact value there; one that rounds to 0.0 is refused. Rounding is
+    monotone, so a float point that meets x_a < x_b has exact components
+    that do, and where the floats tie the point counts as outside.
     """
     from .nonlinear import _domain, solve_triangular
-    from .polynomial import _homogeneous, integer_positive_roots
+    from .polynomial import _round, integer_positive_roots
 
     try:
         family = solve_triangular(problem)
     except (NotTriangular, MultipleFreeVars, OverDetermined):
         return None
-    lower, upper = _domain([(Fraction(c), d) for c, d in family.components],
-                           inequalities)
-    lower, upper = lower[0], upper and upper[0]
-    coeffs = [Fraction(-1)] + [0] * max(d for _, d in family.components)
-    for c, d in family.components:
+    components = family.components
+    _domain(components, inequalities)  # raises EmptyDomain
+    coeffs = [Fraction(-1)] + [0] * max(d for _, d in components)
+    for c, d in components:
         coeffs[d] += c
     a = integer_row(coeffs)[0]
-    roots = integer_positive_roots(a)
-    inside = roots and lower < roots[0] and (upper is None or roots[0] < upper)
-    if not inside:
+    (z,) = integer_positive_roots(a)
+    if isinstance(z, float):
+        # z < 1: its float neighbours, within 1 / q = ulp(z), bracket the
+        # zero, where each component is irrational (were z**d rational for
+        # a least d > 1, the irreducible x**d - r would divide a, which
+        # reduced modulo it keeps a's positive x term), so _round ends
+        q = Fraction(ulp(z)).denominator
+        n = int(Fraction(z) * q)
+        point = _round(a, n - 1, n + 1, q, 1, lambda k, den: tuple(
+            c.numerator * k**d / (c.denominator * den**d)
+            for c, d in components))
+    else:
+        point = tuple(c * z**d for c, d in components)
+    if any(point[i] >= point[j] for i, j in _ordered(inequalities)):
         return None
-    z = roots[0]
-    if isinstance(z, Fraction):
-        return ErrorMinResult(tuple(c * z**d for c, d in family.components),
-                              Fraction(0), 0)
-
-    def rounded(x):
-        return tuple(float(c * x**d) for c, d in family.components)
-
-    # z < 1 is correctly rounded, so the zero lies between the midpoints
-    # from z to its neighbours, where a rises through 0. Each component
-    # rises in z and is irrational at the zero: were z**d rational for a
-    # least d > 1, the irreducible x**d - r would divide a, which reduced
-    # modulo it keeps a's positive x term. So the bisection ends, once
-    # both ends round every component alike
-    lo, hi = ((Fraction(z) + Fraction(nextafter(z, w))) / 2 for w in (0, 1))
-    low, high = rounded(lo), rounded(hi)
-    while low != high:
-        mid = (lo + hi) / 2
-        if _homogeneous(a, mid.numerator, mid.denominator) < 0:
-            lo, low = mid, rounded(mid)
-        else:
-            hi, high = mid, rounded(mid)
-    if 0.0 in low:  # a positive weight below the float range
+    if 0.0 in point:  # a positive weight below the float range
         raise InvalidProblem("a root lies outside the float range")
-    return ErrorMinResult(low, Fraction(0), 0)
+    return ErrorMinResult(point, Fraction(0), 0)
+
+
+def _ordered(inequalities: list[InequalityPreference]) -> list:
+    """Each inequality as the pair (i, j) that states x_i < x_j."""
+    return [(p.lhs, p.rhs) if p.relation is Relation.STRICT_LESS
+            else (p.rhs, p.lhs) for p in inequalities]
 
 
 def _grid_minimize(
@@ -377,11 +372,7 @@ def _grid_minimize(
             for weight, exponents in terms))
         for subject, scale, terms in statements
     ]
-    less = [
-        (p.lhs, p.rhs) if p.relation is Relation.STRICT_LESS
-        else (p.rhs, p.lhs)
-        for p in inequalities
-    ]
+    less = _ordered(inequalities)
     best: tuple[int, ...] = ()
     best_total = -1
     count = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -186,8 +187,8 @@ def _crossing(coef_a: Fraction, power_a: int, coef_b: Fraction, power_b: int):
     """The z > 0 where c_a z^{d_a} = c_b z^{d_b}, if the powers differ, as
     (z, r, d): z = r^(1/d) for the rational r > 0 and the integer d > 0,
     the positive root of the integer polynomial q z^d - p (r = p / q) from
-    integer_positive_roots, an exact Fraction when rational, else the
-    correctly rounded float (InvalidProblem when it has none)."""
+    integer_positive_roots, the correctly rounded float (InvalidProblem
+    when it has none), or an exact Fraction z, given as (z, z, 1)."""
     if power_a == power_b:
         return None
     if power_a < power_b:
@@ -197,20 +198,27 @@ def _crossing(coef_a: Fraction, power_a: int, coef_b: Fraction, power_b: int):
         return r, r, d
     from .polynomial import integer_positive_roots
 
-    ints = [-r.numerator] + [0] * (d - 1) + [r.denominator]
-    return integer_positive_roots(ints)[0], r, d
+    (z,) = integer_positive_roots([-r.numerator] + [0] * (d - 1)
+                                  + [r.denominator])
+    return (z, r, d) if isinstance(z, float) else (z, z, 1)
 
 
 def _compare(u, v) -> int:
     """The sign of z_u - z_v for two crossings (z, r, d): from their
-    floats when these differ, since correct rounding is monotone, and
-    otherwise read exactly from z_u^(d_u d_v) = r_u^d_v."""
-    try:
-        a, b = float(u[0]), float(v[0])
-    except OverflowError:  # a rational crossing past the float range
-        a = b = 0.0
+    floats when these differ, since correct rounding is monotone (inf
+    standing for a rational crossing past the float range, which every
+    irrational crossing lies below), and otherwise read exactly from
+    z_u^(d_u d_v / g) = r_u^(d_v / g), g the gcd of d_u and d_v."""
+    floats = []
+    for z, _, _ in (u, v):
+        try:
+            floats.append(float(z))
+        except OverflowError:
+            floats.append(float("inf"))
+    a, b = floats
     if a == b:
-        a, b = u[1] ** v[2], v[1] ** u[2]
+        g = gcd(u[2], v[2])
+        a, b = u[1] ** (v[2] // g), v[1] ** (u[2] // g)
     return (a > b) - (a < b)
 
 

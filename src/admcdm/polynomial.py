@@ -8,34 +8,26 @@ its binary value), strips the factor alpha**k and clears the rest to a
 primitive integer polynomial; integer coefficients enter directly
 through integer_positive_roots. By Descartes' rule of signs, without a
 sign change there is no positive root, and with one there is exactly one,
-a simple root below the root bound 2**e, refined with no split and no
+a simple root below the root bound 2**e, found with no split and no
 isolation. Any other polynomial is split into its square-free factors f_k
 of multiplicity k (Yun's algorithm, each gcd a primitive pseudo-remainder
-sequence over the integers), and each root of f_k is reported k times. A
-polynomial p is its own single factor when gcd(p, p') is constant modulo
-the prime 2**61 - 1, one Euclid gcd over that field, which skips Yun's
-first integer gcd. Positive roots are isolated by Descartes' rule of
-signs and bisection with integer Taylor shifts (Vincent-Collins-Akritas);
-a root met at a bisection point is dyadic and reported exactly.
+sequence over the integers, skipped when gcd(p, p') is constant modulo the
+prime 2**61 - 1), and each root of f_k is reported k times.
 
-A binomial den * x**d - num (a linear polynomial among them), num and
-den coprime, has a rational root exactly when both are perfect d-th
-powers, which integer d-th roots decide. Any other root is refined in its isolating
-interval: a float guess (exp and log for a binomial, Newton's method in
-floats otherwise) is confirmed when the exact signs of the integer
-polynomial, over its nonzero terms alone, at the midpoints between it and
-its float neighbours bracket the root: every point of that bracket
-rounds to the guess. Without a confirmed guess, the interval is bisected
-further at dyadic points, each sign read exactly, until both ends round
-to the same float: that float is the correctly rounded root (Rouillier &
-Zimmermann, Efficient isolation of polynomial's real roots, 2004). Every
-rational root is y / lead, lead the leading coefficient; where one is
-still possible, the interval is first narrowed to hold at most one such
-point, and one exact evaluation there decides it. None is possible for
-a binomial that is not a perfect power, nor for a polynomial without a
-root modulo a small prime not dividing lead, which is tested only when
-the narrowing would take bisection steps. Rational roots such as 5/12
-or 1/729 thus flow through the rest of the pipeline exactly.
+Whether a root is rational is decided once, before any refinement. A
+binomial den * x**d - num, num and den coprime, has a rational root
+exactly when both are perfect d-th powers (integer d-th roots). Any other
+polynomial's rational roots come from roots modulo a prime, lifted by
+Hensel's lemma and read off lead * root; they are exact, and divided
+out before Descartes' rule of signs and bisection with integer Taylor
+shifts (Vincent-Collins-Akritas) isolate the rest. Each other root is
+irrational and reported as its nearest float: a guess (exp and log for
+a binomial, Newton's method in floats otherwise) is confirmed when the
+exact signs of the integer polynomial, over its nonzero terms alone, at
+the midpoints between it and its float neighbours bracket the root;
+without one, the interval is split, each sign read exactly, until both
+ends round to the same float (Rouillier & Zimmermann, Efficient
+isolation of polynomial's real roots, 2004).
 
 The root alpha = 0 is never reported; every positive root is. An
 irrational root too small or too large for a float raises InvalidProblem.
@@ -44,8 +36,9 @@ irrational root too small or too large for a float raises InvalidProblem.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import exp, gcd, ldexp, log, nextafter
-from operator import ne
+from itertools import count
+from math import exp, gcd, isqrt, ldexp, log, nextafter
+from operator import ne, truediv
 from sys import float_info
 
 from .errors import InvalidProblem, ZeroPolynomial
@@ -229,32 +222,32 @@ def _descartes_unit(b: list) -> int:
 
 
 def _root_bound_exponent(a: list) -> int:
-    """e with every complex root of a below 2**e in modulus.
+    """e with every complex root of a below 2**e in modulus (1 for a
+    constant, which has none).
 
     Fujiwara's bound 2 * max |a_i / a_d|**(1/(d-i)), with each ratio rounded
     up to a power of two from the bit lengths of the coefficients.
     """
     d = len(a) - 1
     lead = a[-1].bit_length()
-    return 1 + max(-((lead - 1 - c.bit_length()) // (d - i))
-                   for i, c in enumerate(a[:-1]) if c)
+    return 1 + max((-((lead - 1 - c.bit_length()) // (d - i))
+                    for i, c in enumerate(a[:-1]) if c), default=0)
 
 
-def _isolate(a: list):
-    """Positive roots of the square-free integer polynomial a (a(0) != 0):
-    the dyadic ones met at a bisection point, exactly, and an open
-    interval (lo / q, hi / q) around each of the others, none holding two
-    roots, as the integers (lo, hi, q) with q a power of two.
+def _isolate(a: list) -> list:
+    """Open intervals (lo / q, hi / q) around the positive roots of the
+    square-free integer polynomial a, one root each, as the integers
+    (lo, hi, q) with q a power of two; a(0) != 0, and a has no positive
+    rational root (integer_positive_roots divides those out first).
 
     Every positive root lies in (0, 2**e). A node is the part
     2**e * (c, c + 1) / 2**k of that range, carried by an integer
     polynomial b whose roots in (0, 1) are a's roots in the node, mapped
     linearly. Descartes' rule of signs bounds their number, with the right
     parity: 0 drops the node, 1 isolates one root, more splits the node
-    into the halves 2**deg * b(x/2) and its shift by 1. A root at the
-    midpoint makes the shifted half vanish at 0; it is reported exactly
-    and divided out of both halves, so no node polynomial vanishes at an
-    end of its interval.
+    into the halves 2**deg * b(x/2) and its shift by 1. No root is
+    rational, so none lies at a midpoint, and no node polynomial vanishes
+    at an end of its interval.
 
     The bisection ends because a is square-free, so its roots, complex
     ones included, are distinct. The count is 0 when no root lies in the
@@ -271,8 +264,7 @@ def _isolate(a: list):
         top = [c << (e * i) for i, c in enumerate(a)]
     else:
         top = [c << (-e * (d - i)) for i, c in enumerate(a)]
-    scale = Fraction(2) ** e
-    exact, intervals = [], []
+    intervals = []
     stack = [(0, 0, top)]
     while stack:
         c, k, b = stack.pop()
@@ -286,15 +278,9 @@ def _isolate(a: list):
             continue
         m = len(b) - 1
         left = [x << (m - i) for i, x in enumerate(b)]
-        right = _taylor_shift(left)
-        c, k = 2 * c, k + 1
-        if right[0] == 0:
-            exact.append(scale * Fraction(c + 1, 1 << k))
-            right = right[1:]
-            left = _divmod(left, [-1, 1])[0]  # divided by x - 1
-        stack.append((c, k, left))
-        stack.append((c + 1, k, right))
-    return exact, intervals
+        stack.append((2 * c, k + 1, left))
+        stack.append((2 * c + 1, k + 1, _taylor_shift(left)))
+    return intervals
 
 
 _NEWTON_STEPS = 32
@@ -353,63 +339,75 @@ def _binomial_guess(num: int, den: int, d: int):
         return None
 
 
-def _no_rational_root(a: list) -> bool:
-    """True when a has no root modulo a small prime p not dividing lead(a),
-    which proves that it has no rational root y / l: l divides lead(a), so
-    y / l would be a root modulo p. On that field x**i is
-    x**((i - 1) % (p - 1) + 1) for i >= 1."""
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if a[-1] % p:
-            r = [0] * p
-            for i, c in enumerate(a):
-                if c:
-                    r[i and (i - 1) % (p - 1) + 1] += c
-            if all(_homogeneous(r, x, 1) % p for x in range(p)):
-                return True
-    return False
+def _value_mod(a: list, x: int, m: int) -> int:
+    """a(x) modulo m: Horner's rule over the nonzero coefficients, a run
+    of zeros costing one modular power."""
+    acc, k = 0, 0
+    for c in reversed(a):
+        if c:
+            acc, k = (acc * (x if k == 1 else pow(x, k, m)) + c) % m, 0
+        k += 1
+    return acc * pow(x, k - 1, m) % m
 
 
-def _refine(a: list, lo: int, hi: int, q: int):
-    """The one root of the integer polynomial a in the open interval
-    (lo / q, hi / q), q a power of two, a simple root: an exact Fraction
-    when it is rational, else the float nearest to it.
+def _rational_roots(a: list) -> list:
+    """The positive rational roots y / l of the integer polynomial a,
+    deg a >= 1, a(0) != 0, lead(a) > 0, ascending. y divides a(0) and l
+    lead(a), so each is a nonzero root modulo every prime p dividing
+    neither: a prime without a root proves there is none. At the first
+    prime whose roots are all simple, each lifts uniquely (Hensel) to r
+    modulo m = p**(2**k) > 2 |a(0)| lead(a), by Newton steps that square
+    the modulus; were r the root y / l, lead(a) * r would be the integer
+    lead(a) * y / l, of absolute value below m / 2, modulo m, which reads
+    it off (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    Only a non-square-free a shows a repeated root modulo prime after
+    prime; after eight such primes, Yun's algorithm splits it."""
+    bound, lead, da, repeated = abs(a[0]), a[-1], _derivative(a), 0
+    for p in count(2):
+        if (bound * lead % p == 0
+                or not all(p % k for k in range(2, isqrt(p) + 1))):
+            continue
+        folded = [0] * min(len(a), p)  # x**i = x**((i - 1) % (p - 1) + 1)
+        for i, c in enumerate(a):
+            folded[i and (i - 1) % (p - 1) + 1] += c
+        values = [0] * p  # a at 0, 1, ..., p - 1
+        for c in reversed(folded):
+            values = [(v * x + c) % p for x, v in enumerate(values)]
+        roots = [x for x, v in enumerate(values) if not v]
+        if not roots:
+            return []
+        if all(_value_mod(da, x, p) for x in roots):
+            break
+        repeated += 1
+        if repeated == 8 and (factors := _square_free_factors(a)) != [(1, a)]:
+            return sorted(r for _, f in factors for r in _rational_roots(f))
+    out = []
+    for r in roots:
+        m = p
+        while m <= 2 * bound * lead:
+            m *= m
+            r -= _value_mod(a, r, m) * pow(_value_mod(da, r, m), -1, m)
+        v = lead * r % m  # lead * y / l, were r the root y / l
+        y = Fraction(v, lead)
+        if 0 < 2 * v < m and a[0] % y.numerator == 0 and not _homogeneous(
+                a, y.numerator, y.denominator):
+            out.append(y)
+    return sorted(out)
 
-    A binomial returns its root |a_0 / a_d| ** (1 / d) at once, as a
-    Fraction, when a_0 and a_d over their gcd are perfect d-th powers
-    (_iroot); otherwise it has no rational root, and its float guess x is
-    _binomial_guess. Any other a takes x from _guess. The guess is checked exactly (Ziv, Fast evaluation of
-    elementary mathematical functions with correctly rounded last bit,
-    1991): the signs of a at the dyadic midpoints between x and its float
-    neighbours narrow the interval, where they lie in it. When they
-    bracket the root, every point of the bracket rounds to x; when they
-    put it past one midpoint, the neighbour there is checked the same way.
-    The interval is then bisected at dyadic points, each midpoint's sign
-    read exactly from the integer q**d * a(mid / q) and steered by the sign
-    s of a between the root and the upper end (of -a' there when that end
-    is itself a root); a midpoint that is the root is returned. Every
-    rational root is y / lead(a) for an integer y, so unless a binomial or
-    _no_rational_root rules them out, once the interval is no wider than
-    1 / lead(a), the one such point in it is tested exactly. An irrational
-    root is then the confirmed float, if any, else it is bisected on until
-    both ends round to the same float (integer division rounds
-    correctly); one past the largest float, or one that rounds to 0.0,
-    has no float and raises InvalidProblem.
-    """
-    d = len(a) - 1
-    if not any(a[1:-1]):  # a binomial: the root is |a_0 / a_d| ** (1 / d)
-        g = gcd(a[0], a[-1])
-        c0, cd = abs(a[0]) // g, abs(a[-1]) // g
-        u = _iroot(c0, d)
-        if u ** d == c0 and (w := _iroot(cd, d)) ** d == cd:
-            return Fraction(u, w)
-        lead, x = 0, _binomial_guess(c0, cd, d)
-    else:
-        lead, x = abs(a[-1]), _guess(a, lo, hi, q)
-    rational = True  # until the rational test is done, at once if lead = 0
-    s = _homogeneous(a, hi, q) or -_homogeneous(_derivative(a), hi, q)
+
+def _refine(a: list, lo: int, hi: int, q: int, x):
+    """The float nearest to the one root of the integer polynomial a in
+    (lo / q, hi / q), q a power of two, a simple irrational root. The
+    float guess x, if any, is checked exactly (Ziv 1991, Fast evaluation
+    of elementary mathematical functions with correctly rounded last bit):
+    when the signs of a at the dyadic midpoints between x and its float
+    neighbours bracket the root, every point between rounds to x; when
+    they put it past one midpoint, that neighbour is checked the same way.
+    Otherwise _round bisects to the float. A root past the largest float,
+    or rounding to 0.0, raises InvalidProblem."""
+    s = _homogeneous(a, hi, q)
     for _ in range(2):  # x, then the neighbour the signs point to
         if not x:  # no guess, or 0.0, which is no positive root
-            x = None
             break
         near = [v.as_integer_ratio() for v in
                 (nextafter(x, 0), x, nextafter(x, float_info.max))]
@@ -420,47 +418,45 @@ def _refine(a: list, lo: int, hi: int, q: int):
         bracket = (xs[0] + xs[1]) >> 1, (xs[1] + xs[2]) >> 1
         for mid in bracket:
             if lo < mid < hi:
-                v = _homogeneous(a, mid, q)
-                if v == 0:
-                    return Fraction(mid, q)
-                if (v > 0) == (s > 0):
+                if (_homogeneous(a, mid, q) > 0) == (s > 0):
                     hi = mid
                 else:
                     lo = mid
         if bracket[0] <= lo and hi <= bracket[1]:
-            break  # the root lies in x's bracket
+            return x  # the root lies in x's bracket
         x = (nextafter(x, float_info.max) if lo >= bracket[1]
              else nextafter(x, 0) if hi <= bracket[0] else None)
-    else:
-        x = None  # the bracket may not hold the root
-    if (hi - lo) * lead > q and _no_rational_root(a):
-        lead = 0  # narrowing would cost bisection steps, and finds nothing
-    while rational or lo / q != hi / q:
-        if rational and (hi - lo) * lead <= q:
-            y = lo * lead // q + 1  # the least y with y / lead > lo / q
-            if lead and y * q < hi * lead and _homogeneous(a, y, lead) == 0:
-                return Fraction(y, lead)
-            if x is not None:
-                return x
-            rational, top = False, q * int(float_info.max)
-            if hi > top:  # bring hi / q into the float range
-                if lo >= top or (_homogeneous(a, top, q) > 0) != (s > 0):
-                    raise InvalidProblem("a root lies outside the float range")
-                hi = top
-            continue
+    top = q * int(float_info.max)
+    if hi > top:  # bring hi / q into the float range
+        if lo >= top or (_homogeneous(a, top, q) > 0) != (s > 0):
+            raise InvalidProblem("a root lies outside the float range")
+        hi = top
+    if not lo:  # the positive roots exceed 2**-e, e bounding a reversed
+        e = max(_root_bound_exponent(a[::-1]), 0)
+        lo, hi, q = 1, hi << e, q << e
+    x = _round(a, lo, hi, q, s, truediv)
+    if x == 0:  # the root rounds to 0.0, which is no positive root
+        raise InvalidProblem("a root lies outside the float range")
+    return x
+
+
+def _round(a: list, lo: int, hi: int, q: int, s: int, key):
+    """key(n, q), a monotone rounding of n / q, at the one root of the
+    integer polynomial a in (lo / q, hi / q), a root that is not dyadic, a
+    having the sign s between it and hi: the interval is split, at its
+    geometric mean while it spans more than two binades, else halved at
+    a dyadic point, each sign read exactly, until key agrees at both
+    ends."""
+    low, high = key(lo, q), key(hi, q)
+    while low != high:
         if hi - lo == 1:
             lo, hi, q = 2 * lo, 2 * hi, 2 * q
-        mid = (lo + hi) >> 1
-        v = _homogeneous(a, mid, q)
-        if v == 0:
-            return Fraction(mid, q)
-        if (v > 0) == (s > 0):
-            hi = mid
+        mid = isqrt(lo * hi) if 0 < 4 * lo < hi else (lo + hi) >> 1
+        if (_homogeneous(a, mid, q) > 0) == (s > 0):
+            hi, high = mid, key(mid, q)
         else:
-            lo = mid
-    if hi / q == 0:  # the root rounds to 0.0, which is no positive root
-        raise InvalidProblem("a root lies outside the float range")
-    return lo / q
+            lo, low = mid, key(mid, q)
+    return low
 
 
 def positive_roots(p: Poly) -> list:
@@ -482,7 +478,7 @@ def positive_roots(p: Poly) -> list:
 def integer_positive_roots(ints: list) -> list:
     """positive_roots of the polynomial with the integer coefficients ints,
     constant first, the last nonzero. One sign change means one simple
-    positive root (Descartes), refined in (0, 2**e) with no split."""
+    positive root (Descartes), found in (0, 2**e) with no split."""
     k = 0
     while ints[k] == 0:  # factor out alpha^k; 0 is never a reported root
         k += 1
@@ -492,11 +488,24 @@ def integer_positive_roots(ints: list) -> list:
         return []
     if changes == 1:
         e = _root_bound_exponent(a)
-        return [_refine(a, 0, 1 << max(e, 0), 1 << max(-e, 0))]
+        lo, hi, q = 0, 1 << max(e, 0), 1 << max(-e, 0)
+        if any(a[1:-1]):
+            return _rational_roots(a) or [_refine(a, lo, hi, q,
+                                                  _guess(a, lo, hi, q))]
+        # a binomial: its root |a_0 / a_d| ** (1 / d) is rational exactly
+        # when a_0 and a_d over their gcd are perfect d-th powers
+        d, g = len(a) - 1, gcd(a[0], a[-1])
+        c0, cd = abs(a[0]) // g, a[-1] // g
+        u, w = _iroot(c0, d), _iroot(cd, d)
+        if u ** d == c0 and w ** d == cd:
+            return [Fraction(u, w)]
+        return [_refine(a, lo, hi, q, _binomial_guess(c0, cd, d))]
     roots = []
     for m, f in _square_free_factors(a):
-        exact, intervals = _isolate(f)
-        for r in exact + [_refine(f, *iv) for iv in intervals]:
-            roots.extend([r] * m)
+        rational = _rational_roots(f)
+        for r in rational:  # divided out: the rest has no rational root
+            f = _divmod(f, [-r.numerator, r.denominator])[0]
+        roots += (rational + [_refine(f, *iv, _guess(f, *iv))
+                              for iv in _isolate(f)]) * m
     roots.sort()
     return roots

@@ -94,6 +94,10 @@ class TestMatrixConstruction:
                        (Fraction(2), Fraction(1))))  # not reciprocal
         with pytest.raises(ValueError):
             AhpMatrix(((Fraction(1),),))  # too small
+        with pytest.raises(ValueError, match="square"):
+            AhpMatrix(((1, 2), (Fraction(1, 2),)))
+        with pytest.raises(ValueError, match="positive"):
+            AhpMatrix(((1, -2), (Fraction(-1, 2), 1)))
 
     def test_reciprocity_is_exact_in_the_binary_values(self):
         # the float 1/3 times 3 is not 1, however close

@@ -76,6 +76,20 @@ class TestSolve:
         assert code == 3
         assert "exactly one file" in err
 
+    def test_a_directory_without_problem_files(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", str(tmp_path))
+        assert (code, err) == (3, "InvalidProblem: no problem files given\n")
+
+    def test_a_ratio_past_the_float_range_exits_3(self, capsys, tmp_path):
+        """x = 2y, y = 3z, z = x and x = 10^400 z: at the irrational root
+        the extra statement's float row overflows."""
+        path = tmp_path / "ratio.admp"
+        path.write_text("criteria: x y z\npref: x = 2 y\npref: y = 3 z\n"
+                        f"pref: z = 1 x\npref: x = 1{'0' * 400} z\n")
+        code, _, err = run(capsys, "solve", str(path))
+        assert (code, err) == (3, "InvalidProblem: a coefficient ratio lies "
+                               "outside the float range\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "no_such_file.admp")
         assert code == 2
@@ -611,7 +625,9 @@ class TestBadNumbers:
         (("gen-cyclic", "--t", "abc"), "--t"),
         (("gen-cyclic", "--t", "1/0"), "--t"),
         (("regimes", "--at", "z=abc", EX["ex15"]), "--at"),
-    ], ids=["threshold-abc", "t-abc", "t-zero-denominator", "at-abc"])
+        (("regimes", "--at", "z", EX["ex15"]), "--at"),
+    ], ids=["threshold-abc", "t-abc", "t-zero-denominator", "at-abc",
+            "at-no-value"])
     def test_is_a_usage_error(self, capsys, argv, option):
         with pytest.raises(SystemExit) as exit_:
             main(list(argv))

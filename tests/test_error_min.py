@@ -366,6 +366,42 @@ class TestFamilyZero:
         res = minimize_error(pr)
         assert res.argmin == (c / 4, (2 - c) / 4, Fraction(1, 2))
 
+    def test_a_zero_just_outside_a_rational_end_falls_back_to_the_grid(
+            self):
+        """x = (80 + 10^-20) z^2, y = 10 z^2 and z < y admit z > 1/10; the
+        zero of (90 + 10^-20) z^2 + z = 1 lies just below 1/10, although
+        its float is 0.1. The grid's point meets z < y."""
+        pr = parse_problem("criteria: x y z\n"
+                           "pref: x = 80.00000000000000000001 z * z\n"
+                           "pref: y = 10 z * z\npref: z < y\n")
+        res = minimize_error(pr)
+        assert res.argmin == (Fraction(1, 5), Fraction(3, 4), Fraction(1, 20))
+        assert (res.value, res.evaluations) == (Fraction(291, 400), 2401)
+
+    def test_zeros_within_an_ulp_of_a_rational_end(self):
+        """x = c z^2 and y = k z^2 cross z at 1/k, where the zero of
+        (c + k) z^2 + z = 1 lies when c = k^2 - 2k; c moved by 10^-30 to
+        10^-2 puts it on either side, from within an ulp to far off.
+        Whichever point is reported meets every stated inequality exactly:
+        the family point only when its components do."""
+        rng = random.Random("rational-ends")
+        zeros = 0
+        for _ in range(40):
+            k = rng.randint(3, 60)
+            c = k * k - 2 * k + rng.choice((-1, 1)) * Fraction(
+                rng.randint(1, 9), 10 ** rng.randint(2, 30))
+            relation = rng.choice(("z < y", "y > z", "y < z", "z > y"))
+            pr = parse_problem(f"criteria: x y z\npref: x = {c} z * z\n"
+                               f"pref: y = {k} z * z\npref: {relation}\n")
+            res = minimize_error(pr, grid_points=12)
+            x = [Fraction(v) for v in res.argmin]
+            for a, b in [(p.lhs, p.rhs) for p in pr.preferences
+                         if isinstance(p, InequalityPreference)]:
+                less = "<" in relation
+                assert (x[a] < x[b]) if less else (x[a] > x[b]), (c, k)
+            zeros += res.value == 0
+        assert 0 < zeros < 40
+
     def test_random_chains_reach_exactly_zero(self):
         rng = random.Random(20260)
         for _ in range(60):

@@ -171,6 +171,11 @@ def test_from_import_of_a_module_name_gives_the_submodule():
                      "print(solver.__name__)\n") == "admcdm.solver"
 
 
+def test_dir_lists_every_export():
+    assert set(admcdm.__all__) <= set(dir(admcdm))
+    assert dir(admcdm) == sorted(dir(admcdm))
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         admcdm.no_such_name

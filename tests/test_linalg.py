@@ -138,6 +138,23 @@ class TestDeterminant:
         with pytest.raises(NotSquare):
             det_poly(PolyMatrix(((poly((1,)), poly((2,)), poly((3,))),
                                  (poly((4,)), poly((5,)), poly((6,))))))
+        with pytest.raises(NotSquare):
+            det_numeric([[1, 2, 3], [4, 5, 6]])
+
+    def test_malformed_matrices_rejected(self):
+        one = poly((1,))
+        with pytest.raises(ValueError, match="two columns"):
+            PolyMatrix(((one,),))
+        with pytest.raises(ValueError, match="two columns"):
+            PolyMatrix(())
+        with pytest.raises(ValueError, match="ragged"):
+            PolyMatrix(((one, one), (one,)))
+        with pytest.raises(TypeError, match="Poly values"):
+            PolyMatrix(((one, 1),))
+        solution = GeneralSolution(2, (1,), ((0, (Fraction(2),)),))
+        assert solution.vector([Fraction(3)]) == [Fraction(6), Fraction(3)]
+        with pytest.raises(ValueError, match="one value per secondary"):
+            solution.vector([])
 
     def test_singular_bareiss_with_zero_column(self):
         rows = [[Fraction(0)] * 5 for _ in range(5)]

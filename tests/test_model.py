@@ -322,6 +322,23 @@ class TestFloatCoefficients:
             build_ahp_matrix(pair)
 
 
+class TestRefusals:
+    def test_a_monomial_needs_a_factor(self):
+        with pytest.raises(InvalidProblem, match="at least one factor"):
+            MonomialPreference(0, 2, ())
+
+    def test_a_bound_problem_needs_an_equation(self):
+        less = InequalityPreference(0, 1, Relation.STRICT_LESS)
+        with pytest.raises(InvalidProblem, match="at least one equation"):
+            Problem(CriteriaSet(("x", "y")), (less,),
+                    ParamBinding((Fraction(1),), (0,)))
+
+    def test_an_unknown_preference_type(self):
+        with pytest.raises(InvalidProblem, match="unknown preference type"):
+            Problem(CriteriaSet(("x", "y")),
+                    (LinearPreference(0, ((1, 2),)), object()))
+
+
 class TestCanonicalize:
     def test_linear_passes_through(self):
         p = LinearPreference(0, ((1, 2), (2, 3)))

@@ -243,6 +243,11 @@ class TestSolveTriangular:
             MonomialSolution(0, ((Fraction(2), 1), (Fraction(1), 1)))
         with pytest.raises(ValueError):
             MonomialSolution(2, ((Fraction(1), 1),))
+        with pytest.raises(ValueError, match="coefficients must be positive"):
+            MonomialSolution(1, ((Fraction(0), 2), (Fraction(1), 1)))
+        for power in (-1, 1.0):
+            with pytest.raises(ValueError, match="exponents must be integers"):
+                MonomialSolution(1, ((Fraction(2), power), (Fraction(1), 1)))
 
 
 class TestRegimes:
@@ -482,6 +487,23 @@ def _thousands_of_factors(tmp_path):
     return path
 
 
+def _cli(*args, timeout=20):
+    """admcdm's CLI on args in a child process of this interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import admcdm
+
+    env = dict(os.environ)
+    src = str(Path(admcdm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "admcdm", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestHighDegrees:
     """Roots of degree in the thousands: binomial crossings in closed form,
     the family zero without isolation, and crossings ordered by their
@@ -489,33 +511,29 @@ class TestHighDegrees:
 
     @pytest.mark.parametrize("command", ["regimes", "error-min"])
     def test_a_product_of_2000_factors_ends(self, tmp_path, command):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import admcdm
-
-        env = dict(os.environ)
-        src = str(Path(admcdm.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         path = str(_thousands_of_factors(tmp_path))
-        run = subprocess.run(
-            [sys.executable, "-m", "admcdm", command, path],
-            env=env, capture_output=True, text=True, timeout=20)
+        run = _cli(command, path)
         assert (run.returncode, run.stderr) == (0, "")
         if command == "error-min":
             assert "z = 0.25" in run.stdout
             return
         # x's coefficient 2 * 3^2000 has no float: only its exact form
         assert f"[{2 * 3**2000}z^2000, 3z, z]" in run.stdout
-        run = subprocess.run(
-            [sys.executable, "-m", "admcdm", command, "--json", path],
-            env=env, capture_output=True, text=True, timeout=20)
+        run = _cli(command, "--json", path)
         assert (run.returncode, run.stderr) == (0, "")
         x = json.loads(run.stdout)["regimes"]["components"][0]
         assert (x["coefficient"], x["exact"]) == (None, str(2 * 3**2000))
+
+    def test_a_rational_zero_with_a_huge_lead_ends(self, tmp_path):
+        """x = 2 * 3^1999 z^2000: the family zero of 2 * 3^1999 z^2000 +
+        z = 1 is 1/3, under a leading coefficient of 3,170 bits; the
+        rational-root test reads it off a root modulo a prime."""
+        path = tmp_path / "rational.admp"
+        path.write_text(f"criteria: x z\npref: x = {2 * 3 ** 1999} "
+                        + " * ".join(["z"] * 2000) + "\n", encoding="utf-8")
+        run = _cli("error-min", str(path), timeout=5)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "x = 2/3 = " in run.stdout and "z = 1/3 = " in run.stdout
 
     def test_the_2000_factor_roots_agree_with_sympy(self, tmp_path):
         sympy = pytest.importorskip("sympy")

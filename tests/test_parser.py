@@ -270,6 +270,20 @@ class TestErrors:
         e = err("criteria: x y", "pref: x =")
         assert "coefficient" in e.message
 
+    @pytest.mark.parametrize("line, message, column", [
+        ("pref: x / y = 2 3", "unexpected '3'", 17),
+        ("pref: x < y z", "unexpected 'z'", 13),
+        ("pref: x = 2 x * y", "subject cannot appear among its own factors",
+         13),
+    ], ids=["after-a-ratio", "after-an-inequality", "subject-as-a-factor"])
+    def test_refusal_positions(self, line, message, column):
+        e = err("criteria: x y z", line)
+        assert (e.message, e.line, e.column) == (message, 2, column)
+
+    def test_unknown_preference_type_cannot_be_formatted(self):
+        with pytest.raises(InvalidProblem, match="unknown preference type"):
+            format_preference(object(), ("x", "y"))
+
     def test_message_carries_position_prefix(self):
         e = err("criteria: x y", "pref: x = 4 q")
         assert str(e).startswith("line 2, column ")

@@ -52,6 +52,10 @@ def _from_roots(roots, lead=Fraction(1)) -> Poly:
 def test_trailing_zeros_trimmed():
     assert poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert poly((0, 0)).coeffs == ()
+    with pytest.raises(ValueError, match="trailing zero"):
+        Poly((1, 0))
+    assert (str(poly(())), str(poly((3,))), str(poly((1, 0, -2)))) == (
+        "0", "3", "1 + -2*a^2")
 
 
 def test_degree_forty_roots_found_exactly():
@@ -196,12 +200,12 @@ def test_tiny_root_reported():
 
 
 class TestOpenIntervals:
-    """Descartes intervals are open: a root on a bisection point is
-    reported exactly and divided out, so it never captures a neighbour."""
+    """Descartes intervals are open: the rational roots, dyadic ones among
+    them, are found and divided out before isolation, so no root lies on
+    a bisection point or captures a neighbour."""
 
     def test_dyadic_roots_met_at_bisection_points(self):
-        # the bisection of (0, 8) meets 4; 2 is then isolated in (0, 4),
-        # at whose end the polynomial vanishes
+        # 4 and 2 would lie on bisection points of (0, 8) and (0, 4)
         assert positive_roots(_from_roots([2, 4, -3])) == [2, 4]
 
     def test_irrational_root_next_to_dyadic_ones(self):
@@ -369,21 +373,32 @@ def _bisected(a, lo, hi, q):
     return lo / q
 
 
-def _outcome(refine, a, interval):
+def _outcome(refine, a, interval, *guess):
     """refine's root, or the type of the engine error it raised."""
     from admcdm.errors import EngineError
 
     try:
-        root = refine(a, *interval)
+        root = refine(a, *interval, *guess)
     except EngineError as exc:
         return type(exc)
     return type(root), root
 
 
+def _sympy_rational_roots(a) -> list:
+    """The positive rational roots of the integer polynomial a, ascending,
+    as sympy finds them."""
+    sympy = pytest.importorskip("sympy")
+    roots = sympy.Poly(a[::-1], sympy.Symbol("x")).real_roots()
+    return sorted({Fraction(int(r.p), int(r.q)) for r in roots
+                   if isinstance(r, sympy.Rational) and r > 0})
+
+
 def _assert_refined_as_bisected(p) -> list:
-    """Every isolating interval of every square-free factor of p gives
-    _refine's outcome equal to the reference's, in value and type; returns
-    the float guess at each interval, None where there is none."""
+    """Every square-free factor a of p with a positive rational root has
+    sympy's as _rational_roots gives them, and with those divided out, each
+    isolating interval of the rest gives _refine's outcome, from _guess,
+    equal to the reference's, in value and type. Returns the float guess
+    at each interval, None where there is none."""
     cs = integer_row(p.coeffs)[0]
     while cs[0] == 0:
         cs.pop(0)
@@ -391,16 +406,24 @@ def _assert_refined_as_bisected(p) -> list:
     for _, a in polynomial._square_free_factors(polynomial._primitive(cs)):
         if len(a) < 3:
             continue
-        for interval in polynomial._isolate(a)[1]:
-            assert (_outcome(polynomial._refine, a, interval)
-                    == _outcome(_bisected, a, interval)), (a, interval)
-            guesses.append(polynomial._guess(a, *interval))
+        rational = polynomial._rational_roots(a)
+        g = a
+        for r in rational:
+            g = polynomial._divmod(g, [-r.numerator, r.denominator])[0]
+        # a rational root missed would reach _bisected, which finds it
+        assert not rational or rational == _sympy_rational_roots(a), a
+        for interval in polynomial._isolate(g):
+            x = polynomial._guess(g, *interval)
+            assert (_outcome(polynomial._refine, g, interval, x)
+                    == _outcome(_bisected, g, interval)), (g, interval)
+            guesses.append(x)
     return guesses
 
 
 class TestCheckedFloat:
     """_refine takes a float guess that exact signs confirm; its outcome
-    is the bisection reference's in every case."""
+    is the bisection reference's in every case. Rational roots never reach
+    it: _rational_roots finds them first."""
 
     def test_benchmark_and_dense_equations(self):
         from admcdm import solver
@@ -422,7 +445,8 @@ class TestCheckedFloat:
             except EngineError:
                 continue
             guesses += _assert_refined_as_bisected(poly(cs))
-        assert len(guesses) >= 500
+        # 317 irrational roots; the 268 rational ones are _rational_roots'
+        assert len(guesses) >= 300
         assert sum(g is not None for g in guesses) >= 0.9 * len(guesses)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -443,26 +467,27 @@ class TestCheckedFloat:
 
     def test_a_rational_root_at_a_bracket_midpoint(self):
         """(2^53 x - (2^53 + 1))(x - 3): the root 1 + 2^-53 has no float;
-        it is the midpoint between the guess 1.0 and its upper neighbour,
-        where the exact sign is 0 and the root is returned as it is."""
+        it is the midpoint between the float 1.0 and its upper neighbour,
+        and _rational_roots returns it exactly, so nothing is refined."""
         s = 1 << 53
         ints = [3 * (s + 1), -(4 * s + 1), s]
         assert polynomial.integer_positive_roots(ints) == [
             Fraction(s + 1, s), 3]
-        assert sorted(_assert_refined_as_bisected(poly(ints))) == [1.0, 3.0]
+        assert polynomial._rational_roots(ints) == [Fraction(s + 1, s), 3]
+        assert _assert_refined_as_bisected(poly(ints)) == []
 
     @pytest.mark.parametrize("lead", [(1 << 60) + 1, 3 ** 40, 10 ** 30])
     def test_rational_roots_with_a_lead_past_the_float_precision(self, lead):
-        """(lead x - y)(x^2 - 2): the guess at the rational root y / lead
-        has a bracket wider than 1 / lead, so the exact test at y / lead
-        must still decide it."""
+        """(lead x - y)(x^2 - 2): the float bracket of the rational root
+        y / lead is wider than 1 / lead, so no float check could decide it;
+        _rational_roots finds it exactly, and only 2^(1/2) is refined."""
         for num, den in ((3, 5), (11, 10), (9, 5)):
             y = num * lead // den
             while math.gcd(y, lead) != 1:
                 y += 1
             p = pmul(poly((-y, lead)), poly((-2, 0, 1)))
             guesses = _assert_refined_as_bisected(p)
-            assert len(guesses) == 2 and None not in guesses
+            assert len(guesses) == 1 and None not in guesses
             assert Fraction(y, lead) in positive_roots(p)
 
     def test_roots_near_the_largest_float(self):
@@ -478,14 +503,14 @@ class TestCheckedFloat:
         with pytest.raises(InvalidProblem, match="float range"):
             positive_roots(poly((-1, -big, 1)))
 
-    def test_any_guess_gives_the_reference_outcome(self, monkeypatch):
+    def test_any_guess_gives_the_reference_outcome(self):
         """The exact check alone decides: with guesses that are wrong by
         one or two floats, outside the interval, 0.0's neighbour or the
         largest float, _refine's outcome is still the reference's."""
         big = int(float_info.max)
         ulp = int(math.ulp(float_info.max))
         cases = [([-2, 0, 1], (1, 2, 1)), ([-3, 0, 2], (0, 2, 1)),
-                 ([-1, -1, 1], (1, 2, 1)), ([-5, 4, 0, 1], (0, 4, 4)),
+                 ([-1, -1, 1], (1, 2, 1)),
                  ([-1, -(big - ulp), 1], (big - 2 * ulp, big, 1)),
                  ([-1, -(big - 2 * ulp), 1], (big - 3 * ulp, big, 1)),
                  ([-1, -big, 1], (big - ulp, 2 * big, 1)),
@@ -494,16 +519,17 @@ class TestCheckedFloat:
         for a, interval in cases:
             want = _outcome(_bisected, a, interval)
             root = want[1] if isinstance(want, tuple) else None
-            near = [5e-324, float_info.max, math.nextafter(float_info.max, 0),
-                    1.0, 1.5, 0.5]
+            near = [None, 5e-324, float_info.max,
+                    math.nextafter(float_info.max, 0), 1.0, 1.5, 0.5]
             if isinstance(root, float):
                 down, up = math.nextafter(root, 0), math.nextafter(root, 2)
                 near += [root, down, up, math.nextafter(down, 0),
                          math.nextafter(up, 2)]
             for x in near:
-                monkeypatch.setattr(polynomial, "_guess", lambda *_: x)
-                assert _outcome(polynomial._refine, a, interval) == want, (
+                assert _outcome(polynomial._refine, a, interval, x) == want, (
                     a, interval, x)
+        # Newton's first step from 1, where x^3 - 3 x - 1 has a' = 0
+        assert polynomial._guess([-1, -3, 0, 1], 0, 2, 1) is None
 
     def test_an_end_without_a_float_skips_the_guess(self):
         """Float coefficients, yet the root bound 2^1024 of x^2 - c x - 1,
@@ -512,7 +538,7 @@ class TestCheckedFloat:
         test_cli.TestHugeValues reaches an interval of such a bound)."""
         c = int(float_info.max) // 2
         a = [-1, -c, 1]
-        ((_, hi, q),) = polynomial._isolate(a)[1]
+        ((_, hi, q),) = polynomial._isolate(a)
         with pytest.raises(OverflowError):
             hi / q
         assert _assert_refined_as_bisected(poly(a)) == [None]
@@ -554,16 +580,16 @@ class TestCheckedFloat:
 
 
 def _reference_roots(ints) -> list:
-    """The roots of a square-free integer polynomial by the general path
-    without any shape test: Descartes isolation (_isolate) and the
-    bisection reference _bisected on each interval; an engine error is
-    returned as its type."""
+    """The root of a polynomial with one sign change, and so one positive
+    root (Descartes), as the bisection reference _bisected finds it below
+    the root bound 2^e, with no shape test, no guess and no isolation; an
+    engine error is returned as its type."""
     from admcdm.errors import EngineError
 
-    a = polynomial._primitive(ints)
-    exact, intervals = polynomial._isolate(a)
+    assert polynomial._sign_changes(ints) == 1
+    e = polynomial._root_bound_exponent(ints)
     try:
-        return sorted(exact + [_bisected(a, *iv) for iv in intervals])
+        return [_bisected(ints, 0, 1 << max(e, 0), 1 << max(-e, 0))]
     except EngineError as exc:
         return type(exc)
 
@@ -721,20 +747,72 @@ class TestShapes:
                 want = float(lo)
             assert isinstance(root, float) and root == want, (trial, root)
 
-    def test_the_prime_check_never_rules_out_a_rational_root(self):
-        """(l x - y) g(x) has the rational root y / l, so every small prime
-        not dividing its lead leaves a root modulo p."""
+    def test_a_root_far_below_its_root_bound(self, monkeypatch):
+        """2^-2968 z^2001 + 2^10 z^2000 + z = 1, cleared: a coefficient
+        has no float, so there is no guess, and the root bound is 2^2969
+        while the root is near 0.994. The bisection splits at geometric
+        means down to the root's binade: a few dozen exact signs, not
+        thousands at numbers of millions of bits."""
+        mpmath = pytest.importorskip("mpmath")
+        ints = [-(1 << 2999), 1 << 2999] + [0] * 1998 + [1 << 3009, 1 << 31]
+        signs = []
+        homogeneous = polynomial._homogeneous
+        monkeypatch.setattr(polynomial, "_homogeneous",
+                            lambda *args: signs.append(1) or homogeneous(*args))
+        (root,) = polynomial.integer_positive_roots(ints)
+        assert len(signs) < 200
+        with mpmath.workdps(50):
+            f = mpmath.mpf(2) ** -2968, mpmath.mpf(2) ** 10
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if f[0] * mid ** 2001 + f[1] * mid ** 2000 + mid < 1:
+                    lo = mid
+                else:
+                    hi = mid
+            assert root == float(lo)
+
+    def test_the_prime_check_never_rules_out_a_rational_root(self,
+                                                              monkeypatch):
+        """(l x - y) g(x), with l of up to 3,000 bits and g's roots from the
+        divisors of g(0) and lead(g): _rational_roots finds y / l and every
+        positive rational root of g, and nothing else. A squared factor
+        leaves a repeated root modulo every prime, so Yun's split finds
+        it."""
+        def expanded(f, g):
+            return [c for c in pmul(poly(f), poly(g)).coeffs]
+
+        def positive_rational_roots(g):
+            divisors = [[k for k in range(1, abs(c) + 1) if c % k == 0]
+                        for c in (g[0], g[-1])]
+            return {Fraction(u, v) for u in divisors[0] for v in divisors[1]
+                    if polynomial._homogeneous(g, u, v) == 0}
+
+        splits = []
+        split = polynomial._square_free_factors
+        monkeypatch.setattr(polynomial, "_square_free_factors",
+                            lambda a: splits.append(a) or split(a))
         rng = random.Random("primes")
-        for _ in range(200):
-            g = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+        for trial in range(200):
+            g = [rng.choice((-1, 1)) * rng.randint(1, 50)]
+            g += [rng.randint(-50, 50) for _ in range(rng.randint(0, 7))]
             g.append(rng.randint(1, 50))
-            lin = [-rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)]
-            a = [0] * (len(g) + 1)
-            for i, c in enumerate(g):
-                a[i] += lin[0] * c
-                a[i + 1] += lin[1] * c
-            assert not polynomial._no_rational_root(a)
-        # x^2 - 2 has no root modulo 3, 2 x^2000 + 4 x - 1 none modulo 19
-        assert polynomial._no_rational_root([-2, 0, 1])
-        assert polynomial._no_rational_root([-1, 4] + [0] * 1998
-                                            + [2 * 3 ** 2000])
+            lead = rng.getrandbits(rng.choice([8, 300, 3000])) | 1
+            y = rng.randint(1, 10 ** rng.randint(1, 40))
+            while math.gcd(y, lead) != 1:
+                y += 1
+            a = expanded([-y, lead], g)
+            if trial % 10 == 0:
+                a = expanded([-y, lead], a)
+            want = sorted({Fraction(y, lead)} | positive_rational_roots(g))
+            assert polynomial._rational_roots(a) == want, (g, y, lead)
+        assert len(splits) >= 20
+        # x^2 - 2 has no root modulo 3; 2 * 3^2000 x^2000 + 4 x - 1 has
+        # the simple root 1 modulo 5, whose lift reads off no root; and
+        # 2 * 3^1999 z^2000 + z - 1 has the root 1/3
+        assert polynomial._rational_roots([-2, 0, 1]) == []
+        assert polynomial._rational_roots([-1, 4] + [0] * 1998
+                                          + [2 * 3 ** 2000]) == []
+        assert polynomial._rational_roots([-1, 1] + [0] * 1998
+                                          + [2 * 3 ** 1999]) == [
+            Fraction(1, 3)]

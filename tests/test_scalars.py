@@ -33,6 +33,8 @@ def test_exact_reads_finite_floats_exactly():
 def test_exact_rejects_bools():
     with pytest.raises(TypeError):
         exact(True)
+    with pytest.raises(TypeError, match="unsupported scalar type: list"):
+        exact([1])
 
 
 def test_is_exact():
